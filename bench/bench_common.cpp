@@ -6,6 +6,7 @@
 #include "sched/netplan.hpp"
 #include "systolic/sim.hpp"
 #include "util/check.hpp"
+#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_sink.hpp"
 
@@ -133,7 +134,6 @@ void TelemetryScope::finalize() {
 }
 
 SweepHarness::SweepHarness(util::CliFlags& flags) {
-  sched::add_sweep_flags(flags);
   add_telemetry_flags(flags);
   add_kernel_flags(flags);
   add_sim_flags(flags);
@@ -142,15 +142,13 @@ SweepHarness::SweepHarness(util::CliFlags& flags) {
 
 SweepHarness::~SweepHarness() { finalize(); }
 
-sched::SweepEngine& SweepHarness::engine(const util::CliFlags& flags) {
-  FUSE_CHECK(!engine_) << "SweepHarness::engine called twice";
+void SweepHarness::start(const util::CliFlags& flags) {
+  FUSE_CHECK(!telemetry_) << "SweepHarness::start called twice";
   apply_kernel_flags(flags);
   apply_sim_flags(flags);
   apply_sched_flags(flags);
   telemetry_.emplace(flags);
-  engine_.emplace(sched::sweep_options_from_flags(flags));
   start_ = std::chrono::steady_clock::now();
-  return *engine_;
 }
 
 void SweepHarness::stop() {
@@ -168,12 +166,12 @@ void SweepHarness::finalize() {
 }
 
 void SweepHarness::print_footer() {
-  FUSE_CHECK(engine_) << "SweepHarness::print_footer before engine()";
+  FUSE_CHECK(telemetry_) << "SweepHarness::print_footer before start()";
   stop();
-  // Record engine provenance on the footer line (filtered out of golden
-  // comparisons together with the varying wall time).
-  std::printf("\n%s, kernels=%s/%s, sim=%s, sched=%s\n",
-              sched::sweep_stats_line(*engine_, wall_ms_).c_str(),
+  // Wall time and mode provenance on one footer line (filtered out of
+  // golden comparisons by its "sweep:" prefix).
+  std::printf("\nsweep: %s ms, kernels=%s/%s, sim=%s, sched=%s\n",
+              util::fixed(wall_ms_, 2).c_str(),
               nn::kernel_backend_name(nn::kernel_backend()),
               nn::kernel_isa_name(nn::kernel_isa()),
               systolic::sim_backend_name(systolic::sim_backend()),

@@ -1,14 +1,14 @@
 // Shared wiring of the sweep-driven benches: every table/figure binary
-// that fans work across a SweepEngine registers the same --threads /
-// --no-cache flags, times the parallel section with a steady clock, and
-// prints the same "sweep: ..." cache-stats footer. SweepHarness owns that
-// boilerplate so each bench only contains its own sweep and table.
+// registers the same backend and telemetry flags, times its sweep with a
+// steady clock, and prints the same "sweep: ..." wall-time footer.
+// SweepHarness owns that boilerplate so each bench only contains its own
+// sweep (a serial loop over the sched:: report functions) and table.
 //
 // Every bench also gains the telemetry flags: --trace-json=<path> attaches
-// a global trace sink for the engine's lifetime and writes the runtime
-// span timeline (wall-clock us: sweep cells, parallel_fors) on exit;
-// --stats-json=<path> dumps the metrics registry (cache hits/misses,
-// steal counts, per-layer histograms); --profile-json=<path> attaches a
+// a global trace sink for the harness's lifetime and writes the runtime
+// span timeline (wall-clock us: sweep spans, parallel_fors) on exit;
+// --stats-json=<path> dumps the metrics registry (pool counters,
+// per-layer histograms); --profile-json=<path> attaches a
 // ProfileCollector and writes span wall-clock statistics (exact
 // p50/p90/p99, self vs child time). All three are silent — stdout and CSV
 // output stay byte-identical whether or not the flags are set.
@@ -16,13 +16,13 @@
 // Usage:
 //   util::CliFlags flags;
 //   ...bench-specific flags...
-//   bench::SweepHarness harness(flags);   // registers the sweep flags
+//   bench::SweepHarness harness(flags);   // registers the shared flags
 //   flags.parse(argc, argv);
-//   auto& engine = harness.engine(flags); // builds engine, starts clock
-//   ...parallel work through engine...
+//   harness.start(flags);                 // applies flags, starts clock
+//   ...the sweep...
 //   harness.stop();                       // freeze wall time (optional)
 //   table.print(std::cout);
-//   harness.print_footer();               // "sweep: N threads, cache ..."
+//   harness.print_footer();               // "sweep: W ms, kernels=..."
 #pragma once
 
 #include <chrono>
@@ -30,7 +30,6 @@
 #include <optional>
 #include <string>
 
-#include "sched/sweep.hpp"
 #include "util/cli.hpp"
 
 namespace fuse::util {
@@ -103,7 +102,7 @@ class TelemetryScope {
 
 class SweepHarness {
  public:
-  /// Registers --threads/--no-cache plus the telemetry flags on `flags`.
+  /// Registers the telemetry, kernel, sim and sched flags on `flags`.
   /// Call before parse().
   explicit SweepHarness(util::CliFlags& flags);
 
@@ -111,18 +110,17 @@ class SweepHarness {
   /// print_footer() never ran.
   ~SweepHarness();
 
-  /// Builds the engine from the parsed flags and starts the wall clock.
-  /// When --trace-json is set, also attaches the process-wide trace sink
-  /// so spans emitted under this engine land in the file. Call once,
-  /// after flags.parse().
-  sched::SweepEngine& engine(const util::CliFlags& flags);
+  /// Applies the parsed backend flags and starts the wall clock. When
+  /// --trace-json is set, also attaches the process-wide trace sink so the
+  /// sweep's spans land in the file. Call once, after flags.parse().
+  void start(const util::CliFlags& flags);
 
   /// Freezes the wall-clock measurement; later calls are no-ops, so the
   /// timed window ends at the first stop() (or at print_footer()).
   void stop();
 
-  /// Prints the sweep stats footer — the sweep_stats_line plus the kernel
-  /// and sim backends that produced the run (stops the clock first if
+  /// Prints the footer — the sweep's wall time plus the kernel, sim and
+  /// sched modes that produced the run (stops the clock first if
   /// running) — then silently writes --trace-json/--stats-json if
   /// requested.
   void print_footer();
@@ -130,7 +128,6 @@ class SweepHarness {
  private:
   void finalize();  // detach sink + write files; idempotent, silent
 
-  std::optional<sched::SweepEngine> engine_;
   std::chrono::steady_clock::time_point start_;
   double wall_ms_ = -1.0;
   std::optional<TelemetryScope> telemetry_;

@@ -16,13 +16,13 @@
 //      (FUSE_CHECKed, like bench_serve's 2x batching gate).
 //   3. Frontier: the full-grid explore() result is printed and written
 //      as CSV/JSON. Everything except the "# ..." wall-clock lines is
-//      byte-deterministic at any --threads value.
+//      byte-deterministic.
 //
 // The schedule mode is pinned to fused internally: the explorer always
 // plans fused (its latencies are never worse), and pinning keeps the
 // artifact independent of FUSE_SCHED_MODE.
 //
-// Usage: bench_dse [--threads=N] [--no-cache] [--csv] [--json=<path>]
+// Usage: bench_dse [--csv] [--json=<path>]
 //   --csv writes bench_dse.csv (the full point table, frontier column);
 //   --json writes the machine-readable artifact for
 //   results/BENCH_dse.json (tools/regenerate_results.sh).
@@ -66,12 +66,10 @@ std::uint64_t plan_path_bound_cycles(
 
 std::uint64_t fast_path_bound_cycles(
     const dse::DesignPoint& point,
-    const std::vector<nets::NetworkModel>& workload, sched::SchedMode mode,
-    sched::EvalCache* cache) {
+    const std::vector<nets::NetworkModel>& workload, sched::SchedMode mode) {
   std::uint64_t bound = 0;
   for (const nets::NetworkModel& model : workload) {
-    bound += sched::eval_network_fast(model, point.cfg, point.mem, mode,
-                                      cache)
+    bound += sched::eval_network_fast(model, point.cfg, point.mem, mode)
                  .roofline.bound_cycles;
   }
   return bound;
@@ -118,8 +116,6 @@ void write_json(const std::string& path, const dse::ExploreResult& result,
 
 int main(int argc, char** argv) {
   util::CliFlags flags;
-  flags.add_int("threads", -1, "worker threads for the frontier sweep");
-  flags.add_bool("no-cache", false, "disable per-layer cost memoization");
   flags.add_bool("csv", false, "also write bench_dse.csv");
   flags.add_string("json", "", "write machine-readable results to <path>");
   flags.parse(argc, argv);
@@ -171,9 +167,6 @@ int main(int argc, char** argv) {
               subset.size(), workload.size());
 
   // --- 2. throughput: both paths single-threaded on the subset --------------
-  // Neither timed leg memoizes: the comparison is the bare evaluator
-  // against the bare plan path. (The memo cache is a separate, optional
-  // layer — its effect shows up in the explore() leg below.)
   const auto t_plan = std::chrono::steady_clock::now();
   std::uint64_t plan_checksum = 0;
   for (const dse::DesignPoint& point : subset) {
@@ -184,7 +177,7 @@ int main(int argc, char** argv) {
   const auto t_fast = std::chrono::steady_clock::now();
   std::uint64_t fast_checksum = 0;
   for (const dse::DesignPoint& point : subset) {
-    fast_checksum += fast_path_bound_cycles(point, workload, mode, nullptr);
+    fast_checksum += fast_path_bound_cycles(point, workload, mode);
   }
   const double fast_ms = elapsed_ms(t_fast);
   FUSE_CHECK(plan_checksum == fast_checksum)
@@ -202,8 +195,6 @@ int main(int argc, char** argv) {
   // --- 3. the frontier over the full grid -----------------------------------
   dse::ExploreOptions options;
   options.mode = mode;
-  options.threads = static_cast<int>(flags.get_int("threads"));
-  options.use_cache = !flags.get_bool("no-cache");
   const dse::ExploreResult result = dse::explore(axes, workload, options);
 
   util::TablePrinter table({"Config", "Latency (ms)", "Area (mm^2)",
@@ -228,8 +219,8 @@ int main(int argc, char** argv) {
   std::printf("# fast path:  %7.1f ms for %zu configs (%.1f configs/s)\n",
               fast_ms, subset.size(), fast_cps);
   std::printf("# speedup: %.1fx (gate >= 10x); full %zu-point grid via "
-              "explore(); memo hit rate %.1f%%\n",
-              speedup, result.points.size(), result.memo_hit_pct);
+              "explore()\n",
+              speedup, result.points.size());
 
   if (flags.get_bool("csv")) {
     dse::write_explore_csv(result, "bench_dse.csv");
@@ -238,8 +229,8 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
     write_json(json_path, result, subset.size(), plan_cps, fast_cps);
-    // "# " prefix: the json path differs between check.sh's determinism
-    // legs, so this line must be excluded from the stdout diff.
+    // "# " prefix: the json path is the caller's choice, so this line is
+    // excluded from stdout diffs with the wall-clock lines.
     std::printf("# wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -2,13 +2,12 @@
 // size. Paper claims: speedup increases with array size, and the larger,
 // older MobileNet-V1 gains more on big arrays than MobileNet-V3-Small.
 //
-// Usage: bench_fig8d_scaling [--variant=half] [--csv] [--threads=N]
-//        [--no-cache]
+// Usage: bench_fig8d_scaling [--variant=half] [--csv]
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sched/sweep.hpp"
+#include "sched/report.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -39,15 +38,11 @@ int main(int argc, char** argv) {
     header.push_back(std::to_string(s) + "x" + std::to_string(s));
   }
   const auto networks = nets::paper_networks();
-  std::vector<std::vector<sched::ScalingPoint>> sweeps(networks.size());
-  sched::SweepEngine& engine = harness.engine(flags);
-  // One task per (network, size) cell: the engine parallelizes the sizes
-  // inside scaling_sweep, and the networks fan across the outer loop.
-  engine.pool().parallel_for(
-      static_cast<std::int64_t>(networks.size()), [&](std::int64_t i) {
-        const std::size_t n = static_cast<std::size_t>(i);
-        sweeps[n] = engine.scaling_sweep(networks[n], variant, sizes);
-      });
+  std::vector<std::vector<sched::ScalingPoint>> sweeps;
+  harness.start(flags);
+  for (const nets::NetworkId id : networks) {
+    sweeps.push_back(sched::scaling_sweep(id, variant, sizes));
+  }
   harness.stop();
 
   util::TablePrinter table(header);

@@ -6,13 +6,13 @@
 //   max-params  s.t. latency in the band between the all-Half and
 //       all-Full latencies (the regime where operators genuinely compete)
 //
-// Usage: bench_nos [--size=64] [--csv] [--threads=N] [--no-cache]
+// Usage: bench_nos [--size=64] [--csv]
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "nos/search.hpp"
-#include "sched/sweep.hpp"
+#include "sched/latency.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -39,30 +39,28 @@ int main(int argc, char** argv) {
     double mid_band_ratio = 0.0;
   };
   const std::vector<nets::NetworkId> networks = nets::paper_networks();
-  std::vector<NetworkSearch> searches(networks.size());
-  sched::SweepEngine& engine = harness.engine(flags);
-  // The per-network searches are independent; one task runs both budget
-  // directions for its network.
-  engine.pool().parallel_for(
-      static_cast<std::int64_t>(networks.size()), [&](std::int64_t i) {
-        const nets::NetworkId id = networks[static_cast<std::size_t>(i)];
-        NetworkSearch& s = searches[static_cast<std::size_t>(i)];
-        nos::NosConfig config;
-        config.max_params_ratio = 1.05;
-        s.min_latency = nos::search_operators(id, cfg, config);
+  std::vector<NetworkSearch> searches;
+  harness.start(flags);
+  // Both budget directions per network.
+  for (const nets::NetworkId id : networks) {
+    NetworkSearch s;
+    nos::NosConfig config;
+    config.max_params_ratio = 1.05;
+    s.min_latency = nos::search_operators(id, cfg, config);
 
-        // Mid-band latency budget: halfway between all-Half and all-Full.
-        const double half_ratio =
-            1.0 / engine.speedup_vs_baseline(
-                      id, core::NetworkVariant::kFuseHalf, cfg);
-        const double full_ratio =
-            1.0 / engine.speedup_vs_baseline(
-                      id, core::NetworkVariant::kFuseFull, cfg);
-        nos::NosLatencyBudgetConfig budget;
-        budget.max_cycles_ratio = 0.5 * (half_ratio + full_ratio);
-        s.mid_band_ratio = budget.max_cycles_ratio;
-        s.max_params = nos::search_capacity(id, cfg, budget);
-      });
+    // Mid-band latency budget: halfway between all-Half and all-Full.
+    const double half_ratio =
+        1.0 / sched::speedup_vs_baseline(id, core::NetworkVariant::kFuseHalf,
+                                         cfg);
+    const double full_ratio =
+        1.0 / sched::speedup_vs_baseline(id, core::NetworkVariant::kFuseFull,
+                                         cfg);
+    nos::NosLatencyBudgetConfig budget;
+    budget.max_cycles_ratio = 0.5 * (half_ratio + full_ratio);
+    s.mid_band_ratio = budget.max_cycles_ratio;
+    s.max_params = nos::search_capacity(id, cfg, budget);
+    searches.push_back(s);
+  }
   harness.stop();
 
   util::TablePrinter table({"Network", "Objective", "Params", "Speedup",

@@ -5,14 +5,14 @@
 // networks stop scaling (under-utilization), FuSe variants keep converting
 // silicon into speed through 128x128.
 //
-// Usage: bench_pareto [--net=v2] [--csv] [--threads=N] [--no-cache]
+// Usage: bench_pareto [--net=v2] [--csv]
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "dse/pareto.hpp"
 #include "hw/area_power.hpp"
-#include "sched/sweep.hpp"
+#include "sched/latency.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -20,10 +20,6 @@
 #include "util/table.hpp"
 
 using namespace fuse;
-
-namespace {
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::CliFlags flags;
@@ -50,19 +46,19 @@ int main(int argc, char** argv) {
     double base_inf_s = 0.0;
     double fuse_inf_s = 0.0;
   };
-  std::vector<Point> points(sizes.size());
-  sched::SweepEngine& engine = harness.engine(flags);
-  engine.pool().parallel_for(
-      static_cast<std::int64_t>(sizes.size()), [&](std::int64_t i) {
-        const std::size_t s = static_cast<std::size_t>(i);
-        const auto cfg = systolic::square_array(sizes[s]);
-        const double hz = cfg.freq_mhz * 1e6;
-        points[s].hw = hw::array_hw(cfg, hw_model);
-        points[s].base_inf_s =
-            hz / static_cast<double>(engine.network_cycles(baseline, cfg));
-        points[s].fuse_inf_s =
-            hz / static_cast<double>(engine.network_cycles(fused, cfg));
-      });
+  std::vector<Point> points;
+  harness.start(flags);
+  for (const std::int64_t size : sizes) {
+    const auto cfg = systolic::square_array(size);
+    const double hz = cfg.freq_mhz * 1e6;
+    Point p;
+    p.hw = hw::array_hw(cfg, hw_model);
+    p.base_inf_s = hz / static_cast<double>(
+                            sched::network_latency(baseline, cfg).total_cycles);
+    p.fuse_inf_s = hz / static_cast<double>(
+                            sched::network_latency(fused, cfg).total_cycles);
+    points.push_back(p);
+  }
   harness.stop();
 
   util::TablePrinter table({"Array", "Area (mm^2)", "Power (W)",

@@ -5,12 +5,12 @@
 // the feature-map area), so the operator substitution is robust to this
 // deployment knob too.
 //
-// Usage: bench_resolution [--size=64] [--csv] [--threads=N] [--no-cache]
+// Usage: bench_resolution [--size=64] [--csv]
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sched/sweep.hpp"
+#include "sched/latency.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -41,30 +41,29 @@ int main(int argc, char** argv) {
     double full_speedup = 0.0;
     double half_speedup = 0.0;
   };
-  const std::int64_t cells =
-      static_cast<std::int64_t>(networks.size() * resolutions.size());
-  std::vector<Point> points(static_cast<std::size_t>(cells));
-  sched::SweepEngine& engine = harness.engine(flags);
-  engine.pool().parallel_for(cells, [&](std::int64_t flat) {
-    const std::size_t n =
-        static_cast<std::size_t>(flat) / resolutions.size();
-    const std::int64_t res =
-        resolutions[static_cast<std::size_t>(flat) % resolutions.size()];
-    const nets::NetworkId id = networks[n];
+  const auto cycles = [&cfg](const nets::NetworkModel& model) {
+    return sched::network_latency(model, cfg).total_cycles;
+  };
+  std::vector<Point> points;  // network-major, resolution-minor
+  harness.start(flags);
+  for (const nets::NetworkId id : networks) {
     const int slots = nets::num_fuse_slots(id);
-    const auto baseline = nets::build_network_scaled(id, 1.0, {}, res);
-    const auto full = nets::build_network_scaled(
-        id, 1.0, core::uniform_modes(slots, core::FuseMode::kFull), res);
-    const auto half = nets::build_network_scaled(
-        id, 1.0, core::uniform_modes(slots, core::FuseMode::kHalf), res);
-    Point& p = points[static_cast<std::size_t>(flat)];
-    p.macs = baseline.total_macs();
-    p.base_cycles = engine.network_cycles(baseline, cfg);
-    p.full_speedup = static_cast<double>(p.base_cycles) /
-                     static_cast<double>(engine.network_cycles(full, cfg));
-    p.half_speedup = static_cast<double>(p.base_cycles) /
-                     static_cast<double>(engine.network_cycles(half, cfg));
-  });
+    for (const std::int64_t res : resolutions) {
+      const auto baseline = nets::build_network_scaled(id, 1.0, {}, res);
+      const auto full = nets::build_network_scaled(
+          id, 1.0, core::uniform_modes(slots, core::FuseMode::kFull), res);
+      const auto half = nets::build_network_scaled(
+          id, 1.0, core::uniform_modes(slots, core::FuseMode::kHalf), res);
+      Point p;
+      p.macs = baseline.total_macs();
+      p.base_cycles = cycles(baseline);
+      p.full_speedup = static_cast<double>(p.base_cycles) /
+                       static_cast<double>(cycles(full));
+      p.half_speedup = static_cast<double>(p.base_cycles) /
+                       static_cast<double>(cycles(half));
+      points.push_back(p);
+    }
+  }
   harness.stop();
 
   util::TablePrinter table({"Network", "Input", "MACs (M)",

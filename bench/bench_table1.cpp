@@ -2,12 +2,12 @@
 // the training substitution), MACs, params, and speedup on a 64x64
 // output-stationary systolic array for 5 networks x 5 variants.
 //
-// Usage: bench_table1 [--size=64] [--csv] [--threads=N] [--no-cache]
+// Usage: bench_table1 [--size=64] [--csv]
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sched/sweep.hpp"
+#include "sched/report.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
       "(accuracy column = paper-reported ImageNet top-1; this repo's "
       "synthetic-accuracy study is bench_accuracy_synth)\n\n");
 
-  sched::SweepEngine& engine = harness.engine(flags);
-  const auto rows = engine.table1_rows(cfg);
+  harness.start(flags);
+  const auto rows = sched::table1_rows(cfg);
   harness.stop();
 
   util::TablePrinter table({"Network", "Acc% (paper)", "MACs(M)",

@@ -5,12 +5,12 @@
 // the array's under-utilization even more, so the speedup should not decay
 // at small alpha.
 //
-// Usage: bench_width_mult [--size=64] [--csv] [--threads=N] [--no-cache]
+// Usage: bench_width_mult [--size=64] [--csv]
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sched/sweep.hpp"
+#include "sched/latency.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -41,30 +41,30 @@ int main(int argc, char** argv) {
     double full_speedup = 0.0;
     double half_speedup = 0.0;
   };
-  const std::int64_t cells =
-      static_cast<std::int64_t>(networks.size() * alphas.size());
-  std::vector<Point> points(static_cast<std::size_t>(cells));
-  sched::SweepEngine& engine = harness.engine(flags);
-  engine.pool().parallel_for(cells, [&](std::int64_t flat) {
-    const std::size_t n = static_cast<std::size_t>(flat) / alphas.size();
-    const double alpha =
-        alphas[static_cast<std::size_t>(flat) % alphas.size()];
-    const nets::NetworkId id = networks[n];
+  const auto cycles = [&cfg](const nets::NetworkModel& model) {
+    return sched::network_latency(model, cfg).total_cycles;
+  };
+  std::vector<Point> points;  // network-major, alpha-minor
+  harness.start(flags);
+  for (const nets::NetworkId id : networks) {
     const int slots = nets::num_fuse_slots(id);
-    const auto baseline = nets::build_network_scaled(id, alpha);
-    const auto full = nets::build_network_scaled(
-        id, alpha, core::uniform_modes(slots, core::FuseMode::kFull));
-    const auto half = nets::build_network_scaled(
-        id, alpha, core::uniform_modes(slots, core::FuseMode::kHalf));
-    const std::uint64_t base_cycles = engine.network_cycles(baseline, cfg);
-    Point& p = points[static_cast<std::size_t>(flat)];
-    p.macs = baseline.total_macs();
-    p.params = baseline.total_params();
-    p.full_speedup = static_cast<double>(base_cycles) /
-                     static_cast<double>(engine.network_cycles(full, cfg));
-    p.half_speedup = static_cast<double>(base_cycles) /
-                     static_cast<double>(engine.network_cycles(half, cfg));
-  });
+    for (const double alpha : alphas) {
+      const auto baseline = nets::build_network_scaled(id, alpha);
+      const auto full = nets::build_network_scaled(
+          id, alpha, core::uniform_modes(slots, core::FuseMode::kFull));
+      const auto half = nets::build_network_scaled(
+          id, alpha, core::uniform_modes(slots, core::FuseMode::kHalf));
+      const std::uint64_t base_cycles = cycles(baseline);
+      Point p;
+      p.macs = baseline.total_macs();
+      p.params = baseline.total_params();
+      p.full_speedup = static_cast<double>(base_cycles) /
+                       static_cast<double>(cycles(full));
+      p.half_speedup = static_cast<double>(base_cycles) /
+                       static_cast<double>(cycles(half));
+      points.push_back(p);
+    }
+  }
   harness.stop();
 
   util::TablePrinter table({"Network", "alpha", "MACs (M)", "Params (M)",

@@ -8,10 +8,9 @@
 // This is the generalization of examples/operator_search (which explores
 // the OPERATOR axis on a fixed array) and bench/bench_pareto (which
 // explores square sizes on fixed axes): here the array itself is the
-// design variable. Every number printed is deterministic — the frontier
-// is byte-identical at any --threads value.
+// design variable. Every number printed is deterministic.
 //
-// Usage: dse_explore [--threads=N] [--no-cache] [--csv]
+// Usage: dse_explore [--csv]
 //   --csv writes dse_explore.csv: the full 180-point table with a
 //   `frontier` 0/1 column (docs/design_space.md describes the schema).
 #include <cstdio>
@@ -26,8 +25,6 @@ using namespace fuse;
 
 int main(int argc, char** argv) {
   util::CliFlags flags;
-  flags.add_int("threads", -1, "worker threads (-1 = hardware)");
-  flags.add_bool("no-cache", false, "disable per-layer cost memoization");
   flags.add_bool("csv", false, "also write dse_explore.csv");
   flags.parse(argc, argv);
 
@@ -40,10 +37,7 @@ int main(int argc, char** argv) {
       "closed-form evaluator\n\n",
       workload.size());
 
-  dse::ExploreOptions options;
-  options.threads = static_cast<int>(flags.get_int("threads"));
-  options.use_cache = !flags.get_bool("no-cache");
-  const dse::ExploreResult result = dse::explore(axes, workload, options);
+  const dse::ExploreResult result = dse::explore(axes, workload);
 
   util::TablePrinter table({"Config", "Latency (ms)", "Area (mm^2)",
                             "Power (W)", "Bound cycles"});
@@ -64,9 +58,6 @@ int main(int argc, char** argv) {
       "narrower datapaths trade silicon for operand bandwidth.\n",
       result.front.entries().size(), result.points.size(),
       static_cast<unsigned long long>(result.front.pruned()));
-  // Memo statistics are scheduling-dependent (racing misses both count),
-  // so they stay on a comment line like the sweep footers.
-  std::printf("# eval memo hit rate: %.1f%%\n", result.memo_hit_pct);
 
   if (flags.get_bool("csv")) {
     dse::write_explore_csv(result, "dse_explore.csv");

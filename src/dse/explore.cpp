@@ -6,7 +6,6 @@
 #include "hw/area_power.hpp"
 #include "util/check.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fuse::dse {
 
@@ -61,12 +60,11 @@ std::vector<nets::NetworkModel> default_dse_workload() {
 
 Objectives evaluate_design_point(
     const DesignPoint& point, const std::vector<nets::NetworkModel>& workload,
-    sched::SchedMode mode, sched::EvalCache* cache,
-    std::uint64_t* bound_cycles_out) {
+    sched::SchedMode mode, std::uint64_t* bound_cycles_out) {
   std::uint64_t bound_cycles = 0;
   for (const nets::NetworkModel& model : workload) {
     const sched::NetworkEval ev =
-        sched::eval_network_fast(model, point.cfg, point.mem, mode, cache);
+        sched::eval_network_fast(model, point.cfg, point.mem, mode);
     bound_cycles += ev.roofline.bound_cycles;
   }
   if (bound_cycles_out != nullptr) {
@@ -91,34 +89,17 @@ ExploreResult explore(const DseAxes& axes,
 
   ExploreResult result;
   result.points = enumerate_design_points(axes);
-  const std::int64_t n = static_cast<std::int64_t>(result.points.size());
   result.objectives.resize(result.points.size());
   result.bound_cycles.resize(result.points.size());
-
-  sched::EvalCache cache;
-  sched::EvalCache* cache_ptr = options.use_cache ? &cache : nullptr;
-  const int threads = options.threads < 0
-                          ? util::ThreadPool::hardware_threads()
-                          : options.threads;
-  // N total threads = N - 1 workers + the caller inside parallel_for.
-  util::ThreadPool pool(threads > 0 ? threads - 1 : 0);
-  pool.parallel_for(n, [&](std::int64_t i) {
-    // Index-slot write: determinism does not depend on scheduling.
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
     result.objectives[i] =
         evaluate_design_point(result.points[i], workload, options.mode,
-                              cache_ptr, &result.bound_cycles[i]);
-  });
-
-  // Serial index-order pruning — the frontier (and its entry order) is a
-  // pure function of the objective vectors.
-  for (std::size_t i = 0; i < result.objectives.size(); ++i) {
+                              &result.bound_cycles[i]);
     result.front.offer(i, result.objectives[i]);
   }
 
   evaluated.add(result.points.size());
   pruned.add(result.front.pruned());
-  result.memo_hit_pct = cache.hit_rate_pct();
-  cache.publish_hit_rate();
   return result;
 }
 

@@ -14,10 +14,12 @@
 // cycles at the configuration's post-derate clock
 // (ArrayConfig::effective_freq_mhz).
 //
-// Determinism: evaluation is parallel with index-slot writes; frontier
-// offers happen serially in index order afterwards (the SweepEngine
-// discipline), so the frontier — and the CSV the driver writes — is
-// byte-identical at any thread count. tests/test_dse.cpp pins this.
+// The sweep is one serial loop. A thread pool over the points cut wall
+// time but cost more CPU than it saved, and a memo table in front of the
+// closed form measured ~10x slower than none (results/BENCH_sweep.json).
+// Frontier offers happen in point-index order, so the frontier — and the
+// CSV write_explore_csv emits — is a pure function of the axes and
+// workload.
 //
 // docs/design_space.md documents the axes and the output formats.
 #pragma once
@@ -80,15 +82,10 @@ std::vector<nets::NetworkModel> default_dse_workload();
 Objectives evaluate_design_point(const DesignPoint& point,
                                  const std::vector<nets::NetworkModel>& workload,
                                  sched::SchedMode mode,
-                                 sched::EvalCache* cache,
                                  std::uint64_t* bound_cycles_out = nullptr);
 
 struct ExploreOptions {
   sched::SchedMode mode = sched::SchedMode::kFused;
-  /// Worker threads: -1 = hardware concurrency, 0/1 = serial.
-  int threads = -1;
-  /// Memoize per-layer costs across configurations.
-  bool use_cache = true;
 };
 
 struct ExploreResult {
@@ -96,13 +93,11 @@ struct ExploreResult {
   std::vector<Objectives> objectives;      // parallel to points
   std::vector<std::uint64_t> bound_cycles;  // parallel to points
   ParetoFront front;
-  /// EvalCache memo hit rate over the sweep, percent (0 with cache off).
-  double memo_hit_pct = 0.0;
 };
 
-/// The sweep: parallel evaluation (index-slot writes), then serial
-/// index-order frontier pruning. Records dse.configs_evaluated /
-/// dse.points_pruned counters and the eval.memo_hit_pct gauge.
+/// The sweep: evaluates every point in index order and offers it to the
+/// frontier. Records the dse.configs_evaluated / dse.points_pruned
+/// counters.
 ExploreResult explore(const DseAxes& axes,
                       const std::vector<nets::NetworkModel>& workload,
                       const ExploreOptions& options = {});

@@ -11,9 +11,8 @@
 //
 // Determinism: ParetoFront keeps survivors in offer order and prunes by
 // scanning existing entries in order, so offering points in index order
-// yields a byte-identical frontier regardless of how the evaluations that
-// produced the objectives were scheduled. The explorer relies on this:
-// evaluation is parallel (index-slot writes), offering is serial.
+// yields a byte-identical frontier. The explorer offers each point in
+// index order as soon as it is evaluated.
 #pragma once
 
 #include <array>

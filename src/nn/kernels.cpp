@@ -736,8 +736,8 @@ void set_kernel_threads(int threads) {
   PoolState& state = pool_state();
   std::lock_guard<std::mutex> lock(state.mutex);
   state.threads = threads;
-  // N total threads = N-1 workers + the calling thread (the sweep
-  // engine's convention); the pool is rebuilt eagerly so stale workers
+  // N total threads = N-1 workers + the calling thread (the simulator
+  // pool's convention too); the pool is rebuilt eagerly so stale workers
   // never outlive the request.
   state.pool = std::make_unique<util::ThreadPool>(threads - 1);
 }

@@ -35,7 +35,7 @@
 // Default is kFast; set FUSE_KERNEL_BACKEND=reference (or the benches'
 // --kernel-backend flag) to pin the reference oracle. FUSE_KERNEL_THREADS
 // / --kernel-threads size the kernel pool (N threads = N-1 workers plus
-// the calling thread, mirroring the sweep engine's convention).
+// the calling thread, the simulator pool's convention too).
 //
 // ISA selection: inside the fast backend, kernel_isa() picks between the
 // portable scalar kernels and the AVX2/FMA micro-kernels

@@ -1,11 +1,9 @@
 #include "sched/eval_fast.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "systolic/memory.hpp"
 #include "util/check.hpp"
-#include "util/telemetry.hpp"
 
 namespace fuse::sched {
 
@@ -270,19 +268,6 @@ LayerCost fuse_line_cost(std::int64_t lines, std::int64_t line_out,
   return cost;
 }
 
-util::Counter& eval_hit_metric() {
-  static util::Counter& counter = util::metrics().counter("eval.hits");
-  return counter;
-}
-util::Counter& eval_miss_metric() {
-  static util::Counter& counter = util::metrics().counter("eval.misses");
-  return counter;
-}
-util::Gauge& eval_hit_pct_gauge() {
-  static util::Gauge& gauge = util::metrics().gauge("eval.memo_hit_pct");
-  return gauge;
-}
-
 }  // namespace
 
 LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
@@ -351,89 +336,15 @@ LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
   return glue;
 }
 
-std::size_t EvalKeyHash::operator()(const EvalKey& key) const {
-  std::uint64_t hash =
-      static_cast<std::uint64_t>(LatencyKeyHash{}(key.shape));
-  std::uint64_t v = static_cast<std::uint64_t>(key.dtype_bytes);
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (v >> (8 * byte)) & 0xFF;
-    hash *= 1099511628211ULL;  // FNV prime
-  }
-  return static_cast<std::size_t>(hash);
-}
-
-LayerCost EvalCache::get_or_compute(const LayerDesc& layer,
-                                    const ArrayConfig& cfg,
-                                    const MemoryConfig& mem) {
-  EvalKey key;
-  key.shape = make_latency_key(layer, cfg);
-  key.dtype_bytes = mem.dtype_bytes;
-  Shard& shard = shards_[EvalKeyHash{}(key) % kShards];
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1);
-      eval_hit_metric().add();
-      return it->second;
-    }
-  }
-  // Compute outside any lock: eval_layer_fast is pure, so a concurrent
-  // miss on the same key just computes the same value.
-  const LayerCost cost = eval_layer_fast(layer, cfg, mem);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.map.try_emplace(key, cost);
-  }
-  misses_.fetch_add(1);
-  eval_miss_metric().add();
-  return cost;
-}
-
-// The eval.memo_hit_pct gauge is published here rather than per lookup:
-// recomputing the running percentage inside get_or_compute would cost
-// more than the closed-form evaluation the cache exists to skip.
-void EvalCache::publish_hit_rate() const {
-  eval_hit_pct_gauge().set(static_cast<std::int64_t>(hit_rate_pct()));
-}
-
-double EvalCache::hit_rate_pct() const {
-  const std::uint64_t hits = hits_.load();
-  const std::uint64_t total = hits + misses_.load();
-  return total == 0 ? 0.0
-                    : 100.0 * static_cast<double>(hits) /
-                          static_cast<double>(total);
-}
-
-std::size_t EvalCache::entries() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-void EvalCache::clear() {
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-  hits_.store(0);
-  misses_.store(0);
-}
-
 NetworkEval eval_network_fast(const nets::NetworkModel& model,
                               const ArrayConfig& cfg,
-                              const MemoryConfig& mem, SchedMode mode,
-                              EvalCache* cache) {
+                              const MemoryConfig& mem, SchedMode mode) {
   cfg.validate();
   mem.validate();
   NetworkEval ev;
   ev.layers.reserve(model.layers.size());
   for (const LayerDesc& layer : model.layers) {
-    LayerCost cost = cache != nullptr ? cache->get_or_compute(layer, cfg, mem)
-                                      : eval_layer_fast(layer, cfg, mem);
+    LayerCost cost = eval_layer_fast(layer, cfg, mem);
     ev.total_cycles += cost.latency.cycles;
     ev.layers.push_back(std::move(cost));
   }

@@ -27,21 +27,18 @@
 // LayerCosts through the shared schedule_costs / roofline_over
 // (netplan.hpp). tests/test_eval_fast.cpp FUSE_CHECKs the whole grid
 // (5 networks x 5 variants x dataflows x broadcast x sched modes), and
-// bench_dse gates the >= 10x configs-per-second win this buys.
+// bench_dse gates the >= 10x configs-per-second win this buys. It is the
+// production cost path: sched::network_latency, the report sweeps and the
+// design-space explorer all run on it, with no memo table in front (one
+// closed-form evaluation is cheaper than a locked hash lookup).
 //
 // Telemetry: the evaluator intentionally skips the per-layer mapping.* /
 // sched.* counters of the plan path (not materializing the plan is the
-// point); it has its own eval.hits / eval.misses counters and the
-// eval.memo_hit_pct gauge on the EvalCache.
+// point).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
-#include <unordered_map>
 
-#include "sched/latency_cache.hpp"
 #include "sched/netplan.hpp"
 
 namespace fuse::sched {
@@ -53,54 +50,6 @@ LayerCost eval_layer_fast(const nn::LayerDesc& layer,
                           const systolic::ArrayConfig& cfg,
                           const systolic::MemoryConfig& mem);
 
-/// Memo key: the full latency shape key (every LayerDesc/ArrayConfig field
-/// the cycle model reads, including the pipelining/datapath axes) plus the
-/// memory dtype width, which scales the byte fields. Bandwidth and SRAM
-/// size stay OUT of the key: the cached cost stores bytes, and
-/// memory_cycles / buffer placement are derived downstream.
-struct EvalKey {
-  LatencyKey shape;
-  std::int64_t dtype_bytes = 0;
-
-  bool operator==(const EvalKey& other) const = default;
-};
-
-struct EvalKeyHash {
-  std::size_t operator()(const EvalKey& key) const;
-};
-
-/// Sharded memo table for eval_layer_fast, mirroring LatencyCache's
-/// locking discipline (readers share, inserts exclusive, compute outside
-/// any lock — eval_layer_fast is pure, so racing double-computes are
-/// harmless).
-class EvalCache {
- public:
-  LayerCost get_or_compute(const nn::LayerDesc& layer,
-                           const systolic::ArrayConfig& cfg,
-                           const systolic::MemoryConfig& mem);
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  /// Hit fraction in percent (0 when never queried).
-  double hit_rate_pct() const;
-  /// Writes hit_rate_pct() to the eval.memo_hit_pct gauge (kept off the
-  /// lookup hot path — call once per sweep, not per layer).
-  void publish_hit_rate() const;
-  std::size_t entries() const;
-  void clear();
-
- private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<EvalKey, LayerCost, EvalKeyHash> map;
-  };
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
-
 /// Whole-network closed-form evaluation: per-layer costs plus the shared
 /// schedule (SRAM liveness + fusion legality) and roofline.
 struct NetworkEval {
@@ -111,13 +60,12 @@ struct NetworkEval {
   NetworkRoofline roofline;
 };
 
-/// Evaluates the network without materializing any MappingPlan. With a
-/// non-null cache, per-layer costs are memoized across calls (identical
-/// values — eval_layer_fast is pure). The roofline equals
-/// plan_roofline(plan_network(model, cfg, mem, mode)) field for field.
+/// Evaluates the network without materializing any MappingPlan. The
+/// roofline equals plan_roofline(plan_network(model, cfg, mem, mode))
+/// field for field.
 NetworkEval eval_network_fast(const nets::NetworkModel& model,
                               const systolic::ArrayConfig& cfg,
                               const systolic::MemoryConfig& mem,
-                              SchedMode mode, EvalCache* cache = nullptr);
+                              SchedMode mode);
 
 }  // namespace fuse::sched

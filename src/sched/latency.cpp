@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sched/latency_cache.hpp"
+#include "sched/eval_fast.hpp"
 #include "sched/netplan.hpp"
 #include "systolic/mapping.hpp"
 #include "util/check.hpp"
@@ -15,24 +15,18 @@ using nn::OpKind;
 
 namespace {
 
-/// Memoized layer_latency when a cache is supplied, the plain function
-/// otherwise. Both paths compute the same pure function of (layer, cfg).
-LatencyEstimate cached_layer_latency(const LayerDesc& layer,
-                                     const ArrayConfig& cfg,
-                                     LatencyCache* cache) {
-  return cache ? cache->get_or_compute(layer, cfg)
-               : layer_latency(layer, cfg);
+/// Closed-form layer latency. Latency never reads the memory config, so
+/// the default one serves every caller.
+LatencyEstimate fast_layer_latency(const LayerDesc& layer,
+                                   const ArrayConfig& cfg) {
+  return eval_layer_fast(layer, cfg, systolic::MemoryConfig{}).latency;
 }
-
-}  // namespace
-
-namespace {
 
 /// PE-occupancy accounting for one evaluated layer, derived from its
 /// MappingPlan fold: busy PE-cycles are exactly the useful MACs (one MAC
 /// per PE per cycle), total PE-cycles are cycles x array PEs. These are
-/// the registry-side numbers behind --stats-json; the bench footer keeps
-/// its own per-engine stats.
+/// the registry-side numbers behind --stats-json. They tick on the plan
+/// path only (layer_latency / plan_latency), not in network_latency.
 void record_layer_metrics(const LatencyEstimate& est) {
   static util::Counter& layers = util::metrics().counter("sched.layers");
   static util::Counter& macs = util::metrics().counter("sched.macs");
@@ -119,12 +113,11 @@ double NetworkLatency::utilization(const ArrayConfig& cfg) const {
 }
 
 NetworkLatency network_latency(const NetworkModel& model,
-                               const ArrayConfig& cfg,
-                               LatencyCache* cache) {
+                               const ArrayConfig& cfg) {
   NetworkLatency result;
   result.per_layer.reserve(model.layers.size());
   for (const LayerDesc& layer : model.layers) {
-    LatencyEstimate est = cached_layer_latency(layer, cfg, cache);
+    const LatencyEstimate est = fast_layer_latency(layer, cfg);
     result.total_cycles += est.cycles;
     result.per_layer.push_back(est);
   }
@@ -199,14 +192,13 @@ namespace {
 /// Cycles attributed to each fuse slot (dw/fuse layer + its SE + its
 /// projection pointwise), via the fuse_slot tags.
 std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
-                                            const ArrayConfig& cfg,
-                                            LatencyCache* cache) {
+                                            const ArrayConfig& cfg) {
   std::map<int, std::uint64_t> by_slot;
   for (const LayerDesc& layer : model.layers) {
     if (layer.fuse_slot < 0) {
       continue;
     }
-    by_slot[layer.fuse_slot] += cached_layer_latency(layer, cfg, cache).cycles;
+    by_slot[layer.fuse_slot] += fast_layer_latency(layer, cfg).cycles;
   }
   return by_slot;
 }
@@ -214,16 +206,15 @@ std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
 }  // namespace
 
 std::vector<double> slot_savings(NetworkId id, FuseMode mode,
-                                 const ArrayConfig& cfg,
-                                 LatencyCache* cache) {
+                                 const ArrayConfig& cfg) {
   FUSE_CHECK(mode != FuseMode::kBaseline)
       << "slot_savings needs a replacing mode";
   const NetworkModel baseline = nets::build_network(id);
   const NetworkModel fused = nets::build_network(
       id, core::uniform_modes(baseline.num_slots, mode));
 
-  const auto base_slots = cycles_by_slot(baseline, cfg, cache);
-  const auto fused_slots = cycles_by_slot(fused, cfg, cache);
+  const auto base_slots = cycles_by_slot(baseline, cfg);
+  const auto fused_slots = cycles_by_slot(fused, cfg);
 
   std::vector<double> savings(static_cast<std::size_t>(baseline.num_slots),
                               0.0);
@@ -241,13 +232,13 @@ std::vector<double> slot_savings(NetworkId id, FuseMode mode,
 }
 
 VariantBuild build_variant(NetworkId id, NetworkVariant variant,
-                           const ArrayConfig& cfg, LatencyCache* cache) {
+                           const ArrayConfig& cfg) {
   const int slots = nets::num_fuse_slots(id);
   std::vector<double> savings;
   if (variant == NetworkVariant::kFuseFull50) {
-    savings = slot_savings(id, FuseMode::kFull, cfg, cache);
+    savings = slot_savings(id, FuseMode::kFull, cfg);
   } else if (variant == NetworkVariant::kFuseHalf50) {
-    savings = slot_savings(id, FuseMode::kHalf, cfg, cache);
+    savings = slot_savings(id, FuseMode::kHalf, cfg);
   }
   VariantBuild build;
   build.modes = core::modes_for_variant(variant, slots, savings);
@@ -256,14 +247,14 @@ VariantBuild build_variant(NetworkId id, NetworkVariant variant,
 }
 
 double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
-                           const ArrayConfig& cfg, LatencyCache* cache) {
+                           const ArrayConfig& cfg) {
   const VariantBuild baseline =
-      build_variant(id, NetworkVariant::kBaseline, cfg, cache);
-  const VariantBuild target = build_variant(id, variant, cfg, cache);
+      build_variant(id, NetworkVariant::kBaseline, cfg);
+  const VariantBuild target = build_variant(id, variant, cfg);
   const std::uint64_t base_cycles =
-      network_latency(baseline.model, cfg, cache).total_cycles;
+      network_latency(baseline.model, cfg).total_cycles;
   const std::uint64_t variant_cycles =
-      network_latency(target.model, cfg, cache).total_cycles;
+      network_latency(target.model, cfg).total_cycles;
   FUSE_CHECK(variant_cycles > 0) << "variant has zero latency";
   return static_cast<double>(base_cycles) /
          static_cast<double>(variant_cycles);

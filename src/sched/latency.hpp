@@ -31,13 +31,10 @@ using nn::LayerDesc;
 using systolic::ArrayConfig;
 using systolic::LatencyEstimate;
 
-class LatencyCache;  // latency_cache.hpp — shape-keyed memo table
-
 /// Cycles (and fold/MAC/utilization accounting) for one layer (batch 1,
-/// the paper's setting). Pure function of the layer geometry and the
-/// array config — which is what makes the LatencyCache memoization and
-/// the SweepEngine's parallel walks (sweep.hpp) bit-identical to the
-/// serial path.
+/// the paper's setting), folded over the layer's MappingPlan. Pure
+/// function of the layer geometry and the array config; the oracle the
+/// closed-form network_latency below is tested against.
 LatencyEstimate layer_latency(const LayerDesc& layer,
                               const ArrayConfig& cfg);
 
@@ -89,11 +86,12 @@ struct NetworkLatency {
   double utilization(const ArrayConfig& cfg) const;
 };
 
-/// Serial reference walk. With a non-null `cache`, per-layer results are
-/// memoized through it (same values — layer_latency is pure).
+/// Whole-network latency from the closed-form evaluator
+/// (sched/eval_fast.hpp): per layer, eval_layer_fast(layer, cfg, {}).latency,
+/// which equals layer_latency field for field without lowering a plan.
+/// Records no per-layer sched.* metrics (those tick on the plan path).
 NetworkLatency network_latency(const NetworkModel& model,
-                               const ArrayConfig& cfg,
-                               LatencyCache* cache = nullptr);
+                               const ArrayConfig& cfg);
 
 /// Operator classes of the paper's Fig. 8(c) latency-distribution plot.
 enum class OperatorClass {
@@ -124,8 +122,7 @@ OperatorBreakdown operator_breakdown(const NetworkModel& model,
 /// ripple onto the slot's squeeze-excite and projection pointwise (tagged
 /// via LayerDesc::fuse_slot). Used to pick the 50% variants.
 std::vector<double> slot_savings(NetworkId id, FuseMode mode,
-                                 const ArrayConfig& cfg,
-                                 LatencyCache* cache = nullptr);
+                                 const ArrayConfig& cfg);
 
 /// A fully resolved network variant: the lowered model plus the per-slot
 /// modes that produced it.
@@ -137,13 +134,11 @@ struct VariantBuild {
 /// Builds any Table-I variant; the 50% variants select slots greedily by
 /// latency savings on the given array.
 VariantBuild build_variant(NetworkId id, NetworkVariant variant,
-                           const ArrayConfig& cfg,
-                           LatencyCache* cache = nullptr);
+                           const ArrayConfig& cfg);
 
 /// Convenience: latency ratio baseline/variant on the given array.
 double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
-                           const ArrayConfig& cfg,
-                           LatencyCache* cache = nullptr);
+                           const ArrayConfig& cfg);
 
 // --- roofline extension (beyond the paper's compute-bound assumption) --------
 

@@ -427,9 +427,10 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
 
   // Liveness: the activation chain is linear in this flat IR (skip
   // connections share the glue adds' inputs and are not tracked
-  // separately — docs/scheduler.md discusses the simplification). The
-  // network input is live through step 0; step s's output is live until
-  // its consumer (step s+1) finishes.
+  // separately — docs/scheduler.md §2, "What the chain rule leaves out",
+  // discusses the simplification and the FuSe patch below). The network
+  // input is live through step 0; step s's output is live until its
+  // consumer (step s+1) finishes.
   const std::size_t steps = cs.on_array.size();
   if (steps > 0) {
     const LayerDesc& first = model.layers[cs.on_array.front()];

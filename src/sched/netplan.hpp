@@ -23,7 +23,8 @@
 // for B1' <= B1, B2' <= B2 (ceil is subadditive, max is monotone).
 //
 // docs/scheduler.md walks the IR, the legality rules, and the SRAM
-// planning algorithm.
+// planning algorithm, including what its linear-chain liveness leaves
+// out (residual skips) and the FuSe-stage lifetime patch (§2).
 #pragma once
 
 #include <cstdint>

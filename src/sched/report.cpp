@@ -3,17 +3,46 @@
 #include <algorithm>
 #include <map>
 
-#include "sched/sweep.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
+#include "util/telemetry.hpp"
 
 namespace fuse::sched {
 
 std::vector<Table1Row> table1_rows(const ArrayConfig& cfg) {
-  // Fans the 25 (network, variant) cells across the process-wide
-  // SweepEngine; results are index-ordered and bit-identical to the old
-  // serial walk (test_sweep_determinism.cpp).
-  return default_sweep_engine().table1_rows(cfg);
+  util::ScopedSpan span("sweep.table1_rows");
+  std::vector<Table1Row> rows;
+  for (const NetworkId id : nets::paper_networks()) {
+    const std::size_t first = rows.size();
+    std::uint64_t baseline_cycles = 0;
+    for (const NetworkVariant variant : core::all_network_variants()) {
+      const NetworkModel model = build_variant(id, variant, cfg).model;
+      Table1Row row;
+      row.network = id;
+      row.variant = variant;
+      row.macs = model.total_macs();
+      row.params = model.total_params();
+      row.cycles = network_latency(model, cfg).total_cycles;
+      FUSE_CHECK(row.cycles > 0) << "zero-cycle network";
+      if (variant == NetworkVariant::kBaseline) {
+        baseline_cycles = row.cycles;
+      }
+      for (const auto& paper : nets::paper_table1(id)) {
+        if (paper.variant == variant) {
+          row.paper_accuracy = paper.imagenet_accuracy;
+          row.paper_macs_millions = paper.macs_millions;
+          row.paper_params_millions = paper.params_millions;
+          row.paper_speedup = paper.speedup;
+        }
+      }
+      rows.push_back(row);
+    }
+    for (std::size_t i = first; i < rows.size(); ++i) {
+      rows[i].speedup = static_cast<double>(baseline_cycles) /
+                        static_cast<double>(rows[i].cycles);
+    }
+  }
+  return rows;
 }
 
 std::vector<SlotSpeedup> layerwise_speedup(NetworkId id, FuseMode mode,
@@ -61,7 +90,18 @@ std::vector<SlotSpeedup> layerwise_speedup(NetworkId id, FuseMode mode,
 std::vector<ScalingPoint> scaling_sweep(
     NetworkId id, NetworkVariant variant,
     const std::vector<std::int64_t>& sizes) {
-  return default_sweep_engine().scaling_sweep(id, variant, sizes);
+  std::vector<ScalingPoint> points;
+  points.reserve(sizes.size());
+  for (const std::int64_t size : sizes) {
+    util::ScopedSpan span("sweep.scaling_point");
+    if (span.active()) {
+      span.annotate("network", nets::network_name(id));
+      span.annotate("array_size", static_cast<std::uint64_t>(size));
+    }
+    points.push_back(ScalingPoint{
+        size, speedup_vs_baseline(id, variant, systolic::square_array(size))});
+  }
+  return points;
 }
 
 namespace {

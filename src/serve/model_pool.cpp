@@ -105,7 +105,7 @@ const ModelEntry& ModelPool::entry(const ShapeKey& key) {
   }
   // Build outside any lock (variant builds are heavy), insert under the
   // exclusive lock; a racing double-build inserts the same pure value and
-  // the first insert wins (the LatencyCache contract).
+  // the first insert wins.
   std::unique_ptr<ModelEntry> built = build_entry(key);
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
   const auto [it, inserted] = shard.map.emplace(key, std::move(built));
@@ -123,9 +123,7 @@ std::unique_ptr<ModelEntry> ModelPool::build_entry(const ShapeKey& key) {
         << "ShapeKey names unregistered custom model #" << key.custom;
     entry->model = customs_[static_cast<std::size_t>(key.custom)];
   } else if (key.resolution == 224) {
-    entry->model =
-        sched::build_variant(key.net, key.variant, cfg_, &latency_cache_)
-            .model;
+    entry->model = sched::build_variant(key.net, key.variant, cfg_).model;
   } else {
     // Scaled resolutions exist for V1/V2 only (the networks whose papers
     // define the multipliers); the 50% variants pick slots by savings at
@@ -137,11 +135,9 @@ std::unique_ptr<ModelEntry> ModelPool::build_entry(const ShapeKey& key) {
         << ": only MobileNet-V1/V2 serve at non-224 resolutions";
     std::vector<double> savings;
     if (key.variant == core::NetworkVariant::kFuseFull50) {
-      savings = sched::slot_savings(key.net, core::FuseMode::kFull, cfg_,
-                                    &latency_cache_);
+      savings = sched::slot_savings(key.net, core::FuseMode::kFull, cfg_);
     } else if (key.variant == core::NetworkVariant::kFuseHalf50) {
-      savings = sched::slot_savings(key.net, core::FuseMode::kHalf, cfg_,
-                                    &latency_cache_);
+      savings = sched::slot_savings(key.net, core::FuseMode::kHalf, cfg_);
     }
     const std::vector<core::FuseMode> modes = core::modes_for_variant(
         key.variant, nets::num_fuse_slots(key.net), savings);

@@ -5,8 +5,8 @@
 // the variant, lowering every layer, SRAM planning, the batched roofline
 // service times, the seeded weights for tensor/simulate execution — is
 // computed once per key here and shared by every request and every
-// engine. The table is sharded like sched::LatencyCache: per-shard
-// shared_mutex, readers share, builds exclusive; entries are stable once
+// engine. The table is sharded: per-shard shared_mutex, readers share,
+// builds exclusive; entries are stable once
 // inserted (unique_ptr values), so returned references stay valid for the
 // pool's lifetime.
 #pragma once
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "sched/latency.hpp"
-#include "sched/latency_cache.hpp"
 #include "sched/netplan.hpp"
 #include "serve/request.hpp"
 #include "systolic/config.hpp"
@@ -101,7 +100,6 @@ class ModelPool {
   std::uint64_t weight_seed_;
 
   std::array<Shard, kShards> shards_;
-  sched::LatencyCache latency_cache_;  // shared by variant builds
 
   mutable std::mutex custom_mutex_;
   std::vector<nets::NetworkModel> customs_;

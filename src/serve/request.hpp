@@ -21,10 +21,10 @@ namespace fuse::serve {
 
 /// The batching identity of a request: two requests coalesce into one
 /// batch iff their ShapeKeys compare equal (same lowering, same plan,
-/// same weights — the ModelPool memoizes per key, like the LatencyCache
-/// memoizes per layer shape). `custom` >= 0 addresses a model registered
-/// through ModelPool::register_custom instead of the zoo (net/variant/
-/// resolution are ignored for custom keys).
+/// same weights — the ModelPool memoizes per key). `custom` >= 0
+/// addresses a model registered through ModelPool::register_custom
+/// instead of the zoo (net/variant/resolution are ignored for custom
+/// keys).
 struct ShapeKey {
   nets::NetworkId net = nets::NetworkId::kMobileNetV1;
   core::NetworkVariant variant = core::NetworkVariant::kBaseline;
@@ -34,7 +34,7 @@ struct ShapeKey {
   bool operator==(const ShapeKey& other) const = default;
 };
 
-/// FNV-1a over the key fields (the LatencyCache idiom).
+/// FNV-1a over the key fields.
 struct ShapeKeyHash {
   std::size_t operator()(const ShapeKey& key) const {
     std::uint64_t hash = 1469598103934665603ULL;

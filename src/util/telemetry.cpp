@@ -348,9 +348,10 @@ void ProfileCollector::write_json_file(const std::string& path) const {
 #endif  // FUSE_TELEMETRY
 
 MetricsRegistry& metrics() {
-  // Intentionally leaked: the process-wide SweepEngine's thread pool (also
-  // a function-local static) bumps pool metrics while draining during its
-  // destructor, so the registry must outlive every other static.
+  // Intentionally leaked: the kernel and simulator thread pools (function-
+  // local statics in nn/kernels.cpp and systolic/sim.cpp) bump pool metrics
+  // while draining during their destructors, so the registry must outlive
+  // every other static.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }

@@ -1,15 +1,16 @@
-// Work-stealing thread pool for the sweep engine.
+// Work-stealing thread pool behind the fast kernels, the fast simulator's
+// fold loop, and the serving engine's workers.
 //
 // Each worker owns a deque: it pushes/pops its own back (LIFO, cache-warm)
 // and steals from other workers' fronts (FIFO, oldest first) when empty.
 // All queue access is mutex-guarded per worker ("sharded" locks) — plain,
-// portable, and clean under ThreadSanitizer; at sweep-task granularity
-// (building a network variant, walking its layers) lock cost is noise.
+// portable, and clean under ThreadSanitizer; at task granularity (a
+// kernel tile band, a simulator fold, a batch payload) lock cost is noise.
 //
 // Semantics:
 //   * ThreadPool(0) runs everything inline on the calling thread — the
-//     serial fallback used by --threads=1 minus the worker, and by tests
-//     that want the exact single-threaded execution order.
+//     serial fallback behind a 1-thread setting, and what tests use when
+//     they want the exact single-threaded execution order.
 //   * parallel_for(n, body) blocks until all n iterations ran; the calling
 //     thread participates, so nested parallel_for from inside a task makes
 //     progress instead of deadlocking (a nested caller drains its own
@@ -26,8 +27,8 @@
 //     branch explicitly.
 //   * The first exception thrown by a parallel_for body is captured and
 //     rethrown on the calling thread after the loop drains; remaining
-//     iterations still run (sweep tasks are pure, so there is nothing to
-//     cancel). Tasks given to raw submit() must not throw.
+//     iterations still run (loop bodies write disjoint slots, so there is
+//     nothing to cancel). Tasks given to raw submit() must not throw.
 //   * The destructor drains every queued task, then joins.
 #pragma once
 

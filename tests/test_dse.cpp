@@ -1,7 +1,7 @@
 // Tests for the design-space explorer (dse/pareto.hpp, dse/explore.hpp):
 // dominance edge cases (ties, exact equality, single-point frontiers),
-// incremental pruning bookkeeping, axis enumeration, and frontier
-// determinism across thread counts.
+// incremental pruning bookkeeping, axis enumeration, and the explorer's
+// frontier against the batch form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,51 +124,34 @@ TEST(Enumerate, LabelsAreUnique) {
   EXPECT_EQ(std::unique(labels.begin(), labels.end()), labels.end());
 }
 
-// --- explore determinism -----------------------------------------------------
+// --- explore ----------------------------------------------------------------
 
-// A cut-down grid over a small workload: the frontier (ids, order, and
-// objective values) must be identical at thread counts 1, 2, and 4, and
-// with the memo cache off.
-TEST(Explore, FrontierDeterministicAcrossThreads) {
+// A cut-down grid over a small workload: every point's objectives equal a
+// direct evaluate_design_point call, and the explorer's incremental
+// frontier equals the batch frontier of those objectives.
+TEST(Explore, FrontierMatchesBatchFrontier) {
   DseAxes axes;
   axes.shapes = {{32, 128}, {64, 64}};
   axes.datapaths = {systolic::Datapath::kFp16};
   axes.sram_bytes = {8 * 1024 * 1024};
   // 2 shapes x 2 broadcast x 3 pipelining = 12 points.
+  const std::vector<nets::NetworkModel> workload = {
+      nets::build_network(nets::NetworkId::kMobileNetV3Small)};
 
-  nets::NetworkModel model =
-      nets::build_network(nets::NetworkId::kMobileNetV3Small);
-  const std::vector<nets::NetworkModel> workload = {model};
-
-  ExploreResult reference;
-  bool have_reference = false;
-  for (int threads : {1, 2, 4}) {
-    for (bool use_cache : {true, false}) {
-      ExploreOptions options;
-      options.threads = threads;
-      options.use_cache = use_cache;
-      const ExploreResult result = explore(axes, workload, options);
-      EXPECT_EQ(result.points.size(), 12u);
-      if (!have_reference) {
-        reference = result;
-        have_reference = true;
-        continue;
-      }
-      ASSERT_EQ(result.objectives.size(), reference.objectives.size());
-      for (std::size_t i = 0; i < result.objectives.size(); ++i) {
-        EXPECT_EQ(result.objectives[i].latency_ms,
-                  reference.objectives[i].latency_ms);
-        EXPECT_EQ(result.bound_cycles[i], reference.bound_cycles[i]);
-      }
-      ASSERT_EQ(result.front.entries().size(),
-                reference.front.entries().size());
-      for (std::size_t i = 0; i < result.front.entries().size(); ++i) {
-        EXPECT_EQ(result.front.entries()[i].id,
-                  reference.front.entries()[i].id);
-      }
-      EXPECT_EQ(result.front.pruned(), reference.front.pruned());
-    }
+  const ExploreResult result = explore(axes, workload);
+  ASSERT_EQ(result.points.size(), 12u);
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    std::uint64_t bound = 0;
+    const Objectives obj = evaluate_design_point(
+        result.points[i], workload, sched::SchedMode::kFused, &bound);
+    EXPECT_EQ(result.objectives[i].latency_ms, obj.latency_ms);
+    EXPECT_EQ(result.bound_cycles[i], bound);
   }
+  std::vector<std::size_t> ids;
+  for (const ParetoEntry& entry : result.front.entries()) {
+    ids.push_back(entry.id);
+  }
+  EXPECT_EQ(ids, pareto_frontier(result.objectives));
 }
 
 // The frontier must never be empty on a non-empty grid, and every
@@ -180,9 +163,7 @@ TEST(Explore, FrontierCoversGrid) {
   // 1 shape x 2 broadcast x 1 pipelining x 3 datapath x 2 sram = 12.
   const std::vector<nets::NetworkModel> workload = {
       nets::build_network(nets::NetworkId::kMobileNetV3Small)};
-  ExploreOptions options;
-  options.threads = 1;
-  const ExploreResult result = explore(axes, workload, options);
+  const ExploreResult result = explore(axes, workload);
   ASSERT_FALSE(result.front.entries().empty());
   std::vector<bool> on_front(result.points.size(), false);
   for (const ParetoEntry& entry : result.front.entries()) {

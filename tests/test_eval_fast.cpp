@@ -1,8 +1,7 @@
 // Tests for the plan-free closed-form evaluator (sched/eval_fast.hpp):
 // the oracle-vs-fast equality contract over the complete differential
-// grid (networks x variants x dataflows x broadcast x sched modes), the
-// transparency/datapath axes, the EvalCache memoization contract, and the
-// LatencyKey no-alias guarantees for the new ArrayConfig fields.
+// grid (networks x variants x dataflows x broadcast x sched modes) and
+// the transparency/datapath axes.
 #include <gtest/gtest.h>
 
 #include "core/transform.hpp"
@@ -188,124 +187,6 @@ TEST(EvalFast, FoldCyclesPipelinedReducesToLegacy) {
         EXPECT_EQ(systolic::fold_cycles(r, c, d, cfg),
                   systolic::fold_cycles(r, c, d));
       }
-    }
-  }
-}
-
-// --- EvalCache ---------------------------------------------------------------
-
-TEST(EvalCache, HitMissAccounting) {
-  EvalCache cache;
-  const LayerDesc dw = nn::make_depthwise("dw", 32, 28, 28, 3, 1, 1);
-  ArrayConfig cfg;
-  MemoryConfig mem;
-  const LayerCost first = cache.get_or_compute(dw, cfg, mem);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
-  const LayerCost second = cache.get_or_compute(dw, cfg, mem);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(first.latency.cycles, second.latency.cycles);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_DOUBLE_EQ(cache.hit_rate_pct(), 50.0);
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-// dtype width is part of the memo key (it scales the byte fields); the
-// same shape at a different width must MISS, not alias.
-TEST(EvalCache, DtypeBytesKeyed) {
-  EvalCache cache;
-  const LayerDesc pw = nn::make_pointwise("pw", 32, 14, 14, 64);
-  ArrayConfig cfg;
-  MemoryConfig fp16;
-  MemoryConfig int8 = fp16;
-  int8.dtype_bytes = 1;
-  const LayerCost wide = cache.get_or_compute(pw, cfg, fp16);
-  const LayerCost narrow = cache.get_or_compute(pw, cfg, int8);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(wide.traffic.total_bytes(), 2 * narrow.traffic.total_bytes());
-  EXPECT_EQ(wide.latency.cycles, narrow.latency.cycles);
-}
-
-// eval_network_fast with a shared cache must return identical values to
-// the uncached path.
-TEST(EvalCache, CachedNetworkEvalIdentical) {
-  ArrayConfig cfg;
-  MemoryConfig mem;
-  const nets::NetworkModel model =
-      nets::build_network(nets::NetworkId::kMobileNetV1);
-  EvalCache cache;
-  const NetworkEval cold = eval_network_fast(model, cfg, mem,
-                                             SchedMode::kFused, &cache);
-  const NetworkEval warm = eval_network_fast(model, cfg, mem,
-                                             SchedMode::kFused, &cache);
-  const NetworkEval plain =
-      eval_network_fast(model, cfg, mem, SchedMode::kFused);
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_EQ(cold.total_cycles, plain.total_cycles);
-  EXPECT_EQ(warm.total_cycles, plain.total_cycles);
-  EXPECT_EQ(warm.roofline.bound_cycles, plain.roofline.bound_cycles);
-}
-
-// --- LatencyKey no-alias contract --------------------------------------------
-
-// Two configs differing ONLY in one of the newly keyed fields must
-// produce different keys: a cache shared across the DSE grid would
-// otherwise serve one config's cycles for another.
-TEST(LatencyKey, NewConfigFieldsNeverAlias) {
-  const LayerDesc dw = nn::make_depthwise("dw", 32, 28, 28, 3, 1, 1);
-  ArrayConfig base;
-
-  ArrayConfig pipe2 = base;
-  pipe2.pipelining = Pipelining::kTransparent2;
-  ArrayConfig pipe4 = base;
-  pipe4.pipelining = Pipelining::kTransparent4;
-  ArrayConfig int8 = base;
-  int8.datapath = Datapath::kInt8;
-  ArrayConfig fp32 = base;
-  fp32.datapath = Datapath::kFp32;
-  ArrayConfig no_bcast = base;
-  no_bcast.broadcast_links = false;
-  ArrayConfig no_overlap = base;
-  no_overlap.overlap_fold_drain = false;
-  ArrayConfig no_strided = base;
-  no_strided.strided_fuse_dense_compute = false;
-  ArrayConfig channelwise = base;
-  channelwise.standard_conv_mapping =
-      systolic::StandardConvMapping::kChannelwise;
-
-  const std::vector<ArrayConfig> variants = {
-      base,    pipe2,      pipe4,      int8,       fp32,
-      no_bcast, no_overlap, no_strided, channelwise};
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    for (std::size_t j = i + 1; j < variants.size(); ++j) {
-      EXPECT_FALSE(make_latency_key(dw, variants[i]) ==
-                   make_latency_key(dw, variants[j]))
-          << "configs " << i << " and " << j << " alias";
-    }
-  }
-}
-
-// The packed bitfields must not collide across combined settings either:
-// every cross product of the two new enums gets a distinct key.
-TEST(LatencyKey, PipeliningDatapathCrossProductDistinct) {
-  const LayerDesc pw = nn::make_pointwise("pw", 8, 7, 7, 8);
-  std::vector<LatencyKey> keys;
-  for (Pipelining pipe : {Pipelining::kPipelined, Pipelining::kTransparent2,
-                          Pipelining::kTransparent4}) {
-    for (Datapath dp : {Datapath::kInt8, Datapath::kFp16, Datapath::kFp32}) {
-      ArrayConfig cfg;
-      cfg.pipelining = pipe;
-      cfg.datapath = dp;
-      keys.push_back(make_latency_key(pw, cfg));
-    }
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    for (std::size_t j = i + 1; j < keys.size(); ++j) {
-      EXPECT_FALSE(keys[i] == keys[j]) << i << " vs " << j;
     }
   }
 }

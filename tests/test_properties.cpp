@@ -10,9 +10,9 @@
 #include "core/fuseconv.hpp"
 #include "nets/serialize.hpp"
 #include "nn/ops.hpp"
+#include "sched/eval_fast.hpp"
 #include "sched/execute.hpp"
 #include "sched/latency.hpp"
-#include "sched/latency_cache.hpp"
 #include "systolic/cycle_model.hpp"
 #include "systolic/sim.hpp"
 #include "tensor/half.hpp"
@@ -158,13 +158,13 @@ TEST(Property, LayerLatencyMacsAlwaysMatchLayerMacs) {
   }
 }
 
-TEST(Property, CachedLatencyEqualsUncachedEqualsSimulatedCycles) {
+TEST(Property, ClosedFormEqualsPlanEqualsSimulatedCycles) {
   // Three independent implementations of "how long does this layer take"
-  // must agree on random geometries: the memoized LatencyCache lookup, the
-  // direct analytic model, and the PE-grid simulator actually executing
-  // the layer (overlap_fold_drain=false — what the simulator measures).
+  // must agree on random geometries: the closed-form evaluator the sweeps
+  // run on, the plan-folded analytic model, and the PE-grid simulator
+  // actually executing the layer (overlap_fold_drain=false — what the
+  // simulator measures).
   util::Rng rng(1008);
-  sched::LatencyCache cache;
   for (int trial = 0; trial < 8; ++trial) {
     const std::int64_t size = 4 + static_cast<std::int64_t>(rng.uniform_index(5));
     systolic::ArrayConfig cfg = systolic::square_array(size);
@@ -194,16 +194,14 @@ TEST(Property, CachedLatencyEqualsUncachedEqualsSimulatedCycles) {
          Shape{out_c, c * 3}},
     };
     for (const Case& cs : cases) {
-      const auto uncached = sched::layer_latency(cs.layer, cfg);
-      // First lookup computes, second must hit; both equal the direct call.
-      for (int pass = 0; pass < 2; ++pass) {
-        const auto cached = cache.get_or_compute(cs.layer, cfg);
-        EXPECT_EQ(cached.cycles, uncached.cycles)
-            << "trial " << trial << " pass " << pass << " "
-            << cs.layer.to_string();
-        EXPECT_EQ(cached.folds, uncached.folds) << cs.layer.to_string();
-        EXPECT_EQ(cached.mac_ops, uncached.mac_ops) << cs.layer.to_string();
-      }
+      const auto plan = sched::layer_latency(cs.layer, cfg);
+      const auto closed =
+          sched::eval_layer_fast(cs.layer, cfg, systolic::MemoryConfig{})
+              .latency;
+      EXPECT_EQ(closed.cycles, plan.cycles)
+          << "trial " << trial << " " << cs.layer.to_string();
+      EXPECT_EQ(closed.folds, plan.folds) << cs.layer.to_string();
+      EXPECT_EQ(closed.mac_ops, plan.mac_ops) << cs.layer.to_string();
       const Tensor input =
           cs.layer.kind == nn::OpKind::kFullyConnected
               ? random_tensor(Shape{1, cs.layer.in_c, 1, 1}, rng)
@@ -211,13 +209,11 @@ TEST(Property, CachedLatencyEqualsUncachedEqualsSimulatedCycles) {
       const Tensor weight = random_tensor(cs.weight_shape, rng);
       const auto exec =
           sched::execute_layer_on_array(cs.layer, input, weight, cfg);
-      EXPECT_EQ(exec.cycles, uncached.cycles)
+      EXPECT_EQ(exec.cycles, plan.cycles)
           << "trial " << trial << " " << cs.layer.to_string() << " S="
           << size;
     }
   }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_EQ(cache.entries(), cache.misses());
 }
 
 TEST(Property, RandomModeVectorsKeepNetworksWellFormed) {

@@ -1,212 +1,221 @@
-// The SweepEngine's headline guarantee: results are BYTE-IDENTICAL for any
-// thread count and with the memoization cache on or off, and they equal
-// the serial free-function reference path. A deterministic parallel sweep
-// is what lets bench output stay diffable against results/ regardless of
-// the host's core count. Serialization below is exhaustive (every field,
-// full precision) so any divergence — value or ordering — trips the
-// string comparison.
+// Differential test of the production sweep path. sched::network_latency,
+// slot_savings/build_variant and the report sweeps (table1_rows,
+// scaling_sweep) sum closed-form layer latencies (sched/eval_fast.hpp);
+// sched::layer_latency folds each layer's MappingPlan and stays the
+// oracle. Over 5 networks x 5 variants x array sizes x 3 dataflows x
+// broadcast on/off, the closed-form network latency must equal the plan
+// fold field for field, and Table I and the Fig. 8(d) scaling sweep must
+// equal a reference rebuilt from layer_latency alone — including the 50%
+// variants' slot picks, which depend on the latencies being compared.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sched/latency.hpp"
-#include "sched/sweep.hpp"
+#include "sched/report.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_sink.hpp"
 
 namespace fuse::sched {
 namespace {
 
-systolic::ArrayConfig paper_array() { return systolic::square_array(64); }
+using systolic::Dataflow;
 
-const std::vector<std::int64_t>& scaling_sizes() {
-  static const std::vector<std::int64_t> sizes = {8, 16, 32, 64, 128, 256};
-  return sizes;
+const std::vector<std::int64_t> kSizes = {8, 16, 32, 64, 128, 256};
+
+/// Square arrays of every size x dataflow x broadcast setting.
+std::vector<ArrayConfig> grid_configs() {
+  std::vector<ArrayConfig> configs;
+  for (std::int64_t size : kSizes) {
+    for (Dataflow dataflow :
+         {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
+          Dataflow::kInputStationary}) {
+      for (bool broadcast : {false, true}) {
+        ArrayConfig cfg = systolic::square_array(size);
+        cfg.dataflow = dataflow;
+        cfg.broadcast_links = broadcast;
+        configs.push_back(cfg);
+      }
+    }
+  }
+  return configs;
 }
 
-// Every field of every row, full precision; ordering differences show up
-// as string differences.
-std::string serialize(const std::vector<Table1Row>& rows) {
+std::string describe(const ArrayConfig& cfg) {
+  return cfg.to_string() + " " + systolic::dataflow_name(cfg.dataflow) +
+         (cfg.broadcast_links ? " bcast" : " plain");
+}
+
+// --- the plan-path reference --------------------------------------------------
+
+/// network_latency as a layer_latency walk.
+NetworkLatency plan_network_latency(const NetworkModel& model,
+                                    const ArrayConfig& cfg) {
+  NetworkLatency result;
+  for (const LayerDesc& layer : model.layers) {
+    result.per_layer.push_back(layer_latency(layer, cfg));
+    result.total_cycles += result.per_layer.back().cycles;
+  }
+  return result;
+}
+
+/// build_variant with the 50% variants' slot savings priced by
+/// layer_latency.
+VariantBuild plan_build_variant(NetworkId id, NetworkVariant variant,
+                                const ArrayConfig& cfg) {
+  const int slots = nets::num_fuse_slots(id);
+  std::vector<double> savings;
+  if (variant == NetworkVariant::kFuseFull50 ||
+      variant == NetworkVariant::kFuseHalf50) {
+    const FuseMode mode = variant == NetworkVariant::kFuseFull50
+                              ? FuseMode::kFull
+                              : FuseMode::kHalf;
+    std::map<int, double> by_slot;
+    for (const LayerDesc& layer : nets::build_network(id).layers) {
+      if (layer.fuse_slot >= 0) {
+        by_slot[layer.fuse_slot] +=
+            static_cast<double>(layer_latency(layer, cfg).cycles);
+      }
+    }
+    for (const LayerDesc& layer :
+         nets::build_network(id, core::uniform_modes(slots, mode)).layers) {
+      if (layer.fuse_slot >= 0) {
+        by_slot[layer.fuse_slot] -=
+            static_cast<double>(layer_latency(layer, cfg).cycles);
+      }
+    }
+    for (int slot = 0; slot < slots; ++slot) {
+      savings.push_back(by_slot.at(slot));
+    }
+  }
+  VariantBuild build;
+  build.modes = core::modes_for_variant(variant, slots, savings);
+  build.model = nets::build_network(id, build.modes);
+  return build;
+}
+
+double plan_speedup(NetworkId id, NetworkVariant variant,
+                    const ArrayConfig& cfg) {
+  const std::uint64_t base =
+      plan_network_latency(nets::build_network(id), cfg).total_cycles;
+  const std::uint64_t var =
+      plan_network_latency(plan_build_variant(id, variant, cfg).model, cfg)
+          .total_cycles;
+  return static_cast<double>(base) / static_cast<double>(var);
+}
+
+// --- closed form == plan fold -------------------------------------------------
+
+TEST(SweepDifferential, NetworkLatencyMatchesPlanFoldEverywhere) {
+  for (const ArrayConfig& cfg : grid_configs()) {
+    for (NetworkId id : nets::paper_networks()) {
+      for (NetworkVariant variant : core::all_network_variants()) {
+        SCOPED_TRACE(nets::network_name(id) + " " +
+                     core::network_variant_name(variant) + " on " +
+                     describe(cfg));
+        const VariantBuild build = build_variant(id, variant, cfg);
+        ASSERT_EQ(build.modes, plan_build_variant(id, variant, cfg).modes);
+
+        const NetworkLatency fast = network_latency(build.model, cfg);
+        const NetworkLatency plan = plan_network_latency(build.model, cfg);
+        EXPECT_EQ(fast.total_cycles, plan.total_cycles);
+        ASSERT_EQ(fast.per_layer.size(), plan.per_layer.size());
+        for (std::size_t i = 0; i < plan.per_layer.size(); ++i) {
+          SCOPED_TRACE(build.model.layers[i].name);
+          EXPECT_EQ(fast.per_layer[i].cycles, plan.per_layer[i].cycles);
+          EXPECT_EQ(fast.per_layer[i].folds, plan.per_layer[i].folds);
+          EXPECT_EQ(fast.per_layer[i].mac_ops, plan.per_layer[i].mac_ops);
+          EXPECT_EQ(fast.per_layer[i].pe_count, plan.per_layer[i].pe_count);
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepDifferential, Table1RowsMatchPlanReference) {
+  for (const ArrayConfig& cfg : grid_configs()) {
+    SCOPED_TRACE(describe(cfg));
+    const std::vector<Table1Row> rows = table1_rows(cfg);
+    ASSERT_EQ(rows.size(), nets::paper_networks().size() *
+                               core::all_network_variants().size());
+    std::size_t k = 0;
+    for (NetworkId id : nets::paper_networks()) {
+      const std::uint64_t base =
+          plan_network_latency(nets::build_network(id), cfg).total_cycles;
+      for (NetworkVariant variant : core::all_network_variants()) {
+        const NetworkModel model = plan_build_variant(id, variant, cfg).model;
+        const std::uint64_t cycles =
+            plan_network_latency(model, cfg).total_cycles;
+        const Table1Row& row = rows[k++];
+        EXPECT_EQ(row.network, id);
+        EXPECT_EQ(row.variant, variant);
+        EXPECT_EQ(row.macs, model.total_macs());
+        EXPECT_EQ(row.params, model.total_params());
+        EXPECT_EQ(row.cycles, cycles);
+        EXPECT_EQ(row.speedup,
+                  static_cast<double>(base) / static_cast<double>(cycles))
+            << nets::network_name(id) << " "
+            << core::network_variant_name(variant);
+      }
+    }
+  }
+}
+
+TEST(SweepDifferential, ScalingSweepMatchesPlanReference) {
+  for (NetworkId id : nets::paper_networks()) {
+    for (NetworkVariant variant : core::all_network_variants()) {
+      SCOPED_TRACE(nets::network_name(id) + " " +
+                   core::network_variant_name(variant));
+      const std::vector<ScalingPoint> points =
+          scaling_sweep(id, variant, kSizes);
+      ASSERT_EQ(points.size(), kSizes.size());
+      for (std::size_t s = 0; s < kSizes.size(); ++s) {
+        EXPECT_EQ(points[s].array_size, kSizes[s]);
+        EXPECT_EQ(points[s].speedup,
+                  plan_speedup(id, variant, systolic::square_array(kSizes[s])))
+            << kSizes[s] << "x" << kSizes[s];
+      }
+    }
+  }
+}
+
+// --- telemetry never perturbs results -----------------------------------------
+
+std::string serialize_sweeps() {
   std::ostringstream out;
   out.precision(17);
-  for (const Table1Row& r : rows) {
-    out << static_cast<int>(r.network) << '|' << static_cast<int>(r.variant)
-        << '|' << r.macs << '|' << r.params << '|' << r.cycles << '|'
-        << r.speedup << '|' << r.paper_accuracy << '|'
-        << r.paper_macs_millions << '|' << r.paper_params_millions << '|'
-        << r.paper_speedup << '\n';
+  for (const Table1Row& r : table1_rows(systolic::square_array(64))) {
+    out << r.cycles << '|' << r.speedup << '\n';
+  }
+  for (NetworkId id : nets::paper_networks()) {
+    for (const ScalingPoint& p :
+         scaling_sweep(id, NetworkVariant::kFuseHalf, kSizes)) {
+      out << p.array_size << '|' << p.speedup << '\n';
+    }
   }
   return out.str();
 }
 
-std::string serialize(const std::vector<ScalingPoint>& points) {
-  std::ostringstream out;
-  out.precision(17);
-  for (const ScalingPoint& p : points) {
-    out << p.array_size << '|' << p.speedup << '\n';
-  }
-  return out.str();
-}
-
-std::string serialize(const NetworkLatency& net) {
-  std::ostringstream out;
-  out << net.total_cycles;
-  for (const auto& layer : net.per_layer) {
-    out << '\n'
-        << layer.cycles << '|' << layer.folds << '|' << layer.mac_ops
-        << '|' << layer.pe_count;
-  }
-  return out.str();
-}
-
-// One full sweep workload under the given options, serialized.
-std::string run_workload(const SweepOptions& options) {
-  SweepEngine engine(options);
-  std::ostringstream out;
-  out << serialize(engine.table1_rows(paper_array()));
-  for (nets::NetworkId id : nets::paper_networks()) {
-    out << serialize(engine.scaling_sweep(
-        id, core::NetworkVariant::kFuseHalf, scaling_sizes()));
-  }
-  out << serialize(engine.network_latency(
-      nets::build_network(nets::NetworkId::kMobileNetV2), paper_array()));
-  return out.str();
-}
-
-TEST(SweepDeterminism, ByteIdenticalAcrossThreadCounts) {
-  const std::string reference =
-      run_workload({.threads = 1, .use_cache = true});
-  for (int threads : {0, 2, 8}) {
-    EXPECT_EQ(run_workload({.threads = threads, .use_cache = true}),
-              reference)
-        << "threads=" << threads;
-  }
-}
-
-TEST(SweepDeterminism, ByteIdenticalWithCacheOnAndOff) {
-  for (int threads : {1, 8}) {
-    EXPECT_EQ(run_workload({.threads = threads, .use_cache = false}),
-              run_workload({.threads = threads, .use_cache = true}))
-        << "threads=" << threads;
-  }
-}
-
-TEST(SweepDeterminism, RepeatedRunsOnOneEngineAreStable) {
-  // Second run hits a warm cache everywhere; results must not move.
-  SweepEngine engine({.threads = 8, .use_cache = true});
-  const auto first = serialize(engine.table1_rows(paper_array()));
-  const auto second = serialize(engine.table1_rows(paper_array()));
-  EXPECT_EQ(first, second);
-  EXPECT_GT(engine.stats().cache_hits, 0u);
-}
-
-TEST(SweepDeterminism, EngineMatchesSerialFreeFunctions) {
-  SweepEngine engine({.threads = 8, .use_cache = true});
-  const auto cfg = paper_array();
-  for (nets::NetworkId id : nets::paper_networks()) {
-    const auto model = nets::build_network(id);
-    // Free sched::network_latency with no cache argument is the serial
-    // reference implementation.
-    EXPECT_EQ(serialize(engine.network_latency(model, cfg)),
-              serialize(network_latency(model, cfg)))
-        << nets::network_name(id);
-    EXPECT_EQ(engine.network_cycles(model, cfg),
-              network_latency(model, cfg).total_cycles)
-        << nets::network_name(id);
-  }
-}
-
-TEST(SweepDeterminism, GoldenConstantsSurviveTheParallelEngine) {
-  // The same pinned values as test_golden.cpp, but produced through a
-  // multi-threaded cached engine.
-  SweepEngine engine({.threads = 8, .use_cache = true});
-  const auto cfg = paper_array();
-  struct Expected {
-    nets::NetworkId id;
-    std::uint64_t cycles;
-    double half_speedup;
-  };
-  const Expected expected[] = {
-      {nets::NetworkId::kMobileNetV1, 2594775, 7.90},
-      {nets::NetworkId::kMobileNetV2, 3128106, 8.96},
-      {nets::NetworkId::kMnasNetB1, 2984050, 9.30},
-      {nets::NetworkId::kMobileNetV3Small, 738162, 6.01},
-      {nets::NetworkId::kMobileNetV3Large, 2109939, 6.85},
-  };
-  for (const Expected& e : expected) {
-    const auto model = nets::build_network(e.id);
-    EXPECT_EQ(engine.network_latency(model, cfg).total_cycles, e.cycles)
-        << nets::network_name(e.id);
-    EXPECT_NEAR(engine.speedup_vs_baseline(
-                    e.id, core::NetworkVariant::kFuseHalf, cfg),
-                e.half_speedup, 0.005)
-        << nets::network_name(e.id);
-  }
-}
-
-TEST(SweepDeterminism, CacheStatsAccountForEveryLookup) {
-  SweepEngine engine({.threads = 2, .use_cache = true});
-  const auto model = nets::build_network(nets::NetworkId::kMobileNetV2);
-  const auto cfg = paper_array();
-  const std::uint64_t layers =
-      static_cast<std::uint64_t>(model.layers.size());
-
-  engine.network_latency(model, cfg);
-  SweepStats stats = engine.stats();
-  EXPECT_EQ(stats.threads, 2);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, layers);
-  EXPECT_EQ(stats.cache_entries, stats.cache_misses);
-  const std::uint64_t first_misses = stats.cache_misses;
-
-  // A second pass over the same network is all hits.
-  engine.network_latency(model, cfg);
-  stats = engine.stats();
-  EXPECT_EQ(stats.cache_misses, first_misses);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 2 * layers);
-}
-
-TEST(SweepDeterminism, CacheOffEngineReportsNoCacheTraffic) {
-  SweepEngine engine({.threads = 2, .use_cache = false});
-  engine.network_latency(
-      nets::build_network(nets::NetworkId::kMobileNetV1), paper_array());
-  const SweepStats stats = engine.stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.cache_entries, 0u);
-}
-
-TEST(SweepDeterminism, ByteIdenticalWithTelemetryAttached) {
-  // Tracing and stats export must never perturb results: the same
-  // workload with a global trace sink attached (what --trace-json +
-  // --stats-json enable in the benches) serializes identically.
-  const std::string reference =
-      run_workload({.threads = 8, .use_cache = true});
+TEST(SweepDifferential, ByteIdenticalWithTelemetryAttached) {
+  // What --trace-json/--stats-json enable in the benches: a global trace
+  // sink attached during the sweeps, then a stats export.
+  const std::string reference = serialize_sweeps();
 
   util::TraceSink sink;
   util::set_global_trace_sink(&sink);
-  const std::string traced = run_workload({.threads = 8, .use_cache = true});
+  const std::string traced = serialize_sweeps();
   util::set_global_trace_sink(nullptr);
   std::ostringstream stats_json;
   util::metrics().write_json(stats_json);
 
   EXPECT_EQ(traced, reference);
   if (util::telemetry_enabled()) {
-    EXPECT_GT(sink.event_count(), 0u);
+    EXPECT_GT(sink.event_count(), 0u);  // sweep.table1_rows, scaling points
     EXPECT_FALSE(stats_json.str().empty());
   }
-}
-
-TEST(SweepDeterminism, StatsLineMentionsThreadsAndCacheState) {
-  SweepEngine cached({.threads = 3, .use_cache = true});
-  const std::string on = sweep_stats_line(cached, 1.5);
-  EXPECT_NE(on.find("3 threads"), std::string::npos) << on;
-  EXPECT_NE(on.find("cache"), std::string::npos) << on;
-
-  SweepEngine uncached({.threads = 1, .use_cache = false});
-  const std::string off = sweep_stats_line(uncached, 0.25);
-  EXPECT_NE(off.find("cache off"), std::string::npos) << off;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // util::ThreadPool contract: clean start/join, every task runs exactly
 // once, exceptions cross back to the caller, the zero-thread pool degrades
 // to inline serial execution, and nested parallel loops make progress.
-// These are the invariants the SweepEngine's determinism guarantee stands
-// on; tools/check.sh additionally runs this suite under ThreadSanitizer.
+// These are the invariants the fast kernels', the fast simulator's and the
+// serving engine's thread-count determinism stand on; tools/check.sh
+// additionally runs this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -2,12 +2,12 @@
 # Full verification gate:
 #   1. default build + complete test suite,
 #   2. ThreadSanitizer build running the concurrency suites
-#      (test_thread_pool, test_sweep_determinism, test_properties,
-#      test_telemetry, test_kernels, test_systolic_sim, test_netplan,
-#      test_serve — the kernel/sim pair covers the fast backends'
-#      parallel execution; test_netplan runs the network executor across
-#      schedule modes and sim threads; test_serve replays the serving
-#      engine's worker-determinism trace at 1/2/4 payload threads),
+#      (test_thread_pool, test_properties, test_telemetry, test_kernels,
+#      test_systolic_sim, test_netplan, test_serve — the kernel/sim pair
+#      covers the fast backends' parallel execution; test_netplan runs
+#      the network executor across schedule modes and sim threads;
+#      test_serve replays the serving engine's worker-determinism trace
+#      at 1/2/4 payload threads),
 #   3. AddressSanitizer build running the mapping/executor suites
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
 #      test_serve),
@@ -20,9 +20,10 @@
 #      within float tolerance between --kernel-isa=scalar and =auto (on
 #      non-AVX2 machines both legs run scalar and the diff is trivially
 #      exact),
-#   6. bench determinism: every bench binary's output must be
-#      byte-identical between --threads=1 --no-cache and --threads=8
-#      (only footer lines — see filter_bench_output — may differ),
+#   6. telemetry identity: every sweep bench's output must be
+#      byte-identical between a plain run and a run with --trace-json and
+#      --stats-json attached (only footer lines — see
+#      filter_bench_output — may differ),
 #   7. backend equality: every table/figure bench's stdout and CSVs must
 #      be byte-identical between --kernel-backend=fast and
 #      --kernel-backend=reference. Both legs pin FUSE_KERNEL_ISA=scalar:
@@ -58,11 +59,10 @@
 #  13. design-space lab: bench_dse FUSE_CHECKs the closed-form
 #      evaluator's equality against the plan path over an axis-spanning
 #      config subset and the >= 10x configs-per-second gate internally;
-#      its stdout and frontier CSV must be byte-identical between
-#      --threads=1 --no-cache and --threads=8, the fresh BENCH_dse.json
-#      diffs against the committed baseline via bench_compare (frontier
-#      rows exact, *_cps wall), and a perturbed frontier latency must
-#      make the gate exit nonzero.
+#      one run's point-table CSV must equal results/bench_dse.csv, its
+#      fresh BENCH_dse.json diffs against the committed baseline via
+#      bench_compare (frontier rows exact, *_cps wall), and a perturbed
+#      frontier latency must make the gate exit nonzero.
 #
 # Usage: tools/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #        [release-build-dir]
@@ -76,7 +76,7 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$REPO_ROOT"
 
 # Strips the lines a bench is allowed to vary between runs: the
-# "sweep: ..." wall-time/cache footer and any "# ..." comment footers.
+# "sweep: ..." wall-time footer and any "# ..." comment footers.
 # Every determinism diff goes through this one filter so new footer kinds
 # are excluded in a single place.
 filter_bench_output() {
@@ -90,9 +90,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo
 echo "=== [2/13] ThreadSanitizer build + concurrency suites ==="
-CONCURRENCY_TESTS=(test_thread_pool test_sweep_determinism test_properties
-                   test_telemetry test_kernels test_systolic_sim
-                   test_netplan test_serve)
+CONCURRENCY_TESTS=(test_thread_pool test_properties test_telemetry
+                   test_kernels test_systolic_sim test_netplan test_serve)
 cmake -B "$TSAN_DIR" -S . -DFUSE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target "${CONCURRENCY_TESTS[@]}"
@@ -178,21 +177,19 @@ print(f"{len(names)} files agree between --kernel-isa=scalar and =auto")
 EOF
 
 echo
-echo "=== [6/13] bench determinism: --threads=1 --no-cache vs --threads=8 ==="
+echo "=== [6/13] telemetry identity: plain run vs --trace-json/--stats-json ==="
 for bench in bench_table1 bench_fig8d_scaling bench_pareto \
              bench_resolution bench_width_mult bench_nos; do
   bin="$BUILD_DIR/bench/$bench"
   [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
-  # The second leg also exercises the telemetry flags: stdout must stay
-  # byte-identical with tracing on.
-  if diff <("$bin" --threads=1 --no-cache | filter_bench_output) \
-          <("$bin" --threads=8 \
-               --trace-json="$TELEMETRY_TMP/$bench.trace.json" \
+  # Tracing and the stats export must never perturb a table.
+  if diff <("$bin" | filter_bench_output) \
+          <("$bin" --trace-json="$TELEMETRY_TMP/$bench.trace.json" \
                --stats-json="$TELEMETRY_TMP/$bench.stats.json" \
              | filter_bench_output); then
-    echo "$bench: byte-identical"
+    echo "$bench: byte-identical with telemetry on"
   else
-    echo "$bench: OUTPUT DIVERGED between thread counts" >&2
+    echo "$bench: OUTPUT DIVERGED with telemetry on" >&2
     exit 1
   fi
 done
@@ -451,37 +448,28 @@ else
 fi
 
 echo
-echo "=== [13/13] design-space lab: bench_dse equality + frontier determinism ==="
+echo "=== [13/13] design-space lab: bench_dse equality + frontier baseline ==="
 # A plain run is already the evaluator-equality grid and the >= 10x
-# throughput gate (both FUSE_CHECKed inside the binary). The two legs
-# here additionally pin thread-count determinism: stdout (minus "# "
-# wall-clock footers) and the frontier CSV may not differ by a byte
-# between a serial uncached run and an 8-thread memoized one.
-for leg in "t1 --threads=1 --no-cache" "t8 --threads=8"; do
-  set -- $leg
-  tag="$1"; shift
-  dir="$TELEMETRY_TMP/bench_dse.$tag"
-  mkdir -p "$dir"
-  (cd "$dir" && "$REPO_ROOT/$BUILD_DIR/bench/bench_dse" "$@" --csv \
-     --json="$dir/BENCH_dse.json" | filter_bench_output > stdout.txt)
-done
-if diff "$TELEMETRY_TMP/bench_dse.t1/stdout.txt" \
-        "$TELEMETRY_TMP/bench_dse.t8/stdout.txt" &&
-   diff "$TELEMETRY_TMP/bench_dse.t1/bench_dse.csv" \
-        "$TELEMETRY_TMP/bench_dse.t8/bench_dse.csv"; then
-  echo "bench_dse: stdout and frontier CSV byte-identical across threads"
+# throughput gate (both FUSE_CHECKed inside the binary); its full point
+# table must equal the committed CSV byte for byte, and its artifact's
+# frontier rows must reproduce the committed baseline exactly.
+dir="$TELEMETRY_TMP/bench_dse"
+mkdir -p "$dir"
+(cd "$dir" && "$REPO_ROOT/$BUILD_DIR/bench/bench_dse" --csv \
+   --json="$dir/BENCH_dse.json" > stdout.txt)
+if cmp results/bench_dse.csv "$dir/bench_dse.csv"; then
+  echo "bench_dse: point table matches results/bench_dse.csv"
 else
-  echo "bench_dse: OUTPUT DIVERGED between thread counts" >&2
+  echo "bench_dse: POINT TABLE DIVERGED from results/bench_dse.csv" >&2
   exit 1
 fi
-python3 tools/bench_compare.py results/BENCH_dse.json \
-  "$TELEMETRY_TMP/bench_dse.t1/BENCH_dse.json"
+python3 tools/bench_compare.py results/BENCH_dse.json "$dir/BENCH_dse.json"
 # The frontier rows are exact by declaration: nudging one latency within
 # what a wall-clock tolerance would forgive must still fail the gate.
 python3 - "$TELEMETRY_TMP" <<'EOF'
 import json, os, sys
 tmp = sys.argv[1]
-with open(os.path.join(tmp, "bench_dse.t1", "BENCH_dse.json")) as f:
+with open(os.path.join(tmp, "bench_dse", "BENCH_dse.json")) as f:
     doc = json.load(f)
 doc["rows"][0]["latency_ms"] *= 1.01
 with open(os.path.join(tmp, "BENCH_dse.perturbed.json"), "w") as f:

@@ -5,8 +5,9 @@
 # The manifest of legitimate outputs is bench/*.cpp: only binaries with
 # a matching source may run (a stale binary in the build dir — e.g. a
 # renamed or deleted bench — would otherwise silently emit orphan
-# artifacts), and after the run every file in results/ (history/ ledger
-# aside) must have been rewritten by this run. Anything else — editor
+# artifacts), and after the run every file in results/ (the history/
+# ledger and the two-build BENCH_sweep.json aside) must have been
+# rewritten by this run. Anything else — editor
 # droppings, build-system strays, outputs of deleted benches — fails
 # the script with a listing instead of riding along into a commit.
 #
@@ -73,9 +74,12 @@ done
 
 # Manifest sweep: every file here must be fresher than the run stamp.
 # results/history/ is the append-only perf ledger (tools/record_bench.sh)
-# and is exempt — benches never write it.
+# and is exempt — benches never write it. So is BENCH_sweep.json: a
+# before/after timing of two build trees (tools/bench_sweep.py), which
+# one tree cannot regenerate.
 mapfile -t strays < <(find "$RESULTS_DIR" -maxdepth 1 -type f \
-  ! -newer "$STAMP" ! -name "$(basename "$STAMP")" | sort)
+  ! -newer "$STAMP" ! -name "$(basename "$STAMP")" \
+  ! -name BENCH_sweep.json | sort)
 if [ "${#strays[@]}" -gt 0 ]; then
   echo "ERROR: results/ contains files no manifest bench regenerated:" >&2
   printf '  %s\n' "${strays[@]}" >&2
