@@ -59,8 +59,6 @@ void add_sim_flags(util::CliFlags& flags) {
   flags.add_string("sim-backend",
                    systolic::sim_backend_name(systolic::sim_backend()),
                    "cycle-accurate simulator engine: fast or reference");
-  flags.add_int("sim-threads", systolic::sim_threads(),
-                "total threads for the fast simulator's fold parallel_for");
 }
 
 void apply_sim_flags(const util::CliFlags& flags) {
@@ -69,11 +67,6 @@ void apply_sim_flags(const util::CliFlags& flags) {
   FUSE_CHECK(systolic::parse_sim_backend(name, &backend))
       << "--sim-backend must be 'fast' or 'reference', got '" << name << "'";
   systolic::set_sim_backend(backend);
-  const std::int64_t threads = flags.get_int("sim-threads");
-  FUSE_CHECK(threads >= 1) << "--sim-threads must be >= 1";
-  if (threads != systolic::sim_threads()) {
-    systolic::set_sim_threads(static_cast<int>(threads));
-  }
 }
 
 void add_sched_flags(util::CliFlags& flags) {

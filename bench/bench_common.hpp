@@ -56,9 +56,8 @@ void add_kernel_flags(util::CliFlags& flags);
 void apply_kernel_flags(const util::CliFlags& flags);
 
 /// Registers --sim-backend (fast|reference, default: current, i.e.
-/// FUSE_SIM_BACKEND or fast) and --sim-threads (total threads for the fast
-/// simulator's fold parallel_for, default: current). SweepHarness calls
-/// this; the sim-driven examples reuse the pair.
+/// FUSE_SIM_BACKEND or fast). SweepHarness calls this; the sim-driven
+/// examples reuse it.
 void add_sim_flags(util::CliFlags& flags);
 
 /// Applies the parsed sim flags to the process-wide simulator state.

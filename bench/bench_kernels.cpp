@@ -8,8 +8,9 @@
 //
 // Besides the usual google-benchmark flags, `--json=<path>` writes a
 // machine-readable row per benchmark: {op, backend, isa, ns_per_op,
-// gflops} — the perf-trajectory artifact results/BENCH_kernels.json is
-// regenerated from (tools/regenerate_results.sh). The fast_scalar legs
+// gflops}, both from real time — the perf-trajectory artifact
+// results/BENCH_kernels.json is regenerated from
+// (tools/regenerate_results.sh). The fast_scalar legs
 // pin FUSE_KERNEL_ISA=scalar so the artifact records the scalar-vs-SIMD
 // split on the machine that produced it.
 #include <benchmark/benchmark.h>
@@ -86,10 +87,13 @@ struct VariantScope {
   }
 };
 
+/// Records the FLOP count of one op. The reporter turns it into GFLOP/s
+/// with the run's real time per op: a google-benchmark rate counter
+/// divides by the main thread's CPU time, which overstates every leg
+/// whose work runs on pool threads while the main thread waits.
 void set_flops(benchmark::State& state, std::int64_t macs) {
-  state.counters["flops"] = benchmark::Counter(
-      static_cast<double>(2 * macs) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
+  state.counters["flop_per_op"] =
+      benchmark::Counter(static_cast<double>(2 * macs));
 }
 
 // --- GEMM at the MobileNet-V2 bottleneck geometry (im2col of the
@@ -286,9 +290,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       JsonRow row;
       row.name = run.benchmark_name();
       row.ns_per_op = run.GetAdjustedRealTime();  // default unit: ns
-      const auto it = run.counters.find("flops");
+      const auto it = run.counters.find("flop_per_op");
       if (it != run.counters.end()) {
-        row.gflops = it->second.value / 1e9;  // kIsRate -> FLOP/s
+        row.gflops = it->second.value / row.ns_per_op;  // FLOP/ns = GFLOP/s
       }
       rows_.push_back(std::move(row));
     }

@@ -1,22 +1,28 @@
 // Simulator engine benchmark: reference (per-cycle PE sweep) vs fast
-// (wavefront interval engine) vs fast_t4 (fold-parallel, 4 threads) on
-// MobileNet-V2 layer geometries at the paper's Table-1 array (64x64,
-// output-stationary). Every layer is lowered through the array-mapping IR
-// and simulated with run_plan, exactly the path simulate_network /
-// profile_network pay — so the speedups here are the end-to-end win.
+// (wavefront interval engine) on MobileNet-V2 layer geometries at the
+// paper's Table-1 array (64x64, output-stationary). Every layer is
+// lowered through the array-mapping IR and simulated with run_plan,
+// exactly the path simulate_network / profile_network pay — so the
+// speedups here are the end-to-end win.
 //
 // Before timing, every layer's fast result is checked bit-exact against
 // the reference (equal cycles/folds/MACs, memcmp-identical pe_busy); the
 // bench aborts on any mismatch, making each run a standing verification
 // of the docs/simulator.md contract at full optimization.
 //
+// Each engine's time is the median (and q3 - q1 spread) of separate
+// run_plan calls, so one slow call cannot move a row.
+//
 // Usage: bench_sim [--json=<path>]
 //   --json writes the machine-readable rows consumed by
-//   results/BENCH_sim.json (tools/regenerate_results.sh).
+//   results/BENCH_sim.json (tools/regenerate_results.sh), with the run's
+//   provenance and the metric families tools/bench_compare.py gates on.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -24,6 +30,7 @@
 #include "systolic/sim.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/cpu_features.hpp"
 
 using namespace fuse;
 
@@ -56,18 +63,29 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Wall ms per run_plan call: repeats until `min_ms` elapsed (at least
-/// once), so the fast engines average over enough reps while the slow
-/// reference pays a single pass.
-double time_run_plan(systolic::SystolicArraySim& sim,
-                     const systolic::MappingPlan& plan, double min_ms) {
-  int reps = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  do {
+constexpr int kReferenceReps = 3;
+constexpr int kFastReps = 11;
+
+/// Wall time of `reps` separate run_plan calls: the median and the
+/// q3 - q1 spread (nearest rank), in ms.
+struct Timing {
+  double p50_ms = 0.0;
+  double iqr_ms = 0.0;
+};
+
+Timing time_run_plan(systolic::SystolicArraySim& sim,
+                     const systolic::MappingPlan& plan, int reps) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
     sim.run_plan(plan);
-    ++reps;
-  } while (elapsed_ms(t0) < min_ms && reps < 1000);
-  return elapsed_ms(t0) / reps;
+    ms.push_back(elapsed_ms(t0));
+  }
+  std::sort(ms.begin(), ms.end());
+  const auto rank = [&](int num, int den) {
+    return ms[static_cast<std::size_t>((reps - 1) * num / den)];
+  };
+  return {rank(1, 2), rank(3, 4) - rank(1, 4)};
 }
 
 void check_bit_exact(const systolic::SimResult& fast,
@@ -89,38 +107,53 @@ struct Row {
   std::string layer;
   std::uint64_t cycles = 0;
   std::uint64_t mac_ops = 0;
-  double reference_ms = 0.0;
-  double fast_ms = 0.0;
-  double fast_t4_ms = 0.0;
+  Timing reference;
+  Timing fast;
 };
 
+#ifdef __clang__
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
+
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                double total_ref, double total_fast, double total_t4) {
+                double total_ref, double total_fast) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   FUSE_CHECK(f != nullptr) << "cannot write " << path;
-  std::fprintf(f,
-               "{\n  \"bench\": \"bench_sim\",\n  \"array\": \"64x64\",\n"
-               "  \"network\": \"mobilenet_v2_layer_geometries\",\n"
-               "  \"rows\": [\n");
+  std::fprintf(
+      f,
+      "{\n  \"bench\": \"bench_sim\",\n  \"array\": \"64x64\",\n"
+      "  \"network\": \"mobilenet_v2_layer_geometries\",\n"
+      "  \"provenance\": {\"cores\": %u, \"isa\": \"%s\", "
+      "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+      "\"repetitions\": {\"reference\": %d, \"fast\": %d}, "
+      "\"timing\": \"wall time of separate run_plan calls, median and "
+      "q3-q1; one thread\"},\n"
+      "  \"metric_families\": {\"exact\": [\"cycles\", \"mac_ops\"], "
+      "\"wall_lower_better\": [\"*_ms\"], "
+      "\"wall_higher_better\": [\"speedup_*\"]},\n"
+      "  \"rows\": [\n",
+      std::thread::hardware_concurrency(),
+      util::cpu_features().to_string().c_str(), kCompiler, FUSE_BUILD_TYPE,
+      kReferenceReps, kFastReps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(
         f,
         "    {\"layer\": \"%s\", \"cycles\": %llu, \"mac_ops\": %llu, "
-        "\"reference_ms\": %.4f, \"fast_ms\": %.4f, \"fast_t4_ms\": %.4f, "
-        "\"speedup_fast\": %.2f, \"speedup_fast_t4\": %.2f}%s\n",
+        "\"reference_ms\": %.4f, \"reference_iqr_ms\": %.4f, "
+        "\"fast_ms\": %.4f, \"fast_iqr_ms\": %.4f, "
+        "\"speedup_fast\": %.2f}%s\n",
         r.layer.c_str(), static_cast<unsigned long long>(r.cycles),
-        static_cast<unsigned long long>(r.mac_ops), r.reference_ms,
-        r.fast_ms, r.fast_t4_ms, r.reference_ms / r.fast_ms,
-        r.reference_ms / r.fast_t4_ms,
-        i + 1 < rows.size() ? "," : "");
+        static_cast<unsigned long long>(r.mac_ops), r.reference.p50_ms,
+        r.reference.iqr_ms, r.fast.p50_ms, r.fast.iqr_ms,
+        r.reference.p50_ms / r.fast.p50_ms, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"total\": {\"reference_ms\": %.4f, \"fast_ms\": "
-               "%.4f, \"fast_t4_ms\": %.4f, \"speedup_single_thread\": "
-               "%.2f, \"speedup_t4\": %.2f}\n}\n",
-               total_ref, total_fast, total_t4, total_ref / total_fast,
-               total_ref / total_t4);
+               "%.4f, \"speedup_fast\": %.2f}\n}\n",
+               total_ref, total_fast, total_ref / total_fast);
   std::fclose(f);
 }
 
@@ -137,20 +170,18 @@ int main(int argc, char** argv) {
 
   std::printf(
       "simulator engines on %s, MobileNet-V2 layer geometries\n"
-      "(reference = per-cycle PE sweep; fast = wavefront intervals, 1 "
-      "thread; fast_t4 = 4 threads)\n\n"
-      "%-20s %12s %12s %10s %10s %10s %8s %8s\n",
-      cfg.to_string().c_str(), "layer", "cycles", "mac_ops", "ref ms",
-      "fast ms", "t4 ms", "x1", "x4");
+      "(reference = per-cycle PE sweep, median of %d; fast = wavefront "
+      "intervals, median of %d)\n\n"
+      "%-20s %12s %12s %10s %10s %8s\n",
+      cfg.to_string().c_str(), kReferenceReps, kFastReps, "layer", "cycles",
+      "mac_ops", "ref ms", "fast ms", "speedup");
 
   std::vector<Row> rows;
   double total_ref = 0.0;
   double total_fast = 0.0;
-  double total_t4 = 0.0;
   for (const Case& c : mobilenet_v2_cases()) {
     const systolic::MappingPlan plan = systolic::lower(c.layer, cfg);
 
-    systolic::set_sim_threads(1);
     systolic::set_sim_backend(systolic::SimBackend::kReference);
     const systolic::SimResult reference = sim.run_plan(plan);
     systolic::set_sim_backend(systolic::SimBackend::kFast);
@@ -162,35 +193,29 @@ int main(int argc, char** argv) {
     row.cycles = reference.cycles;
     row.mac_ops = reference.mac_ops;
     systolic::set_sim_backend(systolic::SimBackend::kReference);
-    row.reference_ms = time_run_plan(sim, plan, /*min_ms=*/0.0);
+    row.reference = time_run_plan(sim, plan, kReferenceReps);
     systolic::set_sim_backend(systolic::SimBackend::kFast);
-    row.fast_ms = time_run_plan(sim, plan, /*min_ms=*/50.0);
-    systolic::set_sim_threads(4);
-    row.fast_t4_ms = time_run_plan(sim, plan, /*min_ms=*/50.0);
-    systolic::set_sim_threads(1);
+    row.fast = time_run_plan(sim, plan, kFastReps);
 
-    total_ref += row.reference_ms;
-    total_fast += row.fast_ms;
-    total_t4 += row.fast_t4_ms;
-    std::printf("%-20s %12llu %12llu %10.2f %10.3f %10.3f %7.1fx %7.1fx\n",
+    total_ref += row.reference.p50_ms;
+    total_fast += row.fast.p50_ms;
+    std::printf("%-20s %12llu %12llu %10.2f %10.3f %7.1fx\n",
                 row.layer.c_str(),
                 static_cast<unsigned long long>(row.cycles),
                 static_cast<unsigned long long>(row.mac_ops),
-                row.reference_ms, row.fast_ms, row.fast_t4_ms,
-                row.reference_ms / row.fast_ms,
-                row.reference_ms / row.fast_t4_ms);
+                row.reference.p50_ms, row.fast.p50_ms,
+                row.reference.p50_ms / row.fast.p50_ms);
     rows.push_back(row);
   }
 
   std::printf(
-      "\ntotal: reference %.1f ms, fast %.1f ms (%.1fx), fast_t4 %.1f ms "
-      "(%.1fx); all layers bit-exact across engines\n",
-      total_ref, total_fast, total_ref / total_fast, total_t4,
-      total_ref / total_t4);
+      "\ntotal: reference %.1f ms, fast %.1f ms (%.1fx); all layers "
+      "bit-exact across engines\n",
+      total_ref, total_fast, total_ref / total_fast);
 
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
-    write_json(json_path, rows, total_ref, total_fast, total_t4);
+    write_json(json_path, rows, total_ref, total_fast);
   }
   return 0;
 }

@@ -5,7 +5,7 @@
 // lights up the whole grid.
 //
 // Usage: pe_heatmap [--size=16] [--channels=16] [--hw=16]
-//                   [--sim-backend=fast|reference] [--sim-threads=N]
+//                   [--sim-backend=fast|reference]
 #include <cstdio>
 
 #include "bench_common.hpp"

@@ -4,7 +4,7 @@
 // triangle, on display.
 //
 // Usage: simulate_layer [--channels=8] [--hw=16] [--kernel=3] [--size=16]
-//                       [--sim-backend=fast|reference] [--sim-threads=N]
+//                       [--sim-backend=fast|reference]
 //                       [--trace-json=] [--stats-json=] [--profile-json=]
 #include <cstdio>
 

@@ -7,7 +7,7 @@
 // forward pass, and reports measured end-to-end cycles.
 //
 // Usage: simulate_network [--size=16] [--hw=16] [--channels=8]
-//                         [--sim-backend=fast|reference] [--sim-threads=N]
+//                         [--sim-backend=fast|reference]
 //                         [--trace-json=] [--stats-json=] [--profile-json=]
 #include <cstdio>
 

@@ -736,9 +736,8 @@ void set_kernel_threads(int threads) {
   PoolState& state = pool_state();
   std::lock_guard<std::mutex> lock(state.mutex);
   state.threads = threads;
-  // N total threads = N-1 workers + the calling thread (the simulator
-  // pool's convention too); the pool is rebuilt eagerly so stale workers
-  // never outlive the request.
+  // N total threads = N-1 workers + the calling thread; the pool is
+  // rebuilt eagerly so stale workers never outlive the request.
   state.pool = std::make_unique<util::ThreadPool>(threads - 1);
 }
 
@@ -829,6 +828,43 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
       }
     }
   });
+}
+
+void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
+              std::int64_t k, std::int64_t n) {
+  if (n == 1) {
+    // A matrix-vector product: a padded 8-wide panel would be 7/8 zeros,
+    // and consecutive rows are independent chains the core overlaps.
+    for (std::int64_t r = 0; r < m; ++r) {
+      const float* row = a + r * k;
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < k; ++i) {
+        acc += static_cast<double>(row[i]) * static_cast<double>(b[i]);
+      }
+      c[r] = static_cast<float>(acc);
+    }
+    return;
+  }
+  if (m == 1) {
+    // A vector-matrix product: packing would copy all of B for one row,
+    // while streaming B's rows reads it once, contiguously.
+    std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
+    for (std::int64_t i = 0; i < k; ++i) {
+      const double av = static_cast<double>(a[i]);
+      const float* row = b + i * n;
+      for (std::int64_t j = 0; j < n; ++j) {
+        acc[static_cast<std::size_t>(j)] += av * static_cast<double>(row[j]);
+      }
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      c[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
+    }
+    return;
+  }
+  std::vector<float> b_panels;
+  pack_b_panels(b, k, n, n, b_panels);
+  block_gemm_f64(a, k, m, b_panels.data(), k, n, /*bias=*/nullptr, c,
+                 /*row_stride=*/n, /*col_stride=*/1);
 }
 
 Tensor matmul_fast(const Tensor& a, const Tensor& b) {
@@ -1210,6 +1246,23 @@ Tensor linear_backward_fast(const Tensor& input, const Tensor& weight,
 // Marshalling helpers shared with the systolic executor
 // ---------------------------------------------------------------------------
 
+void transpose(const float* src, std::int64_t rows, std::int64_t cols,
+               float* dst) {
+  // Square blocks keep both the rows read and the rows written in L1.
+  constexpr std::int64_t kBlock = 16;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const std::int64_t r1 = std::min(rows, r0 + kBlock);
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kBlock) {
+      const std::int64_t c1 = std::min(cols, c0 + kBlock);
+      for (std::int64_t c = c0; c < c1; ++c) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          dst[c * rows + r] = src[r * cols + c];
+        }
+      }
+    }
+  }
+}
+
 Tensor flatten_filters(const Tensor& weight) {
   FUSE_CHECK(weight.shape().rank() == 4)
       << "flatten_filters expects [C_out, C_in/g, Kh, Kw], got "
@@ -1217,15 +1270,9 @@ Tensor flatten_filters(const Tensor& weight) {
   const std::int64_t out_c = weight.shape().dim(0);
   const std::int64_t taps = weight.shape().dim(1) * weight.shape().dim(2) *
                             weight.shape().dim(3);
+  // Filter oc is the contiguous row weight[oc] of `taps` values.
   Tensor filters(Shape{taps, out_c});
-  const float* w = weight.data();
-  float* f = filters.data();
-  for (std::int64_t oc = 0; oc < out_c; ++oc) {
-    const float* row = w + oc * taps;
-    for (std::int64_t t = 0; t < taps; ++t) {
-      f[t * out_c + oc] = row[t];
-    }
-  }
+  transpose(weight.data(), out_c, taps, filters.data());
   return filters;
 }
 
@@ -1236,13 +1283,7 @@ Tensor transpose_2d(const Tensor& w) {
   const std::int64_t rows = w.shape().dim(0);
   const std::int64_t cols = w.shape().dim(1);
   Tensor out(Shape{cols, rows});
-  const float* src = w.data();
-  float* dst = out.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) {
-      dst[c * rows + r] = src[r * cols + c];
-    }
-  }
+  transpose(w.data(), rows, cols, out.data());
   return out;
 }
 

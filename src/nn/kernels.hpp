@@ -35,7 +35,7 @@
 // Default is kFast; set FUSE_KERNEL_BACKEND=reference (or the benches'
 // --kernel-backend flag) to pin the reference oracle. FUSE_KERNEL_THREADS
 // / --kernel-threads size the kernel pool (N threads = N-1 workers plus
-// the calling thread, the simulator pool's convention too).
+// the calling thread).
 //
 // ISA selection: inside the fast backend, kernel_isa() picks between the
 // portable scalar kernels and the AVX2/FMA micro-kernels
@@ -130,6 +130,16 @@ namespace kernels {
 void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
+/// C[m, n] = A[m, k] * B[k, n], row-major, all operands dense. Each
+/// output starts from a 0.0 double accumulator, adds the exact double
+/// products (double)a * (double)b in ascending k, and is rounded to float
+/// once: the arithmetic of an output-stationary PE, which the PE-grid
+/// simulator's fast engine runs through here. Serial and portable scalar
+/// code (no pool, no ISA dispatch), so the bits depend on the operands
+/// only.
+void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
+              std::int64_t k, std::int64_t n);
+
 /// Fast implementations of the public functional operators. Shapes and
 /// semantics are identical to the reference versions in nn/ops.hpp /
 /// nn/quantized.hpp; arguments are assumed pre-validated by the
@@ -158,6 +168,12 @@ Tensor conv2d_backward_fast(const Tensor& input, const Tensor& weight,
 Tensor linear_backward_fast(const Tensor& input, const Tensor& weight,
                             const Tensor& grad_output, Tensor* weight_grad,
                             Tensor* bias_grad);
+
+/// dst[c, r] = src[r, c] for a dense row-major [rows, cols] src and a
+/// [cols, rows] dst (cache-blocked). The layout step of the systolic
+/// executor and of the two helpers below.
+void transpose(const float* src, std::int64_t rows, std::int64_t cols,
+               float* dst);
 
 /// Flattens an [C_out, C_in/g, Kh, Kw] filter bank to the [taps, C_out]
 /// matrix the im2col lowering multiplies against (taps ordered

@@ -20,36 +20,84 @@ using tensor::Tensor;
 
 namespace {
 
-/// [1, C, H, W] -> [C, H, W] view copy.
-Tensor squeeze_batch(const Tensor& input) {
-  FUSE_CHECK(input.shape().rank() == 4 && input.shape().dim(0) == 1)
-      << "execute_layer_on_array expects a batch-1 NCHW input, got "
-      << input.shape().to_string();
-  Tensor image(Shape{input.shape().dim(1), input.shape().dim(2),
-                     input.shape().dim(3)});
-  std::copy(input.data(), input.data() + image.num_elements(), image.data());
-  return image;
+/// Rejects operands whose shapes disagree with the layer, and a layer
+/// whose output extent does not follow from its input and kernel. The
+/// paths below index `input`, `weight` and the output through raw
+/// pointers by the layer's dims, so this check is what keeps them in
+/// bounds.
+void check_operands(const LayerDesc& layer, const Tensor& input,
+                    const Tensor& weight) {
+  if (layer.kind == OpKind::kFullyConnected) {
+    FUSE_CHECK(input.num_elements() == layer.in_c)
+        << "layer " << layer.name << ": FC input must flatten to "
+        << layer.in_c << " features, got " << input.shape().to_string();
+    FUSE_CHECK(weight.shape() == Shape({layer.out_c, layer.in_c}))
+        << "layer " << layer.name << ": FC weight must be ["
+        << layer.out_c << ", " << layer.in_c << "], got "
+        << weight.shape().to_string();
+    return;
+  }
+  FUSE_CHECK(layer.out_h == tensor::conv_out_dim(layer.in_h, layer.kernel_h,
+                                                 layer.stride_h,
+                                                 layer.pad_h) &&
+             layer.out_w == tensor::conv_out_dim(layer.in_w, layer.kernel_w,
+                                                 layer.stride_w, layer.pad_w))
+      << "layer " << layer.name << ": output " << layer.out_h << "x"
+      << layer.out_w << " does not follow from its input and kernel";
+  const Shape input_shape{1, layer.in_c, layer.in_h, layer.in_w};
+  FUSE_CHECK(input.shape() == input_shape)
+      << "layer " << layer.name << ": input must be the batch-1 NCHW "
+      << input_shape.to_string() << ", got " << input.shape().to_string();
+  const Shape weight_shape{layer.out_c, layer.in_c / layer.groups,
+                           layer.kernel_h, layer.kernel_w};
+  FUSE_CHECK(weight.shape() == weight_shape)
+      << "layer " << layer.name << ": weight must be "
+      << weight_shape.to_string() << ", got " << weight.shape().to_string();
 }
 
-/// [positions, C_out] column-major result -> [1, C_out, H, W].
+/// [positions, C_out] matmul product -> [1, C_out, H, W].
 Tensor positions_to_nchw(const Tensor& product, std::int64_t out_c,
                          std::int64_t out_h, std::int64_t out_w) {
   Tensor output(Shape{1, out_c, out_h, out_w});
-  for (std::int64_t oc = 0; oc < out_c; ++oc) {
-    for (std::int64_t pos = 0; pos < out_h * out_w; ++pos) {
-      output.at(0, oc, pos / out_w, pos % out_w) = product.at(pos, oc);
-    }
-  }
+  nn::kernels::transpose(product.data(), out_h * out_w, out_c,
+                         output.data());
   return output;
 }
 
-LayerExecution from_sim(SimResult result) {
-  LayerExecution exec;
-  exec.output = std::move(result.output);
-  exec.cycles = result.cycles;
-  exec.folds = result.folds;
-  exec.mac_ops = result.mac_ops;
-  return exec;
+/// Writes the im2col rows of `channels` consecutive input planes starting
+/// at `image` into `patches` ([out_h * out_w, channels * kh * kw], taps
+/// ordered channel, kernel row, kernel column; padding taps 0) — every
+/// element, so one buffer serves many calls.
+void gather_patches(const LayerDesc& layer, const float* image,
+                    std::int64_t channels, float* patches) {
+  const std::int64_t plane = layer.in_h * layer.in_w;
+  float* dst = patches;
+  for (std::int64_t oy = 0; oy < layer.out_h; ++oy) {
+    const std::int64_t iy0 = oy * layer.stride_h - layer.pad_h;
+    for (std::int64_t ox = 0; ox < layer.out_w; ++ox) {
+      const std::int64_t ix0 = ox * layer.stride_w - layer.pad_w;
+      for (std::int64_t c = 0; c < channels; ++c) {
+        for (std::int64_t ky = 0; ky < layer.kernel_h; ++ky) {
+          const std::int64_t iy = iy0 + ky;
+          if (iy < 0 || iy >= layer.in_h) {
+            dst = std::fill_n(dst, layer.kernel_w, 0.0F);
+            continue;
+          }
+          const float* row = image + c * plane + iy * layer.in_w;
+          for (std::int64_t kx = 0; kx < layer.kernel_w; ++kx) {
+            const std::int64_t ix = ix0 + kx;
+            *dst++ = (ix < 0 || ix >= layer.in_w) ? 0.0F : row[ix];
+          }
+        }
+      }
+    }
+  }
+}
+
+void add_counts(const SimResult& result, LayerExecution& exec) {
+  exec.cycles += result.cycles;
+  exec.folds += result.folds;
+  exec.mac_ops += result.mac_ops;
 }
 
 LayerExecution execute_standard_conv(const LayerDesc& layer,
@@ -57,19 +105,19 @@ LayerExecution execute_standard_conv(const LayerDesc& layer,
                                      const Tensor& input,
                                      const Tensor& weight,
                                      SystolicArraySim& sim) {
-  const Tensor image = squeeze_batch(input);
-  const Tensor patches =
-      tensor::im2col(image, layer.kernel_h, layer.kernel_w, layer.stride_h,
-                     layer.stride_w, layer.pad_h, layer.pad_w);
-  FUSE_CHECK(op.m == patches.shape().dim(0) &&
-             op.k == patches.shape().dim(1) && op.n == layer.out_c)
+  const std::int64_t positions = layer.out_h * layer.out_w;
+  const std::int64_t taps = layer.in_c * layer.kernel_h * layer.kernel_w;
+  FUSE_CHECK(op.m == positions && op.k == taps && op.n == layer.out_c)
       << "im2col plan does not match layer " << layer.name;
+  Tensor patches(Shape{positions, taps});
+  gather_patches(layer, input.data(), layer.in_c, patches.data());
   // Flatten the filter bank to [taps, C_out].
-  const Tensor filters = nn::kernels::flatten_filters(weight);
-  SimResult result = sim.matmul(patches, filters);
-  LayerExecution exec = from_sim(std::move(result));
+  const SimResult result =
+      sim.matmul(patches, nn::kernels::flatten_filters(weight));
+  LayerExecution exec;
+  add_counts(result, exec);
   exec.output =
-      positions_to_nchw(exec.output, layer.out_c, layer.out_h, layer.out_w);
+      positions_to_nchw(result.output, layer.out_c, layer.out_h, layer.out_w);
   return exec;
 }
 
@@ -81,42 +129,51 @@ LayerExecution execute_channelwise_conv(const LayerDesc& layer,
                                         const Tensor& input,
                                         const Tensor& weight,
                                         SystolicArraySim& sim) {
-  const Tensor image = squeeze_batch(input);
   const std::int64_t positions = layer.out_h * layer.out_w;
+  const std::int64_t plane = layer.in_h * layer.in_w;
+  const std::int64_t taps = layer.kernel_h * layer.kernel_w;
   FUSE_CHECK(op.m == positions && op.k == layer.in_c &&
-             op.n == layer.out_c &&
-             op.repeats == layer.kernel_h * layer.kernel_w)
+             op.n == layer.out_c && op.repeats == taps)
       << "channelwise plan does not match layer " << layer.name;
+  const float* image = input.data();
+  const float* w = weight.data();
   Tensor accum(Shape{positions, layer.out_c});
+  Tensor activations(Shape{positions, layer.in_c});
+  Tensor filters(Shape{layer.in_c, layer.out_c});
   LayerExecution exec;
   for (std::int64_t ky = 0; ky < layer.kernel_h; ++ky) {
     for (std::int64_t kx = 0; kx < layer.kernel_w; ++kx) {
       // The tap's activations: input shifted by (ky, kx), zero padded.
-      Tensor activations(Shape{positions, layer.in_c});
+      float* act = activations.data();
       for (std::int64_t pos = 0; pos < positions; ++pos) {
         const std::int64_t iy =
             (pos / layer.out_w) * layer.stride_h - layer.pad_h + ky;
         const std::int64_t ix =
             (pos % layer.out_w) * layer.stride_w - layer.pad_w + kx;
+        float* dst = act + pos * layer.in_c;
         if (iy < 0 || iy >= layer.in_h || ix < 0 || ix >= layer.in_w) {
+          std::fill_n(dst, layer.in_c, 0.0F);
           continue;
         }
+        const float* src = image + iy * layer.in_w + ix;
         for (std::int64_t ic = 0; ic < layer.in_c; ++ic) {
-          activations.at(pos, ic) = image.at(ic, iy, ix);
+          dst[ic] = src[ic * plane];
         }
       }
-      Tensor filters(Shape{layer.in_c, layer.out_c});
-      for (std::int64_t oc = 0; oc < layer.out_c; ++oc) {
-        for (std::int64_t ic = 0; ic < layer.in_c; ++ic) {
-          filters.at(ic, oc) = weight.at(oc, ic, ky, kx);
+      // filters[ic][oc] = weight[oc][ic][ky][kx].
+      const float* tap = w + ky * layer.kernel_w + kx;
+      float* f = filters.data();
+      for (std::int64_t ic = 0; ic < layer.in_c; ++ic) {
+        for (std::int64_t oc = 0; oc < layer.out_c; ++oc) {
+          f[ic * layer.out_c + oc] = tap[(oc * layer.in_c + ic) * taps];
         }
       }
       const SimResult result = sim.matmul(activations, filters);
-      exec.cycles += result.cycles;
-      exec.folds += result.folds;
-      exec.mac_ops += result.mac_ops;
+      add_counts(result, exec);
+      float* sum = accum.data();
+      const float* partial = result.output.data();
       for (std::int64_t i = 0; i < accum.num_elements(); ++i) {
-        accum[i] += result.output[i];
+        sum[i] += partial[i];
       }
     }
   }
@@ -129,37 +186,27 @@ LayerExecution execute_depthwise(const LayerDesc& layer,
                                  const PrimitiveOp& op, const Tensor& input,
                                  const Tensor& weight,
                                  SystolicArraySim& sim) {
-  const Tensor image = squeeze_batch(input);
-  FUSE_CHECK(op.m == layer.out_h * layer.out_w &&
-             op.k == layer.kernel_h * layer.kernel_w && op.n == 1 &&
-             op.repeats == layer.out_c)
+  const std::int64_t positions = layer.out_h * layer.out_w;
+  const std::int64_t taps = layer.kernel_h * layer.kernel_w;
+  FUSE_CHECK(op.m == positions && op.k == taps && op.n == 1 &&
+             op.repeats == layer.out_c && layer.in_c == layer.out_c)
       << "depthwise plan does not match layer " << layer.name;
   LayerExecution exec;
   exec.output = Tensor(Shape{1, layer.out_c, layer.out_h, layer.out_w});
   // One single-column matmul per channel — the §III-B mapping; channels
-  // serialize on the array.
+  // serialize on the array. The operand buffers are reused across
+  // channels.
+  Tensor patches(Shape{positions, taps});
+  Tensor filter(Shape{taps, 1});
+  const std::int64_t plane = layer.in_h * layer.in_w;
   for (std::int64_t c = 0; c < layer.in_c; ++c) {
-    Tensor plane(Shape{layer.in_h, layer.in_w});
-    for (std::int64_t i = 0; i < plane.num_elements(); ++i) {
-      plane[i] = image[c * plane.num_elements() + i];
-    }
-    const Tensor patches = tensor::im2col_plane(
-        plane, layer.kernel_h, layer.kernel_w, layer.stride_h,
-        layer.stride_w, layer.pad_h, layer.pad_w);
-    Tensor filter(Shape{layer.kernel_h * layer.kernel_w, 1});
-    for (std::int64_t ky = 0; ky < layer.kernel_h; ++ky) {
-      for (std::int64_t kx = 0; kx < layer.kernel_w; ++kx) {
-        filter.at(ky * layer.kernel_w + kx, 0) = weight.at(c, 0, ky, kx);
-      }
-    }
+    gather_patches(layer, input.data() + c * plane, 1, patches.data());
+    std::copy_n(weight.data() + c * taps, taps, filter.data());
     const SimResult result = sim.matmul(patches, filter);
-    exec.cycles += result.cycles;
-    exec.folds += result.folds;
-    exec.mac_ops += result.mac_ops;
-    for (std::int64_t pos = 0; pos < layer.out_h * layer.out_w; ++pos) {
-      exec.output.at(0, c, pos / layer.out_w, pos % layer.out_w) =
-          result.output.at(pos, 0);
-    }
+    add_counts(result, exec);
+    // The [positions, 1] product is output channel c's plane.
+    std::copy_n(result.output.data(), positions,
+                exec.output.data() + c * positions);
   }
   return exec;
 }
@@ -168,22 +215,20 @@ LayerExecution execute_pointwise(const LayerDesc& layer,
                                  const PrimitiveOp& op, const Tensor& input,
                                  const Tensor& weight,
                                  SystolicArraySim& sim) {
-  const Tensor image = squeeze_batch(input);
   const std::int64_t positions = layer.in_h * layer.in_w;
   FUSE_CHECK(op.m == positions && op.k == layer.in_c && op.n == layer.out_c)
       << "pointwise plan does not match layer " << layer.name;
+  // [C_in, positions] -> [positions, C_in].
   Tensor activations(Shape{positions, layer.in_c});
-  for (std::int64_t c = 0; c < layer.in_c; ++c) {
-    for (std::int64_t pos = 0; pos < positions; ++pos) {
-      activations.at(pos, c) = image[c * positions + pos];
-    }
-  }
+  nn::kernels::transpose(input.data(), layer.in_c, positions,
+                         activations.data());
   // [C_out, C_in, 1, 1] flattens to exactly the [C_in, C_out] operand.
-  const Tensor filters = nn::kernels::flatten_filters(weight);
-  SimResult result = sim.matmul(activations, filters);
-  LayerExecution exec = from_sim(std::move(result));
+  const SimResult result =
+      sim.matmul(activations, nn::kernels::flatten_filters(weight));
+  LayerExecution exec;
+  add_counts(result, exec);
   exec.output =
-      positions_to_nchw(exec.output, layer.out_c, layer.out_h, layer.out_w);
+      positions_to_nchw(result.output, layer.out_c, layer.out_h, layer.out_w);
   return exec;
 }
 
@@ -201,7 +246,6 @@ LayerExecution execute_fuse(const LayerDesc& layer, const PrimitiveOp& op,
                             const Tensor& input, const Tensor& weight,
                             SystolicArraySim& sim) {
   const bool row_branch = layer.kind == OpKind::kFuseRowConv;
-  const Tensor image = squeeze_batch(input);
   const std::int64_t channels = layer.in_c;
   const std::int64_t taps = row_branch ? layer.kernel_w : layer.kernel_h;
   const std::int64_t pad = row_branch ? layer.pad_w : layer.pad_h;
@@ -214,43 +258,57 @@ LayerExecution execute_fuse(const LayerDesc& layer, const PrimitiveOp& op,
       row_branch ? layer.out_h : layer.out_w;
   const std::int64_t line_length = row_branch ? layer.in_w : layer.in_h;
   const std::int64_t padded = line_length + 2 * pad;
+  const std::int64_t total_lines = channels * line_count_per_channel;
+  const std::int64_t kept = row_branch ? layer.out_w : layer.out_h;
+  const std::int64_t plane = layer.in_h * layer.in_w;
 
-  FUSE_CHECK(op.lines == channels * line_count_per_channel &&
-             op.taps == taps)
+  FUSE_CHECK(op.lines == total_lines && op.taps == taps &&
+             layer.in_c == layer.out_c)
       << "fuse plan does not match layer " << layer.name;
 
-  Tensor lines(Shape{channels * line_count_per_channel, padded});
-  Tensor kernels(Shape{channels * line_count_per_channel, taps});
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t l = 0; l < line_count_per_channel; ++l) {
-      const std::int64_t line = c * line_count_per_channel + l;
-      const std::int64_t source_line = l * line_stride;
-      for (std::int64_t x = 0; x < line_length; ++x) {
-        lines.at(line, x + pad) = row_branch
-                                      ? image.at(c, source_line, x)
-                                      : image.at(c, x, source_line);
-      }
-      for (std::int64_t k = 0; k < taps; ++k) {
-        kernels.at(line, k) =
-            row_branch ? weight.at(c, 0, 0, k) : weight.at(c, 0, k, 0);
-      }
+  // Line l of channel c is image row l * line_stride (row branch) or
+  // image column l * line_stride (column branch), and output row or
+  // column l: it starts l * line_step into its input plane and
+  // l * out_line_step into its output plane, and its values sit `along`
+  // and `out_along` apart.
+  const std::int64_t along = row_branch ? 1 : layer.in_w;
+  const std::int64_t line_step = line_stride * (row_branch ? layer.in_w : 1);
+  const std::int64_t out_along = row_branch ? 1 : layer.out_w;
+  const std::int64_t out_line_step = row_branch ? layer.out_w : 1;
+  const std::int64_t out_plane = layer.out_h * layer.out_w;
+  Tensor lines(Shape{total_lines, padded});
+  Tensor kernels(Shape{total_lines, taps});
+  for (std::int64_t line = 0; line < total_lines; ++line) {
+    const std::int64_t c = line / line_count_per_channel;
+    const float* src = input.data() + c * plane +
+                       (line % line_count_per_channel) * line_step;
+    float* dst = lines.data() + line * padded + pad;
+    for (std::int64_t x = 0; x < line_length; ++x) {
+      dst[x] = src[x * along];
     }
+    // [C, 1, 1, K] and [C, 1, K, 1] both hold channel c's taps at c * K.
+    std::copy_n(weight.data() + c * taps, taps, kernels.data() + line * taps);
   }
 
   LayerExecution exec;
-  const std::int64_t kept = row_branch ? layer.out_w : layer.out_h;
-  const std::int64_t total_lines = channels * line_count_per_channel;
-  Tensor line_values(Shape{total_lines, kept});
+  exec.output = Tensor(Shape{1, layer.out_c, layer.out_h, layer.out_w});
+  // Writes a line's `kept` outputs, read `value_step` apart from `values`.
+  const auto store = [&](std::int64_t line, const float* values,
+                         std::int64_t value_step) {
+    float* dst = exec.output.data() +
+                 (line / line_count_per_channel) * out_plane +
+                 (line % line_count_per_channel) * out_line_step;
+    for (std::int64_t o = 0; o < kept; ++o) {
+      dst[o * out_along] = values[o * value_step];
+    }
+  };
   if (op.broadcast) {
     const SimResult result = sim.conv1d_broadcast(lines, kernels);
-    exec.cycles = result.cycles;
-    exec.folds = result.folds;
-    exec.mac_ops = result.mac_ops;
+    add_counts(result, exec);
     // Dense output along the convolved axis; keep every stride-th value.
+    const std::int64_t dense = result.output.shape().dim(1);
     for (std::int64_t line = 0; line < total_lines; ++line) {
-      for (std::int64_t o = 0; o < kept; ++o) {
-        line_values.at(line, o) = result.output.at(line, o * stride);
-      }
+      store(line, result.output.data() + line * dense, stride);
     }
   } else {
     // No broadcast bus: each line degrades to a serialized single-column
@@ -262,37 +320,17 @@ LayerExecution execute_fuse(const LayerDesc& layer, const PrimitiveOp& op,
     // the plan charges for are computed.
     const std::int64_t in_step = op.line_out == dense ? 1 : stride;
     const std::int64_t read_step = op.line_out == dense ? stride : 1;
+    Tensor patches(Shape{op.line_out, taps});
+    Tensor filter(Shape{taps, 1});
     for (std::int64_t line = 0; line < total_lines; ++line) {
-      Tensor patches(Shape{op.line_out, taps});
+      const float* src = lines.data() + line * padded;
       for (std::int64_t o = 0; o < op.line_out; ++o) {
-        for (std::int64_t k = 0; k < taps; ++k) {
-          patches.at(o, k) = lines.at(line, o * in_step + k);
-        }
+        std::copy_n(src + o * in_step, taps, patches.data() + o * taps);
       }
-      Tensor filter(Shape{taps, 1});
-      for (std::int64_t k = 0; k < taps; ++k) {
-        filter.at(k, 0) = kernels.at(line, k);
-      }
+      std::copy_n(kernels.data() + line * taps, taps, filter.data());
       const SimResult result = sim.matmul(patches, filter);
-      exec.cycles += result.cycles;
-      exec.folds += result.folds;
-      exec.mac_ops += result.mac_ops;
-      for (std::int64_t o = 0; o < kept; ++o) {
-        line_values.at(line, o) = result.output.at(o * read_step, 0);
-      }
-    }
-  }
-  exec.output = Tensor(Shape{1, layer.out_c, layer.out_h, layer.out_w});
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t l = 0; l < line_count_per_channel; ++l) {
-      const std::int64_t line = c * line_count_per_channel + l;
-      for (std::int64_t o = 0; o < kept; ++o) {
-        if (row_branch) {
-          exec.output.at(0, c, l, o) = line_values.at(line, o);
-        } else {
-          exec.output.at(0, c, o, l) = line_values.at(line, o);
-        }
-      }
+      add_counts(result, exec);
+      store(line, result.output.data(), read_step);
     }
   }
   return exec;
@@ -303,15 +341,13 @@ LayerExecution execute_fully_connected(const LayerDesc& layer,
                                        const Tensor& input,
                                        const Tensor& weight,
                                        SystolicArraySim& sim) {
-  FUSE_CHECK(input.num_elements() == layer.in_c)
-      << "FC input must flatten to " << layer.in_c << " features";
   FUSE_CHECK(op.m == 1 && op.k == layer.in_c && op.n == layer.out_c)
       << "FC plan does not match layer " << layer.name;
-  const Tensor row = input.reshaped(Shape{1, layer.in_c});
-  const Tensor filters = nn::kernels::transpose_2d(weight);
-  SimResult result = sim.matmul(row, filters);
-  LayerExecution exec = from_sim(std::move(result));
-  exec.output = exec.output.reshaped(Shape{1, layer.out_c, 1, 1});
+  const SimResult result = sim.matmul(input.reshaped(Shape{1, layer.in_c}),
+                                     nn::kernels::transpose_2d(weight));
+  LayerExecution exec;
+  add_counts(result, exec);
+  exec.output = result.output.reshaped(Shape{1, layer.out_c, 1, 1});
   return exec;
 }
 
@@ -327,6 +363,7 @@ LayerExecution execute_layer_on_array(const LayerDesc& layer,
   FUSE_CHECK(!plan.ops.empty() && layer.kind != OpKind::kGroupedConv)
       << "layer kind " << nn::op_kind_name(layer.kind)
       << " does not execute on the array (layer " << layer.name << ")";
+  check_operands(layer, input, weight);
   const PrimitiveOp& op = plan.ops.front();
   SystolicArraySim sim(cfg);
   switch (op.kind) {

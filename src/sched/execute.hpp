@@ -64,8 +64,7 @@ struct NetworkExecution {
 /// executor rejects models with pool/add glue, which the flat activation
 /// chain cannot thread through. Fused schedules change WHICH DRAM
 /// transfers happen, never the arithmetic: outputs are bit-identical
-/// across modes (and across sim thread counts), which
-/// tests/test_netplan.cpp pins with memcmp. With
+/// across modes, which tests/test_netplan.cpp pins with memcmp. With
 /// cfg.overlap_fold_drain == false the measured cycles equal
 /// plan.total_cycles exactly (the simulator's accounting), FUSE_CHECKed
 /// here.

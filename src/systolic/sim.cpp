@@ -1,22 +1,20 @@
 // Backend dispatch for the cycle-accurate simulator (see sim.hpp).
 //
 // The engines themselves live in sim_reference.cpp (per-cycle PE sweep,
-// the oracle) and sim_fast.cpp (closed-form wavefront intervals,
-// fold-parallel). This file owns what is common to both: the process-wide
-// backend/pool state (mirroring nn/kernels.cpp), the public entry points
-// that route to an engine, plan simulation, and heatmap rendering.
+// the oracle) and sim_fast.cpp (closed-form wavefront intervals). This
+// file owns what is common to both: the process-wide backend state
+// (mirroring nn/kernels.cpp), the public entry points that route to an
+// engine, plan simulation, and heatmap rendering.
 #include "systolic/sim.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/check.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fuse::systolic {
 
@@ -26,7 +24,7 @@ using tensor::Tensor;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend + pool state (the nn/kernels.cpp pattern)
+// Backend state (the nn/kernels.cpp pattern)
 // ---------------------------------------------------------------------------
 
 SimBackend backend_from_env() {
@@ -43,27 +41,6 @@ SimBackend backend_from_env() {
 
 std::atomic<SimBackend>& backend_state() {
   static std::atomic<SimBackend> state{backend_from_env()};
-  return state;
-}
-
-int threads_from_env() {
-  const char* env = std::getenv("FUSE_SIM_THREADS");
-  if (env == nullptr || env[0] == '\0') {
-    return util::ThreadPool::hardware_threads();
-  }
-  const int threads = std::atoi(env);
-  FUSE_CHECK(threads >= 1)
-      << "FUSE_SIM_THREADS must be >= 1, got '" << env << "'";
-  return threads;
-}
-
-struct PoolState {
-  int threads = threads_from_env();
-  std::unique_ptr<util::ThreadPool> pool;
-};
-
-PoolState& pool_state() {
-  static PoolState state;
   return state;
 }
 
@@ -98,25 +75,6 @@ bool parse_sim_backend(const std::string& name, SimBackend* out) {
 
 const char* sim_backend_name(SimBackend backend) {
   return backend == SimBackend::kFast ? "fast" : "reference";
-}
-
-int sim_threads() { return pool_state().threads; }
-
-void set_sim_threads(int threads) {
-  FUSE_CHECK(threads >= 1) << "sim threads must be >= 1, got " << threads;
-  PoolState& state = pool_state();
-  state.threads = threads;
-  // N total threads = N - 1 workers + the calling thread participating in
-  // parallel_for; ThreadPool(0) runs fully inline.
-  state.pool = std::make_unique<util::ThreadPool>(threads - 1);
-}
-
-util::ThreadPool& sim_pool() {
-  PoolState& state = pool_state();
-  if (!state.pool) {
-    state.pool = std::make_unique<util::ThreadPool>(state.threads - 1);
-  }
-  return *state.pool;
 }
 
 SystolicArraySim::SystolicArraySim(ArrayConfig cfg) : cfg_(cfg) {

@@ -17,19 +17,19 @@
 //   * fast — the wavefront interval engine (sim_fast.cpp): PE (i, j) is
 //     live exactly while t - i - j is inside the reduction window, so its
 //     accumulator is a straight dot product over its depth-length operand
-//     stream. Operand panels are packed once per fold, the per-PE dot
-//     products vectorize over array columns, and independent fold tiles
-//     run in parallel on a process-wide util::ThreadPool. O(R * C * T)
-//     per fold, no bubble work.
+//     stream. Counters and busy counts are closed-form per fold; the dot
+//     products run over whole operands (every output-stationary fold of a
+//     call is one nn::kernels::gemm_f64). Serial: O(R * C * T) per fold,
+//     no bubble work.
 // Both engines perform the identical floating-point operation sequence
 // per output element, so their results are BIT-EXACT (memcmp on output
-// and pe_busy, equal cycle/fold/MAC counters) for every dataflow, for the
-// broadcast path, and for any thread count. tools/check.sh and
-// tests/test_systolic_sim.cpp enforce this.
+// and pe_busy, equal cycle/fold/MAC counters) for every dataflow and for
+// the broadcast path. tools/check.sh and tests/test_systolic_sim.cpp
+// enforce this.
 //
 // Backend selection mirrors the kernel backend (nn/kernels.hpp): default
 // fast; FUSE_SIM_BACKEND=reference (or the tools' --sim-backend flag)
-// pins the oracle, FUSE_SIM_THREADS / --sim-threads size the fold pool.
+// pins the oracle.
 #pragma once
 
 #include <cstdint>
@@ -39,23 +39,19 @@
 #include "systolic/mapping.hpp"
 #include "tensor/tensor.hpp"
 
-namespace fuse::util {
-class ThreadPool;
-}
-
 namespace fuse::systolic {
 
 /// Which engine SystolicArraySim's public entry points dispatch to.
 enum class SimBackend {
   kReference,  // per-cycle PE sweep (the oracle)
-  kFast,       // closed-form wavefront intervals, fold-parallel
+  kFast,       // closed-form wavefront intervals
 };
 
 /// Current backend. Initialized from FUSE_SIM_BACKEND (default fast).
 SimBackend sim_backend();
 
 /// Overrides the backend for the whole process. Not safe to call while a
-/// simulation is executing on the pool.
+/// simulation is executing.
 void set_sim_backend(SimBackend backend);
 
 /// Parses "fast" / "reference" (also "ref"). Returns false on anything
@@ -63,18 +59,6 @@ void set_sim_backend(SimBackend backend);
 bool parse_sim_backend(const std::string& name, SimBackend* out);
 
 const char* sim_backend_name(SimBackend backend);
-
-/// Total threads the fast engine's fold parallel_for uses (workers + the
-/// calling thread, so 1 means fully serial). Initialized from
-/// FUSE_SIM_THREADS (default: hardware concurrency).
-int sim_threads();
-
-/// Resizes the fold pool to `threads` total threads (>= 1). Results are
-/// bit-exact for every value. Not safe to call mid-simulation.
-void set_sim_threads(int threads);
-
-/// The process-wide pool the fast engine partitions fold tiles over.
-util::ThreadPool& sim_pool();
 
 /// Output and measured cost of one simulated operator.
 struct SimResult {

@@ -3,6 +3,7 @@
 // operand validation. Not installed API — include only from sim*.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,15 +17,23 @@ namespace fuse::systolic::detail {
 /// accumulation (+= 1.0F per live cycle) silently loses counts past 2^24
 /// on large layers; both engines count in uint64 and convert to the
 /// float tensor once at the end.
+///
+/// Every fold tile is anchored at PE (0, 0), so a call walking the
+/// a x b fold grid (for_each_fold_tile(a, b, ...)) only ever touches the
+/// min(a, rows) x min(b, cols) corner of the array; only that corner is
+/// counted and converted. A depthwise channel's single-column matmul
+/// touches one column of the grid.
 class BusyGrid {
  public:
-  explicit BusyGrid(const ArrayConfig& cfg)
+  BusyGrid(std::int64_t a, std::int64_t b, const ArrayConfig& cfg)
       : rows_(cfg.rows),
         cols_(cfg.cols),
-        counts_(static_cast<std::size_t>(cfg.rows * cfg.cols), 0) {}
+        used_rows_(std::min(a, cfg.rows)),
+        used_cols_(std::min(b, cfg.cols)),
+        counts_(static_cast<std::size_t>(used_rows_ * used_cols_), 0) {}
 
   void add(std::int64_t i, std::int64_t j, std::uint64_t n) {
-    counts_[static_cast<std::size_t>(i * cols_ + j)] += n;
+    counts_[static_cast<std::size_t>(i * used_cols_ + j)] += n;
   }
 
   /// Adds `n` to every PE of the [0, used_rows) x [0, used_cols) tile —
@@ -33,16 +42,25 @@ class BusyGrid {
   void add_tile(std::int64_t used_rows, std::int64_t used_cols,
                 std::uint64_t n) {
     for (std::int64_t i = 0; i < used_rows; ++i) {
+      std::uint64_t* row = counts_.data() + i * used_cols_;
       for (std::int64_t j = 0; j < used_cols; ++j) {
-        counts_[static_cast<std::size_t>(i * cols_ + j)] += n;
+        row[j] += n;
       }
     }
   }
 
+  /// The [rows, cols] pe_busy tensor. The conversion is signed: a count
+  /// stays below 2^63, and int64 -> float is one instruction where
+  /// uint64 -> float is a branchy sequence.
   tensor::Tensor to_tensor() const {
     tensor::Tensor out(tensor::Shape{rows_, cols_});
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      out[static_cast<std::int64_t>(i)] = static_cast<float>(counts_[i]);
+    float* dst = out.data();
+    for (std::int64_t i = 0; i < used_rows_; ++i) {
+      const std::uint64_t* row = counts_.data() + i * used_cols_;
+      for (std::int64_t j = 0; j < used_cols_; ++j) {
+        dst[i * cols_ + j] =
+            static_cast<float>(static_cast<std::int64_t>(row[j]));
+      }
     }
     return out;
   }
@@ -50,6 +68,8 @@ class BusyGrid {
  private:
   std::int64_t rows_;
   std::int64_t cols_;
+  std::int64_t used_rows_;
+  std::int64_t used_cols_;
   std::vector<std::uint64_t> counts_;
 };
 

@@ -15,53 +15,36 @@
 //     bubble cycle, but every such add is a bitwise no-op: an IEEE sum is
 //     -0.0 only when BOTH operands are -0.0, and the accumulator starts
 //     at +0.0, so it can never become -0.0 — and x + 0.0 == x exactly for
-//     every other x. Dropping the bubble adds changes nothing.
+//     every other x. Dropping the bubble adds changes nothing. Each output
+//     tile sums the full depth, so the tiling does not touch the numerics
+//     and one nn::kernels::gemm_f64 over the whole operand (the same
+//     sequence, in vectorized 8-wide panels) computes every fold at once.
 //   * WS/IS: the partial-sum cascade starts from a literal 0.0 and every
 //     link is live for a valid exit row/column, so the per-fold
 //     contribution is the clean ascending-index sum — no bubble terms.
 //     Contributions from successive reduction folds land on the off-array
-//     accumulator in ascending-fold order; the fast engine parallelizes
-//     only across output-tile folds (disjoint accumulator regions) and
-//     keeps reduction folds serial-ascending within each task.
+//     accumulator in ascending-fold order: the folds run in enumeration
+//     order, exactly as the reference walks them.
 //   * conv1d_broadcast: acc = sum over ascending tap of
-//     (double)weight * (double)window; folds write disjoint outputs, so
-//     every fold runs in parallel.
+//     (double)weight * (double)window, independent of the fold that holds
+//     the output, so it is computed line by line over the whole width.
 // Counters (cycles / folds / mac_ops) and the pe_busy grid are closed-form
-// per fold and accumulated serially from the fold list in enumeration
-// order, so they are deterministic for any thread count.
+// per fold, accumulated in enumeration order.
+//
+// The engine is serial: the executor's per-layer and per-channel calls
+// are too small for a fold pool to amortize its hand-off
+// (docs/simulator.md has the measurements).
 #include <algorithm>
 #include <vector>
 
+#include "nn/kernels.hpp"
 #include "systolic/sim.hpp"
 #include "systolic/sim_detail.hpp"
-#include "util/check.hpp"
-#include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fuse::systolic {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-namespace {
-
-/// Counts fold tasks dispatched onto the sim pool (one increment per fold
-/// executed inside a parallel region; docs/observability.md "sim.*").
-util::Counter& fold_parallel_counter() {
-  static util::Counter& counter =
-      util::metrics().counter("sim.fold_parallel");
-  return counter;
-}
-
-std::vector<FoldTile> collect_fold_tiles(std::int64_t a, std::int64_t b,
-                                         const ArrayConfig& cfg) {
-  std::vector<FoldTile> tiles;
-  for_each_fold_tile(a, b, cfg,
-                     [&](const FoldTile& tile) { tiles.push_back(tile); });
-  return tiles;
-}
-
-}  // namespace
 
 SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
   detail::check_matmul_operands(a, b, "sim matmul");
@@ -71,10 +54,8 @@ SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
 
   SimResult result;
   result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(cfg_);
-
-  const std::vector<FoldTile> tiles = collect_fold_tiles(m, n, cfg_);
-  for (const FoldTile& tile : tiles) {
+  detail::BusyGrid busy(m, n, cfg_);
+  for_each_fold_tile(m, n, cfg_, [&](const FoldTile& tile) {
     result.folds += 1;
     const std::int64_t compute_cycles =
         (tile.rows - 1) + (tile.cols - 1) + depth;
@@ -82,43 +63,9 @@ SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
     result.mac_ops += static_cast<std::uint64_t>(tile.rows * tile.cols) *
                       static_cast<std::uint64_t>(depth);
     busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(depth));
-  }
-
-  const float* a_data = a.data();
-  const float* b_data = b.data();
-  float* out = result.output.data();
-  fold_parallel_counter().add(tiles.size());
-  sim_pool().parallel_for(
-      static_cast<std::int64_t>(tiles.size()), [&](std::int64_t fi) {
-        const FoldTile& tile = tiles[static_cast<std::size_t>(fi)];
-        // Pack the B column panel once: b_panel[k][j] = b[k][col0 + j],
-        // contiguous so the per-PE dot products vectorize over columns.
-        std::vector<float> b_panel(
-            static_cast<std::size_t>(depth * tile.cols));
-        for (std::int64_t k = 0; k < depth; ++k) {
-          const float* src = b_data + k * n + tile.b0;
-          std::copy(src, src + tile.cols,
-                    b_panel.begin() + static_cast<std::size_t>(k * tile.cols));
-        }
-        std::vector<double> acc(static_cast<std::size_t>(tile.cols));
-        for (std::int64_t i = 0; i < tile.rows; ++i) {
-          std::fill(acc.begin(), acc.end(), 0.0);
-          const float* a_row = a_data + (tile.a0 + i) * depth;
-          for (std::int64_t k = 0; k < depth; ++k) {
-            const double a_val = static_cast<double>(a_row[k]);
-            const float* b_row =
-                b_panel.data() + static_cast<std::size_t>(k * tile.cols);
-            for (std::int64_t j = 0; j < tile.cols; ++j) {
-              acc[static_cast<std::size_t>(j)] +=
-                  a_val * static_cast<double>(b_row[j]);
-            }
-          }
-          float* out_row = out + (tile.a0 + i) * n + tile.b0;
-          for (std::int64_t j = 0; j < tile.cols; ++j) {
-            out_row[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
-          }
-        }
-      });
+  });
+  nn::kernels::gemm_f64(a.data(), b.data(), result.output.data(), m, depth,
+                        n);
   result.pe_busy = busy.to_tensor();
   return result;
 }
@@ -131,72 +78,51 @@ SimResult SystolicArraySim::matmul_ws_fast(const Tensor& a, const Tensor& b) {
 
   SimResult result;
   result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(cfg_);
+  detail::BusyGrid busy(depth, n, cfg_);
 
-  // Weight tiles: reduction depth over array rows, N over columns — the
-  // enumeration is row-major (t0 outer, col0 inner), so tile (ti, ci)
-  // lives at index ti * col_groups + ci.
-  const std::vector<FoldTile> tiles = collect_fold_tiles(depth, n, cfg_);
-  const std::int64_t t_groups = (depth + cfg_.rows - 1) / cfg_.rows;
-  const std::int64_t col_groups = (n + cfg_.cols - 1) / cfg_.cols;
-  FUSE_DCHECK(static_cast<std::int64_t>(tiles.size()) ==
-              t_groups * col_groups);
-  for (const FoldTile& tile : tiles) {
-    result.folds += 1;
-    result.cycles += static_cast<std::uint64_t>(
-        tile.rows + (m + tile.rows + tile.cols - 2));
-    result.mac_ops += static_cast<std::uint64_t>(m) *
-                      static_cast<std::uint64_t>(tile.rows * tile.cols);
-    busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(m));
-  }
-
-  // Off-array accumulators, shared across reduction folds. Parallel tasks
-  // own disjoint column ranges; within a task the reduction folds run
-  // serial-ascending so every element sees the reference's add order.
+  // Off-array accumulators, shared across reduction folds. Weight tiles
+  // put the reduction depth over array rows and N over columns; walking
+  // them in enumeration order (t0 outer) adds each element's reduction
+  // folds in ascending order, as the reference does.
   std::vector<double> acc(static_cast<std::size_t>(m * n), 0.0);
+  std::vector<double> sum;
   const float* a_data = a.data();
   const float* b_data = b.data();
-  fold_parallel_counter().add(tiles.size());
-  sim_pool().parallel_for(col_groups, [&](std::int64_t ci) {
-    std::vector<float> w_panel;
-    std::vector<double> sum;
-    for (std::int64_t ti = 0; ti < t_groups; ++ti) {
-      const FoldTile& tile =
-          tiles[static_cast<std::size_t>(ti * col_groups + ci)];
-      const std::int64_t t0 = tile.a0;
-      const std::int64_t used_t = tile.rows;
-      const std::int64_t col0 = tile.b0;
-      const std::int64_t used_n = tile.cols;
-      // Pack the preloaded weight tile: w_panel[i][j] = b[t0+i][col0+j].
-      w_panel.assign(static_cast<std::size_t>(used_t * used_n), 0.0F);
+  for_each_fold_tile(depth, n, cfg_, [&](const FoldTile& tile) {
+    const std::int64_t t0 = tile.a0;
+    const std::int64_t used_t = tile.rows;
+    const std::int64_t col0 = tile.b0;
+    const std::int64_t used_n = tile.cols;
+    result.folds += 1;
+    result.cycles +=
+        static_cast<std::uint64_t>(used_t + (m + used_t + used_n - 2));
+    result.mac_ops += static_cast<std::uint64_t>(m) *
+                      static_cast<std::uint64_t>(used_t * used_n);
+    busy.add_tile(used_t, used_n, static_cast<std::uint64_t>(m));
+
+    sum.resize(static_cast<std::size_t>(used_n));
+    for (std::int64_t r = 0; r < m; ++r) {
+      std::fill(sum.begin(), sum.end(), 0.0);
+      // The activation stream of row r: a[r][t0 + i], contiguous; the
+      // preloaded weight row i is b[t0 + i][col0 + j], contiguous too.
+      const float* a_row = a_data + r * depth + t0;
       for (std::int64_t i = 0; i < used_t; ++i) {
-        const float* src = b_data + (t0 + i) * n + col0;
-        std::copy(src, src + used_n,
-                  w_panel.begin() + static_cast<std::size_t>(i * used_n));
-      }
-      sum.assign(static_cast<std::size_t>(used_n), 0.0);
-      for (std::int64_t r = 0; r < m; ++r) {
-        std::fill(sum.begin(), sum.end(), 0.0);
-        // The activation stream of row r: a[r][t0 + i], contiguous.
-        const float* a_row = a_data + r * depth + t0;
-        for (std::int64_t i = 0; i < used_t; ++i) {
-          const double a_val = static_cast<double>(a_row[i]);
-          const float* w_row =
-              w_panel.data() + static_cast<std::size_t>(i * used_n);
-          for (std::int64_t j = 0; j < used_n; ++j) {
-            sum[static_cast<std::size_t>(j)] +=
-                static_cast<double>(w_row[j]) * a_val;
-          }
-        }
-        double* acc_row = acc.data() + r * n + col0;
+        const double a_val = static_cast<double>(a_row[i]);
+        const float* w_row = b_data + (t0 + i) * n + col0;
         for (std::int64_t j = 0; j < used_n; ++j) {
-          acc_row[j] += sum[static_cast<std::size_t>(j)];
+          sum[static_cast<std::size_t>(j)] +=
+              static_cast<double>(w_row[j]) * a_val;
         }
+      }
+      double* acc_row = acc.data() + r * n + col0;
+      for (std::int64_t j = 0; j < used_n; ++j) {
+        acc_row[j] += sum[static_cast<std::size_t>(j)];
       }
     }
   });
+  float* out = result.output.data();
   for (std::int64_t i = 0; i < m * n; ++i) {
-    result.output[i] = static_cast<float>(acc[static_cast<std::size_t>(i)]);
+    out[i] = static_cast<float>(acc[static_cast<std::size_t>(i)]);
   }
   result.pe_busy = busy.to_tensor();
   return result;
@@ -210,60 +136,48 @@ SimResult SystolicArraySim::matmul_is_fast(const Tensor& a, const Tensor& b) {
 
   SimResult result;
   result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(cfg_);
+  detail::BusyGrid busy(m, depth, cfg_);
 
-  // Activation tiles: M over array rows, reduction depth over columns —
-  // row-major (row0 outer, t0 inner): tile (ri, ti) at ri * t_groups + ti.
-  const std::vector<FoldTile> tiles = collect_fold_tiles(m, depth, cfg_);
-  const std::int64_t row_groups = (m + cfg_.rows - 1) / cfg_.rows;
-  const std::int64_t t_groups = (depth + cfg_.cols - 1) / cfg_.cols;
-  FUSE_DCHECK(static_cast<std::int64_t>(tiles.size()) ==
-              row_groups * t_groups);
-  for (const FoldTile& tile : tiles) {
-    result.folds += 1;
-    result.cycles += static_cast<std::uint64_t>(
-        tile.rows + (n + tile.rows + tile.cols - 2));
-    result.mac_ops += static_cast<std::uint64_t>(n) *
-                      static_cast<std::uint64_t>(tile.rows * tile.cols);
-    busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(n));
-  }
-
-  // Parallel tasks own disjoint output-row ranges; reduction folds run
-  // serial-ascending within each task (same argument as WS).
+  // Activation tiles put M over array rows and the reduction depth over
+  // columns; enumeration order (row0 outer, t0 inner) adds each element's
+  // reduction folds in ascending order (same argument as WS).
   std::vector<double> acc(static_cast<std::size_t>(m * n), 0.0);
+  std::vector<double> sum(static_cast<std::size_t>(n));
   const float* a_data = a.data();
   const float* b_data = b.data();
-  fold_parallel_counter().add(tiles.size());
-  sim_pool().parallel_for(row_groups, [&](std::int64_t ri) {
-    std::vector<double> sum(static_cast<std::size_t>(n));
-    for (std::int64_t ti = 0; ti < t_groups; ++ti) {
-      const FoldTile& tile =
-          tiles[static_cast<std::size_t>(ri * t_groups + ti)];
-      const std::int64_t row0 = tile.a0;
-      const std::int64_t used_m = tile.rows;
-      const std::int64_t t0 = tile.b0;
-      const std::int64_t used_t = tile.cols;
-      for (std::int64_t i = 0; i < used_m; ++i) {
-        std::fill(sum.begin(), sum.end(), 0.0);
-        // The pinned activations of array row i: a[row0+i][t0 + j].
-        const float* a_row = a_data + (row0 + i) * depth + t0;
-        for (std::int64_t j = 0; j < used_t; ++j) {
-          const double pin = static_cast<double>(a_row[j]);
-          const float* b_row = b_data + (t0 + j) * n;  // already contiguous
-          for (std::int64_t c = 0; c < n; ++c) {
-            sum[static_cast<std::size_t>(c)] +=
-                pin * static_cast<double>(b_row[c]);
-          }
-        }
-        double* acc_row = acc.data() + (row0 + i) * n;
+  for_each_fold_tile(m, depth, cfg_, [&](const FoldTile& tile) {
+    const std::int64_t row0 = tile.a0;
+    const std::int64_t used_m = tile.rows;
+    const std::int64_t t0 = tile.b0;
+    const std::int64_t used_t = tile.cols;
+    result.folds += 1;
+    result.cycles +=
+        static_cast<std::uint64_t>(used_m + (n + used_m + used_t - 2));
+    result.mac_ops += static_cast<std::uint64_t>(n) *
+                      static_cast<std::uint64_t>(used_m * used_t);
+    busy.add_tile(used_m, used_t, static_cast<std::uint64_t>(n));
+
+    for (std::int64_t i = 0; i < used_m; ++i) {
+      std::fill(sum.begin(), sum.end(), 0.0);
+      // The pinned activations of array row i: a[row0+i][t0 + j].
+      const float* a_row = a_data + (row0 + i) * depth + t0;
+      for (std::int64_t j = 0; j < used_t; ++j) {
+        const double pin = static_cast<double>(a_row[j]);
+        const float* b_row = b_data + (t0 + j) * n;
         for (std::int64_t c = 0; c < n; ++c) {
-          acc_row[c] += sum[static_cast<std::size_t>(c)];
+          sum[static_cast<std::size_t>(c)] +=
+              pin * static_cast<double>(b_row[c]);
         }
+      }
+      double* acc_row = acc.data() + (row0 + i) * n;
+      for (std::int64_t c = 0; c < n; ++c) {
+        acc_row[c] += sum[static_cast<std::size_t>(c)];
       }
     }
   });
+  float* out = result.output.data();
   for (std::int64_t i = 0; i < m * n; ++i) {
-    result.output[i] = static_cast<float>(acc[static_cast<std::size_t>(i)]);
+    out[i] = static_cast<float>(acc[static_cast<std::size_t>(i)]);
   }
   result.pe_busy = busy.to_tensor();
   return result;
@@ -279,46 +193,36 @@ SimResult SystolicArraySim::conv1d_broadcast_fast(const Tensor& lines,
 
   SimResult result;
   result.output = Tensor(Shape{num_lines, out_w});
-  detail::BusyGrid busy(cfg_);
-
-  const std::vector<FoldTile> tiles =
-      collect_fold_tiles(num_lines, out_w, cfg_);
-  for (const FoldTile& tile : tiles) {
+  detail::BusyGrid busy(num_lines, out_w, cfg_);
+  for_each_fold_tile(num_lines, out_w, cfg_, [&](const FoldTile& tile) {
     result.folds += 1;
     result.cycles += static_cast<std::uint64_t>((tile.cols - 1) + taps +
                                                 tile.rows);
     result.mac_ops += static_cast<std::uint64_t>(tile.rows * tile.cols) *
                       static_cast<std::uint64_t>(taps);
     busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(taps));
-  }
+  });
 
-  // Every fold writes a disjoint output tile — fully parallel.
   const float* line_data = lines.data();
   const float* kern_data = kernels.data();
   float* out = result.output.data();
-  fold_parallel_counter().add(tiles.size());
-  sim_pool().parallel_for(
-      static_cast<std::int64_t>(tiles.size()), [&](std::int64_t fi) {
-        const FoldTile& tile = tiles[static_cast<std::size_t>(fi)];
-        std::vector<double> sum(static_cast<std::size_t>(tile.cols));
-        for (std::int64_t r = 0; r < tile.rows; ++r) {
-          const std::int64_t line = tile.a0 + r;
-          const float* window = line_data + line * width + tile.b0;
-          const float* kern = kern_data + line * taps;
-          std::fill(sum.begin(), sum.end(), 0.0);
-          for (std::int64_t k = 0; k < taps; ++k) {
-            const double weight = static_cast<double>(kern[k]);
-            for (std::int64_t c = 0; c < tile.cols; ++c) {
-              sum[static_cast<std::size_t>(c)] +=
-                  weight * static_cast<double>(window[c + k]);
-            }
-          }
-          float* out_row = out + line * out_w + tile.b0;
-          for (std::int64_t c = 0; c < tile.cols; ++c) {
-            out_row[c] = static_cast<float>(sum[static_cast<std::size_t>(c)]);
-          }
-        }
-      });
+  std::vector<double> sum(static_cast<std::size_t>(out_w));
+  for (std::int64_t line = 0; line < num_lines; ++line) {
+    const float* window = line_data + line * width;
+    const float* kern = kern_data + line * taps;
+    std::fill(sum.begin(), sum.end(), 0.0);
+    for (std::int64_t k = 0; k < taps; ++k) {
+      const double weight = static_cast<double>(kern[k]);
+      for (std::int64_t c = 0; c < out_w; ++c) {
+        sum[static_cast<std::size_t>(c)] +=
+            weight * static_cast<double>(window[c + k]);
+      }
+    }
+    float* out_row = out + line * out_w;
+    for (std::int64_t c = 0; c < out_w; ++c) {
+      out_row[c] = static_cast<float>(sum[static_cast<std::size_t>(c)]);
+    }
+  }
   result.pe_busy = busy.to_tensor();
   return result;
 }

@@ -28,7 +28,7 @@ SimResult SystolicArraySim::matmul_os_reference(const Tensor& a,
 
   SimResult result;
   result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(cfg_);
+  detail::BusyGrid busy(m, n, cfg_);
 
   for_each_fold_tile(m, n, cfg_, [&](const FoldTile& tile) {
     {
@@ -115,7 +115,7 @@ SimResult SystolicArraySim::matmul_ws_reference(const Tensor& a,
 
   SimResult result;
   result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(cfg_);
+  detail::BusyGrid busy(depth, n, cfg_);
   // Off-array accumulators: partial sums from successive reduction folds
   // of the same output tile are summed here (read-modify-write, free as in
   // the analytic model).
@@ -206,7 +206,7 @@ SimResult SystolicArraySim::matmul_is_reference(const Tensor& a,
 
   SimResult result;
   result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(cfg_);
+  detail::BusyGrid busy(m, depth, cfg_);
   std::vector<double> acc(static_cast<std::size_t>(m * n), 0.0);
 
   // Activation tiles: M over the array rows, reduction depth over columns
@@ -292,7 +292,7 @@ SimResult SystolicArraySim::conv1d_broadcast_reference(
 
   SimResult result;
   result.output = Tensor(Shape{num_lines, out_w});
-  detail::BusyGrid busy(cfg_);
+  detail::BusyGrid busy(num_lines, out_w, cfg_);
 
   for_each_fold_tile(num_lines, out_w, cfg_, [&](const FoldTile& tile) {
     {

@@ -348,10 +348,9 @@ void ProfileCollector::write_json_file(const std::string& path) const {
 #endif  // FUSE_TELEMETRY
 
 MetricsRegistry& metrics() {
-  // Intentionally leaked: the kernel and simulator thread pools (function-
-  // local statics in nn/kernels.cpp and systolic/sim.cpp) bump pool metrics
-  // while draining during their destructors, so the registry must outlive
-  // every other static.
+  // Intentionally leaked: the kernel thread pool (a function-local static
+  // in nn/kernels.cpp) bumps pool metrics while draining during its
+  // destructor, so the registry must outlive every other static.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }

@@ -1,11 +1,11 @@
-// Work-stealing thread pool behind the fast kernels, the fast simulator's
-// fold loop, and the serving engine's workers.
+// Work-stealing thread pool behind the fast kernels and the serving
+// engine's workers.
 //
 // Each worker owns a deque: it pushes/pops its own back (LIFO, cache-warm)
 // and steals from other workers' fronts (FIFO, oldest first) when empty.
 // All queue access is mutex-guarded per worker ("sharded" locks) — plain,
 // portable, and clean under ThreadSanitizer; at task granularity (a
-// kernel tile band, a simulator fold, a batch payload) lock cost is noise.
+// kernel tile band, a batch payload) lock cost is noise.
 //
 // Semantics:
 //   * ThreadPool(0) runs everything inline on the calling thread — the

@@ -3,6 +3,10 @@
 // cycle count must equal the analytic layer latency (non-overlapped mode).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/fuseconv.hpp"
 #include "nn/ops.hpp"
 #include "sched/execute.hpp"
@@ -16,6 +20,8 @@ namespace {
 using nn::LayerDesc;
 using nn::OpKind;
 using systolic::ArrayConfig;
+using systolic::Dataflow;
+using systolic::SimBackend;
 using tensor::Shape;
 using tensor::Tensor;
 using tensor::allclose;
@@ -248,6 +254,215 @@ TEST(ExecuteLayer, WorksUnderWeightStationaryToo) {
   const Tensor weight = random_tensor(Shape{9, 6, 1, 1}, 22);
   const Tensor expected = nn::conv2d(input, weight, nullptr, {});
   check_executes_exactly(layer, input, weight, expected, cfg);
+}
+
+// --- operand validation ------------------------------------------------------
+
+Shape input_shape(const LayerDesc& layer) {
+  return layer.kind == OpKind::kFullyConnected
+             ? Shape{1, layer.in_c, 1, 1}
+             : Shape{1, layer.in_c, layer.in_h, layer.in_w};
+}
+
+Shape weight_shape(const LayerDesc& layer) {
+  return layer.kind == OpKind::kFullyConnected
+             ? Shape{layer.out_c, layer.in_c}
+             : Shape{layer.out_c, layer.in_c / layer.groups, layer.kernel_h,
+                     layer.kernel_w};
+}
+
+/// nn's answer for `layer`: conv2d for the conv kinds, linear for FC.
+Tensor nn_reference(const LayerDesc& layer, const Tensor& input,
+                    const Tensor& weight) {
+  if (layer.kind == OpKind::kFullyConnected) {
+    return nn::linear(input.reshaped(Shape{1, layer.in_c}), weight, nullptr)
+        .reshaped(Shape{1, layer.out_c, 1, 1});
+  }
+  nn::Conv2dParams p;
+  p.stride_h = layer.stride_h;
+  p.stride_w = layer.stride_w;
+  p.pad_h = layer.pad_h;
+  p.pad_w = layer.pad_w;
+  p.groups = layer.groups;
+  return nn::conv2d(input, weight, nullptr, p);
+}
+
+TEST(ExecuteLayer, MisShapedOperandsRejectedOnEveryPath) {
+  // The executor indexes operands by the layer's dims through raw
+  // pointers, so a short operand must be refused before it is read.
+  ArrayConfig channelwise = sim_array(8);
+  channelwise.standard_conv_mapping =
+      systolic::StandardConvMapping::kChannelwise;
+  const ArrayConfig no_bus = systolic::square_array(8, false);
+  const std::pair<LayerDesc, ArrayConfig> paths[] = {
+      {nn::make_conv("conv", 3, 7, 7, 5, 3, 1, 1), sim_array(8)},
+      {nn::make_conv("conv_cw", 3, 7, 7, 5, 3, 1, 1), channelwise},
+      {nn::make_depthwise("dw", 4, 7, 7, 3, 1, 1), sim_array(8)},
+      {nn::make_pointwise("pw", 6, 5, 5, 9), sim_array(8)},
+      {nn::make_fuse_row("row", 3, 6, 6, 3, 1, 1), sim_array(8)},
+      {nn::make_fuse_col("col", 3, 6, 6, 3, 1, 1), sim_array(8)},
+      {nn::make_fuse_row("row_no_bus", 3, 6, 6, 3, 1, 1), no_bus},
+      {nn::make_fully_connected("fc", 12, 7, false), sim_array(8)},
+  };
+  for (const auto& [layer, cfg] : paths) {
+    const Shape in = input_shape(layer);
+    const Shape w = weight_shape(layer);
+    EXPECT_NO_THROW(
+        execute_layer_on_array(layer, Tensor(in), Tensor(w), cfg))
+        << layer.name;
+    // One input channel / one output filter short of the layer.
+    std::vector<std::int64_t> in_dims = in.dims();
+    in_dims[1] -= 1;
+    std::vector<std::int64_t> w_dims = w.dims();
+    w_dims[0] -= 1;
+    EXPECT_THROW(execute_layer_on_array(layer, Tensor(Shape(in_dims)),
+                                        Tensor(w), cfg),
+                 util::Error)
+        << layer.name;
+    EXPECT_THROW(execute_layer_on_array(layer, Tensor(in),
+                                        Tensor(Shape(w_dims)), cfg),
+                 util::Error)
+        << layer.name;
+    if (layer.kind != OpKind::kFullyConnected) {
+      // An output extent the input and kernel cannot produce.
+      LayerDesc taller = layer;
+      taller.out_h += 1;
+      EXPECT_THROW(execute_layer_on_array(taller, Tensor(in), Tensor(w), cfg),
+                   util::Error)
+          << layer.name;
+    }
+  }
+}
+
+// --- seeded differential coverage --------------------------------------------
+
+/// Restores the process-wide simulator backend on scope exit.
+struct ScopedSimBackend {
+  SimBackend saved = systolic::sim_backend();
+  ~ScopedSimBackend() { systolic::set_sim_backend(saved); }
+};
+
+struct GeneratedCase {
+  LayerDesc layer;
+  ArrayConfig cfg;
+};
+
+/// A fixed-seed stream of layer x array cases over every kind the
+/// executor runs: odd spatial sizes, stride 1-3, kernel 1-5, padding 0-2,
+/// channel counts at array-size multiples +-1, square and rectangular
+/// arrays, all three dataflows, broadcast on and off, and both
+/// standard-conv mappings. Fold-drain overlap stays off (the simulator
+/// always pays each fold's drain).
+std::vector<GeneratedCase> generate_cases(std::uint64_t seed, int count) {
+  util::Rng rng(seed);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  const OpKind kinds[] = {OpKind::kStandardConv, OpKind::kDepthwiseConv,
+                          OpKind::kPointwiseConv, OpKind::kFuseRowConv,
+                          OpKind::kFuseColConv, OpKind::kFullyConnected};
+  const Dataflow dataflows[] = {Dataflow::kOutputStationary,
+                                Dataflow::kWeightStationary,
+                                Dataflow::kInputStationary};
+  std::vector<GeneratedCase> cases;
+  for (int i = 0; i < count; ++i) {
+    ArrayConfig cfg;
+    cfg.rows = pick(2, 8);
+    cfg.cols = pick(0, 1) == 0 ? cfg.rows : pick(2, 8);
+    cfg.dataflow = dataflows[pick(0, 2)];
+    cfg.broadcast_links = pick(0, 1) == 0;
+    cfg.overlap_fold_drain = false;
+    // Channel counts one below, at, or one above a multiple of the side
+    // of the array they fold over.
+    const auto channels = [&](std::int64_t side) {
+      return std::max<std::int64_t>(1, side * pick(1, 2) + pick(-1, 1));
+    };
+    const std::int64_t kernel = pick(1, 5);
+    const std::int64_t stride = pick(1, 3);
+    const std::int64_t pad = pick(0, 2);
+    // Odd sizes, at least as large as the kernel once padded.
+    const auto extent = [&] {
+      return std::max<std::int64_t>(2 * pick(0, 5) + 1, kernel - 2 * pad);
+    };
+    const std::int64_t h = extent();
+    const std::int64_t w = extent();
+    const std::string name = "case" + std::to_string(i);
+    LayerDesc layer;
+    switch (kinds[i % 6]) {
+      case OpKind::kStandardConv:
+        if (pick(0, 1) == 0) {
+          cfg.standard_conv_mapping =
+              systolic::StandardConvMapping::kChannelwise;
+        }
+        layer = nn::make_conv(name, pick(1, 4), h, w, channels(cfg.cols),
+                              kernel, stride, pad);
+        break;
+      case OpKind::kDepthwiseConv:
+        layer = nn::make_depthwise(name, pick(1, 5), h, w, kernel, stride,
+                                   pad);
+        break;
+      case OpKind::kPointwiseConv:
+        layer = nn::make_pointwise(name, channels(cfg.rows), h, w,
+                                   channels(cfg.cols));
+        break;
+      case OpKind::kFuseRowConv:
+        layer = nn::make_fuse_row(name, channels(cfg.rows), h, w, kernel,
+                                  stride, pad);
+        break;
+      case OpKind::kFuseColConv:
+        layer = nn::make_fuse_col(name, channels(cfg.rows), h, w, kernel,
+                                  stride, pad);
+        break;
+      default:
+        layer = nn::make_fully_connected(name, channels(cfg.rows),
+                                         channels(cfg.cols), false);
+        break;
+    }
+    cases.push_back({layer, cfg});
+  }
+  return cases;
+}
+
+std::string describe(const GeneratedCase& c) {
+  return c.layer.to_string() + " on " + c.cfg.to_string() + " " +
+         systolic::dataflow_name(c.cfg.dataflow);
+}
+
+TEST(ExecuteDifferential, GeneratedCasesMatchNnModelAndReferenceEngine) {
+  ScopedSimBackend guard;
+  int checked = 0;
+  for (const GeneratedCase& c : generate_cases(/*seed=*/2021, 200)) {
+    const Tensor input = random_tensor(input_shape(c.layer), 100 + checked);
+    const Tensor weight = random_tensor(weight_shape(c.layer), 500 + checked);
+    ++checked;
+    systolic::set_sim_backend(SimBackend::kFast);
+    const LayerExecution fast =
+        execute_layer_on_array(c.layer, input, weight, c.cfg);
+    // (1) the numbers nn computes,
+    const Tensor expected = nn_reference(c.layer, input, weight);
+    EXPECT_TRUE(allclose(fast.output, expected, 1e-3F, 1e-4F))
+        << describe(c) << ": max diff "
+        << tensor::max_abs_diff(fast.output, expected);
+    // (2) the cost the analytic model charges,
+    const auto analytic = layer_latency(c.layer, c.cfg);
+    EXPECT_EQ(fast.cycles, analytic.cycles) << describe(c);
+    EXPECT_EQ(fast.folds, analytic.folds) << describe(c);
+    EXPECT_EQ(fast.mac_ops, analytic.mac_ops) << describe(c);
+    // (3) the bits the per-cycle reference engine produces.
+    systolic::set_sim_backend(SimBackend::kReference);
+    const LayerExecution reference =
+        execute_layer_on_array(c.layer, input, weight, c.cfg);
+    ASSERT_EQ(fast.output.shape(), reference.output.shape()) << describe(c);
+    EXPECT_EQ(std::memcmp(fast.output.data(), reference.output.data(),
+                          static_cast<std::size_t>(
+                              fast.output.num_elements()) *
+                              sizeof(float)),
+              0)
+        << describe(c);
+    EXPECT_EQ(fast.cycles, reference.cycles) << describe(c);
+  }
+  EXPECT_EQ(checked, 200);
 }
 
 }  // namespace

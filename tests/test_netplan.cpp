@@ -421,7 +421,7 @@ TEST(Timeline, FusedPlanMergesGroupsIntoSingleEntries) {
 
 // --- executor ----------------------------------------------------------------
 
-TEST(ExecuteNetwork, BitIdenticalAcrossModesAndThreads) {
+TEST(ExecuteNetwork, BitIdenticalAcrossModes) {
   nets::NetworkModel model = two_layer_chain(6, 10, 9);
   model.layers.push_back(nn::make_depthwise("dw2", 9, 10, 10, 3, 1, 1));
   model.layers.push_back(nn::make_pointwise("pw2", 9, 10, 10, 4));
@@ -446,25 +446,20 @@ TEST(ExecuteNetwork, BitIdenticalAcrossModesAndThreads) {
       execute_network_on_array(model, weights, input, per, cfg);
   EXPECT_EQ(base.cycles, per.total_cycles);
 
-  const int saved_threads = systolic::sim_threads();
   for (const NetworkPlan* plan : {&per, &fused}) {
-    for (const int threads : {1, 2, 4}) {
-      systolic::set_sim_threads(threads);
-      const NetworkExecution exec =
-          execute_network_on_array(model, weights, input, *plan, cfg);
-      EXPECT_EQ(exec.cycles, plan->total_cycles);
-      EXPECT_EQ(exec.folds, base.folds);
-      EXPECT_EQ(exec.mac_ops, base.mac_ops);
-      ASSERT_EQ(exec.output.shape(), base.output.shape());
-      EXPECT_EQ(std::memcmp(exec.output.data(), base.output.data(),
-                            static_cast<std::size_t>(
-                                base.output.num_elements()) *
-                                sizeof(float)),
-                0)
-          << "outputs diverge across schedule modes / threads";
-    }
+    const NetworkExecution exec =
+        execute_network_on_array(model, weights, input, *plan, cfg);
+    EXPECT_EQ(exec.cycles, plan->total_cycles);
+    EXPECT_EQ(exec.folds, base.folds);
+    EXPECT_EQ(exec.mac_ops, base.mac_ops);
+    ASSERT_EQ(exec.output.shape(), base.output.shape());
+    EXPECT_EQ(std::memcmp(exec.output.data(), base.output.data(),
+                          static_cast<std::size_t>(
+                              base.output.num_elements()) *
+                              sizeof(float)),
+              0)
+        << "outputs diverge across schedule modes";
   }
-  systolic::set_sim_threads(saved_threads);
 }
 
 // --- telemetry ---------------------------------------------------------------

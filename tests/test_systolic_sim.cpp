@@ -295,15 +295,11 @@ void expect_bit_exact(const SimResult& fast, const SimResult& reference) {
   EXPECT_TRUE(bits_equal(fast.pe_busy, reference.pe_busy));
 }
 
-/// Restores the process-wide backend/thread state on scope exit so these
-/// tests cannot leak configuration into the rest of the binary.
+/// Restores the process-wide backend on scope exit so these tests cannot
+/// leak configuration into the rest of the binary.
 struct ScopedSimState {
   SimBackend backend = sim_backend();
-  int threads = sim_threads();
-  ~ScopedSimState() {
-    set_sim_backend(backend);
-    set_sim_threads(threads);
-  }
+  ~ScopedSimState() { set_sim_backend(backend); }
 };
 
 Tensor seeded_tensor(Shape shape, std::uint64_t seed) {
@@ -366,11 +362,6 @@ TEST(SimBackendApi, DispatchRoutesToSelectedEngine) {
   expect_bit_exact(via_fast, via_reference);
 }
 
-TEST(SimBackendApi, ThreadCountIsValidated) {
-  EXPECT_THROW(set_sim_threads(0), util::Error);
-  EXPECT_THROW(set_sim_threads(-2), util::Error);
-}
-
 // Differential grid: dataflow x ragged fold shapes (array sizes that do
 // NOT divide m/t/n, so edge tiles and multi-fold reduction are hit) on
 // square and rectangular grids.
@@ -410,7 +401,17 @@ INSTANTIATE_TEST_SUITE_P(
                           DiffCase{5, 17, 3, 4, 4},   // deep reduction
                           DiffCase{11, 6, 13, 3, 9},  // rectangular
                           DiffCase{11, 6, 13, 9, 3},  // rectangular, tall
-                          DiffCase{9, 9, 9, 8, 8})));
+                          DiffCase{9, 9, 9, 8, 8},
+                          // The executor's degenerate operands: a
+                          // depthwise channel / no-bus FuSe line (n = 1,
+                          // many row folds) and an FC row (m = 1), each
+                          // with depth below and above the array size.
+                          DiffCase{37, 3, 1, 4, 4},
+                          DiffCase{37, 9, 1, 4, 4},
+                          DiffCase{29, 25, 1, 3, 5},
+                          DiffCase{1, 3, 13, 4, 4},
+                          DiffCase{1, 9, 13, 4, 4},
+                          DiffCase{1, 11, 7, 5, 3})));
 
 class SimBackendConvDiff : public ::testing::TestWithParam<DiffCase> {};
 
@@ -459,38 +460,6 @@ TEST(SimBackendDiffPlans, StridedPlansMatchAcrossBackends) {
       EXPECT_EQ(fast.mac_ops, reference.mac_ops) << layer.name;
       EXPECT_TRUE(bits_equal(fast.pe_busy, reference.pe_busy)) << layer.name;
     }
-  }
-}
-
-// The fold-parallel reduction must be deterministic: any thread count
-// produces the identical bits, and they all equal the reference.
-TEST(SimBackendThreads, ResultsIdenticalAcrossThreadCounts) {
-  ScopedSimState guard;
-  for (const Dataflow df :
-       {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
-        Dataflow::kInputStationary}) {
-    ArrayConfig cfg = square_array(4);
-    cfg.dataflow = df;
-    SystolicArraySim sim(cfg);
-    const Tensor a = zero_heavy_tensor(Shape{13, 9}, 42);
-    const Tensor b = zero_heavy_tensor(Shape{9, 11}, 43);
-    const SimResult reference = run_pinned(sim, df, a, b, /*fast=*/false);
-    for (const int threads : {1, 2, 4}) {
-      set_sim_threads(threads);
-      expect_bit_exact(run_pinned(sim, df, a, b, /*fast=*/true), reference);
-    }
-  }
-}
-
-TEST(SimBackendThreads, Conv1dIdenticalAcrossThreadCounts) {
-  ScopedSimState guard;
-  SystolicArraySim sim(square_array(4));
-  const Tensor lines = zero_heavy_tensor(Shape{10, 19}, 44);
-  const Tensor kernels = zero_heavy_tensor(Shape{10, 3}, 45);
-  const SimResult reference = sim.conv1d_broadcast_reference(lines, kernels);
-  for (const int threads : {1, 2, 4}) {
-    set_sim_threads(threads);
-    expect_bit_exact(sim.conv1d_broadcast_fast(lines, kernels), reference);
   }
 }
 

@@ -150,8 +150,9 @@ def normalize(path, doc):
             add(row_key(row, i), row_metrics(row))
         for key, value in doc.items():
             # metric_families is classification metadata, not a data row
-            # (its object form carries numeric tolerances).
-            if key in ("rows", "metric_families"):
+            # (its object form carries numeric tolerances); provenance
+            # describes the producing machine (core count, repetitions).
+            if key in ("rows", "metric_families", "provenance"):
                 continue
             if isinstance(value, dict):
                 add(f"<{key}>", row_metrics(value))

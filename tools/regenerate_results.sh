@@ -45,7 +45,8 @@ for bench in "$REPO_ROOT/$BUILD_DIR"/bench/bench_*; do
     # the producing machine next to the reference-vs-fast split.
     "$bench" --json="$RESULTS_DIR/BENCH_kernels.json" | tee "$name.txt"
   elif [ "$name" = bench_sim ]; then
-    # Simulator engine rows (reference/fast/fast_t4 ms + speedups).
+    # Simulator engine rows (reference/fast median ms, spreads, speedups)
+    # with provenance and metric_families.
     "$bench" --json="$RESULTS_DIR/BENCH_sim.json" | tee "$name.txt"
   elif [ "$name" = bench_fusion ]; then
     # Network-scheduler rows: per-layer vs fused roofline per network x
