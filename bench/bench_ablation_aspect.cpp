@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "sched/latency.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -22,11 +21,7 @@ int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_int("pes", 4096, "total PE budget (rows*cols)");
   flags.add_bool("csv", false, "also write bench_ablation_aspect.csv");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   const std::int64_t pes = flags.get_int("pes");
   const std::int64_t rows_options[] = {16, 32, 64, 128, 256};

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "sched/latency.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -24,11 +23,7 @@ int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_bool("csv", false, "also write bench_ablation_memory.csv");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   const double bandwidths[] = {1, 2, 4, 8, 16, 32, 64, 1e9};

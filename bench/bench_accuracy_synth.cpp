@@ -33,10 +33,8 @@ int main(int argc, char** argv) {
   flags.add_string("arch", "separable", "tiny net architecture: separable|inverted");
   flags.add_bool("csv", false, "also write bench_accuracy.csv");
   bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
   bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   DatasetConfig dc;  // 4-way, 3x16x16
   if (flags.get_string("task") == "blobs") {

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "nn/kernels.hpp"
-#include "sched/netplan.hpp"
 #include "systolic/sim.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -44,9 +43,7 @@ void apply_kernel_flags(const util::CliFlags& flags) {
   FUSE_CHECK(nn::parse_kernel_isa(isa_name, &isa))
       << "--kernel-isa must be 'scalar', 'avx2', or 'auto', got '" << isa_name
       << "'";
-  // An explicitly requested but unavailable ISA is a hard error here
-  // (set_kernel_isa FUSE_CHECKs availability) — unlike the
-  // FUSE_KERNEL_ISA environment fallback, a CLI flag states intent.
+  // An unavailable ISA is a hard error (set_kernel_isa FUSE_CHECKs it).
   nn::set_kernel_isa(isa);
   const std::int64_t threads = flags.get_int("kernel-threads");
   FUSE_CHECK(threads >= 1) << "--kernel-threads must be >= 1";
@@ -57,31 +54,16 @@ void apply_kernel_flags(const util::CliFlags& flags) {
 
 void add_sim_flags(util::CliFlags& flags) {
   flags.add_string("sim-backend",
-                   systolic::sim_backend_name(systolic::sim_backend()),
+                   systolic::sim_backend_name(systolic::SimBackend::kFast),
                    "cycle-accurate simulator engine: fast or reference");
 }
 
-void apply_sim_flags(const util::CliFlags& flags) {
+systolic::SimBackend sim_backend_flag(const util::CliFlags& flags) {
   const std::string name = flags.get_string("sim-backend");
   systolic::SimBackend backend;
   FUSE_CHECK(systolic::parse_sim_backend(name, &backend))
       << "--sim-backend must be 'fast' or 'reference', got '" << name << "'";
-  systolic::set_sim_backend(backend);
-}
-
-void add_sched_flags(util::CliFlags& flags) {
-  flags.add_string("sched-mode", sched::sched_mode_name(sched::sched_mode()),
-                   "network schedule: per-layer or fused");
-}
-
-void apply_sched_flags(const util::CliFlags& flags) {
-  const std::string name = flags.get_string("sched-mode");
-  sched::SchedMode mode;
-  // A bad FUSE_SCHED_MODE env value soft-falls-back to per-layer, but the
-  // CLI flag states intent: reject typos hard.
-  FUSE_CHECK(sched::parse_sched_mode(name, &mode))
-      << "--sched-mode must be 'per-layer' or 'fused', got '" << name << "'";
-  sched::set_sched_mode(mode);
+  return backend;
 }
 
 TelemetryScope::TelemetryScope(const util::CliFlags& flags)
@@ -128,18 +110,12 @@ void TelemetryScope::finalize() {
 
 SweepHarness::SweepHarness(util::CliFlags& flags) {
   add_telemetry_flags(flags);
-  add_kernel_flags(flags);
-  add_sim_flags(flags);
-  add_sched_flags(flags);
 }
 
 SweepHarness::~SweepHarness() { finalize(); }
 
 void SweepHarness::start(const util::CliFlags& flags) {
   FUSE_CHECK(!telemetry_) << "SweepHarness::start called twice";
-  apply_kernel_flags(flags);
-  apply_sim_flags(flags);
-  apply_sched_flags(flags);
   telemetry_.emplace(flags);
   start_ = std::chrono::steady_clock::now();
 }
@@ -161,14 +137,9 @@ void SweepHarness::finalize() {
 void SweepHarness::print_footer() {
   FUSE_CHECK(telemetry_) << "SweepHarness::print_footer before start()";
   stop();
-  // Wall time and mode provenance on one footer line (filtered out of
-  // golden comparisons by its "sweep:" prefix).
-  std::printf("\nsweep: %s ms, kernels=%s/%s, sim=%s, sched=%s\n",
-              util::fixed(wall_ms_, 2).c_str(),
-              nn::kernel_backend_name(nn::kernel_backend()),
-              nn::kernel_isa_name(nn::kernel_isa()),
-              systolic::sim_backend_name(systolic::sim_backend()),
-              sched::sched_mode_name(sched::sched_mode()));
+  // Wall time on one footer line (filtered out of golden comparisons by
+  // its "sweep:" prefix).
+  std::printf("\nsweep: %s ms\n", util::fixed(wall_ms_, 2).c_str());
   finalize();
 }
 

@@ -1,8 +1,10 @@
-// Shared wiring of the sweep-driven benches: every table/figure binary
-// registers the same backend and telemetry flags, times its sweep with a
-// steady clock, and prints the same "sweep: ..." wall-time footer.
-// SweepHarness owns that boilerplate so each bench only contains its own
-// sweep (a serial loop over the sched:: report functions) and table.
+// Shared flag wiring of the bench and example binaries. SweepHarness
+// owns the boilerplate of the sweep-driven benches: the telemetry flags,
+// a steady-clock wall time for the sweep, and the "sweep: W ms" footer,
+// so each bench only contains its own sweep (a serial loop over the
+// sched:: report functions) and table. The kernel and simulator flags
+// are registered only by the binaries whose output they can change: the
+// ones that dispatch nn kernels, and the simulator-driven examples.
 //
 // Every bench also gains the telemetry flags: --trace-json=<path> attaches
 // a global trace sink for the harness's lifetime and writes the runtime
@@ -18,11 +20,11 @@
 //   ...bench-specific flags...
 //   bench::SweepHarness harness(flags);   // registers the shared flags
 //   flags.parse(argc, argv);
-//   harness.start(flags);                 // applies flags, starts clock
+//   harness.start(flags);                 // attaches telemetry, starts clock
 //   ...the sweep...
 //   harness.stop();                       // freeze wall time (optional)
 //   table.print(std::cout);
-//   harness.print_footer();               // "sweep: W ms, kernels=..."
+//   harness.print_footer();               // "sweep: W ms"
 #pragma once
 
 #include <chrono>
@@ -30,6 +32,7 @@
 #include <optional>
 #include <string>
 
+#include "systolic/sim.hpp"
 #include "util/cli.hpp"
 
 namespace fuse::util {
@@ -44,34 +47,22 @@ namespace fuse::bench {
 /// reuse it.
 void add_telemetry_flags(util::CliFlags& flags);
 
-/// Registers --kernel-backend (fast|reference, default: current, i.e.
-/// FUSE_KERNEL_BACKEND or fast), --kernel-isa (scalar|avx2|auto,
-/// default: current, i.e. FUSE_KERNEL_ISA or the best available), and
+/// Registers --kernel-backend (fast|reference, default fast),
+/// --kernel-isa (scalar|avx2|auto, default the best available), and
 /// --kernel-threads (total threads for the fast kernels' parallel_for,
-/// default: current). SweepHarness calls this; standalone tools can
-/// reuse the set.
+/// default hardware concurrency), for the binaries that dispatch kernels.
 void add_kernel_flags(util::CliFlags& flags);
 
 /// Applies the parsed kernel flags to the process-wide backend state.
 void apply_kernel_flags(const util::CliFlags& flags);
 
-/// Registers --sim-backend (fast|reference, default: current, i.e.
-/// FUSE_SIM_BACKEND or fast). SweepHarness calls this; the sim-driven
-/// examples reuse it.
+/// Registers --sim-backend (fast|reference, default fast) for the
+/// simulator-driven examples.
 void add_sim_flags(util::CliFlags& flags);
 
-/// Applies the parsed sim flags to the process-wide simulator state.
-void apply_sim_flags(const util::CliFlags& flags);
-
-/// Registers --sched-mode (per-layer|fused, default: current, i.e.
-/// FUSE_SCHED_MODE or per-layer). Controls whether network_roofline /
-/// network_latency use the per-layer schedule or the fused NetworkPlan
-/// (sched/netplan.hpp). SweepHarness calls this; standalone tools can
-/// reuse the pair.
-void add_sched_flags(util::CliFlags& flags);
-
-/// Applies the parsed sched flags to the process-wide schedule mode.
-void apply_sched_flags(const util::CliFlags& flags);
+/// The simulator engine the parsed --sim-backend names, to pass to
+/// SystolicArraySim or execute_layer_on_array.
+systolic::SimBackend sim_backend_flag(const util::CliFlags& flags);
 
 /// RAII wiring of the parsed telemetry flags for any tool: attaches a
 /// global TraceSink (--trace-json) and ProfileCollector (--profile-json)
@@ -101,25 +92,23 @@ class TelemetryScope {
 
 class SweepHarness {
  public:
-  /// Registers the telemetry, kernel, sim and sched flags on `flags`.
-  /// Call before parse().
+  /// Registers the telemetry flags on `flags`. Call before parse().
   explicit SweepHarness(util::CliFlags& flags);
 
   /// Detaches the trace sink and writes any requested telemetry files if
   /// print_footer() never ran.
   ~SweepHarness();
 
-  /// Applies the parsed backend flags and starts the wall clock. When
-  /// --trace-json is set, also attaches the process-wide trace sink so the
-  /// sweep's spans land in the file. Call once, after flags.parse().
+  /// Starts the wall clock. When --trace-json is set, also attaches the
+  /// process-wide trace sink so the sweep's spans land in the file. Call
+  /// once, after flags.parse().
   void start(const util::CliFlags& flags);
 
   /// Freezes the wall-clock measurement; later calls are no-ops, so the
   /// timed window ends at the first stop() (or at print_footer()).
   void stop();
 
-  /// Prints the footer — the sweep's wall time plus the kernel, sim and
-  /// sched modes that produced the run (stops the clock first if
+  /// Prints the footer — the sweep's wall time (stops the clock first if
   /// running) — then silently writes --trace-json/--stats-json if
   /// requested.
   void print_footer();

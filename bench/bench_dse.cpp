@@ -18,9 +18,8 @@
 //      as CSV/JSON. Everything except the "# ..." wall-clock lines is
 //      byte-deterministic.
 //
-// The schedule mode is pinned to fused internally: the explorer always
-// plans fused (its latencies are never worse), and pinning keeps the
-// artifact independent of FUSE_SCHED_MODE.
+// The schedule mode is fused: the explorer always plans fused (its
+// latencies are never worse).
 //
 // Usage: bench_dse [--csv] [--json=<path>]
 //   --csv writes bench_dse.csv (the full point table, frontier column);

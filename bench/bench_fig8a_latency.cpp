@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "sched/report.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -19,11 +18,7 @@ int main(int argc, char** argv) {
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_double("freq-mhz", 700.0, "clock for cycle->time conversion");
   flags.add_bool("csv", false, "also write bench_fig8a.csv");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   auto cfg = systolic::square_array(flags.get_int("size"));
   cfg.freq_mhz = flags.get_double("freq-mhz");

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "sched/report.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -27,11 +26,7 @@ int main(int argc, char** argv) {
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas");
   flags.add_string("variant", "full", "replacement variant: full|half");
   flags.add_bool("csv", false, "also write bench_fig8b.csv");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));

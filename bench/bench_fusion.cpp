@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "sched/latency.hpp"
 #include "sched/netplan.hpp"
 #include "util/check.hpp"
@@ -91,18 +90,11 @@ int main(int argc, char** argv) {
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_string("json", "", "write machine-readable rows here");
   flags.add_bool("csv", false, "also write bench_fusion.csv");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   const systolic::MemoryConfig mem;
 
-  // Both schedules are built explicitly, so the table is the same whatever
-  // the global --sched-mode is — which is exactly what the check.sh
-  // schedule-equality stage pins.
   std::printf(
       "Inter-layer fold fusion: per-layer vs fused schedule roofline\n"
       "(%s array, %g B/cycle DRAM, %lld KiB SRAM; compute cycles are\n"

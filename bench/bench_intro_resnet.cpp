@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "sched/latency.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -17,11 +16,7 @@ using namespace fuse;
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_int("size", 32, "systolic array size (SxS)");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   std::printf(

@@ -11,8 +11,8 @@
 // gflops}, both from real time — the perf-trajectory artifact
 // results/BENCH_kernels.json is regenerated from
 // (tools/regenerate_results.sh). The fast_scalar legs
-// pin FUSE_KERNEL_ISA=scalar so the artifact records the scalar-vs-SIMD
-// split on the machine that produced it.
+// pin the scalar ISA so the artifact records the scalar-vs-SIMD split on
+// the machine that produced it.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "hw/area_power.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -20,11 +19,7 @@ using namespace fuse;
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_bool("csv", false, "also write bench_overhead.csv");
-  bench::add_kernel_flags(flags);
-  bench::add_sched_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
-  bench::apply_sched_flags(flags);
 
   const hw::PeComponentModel model = hw::nangate45_model();
   std::printf(

@@ -166,7 +166,9 @@ int main(int argc, char** argv) {
 
   systolic::ArrayConfig cfg = systolic::square_array(64);
   cfg.overlap_fold_drain = false;
-  systolic::SystolicArraySim sim(cfg);
+  systolic::SystolicArraySim reference_sim(cfg,
+                                           systolic::SimBackend::kReference);
+  systolic::SystolicArraySim fast_sim(cfg, systolic::SimBackend::kFast);
 
   std::printf(
       "simulator engines on %s, MobileNet-V2 layer geometries\n"
@@ -182,20 +184,16 @@ int main(int argc, char** argv) {
   for (const Case& c : mobilenet_v2_cases()) {
     const systolic::MappingPlan plan = systolic::lower(c.layer, cfg);
 
-    systolic::set_sim_backend(systolic::SimBackend::kReference);
-    const systolic::SimResult reference = sim.run_plan(plan);
-    systolic::set_sim_backend(systolic::SimBackend::kFast);
-    const systolic::SimResult fast = sim.run_plan(plan);
+    const systolic::SimResult reference = reference_sim.run_plan(plan);
+    const systolic::SimResult fast = fast_sim.run_plan(plan);
     check_bit_exact(fast, reference, c.name);
 
     Row row;
     row.layer = c.name;
     row.cycles = reference.cycles;
     row.mac_ops = reference.mac_ops;
-    systolic::set_sim_backend(systolic::SimBackend::kReference);
-    row.reference = time_run_plan(sim, plan, kReferenceReps);
-    systolic::set_sim_backend(systolic::SimBackend::kFast);
-    row.fast = time_run_plan(sim, plan, kFastReps);
+    row.reference = time_run_plan(reference_sim, plan, kReferenceReps);
+    row.fast = time_run_plan(fast_sim, plan, kFastReps);
 
     total_ref += row.reference.p50_ms;
     total_fast += row.fast.p50_ms;

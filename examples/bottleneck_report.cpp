@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   flags.add_string("variant", "fuse_full",
                    "baseline|fuse_full|fuse_half|fuse_full50|fuse_half50");
   flags.add_int("size", 64, "systolic array size (SxS)");
-  flags.add_string("sched-mode",
-                   sched::sched_mode_name(sched::sched_mode()),
+  flags.add_string("sched-mode", "per-layer",
                    "network schedule: per-layer or fused");
   flags.add_int("top", 10, "layer rows to show, by cycles (0=all)");
   flags.add_string("json", "", "write the full attribution report here");

@@ -7,11 +7,10 @@
 //        [--kernel-backend=fast] [--kernel-isa=auto] [--kernel-threads=N]
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "core/fuseconv.hpp"
-#include "nn/kernels.hpp"
 #include "tensor/half.hpp"
 #include "tensor/quantize.hpp"
-#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -22,26 +21,9 @@ int main(int argc, char** argv) {
   flags.add_int("channels", 16, "input channels");
   flags.add_int("hw", 16, "square feature-map size");
   flags.add_string("variant", "half", "full|half");
-  flags.add_string("kernel-backend", nn::kernel_backend_name(nn::kernel_backend()),
-                   "functional kernel backend: fast or reference");
-  flags.add_string("kernel-isa", nn::kernel_isa_name(nn::kernel_isa()),
-                   "fast-kernel instruction set: scalar, avx2, or auto");
-  flags.add_int("kernel-threads", nn::kernel_threads(),
-                "total threads for the fast kernels");
+  bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
-
-  nn::KernelBackend backend;
-  FUSE_CHECK(nn::parse_kernel_backend(flags.get_string("kernel-backend"),
-                                      &backend))
-      << "--kernel-backend must be 'fast' or 'reference'";
-  nn::set_kernel_backend(backend);
-  nn::KernelIsa isa;
-  FUSE_CHECK(nn::parse_kernel_isa(flags.get_string("kernel-isa"), &isa))
-      << "--kernel-isa must be 'scalar', 'avx2', or 'auto'";
-  nn::set_kernel_isa(isa);
-  if (flags.get_int("kernel-threads") != nn::kernel_threads()) {
-    nn::set_kernel_threads(static_cast<int>(flags.get_int("kernel-threads")));
-  }
+  bench::apply_kernel_flags(flags);
 
   core::FuseConvSpec spec;
   spec.channels = flags.get_int("channels");

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   flags.add_int("hw", 16, "square feature-map size");
   bench::add_sim_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_sim_flags(flags);
+  const systolic::SimBackend backend = bench::sim_backend_flag(flags);
 
   const std::int64_t size = flags.get_int("size");
   const std::int64_t channels = flags.get_int("channels");
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const std::int64_t k = 3;
 
   util::Rng rng(3);
-  systolic::SystolicArraySim sim(systolic::square_array(size));
+  systolic::SystolicArraySim sim(systolic::square_array(size), backend);
 
   // Depthwise: per-channel [positions, K^2] x [K^2, 1] matmuls. All
   // channels accumulate into one heatmap.

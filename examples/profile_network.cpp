@@ -179,8 +179,7 @@ int main(int argc, char** argv) {
                    "'attribution' counter track to the trace");
   flags.add_bool("fold-events", true,
                  "emit per-fold spans and SRAM counter series");
-  flags.add_string("sched-mode",
-                   sched::sched_mode_name(sched::sched_mode()),
+  flags.add_string("sched-mode", "per-layer",
                    "network schedule: per-layer or fused");
   flags.parse(argc, argv);
 

@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_int("top", 12, "show the N longest-running layers (0=all)");
   flags.add_string("csv", "", "write the full timeline CSV to this path");
-  flags.add_string("sched-mode",
-                   sched::sched_mode_name(sched::sched_mode()),
+  flags.add_string("sched-mode", "per-layer",
                    "network schedule: per-layer or fused");
   bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);

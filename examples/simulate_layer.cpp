@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   bench::add_sim_flags(flags);
   bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_sim_flags(flags);
+  const systolic::SimBackend backend = bench::sim_backend_flag(flags);
   // Silent: writes --trace-json/--stats-json/--profile-json on exit
   // without touching stdout.
   bench::TelemetryScope telemetry(flags);
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   auto cfg = systolic::square_array(flags.get_int("size"));
   cfg.overlap_fold_drain = false;  // what the cycle-level sim measures
-  systolic::SystolicArraySim sim(cfg);
+  systolic::SystolicArraySim sim(cfg, backend);
   const systolic::SimResult result =
       sim.conv1d_broadcast(line_data, kernels);
 

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   bench::add_sim_flags(flags);
   bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_sim_flags(flags);
+  const systolic::SimBackend backend = bench::sim_backend_flag(flags);
   // Silent: writes --trace-json/--stats-json/--profile-json on exit
   // without touching stdout.
   bench::TelemetryScope telemetry(flags);
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     auto step = [&](const nn::LayerDesc& layer, const Tensor& in,
                     const Tensor& w) {
       const sched::LayerExecution exec =
-          sched::execute_layer_on_array(layer, in, w, cfg);
+          sched::execute_layer_on_array(layer, in, w, cfg, backend);
       cycles += exec.cycles;
       return exec.output;
     };

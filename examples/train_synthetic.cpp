@@ -8,7 +8,7 @@
 //        [--kernel-isa=auto] [--kernel-threads=N]
 #include <cstdio>
 
-#include "nn/kernels.hpp"
+#include "bench_common.hpp"
 #include "train/models.hpp"
 #include "train/trainer.hpp"
 #include "util/check.hpp"
@@ -24,26 +24,9 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 1, "weight init seed");
   flags.add_int("train", 256, "training examples");
   flags.add_int("eval", 128, "eval examples");
-  flags.add_string("kernel-backend", nn::kernel_backend_name(nn::kernel_backend()),
-                   "functional kernel backend: fast or reference");
-  flags.add_string("kernel-isa", nn::kernel_isa_name(nn::kernel_isa()),
-                   "fast-kernel instruction set: scalar, avx2, or auto");
-  flags.add_int("kernel-threads", nn::kernel_threads(),
-                "total threads for the fast kernels");
+  bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
-
-  nn::KernelBackend backend;
-  FUSE_CHECK(nn::parse_kernel_backend(flags.get_string("kernel-backend"),
-                                      &backend))
-      << "--kernel-backend must be 'fast' or 'reference'";
-  nn::set_kernel_backend(backend);
-  nn::KernelIsa isa;
-  FUSE_CHECK(nn::parse_kernel_isa(flags.get_string("kernel-isa"), &isa))
-      << "--kernel-isa must be 'scalar', 'avx2', or 'auto'";
-  nn::set_kernel_isa(isa);
-  if (flags.get_int("kernel-threads") != nn::kernel_threads()) {
-    nn::set_kernel_threads(static_cast<int>(flags.get_int("kernel-threads")));
-  }
+  bench::apply_kernel_flags(flags);
 
   const std::string mode_name = flags.get_string("mode");
   core::FuseMode mode = core::FuseMode::kBaseline;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -27,32 +25,9 @@ namespace {
 // Backend + pool state
 // ---------------------------------------------------------------------------
 
-KernelBackend backend_from_env() {
-  const char* env = std::getenv("FUSE_KERNEL_BACKEND");
-  if (env == nullptr || env[0] == '\0') {
-    return KernelBackend::kFast;
-  }
-  KernelBackend backend;
-  FUSE_CHECK(parse_kernel_backend(env, &backend))
-      << "FUSE_KERNEL_BACKEND must be 'fast' or 'reference', got '" << env
-      << "'";
-  return backend;
-}
-
 std::atomic<KernelBackend>& backend_state() {
-  static std::atomic<KernelBackend> state{backend_from_env()};
+  static std::atomic<KernelBackend> state{KernelBackend::kFast};
   return state;
-}
-
-int threads_from_env() {
-  const char* env = std::getenv("FUSE_KERNEL_THREADS");
-  if (env == nullptr || env[0] == '\0') {
-    return util::ThreadPool::hardware_threads();
-  }
-  const int threads = std::atoi(env);
-  FUSE_CHECK(threads >= 1)
-      << "FUSE_KERNEL_THREADS must be >= 1, got '" << env << "'";
-  return threads;
 }
 
 struct PoolState {
@@ -62,7 +37,7 @@ struct PoolState {
   // set_kernel_threads is still a quiescent-point operation — it rebuilds
   // the pool out from under any kernel currently running on it.
   std::mutex mutex;
-  int threads = threads_from_env();
+  int threads = util::ThreadPool::hardware_threads();
   std::unique_ptr<util::ThreadPool> pool;
 };
 
@@ -75,33 +50,10 @@ PoolState& pool_state() {
 // ISA state
 // ---------------------------------------------------------------------------
 
-KernelIsa isa_from_env() {
-  const char* env = std::getenv("FUSE_KERNEL_ISA");
-  if (env == nullptr || env[0] == '\0') {
-    KernelIsa isa;
-    parse_kernel_isa("auto", &isa);
-    return isa;
-  }
-  KernelIsa isa;
-  FUSE_CHECK(parse_kernel_isa(env, &isa))
-      << "FUSE_KERNEL_ISA must be 'scalar', 'avx2', or 'auto', got '" << env
-      << "'";
-  if (!kernel_isa_available(isa)) {
-    // Environment requests degrade gracefully so a forced-ISA test matrix
-    // (FUSE_KERNEL_ISA=avx2 ctest ...) can run unchanged on machines
-    // without the vector unit; explicit set_kernel_isa / CLI requests
-    // stay hard errors.
-    std::fprintf(stderr,
-                 "note: FUSE_KERNEL_ISA=%s is not available on this machine "
-                 "(cpu: %s); using scalar kernels\n",
-                 env, util::cpu_features().to_string().c_str());
-    return KernelIsa::kScalar;
-  }
-  return isa;
-}
-
 std::atomic<KernelIsa>& isa_state() {
-  static std::atomic<KernelIsa> state{isa_from_env()};
+  static std::atomic<KernelIsa> state{
+      kernel_isa_available(KernelIsa::kAvx2) ? KernelIsa::kAvx2
+                                             : KernelIsa::kScalar};
   return state;
 }
 

@@ -23,7 +23,7 @@
 //     exact-zero output, which IEEE-754 +/-0 addition identities make
 //     unobservable in practice). tools/check.sh leans on this: golden
 //     results must be byte-identical across backends with
-//     FUSE_KERNEL_ISA=scalar pinned.
+//     --kernel-isa=scalar pinned.
 //   * Under the AVX2 ISA the float kernels accumulate in single
 //     precision with FMA, so outputs are ULP-BOUNDED against the
 //     reference (util/ulp.hpp derives the bound; docs/kernels.md
@@ -32,22 +32,23 @@
 //
 // Backend selection: nn::conv2d / matmul / linear / the INT8 kernels and
 // the train::Module backward passes all dispatch on kernel_backend().
-// Default is kFast; set FUSE_KERNEL_BACKEND=reference (or the benches'
-// --kernel-backend flag) to pin the reference oracle. FUSE_KERNEL_THREADS
-// / --kernel-threads size the kernel pool (N threads = N-1 workers plus
-// the calling thread).
+// Default is kFast; set_kernel_backend (or the --kernel-backend flag of
+// the binaries that run kernels) pins the reference oracle.
+// set_kernel_threads / --kernel-threads size the kernel pool (N threads =
+// N-1 workers plus the calling thread).
 //
 // ISA selection: inside the fast backend, kernel_isa() picks between the
 // portable scalar kernels and the AVX2/FMA micro-kernels
 // (kernels_avx2.cpp). Default is the best ISA the CPU supports (CPUID
-// probe in util/cpu_features.hpp); FUSE_KERNEL_ISA=scalar|avx2|auto (or
-// the benches' --kernel-isa flag) overrides it for differential testing.
-// Requesting an unavailable ISA via the environment falls back to scalar
-// with a note on stderr (so a forced-ISA CI matrix passes on any
-// machine); requesting it via set_kernel_isa / an explicit CLI flag is an
-// error. The backward passes and a few geometries (stride_w != 1 or
-// dilation_w != 1 channelwise / int8 conv interiors) always run the
-// scalar kernels — see the dispatch table in docs/kernels.md.
+// probe in util/cpu_features.hpp); set_kernel_isa (or --kernel-isa)
+// overrides it for differential testing, and requesting an ISA the
+// machine lacks is an error. The backward passes and a few geometries
+// (stride_w != 1 or dilation_w != 1 channelwise / int8 conv interiors)
+// always run the scalar kernels — see the dispatch table in
+// docs/kernels.md.
+//
+// The three settings are process-wide; only code sets them (directly, or
+// from the flags of the binaries that run kernels).
 #pragma once
 
 #include <cstdint>
@@ -68,7 +69,7 @@ enum class KernelBackend {
   kFast,       // this module's blocked/parallel kernels
 };
 
-/// Current backend. Initialized from FUSE_KERNEL_BACKEND (default fast).
+/// Current backend (default fast).
 KernelBackend kernel_backend();
 
 /// Overrides the backend for the whole process. Not safe to call while
@@ -82,8 +83,8 @@ bool parse_kernel_backend(const std::string& name, KernelBackend* out);
 const char* kernel_backend_name(KernelBackend backend);
 
 /// Total threads participating in kernel parallel_fors (workers + the
-/// calling thread, so 1 means fully serial). Initialized from
-/// FUSE_KERNEL_THREADS (default: hardware concurrency).
+/// calling thread, so 1 means fully serial). Default: hardware
+/// concurrency.
 int kernel_threads();
 
 /// Resizes the kernel pool to `threads` total threads (>= 1). Not safe to
@@ -100,9 +101,7 @@ enum class KernelIsa {
   kAvx2,    // AVX2/FMA micro-kernels (ULP-bounded floats, exact int8)
 };
 
-/// Current ISA. Initialized from FUSE_KERNEL_ISA (default: best
-/// available per the CPUID probe; an unavailable env request falls back
-/// to scalar with a note on stderr).
+/// Current ISA (default: the best available per the CPUID probe).
 KernelIsa kernel_isa();
 
 /// Overrides the ISA for the whole process. FUSE_CHECK-fails if `isa` is

@@ -356,7 +356,8 @@ LayerExecution execute_fully_connected(const LayerDesc& layer,
 LayerExecution execute_layer_on_array(const LayerDesc& layer,
                                       const Tensor& input,
                                       const Tensor& weight,
-                                      const systolic::ArrayConfig& cfg) {
+                                      const systolic::ArrayConfig& cfg,
+                                      systolic::SimBackend backend) {
   // The same lowering the analytic model folds over drives the execution:
   // the plan picks the primitive, the layer only supplies the data layout.
   const systolic::MappingPlan plan = systolic::lower(layer, cfg);
@@ -365,7 +366,7 @@ LayerExecution execute_layer_on_array(const LayerDesc& layer,
       << " does not execute on the array (layer " << layer.name << ")";
   check_operands(layer, input, weight);
   const PrimitiveOp& op = plan.ops.front();
-  SystolicArraySim sim(cfg);
+  SystolicArraySim sim(cfg, backend);
   switch (op.kind) {
     case PrimitiveKind::kMatmulTile:
       return layer.kind == OpKind::kFullyConnected

@@ -43,11 +43,12 @@ struct LayerExecution {
 /// (the shift-register dataflow cannot skip outputs; see
 /// ArrayConfig::strided_fuse_dense_compute), so their measured cycles
 /// match the default latency model. Glue ops (pool/activation/add) and
-/// grouped convs do not run on the array and are rejected.
-LayerExecution execute_layer_on_array(const nn::LayerDesc& layer,
-                                      const tensor::Tensor& input,
-                                      const tensor::Tensor& weight,
-                                      const systolic::ArrayConfig& cfg);
+/// grouped convs do not run on the array and are rejected. `backend`
+/// picks the simulator engine; both produce the same bits.
+LayerExecution execute_layer_on_array(
+    const nn::LayerDesc& layer, const tensor::Tensor& input,
+    const tensor::Tensor& weight, const systolic::ArrayConfig& cfg,
+    systolic::SimBackend backend = systolic::SimBackend::kFast);
 
 /// Output and measured cost of one simulated whole-network inference.
 struct NetworkExecution {
@@ -57,7 +58,7 @@ struct NetworkExecution {
   std::uint64_t mac_ops = 0;
 };
 
-/// Runs a whole network on the simulated array, driven by a NetworkPlan
+/// Runs a whole network on the fast simulator engine, driven by a NetworkPlan
 /// (sched/netplan.hpp). Layers execute in schedule order with activations
 /// flowing forward; `weights` is parallel to model.layers (entries for
 /// glue ops are ignored). Every layer must be on-array executable — the

@@ -269,11 +269,10 @@ systolic::TrafficEstimate layer_traffic(const LayerDesc& layer,
 NetworkRoofline network_roofline(const NetworkModel& model,
                                  const ArrayConfig& cfg,
                                  const systolic::MemoryConfig& mem) {
-  // The roofline is a view over the network schedule; the process-wide
-  // mode (default per-layer, which reproduces the historical per-layer
-  // walk bit for bit) decides whether fused pairs share their
-  // intermediate traffic.
-  return plan_roofline(plan_network(model, cfg, mem, sched_mode()));
+  // Per-layer by definition: every layer pays its own load/flush
+  // traffic. Fused bounds come from plan_network / eval_network_fast with
+  // SchedMode::kFused.
+  return eval_network_fast(model, cfg, mem, SchedMode::kPerLayer).roofline;
 }
 
 double roofline_speedup(NetworkId id, NetworkVariant variant,

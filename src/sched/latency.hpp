@@ -156,11 +156,12 @@ struct NetworkRoofline {
   std::uint64_t total_bytes = 0;
   int memory_bound_layers = 0;
 };
-/// Whole-network roofline under the process-wide schedule mode
-/// (netplan.hpp): per-layer mode reproduces the historical per-layer walk
-/// exactly; fused mode charges legal depthwise/FuSe -> pointwise pairs as
-/// single units with their redundant intermediate traffic removed, so the
-/// bound is never above the per-layer one.
+/// Whole-network roofline of the per-layer schedule: each layer's
+/// max(compute, memory), summed, from the closed-form evaluator
+/// (eval_fast.hpp). Equals plan_roofline(plan_network(..., kPerLayer))
+/// field for field. The fused bound, which charges legal depthwise/FuSe
+/// -> pointwise pairs as single units, comes from plan_network or
+/// eval_network_fast with SchedMode::kFused.
 NetworkRoofline network_roofline(const NetworkModel& model,
                                  const ArrayConfig& cfg,
                                  const systolic::MemoryConfig& mem);

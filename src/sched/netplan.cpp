@@ -1,9 +1,6 @@
 #include "sched/netplan.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 #include "systolic/trace.hpp"
 #include "util/check.hpp"
@@ -20,7 +17,7 @@ using systolic::MemoryConfig;
 using systolic::PrimitiveKind;
 using systolic::PrimitiveOp;
 
-// --- process-wide mode dispatch ----------------------------------------------
+// --- schedule modes ---------------------------------------------------------
 
 const char* sched_mode_name(SchedMode mode) {
   switch (mode) {
@@ -42,41 +39,6 @@ bool parse_sched_mode(const std::string& name, SchedMode* out) {
     return true;
   }
   return false;
-}
-
-namespace {
-
-SchedMode mode_from_env() {
-  const char* env = std::getenv("FUSE_SCHED_MODE");
-  if (env == nullptr || env[0] == '\0') {
-    return SchedMode::kPerLayer;
-  }
-  SchedMode mode;
-  if (!parse_sched_mode(env, &mode)) {
-    // Unlike the CLI flag (which hard-errors), the env var degrades
-    // gracefully so a stale setting cannot brick unrelated tools.
-    std::fprintf(stderr,
-                 "note: FUSE_SCHED_MODE='%s' not recognized "
-                 "(per-layer|fused); using per-layer\n",
-                 env);
-    return SchedMode::kPerLayer;
-  }
-  return mode;
-}
-
-std::atomic<SchedMode>& mode_state() {
-  static std::atomic<SchedMode> state{mode_from_env()};
-  return state;
-}
-
-}  // namespace
-
-SchedMode sched_mode() {
-  return mode_state().load(std::memory_order_relaxed);
-}
-
-void set_sched_mode(SchedMode mode) {
-  mode_state().store(mode, std::memory_order_relaxed);
 }
 
 // --- NetworkPlan -------------------------------------------------------------

@@ -15,9 +15,10 @@
 // re-streamed from DRAM), which is what plan_roofline charges; compute
 // cycles are NEVER changed — the schedule only reorders whole folds, so
 // total_cycles is byte-for-byte the sum of the per-layer analytic
-// latencies in both modes (FUSE_CHECKed at plan time). That identity is
-// what keeps every golden byte-identical in the default per-layer mode and
-// makes the fused roofline provably never slower:
+// latencies in both modes (FUSE_CHECKed at plan time). The caller picks
+// the mode on every call; nothing process-wide selects it. The identity
+// keeps every cycle total the same in both modes and makes the fused
+// roofline provably never slower:
 //   max(c1 + c2, ceil((B1' + B2')/bw)) <= max(c1, ceil(B1/bw))
 //                                       + max(c2, ceil(B2/bw))
 // for B1' <= B1, B2' <= B2 (ceil is subadditive, max is monotone).
@@ -36,9 +37,9 @@
 
 namespace fuse::sched {
 
-/// Process-wide schedule mode, mirroring the kernel/sim backend dispatch:
-/// defaults to per-layer (every golden unchanged), overridable with
-/// FUSE_SCHED_MODE=fused|per-layer or --sched-mode on every bench.
+/// Network schedule, always passed explicitly (plan_network and
+/// eval_network_fast take it as an argument); network_roofline is the
+/// per-layer roofline by definition.
 enum class SchedMode {
   kPerLayer,  // layers cost their full load/flush traffic, run serially
   kFused,     // legal dw/FuSe->pw pairs share SRAM and interleave folds
@@ -49,11 +50,6 @@ const char* sched_mode_name(SchedMode mode);
 
 /// Parses "per-layer"/"per_layer"/"fused"; returns false on unknown names.
 bool parse_sched_mode(const std::string& name, SchedMode* out);
-
-/// The process-wide mode (first call reads FUSE_SCHED_MODE; unknown values
-/// fall back to per-layer with a stderr note).
-SchedMode sched_mode();
-void set_sched_mode(SchedMode mode);
 
 /// One inter-layer activation tensor with its SRAM placement. `producer`
 /// is the index into model.layers whose output this is (kNetworkInput for

@@ -1,15 +1,12 @@
-// Backend dispatch for the cycle-accurate simulator (see sim.hpp).
+// Engine dispatch for the cycle-accurate simulator (see sim.hpp).
 //
 // The engines themselves live in sim_reference.cpp (per-cycle PE sweep,
 // the oracle) and sim_fast.cpp (closed-form wavefront intervals). This
-// file owns what is common to both: the process-wide backend state
-// (mirroring nn/kernels.cpp), the public entry points that route to an
-// engine, plan simulation, and heatmap rendering.
+// file owns what is common to both: the public entry points that route to
+// the constructor's engine, plan simulation, and heatmap rendering.
 #include "systolic/sim.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -24,27 +21,6 @@ using tensor::Tensor;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend state (the nn/kernels.cpp pattern)
-// ---------------------------------------------------------------------------
-
-SimBackend backend_from_env() {
-  const char* env = std::getenv("FUSE_SIM_BACKEND");
-  if (env == nullptr || env[0] == '\0') {
-    return SimBackend::kFast;
-  }
-  SimBackend backend;
-  FUSE_CHECK(parse_sim_backend(env, &backend))
-      << "FUSE_SIM_BACKEND must be 'fast' or 'reference', got '" << env
-      << "'";
-  return backend;
-}
-
-std::atomic<SimBackend>& backend_state() {
-  static std::atomic<SimBackend> state{backend_from_env()};
-  return state;
-}
-
-// ---------------------------------------------------------------------------
 // Telemetry (docs/observability.md catalog, "sim.*")
 // ---------------------------------------------------------------------------
 
@@ -56,10 +32,6 @@ void count_dispatch(SimBackend backend) {
 }
 
 }  // namespace
-
-SimBackend sim_backend() { return backend_state().load(); }
-
-void set_sim_backend(SimBackend backend) { backend_state().store(backend); }
 
 bool parse_sim_backend(const std::string& name, SimBackend* out) {
   if (name == "fast") {
@@ -77,7 +49,8 @@ const char* sim_backend_name(SimBackend backend) {
   return backend == SimBackend::kFast ? "fast" : "reference";
 }
 
-SystolicArraySim::SystolicArraySim(ArrayConfig cfg) : cfg_(cfg) {
+SystolicArraySim::SystolicArraySim(ArrayConfig cfg, SimBackend backend)
+    : cfg_(cfg), backend_(backend) {
   cfg_.validate();
   // The cycle-accurate sims model the fully pipelined array (one register
   // stage per PE). Transparent configs change the skew/drain geometry the
@@ -101,31 +74,27 @@ SimResult SystolicArraySim::matmul(const Tensor& a, const Tensor& b) {
 }
 
 SimResult SystolicArraySim::matmul_os(const Tensor& a, const Tensor& b) {
-  const SimBackend backend = sim_backend();
-  count_dispatch(backend);
-  return backend == SimBackend::kFast ? matmul_os_fast(a, b)
-                                      : matmul_os_reference(a, b);
+  count_dispatch(backend_);
+  return backend_ == SimBackend::kFast ? matmul_os_fast(a, b)
+                                       : matmul_os_reference(a, b);
 }
 
 SimResult SystolicArraySim::matmul_ws(const Tensor& a, const Tensor& b) {
-  const SimBackend backend = sim_backend();
-  count_dispatch(backend);
-  return backend == SimBackend::kFast ? matmul_ws_fast(a, b)
-                                      : matmul_ws_reference(a, b);
+  count_dispatch(backend_);
+  return backend_ == SimBackend::kFast ? matmul_ws_fast(a, b)
+                                       : matmul_ws_reference(a, b);
 }
 
 SimResult SystolicArraySim::matmul_is(const Tensor& a, const Tensor& b) {
-  const SimBackend backend = sim_backend();
-  count_dispatch(backend);
-  return backend == SimBackend::kFast ? matmul_is_fast(a, b)
-                                      : matmul_is_reference(a, b);
+  count_dispatch(backend_);
+  return backend_ == SimBackend::kFast ? matmul_is_fast(a, b)
+                                       : matmul_is_reference(a, b);
 }
 
 SimResult SystolicArraySim::conv1d_broadcast(const Tensor& lines,
                                              const Tensor& kernels) {
-  const SimBackend backend = sim_backend();
-  count_dispatch(backend);
-  return backend == SimBackend::kFast
+  count_dispatch(backend_);
+  return backend_ == SimBackend::kFast
              ? conv1d_broadcast_fast(lines, kernels)
              : conv1d_broadcast_reference(lines, kernels);
 }

@@ -27,9 +27,9 @@
 // the broadcast path. tools/check.sh and tests/test_systolic_sim.cpp
 // enforce this.
 //
-// Backend selection mirrors the kernel backend (nn/kernels.hpp): default
-// fast; FUSE_SIM_BACKEND=reference (or the tools' --sim-backend flag)
-// pins the oracle.
+// The engine is a constructor argument (default fast), so every simulator
+// states which engine it runs; the simulator examples take it from
+// --sim-backend.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +46,6 @@ enum class SimBackend {
   kReference,  // per-cycle PE sweep (the oracle)
   kFast,       // closed-form wavefront intervals
 };
-
-/// Current backend. Initialized from FUSE_SIM_BACKEND (default fast).
-SimBackend sim_backend();
-
-/// Overrides the backend for the whole process. Not safe to call while a
-/// simulation is executing.
-void set_sim_backend(SimBackend backend);
 
 /// Parses "fast" / "reference" (also "ref"). Returns false on anything
 /// else.
@@ -82,11 +75,13 @@ std::string render_pe_heatmap(const tensor::Tensor& pe_busy);
 
 /// A software model of the PE grid. Stateless between calls; each call
 /// tiles its operands over the array and simulates every fold. The
-/// un-suffixed entry points dispatch on sim_backend(); the *_reference /
-/// *_fast methods pin an engine (tests and bench_sim use them directly).
+/// un-suffixed entry points run the engine chosen at construction; the
+/// *_reference / *_fast methods pin an engine (the differential tests use
+/// them directly).
 class SystolicArraySim {
  public:
-  explicit SystolicArraySim(ArrayConfig cfg);
+  explicit SystolicArraySim(ArrayConfig cfg,
+                            SimBackend backend = SimBackend::kFast);
 
   const ArrayConfig& config() const { return cfg_; }
 
@@ -127,10 +122,10 @@ class SystolicArraySim {
   /// differential property (tests/test_mapping.cpp); the cycle counts
   /// match the analytic model when cfg.overlap_fold_drain is off (the
   /// simulator always pays each fold's drain). Routes its primitive
-  /// passes through the backend dispatch.
+  /// passes through the constructor's engine.
   SimResult run_plan(const MappingPlan& plan);
 
-  // Engine-pinned entry points (bypass the dispatch).
+  // Engine-pinned entry points (ignore the constructor's engine).
   SimResult matmul_os_reference(const tensor::Tensor& a,
                                 const tensor::Tensor& b);
   SimResult matmul_ws_reference(const tensor::Tensor& a,
@@ -147,6 +142,7 @@ class SystolicArraySim {
 
  private:
   ArrayConfig cfg_;
+  SimBackend backend_;
 };
 
 }  // namespace fuse::systolic

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -64,17 +65,24 @@ std::vector<std::string> CliFlags::parse(int argc, const char* const* argv) {
         value = argv[++i];
       }
     }
-    if (flag.kind == Kind::kInt) {
+    if (flag.kind == Kind::kInt || flag.kind == Kind::kDouble) {
+      // strtoll/strtod accept "" as 0 and saturate out-of-range input, so
+      // both are checked here rather than surfacing as a bogus value.
+      const bool is_int = flag.kind == Kind::kInt;
       char* end = nullptr;
-      std::strtoll(value.c_str(), &end, 10);
-      FUSE_CHECK(end != nullptr && *end == '\0')
-          << "flag --" << name << " expects an integer, got '" << value
+      errno = 0;
+      if (is_int) {
+        std::strtoll(value.c_str(), &end, 10);
+      } else {
+        std::strtod(value.c_str(), &end);
+      }
+      const bool out_of_range = errno == ERANGE;
+      FUSE_CHECK(!value.empty() && *end == '\0')
+          << "flag --" << name << " expects "
+          << (is_int ? "an integer" : "a number") << ", got '" << value
           << "'";
-    } else if (flag.kind == Kind::kDouble) {
-      char* end = nullptr;
-      std::strtod(value.c_str(), &end);
-      FUSE_CHECK(end != nullptr && *end == '\0')
-          << "flag --" << name << " expects a number, got '" << value << "'";
+      FUSE_CHECK(!out_of_range)
+          << "flag --" << name << " is out of range, got '" << value << "'";
     } else if (flag.kind == Kind::kBool) {
       const std::string lower = to_lower(value);
       FUSE_CHECK(lower == "true" || lower == "false" || lower == "1" ||

@@ -336,12 +336,6 @@ TEST(ExecuteLayer, MisShapedOperandsRejectedOnEveryPath) {
 
 // --- seeded differential coverage --------------------------------------------
 
-/// Restores the process-wide simulator backend on scope exit.
-struct ScopedSimBackend {
-  SimBackend saved = systolic::sim_backend();
-  ~ScopedSimBackend() { systolic::set_sim_backend(saved); }
-};
-
 struct GeneratedCase {
   LayerDesc layer;
   ArrayConfig cfg;
@@ -430,15 +424,13 @@ std::string describe(const GeneratedCase& c) {
 }
 
 TEST(ExecuteDifferential, GeneratedCasesMatchNnModelAndReferenceEngine) {
-  ScopedSimBackend guard;
   int checked = 0;
   for (const GeneratedCase& c : generate_cases(/*seed=*/2021, 200)) {
     const Tensor input = random_tensor(input_shape(c.layer), 100 + checked);
     const Tensor weight = random_tensor(weight_shape(c.layer), 500 + checked);
     ++checked;
-    systolic::set_sim_backend(SimBackend::kFast);
-    const LayerExecution fast =
-        execute_layer_on_array(c.layer, input, weight, c.cfg);
+    const LayerExecution fast = execute_layer_on_array(
+        c.layer, input, weight, c.cfg, SimBackend::kFast);
     // (1) the numbers nn computes,
     const Tensor expected = nn_reference(c.layer, input, weight);
     EXPECT_TRUE(allclose(fast.output, expected, 1e-3F, 1e-4F))
@@ -450,9 +442,8 @@ TEST(ExecuteDifferential, GeneratedCasesMatchNnModelAndReferenceEngine) {
     EXPECT_EQ(fast.folds, analytic.folds) << describe(c);
     EXPECT_EQ(fast.mac_ops, analytic.mac_ops) << describe(c);
     // (3) the bits the per-cycle reference engine produces.
-    systolic::set_sim_backend(SimBackend::kReference);
-    const LayerExecution reference =
-        execute_layer_on_array(c.layer, input, weight, c.cfg);
+    const LayerExecution reference = execute_layer_on_array(
+        c.layer, input, weight, c.cfg, SimBackend::kReference);
     ASSERT_EQ(fast.output.shape(), reference.output.shape()) << describe(c);
     EXPECT_EQ(std::memcmp(fast.output.data(), reference.output.data(),
                           static_cast<std::size_t>(

@@ -457,9 +457,26 @@ TEST(KernelsForcedIsa, BackwardIsaIndependent) {
   }
 }
 
+/// grad_input followed by every parameter gradient of one forward and
+/// backward pass through `layer` (fresh, so the gradients start at zero).
+std::vector<Tensor> backward_grads(train::Module& layer, const Tensor& input,
+                                   std::uint64_t seed) {
+  const Tensor out = layer.forward(input);
+  std::vector<Tensor> grads = {
+      layer.backward(random_tensor(out.shape(), seed))};
+  std::vector<train::Parameter*> params;
+  layer.collect_params(params);
+  for (train::Parameter* p : params) {
+    grads.push_back(p->grad);
+  }
+  return grads;
+}
+
 TEST(KernelsForcedIsa, ThreadDeterminismPerIsa) {
   // At a FIXED ISA, results are bit-exact across thread counts — the
   // task decomposition never changes an element's accumulation order.
+  // Covers the float forward ops, the int8 operators, and the Conv2d /
+  // Linear backward passes.
   BackendGuard guard;
   const Tensor input = random_tensor(Shape{2, 16, 23, 19}, 151);
   const Tensor weight = random_tensor(Shape{24, 16, 3, 3}, 152);
@@ -475,6 +492,31 @@ TEST(KernelsForcedIsa, ThreadDeterminismPerIsa) {
   const Conv2dParams row_params{1, 1, 0, 2, 1, 1, 16};
   const Tensor col_w = random_tensor(Shape{16, 1, 5, 1}, 160);
   const Conv2dParams col_params{1, 1, 2, 0, 1, 1, 16};
+  const QuantizedTensor q_input = tensor::quantize_calibrated(input);
+  const QuantizedTensor q_weight =
+      tensor::quantize_calibrated(weight, /*symmetric=*/true);
+  const QuantizedTensor q_lin_in = tensor::quantize_calibrated(lin_in);
+  const QuantizedTensor q_lin_w =
+      tensor::quantize_calibrated(lin_w, /*symmetric=*/true);
+  const auto conv_grads = [&] {
+    util::Rng rng(161);
+    train::Conv2d layer("k", 16, 24, 3, 3, params, rng);
+    return backward_grads(layer, input, 162);
+  };
+  const auto linear_grads = [&] {
+    util::Rng rng(163);
+    train::Linear layer("fc", 200, 130, rng);
+    return backward_grads(layer, lin_in, 164);
+  };
+  const auto expect_grads_equal = [](const std::vector<Tensor>& want,
+                                     const std::vector<Tensor>& got,
+                                     const std::string& label) {
+    ASSERT_EQ(want.size(), got.size()) << label;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(bit_equal(want[i], got[i]))
+          << label << (i == 0 ? " grad_input" : " parameter grad ") << i;
+    }
+  };
 
   for (KernelIsa isa : available_isas()) {
     set_kernel_isa(isa);
@@ -487,6 +529,11 @@ TEST(KernelsForcedIsa, ThreadDeterminismPerIsa) {
         kernels::conv2d_fast(input, row_w, nullptr, row_params);
     const Tensor col1 =
         kernels::conv2d_fast(input, col_w, nullptr, col_params);
+    const Tensor conv_i8_1 =
+        kernels::conv2d_int8_fast(q_input, q_weight, params);
+    const Tensor lin_i8_1 = kernels::linear_int8_fast(q_lin_in, q_lin_w);
+    const std::vector<Tensor> conv_bw1 = conv_grads();
+    const std::vector<Tensor> lin_bw1 = linear_grads();
     for (int threads : {2, 4}) {
       set_kernel_threads(threads);
       const std::string label = std::string(kernel_isa_name(isa)) + ", " +
@@ -508,6 +555,15 @@ TEST(KernelsForcedIsa, ThreadDeterminismPerIsa) {
       EXPECT_TRUE(bit_equal(
           col1, kernels::conv2d_fast(input, col_w, nullptr, col_params)))
           << label << " (fuse_col)";
+      EXPECT_TRUE(bit_equal(
+          conv_i8_1, kernels::conv2d_int8_fast(q_input, q_weight, params)))
+          << label << " (conv int8)";
+      EXPECT_TRUE(bit_equal(lin_i8_1,
+                            kernels::linear_int8_fast(q_lin_in, q_lin_w)))
+          << label << " (linear int8)";
+      expect_grads_equal(conv_bw1, conv_grads(), label + " (Conv2d backward)");
+      expect_grads_equal(lin_bw1, linear_grads(),
+                         label + " (Linear backward)");
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "nn/ops.hpp"
 #include "sched/execute.hpp"
@@ -86,15 +87,6 @@ TEST(SchedMode, NameParseRoundTrip) {
   EXPECT_EQ(parsed, SchedMode::kPerLayer);
   EXPECT_FALSE(parse_sched_mode("bogus", &parsed));
   EXPECT_FALSE(parse_sched_mode("", &parsed));
-}
-
-TEST(SchedMode, SetterControlsProcessWideMode) {
-  const SchedMode before = sched_mode();
-  set_sched_mode(SchedMode::kFused);
-  EXPECT_EQ(sched_mode(), SchedMode::kFused);
-  set_sched_mode(SchedMode::kPerLayer);
-  EXPECT_EQ(sched_mode(), SchedMode::kPerLayer);
-  set_sched_mode(before);
 }
 
 // --- per-fold footprint ------------------------------------------------------
@@ -338,10 +330,31 @@ TEST(Roofline, PerLayerPlanMatchesLegacyWalk) {
   EXPECT_EQ(roofline.total_bytes, legacy.total_bytes);
   EXPECT_EQ(roofline.memory_bound_layers, legacy.memory_bound_layers);
 
-  // network_roofline delegates here under the default per-layer mode.
-  const NetworkRoofline via_api = network_roofline(v2, cfg, kMem);
-  EXPECT_EQ(via_api.bound_cycles, roofline.bound_cycles);
-  EXPECT_EQ(via_api.total_bytes, roofline.total_bytes);
+  // network_roofline is closed-form and per-layer by definition; the plan
+  // path is its oracle. The bandwidths span what bench_ablation_memory
+  // sweeps: memory-bound, the default, and compute-bound.
+  for (const double bandwidth : {1.0, 16.0, 1e9}) {
+    systolic::MemoryConfig mem;
+    mem.dram_bytes_per_cycle = bandwidth;
+    for (nets::NetworkId id : nets::paper_networks()) {
+      for (core::NetworkVariant variant :
+           {core::NetworkVariant::kBaseline,
+            core::NetworkVariant::kFuseHalf}) {
+        const VariantBuild build = build_variant(id, variant, cfg);
+        const NetworkRoofline got = network_roofline(build.model, cfg, mem);
+        const NetworkRoofline want = plan_roofline(
+            plan_network(build.model, cfg, mem, SchedMode::kPerLayer));
+        const std::string label =
+            build.model.name + " @ " + std::to_string(bandwidth) + " B/cy";
+        EXPECT_EQ(got.compute_cycles, want.compute_cycles) << label;
+        EXPECT_EQ(got.memory_cycles, want.memory_cycles) << label;
+        EXPECT_EQ(got.bound_cycles, want.bound_cycles) << label;
+        EXPECT_EQ(got.total_bytes, want.total_bytes) << label;
+        EXPECT_EQ(got.memory_bound_layers, want.memory_bound_layers)
+            << label;
+      }
+    }
+  }
 }
 
 TEST(Roofline, FusedNeverSlowerAcrossZooVariants) {

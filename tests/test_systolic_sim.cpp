@@ -265,6 +265,7 @@ TEST(DataflowComparison, BroadcastBeatsSingleColumnOnSameWork) {
 
 #include "nn/layer.hpp"
 #include "systolic/mapping.hpp"
+#include "util/telemetry.hpp"
 
 namespace fuse::systolic {
 namespace {
@@ -294,13 +295,6 @@ void expect_bit_exact(const SimResult& fast, const SimResult& reference) {
   EXPECT_TRUE(bits_equal(fast.output, reference.output));
   EXPECT_TRUE(bits_equal(fast.pe_busy, reference.pe_busy));
 }
-
-/// Restores the process-wide backend on scope exit so these tests cannot
-/// leak configuration into the rest of the binary.
-struct ScopedSimState {
-  SimBackend backend = sim_backend();
-  ~ScopedSimState() { set_sim_backend(backend); }
-};
 
 Tensor seeded_tensor(Shape shape, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -350,16 +344,27 @@ TEST(SimBackendApi, ParseAndName) {
   EXPECT_STREQ(sim_backend_name(SimBackend::kReference), "reference");
 }
 
-TEST(SimBackendApi, DispatchRoutesToSelectedEngine) {
-  ScopedSimState guard;
-  SystolicArraySim sim(square_array(4));
+TEST(SimBackendApi, ConstructorSelectsEngine) {
+  const ArrayConfig cfg = square_array(4);
+  SystolicArraySim by_default(cfg);
+  SystolicArraySim reference(cfg, SimBackend::kReference);
   const Tensor a = seeded_tensor(Shape{5, 3}, 71);
   const Tensor b = seeded_tensor(Shape{3, 6}, 72);
-  set_sim_backend(SimBackend::kReference);
-  const SimResult via_reference = sim.matmul(a, b);
-  set_sim_backend(SimBackend::kFast);
-  const SimResult via_fast = sim.matmul(a, b);
-  expect_bit_exact(via_fast, via_reference);
+  expect_bit_exact(by_default.matmul(a, b), reference.matmul(a, b));
+  if (!util::telemetry_enabled()) {
+    GTEST_SKIP() << "dispatch counters need FUSE_TELEMETRY";
+  }
+  // The dispatch counters show which engine each call ran: the default
+  // is fast, and the constructor argument overrides it.
+  util::Counter& fast = util::metrics().counter("sim.dispatch.fast");
+  util::Counter& ref = util::metrics().counter("sim.dispatch.reference");
+  const std::uint64_t fast_before = fast.value();
+  const std::uint64_t ref_before = ref.value();
+  (void)reference.matmul(a, b);
+  EXPECT_EQ(ref.value(), ref_before + 1);
+  EXPECT_EQ(fast.value(), fast_before);
+  (void)by_default.matmul(a, b);
+  EXPECT_EQ(fast.value(), fast_before + 1);
 }
 
 // Differential grid: dataflow x ragged fold shapes (array sizes that do
@@ -439,7 +444,6 @@ INSTANTIATE_TEST_SUITE_P(
 // FuSe dense-compute-then-discard stride handling included). run_plan
 // discards the numeric output, so this compares counters and pe_busy.
 TEST(SimBackendDiffPlans, StridedPlansMatchAcrossBackends) {
-  ScopedSimState guard;
   const nn::LayerDesc layers[] = {
       nn::make_fuse_row("fuse_s2", 8, 14, 14, 3, /*stride=*/2, 1),
       nn::make_fuse_col("fuse_col_s2", 8, 14, 14, 3, /*stride=*/2, 1),
@@ -449,12 +453,11 @@ TEST(SimBackendDiffPlans, StridedPlansMatchAcrossBackends) {
   for (const nn::LayerDesc& layer : layers) {
     for (const bool broadcast : {true, false}) {
       ArrayConfig cfg = square_array(8, broadcast);
-      SystolicArraySim sim(cfg);
       const MappingPlan plan = lower(layer, cfg);
-      set_sim_backend(SimBackend::kReference);
-      const SimResult reference = sim.run_plan(plan);
-      set_sim_backend(SimBackend::kFast);
-      const SimResult fast = sim.run_plan(plan);
+      const SimResult reference =
+          SystolicArraySim(cfg, SimBackend::kReference).run_plan(plan);
+      const SimResult fast =
+          SystolicArraySim(cfg, SimBackend::kFast).run_plan(plan);
       EXPECT_EQ(fast.cycles, reference.cycles) << layer.name;
       EXPECT_EQ(fast.folds, reference.folds) << layer.name;
       EXPECT_EQ(fast.mac_ops, reference.mac_ops) << layer.name;

@@ -253,11 +253,33 @@ TEST(Cli, UnknownFlagThrows) {
   EXPECT_THROW(flags.parse(2, argv), Error);
 }
 
+/// Parses one argument and expects a FUSE_CHECK failure naming `flag`.
+void expect_bad_value(CliFlags flags, const char* arg, const char* flag) {
+  const char* argv[] = {"prog", arg};
+  try {
+    flags.parse(2, argv);
+    ADD_FAILURE() << arg << " parsed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(flag), std::string::npos) << what;
+  }
+}
+
 TEST(Cli, BadIntValueThrows) {
-  CliFlags flags;
-  flags.add_int("size", 64, "array size");
-  const char* argv[] = {"prog", "--size=abc"};
-  EXPECT_THROW(flags.parse(2, argv), Error);
+  CliFlags ints;
+  ints.add_int("size", 64, "array size");
+  // Not a number, empty (strtoll would read 0), and out of int64 range
+  // (strtoll would saturate).
+  for (const char* arg :
+       {"--size=abc", "--size=", "--size=99999999999999999999999",
+        "--size=-99999999999999999999999"}) {
+    expect_bad_value(ints, arg, "--size");
+  }
+  CliFlags doubles;
+  doubles.add_double("freq-mhz", 700.0, "clock");
+  for (const char* arg : {"--freq-mhz=", "--freq-mhz=1e999"}) {
+    expect_bad_value(doubles, arg, "--freq-mhz");
+  }
 }
 
 TEST(Cli, BoolAcceptsExplicitValues) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate:
-#   1. default build + complete test suite,
+#   1. src/ reads no environment variable (no getenv), then the default
+#      build + complete test suite,
 #   2. ThreadSanitizer build running the concurrency suites
 #      (test_thread_pool, test_properties, test_telemetry, test_kernels,
 #      test_systolic_sim, test_netplan, test_serve — test_kernels covers
@@ -14,49 +15,41 @@
 #   4. Release (-O3) build running the kernel differential suite plus a
 #      bench_kernels smoke pass — the kernel exactness contract must
 #      survive full optimization, not just the default build,
-#   5. forced-ISA matrix: the kernel differential suite (test_kernels +
-#      test_cpu_features) must pass under FUSE_KERNEL_ISA=scalar and
-#      =auto, and a bench_table1 smoke must produce CSVs that agree
-#      within float tolerance between --kernel-isa=scalar and =auto (on
-#      non-AVX2 machines both legs run scalar and the diff is trivially
-#      exact),
-#   6. telemetry identity: every sweep bench's output must be
+#   5. telemetry identity: every sweep bench's output must be
 #      byte-identical between a plain run and a run with --trace-json and
 #      --stats-json attached (only footer lines — see
 #      filter_bench_output — may differ),
-#   7. backend equality: every table/figure bench's stdout and CSVs must
-#      be byte-identical between --kernel-backend=fast and
-#      --kernel-backend=reference. Both legs pin FUSE_KERNEL_ISA=scalar:
+#   6. backend equality: every table/figure bench that dispatches nn
+#      kernels (its --help lists --kernel-backend) must print stdout and
+#      CSVs byte-identical between --kernel-backend=fast and
+#      --kernel-backend=reference. Both legs pin --kernel-isa=scalar:
 #      only the scalar ISA is bit-exact against the reference kernels
-#      (the SIMD ISAs are ULP-bounded, covered by stage 5), so this
+#      (the SIMD ISAs are ULP-bounded, covered by test_kernels), so this
 #      byte-level diff needs the scalar pin to stay meaningful,
-#   8. sim backend equality: the simulator-driven examples
+#   7. sim backend equality: the simulator-driven examples
 #      (simulate_network, simulate_layer, pe_heatmap) must print
 #      byte-identical stdout under --sim-backend=fast and
 #      --sim-backend=reference, and a bench_sim smoke pass re-verifies the
 #      fast engine's bit-exactness layer by layer,
-#   9. schedule equality: the fused network schedule is strictly opt-in —
-#      every golden bench's stdout must be byte-identical between a
-#      flag-less run and an explicit --sched-mode=per-layer run,
-#  10. telemetry export: profile_network's trace/stats JSON must parse,
+#   8. telemetry export: profile_network's trace/stats JSON must parse,
 #      in both the default per-layer view and the fused-schedule view —
 #      and with --attribution-json the cycle-attribution report must
 #      parse and its components must sum back to the totals,
-#  11. perf-regression lab: fresh bench_fusion/bench_sim JSON artifacts
+#   9. perf-regression lab: fresh bench_fusion/bench_sim JSON artifacts
 #      go through tools/bench_compare.py against the committed
 #      results/BENCH_*.json baselines (deterministic metrics — cycles,
 #      MACs, bytes, roofline bounds — must reproduce exactly on any
 #      machine; wall-clock metrics only warn), a deliberately perturbed
 #      copy must make the gate exit nonzero, and a record_bench.sh
 #      ledger entry must round-trip through the same comparator,
-#  12. serving lab: bench_serve's artifact must parse, declare its
+#  10. serving lab: bench_serve's artifact must parse, declare its
 #      metric_families, clear the >= 2x dynamic-batching gate, and be
 #      byte-identical between --workers=1 and --workers=4; a fresh run
 #      diffs against the committed results/BENCH_serve.json via
 #      bench_compare, a perturbed speedup_vs_b1 (exact by declaration,
 #      wall-looking by name) must exit nonzero, and serve_demo's replay
 #      must be byte-deterministic across repeat runs,
-#  13. design-space lab: bench_dse FUSE_CHECKs the closed-form
+#  11. design-space lab: bench_dse FUSE_CHECKs the closed-form
 #      evaluator's equality against the plan path over an axis-spanning
 #      config subset and the >= 10x configs-per-second gate internally;
 #      one run's point-table CSV must equal results/bench_dse.csv, its
@@ -83,13 +76,19 @@ filter_bench_output() {
   grep -vE '^(sweep:|#)' || true
 }
 
-echo "=== [1/13] default build + full test suite ==="
+echo "=== [1/11] no getenv in src/ + default build + full test suite ==="
+# Results are a function of code and flags only: no library code may read
+# the environment.
+if grep -rn getenv src/; then
+  echo "src/ must not call getenv (matches above)" >&2
+  exit 1
+fi
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo
-echo "=== [2/13] ThreadSanitizer build + concurrency suites ==="
+echo "=== [2/11] ThreadSanitizer build + concurrency suites ==="
 CONCURRENCY_TESTS=(test_thread_pool test_properties test_telemetry
                    test_kernels test_systolic_sim test_netplan test_serve)
 cmake -B "$TSAN_DIR" -S . -DFUSE_SANITIZE=thread \
@@ -101,7 +100,7 @@ for t in "${CONCURRENCY_TESTS[@]}"; do
 done
 
 echo
-echo "=== [3/13] AddressSanitizer build + mapping/executor suites ==="
+echo "=== [3/11] AddressSanitizer build + mapping/executor suites ==="
 ASAN_TESTS=(test_mapping test_execute test_systolic_sim test_netplan
             test_serve)
 cmake -B "$ASAN_DIR" -S . -DFUSE_SANITIZE=address \
@@ -113,7 +112,7 @@ for t in "${ASAN_TESTS[@]}"; do
 done
 
 echo
-echo "=== [4/13] Release -O3 build: kernel differential suite + bench smoke ==="
+echo "=== [4/11] Release -O3 build: kernel differential suite + bench smoke ==="
 cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$RELEASE_DIR" -j "$(nproc)" --target test_kernels bench_kernels
 echo "--- test_kernels (Release) ---"
@@ -123,61 +122,9 @@ echo "--- bench_kernels smoke (Release) ---"
 echo "bench_kernels smoke: ok"
 
 echo
-echo "=== [5/13] forced-ISA matrix: differential suite + bench CSV tolerance ==="
+echo "=== [5/11] telemetry identity: plain run vs --trace-json/--stats-json ==="
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
-# The differential suite under each forced ISA. Under =scalar the float
-# kernels must be bit-exact against the reference; under =auto the best
-# available SIMD tier runs with ULP-bounded floats and bit-exact int8.
-# On non-AVX2 machines =auto resolves to scalar and the suite logs a
-# "forced-ISA coverage runs scalar only" note instead of failing.
-for isa in scalar auto; do
-  for t in test_kernels test_cpu_features; do
-    echo "--- $t (FUSE_KERNEL_ISA=$isa) ---"
-    FUSE_KERNEL_ISA="$isa" "$BUILD_DIR/tests/$t"
-  done
-done
-# A golden-producing bench must agree between the scalar and SIMD ISAs
-# within float print precision: the simulator cycle counts are integers
-# and the derived ratios are printed rounded, so the CSVs normally match
-# exactly — the python diff allows 1e-4 relative slack on numeric fields
-# so a last-digit rounding flip is not a failure.
-for isa in scalar auto; do
-  dir="$TELEMETRY_TMP/isa.$isa"
-  mkdir -p "$dir"
-  (cd "$dir" && "$REPO_ROOT/$BUILD_DIR/bench/bench_table1" \
-     --kernel-isa="$isa" --csv | filter_bench_output > stdout.txt)
-done
-python3 - "$TELEMETRY_TMP/isa.scalar" "$TELEMETRY_TMP/isa.auto" <<'EOF'
-import os, sys
-a_dir, b_dir = sys.argv[1], sys.argv[2]
-names = sorted(os.listdir(a_dir))
-assert names == sorted(os.listdir(b_dir)), "ISA legs wrote different files"
-def close(a, b):
-    if a == b:
-        return True
-    try:
-        fa, fb = float(a), float(b)
-    except ValueError:
-        return False
-    return abs(fa - fb) <= 1e-4 * max(1.0, abs(fa), abs(fb))
-for name in names:
-    with open(os.path.join(a_dir, name)) as f:
-        a_lines = f.read().splitlines()
-    with open(os.path.join(b_dir, name)) as f:
-        b_lines = f.read().splitlines()
-    assert len(a_lines) == len(b_lines), f"{name}: line counts differ"
-    for i, (la, lb) in enumerate(zip(a_lines, b_lines)):
-        fields_a = la.replace(",", " ").split()
-        fields_b = lb.replace(",", " ").split()
-        ok = len(fields_a) == len(fields_b) and all(
-            close(x, y) for x, y in zip(fields_a, fields_b))
-        assert ok, f"{name}:{i + 1}: ISA legs disagree:\n  {la}\n  {lb}"
-print(f"{len(names)} files agree between --kernel-isa=scalar and =auto")
-EOF
-
-echo
-echo "=== [6/13] telemetry identity: plain run vs --trace-json/--stats-json ==="
 for bench in bench_table1 bench_fig8d_scaling bench_pareto \
              bench_resolution bench_width_mult bench_nos; do
   bin="$BUILD_DIR/bench/$bench"
@@ -195,14 +142,16 @@ for bench in bench_table1 bench_fig8d_scaling bench_pareto \
 done
 
 echo
-echo "=== [7/13] backend equality: --kernel-backend=fast vs reference ==="
+echo "=== [6/11] backend equality: --kernel-backend=fast vs reference ==="
 # Every golden-producing bench (all of bench/ except the google-benchmark
-# micro-bench, whose output is wall time). Each runs with --csv where
-# supported, in a per-backend scratch dir; stdout and every CSV written
-# must match byte-for-byte. bench_accuracy_synth runs real training, so
-# it gets reduced arguments to keep the (much slower) reference leg short;
-# the full-size equality evidence is that results/bench_accuracy_synth.txt
-# itself regenerates identically under either backend.
+# micro-bench, whose output is wall time) that dispatches nn kernels: a
+# bench takes --kernel-backend only if it runs kernels, so its --help
+# selects it. Each runs with --csv where supported, in a per-backend
+# scratch dir; stdout and every CSV written must match byte-for-byte.
+# bench_accuracy_synth runs real training, so it gets reduced arguments
+# to keep the (much slower) reference leg short; the full-size equality
+# evidence is that results/bench_accuracy_synth.txt itself regenerates
+# identically under either backend.
 GOLDEN_BENCHES=(bench_table1 bench_fig8a_latency bench_fig8b_layerwise
                 bench_fig8c_opdist bench_fig8d_scaling bench_overhead
                 bench_intro_resnet bench_accuracy_synth bench_ria_analysis
@@ -210,9 +159,20 @@ GOLDEN_BENCHES=(bench_table1 bench_fig8a_latency bench_fig8b_layerwise
                 bench_ablation_memory bench_energy bench_width_mult
                 bench_resolution bench_ablation_aspect bench_nos
                 bench_pareto bench_fusion)
+KERNEL_BENCHES=()
 for bench in "${GOLDEN_BENCHES[@]}"; do
   bin="$REPO_ROOT/$BUILD_DIR/bench/$bench"
   [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
+  if "$bin" --help 2>&1 | grep -q -- '--kernel-backend'; then
+    KERNEL_BENCHES+=("$bench")
+  fi
+done
+if [ "${#KERNEL_BENCHES[@]}" -eq 0 ]; then
+  echo "no golden bench lists --kernel-backend: nothing to compare" >&2
+  exit 1
+fi
+for bench in "${KERNEL_BENCHES[@]}"; do
+  bin="$REPO_ROOT/$BUILD_DIR/bench/$bench"
   extra=()
   if "$bin" --help 2>&1 | grep -q -- '--csv'; then
     extra+=(--csv)
@@ -225,14 +185,8 @@ for bench in "${GOLDEN_BENCHES[@]}"; do
   for backend in fast reference; do
     dir="$TELEMETRY_TMP/$bench.$backend"
     mkdir -p "$dir"
-    if [ "$bench" = bench_ria_analysis ]; then
-      # The one bench with no CLI flags: backend comes from the env.
-      (cd "$dir" && FUSE_KERNEL_BACKEND="$backend" FUSE_KERNEL_ISA=scalar \
-         "$bin" | filter_bench_output > stdout.txt)
-    else
-      (cd "$dir" && "$bin" --kernel-backend="$backend" --kernel-isa=scalar \
-         "${extra[@]}" | filter_bench_output > stdout.txt)
-    fi
+    (cd "$dir" && "$bin" --kernel-backend="$backend" --kernel-isa=scalar \
+       "${extra[@]}" | filter_bench_output > stdout.txt)
   done
   if diff -r "$TELEMETRY_TMP/$bench.fast" "$TELEMETRY_TMP/$bench.reference"
   then
@@ -244,7 +198,7 @@ for bench in "${GOLDEN_BENCHES[@]}"; do
 done
 
 echo
-echo "=== [8/13] sim backend equality: --sim-backend=fast vs reference ==="
+echo "=== [7/11] sim backend equality: --sim-backend=fast vs reference ==="
 # The simulator-driven examples must print byte-identical stdout under
 # either engine (the fast engine is bit-exact, cycles included).
 for example in simulate_network simulate_layer pe_heatmap; do
@@ -266,37 +220,7 @@ done
 echo "bench_sim bit-exactness smoke: ok"
 
 echo
-echo "=== [9/13] schedule equality: default vs --sched-mode=per-layer ==="
-# The fused network schedule is strictly opt-in: with no flag, every
-# bench must print exactly what an explicit --sched-mode=per-layer run
-# prints (bench_ria_analysis takes no CLI flags, so its per-layer leg
-# pins the FUSE_SCHED_MODE env override instead).
-for bench in "${GOLDEN_BENCHES[@]}"; do
-  bin="$REPO_ROOT/$BUILD_DIR/bench/$bench"
-  [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
-  extra=()
-  if [ "$bench" = bench_accuracy_synth ]; then
-    extra+=(--seeds=1 --epochs=2 --train=64 --eval=32)
-  fi
-  if [ "$bench" = bench_ria_analysis ]; then
-    ok=$(diff <("$bin" | filter_bench_output) \
-              <(FUSE_SCHED_MODE=per-layer "$bin" | filter_bench_output) \
-           > /dev/null && echo yes || echo no)
-  else
-    ok=$(diff <("$bin" "${extra[@]}" | filter_bench_output) \
-              <("$bin" --sched-mode=per-layer "${extra[@]}" \
-                 | filter_bench_output) > /dev/null && echo yes || echo no)
-  fi
-  if [ "$ok" = yes ]; then
-    echo "$bench: default schedule matches per-layer"
-  else
-    echo "$bench: OUTPUT CHANGED under the default schedule mode" >&2
-    exit 1
-  fi
-done
-
-echo
-echo "=== [10/13] telemetry export: profile_network JSON validity ==="
+echo "=== [8/11] telemetry export: profile_network JSON validity ==="
 "$BUILD_DIR/examples/profile_network" --net mobilenet_v2 --variant fuse_full \
   --trace-json "$TELEMETRY_TMP/profile.json" \
   --stats-json "$TELEMETRY_TMP/profile.stats.json"
@@ -337,7 +261,7 @@ print(f"{len(paths)} telemetry JSON files parsed; attribution sums check")
 EOF
 
 echo
-echo "=== [11/13] perf-regression lab: bench_compare vs committed baselines ==="
+echo "=== [9/11] perf-regression lab: bench_compare vs committed baselines ==="
 # Fresh machine-readable artifacts from the two deterministic-core
 # benches, diffed against the committed baselines. Cycle counts, MAC and
 # byte totals, and roofline bounds are model outputs and must reproduce
@@ -376,7 +300,7 @@ python3 tools/bench_compare.py "$TELEMETRY_TMP/history/BENCH_fusion.jsonl" \
   "$TELEMETRY_TMP/BENCH_fusion.json" --quiet
 
 echo
-echo "=== [12/13] serving lab: bench_serve + serve_demo determinism ==="
+echo "=== [10/11] serving lab: bench_serve + serve_demo determinism ==="
 # bench_serve FUSE_CHECKs the >= 2x dynamic-batching gate internally, so
 # a clean exit is the throughput claim. The artifact must be
 # byte-identical between worker counts: every number in it is a
@@ -443,7 +367,7 @@ else
 fi
 
 echo
-echo "=== [13/13] design-space lab: bench_dse equality + frontier baseline ==="
+echo "=== [11/11] design-space lab: bench_dse equality + frontier baseline ==="
 # A plain run is already the evaluator-equality grid and the >= 10x
 # throughput gate (both FUSE_CHECKed inside the binary); its full point
 # table must equal the committed CSV byte for byte, and its artifact's
