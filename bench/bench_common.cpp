@@ -27,8 +27,6 @@ void add_kernel_flags(util::CliFlags& flags) {
                    "functional kernel backend: fast or reference");
   flags.add_string("kernel-isa", nn::kernel_isa_name(nn::kernel_isa()),
                    "fast-kernel instruction set: scalar, avx2, or auto");
-  flags.add_int("kernel-threads", nn::kernel_threads(),
-                "total threads for the fast kernels' tile parallel_for");
 }
 
 void apply_kernel_flags(const util::CliFlags& flags) {
@@ -45,11 +43,6 @@ void apply_kernel_flags(const util::CliFlags& flags) {
       << "'";
   // An unavailable ISA is a hard error (set_kernel_isa FUSE_CHECKs it).
   nn::set_kernel_isa(isa);
-  const std::int64_t threads = flags.get_int("kernel-threads");
-  FUSE_CHECK(threads >= 1) << "--kernel-threads must be >= 1";
-  if (threads != nn::kernel_threads()) {
-    nn::set_kernel_threads(static_cast<int>(threads));
-  }
 }
 
 void add_sim_flags(util::CliFlags& flags) {
@@ -90,8 +83,9 @@ void TelemetryScope::finalize() {
   finalized_ = true;
   if (sink_) {
     // Detach before writing so nothing appends mid-serialization. No
-    // parallel work is in flight here: the pools only run workers inside
-    // parallel_for, which blocks its caller.
+    // parallel work is in flight here: parallel_for blocks its caller, and
+    // a serving engine (constructed after this scope) waits for its
+    // payloads before it is destroyed.
     util::set_global_trace_sink(nullptr);
     sink_->write_json_file(trace_path_);
   }

@@ -8,9 +8,9 @@
 //
 // Every bench also gains the telemetry flags: --trace-json=<path> attaches
 // a global trace sink for the harness's lifetime and writes the runtime
-// span timeline (wall-clock us: sweep spans, parallel_fors) on exit;
-// --stats-json=<path> dumps the metrics registry (pool counters,
-// per-layer histograms); --profile-json=<path> attaches a
+// span timeline (wall-clock us: sweep spans) on exit;
+// --stats-json=<path> dumps the metrics registry (counters, per-layer
+// histograms); --profile-json=<path> attaches a
 // ProfileCollector and writes span wall-clock statistics (exact
 // p50/p90/p99, self vs child time). All three are silent — stdout and CSV
 // output stay byte-identical whether or not the flags are set.
@@ -47,10 +47,9 @@ namespace fuse::bench {
 /// reuse it.
 void add_telemetry_flags(util::CliFlags& flags);
 
-/// Registers --kernel-backend (fast|reference, default fast),
-/// --kernel-isa (scalar|avx2|auto, default the best available), and
-/// --kernel-threads (total threads for the fast kernels' parallel_for,
-/// default hardware concurrency), for the binaries that dispatch kernels.
+/// Registers --kernel-backend (fast|reference, default fast) and
+/// --kernel-isa (scalar|avx2|auto, default the best available), for the
+/// binaries that dispatch kernels.
 void add_kernel_flags(util::CliFlags& flags);
 
 /// Applies the parsed kernel flags to the process-wide backend state.

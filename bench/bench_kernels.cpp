@@ -6,13 +6,13 @@
 // 8(c)'s operator-level view with host-side numbers and keep the
 // simulator's own cost visible.
 //
-// Besides the usual google-benchmark flags, `--json=<path>` writes a
-// machine-readable row per benchmark: {op, backend, isa, ns_per_op,
-// gflops}, both from real time — the perf-trajectory artifact
-// results/BENCH_kernels.json is regenerated from
-// (tools/regenerate_results.sh). The fast_scalar legs
-// pin the scalar ISA so the artifact records the scalar-vs-SIMD split on
-// the machine that produced it.
+// Besides the usual google-benchmark flags, `--json=<path>` writes the
+// perf-trajectory artifact results/BENCH_kernels.json
+// (tools/regenerate_results.sh): in-file provenance, the metric families
+// tools/bench_compare.py gates on, and one row per benchmark {op,
+// backend, isa, ns_per_op, gflops}, both from real time. The fast_scalar
+// legs pin the scalar ISA so the artifact records the scalar-vs-SIMD
+// split on the machine that produced it.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "nn/ops.hpp"
 #include "systolic/sim.hpp"
 #include "tensor/tensor.hpp"
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -45,39 +47,31 @@ Tensor random_tensor(Shape shape, std::uint64_t seed) {
   return t;
 }
 
-/// Variant label for the ref-vs-fast pairs. fast_t2/fast_t4 size the
-/// kernel pool to 2/4 total threads (the scaling legs); reference and
-/// fast run single-threaded. fast_scalar pins the portable scalar ISA
-/// so the fast/fast_scalar pair isolates the SIMD micro-kernel speedup
-/// from the blocking/fusion win the scalar fast path already has.
+/// Variant label for the ref-vs-fast pairs. fast_scalar pins the
+/// portable scalar ISA so the fast/fast_scalar pair isolates the SIMD
+/// micro-kernel speedup from the blocking/fusion win the scalar fast path
+/// already has.
 struct Variant {
   const char* label;
   KernelBackend backend;
-  int threads;
   const char* isa;  // "scalar" or "auto" (resolves to best available)
 };
 
-constexpr Variant kReference{"reference", KernelBackend::kReference, 1,
+constexpr Variant kReference{"reference", KernelBackend::kReference,
                              "scalar"};
-constexpr Variant kFast{"fast", KernelBackend::kFast, 1, "auto"};
-constexpr Variant kFastScalar{"fast_scalar", KernelBackend::kFast, 1,
-                              "scalar"};
-constexpr Variant kFastT2{"fast_t2", KernelBackend::kFast, 2, "auto"};
-constexpr Variant kFastT4{"fast_t4", KernelBackend::kFast, 4, "auto"};
+constexpr Variant kFast{"fast", KernelBackend::kFast, "auto"};
+constexpr Variant kFastScalar{"fast_scalar", KernelBackend::kFast, "scalar"};
 
-/// Pins backend + ISA + threads for one benchmark run and restores
-/// single-threaded fast on the best available ISA afterwards (the
-/// process default).
+/// Pins backend + ISA for one benchmark run and restores fast on the best
+/// available ISA afterwards (the process default).
 struct VariantScope {
   explicit VariantScope(const Variant& v) {
     fuse::nn::set_kernel_backend(v.backend);
     fuse::nn::set_kernel_isa(parse_isa(v.isa));
-    fuse::nn::set_kernel_threads(v.threads);
   }
   ~VariantScope() {
     fuse::nn::set_kernel_backend(KernelBackend::kFast);
     fuse::nn::set_kernel_isa(parse_isa("auto"));
-    fuse::nn::set_kernel_threads(1);
   }
 
   static fuse::nn::KernelIsa parse_isa(const char* name) {
@@ -88,9 +82,7 @@ struct VariantScope {
 };
 
 /// Records the FLOP count of one op. The reporter turns it into GFLOP/s
-/// with the run's real time per op: a google-benchmark rate counter
-/// divides by the main thread's CPU time, which overstates every leg
-/// whose work runs on pool threads while the main thread waits.
+/// with the run's real time per op, the clock ns_per_op reports.
 void set_flops(benchmark::State& state, std::int64_t macs) {
   state.counters["flop_per_op"] =
       benchmark::Counter(static_cast<double>(2 * macs));
@@ -112,8 +104,6 @@ void BM_Gemm(benchmark::State& state, Variant v) {
 BENCHMARK_CAPTURE(BM_Gemm, reference, kReference);
 BENCHMARK_CAPTURE(BM_Gemm, fast, kFast);
 BENCHMARK_CAPTURE(BM_Gemm, fast_scalar, kFastScalar);
-BENCHMARK_CAPTURE(BM_Gemm, fast_t2, kFastT2);
-BENCHMARK_CAPTURE(BM_Gemm, fast_t4, kFastT4);
 
 /// Shared driver for the conv pairs: runs nn::conv2d through the public
 /// dispatcher under the variant's backend.
@@ -149,7 +139,6 @@ void BM_PointwiseConv(benchmark::State& state, Variant v) {
 BENCHMARK_CAPTURE(BM_PointwiseConv, reference, kReference);
 BENCHMARK_CAPTURE(BM_PointwiseConv, fast, kFast);
 BENCHMARK_CAPTURE(BM_PointwiseConv, fast_scalar, kFastScalar);
-BENCHMARK_CAPTURE(BM_PointwiseConv, fast_t2, kFastT2);
 
 // --- MobileNet-V2 depthwise: [1, 144, 56, 56], 3x3 pad 1, groups = C.
 void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
@@ -201,7 +190,6 @@ void BM_Linear(benchmark::State& state, Variant v) {
 BENCHMARK_CAPTURE(BM_Linear, reference, kReference);
 BENCHMARK_CAPTURE(BM_Linear, fast, kFast);
 BENCHMARK_CAPTURE(BM_Linear, fast_scalar, kFastScalar);
-BENCHMARK_CAPTURE(BM_Linear, fast_t2, kFastT2);
 
 // --- FuSeConv stage forward (both 1-D branches + concat/pointwise as
 // applicable) through the dispatcher, MobileNet-scale shrunk 4x.
@@ -304,8 +292,8 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   std::vector<JsonRow> rows_;
 };
 
-/// "BM_Gemm/fast_t2" -> {"gemm", "fast_t2"}; sim benches ("BM_SimMatmul/8")
-/// report backend "sim".
+/// "BM_Gemm/fast_scalar" -> {"gemm", "fast_scalar"}; sim benches
+/// ("BM_SimMatmul/8") report backend "sim".
 std::pair<std::string, std::string> parse_name(const std::string& name) {
   std::string op = name;
   std::string backend = "sim";
@@ -341,24 +329,42 @@ std::string isa_for_backend(const std::string& backend) {
       VariantScope::parse_isa("auto"));
 }
 
+#ifdef __clang__
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
+
 void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "[\n");
+  std::fprintf(
+      f,
+      "{\n  \"bench\": \"bench_kernels\",\n"
+      "  \"provenance\": {\"cores\": %u, \"isa\": \"%s\", "
+      "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+      "\"timing\": \"google-benchmark real time per op; one thread\"},\n"
+      "  \"metric_families\": {\"wall_lower_better\": [\"ns_per_op\"], "
+      "\"wall_higher_better\": [\"gflops\"]},\n"
+      "  \"rows\": [\n",
+      std::thread::hardware_concurrency(),
+      fuse::util::cpu_features().to_string().c_str(), kCompiler,
+      FUSE_BUILD_TYPE);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto [op, backend] = parse_name(rows[i].name);
     const std::string isa = isa_for_backend(backend);
     std::fprintf(f,
-                 "  {\"name\": \"%s\", \"op\": \"%s\", \"backend\": \"%s\", "
-                 "\"isa\": \"%s\", \"ns_per_op\": %.1f, \"gflops\": %.3f}%s\n",
+                 "    {\"name\": \"%s\", \"op\": \"%s\", "
+                 "\"backend\": \"%s\", \"isa\": \"%s\", "
+                 "\"ns_per_op\": %.1f, \"gflops\": %.3f}%s\n",
                  rows[i].name.c_str(), op.c_str(), backend.c_str(),
                  isa.c_str(), rows[i].ns_per_op, rows[i].gflops,
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "]\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
@@ -380,10 +386,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-  // The variant scopes control threading explicitly; start single-threaded
-  // fast so the unpaired benches are deterministic too.
-  fuse::nn::set_kernel_backend(fuse::nn::KernelBackend::kFast);
-  fuse::nn::set_kernel_threads(1);
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

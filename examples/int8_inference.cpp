@@ -4,7 +4,7 @@
 // the deployment datatypes a systolic array actually runs.
 //
 // Usage: int8_inference [--channels=16] [--hw=16] [--variant=half]
-//        [--kernel-backend=fast] [--kernel-isa=auto] [--kernel-threads=N]
+//        [--kernel-backend=fast] [--kernel-isa=auto]
 #include <cstdio>
 
 #include "bench_common.hpp"

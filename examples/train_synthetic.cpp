@@ -5,7 +5,7 @@
 //
 // Usage: train_synthetic [--mode=full] [--epochs=8] [--seed=1]
 //        [--train=256] [--eval=128] [--kernel-backend=fast]
-//        [--kernel-isa=auto] [--kernel-threads=N]
+//        [--kernel-isa=auto]
 #include <cstdio>
 
 #include "bench_common.hpp"

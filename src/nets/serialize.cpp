@@ -60,7 +60,9 @@ NetworkModel from_text(const std::string& text) {
   in >> layer_count;
   FUSE_CHECK(in.good()) << "malformed network header";
 
-  model.layers.reserve(layer_count);
+  // The declared count is unchecked input: records are appended as they
+  // parse, so a text shorter than its count fails at the first missing
+  // record instead of sizing an allocation.
   for (std::size_t i = 0; i < layer_count; ++i) {
     LayerDesc layer;
     std::string kind_name;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "nn/kernels_isa.hpp"
@@ -11,7 +9,6 @@
 #include "util/check.hpp"
 #include "util/cpu_features.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fuse::nn {
 
@@ -22,27 +19,11 @@ using tensor::conv_out_dim;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend + pool state
+// Backend state
 // ---------------------------------------------------------------------------
 
 std::atomic<KernelBackend>& backend_state() {
   static std::atomic<KernelBackend> state{KernelBackend::kFast};
-  return state;
-}
-
-struct PoolState {
-  // Guards lazy pool construction: kernels may be entered from several
-  // threads at once (e.g. serving-engine batch payloads), and the first
-  // callers must not race building the shared pool. Reconfiguration via
-  // set_kernel_threads is still a quiescent-point operation — it rebuilds
-  // the pool out from under any kernel currently running on it.
-  std::mutex mutex;
-  int threads = util::ThreadPool::hardware_threads();
-  std::unique_ptr<util::ThreadPool> pool;
-};
-
-PoolState& pool_state() {
-  static PoolState state;
   return state;
 }
 
@@ -97,22 +78,12 @@ kernels::ConvGeom to_geom(const Conv2dParams& p) {
           p.pad_w,    p.dilation_h, p.dilation_w};
 }
 
-/// Runs `tiles` independent tasks on the kernel pool and records the
-/// per-task work grain (in elementary work units, e.g. output rows or
-/// channels) in the kernels.grain histogram.
-void run_tiles(std::int64_t tiles, std::int64_t units_per_tile,
-               const std::function<void(std::int64_t)>& body) {
-  static util::Histogram& grain = util::metrics().histogram("kernels.grain");
-  grain.observe(static_cast<std::uint64_t>(units_per_tile));
-  kernel_pool().parallel_for(tiles, body, /*grain=*/1);
-}
-
 // ---------------------------------------------------------------------------
 // Packing
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kNr = 8;   // register-tile columns (one packed panel)
-constexpr std::int64_t kMcGemm = 64;   // rows of C per parallel task
+constexpr std::int64_t kMcGemm = 64;   // rows of C per row block
 constexpr std::int64_t kMcConv = 64;   // output positions per im2col panel
 
 /// Packs columns of a row-major B[k, n] (row stride ldb) into
@@ -526,14 +497,15 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
   const std::int64_t in_plane = in_h * in_w;
   const std::int64_t out_plane = out_h * out_w;
 
-  // One task per (image, channel): outputs are disjoint planes.
-  run_tiles(batch * channels, out_plane, [&](std::int64_t task) {
-    const std::int64_t c = task % channels;
-    const float* plane = in_ptr + task * in_plane;
+  // One output plane per (image, channel).
+  std::vector<double> acc;  // fuse_col_channel's row accumulator
+  for (std::int64_t nc = 0; nc < batch * channels; ++nc) {
+    const std::int64_t c = nc % channels;
+    const float* plane = in_ptr + nc * in_plane;
     const float* w = w_ptr + c * kh * kw;
     const double bias_value =
         bias_ptr != nullptr ? static_cast<double>(bias_ptr[c]) : 0.0;
-    float* out = out_ptr + task * out_plane;
+    float* out = out_ptr + nc * out_plane;
     if (isa == KernelIsa::kAvx2) {
       const float bias_f = bias_ptr != nullptr ? bias_ptr[c] : 0.0F;
       switch (kind) {
@@ -553,7 +525,7 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
                                           x_hi);
           break;
       }
-      return;
+      continue;
     }
     switch (kind) {
       case ChannelwiseKind::kDepthwise:
@@ -564,14 +536,12 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
         fuse_row_channel(plane, in_h, in_w, w, kw, p, bias_value, out, out_h,
                          out_w);
         break;
-      case ChannelwiseKind::kFuseCol: {
-        thread_local std::vector<double> acc;
+      case ChannelwiseKind::kFuseCol:
         fuse_col_channel(plane, in_h, in_w, w, kh, p, bias_value, out, out_h,
                          out_w, acc);
         break;
-      }
     }
-  });
+  }
   return output;
 }
 
@@ -608,6 +578,8 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
   const std::int64_t blocks = (positions + kMcConv - 1) / kMcConv;
 
   std::vector<float> b_panels;
+  std::vector<float> panel(
+      static_cast<std::size_t>(std::min(kMcConv, positions) * taps));
   for (std::int64_t g = 0; g < p.groups; ++g) {
     // Weight rows for this group's out channels are contiguous [taps]
     // slices in (ic, ky, kx) order — exactly the panel's k order.
@@ -616,12 +588,10 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
     const float* panels = b_panels.data();
     const float* group_bias =
         bias_ptr != nullptr ? bias_ptr + g * group_out : nullptr;
-    run_tiles(batch * blocks, kMcConv, [&, g](std::int64_t task) {
-      const std::int64_t n = task / blocks;
-      const std::int64_t p0 = (task % blocks) * kMcConv;
+    for (std::int64_t tile = 0; tile < batch * blocks; ++tile) {
+      const std::int64_t n = tile / blocks;
+      const std::int64_t p0 = (tile % blocks) * kMcConv;
       const std::int64_t rows = std::min(kMcConv, positions - p0);
-      thread_local std::vector<float> panel;
-      panel.resize(static_cast<std::size_t>(kMcConv * taps));
       build_im2col_panel(in_ptr + n * in_c * in_h * in_w, in_c, in_h, in_w,
                          g * group_in, group_in, p, out_w, p0, rows, kh, kw,
                          panel.data());
@@ -641,7 +611,7 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
                        group_bias, out_base, /*row_stride=*/1,
                        /*col_stride=*/positions);
       }
-    });
+    }
   }
   return output;
 }
@@ -649,7 +619,7 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Backend + pool accessors
+// Backend accessors
 // ---------------------------------------------------------------------------
 
 KernelBackend kernel_backend() {
@@ -674,32 +644,6 @@ bool parse_kernel_backend(const std::string& name, KernelBackend* out) {
 
 const char* kernel_backend_name(KernelBackend backend) {
   return backend == KernelBackend::kFast ? "fast" : "reference";
-}
-
-int kernel_threads() {
-  PoolState& state = pool_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  return state.threads;
-}
-
-void set_kernel_threads(int threads) {
-  FUSE_CHECK(threads >= 1)
-      << "kernel threads must be >= 1, got " << threads;
-  PoolState& state = pool_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.threads = threads;
-  // N total threads = N-1 workers + the calling thread; the pool is
-  // rebuilt eagerly so stale workers never outlive the request.
-  state.pool = std::make_unique<util::ThreadPool>(threads - 1);
-}
-
-util::ThreadPool& kernel_pool() {
-  PoolState& state = pool_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  if (state.pool == nullptr) {
-    state.pool = std::make_unique<util::ThreadPool>(state.threads - 1);
-  }
-  return *state.pool;
 }
 
 KernelIsa kernel_isa() { return isa_state().load(std::memory_order_relaxed); }
@@ -756,14 +700,14 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
   const float* panels = b_panels.data();
   const std::int64_t panel_count = (n + kNr - 1) / kNr;
   const std::int64_t blocks = (m + kMcGemm - 1) / kMcGemm;
-  run_tiles(blocks, kMcGemm, [&](std::int64_t block) {
+  for (std::int64_t block = 0; block < blocks; ++block) {
     const std::int64_t r0 = block * kMcGemm;
     const std::int64_t rows = std::min(kMcGemm, m - r0);
     if (isa == KernelIsa::kAvx2) {
       kernels::avx2::block_gemm(a + r0 * k, k, rows, panels, k, n,
                                 /*bias=*/nullptr, c + r0 * n,
                                 /*row_stride=*/n, /*col_stride=*/1);
-      return;
+      continue;
     }
     for (std::int64_t pn = 0; pn < panel_count; ++pn) {
       const float* bp = panels + pn * k * kNr;
@@ -779,7 +723,7 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
                      ncols);
       }
     }
-  });
+  }
 }
 
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
@@ -857,10 +801,10 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
   const float* in_ptr = input.data();
   const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
   float* out_ptr = out.data();
-  // Tasks own disjoint column panels of the output (batch is usually
-  // small, out_f large: partition the feature axis).
+  // One column panel of the output at a time (batch is usually small,
+  // out_f large: walk the feature axis).
   const std::int64_t panel_count = (out_f + kNr - 1) / kNr;
-  run_tiles(panel_count, kNr * batch, [&](std::int64_t pn) {
+  for (std::int64_t pn = 0; pn < panel_count; ++pn) {
     const float* bp = panels + pn * in_f * kNr;
     const std::int64_t j0 = pn * kNr;
     const std::int64_t ncols = std::min(kNr, out_f - j0);
@@ -870,7 +814,7 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
           in_ptr, in_f, batch, bp, in_f, ncols,
           bias_ptr != nullptr ? bias_ptr + j0 : nullptr, out_ptr + j0,
           /*row_stride=*/out_f, /*col_stride=*/1);
-      return;
+      continue;
     }
     double bias8[kNr] = {};
     if (bias_ptr != nullptr) {
@@ -887,7 +831,7 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
       micro_f64<1>(in_ptr + r * in_f, in_f, bp, in_f, bias8,
                    out_ptr + r * out_f + j0, out_f, 1, ncols);
     }
-  });
+  }
   return out;
 }
 
@@ -926,20 +870,21 @@ Tensor conv2d_int8_fast(const QuantizedTensor& input,
   const KernelIsa isa = note_isa(p.stride_w == 1 && p.dilation_w == 1);
   const kernels::ConvGeom geom = to_geom(p);
 
-  // One task per (image, output channel); int32 sums are order-exact.
-  run_tiles(batch * out_c, out_h * out_w, [&](std::int64_t task) {
-    const std::int64_t n = task / out_c;
-    const std::int64_t oc = task % out_c;
+  // One output plane per (image, output channel); int32 sums are
+  // order-exact.
+  for (std::int64_t noc = 0; noc < batch * out_c; ++noc) {
+    const std::int64_t n = noc / out_c;
+    const std::int64_t oc = noc % out_c;
     const std::int64_t group = oc / group_out;
     const std::int8_t* w_oc = w_ptr + oc * group_in * kh * kw;
-    float* out_plane = out_ptr + task * out_h * out_w;
+    float* out_plane = out_ptr + noc * out_h * out_w;
     const std::int8_t* image = in_ptr + n * in_c * in_h * in_w;
     if (isa == KernelIsa::kAvx2) {
       kernels::avx2::conv2d_int8_plane(
           image + group * group_in * in_h * in_w, group_in, in_h, in_w,
           w_oc, kh, kw, geom, zp_in, requant_scale, out_plane, out_h,
           out_w, x_lo, x_hi);
-      return;
+      continue;
     }
     for (std::int64_t oy = 0; oy < out_h; ++oy) {
       const std::int64_t iy0 = oy * p.stride_h - p.pad_h;
@@ -981,7 +926,7 @@ Tensor conv2d_int8_fast(const QuantizedTensor& input,
             requant_scale * static_cast<float>(acc);
       }
     }
-  });
+  }
   return output;
 }
 
@@ -1000,7 +945,7 @@ Tensor linear_int8_fast(const QuantizedTensor& input,
   float* out_ptr = output.data();
   constexpr std::int64_t kBlock = 32;
   const std::int64_t blocks = (out_f + kBlock - 1) / kBlock;
-  run_tiles(blocks, kBlock * batch, [&](std::int64_t block) {
+  for (std::int64_t block = 0; block < blocks; ++block) {
     const std::int64_t o0 = block * kBlock;
     const std::int64_t o1 = std::min(o0 + kBlock, out_f);
     for (std::int64_t n = 0; n < batch; ++n) {
@@ -1019,7 +964,7 @@ Tensor linear_int8_fast(const QuantizedTensor& input,
         out_ptr[n * out_f + o] = requant_scale * static_cast<float>(acc);
       }
     }
-  });
+  }
   return output;
 }
 
@@ -1053,10 +998,10 @@ Tensor conv2d_backward_fast(const Tensor& input, const Tensor& weight,
   Tensor grad_input(input.shape());
   float* gi_ptr = grad_input.data();
 
-  // Pass 1 — grad_input, one task per image (disjoint input slices).
-  // Loop order inside an image matches the reference exactly:
-  // oc, oy, ox, ic, ky, kx with go == 0 skipped.
-  run_tiles(batch, out_c * out_h * out_w, [&](std::int64_t n) {
+  // Pass 1 — grad_input, image by image. Loop order inside an image
+  // matches the reference exactly: oc, oy, ox, ic, ky, kx with go == 0
+  // skipped.
+  for (std::int64_t n = 0; n < batch; ++n) {
     float* gi_image = gi_ptr + n * in_c * in_h * in_w;
     for (std::int64_t oc = 0; oc < out_c; ++oc) {
       const std::int64_t group = oc / group_out;
@@ -1092,12 +1037,12 @@ Tensor conv2d_backward_fast(const Tensor& input, const Tensor& weight,
         }
       }
     }
-  });
+  }
 
-  // Pass 2 — weight and bias gradients, one task per output channel
-  // (disjoint weight_grad rows / bias_grad entries). For a fixed oc the
-  // reference visits (n, oy, ox) ascending — preserved here.
-  run_tiles(out_c, batch * out_h * out_w, [&](std::int64_t oc) {
+  // Pass 2 — weight and bias gradients, output channel by output channel.
+  // For a fixed oc the reference visits (n, oy, ox) ascending — preserved
+  // here.
+  for (std::int64_t oc = 0; oc < out_c; ++oc) {
     const std::int64_t group = oc / group_out;
     float* wg_oc = wg_ptr + oc * group_in * kh * kw;
     for (std::int64_t n = 0; n < batch; ++n) {
@@ -1133,7 +1078,7 @@ Tensor conv2d_backward_fast(const Tensor& input, const Tensor& weight,
         }
       }
     }
-  });
+  }
   return grad_input;
 }
 
@@ -1153,8 +1098,8 @@ Tensor linear_backward_fast(const Tensor& input, const Tensor& weight,
   Tensor grad_input(input.shape());
   float* gi_ptr = grad_input.data();
 
-  // Pass 1 — grad_input rows (one task per example, o ascending inside).
-  run_tiles(batch, out_f, [&](std::int64_t n) {
+  // Pass 1 — grad_input rows (example by example, o ascending inside).
+  for (std::int64_t n = 0; n < batch; ++n) {
     float* gi_row = gi_ptr + n * in_f;
     const float* go_row = go_ptr + n * out_f;
     for (std::int64_t o = 0; o < out_f; ++o) {
@@ -1167,30 +1112,24 @@ Tensor linear_backward_fast(const Tensor& input, const Tensor& weight,
         gi_row[i] += go * w_row[i];
       }
     }
-  });
+  }
 
-  // Pass 2 — weight/bias gradients (one task block per output feature
-  // range, n ascending inside — the reference order for a fixed o).
-  constexpr std::int64_t kBlock = 16;
-  const std::int64_t blocks = (out_f + kBlock - 1) / kBlock;
-  run_tiles(blocks, kBlock * batch, [&](std::int64_t block) {
-    const std::int64_t o0 = block * kBlock;
-    const std::int64_t o1 = std::min(o0 + kBlock, out_f);
-    for (std::int64_t o = o0; o < o1; ++o) {
-      float* wg_row = wg_ptr + o * in_f;
-      for (std::int64_t n = 0; n < batch; ++n) {
-        const float go = go_ptr[n * out_f + o];
-        if (go == 0.0F) {
-          continue;
-        }
-        bg_ptr[o] += go;
-        const float* in_row = in_ptr + n * in_f;
-        for (std::int64_t i = 0; i < in_f; ++i) {
-          wg_row[i] += go * in_row[i];
-        }
+  // Pass 2 — weight/bias gradients (output feature by output feature, n
+  // ascending inside — the reference order for a fixed o).
+  for (std::int64_t o = 0; o < out_f; ++o) {
+    float* wg_row = wg_ptr + o * in_f;
+    for (std::int64_t n = 0; n < batch; ++n) {
+      const float go = go_ptr[n * out_f + o];
+      if (go == 0.0F) {
+        continue;
+      }
+      bg_ptr[o] += go;
+      const float* in_row = in_ptr + n * in_f;
+      for (std::int64_t i = 0; i < in_f; ++i) {
+        wg_row[i] += go * in_row[i];
       }
     }
-  });
+  }
   return grad_input;
 }
 

@@ -1,8 +1,7 @@
 // Fast host kernel backend: cache-blocked GEMM micro-kernels, an
 // im2col-on-the-fly convolution that never materializes the full patch
-// matrix, and shape-specialized depthwise / FuSe 1-D kernels, all
-// parallelized over independent output tiles on a process-wide
-// util::ThreadPool.
+// matrix, and shape-specialized depthwise / FuSe 1-D kernels. Every
+// kernel runs serially on the calling thread, tile by tile.
 //
 // The backend practices on the host what the paper practices on the
 // array: factor every operator onto a small set of efficient inner
@@ -11,9 +10,11 @@
 // of running the naive 6-deep loops of the reference operators.
 //
 // Determinism contract (docs/kernels.md):
-//   * Every output element is owned by exactly one parallel task and its
-//     k-accumulation runs in a fixed order, so results are BIT-EXACT
-//     across thread counts (and across runs) at a fixed ISA.
+//   * Every output element's k-accumulation runs in a fixed order, so
+//     results are BIT-EXACT across runs at a fixed ISA.
+//   * The kernels are reentrant: scratch buffers live for one call, so
+//     several threads (the serving engine's payload workers) may run
+//     kernels at once.
 //   * Under the SCALAR ISA each fast kernel reproduces the reference
 //     operator's accumulation type and order exactly — double
 //     accumulators seeded with the bias for conv2d/linear, in-order
@@ -34,8 +35,6 @@
 // the train::Module backward passes all dispatch on kernel_backend().
 // Default is kFast; set_kernel_backend (or the --kernel-backend flag of
 // the binaries that run kernels) pins the reference oracle.
-// set_kernel_threads / --kernel-threads size the kernel pool (N threads =
-// N-1 workers plus the calling thread).
 //
 // ISA selection: inside the fast backend, kernel_isa() picks between the
 // portable scalar kernels and the AVX2/FMA micro-kernels
@@ -47,7 +46,7 @@
 // always run the scalar kernels — see the dispatch table in
 // docs/kernels.md.
 //
-// The three settings are process-wide; only code sets them (directly, or
+// The two settings are process-wide; only code sets them (directly, or
 // from the flags of the binaries that run kernels).
 #pragma once
 
@@ -57,23 +56,19 @@
 #include "nn/ops.hpp"
 #include "tensor/quantize.hpp"
 
-namespace fuse::util {
-class ThreadPool;
-}
-
 namespace fuse::nn {
 
 /// Which implementation the functional operators dispatch to.
 enum class KernelBackend {
   kReference,  // the clarity-first loops (numeric ground truth)
-  kFast,       // this module's blocked/parallel kernels
+  kFast,       // this module's blocked kernels
 };
 
 /// Current backend (default fast).
 KernelBackend kernel_backend();
 
 /// Overrides the backend for the whole process. Not safe to call while
-/// kernels are executing on the pool.
+/// kernels are executing.
 void set_kernel_backend(KernelBackend backend);
 
 /// Parses "fast" / "reference" (also "ref"). Returns false on anything
@@ -81,19 +76,6 @@ void set_kernel_backend(KernelBackend backend);
 bool parse_kernel_backend(const std::string& name, KernelBackend* out);
 
 const char* kernel_backend_name(KernelBackend backend);
-
-/// Total threads participating in kernel parallel_fors (workers + the
-/// calling thread, so 1 means fully serial). Default: hardware
-/// concurrency.
-int kernel_threads();
-
-/// Resizes the kernel pool to `threads` total threads (>= 1). Not safe to
-/// call while kernels are executing on the pool. Outputs are bit-exact
-/// for every value.
-void set_kernel_threads(int threads);
-
-/// The process-wide pool the fast kernels partition tiles over.
-util::ThreadPool& kernel_pool();
 
 /// Which instruction set the fast backend's inner kernels use.
 enum class KernelIsa {
@@ -106,7 +88,7 @@ KernelIsa kernel_isa();
 
 /// Overrides the ISA for the whole process. FUSE_CHECK-fails if `isa` is
 /// not available on this machine (see kernel_isa_available). Not safe to
-/// call while kernels are executing on the pool.
+/// call while kernels are executing.
 void set_kernel_isa(KernelIsa isa);
 
 /// True when `isa` can execute here: kScalar always; kAvx2 when the
@@ -125,7 +107,7 @@ namespace kernels {
 /// C[m, n] = A[m, k] * B[k, n], row-major, all operands dense. C is
 /// overwritten. Float accumulation in ascending-k order per output (the
 /// reference matmul's order), blocked into packed B column panels and
-/// register tiles, parallel over row blocks.
+/// register tiles, walked row block by row block.
 void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
@@ -133,9 +115,8 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
 /// output starts from a 0.0 double accumulator, adds the exact double
 /// products (double)a * (double)b in ascending k, and is rounded to float
 /// once: the arithmetic of an output-stationary PE, which the PE-grid
-/// simulator's fast engine runs through here. Serial and portable scalar
-/// code (no pool, no ISA dispatch), so the bits depend on the operands
-/// only.
+/// simulator's fast engine runs through here. Portable scalar code (no
+/// ISA dispatch), so the bits depend on the operands only.
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
@@ -157,9 +138,9 @@ Tensor linear_int8_fast(const tensor::QuantizedTensor& input,
 /// Fast training backward passes (train::Module dispatches here).
 /// Both ACCUMULATE into *weight_grad / *bias_grad (matching the
 /// reference `+=` semantics) and return grad_input. Bit-exact with the
-/// reference loops: grad_input is partitioned over batch images and the
-/// weight/bias gradients over output features, each with the reference
-/// visiting order inside the partition.
+/// reference loops: grad_input is computed image by image and the
+/// weight/bias gradients output feature by output feature, each in the
+/// reference visiting order.
 Tensor conv2d_backward_fast(const Tensor& input, const Tensor& weight,
                             const Tensor& grad_output,
                             const Conv2dParams& params, Tensor* weight_grad,

@@ -9,7 +9,7 @@
 // stride_w == 1 && dilation_w == 1; the dispatcher falls back to the
 // scalar kernels otherwise) and handle edge columns with the same
 // float-accumulation scalar code, so one channel = one deterministic
-// accumulation order regardless of thread count.
+// accumulation order.
 //
 // Everything except the interface functions has internal linkage, and no
 // repo headers are included: nothing compiled under the avx2 target

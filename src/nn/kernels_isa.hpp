@@ -14,8 +14,8 @@
 // reference oracles (util/ulp.hpp derives the bound) rather than
 // bit-exact; the int8 kernels accumulate in int32, which is exact in any
 // order, so they stay bit-identical to the scalar path. Per-element
-// accumulation order is a function of shape only — never of thread count
-// — so results remain bit-exact across thread counts at a fixed ISA.
+// accumulation order is a function of shape only, so results are
+// bit-exact across runs at a fixed ISA.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // in the repo: the systolic-array simulator's outputs, the FuSeConv
 // operator, and the training substrate are all validated against them.
 // The public conv2d/matmul/linear entry points dispatch between those
-// loops and the blocked/parallel fast backend in nn/kernels.hpp; the two
+// loops and the blocked fast backend in nn/kernels.hpp; the two
 // backends are bit-identical, so callers never need to care which ran.
 #pragma once
 

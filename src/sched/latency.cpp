@@ -60,22 +60,6 @@ LatencyEstimate plan_latency(const systolic::MappingPlan& plan) {
   return est;
 }
 
-LatencyEstimate layer_latency_batched(const LayerDesc& layer,
-                                      const ArrayConfig& cfg,
-                                      std::int64_t batch) {
-  return systolic::lower_batched(layer, cfg, batch).total_latency();
-}
-
-std::uint64_t network_latency_batched(const NetworkModel& model,
-                                      const ArrayConfig& cfg,
-                                      std::int64_t batch) {
-  std::uint64_t total = 0;
-  for (const LayerDesc& layer : model.layers) {
-    total += layer_latency_batched(layer, cfg, batch).cycles;
-  }
-  return total;
-}
-
 std::uint64_t layer_bound_batched(const LayerDesc& layer,
                                   const ArrayConfig& cfg,
                                   const systolic::MemoryConfig& mem,

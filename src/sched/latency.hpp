@@ -45,20 +45,6 @@ LatencyEstimate layer_latency(const LayerDesc& layer,
 /// telemetry deltas per evaluated layer are identical on both paths.
 LatencyEstimate plan_latency(const systolic::MappingPlan& plan);
 
-/// Batched inference: `batch` images processed together. For the conv
-/// family the batch stacks along the output-position (M) dimension; for FC
-/// layers it fills otherwise-idle array rows (M = batch), which is why
-/// datacenter accelerators batch — and why batch-1 edge inference is where
-/// the depthwise pathology (and FuSeConv's fix) matters most.
-LatencyEstimate layer_latency_batched(const LayerDesc& layer,
-                                      const ArrayConfig& cfg,
-                                      std::int64_t batch);
-
-/// Whole-network batched latency (cycles for the whole batch).
-std::uint64_t network_latency_batched(const NetworkModel& model,
-                                      const ArrayConfig& cfg,
-                                      std::int64_t batch);
-
 /// Roofline-bounded batched layer cost: max(compute, memory) cycles for
 /// the whole batch. Batching amortizes weight traffic (weights stream in
 /// once per batch, not once per image) and fill/drain overhead, which is

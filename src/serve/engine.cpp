@@ -390,17 +390,14 @@ void ServeEngine::run_payload(BatchTask* task) {
   const nn::LayerDesc& first = entry.model.layers.front();
 
   if (config_.mode == ExecMode::kSimulate) {
-    // One PE-grid simulation per member. parallel_for here exercises the
-    // nested-parallelism path on purpose: this payload already runs on a
-    // worker_pool_ thread, so the loop executes inline (thread_pool.hpp).
-    worker_pool_.parallel_for(batch, [&](std::int64_t i) {
-      const std::size_t member = static_cast<std::size_t>(i);
+    // One PE-grid simulation per member.
+    for (std::size_t member = 0; member < task->ids.size(); ++member) {
       const Tensor input =
           request_input(entry, config_.seed, task->ids[member]);
       const sched::NetworkExecution exec = sched::execute_network_on_array(
           entry.model, weights, input, entry.plan, pool_->array());
       task->checksums[member] = tensor_checksum(exec.output);
-    });
+    }
     return;
   }
 

@@ -90,16 +90,11 @@ ModelPool::ModelPool(const systolic::ArrayConfig& cfg,
   cfg_.validate();
 }
 
-ModelPool::Shard& ModelPool::shard_of(const ShapeKey& key) {
-  return shards_[ShapeKeyHash{}(key) % kShards];
-}
-
 const ModelEntry& ModelPool::entry(const ShapeKey& key) {
-  Shard& shard = shard_of(key);
   {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    std::shared_lock<std::shared_mutex> lock(entries_mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
       return *it->second;
     }
   }
@@ -107,8 +102,8 @@ const ModelEntry& ModelPool::entry(const ShapeKey& key) {
   // exclusive lock; a racing double-build inserts the same pure value and
   // the first insert wins.
   std::unique_ptr<ModelEntry> built = build_entry(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  const auto [it, inserted] = shard.map.emplace(key, std::move(built));
+  std::unique_lock<std::shared_mutex> lock(entries_mutex_);
+  const auto [it, inserted] = entries_.emplace(key, std::move(built));
   if (inserted) {
     pool_builds().add();
   }
@@ -198,12 +193,8 @@ int ModelPool::register_custom(nets::NetworkModel model) {
 }
 
 std::size_t ModelPool::entries() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    total += shard.map.size();
-  }
-  return total;
+  std::shared_lock<std::shared_mutex> lock(entries_mutex_);
+  return entries_.size();
 }
 
 Tensor request_input(const ModelEntry& entry, std::uint64_t seed,

@@ -5,13 +5,11 @@
 // the variant, lowering every layer, SRAM planning, the batched roofline
 // service times, the seeded weights for tensor/simulate execution — is
 // computed once per key here and shared by every request and every
-// engine. The table is sharded: per-shard shared_mutex, readers share,
-// builds exclusive; entries are stable once
-// inserted (unique_ptr values), so returned references stay valid for the
-// pool's lifetime.
+// engine. One shared_mutex guards the table: readers share, inserts are
+// exclusive; entries are stable once inserted (unique_ptr values), so
+// returned references stay valid for the pool's lifetime.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -84,22 +82,16 @@ class ModelPool {
   std::size_t entries() const;
 
  private:
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<ShapeKey, std::unique_ptr<ModelEntry>, ShapeKeyHash>
-        map;
-  };
-
   std::unique_ptr<ModelEntry> build_entry(const ShapeKey& key);
-  Shard& shard_of(const ShapeKey& key);
 
   systolic::ArrayConfig cfg_;
   systolic::MemoryConfig mem_;
   sched::SchedMode sched_mode_;
   std::uint64_t weight_seed_;
 
-  std::array<Shard, kShards> shards_;
+  mutable std::shared_mutex entries_mutex_;
+  std::unordered_map<ShapeKey, std::unique_ptr<ModelEntry>, ShapeKeyHash>
+      entries_;  // guarded by entries_mutex_
 
   mutable std::mutex custom_mutex_;
   std::vector<nets::NetworkModel> customs_;

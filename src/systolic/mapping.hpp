@@ -98,9 +98,11 @@ struct MappingPlan {
 MappingPlan lower(const nn::LayerDesc& layer, const ArrayConfig& cfg);
 
 /// Batched lowering: the batch stacks along the output-position dimension
-/// for the conv family and fills array rows (m = batch) for FC layers.
-/// Standard convolutions always lower to im2col here — the channel-wise
-/// mapping offers no batched variant in this model.
+/// for the conv family and fills otherwise-idle array rows (m = batch) for
+/// FC layers — which is why datacenter accelerators batch, and why batch-1
+/// edge inference is where the depthwise pathology (and FuSeConv's fix)
+/// matters most. Standard convolutions always lower to im2col here — the
+/// channel-wise mapping offers no batched variant in this model.
 MappingPlan lower_batched(const nn::LayerDesc& layer, const ArrayConfig& cfg,
                           std::int64_t batch);
 

@@ -348,9 +348,9 @@ void ProfileCollector::write_json_file(const std::string& path) const {
 #endif  // FUSE_TELEMETRY
 
 MetricsRegistry& metrics() {
-  // Intentionally leaked: the kernel thread pool (a function-local static
-  // in nn/kernels.cpp) bumps pool metrics while draining during its
-  // destructor, so the registry must outlive every other static.
+  // Intentionally leaked: a thread pool draining its queue in a static
+  // destructor still bumps pool metrics, so the registry must outlive
+  // every other static.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }

@@ -12,8 +12,9 @@
 // cache the returned reference in a function-local static so the hot path
 // is a single relaxed atomic increment:
 //
-//   static util::Counter& steals = util::metrics().counter("pool.steals");
-//   steals.add();
+//   static util::Counter& submitted =
+//       util::metrics().counter("pool.tasks_submitted");
+//   submitted.add();
 //
 // ScopedSpan emits a Chrome trace_event complete span into the globally
 // attached TraceSink (trace_sink.hpp); with no sink attached constructing

@@ -1,7 +1,9 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 #include "util/check.hpp"
 #include "util/telemetry.hpp"
@@ -10,15 +12,10 @@ namespace fuse::util {
 
 namespace {
 
-// Pool metrics (docs/observability.md): total tasks through submit(),
-// tasks a worker claimed from another worker's queue, and the level /
-// high-water mark of queued-but-unclaimed tasks.
+// Pool metrics (docs/observability.md): total tasks through submit() and
+// the level / high-water mark of queued-but-unclaimed tasks.
 Counter& tasks_submitted() {
   static Counter& counter = metrics().counter("pool.tasks_submitted");
-  return counter;
-}
-Counter& tasks_stolen() {
-  static Counter& counter = metrics().counter("pool.tasks_stolen");
   return counter;
 }
 Gauge& queue_depth() {
@@ -26,24 +23,7 @@ Gauge& queue_depth() {
   return gauge;
 }
 
-// The pool whose work the calling thread is currently executing (nullptr
-// on threads not running pool work). One pointer, not a stack: WorkerScope
-// saves and restores the previous value, so nesting across distinct pools
-// unwinds correctly.
-thread_local const ThreadPool* tls_active_pool = nullptr;
-
 }  // namespace
-
-ThreadPool::WorkerScope::WorkerScope(const ThreadPool* pool)
-    : prev_(tls_active_pool) {
-  tls_active_pool = pool;
-}
-
-ThreadPool::WorkerScope::~WorkerScope() { tls_active_pool = prev_; }
-
-bool ThreadPool::on_worker_thread() const {
-  return tls_active_pool == this;
-}
 
 int ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -52,23 +32,18 @@ int ThreadPool::hardware_threads() {
 
 ThreadPool::ThreadPool(int threads) {
   FUSE_CHECK(threads >= 0) << "thread count must be >= 0, got " << threads;
-  queues_.reserve(static_cast<std::size_t>(threads));
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkQueue>());
-  }
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    stop_.store(true);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  sleep_cv_.notify_all();
+  wake_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
@@ -82,63 +57,27 @@ void ThreadPool::submit(Task task) {
     return;
   }
   queue_depth().add(1);
-  const std::size_t q = next_queue_.fetch_add(1) % queues_.size();
   {
-    std::lock_guard<std::mutex> lock(queues_[q]->mutex);
-    queues_[q]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
   }
-  {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    pending_.fetch_add(1);
-  }
-  sleep_cv_.notify_one();
+  wake_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t worker, Task& out) {
-  WorkQueue& queue = *queues_[worker];
-  std::lock_guard<std::mutex> lock(queue.mutex);
-  if (queue.tasks.empty()) {
-    return false;
-  }
-  out = std::move(queue.tasks.back());
-  queue.tasks.pop_back();
-  pending_.fetch_sub(1);
-  queue_depth().add(-1);
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief, Task& out) {
-  for (std::size_t i = 1; i < queues_.size(); ++i) {
-    WorkQueue& queue = *queues_[(thief + i) % queues_.size()];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    if (!queue.tasks.empty()) {
-      out = std::move(queue.tasks.front());
-      queue.tasks.pop_front();
-      pending_.fetch_sub(1);
-      queue_depth().add(-1);
-      tasks_stolen().add();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
-  Task task;
+void ThreadPool::worker_loop() {
   while (true) {
-    if (try_pop(id, task) || try_steal(id, task)) {
-      WorkerScope scope(this);
-      task();
-      task = nullptr;
-      continue;
+    Task task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        return;  // stopping, and every queued task ran
+      }
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleep_cv_.wait(lock, [this] {
-      return stop_.load() || pending_.load() > 0;
-    });
-    if (stop_.load() && pending_.load() <= 0) {
-      return;  // drained: every queued task ran before shutdown
-    }
+    queue_depth().add(-1);
+    task();
   }
 }
 
@@ -157,29 +96,9 @@ void ThreadPool::parallel_for(std::int64_t n,
     span.annotate("n", static_cast<std::uint64_t>(n));
     span.annotate("grain", static_cast<std::uint64_t>(grain));
   }
-  if (workers_.empty() || n <= grain || on_worker_thread()) {
-    // Same semantics as the pooled path: the first exception is captured,
-    // the remaining iterations still run, then it is rethrown. Nested
-    // same-pool loops (on_worker_thread()) take this path too: the outer
-    // loop's chunks are the parallelism unit, and re-submitting inner
-    // chunks from a worker would leave them unclaimed while every worker
-    // sits inside an outer chunk of its own.
-    std::exception_ptr error;
-    for (std::int64_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!error) {
-          error = std::current_exception();
-        }
-      }
-    }
-    if (error) {
-      std::rethrow_exception(error);
-    }
-    return;
-  }
 
+  // Helper tasks may start after the loop returned (their chunks all
+  // claimed by others), so the state they share is reference-counted.
   struct LoopState {
     std::atomic<std::int64_t> next{0};  // first unclaimed index
     std::atomic<std::int64_t> done{0};  // completed iterations
@@ -193,28 +112,23 @@ void ThreadPool::parallel_for(std::int64_t n,
   auto state = std::make_shared<LoopState>();
   state->n = n;
   state->grain = grain;
-  state->body = &body;  // outlives the loop: the caller blocks below
+  state->body = &body;  // outlives every claimed chunk: the caller waits
 
-  auto run_chunks = [this, state] {
-    // Mark the thread as running this pool's work for the chunk bodies:
-    // workers are already marked by worker_loop (re-marking is harmless),
-    // and this extends the guard to the participating caller so its
-    // nested same-pool loops also run inline.
-    WorkerScope scope(this);
+  auto run_chunks = [state] {
     while (true) {
       const std::int64_t begin = state->next.fetch_add(state->grain);
       if (begin >= state->n) {
         return;
       }
       const std::int64_t end = std::min(begin + state->grain, state->n);
-      try {
-        for (std::int64_t i = begin; i < end; ++i) {
+      for (std::int64_t i = begin; i < end; ++i) {
+        try {
           (*state->body)(i);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        if (!state->error) {
-          state->error = std::current_exception();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->mutex);
+          if (!state->error) {
+            state->error = std::current_exception();
+          }
         }
       }
       if (state->done.fetch_add(end - begin) + (end - begin) == state->n) {
@@ -230,7 +144,7 @@ void ThreadPool::parallel_for(std::int64_t n,
   for (std::int64_t i = 0; i < helpers; ++i) {
     submit(run_chunks);
   }
-  run_chunks();  // the caller participates (also makes nesting safe)
+  run_chunks();  // the caller participates, so the loop always finishes
 
   std::unique_lock<std::mutex> lock(state->mutex);
   state->cv.wait(lock, [&state] { return state->done.load() == state->n; });

@@ -2,12 +2,11 @@
 //
 // The contract is ISA-dependent (docs/kernels.md):
 //   * scalar ISA — BIT-EXACT with the reference operators across a grid
-//     of geometries (memcmp over the output buffers), bit-exact across
-//     thread counts, identical training trajectory.
+//     of geometries (memcmp over the output buffers), identical training
+//     trajectory.
 //   * avx2 ISA — float outputs ULP-BOUNDED against the reference (the
 //     derived tolerance in util/ulp.hpp), int8 outputs and backward
-//     passes still bit-exact, and bit-exact across thread counts at the
-//     fixed ISA.
+//     passes still bit-exact.
 // The forced-ISA grid below runs every operator under each ISA the
 // machine supports; on hardware without AVX2 the avx2 leg is skipped
 // with a logged note (never a failure), so the suite passes everywhere.
@@ -48,16 +47,13 @@ Tensor random_tensor(Shape shape, std::uint64_t seed, float lo = -1.0F,
   return t;
 }
 
-/// Restores backend + ISA + thread-count state on scope exit so tests
-/// compose.
+/// Restores backend + ISA state on scope exit so tests compose.
 struct BackendGuard {
   KernelBackend saved_backend = kernel_backend();
   KernelIsa saved_isa = kernel_isa();
-  int saved_threads = kernel_threads();
   ~BackendGuard() {
     set_kernel_backend(saved_backend);
     set_kernel_isa(saved_isa);
-    set_kernel_threads(saved_threads);
   }
 };
 
@@ -457,119 +453,8 @@ TEST(KernelsForcedIsa, BackwardIsaIndependent) {
   }
 }
 
-/// grad_input followed by every parameter gradient of one forward and
-/// backward pass through `layer` (fresh, so the gradients start at zero).
-std::vector<Tensor> backward_grads(train::Module& layer, const Tensor& input,
-                                   std::uint64_t seed) {
-  const Tensor out = layer.forward(input);
-  std::vector<Tensor> grads = {
-      layer.backward(random_tensor(out.shape(), seed))};
-  std::vector<train::Parameter*> params;
-  layer.collect_params(params);
-  for (train::Parameter* p : params) {
-    grads.push_back(p->grad);
-  }
-  return grads;
-}
-
-TEST(KernelsForcedIsa, ThreadDeterminismPerIsa) {
-  // At a FIXED ISA, results are bit-exact across thread counts — the
-  // task decomposition never changes an element's accumulation order.
-  // Covers the float forward ops, the int8 operators, and the Conv2d /
-  // Linear backward passes.
-  BackendGuard guard;
-  const Tensor input = random_tensor(Shape{2, 16, 23, 19}, 151);
-  const Tensor weight = random_tensor(Shape{24, 16, 3, 3}, 152);
-  const Tensor bias = random_tensor(Shape{24}, 153);
-  const Conv2dParams params{1, 1, 1, 1, 1, 1, 1};
-  const Tensor a = random_tensor(Shape{150, 70}, 154);
-  const Tensor b = random_tensor(Shape{70, 90}, 155);
-  const Tensor lin_in = random_tensor(Shape{5, 200}, 156);
-  const Tensor lin_w = random_tensor(Shape{130, 200}, 157);
-  const Tensor dw_w = random_tensor(Shape{16, 1, 3, 3}, 158);
-  const Conv2dParams dw_params{1, 1, 1, 1, 1, 1, 16};
-  const Tensor row_w = random_tensor(Shape{16, 1, 1, 5}, 159);
-  const Conv2dParams row_params{1, 1, 0, 2, 1, 1, 16};
-  const Tensor col_w = random_tensor(Shape{16, 1, 5, 1}, 160);
-  const Conv2dParams col_params{1, 1, 2, 0, 1, 1, 16};
-  const QuantizedTensor q_input = tensor::quantize_calibrated(input);
-  const QuantizedTensor q_weight =
-      tensor::quantize_calibrated(weight, /*symmetric=*/true);
-  const QuantizedTensor q_lin_in = tensor::quantize_calibrated(lin_in);
-  const QuantizedTensor q_lin_w =
-      tensor::quantize_calibrated(lin_w, /*symmetric=*/true);
-  const auto conv_grads = [&] {
-    util::Rng rng(161);
-    train::Conv2d layer("k", 16, 24, 3, 3, params, rng);
-    return backward_grads(layer, input, 162);
-  };
-  const auto linear_grads = [&] {
-    util::Rng rng(163);
-    train::Linear layer("fc", 200, 130, rng);
-    return backward_grads(layer, lin_in, 164);
-  };
-  const auto expect_grads_equal = [](const std::vector<Tensor>& want,
-                                     const std::vector<Tensor>& got,
-                                     const std::string& label) {
-    ASSERT_EQ(want.size(), got.size()) << label;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE(bit_equal(want[i], got[i]))
-          << label << (i == 0 ? " grad_input" : " parameter grad ") << i;
-    }
-  };
-
-  for (KernelIsa isa : available_isas()) {
-    set_kernel_isa(isa);
-    set_kernel_threads(1);
-    const Tensor conv1 = kernels::conv2d_fast(input, weight, &bias, params);
-    const Tensor mm1 = kernels::matmul_fast(a, b);
-    const Tensor lin1 = kernels::linear_fast(lin_in, lin_w, nullptr);
-    const Tensor dw1 = kernels::conv2d_fast(input, dw_w, nullptr, dw_params);
-    const Tensor row1 =
-        kernels::conv2d_fast(input, row_w, nullptr, row_params);
-    const Tensor col1 =
-        kernels::conv2d_fast(input, col_w, nullptr, col_params);
-    const Tensor conv_i8_1 =
-        kernels::conv2d_int8_fast(q_input, q_weight, params);
-    const Tensor lin_i8_1 = kernels::linear_int8_fast(q_lin_in, q_lin_w);
-    const std::vector<Tensor> conv_bw1 = conv_grads();
-    const std::vector<Tensor> lin_bw1 = linear_grads();
-    for (int threads : {2, 4}) {
-      set_kernel_threads(threads);
-      const std::string label = std::string(kernel_isa_name(isa)) + ", " +
-                                std::to_string(threads) + " threads";
-      EXPECT_TRUE(bit_equal(
-          conv1, kernels::conv2d_fast(input, weight, &bias, params)))
-          << label << " (conv)";
-      EXPECT_TRUE(bit_equal(mm1, kernels::matmul_fast(a, b)))
-          << label << " (matmul)";
-      EXPECT_TRUE(
-          bit_equal(lin1, kernels::linear_fast(lin_in, lin_w, nullptr)))
-          << label << " (linear)";
-      EXPECT_TRUE(bit_equal(
-          dw1, kernels::conv2d_fast(input, dw_w, nullptr, dw_params)))
-          << label << " (depthwise)";
-      EXPECT_TRUE(bit_equal(
-          row1, kernels::conv2d_fast(input, row_w, nullptr, row_params)))
-          << label << " (fuse_row)";
-      EXPECT_TRUE(bit_equal(
-          col1, kernels::conv2d_fast(input, col_w, nullptr, col_params)))
-          << label << " (fuse_col)";
-      EXPECT_TRUE(bit_equal(
-          conv_i8_1, kernels::conv2d_int8_fast(q_input, q_weight, params)))
-          << label << " (conv int8)";
-      EXPECT_TRUE(bit_equal(lin_i8_1,
-                            kernels::linear_int8_fast(q_lin_in, q_lin_w)))
-          << label << " (linear int8)";
-      expect_grads_equal(conv_bw1, conv_grads(), label + " (Conv2d backward)");
-      expect_grads_equal(lin_bw1, linear_grads(),
-                         label + " (Linear backward)");
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Original int8 / backward / determinism / training-parity suites
+// Original backward / training-parity suites
 // (pinned to the scalar ISA, where the bit-exact contract holds)
 // ---------------------------------------------------------------------------
 
@@ -612,40 +497,6 @@ TEST(KernelsDifferential, BackwardBitExact) {
       EXPECT_TRUE(bit_equal(ref_params[i]->grad, fast_params[i]->grad))
           << c.name << " " << ref_params[i]->name;
     }
-  }
-}
-
-TEST(KernelsDeterminism, BitExactAcrossThreadCounts) {
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
-  const Tensor input = random_tensor(Shape{2, 16, 23, 19}, 61);
-  const Tensor weight = random_tensor(Shape{24, 16, 3, 3}, 62);
-  const Tensor bias = random_tensor(Shape{24}, 63);
-  const Conv2dParams params{2, 2, 1, 1, 1, 1, 1};
-  const Tensor a = random_tensor(Shape{150, 70}, 64);
-  const Tensor b = random_tensor(Shape{70, 90}, 65);
-  const Tensor lin_in = random_tensor(Shape{5, 200}, 66);
-  const Tensor lin_w = random_tensor(Shape{130, 200}, 67);
-  const Tensor dw_w = random_tensor(Shape{16, 1, 3, 3}, 68);
-  const Conv2dParams dw_params{1, 1, 1, 1, 1, 1, 16};
-
-  set_kernel_threads(1);
-  const Tensor conv1 = kernels::conv2d_fast(input, weight, &bias, params);
-  const Tensor mm1 = kernels::matmul_fast(a, b);
-  const Tensor lin1 = kernels::linear_fast(lin_in, lin_w, nullptr);
-  const Tensor dw1 = kernels::conv2d_fast(input, dw_w, nullptr, dw_params);
-  for (int threads : {2, 3, 5}) {
-    set_kernel_threads(threads);
-    EXPECT_TRUE(bit_equal(
-        conv1, kernels::conv2d_fast(input, weight, &bias, params)))
-        << threads << " threads (conv)";
-    EXPECT_TRUE(bit_equal(mm1, kernels::matmul_fast(a, b)))
-        << threads << " threads (matmul)";
-    EXPECT_TRUE(bit_equal(lin1, kernels::linear_fast(lin_in, lin_w, nullptr)))
-        << threads << " threads (linear)";
-    EXPECT_TRUE(bit_equal(
-        dw1, kernels::conv2d_fast(input, dw_w, nullptr, dw_params)))
-        << threads << " threads (depthwise)";
   }
 }
 

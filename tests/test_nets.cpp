@@ -424,6 +424,11 @@ TEST(Serialize, MalformedInputThrows) {
   EXPECT_THROW(from_text("not-a-network"), util::Error);
   EXPECT_THROW(from_text("fusenet v2 name x slots 0 layers 0\n"),
                util::Error);
+  // Layer counts that cannot be allocated, with no records behind them.
+  EXPECT_THROW(from_text("fusenet v1 name x slots 0 layers 4000000000\n"),
+               util::Error);
+  EXPECT_THROW(from_text("fusenet v1 name x slots 0 layers -1\n"),
+               util::Error);
   // Truncated layer record.
   const NetworkModel m = build_network(NetworkId::kMobileNetV3Small);
   std::string text = to_text(m);

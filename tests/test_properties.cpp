@@ -275,9 +275,10 @@ TEST(Property, BatchedLatencyNeverBeatsPerfectScaling) {
     const std::int64_t hw = 7 + static_cast<std::int64_t>(rng.uniform_index(20));
     const nn::LayerDesc layer =
         nn::make_pointwise("pw", c, hw, hw, c + 5);
-    const std::uint64_t one = sched::layer_latency_batched(layer, cfg, 1).cycles;
+    const std::uint64_t one =
+        systolic::lower_batched(layer, cfg, 1).total_latency().cycles;
     const std::uint64_t four =
-        sched::layer_latency_batched(layer, cfg, 4).cycles;
+        systolic::lower_batched(layer, cfg, 4).total_latency().cycles;
     EXPECT_GE(four, one) << "trial " << trial;
     EXPECT_LE(four, 4 * one) << "trial " << trial;
   }

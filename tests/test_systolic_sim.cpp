@@ -259,7 +259,7 @@ TEST(DataflowComparison, BroadcastBeatsSingleColumnOnSameWork) {
 // contract documented in docs/simulator.md). Everything here compares with
 // memcmp, not allclose: the fast engine must reproduce the per-cycle
 // sweep's results to the last bit, for every dataflow, the broadcast path,
-// strided plans, ragged fold shapes, and any thread count.
+// strided plans, and ragged fold shapes.
 #include <cstring>
 #include <tuple>
 

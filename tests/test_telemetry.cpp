@@ -383,8 +383,8 @@ TEST(Telemetry, SchedCountersMatchMappingPlanGolden) {
 }
 
 // The fast kernels must leave an exact telemetry trail: the ISA dispatch
-// counters pin to the FORCED ISA (never the other one), every dispatch
-// observes the work grain, and packing accounts its bytes exactly. A
+// counters pin to the FORCED ISA (never the other one), and packing
+// accounts its bytes exactly. A
 // 4x4 matmul packs one kNr=8 panel of k=4 floats: 4 * 8 * 4 = 128 bytes.
 TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   if (!util::telemetry_enabled()) GTEST_SKIP() << "FUSE_TELEMETRY off";
@@ -402,7 +402,6 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   util::Counter& avx2_count = reg.counter("kernels.dispatch.avx2");
   util::Counter& scalar_count = reg.counter("kernels.dispatch.scalar");
   util::Counter& pack_bytes = reg.counter("kernels.pack_bytes");
-  util::Histogram& grain = reg.histogram("kernels.grain");
   constexpr std::uint64_t kPanelBytes = 4 * 8 * sizeof(float);  // 128
 
   const auto run_leg = [&](nn::KernelIsa isa) {
@@ -410,7 +409,6 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
     const std::uint64_t avx2_0 = avx2_count.value();
     const std::uint64_t scalar_0 = scalar_count.value();
     const std::uint64_t pack_0 = pack_bytes.value();
-    const std::uint64_t grain_0 = grain.count();
     (void)nn::matmul(a, b);
     const bool is_avx2 = isa == nn::KernelIsa::kAvx2;
     EXPECT_EQ(avx2_count.value() - avx2_0, is_avx2 ? 1u : 0u)
@@ -419,7 +417,6 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
         << nn::kernel_isa_name(isa);
     EXPECT_EQ(pack_bytes.value() - pack_0, kPanelBytes)
         << nn::kernel_isa_name(isa);
-    EXPECT_EQ(grain.count() - grain_0, 1u) << nn::kernel_isa_name(isa);
   };
 
   run_leg(nn::KernelIsa::kScalar);

@@ -1,13 +1,15 @@
 // util::ThreadPool contract: clean start/join, every task runs exactly
-// once, exceptions cross back to the caller, the zero-thread pool degrades
-// to inline serial execution, and nested parallel loops make progress.
-// These are the invariants the fast kernels', the fast simulator's and the
-// serving engine's thread-count determinism stand on; tools/check.sh
+// once and in submission order, exceptions cross back to the caller, the
+// zero-thread pool degrades to inline serial execution, and nested
+// parallel loops make progress. These are the invariants the serving
+// engine's worker-count determinism stands on; tools/check.sh
 // additionally runs this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,42 @@ TEST(ThreadPool, SubmitRunsEveryTaskExactlyOnce) {
   }
   for (int i = 0; i < kTasks; ++i) {
     EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
+  }
+}
+
+TEST(ThreadPool, SubmitRunsTasksInSubmissionOrder) {
+  // Hold the only worker inside a first task until every other task is
+  // queued, so the run order is the queue's order alone.
+  constexpr int kTasks = 32;
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  std::vector<int> order;  // written only by the single worker
+  {
+    ThreadPool pool(1);
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      started = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&] { return started; });
+    }
+    for (int i = 0; i < kTasks; ++i) {
+      pool.submit([&order, i] { order.push_back(i); });
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      release = true;
+    }
+    cv.notify_all();
+  }  // the destructor drains the queue and joins the worker
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
 }
 
@@ -174,90 +212,6 @@ TEST(ThreadPool, NestedParallelForMakesProgress) {
     pool.parallel_for(8, [&](std::int64_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 48);
-}
-
-TEST(ThreadPool, NestedSamePoolLoopRunsInlineOnTheNestingThread) {
-  // A parallel_for issued from inside one of this pool's chunks must not
-  // re-submit helper chunks: it runs on the nesting thread, in ascending
-  // order. This is what makes the serving engine's batch payloads free to
-  // call parallel_for without deadlock risk (every worker could otherwise
-  // be parked inside an outer chunk waiting on helpers no one claims).
-  ThreadPool pool(4);
-  std::atomic<int> out_of_thread{0};
-  std::atomic<int> out_of_order{0};
-  std::atomic<int> total{0};
-  pool.parallel_for(8, [&](std::int64_t) {
-    const std::thread::id outer = std::this_thread::get_id();
-    std::int64_t last = -1;
-    pool.parallel_for(16, [&](std::int64_t j) {
-      if (std::this_thread::get_id() != outer) {
-        out_of_thread.fetch_add(1);
-      }
-      if (j != last + 1) {
-        out_of_order.fetch_add(1);
-      }
-      last = j;
-      total.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(total.load(), 8 * 16);
-  EXPECT_EQ(out_of_thread.load(), 0);
-  EXPECT_EQ(out_of_order.load(), 0);
-}
-
-TEST(ThreadPool, OnWorkerThreadTracksPoolIdentity) {
-  ThreadPool pool(2);
-  ThreadPool other(2);
-  EXPECT_FALSE(pool.on_worker_thread());  // plain caller: no pool work
-  std::atomic<int> inside_pool{0};
-  std::atomic<int> inside_other{0};
-  pool.parallel_for(16, [&](std::int64_t) {
-    if (pool.on_worker_thread()) {
-      inside_pool.fetch_add(1);
-    }
-    if (other.on_worker_thread()) {
-      inside_other.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(inside_pool.load(), 16);   // every chunk body is marked
-  EXPECT_EQ(inside_other.load(), 0);   // ... but only for its own pool
-  EXPECT_FALSE(pool.on_worker_thread());  // scope unwinds with the loop
-}
-
-TEST(ThreadPool, NestedLoopOnADifferentPoolStillFansOut) {
-  // The inline-nesting guard is per pool identity: a loop on POOL B from
-  // inside POOL A's chunk distributes normally (this is the sweep pool /
-  // serve pool layering). Assert B's workers actually participate.
-  ThreadPool outer(2);
-  ThreadPool inner(3);
-  std::atomic<int> on_inner_worker{0};
-  std::atomic<int> total{0};
-  outer.parallel_for(2, [&](std::int64_t) {
-    inner.parallel_for(64, [&](std::int64_t) {
-      if (inner.on_worker_thread()) {
-        on_inner_worker.fetch_add(1);
-      }
-      total.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(total.load(), 2 * 64);
-  EXPECT_EQ(on_inner_worker.load(), 2 * 64);
-}
-
-TEST(ThreadPool, SubmittedTaskIsMarkedAsPoolWork) {
-  // submit() tasks run under the same worker marking as parallel_for
-  // chunks, so a nested loop from a submitted task is inline too.
-  ThreadPool pool(2);
-  std::atomic<bool> marked{false};
-  std::atomic<bool> done{false};
-  pool.submit([&] {
-    marked.store(pool.on_worker_thread());
-    done.store(true);
-  });
-  while (!done.load()) {
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(marked.load());
 }
 
 TEST(ThreadPool, StressManySmallTasks) {

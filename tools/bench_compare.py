@@ -35,9 +35,8 @@ tolerance-compare instead of gating exactly.
 
 Accepted inputs, in either position:
 
-  * a raw bench JSON artifact (``results/BENCH_*.json``) — either the
-    object form with a ``rows`` list (bench_sim, bench_fusion) or the
-    bare row-array form (bench_kernels);
+  * a raw bench JSON artifact (``results/BENCH_*.json``): an object
+    with a ``rows`` list, numeric header fields and summary objects;
   * a history file written by ``tools/record_bench.sh``
     (``results/history/*.jsonl``) — one schema-versioned entry per line;
     the latest entry is used unless ``--at=N`` selects another.
@@ -136,28 +135,22 @@ def normalize(path, doc):
             fail(f"{path}: duplicate row key '{key}'")
         rows[key] = metrics
 
-    if isinstance(doc, list):
-        for i, row in enumerate(doc):
-            if not isinstance(row, dict):
-                fail(f"{path}: row {i} is not an object")
-            add(row_key(row, i), row_metrics(row))
-    elif isinstance(doc, dict):
-        header = {k: v for k, v in doc.items() if is_number(v)}
-        add("<header>", header)
-        for i, row in enumerate(doc.get("rows", [])):
-            if not isinstance(row, dict):
-                fail(f"{path}: rows[{i}] is not an object")
-            add(row_key(row, i), row_metrics(row))
-        for key, value in doc.items():
-            # metric_families is classification metadata, not a data row
-            # (its object form carries numeric tolerances); provenance
-            # describes the producing machine (core count, repetitions).
-            if key in ("rows", "metric_families", "provenance"):
-                continue
-            if isinstance(value, dict):
-                add(f"<{key}>", row_metrics(value))
-    else:
-        fail(f"{path}: expected a JSON object or array at top level")
+    if not isinstance(doc, dict):
+        fail(f"{path}: expected a JSON object at top level")
+    header = {k: v for k, v in doc.items() if is_number(v)}
+    add("<header>", header)
+    for i, row in enumerate(doc.get("rows", [])):
+        if not isinstance(row, dict):
+            fail(f"{path}: rows[{i}] is not an object")
+        add(row_key(row, i), row_metrics(row))
+    for key, value in doc.items():
+        # metric_families is classification metadata, not a data row
+        # (its object form carries numeric tolerances); provenance
+        # describes the producing machine (core count, repetitions).
+        if key in ("rows", "metric_families", "provenance"):
+            continue
+        if isinstance(value, dict):
+            add(f"<{key}>", row_metrics(value))
     if not rows:
         fail(f"{path}: no numeric metrics found")
     return rows
@@ -166,8 +159,6 @@ def normalize(path, doc):
 def extract_families(path, doc):
     """Parses a document's "metric_families" declaration into an ordered
     [(kind, direction, tolerance, patterns)] list ([] when absent)."""
-    if not isinstance(doc, dict):
-        return []
     spec = doc.get("metric_families")
     if spec is None:
         return []

@@ -2,13 +2,11 @@
 # Full verification gate:
 #   1. src/ reads no environment variable (no getenv), then the default
 #      build + complete test suite,
-#   2. ThreadSanitizer build running the concurrency suites
-#      (test_thread_pool, test_properties, test_telemetry, test_kernels,
-#      test_systolic_sim, test_netplan, test_serve — test_kernels covers
-#      the fast kernels' parallel execution; the serial simulator and
-#      network executor suites check against nn oracles that run on the
-#      kernel pool; test_serve replays the serving engine's
-#      worker-determinism trace at 1/2/4 payload threads),
+#   2. ThreadSanitizer build running the suites that start threads
+#      (test_thread_pool, test_telemetry, test_serve — test_serve replays
+#      the serving engine's worker-determinism trace at 1/2/4 payload
+#      threads, whose tensor mode runs the serial fast kernels from
+#      several workers at once: the kernels' only concurrency),
 #   3. AddressSanitizer build running the mapping/executor suites
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
 #      test_serve),
@@ -89,8 +87,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo
 echo "=== [2/11] ThreadSanitizer build + concurrency suites ==="
-CONCURRENCY_TESTS=(test_thread_pool test_properties test_telemetry
-                   test_kernels test_systolic_sim test_netplan test_serve)
+CONCURRENCY_TESTS=(test_thread_pool test_telemetry test_serve)
 cmake -B "$TSAN_DIR" -S . -DFUSE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target "${CONCURRENCY_TESTS[@]}"

@@ -40,7 +40,8 @@ for bench in "$REPO_ROOT/$BUILD_DIR"/bench/bench_*; do
   # bench_kernels (google-benchmark) and bench_ria_analysis take no --csv.
   if [ "$name" = bench_kernels ]; then
     # Machine-readable perf rows (op, backend, isa, ns/op, GFLOP/s) ride
-    # along. The suite's fast_scalar legs pin --kernel-isa=scalar, so
+    # along with provenance and metric_families. The suite's fast_scalar
+    # legs pin --kernel-isa=scalar, so
     # the artifact records the scalar-vs-SIMD split of every operator on
     # the producing machine next to the reference-vs-fast split.
     "$bench" --json="$RESULTS_DIR/BENCH_kernels.json" | tee "$name.txt"
