@@ -1,10 +1,10 @@
 // Micro-kernel wall-clock benchmarks (google-benchmark): reference-vs-
 // fast pairs for every operator the kernel backend accelerates (GEMM,
-// dense conv, pointwise, depthwise, FuSe row/col, linear) at
-// MobileNet-V2 geometries, the FuSeConv stage forward under both
-// backends, and the cycle-level simulator primitives. These support Fig.
-// 8(c)'s operator-level view with host-side numbers and keep the
-// simulator's own cost visible.
+// dense conv, pointwise expansion and projection, depthwise, FuSe
+// row/col, linear at batch 8 and 1) at MobileNet-V2 geometries, the
+// FuSeConv stage forward under both backends, and the cycle-level
+// simulator primitives. These support Fig. 8(c)'s operator-level view
+// with host-side numbers and keep the simulator's own cost visible.
 //
 // Besides the usual google-benchmark flags, `--json=<path>` writes the
 // perf-trajectory artifact results/BENCH_kernels.json
@@ -140,6 +140,18 @@ BENCHMARK_CAPTURE(BM_PointwiseConv, reference, kReference);
 BENCHMARK_CAPTURE(BM_PointwiseConv, fast, kFast);
 BENCHMARK_CAPTURE(BM_PointwiseConv, fast_scalar, kFastScalar);
 
+// --- MobileNet-V2 projection pointwise: [1, 144, 56, 56] -> 24, 1x1 (few
+// output channels, many positions).
+void BM_PointwiseProjection(benchmark::State& state, Variant v) {
+  const Tensor input = random_tensor(Shape{1, 144, 56, 56}, 22);
+  const Tensor weight = random_tensor(Shape{24, 144, 1, 1}, 23);
+  run_conv(state, v, input, weight, Conv2dParams{},
+           /*macs=*/static_cast<std::int64_t>(24) * 144 * 56 * 56);
+}
+BENCHMARK_CAPTURE(BM_PointwiseProjection, reference, kReference);
+BENCHMARK_CAPTURE(BM_PointwiseProjection, fast, kFast);
+BENCHMARK_CAPTURE(BM_PointwiseProjection, fast_scalar, kFastScalar);
+
 // --- MobileNet-V2 depthwise: [1, 144, 56, 56], 3x3 pad 1, groups = C.
 void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
   const Tensor input = random_tensor(Shape{1, 144, 56, 56}, 7);
@@ -176,20 +188,31 @@ BENCHMARK_CAPTURE(BM_FuseCol, reference, kReference);
 BENCHMARK_CAPTURE(BM_FuseCol, fast, kFast);
 BENCHMARK_CAPTURE(BM_FuseCol, fast_scalar, kFastScalar);
 
-// --- Classifier: [8, 1280] x [1000, 1280] linear.
-void BM_Linear(benchmark::State& state, Variant v) {
+// --- Classifier: [batch, 1280] x [1000, 1280] linear, at a serving batch
+// of 8 and at batch 1 (one image, as in layer-by-layer inference).
+void run_linear(benchmark::State& state, const Variant& v,
+                std::int64_t batch) {
   VariantScope scope(v);
-  const Tensor input = random_tensor(Shape{8, 1280}, 13);
+  const Tensor input = random_tensor(Shape{batch, 1280}, 13);
   const Tensor weight = random_tensor(Shape{1000, 1280}, 14);
   const Tensor bias = random_tensor(Shape{1000}, 15);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fuse::nn::linear(input, weight, &bias));
   }
-  set_flops(state, static_cast<std::int64_t>(8) * 1280 * 1000);
+  set_flops(state, batch * 1280 * 1000);
 }
+
+void BM_Linear(benchmark::State& state, Variant v) { run_linear(state, v, 8); }
 BENCHMARK_CAPTURE(BM_Linear, reference, kReference);
 BENCHMARK_CAPTURE(BM_Linear, fast, kFast);
 BENCHMARK_CAPTURE(BM_Linear, fast_scalar, kFastScalar);
+
+void BM_LinearBatch1(benchmark::State& state, Variant v) {
+  run_linear(state, v, 1);
+}
+BENCHMARK_CAPTURE(BM_LinearBatch1, reference, kReference);
+BENCHMARK_CAPTURE(BM_LinearBatch1, fast, kFast);
+BENCHMARK_CAPTURE(BM_LinearBatch1, fast_scalar, kFastScalar);
 
 // --- FuSeConv stage forward (both 1-D branches + concat/pointwise as
 // applicable) through the dispatcher, MobileNet-scale shrunk 4x.

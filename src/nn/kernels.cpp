@@ -85,6 +85,9 @@ kernels::ConvGeom to_geom(const Conv2dParams& p) {
 constexpr std::int64_t kNr = 8;   // register-tile columns (one packed panel)
 constexpr std::int64_t kMcGemm = 64;   // rows of C per row block
 constexpr std::int64_t kMcConv = 64;   // output positions per im2col panel
+// Bytes of packed input per pointwise position block (at least two
+// panels of positions).
+constexpr std::int64_t kPointwiseBlockBytes = 64 * 1024;
 
 /// Packs columns of a row-major B[k, n] (row stride ldb) into
 /// ceil(n / kNr) column panels of width kNr, each laid out k-major
@@ -109,8 +112,8 @@ void pack_b_panels(const float* b, std::int64_t kk, std::int64_t n,
 
 /// Packs ROWS of a row-major W[n, k] (row stride ldw) as the columns of
 /// the panel layout above — i.e. packs B = W^T without materializing the
-/// transpose. Used by linear (weight is [F_out, F_in], the GEMM wants
-/// [F_in, F_out]).
+/// transpose. Used by the im2col conv (weight rows are [taps] slices, the
+/// GEMM wants [taps, C_out]).
 void pack_bt_panels(const float* w, std::int64_t n, std::int64_t kk,
                     std::int64_t ldw, std::vector<float>& out) {
   const std::int64_t panels = (n + kNr - 1) / kNr;
@@ -136,7 +139,8 @@ void pack_bt_panels(const float* w, std::int64_t n, std::int64_t kk,
 // output element sees exactly the reference accumulation sequence. The
 // float variant reproduces nn::matmul (float accumulator from 0); the
 // f64 variant reproduces nn::conv2d / nn::linear (double accumulator
-// seeded with the bias, products formed exactly in double).
+// seeded with the bias, products formed exactly in double — so which
+// operand is A and which is B cannot change a bit).
 // ---------------------------------------------------------------------------
 
 template <int MR>
@@ -160,17 +164,20 @@ void micro_f32(const float* a, std::int64_t lda, const float* bp,
   }
 }
 
-/// Double-accumulator tile: out(r, j) = bias[j] + sum_k a(r, k) * b(k, j),
-/// written through arbitrary row/column strides (conv scatters to NCHW).
+/// Double-accumulator tile: out(r, j) = seed + sum_k a(r, k) * b(k, j),
+/// seeded per row from row_bias[r] or, when row_bias is null, per column
+/// from col_seed[j]; written through arbitrary row/column strides (the
+/// im2col conv scatters to NCHW).
 template <int MR>
 void micro_f64(const float* a, std::int64_t lda, const float* bp,
-               std::int64_t kk, const double* bias8, float* out,
-               std::int64_t row_stride, std::int64_t col_stride,
+               std::int64_t kk, const float* row_bias, const double* col_seed,
+               float* out, std::int64_t row_stride, std::int64_t col_stride,
                std::int64_t ncols) {
   double acc[MR][kNr];
   for (int r = 0; r < MR; ++r) {
     for (std::int64_t j = 0; j < kNr; ++j) {
-      acc[r][j] = bias8[j];
+      acc[r][j] = row_bias != nullptr ? static_cast<double>(row_bias[r])
+                                      : col_seed[j];
     }
   }
   for (std::int64_t k = 0; k < kk; ++k) {
@@ -193,35 +200,86 @@ void micro_f64(const float* a, std::int64_t lda, const float* bp,
   }
 }
 
-/// All kNr-wide panels of one A block against packed B, f64 accumulation.
-/// a: [rows x kk] row-major (lda = kk for packed panels), bias: per output
-/// column (may be null), out indexed as out + r*row_stride + j*col_stride.
+/// All kNr-wide panels of one A block against packed B, f64 accumulation:
+/// the scalar twin of avx2::block_gemm. a: [rows x kk] row-major, bias:
+/// per output column or per output row (axis; may be null), out indexed
+/// as out + r*row_stride + j*col_stride.
 void block_gemm_f64(const float* a, std::int64_t lda, std::int64_t rows,
                     const float* b_panels, std::int64_t kk, std::int64_t n,
-                    const float* bias, float* out, std::int64_t row_stride,
-                    std::int64_t col_stride) {
+                    const float* bias, kernels::BiasAxis axis, float* out,
+                    std::int64_t row_stride, std::int64_t col_stride) {
+  const bool per_row = bias != nullptr && axis == kernels::BiasAxis::kRows;
   const std::int64_t panels = (n + kNr - 1) / kNr;
   for (std::int64_t p = 0; p < panels; ++p) {
     const float* bp = b_panels + p * kk * kNr;
     const std::int64_t j0 = p * kNr;
     const std::int64_t ncols = std::min(kNr, n - j0);
-    double bias8[kNr] = {};
-    if (bias != nullptr) {
+    double col_seed[kNr] = {};
+    if (bias != nullptr && !per_row) {
       for (std::int64_t j = 0; j < ncols; ++j) {
-        bias8[j] = static_cast<double>(bias[j0 + j]);
+        col_seed[j] = static_cast<double>(bias[j0 + j]);
       }
     }
+    float* out_panel = out + j0 * col_stride;
     std::int64_t r = 0;
     for (; r + 2 <= rows; r += 2) {
-      micro_f64<2>(a + r * lda, lda, bp, kk, bias8,
-                   out + r * row_stride + j0 * col_stride, row_stride,
+      micro_f64<2>(a + r * lda, lda, bp, kk, per_row ? bias + r : nullptr,
+                   col_seed, out_panel + r * row_stride, row_stride,
                    col_stride, ncols);
     }
     for (; r < rows; ++r) {
-      micro_f64<1>(a + r * lda, lda, bp, kk, bias8,
-                   out + r * row_stride + j0 * col_stride, row_stride,
+      micro_f64<1>(a + r * lda, lda, bp, kk, per_row ? bias + r : nullptr,
+                   col_seed, out_panel + r * row_stride, row_stride,
                    col_stride, ncols);
     }
+  }
+}
+
+/// MR input rows against eight weight rows: one double accumulator per
+/// output seeded from its bias lane, one exact double product added per
+/// k in ascending order.
+template <int MR>
+void linear_tile_f64(const float* in, std::int64_t in_f,
+                     const float* const* w_rows, const float* seed,
+                     float* out, std::int64_t ldo, std::int64_t ncols) {
+  double acc[MR][kNr];
+  for (int r = 0; r < MR; ++r) {
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      acc[r][j] = static_cast<double>(seed[j]);
+    }
+  }
+  for (std::int64_t k = 0; k < in_f; ++k) {
+    double wd[kNr];
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      wd[j] = static_cast<double>(w_rows[j][k]);
+    }
+    for (int r = 0; r < MR; ++r) {
+      const double xv = static_cast<double>(in[r * in_f + k]);
+      for (std::int64_t j = 0; j < kNr; ++j) {
+        acc[r][j] += xv * wd[j];
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    for (std::int64_t j = 0; j < ncols; ++j) {
+      out[r * ldo + j] = static_cast<float>(acc[r][j]);
+    }
+  }
+}
+
+/// Scalar twin of avx2::linear_panel: input rows two at a time against
+/// one panel of eight weight rows.
+void linear_panel_f64(const float* in, std::int64_t batch, std::int64_t in_f,
+                      const float* const* w_rows, const float* seed,
+                      float* out, std::int64_t ldo, std::int64_t ncols) {
+  std::int64_t n = 0;
+  for (; n + 2 <= batch; n += 2) {
+    linear_tile_f64<2>(in + n * in_f, in_f, w_rows, seed, out + n * ldo, ldo,
+                       ncols);
+  }
+  if (n < batch) {
+    linear_tile_f64<1>(in + n * in_f, in_f, w_rows, seed, out + n * ldo, ldo,
+                       ncols);
   }
 }
 
@@ -601,16 +659,64 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
       // (n, g*group_out + j, p0 + r): column stride = positions.
       float* out_base =
           out_ptr + (n * out_c + g * group_out) * positions + p0;
-      if (isa == KernelIsa::kAvx2) {
-        kernels::avx2::block_gemm(panel.data(), taps, rows, panels, taps,
-                                  group_out, group_bias, out_base,
-                                  /*row_stride=*/1,
-                                  /*col_stride=*/positions);
-      } else {
-        block_gemm_f64(panel.data(), taps, rows, panels, taps, group_out,
-                       group_bias, out_base, /*row_stride=*/1,
-                       /*col_stride=*/positions);
-      }
+      const auto gemm = isa == KernelIsa::kAvx2 ? kernels::avx2::block_gemm
+                                                : block_gemm_f64;
+      gemm(panel.data(), taps, rows, panels, taps, group_out, group_bias,
+           kernels::BiasAxis::kCols, out_base, /*row_stride=*/1,
+           /*col_stride=*/positions);
+    }
+  }
+  return output;
+}
+
+// ---------------------------------------------------------------------------
+// Pointwise conv in the W x X orientation
+// ---------------------------------------------------------------------------
+
+/// True for the convolutions conv2d_pointwise_fast computes: 1x1,
+/// stride 1, no padding, one group (dilation is moot for one tap).
+bool is_pointwise(const Tensor& weight, const Conv2dParams& p) {
+  return weight.shape().dim(2) == 1 && weight.shape().dim(3) == 1 &&
+         p.stride_h == 1 && p.stride_w == 1 && p.pad_h == 0 && p.pad_w == 0 &&
+         p.groups == 1;
+}
+
+/// out[n, oc, p] = bias[oc] + W[oc, :] . X[n, :, p]: weight rows stream
+/// unpacked as the GEMM's A, each image's [in_c x positions] planes are
+/// packed as B panels one position block at a time, and every output
+/// row lands as a contiguous run of its NCHW plane. Each output still
+/// sums bias, then input channels in ascending order — the im2col
+/// route's sequence with the two FMA operands swapped.
+Tensor conv2d_pointwise_fast(const Tensor& input, const Tensor& weight,
+                             const Tensor* bias) {
+  FUSE_KERNEL_COUNTER("kernels.fast.pointwise");
+  const KernelIsa isa = note_isa();
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t in_c = input.shape().dim(1);
+  const std::int64_t in_h = input.shape().dim(2);
+  const std::int64_t in_w = input.shape().dim(3);
+  const std::int64_t out_c = weight.shape().dim(0);
+  const std::int64_t positions = in_h * in_w;
+  const std::int64_t block_step = 2 * kNr;
+  const std::int64_t block = std::max<std::int64_t>(
+      block_step, kPointwiseBlockBytes /
+                      (in_c * static_cast<std::int64_t>(sizeof(float))) /
+                      block_step * block_step);
+
+  Tensor output(Shape{batch, out_c, in_h, in_w});
+  const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
+  const auto gemm =
+      isa == KernelIsa::kAvx2 ? kernels::avx2::block_gemm : block_gemm_f64;
+  std::vector<float> b_panels;
+  for (std::int64_t n = 0; n < batch; ++n) {
+    const float* image = input.data() + n * in_c * positions;
+    float* out_image = output.data() + n * out_c * positions;
+    for (std::int64_t p0 = 0; p0 < positions; p0 += block) {
+      const std::int64_t cols = std::min(block, positions - p0);
+      pack_b_panels(image + p0, in_c, cols, positions, b_panels);
+      gemm(weight.data(), in_c, out_c, b_panels.data(), in_c, cols, bias_ptr,
+           kernels::BiasAxis::kRows, out_image + p0,
+           /*row_stride=*/positions, /*col_stride=*/1);
     }
   }
   return output;
@@ -705,8 +811,9 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
     const std::int64_t rows = std::min(kMcGemm, m - r0);
     if (isa == KernelIsa::kAvx2) {
       kernels::avx2::block_gemm(a + r0 * k, k, rows, panels, k, n,
-                                /*bias=*/nullptr, c + r0 * n,
-                                /*row_stride=*/n, /*col_stride=*/1);
+                                /*bias=*/nullptr, BiasAxis::kCols,
+                                c + r0 * n, /*row_stride=*/n,
+                                /*col_stride=*/1);
       continue;
     }
     for (std::int64_t pn = 0; pn < panel_count; ++pn) {
@@ -759,8 +866,8 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
   }
   std::vector<float> b_panels;
   pack_b_panels(b, k, n, n, b_panels);
-  block_gemm_f64(a, k, m, b_panels.data(), k, n, /*bias=*/nullptr, c,
-                 /*row_stride=*/n, /*col_stride=*/1);
+  block_gemm_f64(a, k, m, b_panels.data(), k, n, /*bias=*/nullptr,
+                 BiasAxis::kCols, c, /*row_stride=*/n, /*col_stride=*/1);
 }
 
 Tensor matmul_fast(const Tensor& a, const Tensor& b) {
@@ -784,6 +891,9 @@ Tensor conv2d_fast(const Tensor& input, const Tensor& weight,
       out_c == in_c) {
     return conv2d_channelwise_fast(input, weight, bias, params);
   }
+  if (is_pointwise(weight, params)) {
+    return conv2d_pointwise_fast(input, weight, bias);
+  }
   return conv2d_gemm_fast(input, weight, bias, params);
 }
 
@@ -795,42 +905,24 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
   const std::int64_t in_f = input.shape().dim(1);
   const std::int64_t out_f = weight.shape().dim(0);
   Tensor out(Shape{batch, out_f});
-  std::vector<float> b_panels;
-  pack_bt_panels(weight.data(), out_f, in_f, in_f, b_panels);
-  const float* panels = b_panels.data();
-  const float* in_ptr = input.data();
+  const float* w_ptr = weight.data();
   const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
-  float* out_ptr = out.data();
-  // One column panel of the output at a time (batch is usually small,
-  // out_f large: walk the feature axis).
-  const std::int64_t panel_count = (out_f + kNr - 1) / kNr;
-  for (std::int64_t pn = 0; pn < panel_count; ++pn) {
-    const float* bp = panels + pn * in_f * kNr;
-    const std::int64_t j0 = pn * kNr;
+  const auto panel = isa == KernelIsa::kAvx2 ? kernels::avx2::linear_panel
+                                             : linear_panel_f64;
+  // Eight weight rows per output panel, read in place: a tail panel
+  // repeats its last row in the missing lanes and drops their results.
+  for (std::int64_t j0 = 0; j0 < out_f; j0 += kNr) {
     const std::int64_t ncols = std::min(kNr, out_f - j0);
-    if (isa == KernelIsa::kAvx2) {
-      // One panel's worth of the GEMM: bias indexed from the panel base.
-      kernels::avx2::block_gemm(
-          in_ptr, in_f, batch, bp, in_f, ncols,
-          bias_ptr != nullptr ? bias_ptr + j0 : nullptr, out_ptr + j0,
-          /*row_stride=*/out_f, /*col_stride=*/1);
-      continue;
-    }
-    double bias8[kNr] = {};
-    if (bias_ptr != nullptr) {
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        bias8[j] = static_cast<double>(bias_ptr[j0 + j]);
+    const float* w_rows[kNr];
+    float seed[kNr] = {};
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      w_rows[j] = w_ptr + std::min(j0 + j, out_f - 1) * in_f;
+      if (bias_ptr != nullptr && j < ncols) {
+        seed[j] = bias_ptr[j0 + j];
       }
     }
-    std::int64_t r = 0;
-    for (; r + 2 <= batch; r += 2) {
-      micro_f64<2>(in_ptr + r * in_f, in_f, bp, in_f, bias8,
-                   out_ptr + r * out_f + j0, out_f, 1, ncols);
-    }
-    for (; r < batch; ++r) {
-      micro_f64<1>(in_ptr + r * in_f, in_f, bp, in_f, bias8,
-                   out_ptr + r * out_f + j0, out_f, 1, ncols);
-    }
+    panel(input.data(), batch, in_f, w_rows, seed, out.data() + j0, out_f,
+          ncols);
   }
   return out;
 }

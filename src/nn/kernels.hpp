@@ -1,13 +1,19 @@
-// Fast host kernel backend: cache-blocked GEMM micro-kernels, an
+// Fast host kernel backend: cache-blocked GEMM micro-kernels, a
+// pointwise convolution computed as W x X straight out of NCHW, an
 // im2col-on-the-fly convolution that never materializes the full patch
-// matrix, and shape-specialized depthwise / FuSe 1-D kernels. Every
-// kernel runs serially on the calling thread, tile by tile.
+// matrix for every other dense/grouped geometry, a linear layer that
+// reads its weight rows in place, and shape-specialized depthwise /
+// FuSe 1-D kernels. Every kernel runs serially on the calling thread,
+// tile by tile.
 //
 // The backend practices on the host what the paper practices on the
 // array: factor every operator onto a small set of efficient inner
-// kernels (GEMM panels for dense/pointwise/grouped convolutions and
-// linear layers, line kernels for the FuSe 1xK / Kx1 branches) instead
-// of running the naive 6-deep loops of the reference operators.
+// kernels (GEMM panels for dense/pointwise/grouped convolutions,
+// panels of eight weight rows for linear layers, line kernels for the
+// FuSe 1xK / Kx1 branches) instead of running the naive 6-deep loops of
+// the reference operators. Only the loop order differs between routes:
+// every float output runs bias first, then its terms in ascending
+// order, one FMA (AVX2) or one exact double product (scalar) each.
 //
 // Determinism contract (docs/kernels.md):
 //   * Every output element's k-accumulation runs in a fixed order, so

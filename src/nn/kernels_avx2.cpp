@@ -1,15 +1,17 @@
 // AVX2/FMA micro-kernels behind the fast backend's ISA dispatch
 // (kernels_isa.hpp documents the interface and numerics contract).
 //
-// Register blocking: the GEMM tile is 8x8 — eight YMM accumulators, one
-// broadcast per A element, one panel load per k step — giving eight
-// independent FMA chains, enough to cover the 4-5 cycle FMA latency at
-// two issues per cycle. The channelwise kernels vectorize the
-// interior-column range eight outputs at a time (contiguous loads need
-// stride_w == 1 && dilation_w == 1; the dispatcher falls back to the
-// scalar kernels otherwise) and handle edge columns with the same
-// float-accumulation scalar code, so one channel = one deterministic
-// accumulation order.
+// Register blocking: the GEMM tile is 6x16 — twelve YMM accumulators over
+// two adjacent packed panels, one broadcast per A element and two panel
+// loads per k step — giving twelve independent FMA chains, enough to
+// cover the 4-5 cycle FMA latency at two issues per cycle. Linear walks
+// eight weight rows per output panel and transposes each 8x8 block in
+// registers, so every lane keeps its output's own FMA sequence. The
+// channelwise kernels vectorize the interior-column range eight outputs
+// at a time (contiguous loads need stride_w == 1 && dilation_w == 1; the
+// dispatcher falls back to the scalar kernels otherwise) and handle edge
+// columns with the same float-accumulation scalar code, so one channel =
+// one deterministic accumulation order.
 //
 // Everything except the interface functions has internal linkage, and no
 // repo headers are included: nothing compiled under the avx2 target
@@ -39,41 +41,169 @@ inline std::int64_t min64(std::int64_t a, std::int64_t b) {
 constexpr std::int64_t kNr = 8;  // packed-panel width, fixed by kernels.cpp
 
 // ---------------------------------------------------------------------------
-// GEMM 8x8 micro-tile
+// GEMM micro-tile
 // ---------------------------------------------------------------------------
 
-/// MR x 8 tile: acc[r] = seed; acc[r] += a(r, k) * panel(k, :) for all k,
-/// one FMA per (r, k). Stores through arbitrary out strides; the
-/// contiguous full-width case stores YMM directly.
+/// One column strip of a GEMM block: A rows, the strip's first packed
+/// panel, the bias seed, and where the strip's outputs go.
+struct Strip {
+  const float* a;
+  std::int64_t lda;
+  const float* bp;
+  std::int64_t kk;
+  const float* seed;  // per_row: one value per A row; else 16 lanes
+  bool per_row;
+  float* out;
+  std::int64_t row_stride;
+  std::int64_t col_stride;
+  std::int64_t ncols;  // valid columns of the strip, <= NP * 8
+};
+
+/// Rows [r, r + MR) x (NP * 8) columns of a strip: acc(i, p) starts at
+/// row r + i's bias (per_row) or at panel p's bias lanes, then
+/// acc(i, p) += a(r + i, k) * panel_p(k, :) for k ascending, one FMA per
+/// (i, p, k). Stores through arbitrary out strides; the contiguous
+/// full-width case stores YMM directly.
+template <int MR, int NP>
+FUSE_TARGET_AVX2 void micro_tile(const Strip& s, std::int64_t r) {
+  const float* a = s.a + r * s.lda;
+  __m256 acc[MR][NP];
+  for (int i = 0; i < MR; ++i) {
+    for (int p = 0; p < NP; ++p) {
+      acc[i][p] = s.per_row ? _mm256_broadcast_ss(s.seed + r + i)
+                            : _mm256_load_ps(s.seed + p * kNr);
+    }
+  }
+  for (std::int64_t k = 0; k < s.kk; ++k) {
+    __m256 b[NP];
+    for (int p = 0; p < NP; ++p) {
+      b[p] = _mm256_loadu_ps(s.bp + (p * s.kk + k) * kNr);
+    }
+    for (int i = 0; i < MR; ++i) {
+      const __m256 av = _mm256_broadcast_ss(a + i * s.lda + k);
+      for (int p = 0; p < NP; ++p) {
+        acc[i][p] = _mm256_fmadd_ps(av, b[p], acc[i][p]);
+      }
+    }
+  }
+  float* out = s.out + r * s.row_stride;
+  if (s.col_stride == 1 && s.ncols == NP * kNr) {
+    for (int i = 0; i < MR; ++i) {
+      for (int p = 0; p < NP; ++p) {
+        _mm256_storeu_ps(out + i * s.row_stride + p * kNr, acc[i][p]);
+      }
+    }
+    return;
+  }
+  // Spill through a tile buffer indexed only by constants, so the
+  // accumulators stay in registers through the k loop.
+  alignas(32) float tile[MR][NP * kNr];
+  for (int i = 0; i < MR; ++i) {
+    for (int p = 0; p < NP; ++p) {
+      _mm256_store_ps(tile[i] + p * kNr, acc[i][p]);
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    for (std::int64_t j = 0; j < s.ncols; ++j) {
+      out[i * s.row_stride + j * s.col_stride] = tile[i][j];
+    }
+  }
+}
+
+/// Every row of one strip: 6-row tiles, then 4-, 2- and 1-row tails
+/// (channel counts are mostly even, so the tails are mostly 4 or 2
+/// rows).
+template <int NP>
+FUSE_TARGET_AVX2 void strip_rows(const Strip& s, std::int64_t rows) {
+  std::int64_t r = 0;
+  for (; r + 6 <= rows; r += 6) {
+    micro_tile<6, NP>(s, r);
+  }
+  if (r + 4 <= rows) {
+    micro_tile<4, NP>(s, r);
+    r += 4;
+  }
+  if (r + 2 <= rows) {
+    micro_tile<2, NP>(s, r);
+    r += 2;
+  }
+  if (r < rows) {
+    micro_tile<1, NP>(s, r);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Linear: eight weight rows per output panel
+// ---------------------------------------------------------------------------
+
+/// In-register 8x8 transpose: on entry t[j] holds row j, on exit t[i]
+/// holds column i (lane j = old t[j][i]).
+FUSE_TARGET_AVX2 inline void transpose8(__m256 (&t)[8]) {
+  __m256 u[8];
+  for (int i = 0; i < 4; ++i) {
+    u[2 * i] = _mm256_unpacklo_ps(t[2 * i], t[2 * i + 1]);
+    u[2 * i + 1] = _mm256_unpackhi_ps(t[2 * i], t[2 * i + 1]);
+  }
+  __m256 s[8];
+  for (int h = 0; h < 2; ++h) {  // rows 0-3, rows 4-7
+    const __m256* q = u + 4 * h;
+    s[4 * h + 0] = _mm256_shuffle_ps(q[0], q[2], _MM_SHUFFLE(1, 0, 1, 0));
+    s[4 * h + 1] = _mm256_shuffle_ps(q[0], q[2], _MM_SHUFFLE(3, 2, 3, 2));
+    s[4 * h + 2] = _mm256_shuffle_ps(q[1], q[3], _MM_SHUFFLE(1, 0, 1, 0));
+    s[4 * h + 3] = _mm256_shuffle_ps(q[1], q[3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int i = 0; i < 4; ++i) {
+    t[i] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x20);
+    t[i + 4] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x31);
+  }
+}
+
+/// MR input rows against one eight-row weight panel: lane j of acc[r]
+/// is output (r, j), one FMA per k in ascending order.
 template <int MR>
-FUSE_TARGET_AVX2 void micro_tile(const float* a, std::int64_t lda,
-                                 const float* bp, std::int64_t kk,
-                                 __m256 seed, float* out,
-                                 std::int64_t row_stride,
-                                 std::int64_t col_stride,
-                                 std::int64_t ncols) {
+FUSE_TARGET_AVX2 void linear_tile(const float* in, std::int64_t in_f,
+                                  const float* const* w, __m256 seed,
+                                  float* out, std::int64_t ldo,
+                                  std::int64_t ncols) {
   __m256 acc[MR];
   for (int r = 0; r < MR; ++r) {
     acc[r] = seed;
   }
-  for (std::int64_t k = 0; k < kk; ++k) {
-    const __m256 b = _mm256_loadu_ps(bp + k * kNr);
+  std::int64_t k = 0;
+  for (; k + kNr <= in_f; k += kNr) {
+    __m256 t[kNr];
+    for (int j = 0; j < kNr; ++j) {
+      t[j] = _mm256_loadu_ps(w[j] + k);
+    }
+    transpose8(t);
+    for (int i = 0; i < kNr; ++i) {
+      for (int r = 0; r < MR; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(in + r * in_f + k + i),
+                                 t[i], acc[r]);
+      }
+    }
+  }
+  for (; k < in_f; ++k) {
+    const __m256 col = _mm256_setr_ps(w[0][k], w[1][k], w[2][k], w[3][k],
+                                      w[4][k], w[5][k], w[6][k], w[7][k]);
     for (int r = 0; r < MR; ++r) {
-      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + k), b,
+      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(in + r * in_f + k), col,
                                acc[r]);
     }
   }
-  if (col_stride == 1 && ncols == kNr) {
+  if (ncols == kNr) {
     for (int r = 0; r < MR; ++r) {
-      _mm256_storeu_ps(out + r * row_stride, acc[r]);
+      _mm256_storeu_ps(out + r * ldo, acc[r]);
     }
     return;
   }
-  alignas(32) float tmp[kNr];
+  alignas(32) float tile[MR][kNr];
   for (int r = 0; r < MR; ++r) {
-    _mm256_store_ps(tmp, acc[r]);
+    _mm256_store_ps(tile[r], acc[r]);
+  }
+  for (int r = 0; r < MR; ++r) {
     for (std::int64_t j = 0; j < ncols; ++j) {
-      out[r * row_stride + j * col_stride] = tmp[j];
+      out[r * ldo + j] = tile[r][j];
     }
   }
 }
@@ -111,36 +241,58 @@ inline float depthwise_edge(const float* plane, std::int64_t in_h,
 
 bool compiled() { return true; }
 
-FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda, std::int64_t rows,
-                const float* b_panels, std::int64_t kk, std::int64_t n,
-                const float* bias, float* out, std::int64_t row_stride,
-                std::int64_t col_stride) {
-  const std::int64_t panels = (n + kNr - 1) / kNr;
-  for (std::int64_t p = 0; p < panels; ++p) {
-    const float* bp = b_panels + p * kk * kNr;
-    const std::int64_t j0 = p * kNr;
-    const std::int64_t ncols = min64(kNr, n - j0);
-    alignas(32) float seed_lanes[kNr] = {};
-    if (bias != nullptr) {
+FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda,
+                                 std::int64_t rows, const float* b_panels,
+                                 std::int64_t kk, std::int64_t n,
+                                 const float* bias, BiasAxis axis,
+                                 float* out, std::int64_t row_stride,
+                                 std::int64_t col_stride) {
+  // A null bias seeds zero lanes whatever the axis.
+  const bool per_row = bias != nullptr && axis == BiasAxis::kRows;
+  for (std::int64_t j0 = 0; j0 < n; j0 += 2 * kNr) {
+    const float* bp = b_panels + j0 * kk;  // panel j0 / kNr
+    const std::int64_t ncols = min64(2 * kNr, n - j0);
+    alignas(32) float col_seed[2 * kNr] = {};
+    if (bias != nullptr && !per_row) {
       for (std::int64_t j = 0; j < ncols; ++j) {
-        seed_lanes[j] = bias[j0 + j];
+        col_seed[j] = bias[j0 + j];
       }
     }
-    const __m256 seed = _mm256_load_ps(seed_lanes);
-    float* out_panel = out + j0 * col_stride;
-    std::int64_t r = 0;
-    for (; r + 8 <= rows; r += 8) {
-      micro_tile<8>(a + r * lda, lda, bp, kk, seed, out_panel + r * row_stride,
-                    row_stride, col_stride, ncols);
+    const Strip strip{a,          lda,
+                      bp,         kk,
+                      per_row ? bias : col_seed,
+                      per_row,    out + j0 * col_stride,
+                      row_stride, col_stride,
+                      ncols};
+    if (ncols > kNr) {
+      strip_rows<2>(strip, rows);
+    } else {
+      strip_rows<1>(strip, rows);
     }
-    for (; r + 4 <= rows; r += 4) {
-      micro_tile<4>(a + r * lda, lda, bp, kk, seed, out_panel + r * row_stride,
-                    row_stride, col_stride, ncols);
-    }
-    for (; r < rows; ++r) {
-      micro_tile<1>(a + r * lda, lda, bp, kk, seed, out_panel + r * row_stride,
-                    row_stride, col_stride, ncols);
-    }
+  }
+}
+
+FUSE_TARGET_AVX2 void linear_panel(const float* in, std::int64_t batch,
+                                   std::int64_t in_f,
+                                   const float* const* w_rows,
+                                   const float* seed, float* out,
+                                   std::int64_t ldo, std::int64_t ncols) {
+  const __m256 seed_lanes = _mm256_loadu_ps(seed);
+  // Input rows four at a time (each tile transposes the panel once),
+  // then 2- and 1-row tails.
+  std::int64_t n = 0;
+  for (; n + 4 <= batch; n += 4) {
+    linear_tile<4>(in + n * in_f, in_f, w_rows, seed_lanes, out + n * ldo,
+                   ldo, ncols);
+  }
+  if (n + 2 <= batch) {
+    linear_tile<2>(in + n * in_f, in_f, w_rows, seed_lanes, out + n * ldo,
+                   ldo, ncols);
+    n += 2;
+  }
+  if (n < batch) {
+    linear_tile<1>(in + n * in_f, in_f, w_rows, seed_lanes, out + n * ldo,
+                   ldo, ncols);
   }
 }
 
@@ -377,8 +529,11 @@ FUSE_TARGET_AVX2 std::int32_t linear_int8_dot(
 bool compiled() { return false; }
 
 void block_gemm(const float*, std::int64_t, std::int64_t, const float*,
-                std::int64_t, std::int64_t, const float*, float*,
+                std::int64_t, std::int64_t, const float*, BiasAxis, float*,
                 std::int64_t, std::int64_t) {}
+void linear_panel(const float*, std::int64_t, std::int64_t,
+                  const float* const*, const float*, float*, std::int64_t,
+                  std::int64_t) {}
 void depthwise_channel(const float*, std::int64_t, std::int64_t,
                        const float*, std::int64_t, std::int64_t,
                        const ConvGeom&, float, float*, std::int64_t,

@@ -32,6 +32,12 @@ struct ConvGeom {
   std::int64_t dilation_w = 1;
 };
 
+/// Which operand index a GEMM block's bias runs along: one value per
+/// output column (im2col conv: columns are output channels) or one per
+/// output row (pointwise conv in the W x X orientation: rows are output
+/// channels).
+enum class BiasAxis { kCols, kRows };
+
 namespace avx2 {
 
 /// True when this binary contains the AVX2 micro-kernels (x86 targets).
@@ -41,13 +47,25 @@ bool compiled();
 
 /// GEMM block over the packed kNr=8 k-major B panels built by
 /// pack_b_panels / pack_bt_panels: for r < rows, j < n,
-///   out[r*row_stride + j*col_stride] = bias[j] + sum_k a(r, k) * b(k, j)
-/// (bias may be null = zero seed). 8x8 register micro-tiles, float
-/// accumulators, FMA.
+///   out[r*row_stride + j*col_stride] = seed + sum_k a(r, k) * b(k, j)
+/// with seed = bias[j] (kCols) or bias[r] (kRows); a null bias seeds 0.
+/// 6x16 register micro-tiles over two adjacent panels, float
+/// accumulators, one FMA per (output, k) in ascending k.
 void block_gemm(const float* a, std::int64_t lda, std::int64_t rows,
                 const float* b_panels, std::int64_t kk, std::int64_t n,
-                const float* bias, float* out, std::int64_t row_stride,
-                std::int64_t col_stride);
+                const float* bias, BiasAxis axis, float* out,
+                std::int64_t row_stride, std::int64_t col_stride);
+
+/// One panel of eight linear outputs straight from the row-major weight:
+/// for n < batch, j < ncols,
+///   out[n*ldo + j] = seed[j] + sum_k in[n*in_f + k] * w_rows[j][k]
+/// with one FMA per k in ascending order. Each 8x8 weight block is
+/// transposed in registers so lane j carries output j. All eight
+/// w_rows must be readable for in_f floats (tail lanes repeat a valid
+/// row; their results are dropped); seed holds eight bias lanes.
+void linear_panel(const float* in, std::int64_t batch, std::int64_t in_f,
+                  const float* const* w_rows, const float* seed, float* out,
+                  std::int64_t ldo, std::int64_t ncols);
 
 /// One depthwise channel, interior columns [x_lo, x_hi) vectorized eight
 /// outputs at a time. Caller guarantees stride_w == 1 && dilation_w == 1

@@ -130,6 +130,11 @@ std::vector<ConvCase> conv_grid() {
   cases.push_back({"dense_asym", 1, 2, 7, 10, 14, 1, 5,
                    {1, 2, 0, 2, 1, 1, 1}});
   cases.push_back({"pointwise", 2, 6, 10, 7, 7, 1, 1, {1, 1, 0, 0, 1, 1, 1}});
+  // 1x1 convs off the pointwise route: stride and padding keep im2col.
+  cases.push_back({"pointwise_s2_im2col", 1, 17, 13, 9, 9, 1, 1,
+                   {2, 2, 0, 0, 1, 1, 1}});
+  cases.push_back({"pointwise_pad1_im2col", 1, 5, 7, 6, 6, 1, 1,
+                   {1, 1, 1, 1, 1, 1, 1}});
   cases.push_back({"nopad", 1, 3, 4, 8, 8, 3, 3, {1, 1, 0, 0, 1, 1, 1}});
   // Grouped (non-depthwise).
   cases.push_back({"grouped_2", 1, 8, 12, 9, 9, 3, 3,
@@ -205,6 +210,17 @@ std::vector<ConvCase> tail_grid() {
                    {1, 1, 1, 1, 1, 1, 1}});
   cases.push_back({"tail_out_c17", 1, 4, 17, 5, 11, 3, 3,
                    {1, 1, 1, 1, 1, 1, 1}});
+  // Pointwise route (W x X): position counts around the 16-wide panel
+  // pair (1, 15, 49, 64, 81), output-channel counts around the 6-row
+  // tile (1, 5, 7, 13), one input channel, batch 3, and an in_c whose
+  // 64 KB position block holds only 16 positions.
+  const Conv2dParams pw{1, 1, 0, 0, 1, 1, 1};
+  cases.push_back({"tail_pw_pos1", 1, 17, 5, 1, 1, 1, 1, pw});
+  cases.push_back({"tail_pw_pos15_in_c1", 3, 1, 7, 3, 5, 1, 1, pw});
+  cases.push_back({"tail_pw_pos49", 1, 17, 13, 7, 7, 1, 1, pw});
+  cases.push_back({"tail_pw_pos64_out_c1", 1, 17, 1, 8, 8, 1, 1, pw});
+  cases.push_back({"tail_pw_pos81", 3, 17, 13, 9, 9, 1, 1, pw});
+  cases.push_back({"tail_pw_blocks_of_16", 1, 520, 7, 9, 9, 1, 1, pw});
   return cases;
 }
 
@@ -280,7 +296,8 @@ TEST(KernelsDifferential, LinearBitExact) {
   set_kernel_isa(KernelIsa::kScalar);
   for (const auto& [batch, in_f, out_f] :
        std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1}, {1, 9, 5}, {3, 17, 31}, {8, 1280, 1000}}) {
+           {1, 1, 1}, {1, 9, 5}, {3, 17, 31}, {8, 1280, 1000},
+           {1, 1280, 1000}, {1, 13, 17}, {5, 37, 9}}) {
     const Tensor input = random_tensor(Shape{batch, in_f}, 31);
     const Tensor weight = random_tensor(Shape{out_f, in_f}, 32);
     const Tensor bias = random_tensor(Shape{out_f}, 33);
@@ -357,7 +374,10 @@ TEST(KernelsForcedIsa, LinearDifferential) {
                                               {2, 7, 9},
                                               {3, 17, 33},
                                               {9, 40, 17},
-                                              {8, 256, 100}}) {
+                                              {8, 256, 100},
+                                              {1, 1280, 1000},
+                                              {1, 13, 17},
+                                              {5, 37, 9}}) {
     const Tensor input = random_tensor(Shape{batch, in_f}, 131);
     const Tensor weight = random_tensor(Shape{out_f, in_f}, 132);
     const Tensor bias = random_tensor(Shape{out_f}, 133);

@@ -383,9 +383,14 @@ TEST(Telemetry, SchedCountersMatchMappingPlanGolden) {
 }
 
 // The fast kernels must leave an exact telemetry trail: the ISA dispatch
-// counters pin to the FORCED ISA (never the other one), and packing
-// accounts its bytes exactly. A
-// 4x4 matmul packs one kNr=8 panel of k=4 floats: 4 * 8 * 4 = 128 bytes.
+// counters pin to the FORCED ISA (never the other one), each forward
+// lands on the kernel its geometry selects, and packing accounts its
+// bytes exactly:
+//   * a 4x4 matmul packs one kNr=8 panel of k=4 floats: 4 * 8 * 4 = 128;
+//   * a [1,4,3,3] 1x1 conv takes the pointwise route and packs its nine
+//     positions as two 8-wide panels of k=4 floats: 2 * 4 * 8 * 4 = 256;
+//   * a stride-2 1x1 conv stays on the im2col route;
+//   * linear reads its weight rows in place and packs nothing.
 TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   if (!util::telemetry_enabled()) GTEST_SKIP() << "FUSE_TELEMETRY off";
   const nn::KernelBackend saved_backend = nn::kernel_backend();
@@ -393,30 +398,58 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   nn::set_kernel_backend(nn::KernelBackend::kFast);
 
   util::Rng rng(7);
-  tensor::Tensor a(tensor::Shape{4, 4});
-  tensor::Tensor b(tensor::Shape{4, 4});
-  a.fill_uniform(rng, -1.0F, 1.0F);
-  b.fill_uniform(rng, -1.0F, 1.0F);
+  const auto random = [&rng](tensor::Shape shape) {
+    tensor::Tensor t(std::move(shape));
+    t.fill_uniform(rng, -1.0F, 1.0F);
+    return t;
+  };
+  const tensor::Tensor a = random(tensor::Shape{4, 4});
+  const tensor::Tensor b = random(tensor::Shape{4, 4});
+  const tensor::Tensor image = random(tensor::Shape{1, 4, 3, 3});
+  const tensor::Tensor filters = random(tensor::Shape{5, 4, 1, 1});
+  const tensor::Tensor features = random(tensor::Shape{2, 13});
+  const tensor::Tensor fc_weight = random(tensor::Shape{9, 13});
+  nn::Conv2dParams stride2;
+  stride2.stride_h = 2;
+  stride2.stride_w = 2;
 
   util::MetricsRegistry& reg = util::metrics();
   util::Counter& avx2_count = reg.counter("kernels.dispatch.avx2");
   util::Counter& scalar_count = reg.counter("kernels.dispatch.scalar");
   util::Counter& pack_bytes = reg.counter("kernels.pack_bytes");
+  util::Counter& pointwise_count = reg.counter("kernels.fast.pointwise");
+  util::Counter& conv2d_count = reg.counter("kernels.fast.conv2d");
   constexpr std::uint64_t kPanelBytes = 4 * 8 * sizeof(float);  // 128
 
   const auto run_leg = [&](nn::KernelIsa isa) {
     nn::set_kernel_isa(isa);
+    const char* name = nn::kernel_isa_name(isa);
     const std::uint64_t avx2_0 = avx2_count.value();
     const std::uint64_t scalar_0 = scalar_count.value();
-    const std::uint64_t pack_0 = pack_bytes.value();
+    std::uint64_t pack_0 = pack_bytes.value();
     (void)nn::matmul(a, b);
     const bool is_avx2 = isa == nn::KernelIsa::kAvx2;
-    EXPECT_EQ(avx2_count.value() - avx2_0, is_avx2 ? 1u : 0u)
-        << nn::kernel_isa_name(isa);
-    EXPECT_EQ(scalar_count.value() - scalar_0, is_avx2 ? 0u : 1u)
-        << nn::kernel_isa_name(isa);
-    EXPECT_EQ(pack_bytes.value() - pack_0, kPanelBytes)
-        << nn::kernel_isa_name(isa);
+    EXPECT_EQ(avx2_count.value() - avx2_0, is_avx2 ? 1u : 0u) << name;
+    EXPECT_EQ(scalar_count.value() - scalar_0, is_avx2 ? 0u : 1u) << name;
+    EXPECT_EQ(pack_bytes.value() - pack_0, kPanelBytes) << name;
+
+    pack_0 = pack_bytes.value();
+    std::uint64_t pointwise_0 = pointwise_count.value();
+    std::uint64_t conv2d_0 = conv2d_count.value();
+    (void)nn::conv2d(image, filters, nullptr, nn::Conv2dParams{});
+    EXPECT_EQ(pointwise_count.value() - pointwise_0, 1u) << name;
+    EXPECT_EQ(conv2d_count.value() - conv2d_0, 0u) << name;
+    EXPECT_EQ(pack_bytes.value() - pack_0, 2 * kPanelBytes) << name;
+
+    pointwise_0 = pointwise_count.value();
+    conv2d_0 = conv2d_count.value();
+    (void)nn::conv2d(image, filters, nullptr, stride2);
+    EXPECT_EQ(pointwise_count.value() - pointwise_0, 0u) << name;
+    EXPECT_EQ(conv2d_count.value() - conv2d_0, 1u) << name;
+
+    pack_0 = pack_bytes.value();
+    (void)nn::linear(features, fc_weight, nullptr);
+    EXPECT_EQ(pack_bytes.value() - pack_0, 0u) << name;
   };
 
   run_leg(nn::KernelIsa::kScalar);

@@ -9,7 +9,9 @@
 #      several workers at once: the kernels' only concurrency),
 #   3. AddressSanitizer build running the mapping/executor suites
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
-#      test_serve),
+#      test_serve) and the kernel differential suite (test_kernels: the
+#      GEMM panel tails and linear's eight-row tail lanes are raw pointer
+#      arithmetic under both ISAs),
 #   4. Release (-O3) build running the kernel differential suite plus a
 #      bench_kernels smoke pass — the kernel exactness contract must
 #      survive full optimization, not just the default build,
@@ -23,7 +25,10 @@
 #      --kernel-backend=reference. Both legs pin --kernel-isa=scalar:
 #      only the scalar ISA is bit-exact against the reference kernels
 #      (the SIMD ISAs are ULP-bounded, covered by test_kernels), so this
-#      byte-level diff needs the scalar pin to stay meaningful,
+#      byte-level diff needs the scalar pin to stay meaningful. One
+#      full-size scalar bench_accuracy_synth run must also reproduce
+#      results/bench_accuracy_synth.txt and results/bench_accuracy.csv,
+#      which are pinned to the scalar ISA,
 #   7. sim backend equality: the simulator-driven examples
 #      (simulate_network, simulate_layer, pe_heatmap) must print
 #      byte-identical stdout under --sim-backend=fast and
@@ -97,9 +102,9 @@ for t in "${CONCURRENCY_TESTS[@]}"; do
 done
 
 echo
-echo "=== [3/11] AddressSanitizer build + mapping/executor suites ==="
+echo "=== [3/11] AddressSanitizer build + mapping/executor/kernel suites ==="
 ASAN_TESTS=(test_mapping test_execute test_systolic_sim test_netplan
-            test_serve)
+            test_serve test_kernels)
 cmake -B "$ASAN_DIR" -S . -DFUSE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
@@ -146,9 +151,11 @@ echo "=== [6/11] backend equality: --kernel-backend=fast vs reference ==="
 # selects it. Each runs with --csv where supported, in a per-backend
 # scratch dir; stdout and every CSV written must match byte-for-byte.
 # bench_accuracy_synth runs real training, so it gets reduced arguments
-# to keep the (much slower) reference leg short; the full-size equality
-# evidence is that results/bench_accuracy_synth.txt itself regenerates
-# identically under either backend.
+# to keep the (much slower) reference leg short; the full-size evidence
+# is the golden check after the loop: the committed accuracy golden is
+# pinned to the scalar ISA, whose fast kernels are bit-exact with the
+# reference (the AVX2 kernels round differently and train to other
+# accuracies).
 GOLDEN_BENCHES=(bench_table1 bench_fig8a_latency bench_fig8b_layerwise
                 bench_fig8c_opdist bench_fig8d_scaling bench_overhead
                 bench_intro_resnet bench_accuracy_synth bench_ria_analysis
@@ -193,6 +200,18 @@ for bench in "${KERNEL_BENCHES[@]}"; do
     exit 1
   fi
 done
+dir="$TELEMETRY_TMP/bench_accuracy_synth.golden"
+mkdir -p "$dir"
+(cd "$dir" && "$REPO_ROOT/$BUILD_DIR/bench/bench_accuracy_synth" \
+   --kernel-isa=scalar --csv | filter_bench_output > stdout.txt)
+if diff <(filter_bench_output < results/bench_accuracy_synth.txt) \
+        "$dir/stdout.txt" &&
+   cmp results/bench_accuracy.csv "$dir/bench_accuracy.csv"; then
+  echo "bench_accuracy_synth: scalar run matches the committed golden"
+else
+  echo "bench_accuracy_synth: SCALAR RUN DIVERGED from results/" >&2
+  exit 1
+fi
 
 echo
 echo "=== [7/11] sim backend equality: --sim-backend=fast vs reference ==="

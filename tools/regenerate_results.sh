@@ -66,6 +66,12 @@ for bench in "$REPO_ROOT/$BUILD_DIR"/bench/bench_*; do
     # multi-tenant fingerprint. All cycle-domain, so the artifact is
     # byte-reproducible on any machine.
     "$bench" --json="$RESULTS_DIR/BENCH_serve.json" --csv | tee "$name.txt"
+  elif [ "$name" = bench_accuracy_synth ]; then
+    # Training accuracies depend on every rounding of every step, so the
+    # golden is pinned to the scalar ISA: bit-exact with the reference
+    # kernels, and the same on every machine (the AVX2 kernels are
+    # ULP-bounded and train to other accuracies).
+    "$bench" --kernel-isa=scalar --csv | tee "$name.txt"
   elif "$bench" --help 2>&1 | grep -q -- '--csv'; then
     "$bench" --csv | tee "$name.txt"
   else
