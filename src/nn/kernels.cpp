@@ -866,8 +866,40 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
   }
   std::vector<float> b_panels;
   pack_b_panels(b, k, n, n, b_panels);
+  if (kernel_isa() == KernelIsa::kAvx2) {
+    kernels::avx2::block_gemm_f64(a, k, m, b_panels.data(), k, n, c, n);
+    return;
+  }
   block_gemm_f64(a, k, m, b_panels.data(), k, n, /*bias=*/nullptr,
                  BiasAxis::kCols, c, /*row_stride=*/n, /*col_stride=*/1);
+}
+
+void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
+                      std::int64_t num_lines, std::int64_t width,
+                      std::int64_t taps) {
+  if (kernel_isa() == KernelIsa::kAvx2) {
+    kernels::avx2::conv1d_lines_f64(lines, num_lines, width, kernels, taps,
+                                    out);
+    return;
+  }
+  const std::int64_t out_w = width - taps + 1;
+  std::vector<double> sum(static_cast<std::size_t>(out_w));
+  for (std::int64_t line = 0; line < num_lines; ++line) {
+    const float* window = lines + line * width;
+    const float* kern = kernels + line * taps;
+    std::fill(sum.begin(), sum.end(), 0.0);
+    for (std::int64_t k = 0; k < taps; ++k) {
+      const double weight = static_cast<double>(kern[k]);
+      for (std::int64_t c = 0; c < out_w; ++c) {
+        sum[static_cast<std::size_t>(c)] +=
+            weight * static_cast<double>(window[c + k]);
+      }
+    }
+    float* out_row = out + line * out_w;
+    for (std::int64_t c = 0; c < out_w; ++c) {
+      out_row[c] = static_cast<float>(sum[static_cast<std::size_t>(c)]);
+    }
+  }
 }
 
 Tensor matmul_fast(const Tensor& a, const Tensor& b) {

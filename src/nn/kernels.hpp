@@ -35,7 +35,9 @@
 //     precision with FMA, so outputs are ULP-BOUNDED against the
 //     reference (util/ulp.hpp derives the bound; docs/kernels.md
 //     documents it). The INT8 kernels accumulate in int32 — exact in
-//     any order — and stay bit-identical under every ISA.
+//     any order — and stay bit-identical under every ISA, and so do the
+//     simulator's gemm_f64 / conv1d_lines_f64, whose double sums of
+//     exact float x float products round the same with or without FMA.
 //
 // Backend selection: nn::conv2d / matmul / linear / the INT8 kernels and
 // the train::Module backward passes all dispatch on kernel_backend().
@@ -50,7 +52,8 @@
 // machine lacks is an error. The backward passes and a few geometries
 // (stride_w != 1 or dilation_w != 1 channelwise / int8 conv interiors)
 // always run the scalar kernels — see the dispatch table in
-// docs/kernels.md.
+// docs/kernels.md. The simulator's f64 kernels read kernel_isa() too,
+// whatever the backend; for them it changes speed, never a bit.
 //
 // The two settings are process-wide; only code sets them (directly, or
 // from the flags of the binaries that run kernels).
@@ -121,10 +124,25 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
 /// output starts from a 0.0 double accumulator, adds the exact double
 /// products (double)a * (double)b in ascending k, and is rounded to float
 /// once: the arithmetic of an output-stationary PE, which the PE-grid
-/// simulator's fast engine runs through here. Portable scalar code (no
-/// ISA dispatch), so the bits depend on the operands only.
+/// simulator's fast engine runs through here. The packed-panel path
+/// dispatches on kernel_isa() (m = 1 and n = 1 stay scalar), yet the
+/// bits depend on the operands only: a float x float product is exact in
+/// double, so the AVX2 kernel's one FMA per term rounds exactly as the
+/// scalar multiply-then-add, and both round to float the same way.
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
+
+/// out[l, c] = sum over ascending k of (double)kernels[l, k] *
+/// (double)lines[l, c + k], from a 0.0 double accumulator, rounded to
+/// float once; lines [L, W], kernels [L, K] and out [L, W - K + 1], all
+/// dense row-major, with 1 <= K <= W. The arithmetic of one row of the
+/// FuSe broadcast dataflow, which the simulator's fast engine runs line
+/// by line over the whole output width. Dispatches on kernel_isa() (the
+/// AVX2 kernel computes eight outputs per step) with bits that depend on
+/// the operands only, for the reason gemm_f64 gives.
+void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
+                      std::int64_t num_lines, std::int64_t width,
+                      std::int64_t taps);
 
 /// Fast implementations of the public functional operators. Shapes and
 /// semantics are identical to the reference versions in nn/ops.hpp /

@@ -13,6 +13,15 @@
 // columns with the same float-accumulation scalar code, so one channel =
 // one deterministic accumulation order.
 //
+// The simulator's f64 kernels widen floats to double: the GEMM tile is
+// 6x8 (twelve 4-lane accumulators, two widened panel loads and one
+// widened A broadcast per row per k step), the line kernel eight outputs
+// per step. A float x float product is exact in double, so each FMA
+// rounds exactly as the scalar multiply-then-add, _mm256_cvtpd_ps rounds
+// as static_cast<float> does (both follow MXCSR), and any FP contraction
+// the compiler applies to double sums of such products is exact too:
+// these kernels match the scalar ones bit for bit.
+//
 // Everything except the interface functions has internal linkage, and no
 // repo headers are included: nothing compiled under the avx2 target
 // attribute can be COMDAT-merged into translation units that must stay
@@ -130,6 +139,90 @@ FUSE_TARGET_AVX2 void strip_rows(const Strip& s, std::int64_t rows) {
   if (r < rows) {
     micro_tile<1, NP>(s, r);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Double-accumulation GEMM tile
+// ---------------------------------------------------------------------------
+
+/// Rounds two 4-lane double accumulators to float once each and stores
+/// the first `ncols` of their eight lanes.
+FUSE_TARGET_AVX2 inline void store_f64_lanes(__m256d lo, __m256d hi,
+                                             float* out,
+                                             std::int64_t ncols) {
+  const __m128 lo_f = _mm256_cvtpd_ps(lo);
+  const __m128 hi_f = _mm256_cvtpd_ps(hi);
+  if (ncols == kNr) {
+    _mm_storeu_ps(out, lo_f);
+    _mm_storeu_ps(out + 4, hi_f);
+    return;
+  }
+  alignas(16) float lanes[kNr];
+  _mm_store_ps(lanes, lo_f);
+  _mm_store_ps(lanes + 4, hi_f);
+  for (std::int64_t j = 0; j < ncols; ++j) {
+    out[j] = lanes[j];
+  }
+}
+
+/// MR rows of A against one packed panel: acc[i][h] holds outputs
+/// (i, 4h .. 4h + 3), starts at +0.0 and takes one FMA per k in
+/// ascending order.
+template <int MR>
+FUSE_TARGET_AVX2 void micro_tile_f64(const float* a, std::int64_t lda,
+                                     const float* bp, std::int64_t kk,
+                                     float* out, std::int64_t ldo,
+                                     std::int64_t ncols) {
+  __m256d acc[MR][2];
+  for (int i = 0; i < MR; ++i) {
+    acc[i][0] = _mm256_setzero_pd();
+    acc[i][1] = _mm256_setzero_pd();
+  }
+  for (std::int64_t k = 0; k < kk; ++k) {
+    const __m256d b_lo = _mm256_cvtps_pd(_mm_loadu_ps(bp + k * kNr));
+    const __m256d b_hi = _mm256_cvtps_pd(_mm_loadu_ps(bp + k * kNr + 4));
+    for (int i = 0; i < MR; ++i) {
+      const __m256d av = _mm256_set1_pd(static_cast<double>(a[i * lda + k]));
+      acc[i][0] = _mm256_fmadd_pd(av, b_lo, acc[i][0]);
+      acc[i][1] = _mm256_fmadd_pd(av, b_hi, acc[i][1]);
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    store_f64_lanes(acc[i][0], acc[i][1], out + i * ldo, ncols);
+  }
+}
+
+/// Four floats widened to double; a partial load reads only the lanes
+/// its mask selects and yields +0.0 in the rest.
+template <bool kPartial>
+FUSE_TARGET_AVX2 inline __m256d load4_pd(const float* p, __m128i mask) {
+  if constexpr (kPartial) {
+    return _mm256_cvtps_pd(_mm_maskload_ps(p, mask));
+  } else {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  }
+}
+
+/// Outputs [0, ncols) of one broadcast line, ncols <= 8: each lane
+/// starts at +0.0 and takes one FMA per tap in ascending order. A
+/// partial step masks its loads to its ncols outputs, so no lane reads
+/// past the line; the dropped lanes sum zeros.
+template <bool kPartial>
+FUSE_TARGET_AVX2 void line_step(const float* x, const float* w,
+                                std::int64_t taps, float* out,
+                                std::int64_t ncols) {
+  const __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
+  const auto n = static_cast<int>(ncols);
+  const __m128i lo_mask = _mm_cmpgt_epi32(_mm_set1_epi32(n), lane);
+  const __m128i hi_mask = _mm_cmpgt_epi32(_mm_set1_epi32(n - 4), lane);
+  __m256d lo = _mm256_setzero_pd();
+  __m256d hi = _mm256_setzero_pd();
+  for (std::int64_t k = 0; k < taps; ++k) {
+    const __m256d wk = _mm256_set1_pd(static_cast<double>(w[k]));
+    lo = _mm256_fmadd_pd(wk, load4_pd<kPartial>(x + k, lo_mask), lo);
+    hi = _mm256_fmadd_pd(wk, load4_pd<kPartial>(x + k + 4, hi_mask), hi);
+  }
+  store_f64_lanes(lo, hi, out, ncols);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,6 +361,57 @@ FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda,
       strip_rows<2>(strip, rows);
     } else {
       strip_rows<1>(strip, rows);
+    }
+  }
+}
+
+FUSE_TARGET_AVX2 void block_gemm_f64(const float* a, std::int64_t lda,
+                                     std::int64_t rows,
+                                     const float* b_panels, std::int64_t kk,
+                                     std::int64_t n, float* out,
+                                     std::int64_t ldo) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+    const float* bp = b_panels + j0 * kk;  // panel j0 / kNr
+    const std::int64_t ncols = min64(kNr, n - j0);
+    // 6-row tiles, then 4-, 2- and 1-row tails, as strip_rows walks them.
+    std::int64_t r = 0;
+    for (; r + 6 <= rows; r += 6) {
+      micro_tile_f64<6>(a + r * lda, lda, bp, kk, out + r * ldo + j0, ldo,
+                        ncols);
+    }
+    if (r + 4 <= rows) {
+      micro_tile_f64<4>(a + r * lda, lda, bp, kk, out + r * ldo + j0, ldo,
+                        ncols);
+      r += 4;
+    }
+    if (r + 2 <= rows) {
+      micro_tile_f64<2>(a + r * lda, lda, bp, kk, out + r * ldo + j0, ldo,
+                        ncols);
+      r += 2;
+    }
+    if (r < rows) {
+      micro_tile_f64<1>(a + r * lda, lda, bp, kk, out + r * ldo + j0, ldo,
+                        ncols);
+    }
+  }
+}
+
+FUSE_TARGET_AVX2 void conv1d_lines_f64(const float* lines,
+                                       std::int64_t num_lines,
+                                       std::int64_t width,
+                                       const float* kernels,
+                                       std::int64_t taps, float* out) {
+  const std::int64_t out_w = width - taps + 1;
+  for (std::int64_t line = 0; line < num_lines; ++line) {
+    const float* x = lines + line * width;
+    const float* w = kernels + line * taps;
+    float* out_row = out + line * out_w;
+    std::int64_t c = 0;
+    for (; c + kNr <= out_w; c += kNr) {
+      line_step<false>(x + c, w, taps, out_row + c, kNr);
+    }
+    if (c < out_w) {
+      line_step<true>(x + c, w, taps, out_row + c, out_w - c);
     }
   }
 }
@@ -531,6 +675,10 @@ bool compiled() { return false; }
 void block_gemm(const float*, std::int64_t, std::int64_t, const float*,
                 std::int64_t, std::int64_t, const float*, BiasAxis, float*,
                 std::int64_t, std::int64_t) {}
+void block_gemm_f64(const float*, std::int64_t, std::int64_t, const float*,
+                    std::int64_t, std::int64_t, float*, std::int64_t) {}
+void conv1d_lines_f64(const float*, std::int64_t, std::int64_t, const float*,
+                      std::int64_t, float*) {}
 void linear_panel(const float*, std::int64_t, std::int64_t,
                   const float* const*, const float*, float*, std::int64_t,
                   std::int64_t) {}

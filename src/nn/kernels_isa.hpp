@@ -13,7 +13,10 @@
 // in SINGLE precision with FMA, so outputs are ULP-bounded against the
 // reference oracles (util/ulp.hpp derives the bound) rather than
 // bit-exact; the int8 kernels accumulate in int32, which is exact in any
-// order, so they stay bit-identical to the scalar path. Per-element
+// order, so they stay bit-identical to the scalar path. The f64 kernels
+// accumulate float x float products in double, where each product is
+// exact, so one FMA rounds exactly as the scalar multiply-then-add and
+// they too are bit-identical to the scalar path. Per-element
 // accumulation order is a function of shape only, so results are
 // bit-exact across runs at a fixed ISA.
 #pragma once
@@ -55,6 +58,26 @@ void block_gemm(const float* a, std::int64_t lda, std::int64_t rows,
                 const float* b_panels, std::int64_t kk, std::int64_t n,
                 const float* bias, BiasAxis axis, float* out,
                 std::int64_t row_stride, std::int64_t col_stride);
+
+/// The double-accumulation GEMM over the same packed panels: for
+/// r < rows, j < n,
+///   out[r*ldo + j] = float(sum_k double(a(r, k)) * double(b(k, j)))
+/// with each accumulator starting at +0.0, one FMA per (output, k) in
+/// ascending k and one rounding to float per output. 6x8 register
+/// tiles (two 4-lane accumulators per row). Bit-identical to the scalar
+/// kernel: every product is exact in double.
+void block_gemm_f64(const float* a, std::int64_t lda, std::int64_t rows,
+                    const float* b_panels, std::int64_t kk, std::int64_t n,
+                    float* out, std::int64_t ldo);
+
+/// Broadcast 1-D lines: for l < num_lines, c < out_w = width - taps + 1,
+///   out[l*out_w + c] = float(sum_k double(w[k]) * double(x[c + k]))
+/// with w = kernels + l*taps and x = lines + l*width, each accumulator
+/// starting at +0.0 and taps in ascending order, eight outputs per step.
+/// Bit-identical to the scalar loop.
+void conv1d_lines_f64(const float* lines, std::int64_t num_lines,
+                      std::int64_t width, const float* kernels,
+                      std::int64_t taps, float* out);
 
 /// One panel of eight linear outputs straight from the row-major weight:
 /// for n < batch, j < ncols,

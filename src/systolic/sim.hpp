@@ -19,13 +19,16 @@
 //     accumulator is a straight dot product over its depth-length operand
 //     stream. Counters and busy counts are closed-form per fold; the dot
 //     products run over whole operands (every output-stationary fold of a
-//     call is one nn::kernels::gemm_f64). Serial: O(R * C * T) per fold,
-//     no bubble work.
+//     call is one nn::kernels::gemm_f64, every broadcast call one
+//     nn::kernels::conv1d_lines_f64). Serial: O(R * C * T) per fold, no
+//     bubble work.
 // Both engines perform the identical floating-point operation sequence
 // per output element, so their results are BIT-EXACT (memcmp on output
 // and pe_busy, equal cycle/fold/MAC counters) for every dataflow and for
-// the broadcast path. tools/check.sh and tests/test_systolic_sim.cpp
-// enforce this.
+// the broadcast path, under every kernel ISA: the fast engine's AVX2
+// kernels add each exact float x float product with one FMA, which
+// rounds as the reference's multiply-then-add does. tools/check.sh and
+// tests/test_systolic_sim.cpp enforce this.
 //
 // The engine is a constructor argument (default fast), so every simulator
 // states which engine it runs; the simulator examples take it from

@@ -85,7 +85,7 @@ inline void check_matmul_operands(const tensor::Tensor& a,
 }
 
 /// Validates conv1d_broadcast operands: lines [L, W], kernels [L, K],
-/// W >= K, and the array must have the broadcast bus.
+/// W >= K >= 1, and the array must have the broadcast bus.
 inline void check_conv1d_operands(const tensor::Tensor& lines,
                                   const tensor::Tensor& kernels,
                                   const ArrayConfig& cfg) {
@@ -96,6 +96,9 @@ inline void check_conv1d_operands(const tensor::Tensor& lines,
   FUSE_CHECK(lines.shape().dim(0) == kernels.shape().dim(0))
       << "line/kernel count mismatch: " << lines.shape().to_string()
       << " vs " << kernels.shape().to_string();
+  FUSE_CHECK(kernels.shape().dim(1) >= 1)
+      << "conv1d_broadcast needs at least one tap: kernels "
+      << kernels.shape().to_string();
   FUSE_CHECK(lines.shape().dim(1) >= kernels.shape().dim(1))
       << "line shorter than kernel: W=" << lines.shape().dim(1)
       << " K=" << kernels.shape().dim(1);

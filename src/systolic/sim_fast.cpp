@@ -18,7 +18,10 @@
 //     every other x. Dropping the bubble adds changes nothing. Each output
 //     tile sums the full depth, so the tiling does not touch the numerics
 //     and one nn::kernels::gemm_f64 over the whole operand (the same
-//     sequence, in vectorized 8-wide panels) computes every fold at once.
+//     sequence, over 8-wide packed panels) computes every fold at once.
+//     Its AVX2 kernel adds each term with one FMA; the float x float
+//     product is exact in double, so the FMA rounds exactly as the
+//     reference's multiply-then-add.
 //   * WS/IS: the partial-sum cascade starts from a literal 0.0 and every
 //     link is live for a valid exit row/column, so the per-fold
 //     contribution is the clean ascending-index sum — no bubble terms.
@@ -27,9 +30,13 @@
 //     order, exactly as the reference walks them.
 //   * conv1d_broadcast: acc = sum over ascending tap of
 //     (double)weight * (double)window, independent of the fold that holds
-//     the output, so it is computed line by line over the whole width.
+//     the output, so nn::kernels::conv1d_lines_f64 computes it line by
+//     line over the whole width (eight outputs per FMA step under AVX2,
+//     exact for the same reason).
 // Counters (cycles / folds / mac_ops) and the pe_busy grid are closed-form
-// per fold, accumulated in enumeration order.
+// per fold, accumulated in enumeration order. The kernel ISA
+// (nn::kernel_isa) picks only how fast the two kernels run: every
+// output bit is the same under each ISA.
 //
 // The engine is serial: the executor's per-layer and per-channel calls
 // are too small for a fold pool to amortize its hand-off
@@ -203,26 +210,9 @@ SimResult SystolicArraySim::conv1d_broadcast_fast(const Tensor& lines,
     busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(taps));
   });
 
-  const float* line_data = lines.data();
-  const float* kern_data = kernels.data();
-  float* out = result.output.data();
-  std::vector<double> sum(static_cast<std::size_t>(out_w));
-  for (std::int64_t line = 0; line < num_lines; ++line) {
-    const float* window = line_data + line * width;
-    const float* kern = kern_data + line * taps;
-    std::fill(sum.begin(), sum.end(), 0.0);
-    for (std::int64_t k = 0; k < taps; ++k) {
-      const double weight = static_cast<double>(kern[k]);
-      for (std::int64_t c = 0; c < out_w; ++c) {
-        sum[static_cast<std::size_t>(c)] +=
-            weight * static_cast<double>(window[c + k]);
-      }
-    }
-    float* out_row = out + line * out_w;
-    for (std::int64_t c = 0; c < out_w; ++c) {
-      out_row[c] = static_cast<float>(sum[static_cast<std::size_t>(c)]);
-    }
-  }
+  nn::kernels::conv1d_lines_f64(lines.data(), kernels.data(),
+                                result.output.data(), num_lines, width,
+                                taps);
   result.pe_busy = busy.to_tensor();
   return result;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/fuseconv.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "sched/execute.hpp"
 #include "sched/latency.hpp"
@@ -423,37 +424,62 @@ std::string describe(const GeneratedCase& c) {
          systolic::dataflow_name(c.cfg.dataflow);
 }
 
-TEST(ExecuteDifferential, GeneratedCasesMatchNnModelAndReferenceEngine) {
-  int checked = 0;
-  for (const GeneratedCase& c : generate_cases(/*seed=*/2021, 200)) {
-    const Tensor input = random_tensor(input_shape(c.layer), 100 + checked);
-    const Tensor weight = random_tensor(weight_shape(c.layer), 500 + checked);
-    ++checked;
-    const LayerExecution fast = execute_layer_on_array(
-        c.layer, input, weight, c.cfg, SimBackend::kFast);
-    // (1) the numbers nn computes,
-    const Tensor expected = nn_reference(c.layer, input, weight);
-    EXPECT_TRUE(allclose(fast.output, expected, 1e-3F, 1e-4F))
-        << describe(c) << ": max diff "
-        << tensor::max_abs_diff(fast.output, expected);
-    // (2) the cost the analytic model charges,
-    const auto analytic = layer_latency(c.layer, c.cfg);
-    EXPECT_EQ(fast.cycles, analytic.cycles) << describe(c);
-    EXPECT_EQ(fast.folds, analytic.folds) << describe(c);
-    EXPECT_EQ(fast.mac_ops, analytic.mac_ops) << describe(c);
-    // (3) the bits the per-cycle reference engine produces.
-    const LayerExecution reference = execute_layer_on_array(
-        c.layer, input, weight, c.cfg, SimBackend::kReference);
-    ASSERT_EQ(fast.output.shape(), reference.output.shape()) << describe(c);
-    EXPECT_EQ(std::memcmp(fast.output.data(), reference.output.data(),
-                          static_cast<std::size_t>(
-                              fast.output.num_elements()) *
-                              sizeof(float)),
-              0)
-        << describe(c);
-    EXPECT_EQ(fast.cycles, reference.cycles) << describe(c);
+/// Runs `check` once under each kernel ISA this machine can execute: the
+/// fast engine's f64 kernels dispatch on it, so an AVX2 machine compares
+/// the scalar fallback with the reference engine too. Restores the ISA
+/// in force before the call.
+template <typename Check>
+void for_each_kernel_isa(const Check& check) {
+  struct Restore {
+    nn::KernelIsa saved = nn::kernel_isa();
+    ~Restore() { nn::set_kernel_isa(saved); }
+  } restore;
+  for (const nn::KernelIsa isa :
+       {nn::KernelIsa::kScalar, nn::KernelIsa::kAvx2}) {
+    if (nn::kernel_isa_available(isa)) {
+      SCOPED_TRACE(nn::kernel_isa_name(isa));
+      nn::set_kernel_isa(isa);
+      check();
+    }
   }
-  EXPECT_EQ(checked, 200);
+}
+
+TEST(ExecuteDifferential, GeneratedCasesMatchNnModelAndReferenceEngine) {
+  for_each_kernel_isa([] {
+    int checked = 0;
+    for (const GeneratedCase& c : generate_cases(/*seed=*/2021, 200)) {
+      const Tensor input =
+          random_tensor(input_shape(c.layer), 100 + checked);
+      const Tensor weight =
+          random_tensor(weight_shape(c.layer), 500 + checked);
+      ++checked;
+      const LayerExecution fast = execute_layer_on_array(
+          c.layer, input, weight, c.cfg, SimBackend::kFast);
+      // (1) the numbers nn computes,
+      const Tensor expected = nn_reference(c.layer, input, weight);
+      EXPECT_TRUE(allclose(fast.output, expected, 1e-3F, 1e-4F))
+          << describe(c) << ": max diff "
+          << tensor::max_abs_diff(fast.output, expected);
+      // (2) the cost the analytic model charges,
+      const auto analytic = layer_latency(c.layer, c.cfg);
+      EXPECT_EQ(fast.cycles, analytic.cycles) << describe(c);
+      EXPECT_EQ(fast.folds, analytic.folds) << describe(c);
+      EXPECT_EQ(fast.mac_ops, analytic.mac_ops) << describe(c);
+      // (3) the bits the per-cycle reference engine produces.
+      const LayerExecution reference = execute_layer_on_array(
+          c.layer, input, weight, c.cfg, SimBackend::kReference);
+      ASSERT_EQ(fast.output.shape(), reference.output.shape())
+          << describe(c);
+      EXPECT_EQ(std::memcmp(fast.output.data(), reference.output.data(),
+                            static_cast<std::size_t>(
+                                fast.output.num_elements()) *
+                                sizeof(float)),
+                0)
+          << describe(c);
+      EXPECT_EQ(fast.cycles, reference.cycles) << describe(c);
+    }
+    EXPECT_EQ(checked, 200);
+  });
 }
 
 }  // namespace

@@ -12,8 +12,10 @@
 // with a logged note (never a failure), so the suite passes everywhere.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -363,6 +365,125 @@ TEST(KernelsForcedIsa, MatmulDifferential) {
                        std::string("matmul ") + std::to_string(m) + "x" +
                            std::to_string(k) + "x" + std::to_string(n) +
                            " [" + kernel_isa_name(isa) + "]");
+    }
+  }
+}
+
+/// Operand families for the f64 kernels' bit-identity check, each with
+/// +0.0 and -0.0 mixed in:
+///   kRange  — uniform values in [-1, 1) and magnitudes near 1e-30 and
+///             1e30, so products reach both ends of float's range;
+///   kCancel — exact +-2^-40, +-1 and +-2^40: large products cancel
+///             exactly often enough that which small terms survive
+///             depends on the summation order, so a reordered sum shows
+///             in the rounded float output.
+enum class F64Operands { kRange, kCancel };
+
+std::vector<float> f64_operand(F64Operands family, std::int64_t count,
+                               std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (float& x : v) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double sign = u < 0.0 ? -1.0 : 1.0;
+    switch (rng.uniform_index(5)) {
+      case 0:
+        x = 0.0F;
+        break;
+      case 1:
+        x = -0.0F;
+        break;
+      case 2:
+        x = static_cast<float>(family == F64Operands::kRange
+                                   ? u * 1e-30
+                                   : sign * std::ldexp(1.0, -40));
+        break;
+      case 3:
+        x = static_cast<float>(family == F64Operands::kRange
+                                   ? u * 1e30
+                                   : sign * std::ldexp(1.0, 40));
+        break;
+      default:
+        x = static_cast<float>(family == F64Operands::kRange ? u : sign);
+        break;
+    }
+  }
+  return v;
+}
+
+/// Runs `kernel` into a NaN-filled buffer under each available ISA and
+/// expects every run to write all `count` outputs with the bits of the
+/// first (the operands never produce a NaN).
+template <typename Kernel>
+void expect_isa_identical(std::int64_t count, const Kernel& kernel,
+                          const std::string& label) {
+  std::vector<float> first;
+  for (KernelIsa isa : available_isas()) {
+    set_kernel_isa(isa);
+    std::vector<float> out(static_cast<std::size_t>(count),
+                           std::numeric_limits<float>::quiet_NaN());
+    kernel(out.data());
+    for (const float x : out) {
+      ASSERT_FALSE(std::isnan(x))
+          << label << " [" << kernel_isa_name(isa) << "]: output unwritten";
+    }
+    if (first.empty()) {
+      first = std::move(out);
+    } else {
+      EXPECT_EQ(std::memcmp(first.data(), out.data(),
+                            first.size() * sizeof(float)),
+                0)
+          << label << " [" << kernel_isa_name(isa) << "] differs from scalar";
+    }
+  }
+}
+
+TEST(KernelsForcedIsa, F64KernelsBitIdenticalUnderEveryIsa) {
+  BackendGuard guard;
+  // m: every 6/4/2/1-row tail and the m = 1 route; n: the n = 1 route
+  // and partial panels.
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 1; m <= 13; ++m) {
+    ms.push_back(m);
+  }
+  ms.insert(ms.end(), {37, 64, 65});
+  std::uint64_t seed = 1000;
+  for (const F64Operands family : {F64Operands::kRange, F64Operands::kCancel}) {
+    const std::string tag =
+        family == F64Operands::kRange ? " (range)" : " (cancel)";
+    for (const std::int64_t m : ms) {
+      for (const std::int64_t n : {1, 2, 7, 8, 9, 15, 16, 17}) {
+        for (const std::int64_t k : {1, 3, 9, 64, 145}) {
+          const std::vector<float> a = f64_operand(family, m * k, ++seed);
+          const std::vector<float> b = f64_operand(family, k * n, ++seed);
+          expect_isa_identical(
+              m * n,
+              [&](float* c) {
+                kernels::gemm_f64(a.data(), b.data(), c, m, k, n);
+              },
+              "gemm_f64 " + std::to_string(m) + "x" + std::to_string(k) +
+                  "x" + std::to_string(n) + tag);
+        }
+      }
+    }
+    // out_w: eight-wide steps and every tail length.
+    constexpr std::int64_t kLines = 3;
+    for (std::int64_t out_w = 1; out_w <= 17; ++out_w) {
+      for (std::int64_t taps = 1; taps <= 7; ++taps) {
+        const std::int64_t width = out_w + taps - 1;
+        const std::vector<float> lines =
+            f64_operand(family, kLines * width, ++seed);
+        const std::vector<float> kernel_taps =
+            f64_operand(family, kLines * taps, ++seed);
+        expect_isa_identical(
+            kLines * out_w,
+            [&](float* out) {
+              kernels::conv1d_lines_f64(lines.data(), kernel_taps.data(),
+                                        out, kLines, width, taps);
+            },
+            "conv1d_lines_f64 out_w=" + std::to_string(out_w) +
+                " taps=" + std::to_string(taps) + tag);
+      }
     }
   }
 }

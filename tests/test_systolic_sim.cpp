@@ -3,6 +3,7 @@
 // model exactly (non-overlapped mode).
 #include <gtest/gtest.h>
 
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "systolic/cycle_model.hpp"
 #include "systolic/sim.hpp"
@@ -188,6 +189,16 @@ TEST(SimConv1d, LineShorterThanKernelThrows) {
       util::Error);
 }
 
+TEST(SimConv1d, ZeroTapKernelThrows) {
+  // Zero taps would turn [2, 5] lines into a [2, 6] output, wider than
+  // its lines, charged cycles for no MACs.
+  SystolicArraySim sim(square_array(4));
+  const Tensor lines(Shape{2, 5});
+  const Tensor kernels(Shape{2, 0});
+  EXPECT_THROW(sim.conv1d_broadcast_fast(lines, kernels), util::Error);
+  EXPECT_THROW(sim.conv1d_broadcast_reference(lines, kernels), util::Error);
+}
+
 class SimConv1dSweep : public ::testing::TestWithParam<SimCase> {};
 
 TEST_P(SimConv1dSweep, ResultAndCyclesMatch) {
@@ -316,6 +327,26 @@ Tensor zero_heavy_tensor(Shape shape, std::uint64_t seed) {
   return t;
 }
 
+/// Runs `check` once under each kernel ISA this machine can execute: the
+/// fast engine's f64 kernels dispatch on it, so an AVX2 machine compares
+/// the scalar fallback with the reference engine too. Restores the ISA
+/// in force before the call.
+template <typename Check>
+void for_each_kernel_isa(const Check& check) {
+  struct Restore {
+    nn::KernelIsa saved = nn::kernel_isa();
+    ~Restore() { nn::set_kernel_isa(saved); }
+  } restore;
+  for (const nn::KernelIsa isa :
+       {nn::KernelIsa::kScalar, nn::KernelIsa::kAvx2}) {
+    if (nn::kernel_isa_available(isa)) {
+      SCOPED_TRACE(nn::kernel_isa_name(isa));
+      nn::set_kernel_isa(isa);
+      check();
+    }
+  }
+}
+
 SimResult run_pinned(SystolicArraySim& sim, Dataflow df, const Tensor& a,
                      const Tensor& b, bool fast) {
   switch (df) {
@@ -386,12 +417,14 @@ TEST_P(SimBackendDiff, FastMatchesReferenceBitExactly) {
   SystolicArraySim sim(cfg);
   const Tensor a = seeded_tensor(Shape{c.m, c.t}, 500 + c.m);
   const Tensor b = seeded_tensor(Shape{c.t, c.n}, 600 + c.n);
-  expect_bit_exact(run_pinned(sim, df, a, b, /*fast=*/true),
-                   run_pinned(sim, df, a, b, /*fast=*/false));
   const Tensor az = zero_heavy_tensor(Shape{c.m, c.t}, 700 + c.m);
   const Tensor bz = zero_heavy_tensor(Shape{c.t, c.n}, 800 + c.n);
-  expect_bit_exact(run_pinned(sim, df, az, bz, /*fast=*/true),
-                   run_pinned(sim, df, az, bz, /*fast=*/false));
+  for_each_kernel_isa([&] {
+    expect_bit_exact(run_pinned(sim, df, a, b, /*fast=*/true),
+                     run_pinned(sim, df, a, b, /*fast=*/false));
+    expect_bit_exact(run_pinned(sim, df, az, bz, /*fast=*/true),
+                     run_pinned(sim, df, az, bz, /*fast=*/false));
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -428,8 +461,10 @@ TEST_P(SimBackendConvDiff, FastMatchesReferenceBitExactly) {
   SystolicArraySim sim(cfg);
   const Tensor lines = zero_heavy_tensor(Shape{c.m, c.t}, 900 + c.m);
   const Tensor kernels = zero_heavy_tensor(Shape{c.m, c.n}, 950 + c.n);
-  expect_bit_exact(sim.conv1d_broadcast_fast(lines, kernels),
-                   sim.conv1d_broadcast_reference(lines, kernels));
+  for_each_kernel_isa([&] {
+    expect_bit_exact(sim.conv1d_broadcast_fast(lines, kernels),
+                     sim.conv1d_broadcast_reference(lines, kernels));
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,10 +11,15 @@
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
 #      test_serve) and the kernel differential suite (test_kernels: the
 #      GEMM panel tails and linear's eight-row tail lanes are raw pointer
-#      arithmetic under both ISAs),
-#   4. Release (-O3) build running the kernel differential suite plus a
-#      bench_kernels smoke pass — the kernel exactness contract must
-#      survive full optimization, not just the default build,
+#      arithmetic under both ISAs; the engine differentials run the
+#      simulator's f64 kernel tails under both ISAs too),
+#   4. Release (-O3) build running the kernel differential suite and the
+#      simulator/executor engine differentials (test_kernels,
+#      test_systolic_sim, test_execute) plus a bench_kernels smoke pass —
+#      the kernels' exactness contract and the fast engine's bit-exactness
+#      against the reference engine must survive full optimization, not
+#      just the default build (kernels.cpp is -O3 in every build;
+#      sim_fast.cpp and the executor only in Release),
 #   5. telemetry identity: every sweep bench's output must be
 #      byte-identical between a plain run and a run with --trace-json and
 #      --stats-json attached (only footer lines — see
@@ -114,11 +119,15 @@ for t in "${ASAN_TESTS[@]}"; do
 done
 
 echo
-echo "=== [4/11] Release -O3 build: kernel differential suite + bench smoke ==="
+echo "=== [4/11] Release -O3 build: kernel + engine differentials + bench smoke ==="
+RELEASE_TESTS=(test_kernels test_systolic_sim test_execute)
 cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$RELEASE_DIR" -j "$(nproc)" --target test_kernels bench_kernels
-echo "--- test_kernels (Release) ---"
-"$RELEASE_DIR/tests/test_kernels"
+cmake --build "$RELEASE_DIR" -j "$(nproc)" \
+  --target "${RELEASE_TESTS[@]}" bench_kernels
+for t in "${RELEASE_TESTS[@]}"; do
+  echo "--- $t (Release) ---"
+  "$RELEASE_DIR/tests/$t"
+done
 echo "--- bench_kernels smoke (Release) ---"
 "$RELEASE_DIR/bench/bench_kernels" --benchmark_min_time=0.01 > /dev/null
 echo "bench_kernels smoke: ok"
