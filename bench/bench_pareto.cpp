@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   // Pareto annotation over {FuSe latency, area, power} — the dominance
   // logic is dse/pareto.hpp's, shared with the full design-space
-  // explorer (examples/dse_explore), not a local copy.
+  // explorer (dse::explore, which bench_dse runs), not a local copy.
   std::vector<dse::Objectives> objectives;
   for (const Point& p : points) {
     dse::Objectives obj;

@@ -21,13 +21,11 @@ struct SlotTotals {
 
 SlotTotals slot_totals(const NetworkModel& model, const ArrayConfig& cfg) {
   SlotTotals totals;
+  totals.cycles = sched::cycles_by_slot(model, cfg);
   for (const LayerDesc& layer : model.layers) {
-    if (layer.fuse_slot < 0) {
-      continue;
+    if (layer.fuse_slot >= 0) {
+      totals.params[layer.fuse_slot] += layer.params();
     }
-    totals.cycles[layer.fuse_slot] +=
-        sched::layer_latency(layer, cfg).cycles;
-    totals.params[layer.fuse_slot] += layer.params();
   }
   return totals;
 }

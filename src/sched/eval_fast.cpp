@@ -222,17 +222,6 @@ TrafficEstimate repeat_matmul_traffic(std::int64_t m, std::int64_t t,
   return traffic;
 }
 
-/// Dense width the shift-register flow must compute along a strided line;
-/// mirrors the lowering's fuse_dense_width.
-std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
-                              std::int64_t pad, std::int64_t taps,
-                              std::int64_t stride, const ArrayConfig& cfg) {
-  if (cfg.strided_fuse_dense_compute && stride > 1) {
-    return in + 2 * pad - taps + 1;
-  }
-  return keep;
-}
-
 /// Cost of a matmul-shaped layer (the im2col/channelwise/matmul kinds).
 LayerCost matmul_shaped_cost(std::int64_t m, std::int64_t t, std::int64_t n,
                              std::int64_t repeats, bool output_once,
@@ -268,17 +257,20 @@ LayerCost fuse_line_cost(std::int64_t lines, std::int64_t line_out,
   return cost;
 }
 
-}  // namespace
-
-LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
-                          const MemoryConfig& mem) {
+/// The closed form of systolic::lower_impl: `m_scale` multiplies the
+/// output-position dimension (the batch), and `allow_channelwise` is false
+/// on the batched path, which always maps standard convs to im2col.
+LayerCost eval_layer(const LayerDesc& layer, const ArrayConfig& cfg,
+                     const MemoryConfig& mem, std::int64_t m_scale,
+                     bool allow_channelwise) {
   cfg.validate();
   mem.validate();
-  const std::int64_t positions = layer.out_h * layer.out_w;
+  const std::int64_t positions = m_scale * layer.out_h * layer.out_w;
   switch (layer.kind) {
     case OpKind::kStandardConv:
-      if (cfg.standard_conv_mapping ==
-          systolic::StandardConvMapping::kChannelwise) {
+      if (allow_channelwise &&
+          cfg.standard_conv_mapping ==
+              systolic::StandardConvMapping::kChannelwise) {
         return matmul_shaped_cost(positions, layer.in_c, layer.out_c,
                                   /*repeats=*/layer.kernel_h * layer.kernel_w,
                                   /*output_once=*/true, cfg, mem);
@@ -288,11 +280,7 @@ LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
                                 layer.out_c, /*repeats=*/1,
                                 /*output_once=*/false, cfg, mem);
     case OpKind::kGroupedConv:
-      FUSE_CHECK(layer.groups > 0 && layer.in_c % layer.groups == 0 &&
-                 layer.out_c % layer.groups == 0)
-          << "grouped conv channels not divisible by groups for layer "
-          << layer.name << " (in_c=" << layer.in_c
-          << ", out_c=" << layer.out_c << ", groups=" << layer.groups << ")";
+      systolic::check_grouped_conv(layer);
       return matmul_shaped_cost(
           positions,
           layer.kernel_h * layer.kernel_w * (layer.in_c / layer.groups),
@@ -309,18 +297,19 @@ LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
                                 mem);
     case OpKind::kFuseRowConv:
       return fuse_line_cost(
-          layer.out_c * layer.out_h,
-          fuse_dense_width(layer.out_w, layer.in_w, layer.pad_w,
-                           layer.kernel_w, layer.stride_w, cfg),
+          m_scale * layer.out_c * layer.out_h,
+          systolic::fuse_dense_width(layer.out_w, layer.in_w, layer.pad_w,
+                                     layer.kernel_w, layer.stride_w, cfg),
           layer.out_w, layer.kernel_w, cfg, mem);
     case OpKind::kFuseColConv:
       return fuse_line_cost(
-          layer.out_c * layer.out_w,
-          fuse_dense_width(layer.out_h, layer.in_h, layer.pad_h,
-                           layer.kernel_h, layer.stride_h, cfg),
+          m_scale * layer.out_c * layer.out_w,
+          systolic::fuse_dense_width(layer.out_h, layer.in_h, layer.pad_h,
+                                     layer.kernel_h, layer.stride_h, cfg),
           layer.out_h, layer.kernel_h, cfg, mem);
     case OpKind::kFullyConnected:
-      return matmul_shaped_cost(/*m=*/1, layer.in_c, layer.out_c,
+      // m_scale is the batch here: it fills otherwise-idle array rows.
+      return matmul_shaped_cost(/*m=*/m_scale, layer.in_c, layer.out_c,
                                 /*repeats=*/1, /*output_once=*/false, cfg,
                                 mem);
     case OpKind::kAvgPool:
@@ -334,6 +323,21 @@ LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
   glue.latency.pe_count = cfg.pe_count();  // matches the empty plan's total
   glue.on_array = false;
   return glue;
+}
+
+}  // namespace
+
+LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
+                          const MemoryConfig& mem) {
+  return eval_layer(layer, cfg, mem, /*m_scale=*/1,
+                    /*allow_channelwise=*/true);
+}
+
+LayerCost eval_layer_batched(const LayerDesc& layer, const ArrayConfig& cfg,
+                             const MemoryConfig& mem, std::int64_t batch) {
+  FUSE_CHECK(batch >= 1) << "batch must be >= 1";
+  return eval_layer(layer, cfg, mem, /*m_scale=*/batch,
+                    /*allow_channelwise=*/false);
 }
 
 NetworkEval eval_network_fast(const nets::NetworkModel& model,

@@ -22,15 +22,18 @@
 //   eval_layer_fast(l, cfg, mem).peak_fold_bytes
 //                                == plan_peak_fold_bytes(lower(l, cfg))
 //
-// and eval_network_fast's schedule/roofline equal plan_network /
-// plan_roofline — structurally, because both paths feed the identical
-// LayerCosts through the shared schedule_costs / roofline_over
-// (netplan.hpp). tests/test_eval_fast.cpp FUSE_CHECKs the whole grid
-// (5 networks x 5 variants x dataflows x broadcast x sched modes), and
+// the same three with eval_layer_batched(l, cfg, mem, b) against
+// lower_batched(l, cfg, b) for every batch b >= 1, and eval_network_fast's
+// schedule/roofline equal plan_network / plan_roofline — structurally,
+// because both paths feed the identical LayerCosts through the shared
+// schedule_costs / roofline_over (netplan.hpp). tests/test_eval_fast.cpp
+// checks the zoo grids (networks x variants x dataflows x broadcast x
+// sched modes, and batches) plus seeded random shapes and arrays, and
 // bench_dse gates the >= 10x configs-per-second win this buys. It is the
-// production cost path: sched::network_latency, the report sweeps and the
-// design-space explorer all run on it, with no memo table in front (one
-// closed-form evaluation is cheaper than a locked hash lookup).
+// production cost path: every caller that only reads a cost runs on it,
+// with no memo table in front (one closed-form evaluation is cheaper than
+// a locked hash lookup); src/ lowers a plan only to execute or schedule
+// it, or as the oracle.
 //
 // Telemetry: the evaluator intentionally skips the per-layer mapping.* /
 // sched.* counters of the plan path (not materializing the plan is the
@@ -49,6 +52,16 @@ namespace fuse::sched {
 LayerCost eval_layer_fast(const nn::LayerDesc& layer,
                           const systolic::ArrayConfig& cfg,
                           const systolic::MemoryConfig& mem);
+
+/// Closed-form LayerCost of `batch` images at once, equal to the fold of
+/// systolic::lower_batched: the batch stacks along the output positions
+/// (along the lines for FuSe layers, the rows for FC), and standard convs
+/// always take im2col. eval_layer_batched(l, cfg, mem, 1) differs from
+/// eval_layer_fast only under the channel-wise conv mapping.
+LayerCost eval_layer_batched(const nn::LayerDesc& layer,
+                             const systolic::ArrayConfig& cfg,
+                             const systolic::MemoryConfig& mem,
+                             std::int64_t batch);
 
 /// Whole-network closed-form evaluation: per-layer costs plus the shared
 /// schedule (SRAM liveness + fusion legality) and roofline.

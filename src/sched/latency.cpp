@@ -60,25 +60,14 @@ LatencyEstimate plan_latency(const systolic::MappingPlan& plan) {
   return est;
 }
 
-std::uint64_t layer_bound_batched(const LayerDesc& layer,
-                                  const ArrayConfig& cfg,
-                                  const systolic::MemoryConfig& mem,
-                                  std::int64_t batch) {
-  const systolic::MappingPlan plan =
-      systolic::lower_batched(layer, cfg, batch);
-  const std::uint64_t compute = plan.total_latency().cycles;
-  const std::uint64_t memory =
-      systolic::plan_traffic(plan, cfg, mem).memory_cycles(mem);
-  return std::max(compute, memory);
-}
-
 std::uint64_t network_bound_batched(const NetworkModel& model,
                                     const ArrayConfig& cfg,
                                     const systolic::MemoryConfig& mem,
                                     std::int64_t batch) {
   std::uint64_t total = 0;
   for (const LayerDesc& layer : model.layers) {
-    total += layer_bound_batched(layer, cfg, mem, batch);
+    const LayerCost cost = eval_layer_batched(layer, cfg, mem, batch);
+    total += std::max(cost.latency.cycles, cost.traffic.memory_cycles(mem));
   }
   return total;
 }
@@ -166,15 +155,11 @@ OperatorBreakdown operator_breakdown(const NetworkModel& model,
       continue;
     }
     breakdown.cycles[static_cast<int>(classify_layer(layer))] +=
-        layer_latency(layer, cfg).cycles;
+        fast_layer_latency(layer, cfg).cycles;
   }
   return breakdown;
 }
 
-namespace {
-
-/// Cycles attributed to each fuse slot (dw/fuse layer + its SE + its
-/// projection pointwise), via the fuse_slot tags.
 std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
                                             const ArrayConfig& cfg) {
   std::map<int, std::uint64_t> by_slot;
@@ -186,8 +171,6 @@ std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
   }
   return by_slot;
 }
-
-}  // namespace
 
 std::vector<double> slot_savings(NetworkId id, FuseMode mode,
                                  const ArrayConfig& cfg) {
@@ -244,12 +227,6 @@ double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
          static_cast<double>(variant_cycles);
 }
 
-systolic::TrafficEstimate layer_traffic(const LayerDesc& layer,
-                                        const ArrayConfig& cfg,
-                                        const systolic::MemoryConfig& mem) {
-  return systolic::plan_traffic(systolic::lower(layer, cfg), cfg, mem);
-}
-
 NetworkRoofline network_roofline(const NetworkModel& model,
                                  const ArrayConfig& cfg,
                                  const systolic::MemoryConfig& mem) {
@@ -279,10 +256,10 @@ hw::EnergyReport network_energy(const NetworkModel& model,
                                 const hw::EnergyModel& energy) {
   hw::EnergyReport report;
   for (const LayerDesc& layer : model.layers) {
-    const LatencyEstimate est = layer_latency(layer, cfg);
-    const systolic::TrafficEstimate traffic = layer_traffic(layer, cfg, mem);
-    report += hw::operator_energy(est.mac_ops, est.cycles, cfg.pe_count(),
-                                  traffic.total_bytes(), energy);
+    const LayerCost cost = eval_layer_fast(layer, cfg, mem);
+    report += hw::operator_energy(cost.latency.mac_ops, cost.latency.cycles,
+                                  cfg.pe_count(), cost.traffic.total_bytes(),
+                                  energy);
   }
   return report;
 }

@@ -1,14 +1,17 @@
 // Network -> systolic-array latency estimation (paper §V-A3).
 //
-// Every LayerDesc is lowered through systolic::lower() to a MappingPlan of
-// primitive array ops (see systolic/mapping.hpp for the per-kind mapping
-// rules); latency, traffic, and utilization here are folds over that plan.
-// Pool/activation/add layers lower to an empty plan and cost zero cycles:
-// the paper considers only compute-bound convolutional (incl.
-// squeeze-excite) and FC layers.
+// Every cost here except one comes from the closed-form evaluator
+// (sched/eval_fast.hpp), which returns what folding the layer's
+// MappingPlan (systolic/mapping.hpp holds the per-kind mapping rules)
+// would, without building the plan. The exception is layer_latency /
+// plan_latency, the plan fold itself: the oracle the closed form is tested
+// against, and the cost of a plan the scheduler has already lowered.
+// Pool/activation/add layers cost zero cycles: the paper considers only
+// compute-bound convolutional (incl. squeeze-excite) and FC layers.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,19 +48,15 @@ LatencyEstimate layer_latency(const LayerDesc& layer,
 /// telemetry deltas per evaluated layer are identical on both paths.
 LatencyEstimate plan_latency(const systolic::MappingPlan& plan);
 
-/// Roofline-bounded batched layer cost: max(compute, memory) cycles for
-/// the whole batch. Batching amortizes weight traffic (weights stream in
-/// once per batch, not once per image) and fill/drain overhead, which is
-/// what makes dynamic batching pay off in the serving engine (src/serve)
-/// — especially at small resolutions where weights dominate the traffic.
-std::uint64_t layer_bound_batched(const LayerDesc& layer,
-                                  const ArrayConfig& cfg,
-                                  const systolic::MemoryConfig& mem,
-                                  std::int64_t batch);
-
-/// Whole-network batched roofline bound: sum over layers of
-/// layer_bound_batched. At batch 1 this matches the per-layer
-/// network_roofline bound (same lowering, same traffic model).
+/// Whole-network batched roofline bound: per layer, the larger of the
+/// compute and DRAM cycles of eval_layer_batched for the whole batch,
+/// summed. Batching amortizes weight traffic (weights stream in once per
+/// batch, not once per image) and fill/drain overhead, which is what makes
+/// dynamic batching pay off in the serving engine (src/serve) —
+/// especially at small resolutions where weights dominate the traffic. At
+/// batch 1 this equals the per-layer network_roofline bound, except that
+/// the batched form maps standard convs to im2col even when cfg asks for
+/// the channel-wise mapping.
 std::uint64_t network_bound_batched(const NetworkModel& model,
                                     const ArrayConfig& cfg,
                                     const systolic::MemoryConfig& mem,
@@ -103,6 +102,13 @@ struct OperatorBreakdown {
 OperatorBreakdown operator_breakdown(const NetworkModel& model,
                                      const ArrayConfig& cfg);
 
+/// Cycles attributed to each fuse slot — the dw/FuSe layer plus its
+/// squeeze-excite and projection pointwise, via LayerDesc::fuse_slot —
+/// from the closed form. Slot savings, Fig. 8(b)'s layerwise speedups and
+/// the NOS search all read it.
+std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
+                                            const ArrayConfig& cfg);
+
 /// Per-slot cycle savings of switching one depthwise slot to FuSeConv with
 /// `mode` (kFull or kHalf), everything else baseline. Savings include the
 /// ripple onto the slot's squeeze-excite and projection pointwise (tagged
@@ -127,11 +133,6 @@ double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
                            const ArrayConfig& cfg);
 
 // --- roofline extension (beyond the paper's compute-bound assumption) --------
-
-/// DRAM traffic generated by one layer's mapping (zero for glue ops).
-systolic::TrafficEstimate layer_traffic(const LayerDesc& layer,
-                                        const ArrayConfig& cfg,
-                                        const systolic::MemoryConfig& mem);
 
 /// Whole-network roofline: per-layer max(compute, memory) summed, plus the
 /// totals for reporting.

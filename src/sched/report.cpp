@@ -53,27 +53,23 @@ std::vector<SlotSpeedup> layerwise_speedup(NetworkId id, FuseMode mode,
   const NetworkModel fused = nets::build_network(
       id, core::uniform_modes(baseline.num_slots, mode));
 
-  // Collect per-slot cycles and the baseline layer metadata.
+  // Per-slot cycles of both networks, plus the baseline layer metadata.
   std::map<int, SlotSpeedup> slots;
+  for (const auto& [slot, cycles] : cycles_by_slot(baseline, cfg)) {
+    slots[slot].slot = slot;
+    slots[slot].baseline_cycles = cycles;
+  }
+  for (const auto& [slot, cycles] : cycles_by_slot(fused, cfg)) {
+    slots[slot].fused_cycles = cycles;
+  }
   for (const nn::LayerDesc& layer : baseline.layers) {
-    if (layer.fuse_slot < 0) {
-      continue;
-    }
-    SlotSpeedup& s = slots[layer.fuse_slot];
-    s.slot = layer.fuse_slot;
-    s.baseline_cycles += layer_latency(layer, cfg).cycles;
-    if (layer.kind == nn::OpKind::kDepthwiseConv) {
+    if (layer.fuse_slot >= 0 && layer.kind == nn::OpKind::kDepthwiseConv) {
+      SlotSpeedup& s = slots[layer.fuse_slot];
       s.name = layer.name;
       s.in_h = layer.in_h;
       s.in_w = layer.in_w;
       s.channels = layer.in_c;
     }
-  }
-  for (const nn::LayerDesc& layer : fused.layers) {
-    if (layer.fuse_slot < 0) {
-      continue;
-    }
-    slots[layer.fuse_slot].fused_cycles += layer_latency(layer, cfg).cycles;
   }
 
   std::vector<SlotSpeedup> result;

@@ -141,7 +141,6 @@ std::unique_ptr<ModelEntry> ModelPool::build_entry(const ShapeKey& key) {
   }
   entry->plan =
       sched::plan_network(entry->model, cfg_, mem_, sched_mode_);
-  entry->bound1 = sched::network_bound_batched(entry->model, cfg_, mem_, 1);
   entry->chain_executable = is_chain_executable(entry->model);
   return entry;
 }
@@ -149,19 +148,7 @@ std::unique_ptr<ModelEntry> ModelPool::build_entry(const ShapeKey& key) {
 std::uint64_t ModelPool::service_cycles(const ShapeKey& key,
                                         std::int64_t batch) {
   FUSE_CHECK(batch >= 1) << "service_cycles needs batch >= 1, got " << batch;
-  const ModelEntry& item = entry(key);
-  if (batch == 1) {
-    return item.bound1;
-  }
-  std::lock_guard<std::mutex> lock(item.mutex);
-  const auto it = item.batch_bounds.find(batch);
-  if (it != item.batch_bounds.end()) {
-    return it->second;
-  }
-  const std::uint64_t bound =
-      sched::network_bound_batched(item.model, cfg_, mem_, batch);
-  item.batch_bounds.emplace(batch, bound);
-  return bound;
+  return sched::network_bound_batched(entry(key).model, cfg_, mem_, batch);
 }
 
 const std::vector<Tensor>& ModelPool::weights(const ShapeKey& key) {

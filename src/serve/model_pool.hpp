@@ -1,17 +1,18 @@
 // Shape-keyed model/plan memoization for the serving engine.
 //
 // Serving sustains thousands of requests over a handful of distinct
-// shapes, so anything that is a pure function of the ShapeKey — building
-// the variant, lowering every layer, SRAM planning, the batched roofline
-// service times, the seeded weights for tensor/simulate execution — is
-// computed once per key here and shared by every request and every
-// engine. One shared_mutex guards the table: readers share, inserts are
-// exclusive; entries are stable once inserted (unique_ptr values), so
-// returned references stay valid for the pool's lifetime.
+// shapes, so the heavy pure functions of the ShapeKey — building the
+// variant, lowering every layer, SRAM planning, the seeded weights for
+// tensor/simulate execution — are computed once per key here and shared
+// by every request and every engine. The batched roofline service time is
+// not memoized: it is a closed-form evaluation per call, whose cost does
+// not grow with the batch. One shared_mutex guards the table: readers
+// share, inserts are exclusive; entries are stable once inserted
+// (unique_ptr values), so returned references stay valid for the pool's
+// lifetime.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -27,17 +28,15 @@
 
 namespace fuse::serve {
 
-/// Everything the engine needs about one shape. `model`/`plan`/`bound1`/
-/// `chain_executable` are immutable after the build; the lazy parts
-/// (per-batch service bounds, seeded weights) are guarded by `mutex`.
+/// Everything the engine needs about one shape. `model`/`plan`/
+/// `chain_executable` are immutable after the build; the lazily seeded
+/// weights are guarded by `mutex`.
 struct ModelEntry {
   nets::NetworkModel model;
   sched::NetworkPlan plan;        // batch-1 schedule (simulate mode, stats)
-  std::uint64_t bound1 = 0;       // batched roofline bound at batch 1
   bool chain_executable = false;  // tensor/simulate modes require true
 
   mutable std::mutex mutex;
-  mutable std::map<std::int64_t, std::uint64_t> batch_bounds;  // batch->cycles
   mutable std::vector<tensor::Tensor> weights;  // parallel to model.layers
 };
 
@@ -66,9 +65,9 @@ class ModelPool {
   const ModelEntry& entry(const ShapeKey& key);
 
   /// Batched roofline service time (sched::network_bound_batched) for the
-  /// whole batch, memoized per (key, batch). This is the engine's service
-  /// model: weight traffic amortizes across the batch, which is the
-  /// mechanism dynamic batching exploits.
+  /// whole batch, evaluated in closed form on every call. This is the
+  /// engine's service model: weight traffic amortizes across the batch,
+  /// which is the mechanism dynamic batching exploits.
   std::uint64_t service_cycles(const ShapeKey& key, std::int64_t batch);
 
   /// Seeded per-layer weights for tensor/simulate execution, built lazily

@@ -91,17 +91,6 @@ PrimitiveOp matmul_shaped(PrimitiveKind kind, std::int64_t m, std::int64_t k,
   return op;
 }
 
-/// Dense width the shift-register flow must compute along a strided line
-/// (ArrayConfig::strided_fuse_dense_compute); `keep` outputs survive.
-std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
-                              std::int64_t pad, std::int64_t taps,
-                              std::int64_t stride, const ArrayConfig& cfg) {
-  if (cfg.strided_fuse_dense_compute && stride > 1) {
-    return in + 2 * pad - taps + 1;
-  }
-  return keep;
-}
-
 PrimitiveOp fuse_lines(std::int64_t lines, std::int64_t line_out,
                        std::int64_t line_keep, std::int64_t taps,
                        const ArrayConfig& cfg) {
@@ -123,16 +112,6 @@ PrimitiveOp fuse_lines(std::int64_t lines, std::int64_t line_out,
   return op;
 }
 
-void check_grouped(const LayerDesc& layer) {
-  FUSE_CHECK(layer.groups > 0 && layer.in_c % layer.groups == 0 &&
-             layer.out_c % layer.groups == 0)
-      << "grouped conv channels not divisible by groups for layer "
-      << layer.name << " (in_c=" << layer.in_c << ", out_c=" << layer.out_c
-      << ", groups=" << layer.groups << ")";
-}
-
-/// Shared by lower() and lower_batched(): `m_scale` multiplies the
-/// output-position dimension (1 for single-image inference).
 /// Per-kind primitive-op counters ("mapping.ops.<kind>" — the lowered
 /// instruction mix) plus plan and array-pass totals.
 void record_plan_metrics(const MappingPlan& plan) {
@@ -167,6 +146,8 @@ void record_plan_metrics(const MappingPlan& plan) {
   }
 }
 
+/// Shared by lower() and lower_batched(): `m_scale` multiplies the
+/// output-position dimension (1 for single-image inference).
 MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
                        std::int64_t m_scale, bool allow_channelwise) {
   cfg.validate();
@@ -193,7 +174,7 @@ MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
       }
       break;
     case OpKind::kGroupedConv: {
-      check_grouped(layer);
+      check_grouped_conv(layer);
       // Each group is an independent im2col matmul over its own channels.
       PrimitiveOp op = matmul_shaped(
           PrimitiveKind::kIm2colTile, positions,
@@ -258,6 +239,23 @@ MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
 }
 
 }  // namespace
+
+std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
+                              std::int64_t pad, std::int64_t taps,
+                              std::int64_t stride, const ArrayConfig& cfg) {
+  if (cfg.strided_fuse_dense_compute && stride > 1) {
+    return in + 2 * pad - taps + 1;
+  }
+  return keep;
+}
+
+void check_grouped_conv(const LayerDesc& layer) {
+  FUSE_CHECK(layer.groups > 0 && layer.in_c % layer.groups == 0 &&
+             layer.out_c % layer.groups == 0)
+      << "grouped conv channels not divisible by groups for layer "
+      << layer.name << " (in_c=" << layer.in_c << ", out_c=" << layer.out_c
+      << ", groups=" << layer.groups << ")";
+}
 
 MappingPlan lower(const LayerDesc& layer, const ArrayConfig& cfg) {
   return lower_impl(layer, cfg, /*m_scale=*/1, /*allow_channelwise=*/true);

@@ -7,11 +7,12 @@
 // The paper's central claim — FuSeConv fills both dimensions of the array
 // while depthwise convolution occupies one column (§III-B vs §IV-C) — is
 // encoded exactly once, here, as the choice of primitive and its dims.
-// The analytic model (sched/latency.cpp), the PE-grid simulator
-// (sim.hpp run_plan), the layer executor (sched/execute.cpp), and the
-// fold tracer (trace.hpp plan_trace) all consume the same plan, so a new
-// dataflow or mapping variant is added in one place and every consumer
-// follows.
+// The plan-fold oracle (sched::layer_latency), the network scheduler
+// (sched/netplan.cpp), the PE-grid simulator (sim.hpp run_plan), the
+// layer executor (sched/execute.cpp), and the fold tracer (trace.hpp
+// plan_trace) all consume the same plan. The closed-form evaluator
+// (sched/eval_fast.hpp), which every cost-only caller uses, mirrors
+// lower() without building the plan and is tested equal to its fold.
 #pragma once
 
 #include <algorithm>
@@ -102,9 +103,23 @@ MappingPlan lower(const nn::LayerDesc& layer, const ArrayConfig& cfg);
 /// FC layers — which is why datacenter accelerators batch, and why batch-1
 /// edge inference is where the depthwise pathology (and FuSeConv's fix)
 /// matters most. Standard convolutions always lower to im2col here — the
-/// channel-wise mapping offers no batched variant in this model.
+/// channel-wise mapping offers no batched variant in this model. The
+/// oracle of sched::eval_layer_batched, which prices serving batches.
 MappingPlan lower_batched(const nn::LayerDesc& layer, const ArrayConfig& cfg,
                           std::int64_t batch);
+
+// Two mapping decisions shared with the closed-form evaluator; the cost
+// arithmetic stays separate, so the plan fold remains its oracle.
+
+/// Dense width the shift-register flow must compute along a strided line
+/// (ArrayConfig::strided_fuse_dense_compute); `keep` outputs survive.
+std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
+                              std::int64_t pad, std::int64_t taps,
+                              std::int64_t stride, const ArrayConfig& cfg);
+
+/// FUSE_CHECKs that a grouped convolution's channel counts are divisible
+/// by its `groups`, naming the layer.
+void check_grouped_conv(const nn::LayerDesc& layer);
 
 /// DRAM traffic of a lowered plan (the roofline extension's input).
 /// Matmul-shaped primitives re-stream operands once per fold

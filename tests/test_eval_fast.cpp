@@ -1,8 +1,12 @@
 // Tests for the plan-free closed-form evaluator (sched/eval_fast.hpp):
 // the oracle-vs-fast equality contract over the complete differential
-// grid (networks x variants x dataflows x broadcast x sched modes) and
-// the transparency/datapath axes.
+// grid (networks x variants x dataflows x broadcast x sched modes), the
+// batched form over the zoo at serving batch sizes, seeded random shapes
+// and arrays for both forms, and the transparency/datapath axes.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "core/transform.hpp"
 #include "nn/ops.hpp"
@@ -12,30 +16,34 @@
 #include "systolic/mapping.hpp"
 #include "systolic/sim.hpp"
 #include "systolic/trace.hpp"
+#include "util/rng.hpp"
 
 namespace fuse::sched {
 namespace {
 
 using nn::LayerDesc;
+using nn::OpKind;
 using systolic::ArrayConfig;
 using systolic::Dataflow;
 using systolic::Datapath;
 using systolic::MemoryConfig;
 using systolic::Pipelining;
+using systolic::StandardConvMapping;
+
+constexpr Dataflow kDataflows[] = {Dataflow::kOutputStationary,
+                                   Dataflow::kWeightStationary,
+                                   Dataflow::kInputStationary};
 
 // --- equality helpers --------------------------------------------------------
 
-void expect_layer_equal(const LayerDesc& layer, const ArrayConfig& cfg,
-                        const MemoryConfig& mem) {
-  SCOPED_TRACE(layer.name + " on " + cfg.to_string() + " " +
-               dataflow_name(cfg.dataflow));
-  const systolic::MappingPlan plan = systolic::lower(layer, cfg);
-  const systolic::LatencyEstimate oracle = plan_latency(plan);
+/// Field-for-field equality of a closed-form cost and the fold of the plan
+/// it mirrors.
+void expect_matches_plan(const LayerCost& fast,
+                         const systolic::MappingPlan& plan,
+                         const ArrayConfig& cfg, const MemoryConfig& mem) {
+  const systolic::LatencyEstimate oracle = plan.total_latency();
   const systolic::TrafficEstimate traffic =
       systolic::plan_traffic(plan, cfg, mem);
-  const std::uint64_t peak = systolic::plan_peak_fold_bytes(plan, cfg, mem);
-
-  const LayerCost fast = eval_layer_fast(layer, cfg, mem);
   EXPECT_EQ(fast.latency.cycles, oracle.cycles);
   EXPECT_EQ(fast.latency.folds, oracle.folds);
   EXPECT_EQ(fast.latency.mac_ops, oracle.mac_ops);
@@ -43,8 +51,33 @@ void expect_layer_equal(const LayerDesc& layer, const ArrayConfig& cfg,
   EXPECT_EQ(fast.traffic.input_bytes, traffic.input_bytes);
   EXPECT_EQ(fast.traffic.weight_bytes, traffic.weight_bytes);
   EXPECT_EQ(fast.traffic.output_bytes, traffic.output_bytes);
-  EXPECT_EQ(fast.peak_fold_bytes, peak);
+  EXPECT_EQ(fast.peak_fold_bytes,
+            systolic::plan_peak_fold_bytes(plan, cfg, mem));
   EXPECT_EQ(fast.on_array, !plan.ops.empty());
+}
+
+std::string describe(const LayerDesc& layer, const ArrayConfig& cfg) {
+  return layer.to_string() + " on " + cfg.to_string() + " " +
+         dataflow_name(cfg.dataflow) +
+         (cfg.overlap_fold_drain ? " overlap" : "") +
+         (cfg.strided_fuse_dense_compute ? " dense" : "") +
+         (cfg.standard_conv_mapping == StandardConvMapping::kChannelwise
+              ? " channelwise"
+              : "");
+}
+
+void expect_layer_equal(const LayerDesc& layer, const ArrayConfig& cfg,
+                        const MemoryConfig& mem) {
+  SCOPED_TRACE(describe(layer, cfg));
+  expect_matches_plan(eval_layer_fast(layer, cfg, mem),
+                      systolic::lower(layer, cfg), cfg, mem);
+}
+
+void expect_batched_equal(const LayerDesc& layer, const ArrayConfig& cfg,
+                          const MemoryConfig& mem, std::int64_t batch) {
+  SCOPED_TRACE(describe(layer, cfg) + " batch " + std::to_string(batch));
+  expect_matches_plan(eval_layer_batched(layer, cfg, mem, batch),
+                      systolic::lower_batched(layer, cfg, batch), cfg, mem);
 }
 
 void expect_network_equal(const nets::NetworkModel& model,
@@ -102,9 +135,7 @@ TEST(EvalFastGrid, MatchesPlanPathEverywhere) {
   const MemoryConfig mem;
   for (nets::NetworkId id : nets::paper_networks()) {
     for (core::NetworkVariant variant : core::all_network_variants()) {
-      for (Dataflow dataflow :
-           {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
-            Dataflow::kInputStationary}) {
+      for (Dataflow dataflow : kDataflows) {
         for (bool broadcast : {false, true}) {
           ArrayConfig cfg;
           cfg.dataflow = dataflow;
@@ -112,6 +143,170 @@ TEST(EvalFastGrid, MatchesPlanPathEverywhere) {
           const VariantBuild build = build_variant(id, variant, cfg);
           for (SchedMode mode : {SchedMode::kPerLayer, SchedMode::kFused}) {
             expect_network_equal(build.model, cfg, mem, mode);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The batched form against the lower_batched fold on every layer of the
+// zoo, at the batch sizes the serving engine forms (fold edges at 1-3,
+// powers of two and their neighbours), plus network_bound_batched against
+// its plan-path oracle: per layer, max(compute, memory) of the plan.
+// 5 networks x 3 variants x 3 dataflows x broadcast on/off x both conv
+// mappings (the batched form must ignore channel-wise) x 8 batches.
+TEST(EvalFastBatched, ZooGridMatchesLowerBatched) {
+  const MemoryConfig mem;
+  for (nets::NetworkId id : nets::paper_networks()) {
+    for (core::NetworkVariant variant :
+         {core::NetworkVariant::kBaseline, core::NetworkVariant::kFuseFull,
+          core::NetworkVariant::kFuseHalf}) {
+      const nets::NetworkModel model =
+          build_variant(id, variant, ArrayConfig{}).model;
+      for (Dataflow dataflow : kDataflows) {
+        for (bool broadcast : {false, true}) {
+          for (StandardConvMapping mapping :
+               {StandardConvMapping::kIm2col,
+                StandardConvMapping::kChannelwise}) {
+            ArrayConfig cfg;
+            cfg.dataflow = dataflow;
+            cfg.broadcast_links = broadcast;
+            cfg.standard_conv_mapping = mapping;
+            for (std::int64_t batch : {1, 2, 3, 7, 8, 16, 63, 64}) {
+              SCOPED_TRACE(model.name + " on " + cfg.to_string() + " " +
+                           dataflow_name(dataflow) + " batch " +
+                           std::to_string(batch));
+              std::uint64_t oracle_bound = 0;
+              for (const LayerDesc& layer : model.layers) {
+                SCOPED_TRACE(layer.name);
+                const systolic::MappingPlan plan =
+                    systolic::lower_batched(layer, cfg, batch);
+                expect_matches_plan(
+                    eval_layer_batched(layer, cfg, mem, batch), plan, cfg,
+                    mem);
+                oracle_bound += std::max(
+                    plan.total_latency().cycles,
+                    systolic::plan_traffic(plan, cfg, mem).memory_cycles(mem));
+              }
+              EXPECT_EQ(network_bound_batched(model, cfg, mem, batch),
+                        oracle_bound);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- seeded random shapes ----------------------------------------------------
+
+/// Uniform integer in [lo, hi].
+std::int64_t pick(util::Rng& rng, std::int64_t lo, std::int64_t hi) {
+  return lo + static_cast<std::int64_t>(
+                  rng.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+/// A channel count folded over an array side: a third of the time one
+/// below, at, or one above `side`, otherwise anywhere in 1-130.
+std::int64_t draw_channels(util::Rng& rng, std::int64_t side) {
+  if (pick(rng, 0, 2) == 0) {
+    return std::max<std::int64_t>(1, side + pick(rng, -1, 1));
+  }
+  return pick(rng, 1, 130);
+}
+
+/// One layer of `kind`, built through the nn::make_* factories: H and W
+/// in 1-40 (so 1x1 spatial), padding 0-3, a kernel of 1-7 that fits the
+/// padded input, stride 1-4 (so stride > kernel), and channel counts at
+/// the array's rows or cols +-1 a third of the time.
+LayerDesc draw_layer(util::Rng& rng, OpKind kind, const ArrayConfig& cfg) {
+  const std::int64_t h = pick(rng, 1, 40);
+  const std::int64_t w = pick(rng, 1, 40);
+  const std::int64_t pad = pick(rng, 0, 3);
+  const std::int64_t kernel = pick(rng, 1, std::min<std::int64_t>(
+                                               7, std::min(h, w) + 2 * pad));
+  const std::int64_t stride = pick(rng, 1, 4);
+  const std::int64_t side = pick(rng, 0, 1) == 0 ? cfg.rows : cfg.cols;
+  switch (kind) {
+    case OpKind::kStandardConv:
+      return nn::make_conv("conv", draw_channels(rng, side), h, w,
+                           draw_channels(rng, side), kernel, stride, pad);
+    case OpKind::kGroupedConv: {
+      // Per-group channel counts are what the array folds over.
+      const std::int64_t groups = pick(rng, 2, 8);
+      LayerDesc layer = nn::make_conv(
+          "gconv", groups * draw_channels(rng, side), h, w,
+          groups * draw_channels(rng, side), kernel, stride, pad);
+      layer.kind = OpKind::kGroupedConv;
+      layer.groups = groups;
+      return layer;
+    }
+    case OpKind::kDepthwiseConv:
+      return nn::make_depthwise("dw", draw_channels(rng, side), h, w, kernel,
+                                stride, pad);
+    case OpKind::kPointwiseConv:
+      return nn::make_pointwise("pw", draw_channels(rng, side), h, w,
+                                draw_channels(rng, side));
+    case OpKind::kFuseRowConv:
+      return nn::make_fuse_row("row", draw_channels(rng, side), h, w, kernel,
+                               stride, pad);
+    case OpKind::kFuseColConv:
+      return nn::make_fuse_col("col", draw_channels(rng, side), h, w, kernel,
+                               stride, pad);
+    case OpKind::kFullyConnected:
+      return nn::make_fully_connected("fc", draw_channels(rng, side),
+                                      draw_channels(rng, side));
+    default: {
+      // Glue: a pool with a depthwise's geometry costs nothing on either
+      // path.
+      LayerDesc layer =
+          nn::make_depthwise("pool", draw_channels(rng, side), h, w, kernel,
+                             stride, pad);
+      layer.kind = kind;
+      return layer;
+    }
+  }
+}
+
+// Both closed forms against their plan folds on seeded random layers
+// (every on-array kind plus a glue kind) and arrays (rows and cols 1-70,
+// so rectangular), with batches 1-64, crossed with every dataflow x
+// pipelining x datapath x broadcast x drain overlap x strided dense
+// compute x conv mapping. The zoo grids above only reach the zoo's
+// geometries; ModelPool::register_custom serves arbitrary ones.
+TEST(EvalFastRandom, BothFormsMatchPlanFoldsOnSeededShapes) {
+  constexpr OpKind kKinds[] = {
+      OpKind::kStandardConv,  OpKind::kGroupedConv, OpKind::kDepthwiseConv,
+      OpKind::kPointwiseConv, OpKind::kFuseRowConv, OpKind::kFuseColConv,
+      OpKind::kFullyConnected, OpKind::kMaxPool};
+  constexpr int kDrawsPerKind = 3;
+  util::Rng rng(/*seed=*/20260418);
+  for (Dataflow dataflow : kDataflows) {
+    for (Pipelining pipe : {Pipelining::kPipelined, Pipelining::kTransparent2,
+                            Pipelining::kTransparent4}) {
+      for (Datapath dp : {Datapath::kInt8, Datapath::kFp16, Datapath::kFp32}) {
+        for (int switches = 0; switches < 16; ++switches) {
+          ArrayConfig cfg;
+          cfg.dataflow = dataflow;
+          cfg.pipelining = pipe;
+          cfg.datapath = dp;
+          cfg.broadcast_links = (switches & 1) != 0;
+          cfg.overlap_fold_drain = (switches & 2) != 0;
+          cfg.strided_fuse_dense_compute = (switches & 4) != 0;
+          cfg.standard_conv_mapping = (switches & 8) != 0
+                                          ? StandardConvMapping::kChannelwise
+                                          : StandardConvMapping::kIm2col;
+          MemoryConfig mem;
+          mem.dtype_bytes = cfg.datapath_bytes();
+          for (OpKind kind : kKinds) {
+            for (int draw = 0; draw < kDrawsPerKind; ++draw) {
+              cfg.rows = pick(rng, 1, 70);
+              cfg.cols = pick(rng, 1, 70);
+              const LayerDesc layer = draw_layer(rng, kind, cfg);
+              expect_layer_equal(layer, cfg, mem);
+              expect_batched_equal(layer, cfg, mem, pick(rng, 1, 64));
+            }
           }
         }
       }
@@ -153,9 +348,7 @@ TEST(EvalFastGrid, TransparencyAndDatapathAxes) {
   for (Pipelining pipe : {Pipelining::kPipelined, Pipelining::kTransparent2,
                           Pipelining::kTransparent4}) {
     for (Datapath dp : {Datapath::kInt8, Datapath::kFp16, Datapath::kFp32}) {
-      for (Dataflow dataflow :
-           {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
-            Dataflow::kInputStationary}) {
+      for (Dataflow dataflow : kDataflows) {
         ArrayConfig cfg;
         cfg.rows = 32;
         cfg.cols = 128;

@@ -314,7 +314,7 @@ TEST(Roofline, PerLayerPlanMatchesLegacyWalk) {
   for (const LayerDesc& layer : v2.layers) {
     const std::uint64_t compute = layer_latency(layer, cfg).cycles;
     const systolic::TrafficEstimate traffic =
-        layer_traffic(layer, cfg, kMem);
+        systolic::plan_traffic(systolic::lower(layer, cfg), cfg, kMem);
     const std::uint64_t memory = traffic.memory_cycles(kMem);
     legacy.compute_cycles += compute;
     legacy.memory_cycles += memory;

@@ -322,7 +322,7 @@ TEST(InputStationary, MirrorsWeightStationaryWhenTilesTranspose) {
       dataflow_array(Dataflow::kInputStationary, 8, false);
   const ArrayConfig ws_cfg =
       dataflow_array(Dataflow::kWeightStationary, 8, false);
-  for (const auto [m, t, n] :
+  for (const auto& [m, t, n] :
        {std::tuple{7, 7, 7}, std::tuple{12, 12, 5}, std::tuple{16, 16, 3}}) {
     EXPECT_EQ(matmul_latency(m, t, n, is_cfg).cycles,
               matmul_latency(n, t, m, ws_cfg).cycles)

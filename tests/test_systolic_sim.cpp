@@ -648,9 +648,8 @@ TEST(Heatmap, WrongRankThrows) {
 
 
 TEST(RectangularArrays, SimMatchesAnalyticOnNonSquareGrids) {
-  for (const auto [rows, cols] : {std::pair<std::int64_t, std::int64_t>{3, 9},
-                                  {9, 3},
-                                  {2, 16}}) {
+  for (const auto& [rows, cols] :
+       {std::pair<std::int64_t, std::int64_t>{3, 9}, {9, 3}, {2, 16}}) {
     ArrayConfig cfg;
     cfg.rows = rows;
     cfg.cols = cols;

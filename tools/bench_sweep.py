@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Before/after wall and CPU time of the report-sweep binaries.
 
-Runs each sweep-driven binary (the six SweepHarness benches and
-examples/dse_explore) REPS times from one or two build trees, alternating
-which tree runs first in each repetition, and writes the median and
+Runs each sweep-driven binary (the six SweepHarness benches) REPS times
+from one or two build trees, alternating which tree runs first in each
+repetition, and writes the median and
 interquartile range (IQR, q3 - q1) of each side's wall and CPU
 milliseconds as a bench_compare-readable artifact
 (results/BENCH_sweep.json).
@@ -40,7 +40,6 @@ BINARIES = [
     "bench/bench_resolution",
     "bench/bench_width_mult",
     "bench/bench_nos",
-    "examples/dse_explore",
 ]
 
 

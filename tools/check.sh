@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
 # Full verification gate:
 #   1. src/ reads no environment variable (no getenv), then the default
-#      build + complete test suite,
+#      build + complete test suite, then a smoke run of the examples no
+#      other stage runs (quickstart, network_explorer, transform_tradeoff,
+#      operator_search, export_network, schedule_timeline, int8_inference,
+#      train_synthetic): each must exit 0 and print something,
 #   2. ThreadSanitizer build running the suites that start threads
 #      (test_thread_pool, test_telemetry, test_serve — test_serve replays
 #      the serving engine's worker-determinism trace at 1/2/4 payload
 #      threads, whose tensor mode runs the serial fast kernels from
 #      several workers at once: the kernels' only concurrency),
-#   3. AddressSanitizer build running the mapping/executor suites
+#   3. AddressSanitizer + UBSan build running the mapping/executor suites
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
-#      test_serve) and the kernel differential suite (test_kernels: the
+#      test_serve), the closed-form evaluator's differentials
+#      (test_eval_fast: its seeded random shapes put the geometry products
+#      under UBSan) and the kernel differential suite (test_kernels: the
 #      GEMM panel tails and linear's eight-row tail lanes are raw pointer
 #      arithmetic under both ISAs; the engine differentials run the
 #      simulator's f64 kernel tails under both ISAs too),
@@ -75,6 +80,9 @@ ASAN_DIR="${3:-build-asan}"
 RELEASE_DIR="${4:-build-release}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$REPO_ROOT"
+# Scratch space for every stage's outputs.
+TELEMETRY_TMP="$(mktemp -d)"
+trap 'rm -rf "$TELEMETRY_TMP"' EXIT
 
 # Strips the lines a bench is allowed to vary between runs: the
 # "sweep: ..." wall-time footer and any "# ..." comment footers.
@@ -84,7 +92,7 @@ filter_bench_output() {
   grep -vE '^(sweep:|#)' || true
 }
 
-echo "=== [1/11] no getenv in src/ + default build + full test suite ==="
+echo "=== [1/11] no getenv in src/ + default build + full test suite + example smoke runs ==="
 # Results are a function of code and flags only: no library code may read
 # the environment.
 if grep -rn getenv src/; then
@@ -94,6 +102,23 @@ fi
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
+# The examples nothing else runs: each must exit 0 with non-empty stdout.
+# They run in a scratch directory because export_network writes
+# network.fusenet into its working directory.
+SMOKE_EXAMPLES=(quickstart network_explorer transform_tradeoff
+                operator_search export_network schedule_timeline
+                int8_inference train_synthetic)
+mkdir -p "$TELEMETRY_TMP/examples"
+for example in "${SMOKE_EXAMPLES[@]}"; do
+  bin="$REPO_ROOT/$BUILD_DIR/examples/$example"
+  [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
+  (cd "$TELEMETRY_TMP/examples" && "$bin" > "$example.txt")
+  if [ ! -s "$TELEMETRY_TMP/examples/$example.txt" ]; then
+    echo "$example: printed nothing" >&2
+    exit 1
+  fi
+  echo "$example: ok"
+done
 
 echo
 echo "=== [2/11] ThreadSanitizer build + concurrency suites ==="
@@ -109,7 +134,7 @@ done
 echo
 echo "=== [3/11] AddressSanitizer build + mapping/executor/kernel suites ==="
 ASAN_TESTS=(test_mapping test_execute test_systolic_sim test_netplan
-            test_serve test_kernels)
+            test_serve test_eval_fast test_kernels)
 cmake -B "$ASAN_DIR" -S . -DFUSE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
@@ -134,8 +159,6 @@ echo "bench_kernels smoke: ok"
 
 echo
 echo "=== [5/11] telemetry identity: plain run vs --trace-json/--stats-json ==="
-TELEMETRY_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP"' EXIT
 for bench in bench_table1 bench_fig8d_scaling bench_pareto \
              bench_resolution bench_width_mult bench_nos; do
   bin="$BUILD_DIR/bench/$bench"
