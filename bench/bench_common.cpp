@@ -102,17 +102,7 @@ void TelemetryScope::finalize() {
   }
 }
 
-SweepHarness::SweepHarness(util::CliFlags& flags) {
-  add_telemetry_flags(flags);
-}
-
-SweepHarness::~SweepHarness() { finalize(); }
-
-void SweepHarness::start(const util::CliFlags& flags) {
-  FUSE_CHECK(!telemetry_) << "SweepHarness::start called twice";
-  telemetry_.emplace(flags);
-  start_ = std::chrono::steady_clock::now();
-}
+SweepHarness::SweepHarness() : start_(std::chrono::steady_clock::now()) {}
 
 void SweepHarness::stop() {
   if (wall_ms_ < 0.0) {
@@ -122,19 +112,11 @@ void SweepHarness::stop() {
   }
 }
 
-void SweepHarness::finalize() {
-  if (telemetry_) {
-    telemetry_->finalize();
-  }
-}
-
 void SweepHarness::print_footer() {
-  FUSE_CHECK(telemetry_) << "SweepHarness::print_footer before start()";
   stop();
   // Wall time on one footer line (filtered out of golden comparisons by
   // its "sweep:" prefix).
   std::printf("\nsweep: %s ms\n", util::fixed(wall_ms_, 2).c_str());
-  finalize();
 }
 
 }  // namespace fuse::bench

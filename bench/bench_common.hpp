@@ -1,35 +1,39 @@
 // Shared flag wiring of the bench and example binaries. SweepHarness
-// owns the boilerplate of the sweep-driven benches: the telemetry flags,
-// a steady-clock wall time for the sweep, and the "sweep: W ms" footer,
-// so each bench only contains its own sweep (a serial loop over the
-// sched:: report functions) and table. The kernel and simulator flags
-// are registered only by the binaries whose output they can change: the
-// ones that dispatch nn kernels, and the simulator-driven examples.
+// owns the boilerplate of the sweep-driven benches: a steady-clock wall
+// time for the sweep and the "sweep: W ms" footer, so each bench only
+// contains its own sweep (a serial loop over the sched:: report
+// functions) and table. The kernel and simulator flags are registered
+// only by the binaries whose output they can change: the ones that
+// dispatch nn kernels, and the simulator-driven examples.
 //
-// Every bench also gains the telemetry flags: --trace-json=<path> attaches
-// a global trace sink for the harness's lifetime and writes the runtime
-// span timeline (wall-clock us: sweep spans) on exit;
+// The telemetry flags are registered only by the binaries whose run
+// records something to export (add_telemetry_flags + TelemetryScope):
+// --trace-json=<path> attaches a global trace sink for the scope's
+// lifetime and writes the runtime span timeline (wall-clock us) on exit;
 // --stats-json=<path> dumps the metrics registry (counters, per-layer
-// histograms); --profile-json=<path> attaches a
-// ProfileCollector and writes span wall-clock statistics (exact
-// p50/p90/p99, self vs child time). All three are silent — stdout and CSV
-// output stay byte-identical whether or not the flags are set.
+// histograms); --profile-json=<path> attaches a ProfileCollector and
+// writes span wall-clock statistics (exact p50/p90/p99, self vs child
+// time). All three are silent — stdout and CSV output stay
+// byte-identical whether or not the flags are set. Of the sweep benches
+// only bench_table1 and bench_fig8d_scaling take them: their report calls
+// record spans, while the NOS, Pareto, resolution and width sweeps record
+// nothing to export.
 //
 // Usage:
 //   util::CliFlags flags;
 //   ...bench-specific flags...
-//   bench::SweepHarness harness(flags);   // registers the shared flags
+//   bench::add_telemetry_flags(flags);       // only if it exports something
 //   flags.parse(argc, argv);
-//   harness.start(flags);                 // attaches telemetry, starts clock
+//   bench::TelemetryScope telemetry(flags);
+//   bench::SweepHarness harness;              // starts the clock
 //   ...the sweep...
-//   harness.stop();                       // freeze wall time (optional)
+//   harness.stop();                           // freeze wall time (optional)
 //   table.print(std::cout);
-//   harness.print_footer();               // "sweep: W ms"
+//   harness.print_footer();                   // "sweep: W ms"
 #pragma once
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "systolic/sim.hpp"
@@ -43,8 +47,7 @@ class TraceSink;
 namespace fuse::bench {
 
 /// Registers --trace-json/--stats-json/--profile-json on `flags` (all
-/// default empty = off). SweepHarness calls this; standalone tools can
-/// reuse it.
+/// default empty = off), for the binaries that record spans or metrics.
 void add_telemetry_flags(util::CliFlags& flags);
 
 /// Registers --kernel-backend (fast|reference, default fast) and
@@ -89,35 +92,23 @@ class TelemetryScope {
   bool finalized_ = false;
 };
 
+/// The wall clock and footer of a sweep bench.
 class SweepHarness {
  public:
-  /// Registers the telemetry flags on `flags`. Call before parse().
-  explicit SweepHarness(util::CliFlags& flags);
-
-  /// Detaches the trace sink and writes any requested telemetry files if
-  /// print_footer() never ran.
-  ~SweepHarness();
-
-  /// Starts the wall clock. When --trace-json is set, also attaches the
-  /// process-wide trace sink so the sweep's spans land in the file. Call
-  /// once, after flags.parse().
-  void start(const util::CliFlags& flags);
+  /// Starts the wall clock.
+  SweepHarness();
 
   /// Freezes the wall-clock measurement; later calls are no-ops, so the
   /// timed window ends at the first stop() (or at print_footer()).
   void stop();
 
   /// Prints the footer — the sweep's wall time (stops the clock first if
-  /// running) — then silently writes --trace-json/--stats-json if
-  /// requested.
+  /// running).
   void print_footer();
 
  private:
-  void finalize();  // detach sink + write files; idempotent, silent
-
   std::chrono::steady_clock::time_point start_;
   double wall_ms_ = -1.0;
-  std::optional<TelemetryScope> telemetry_;
 };
 
 }  // namespace fuse::bench

@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("variant", "half", "full|half");
   flags.add_bool("csv", false, "also write bench_fig8d.csv");
-  bench::SweepHarness harness(flags);
+  bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);
+  bench::TelemetryScope telemetry(flags);
 
   const core::NetworkVariant variant =
       flags.get_string("variant") == "full"
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
   }
   const auto networks = nets::paper_networks();
   std::vector<std::vector<sched::ScalingPoint>> sweeps;
-  harness.start(flags);
+  bench::SweepHarness harness;  // starts the wall clock
   for (const nets::NetworkId id : networks) {
     sweeps.push_back(sched::scaling_sweep(id, variant, sizes));
   }

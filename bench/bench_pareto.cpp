@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas");
   flags.add_bool("csv", false, "also write bench_pareto.csv");
-  bench::SweepHarness harness(flags);
   flags.parse(argc, argv);
 
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     double fuse_inf_s = 0.0;
   };
   std::vector<Point> points;
-  harness.start(flags);
+  bench::SweepHarness harness;  // starts the wall clock
   for (const std::int64_t size : sizes) {
     const auto cfg = systolic::square_array(size);
     const double hz = cfg.freq_mhz * 1e6;

@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_bool("csv", false, "also write bench_table1.csv");
-  bench::SweepHarness harness(flags);
+  bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);
+  bench::TelemetryScope telemetry(flags);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   std::printf("Table I reproduction — %s array, output-stationary\n",
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
       "(accuracy column = paper-reported ImageNet top-1; this repo's "
       "synthetic-accuracy study is bench_accuracy_synth)\n\n");
 
-  harness.start(flags);
+  bench::SweepHarness harness;  // starts the wall clock
   const auto rows = sched::table1_rows(cfg);
   harness.stop();
 

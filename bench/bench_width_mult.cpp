@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_bool("csv", false, "also write bench_width_mult.csv");
-  bench::SweepHarness harness(flags);
   flags.parse(argc, argv);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
     return sched::network_latency(model, cfg).total_cycles;
   };
   std::vector<Point> points;  // network-major, alpha-minor
-  harness.start(flags);
+  bench::SweepHarness harness;  // starts the wall clock
   for (const nets::NetworkId id : networks) {
     const int slots = nets::num_fuse_slots(id);
     for (const double alpha : alphas) {

@@ -72,26 +72,35 @@ bool op_kind_counts_for_latency(OpKind kind) {
   return false;
 }
 
+namespace {
+
+/// The product of `factors`, FUSE_CHECKed against 64-bit wraparound.
+template <typename... Factors>
+std::uint64_t checked_product(const LayerDesc& layer, const char* count,
+                              Factors... factors) {
+  std::uint64_t product = 1;
+  const bool overflow =
+      (... || __builtin_mul_overflow(
+                  product, static_cast<std::uint64_t>(factors), &product));
+  FUSE_CHECK(!overflow) << "the " << count << " count of layer '"
+                        << layer.name << "' overflows 64 bits";
+  return product;
+}
+
+}  // namespace
+
 std::uint64_t LayerDesc::macs() const {
-  const std::uint64_t out_positions =
-      static_cast<std::uint64_t>(out_h) * static_cast<std::uint64_t>(out_w);
   switch (kind) {
     case OpKind::kStandardConv:
     case OpKind::kGroupedConv:
     case OpKind::kDepthwiseConv:
     case OpKind::kPointwiseConv:
     case OpKind::kFuseRowConv:
-    case OpKind::kFuseColConv: {
-      const std::uint64_t taps_per_output =
-          static_cast<std::uint64_t>(kernel_h) *
-          static_cast<std::uint64_t>(kernel_w) *
-          static_cast<std::uint64_t>(in_c / groups);
-      return out_positions * static_cast<std::uint64_t>(out_c) *
-             taps_per_output;
-    }
+    case OpKind::kFuseColConv:
+      return checked_product(*this, "MAC", out_h, out_w, out_c, kernel_h,
+                             kernel_w, in_c / groups);
     case OpKind::kFullyConnected:
-      return static_cast<std::uint64_t>(in_c) *
-             static_cast<std::uint64_t>(out_c);
+      return checked_product(*this, "MAC", in_c, out_c);
     case OpKind::kAvgPool:
     case OpKind::kMaxPool:
     case OpKind::kGlobalAvgPool:
@@ -103,7 +112,7 @@ std::uint64_t LayerDesc::macs() const {
 }
 
 std::uint64_t LayerDesc::params() const {
-  std::uint64_t weights = 0;
+  std::uint64_t per_channel = 0;  // parameters per output channel
   switch (kind) {
     case OpKind::kStandardConv:
     case OpKind::kGroupedConv:
@@ -111,14 +120,11 @@ std::uint64_t LayerDesc::params() const {
     case OpKind::kPointwiseConv:
     case OpKind::kFuseRowConv:
     case OpKind::kFuseColConv:
-      weights = static_cast<std::uint64_t>(out_c) *
-                static_cast<std::uint64_t>(in_c / groups) *
-                static_cast<std::uint64_t>(kernel_h) *
-                static_cast<std::uint64_t>(kernel_w);
+      per_channel = checked_product(*this, "parameter", in_c / groups,
+                                    kernel_h, kernel_w);
       break;
     case OpKind::kFullyConnected:
-      weights = static_cast<std::uint64_t>(in_c) *
-                static_cast<std::uint64_t>(out_c);
+      per_channel = static_cast<std::uint64_t>(in_c);
       break;
     case OpKind::kAvgPool:
     case OpKind::kMaxPool:
@@ -127,13 +133,11 @@ std::uint64_t LayerDesc::params() const {
     case OpKind::kElementwiseAdd:
       return 0;
   }
-  if (has_bias) {
-    weights += static_cast<std::uint64_t>(out_c);
-  }
-  if (has_batchnorm) {
-    weights += 2ULL * static_cast<std::uint64_t>(out_c);
-  }
-  return weights;
+  // A bias adds one parameter per output channel, a batchnorm two.
+  const std::uint64_t extra = (has_bias ? 1 : 0) + (has_batchnorm ? 2 : 0);
+  FUSE_CHECK(!__builtin_add_overflow(per_channel, extra, &per_channel))
+      << "the parameter count of layer '" << name << "' overflows 64 bits";
+  return checked_product(*this, "parameter", out_c, per_channel);
 }
 
 std::string LayerDesc::to_string() const {

@@ -1,6 +1,5 @@
 #include "sched/attribution.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <ostream>
 
@@ -11,161 +10,20 @@
 namespace fuse::sched {
 
 using systolic::ArrayConfig;
-using systolic::Dataflow;
-using systolic::FoldTile;
-using systolic::PrimitiveKind;
 using systolic::PrimitiveOp;
-
-namespace {
-
-/// Per-fold component walk of one matmul-shaped repeat — the formulas of
-/// systolic/cycle_model.cpp with skew/preload/drain separated from the
-/// MAC-streaming window. Emits fn(split, macs) once per fold.
-void matmul_fold_splits(
-    std::int64_t m, std::int64_t t, std::int64_t n, const ArrayConfig& cfg,
-    const std::function<void(const CycleSplit&, std::uint64_t)>& fn) {
-  // Gather the fold grid first: the overlap variants treat the first
-  // (preload) or last (drain) fold specially.
-  std::vector<FoldTile> tiles;
-  switch (cfg.dataflow) {
-    case Dataflow::kOutputStationary:
-      systolic::for_each_fold_tile(
-          m, n, cfg, [&](const FoldTile& tile) { tiles.push_back(tile); });
-      break;
-    case Dataflow::kWeightStationary:
-      systolic::for_each_fold_tile(
-          t, n, cfg, [&](const FoldTile& tile) { tiles.push_back(tile); });
-      break;
-    case Dataflow::kInputStationary:
-      systolic::for_each_fold_tile(
-          m, t, cfg, [&](const FoldTile& tile) { tiles.push_back(tile); });
-      break;
-  }
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    const FoldTile& tile = tiles[i];
-    const bool first = i == 0;
-    const bool last = i + 1 == tiles.size();
-    CycleSplit split;
-    std::uint64_t macs = 0;
-    switch (cfg.dataflow) {
-      case Dataflow::kOutputStationary:
-        // (R-1)+(C-1) fill skew, T MAC cycles, R drain (last fold only
-        // when drains overlap the next fold's fill); skew/drain shrink
-        // with transparency.
-        split.fill_drain = static_cast<std::uint64_t>(
-            cfg.skew_cycles(tile.rows) + cfg.skew_cycles(tile.cols));
-        split.compute = static_cast<std::uint64_t>(t);
-        if (!cfg.overlap_fold_drain || last) {
-          split.fill_drain +=
-              static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-        }
-        macs = static_cast<std::uint64_t>(tile.rows) *
-               static_cast<std::uint64_t>(tile.cols) *
-               static_cast<std::uint64_t>(t);
-        break;
-      case Dataflow::kWeightStationary:
-        // T_u preload (hidden behind the previous fold's streaming when
-        // double-buffered), M streaming MAC cycles, (T_u + N_u - 2)
-        // propagation skew.
-        if (first || !cfg.overlap_fold_drain) {
-          split.fill_drain += static_cast<std::uint64_t>(tile.rows);
-        }
-        split.compute = static_cast<std::uint64_t>(m);
-        split.fill_drain += static_cast<std::uint64_t>(
-            cfg.skew_cycles(tile.rows) + cfg.skew_cycles(tile.cols));
-        macs = static_cast<std::uint64_t>(m) *
-               static_cast<std::uint64_t>(tile.rows) *
-               static_cast<std::uint64_t>(tile.cols);
-        break;
-      case Dataflow::kInputStationary:
-        // Symmetric to WS with the activations pinned: M_u preload, N
-        // streaming, (M_u + T_u - 2) skew.
-        if (first || !cfg.overlap_fold_drain) {
-          split.fill_drain += static_cast<std::uint64_t>(tile.rows);
-        }
-        split.compute = static_cast<std::uint64_t>(n);
-        split.fill_drain += static_cast<std::uint64_t>(
-            cfg.skew_cycles(tile.rows) + cfg.skew_cycles(tile.cols));
-        macs = static_cast<std::uint64_t>(n) *
-               static_cast<std::uint64_t>(tile.rows) *
-               static_cast<std::uint64_t>(tile.cols);
-        break;
-    }
-    fn(split, macs);
-  }
-}
-
-/// The broadcast FuSe 1-D wave: (C-1) input skew along the row, k
-/// broadcast MAC cycles, R drain (last wave only under overlap).
-void fuse1d_fold_splits(
-    std::int64_t lines, std::int64_t line_out, std::int64_t k,
-    const ArrayConfig& cfg,
-    const std::function<void(const CycleSplit&, std::uint64_t)>& fn) {
-  std::vector<FoldTile> tiles;
-  systolic::for_each_fold_tile(
-      lines, line_out, cfg,
-      [&](const FoldTile& tile) { tiles.push_back(tile); });
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    const FoldTile& tile = tiles[i];
-    const bool last = i + 1 == tiles.size();
-    CycleSplit split;
-    split.fill_drain = static_cast<std::uint64_t>(cfg.skew_cycles(tile.cols));
-    split.compute = static_cast<std::uint64_t>(k);
-    if (!cfg.overlap_fold_drain || last) {
-      split.fill_drain +=
-          static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-    }
-    fn(split, static_cast<std::uint64_t>(tile.rows) *
-                  static_cast<std::uint64_t>(tile.cols) *
-                  static_cast<std::uint64_t>(k));
-  }
-}
-
-}  // namespace
-
-void for_each_fold_split(
-    const PrimitiveOp& op, const ArrayConfig& cfg,
-    const std::function<void(const CycleSplit&, std::uint64_t)>& fn) {
-  FUSE_CHECK(op.repeats >= 1) << "primitive op with repeats=" << op.repeats;
-  for (std::int64_t r = 0; r < op.repeats; ++r) {
-    switch (op.kind) {
-      case PrimitiveKind::kMatmulTile:
-      case PrimitiveKind::kIm2colTile:
-      case PrimitiveKind::kChannelwiseTile:
-        matmul_fold_splits(op.m, op.k, op.n, cfg, fn);
-        break;
-      case PrimitiveKind::kFuse1DLine:
-        if (op.broadcast) {
-          fuse1d_fold_splits(op.lines, op.line_out, op.taps, cfg, fn);
-        } else {
-          // Broadcast-less lines degrade to serialized single-column
-          // matmuls (one per repeat — lower() sets repeats = lines).
-          matmul_fold_splits(op.line_out, op.taps, /*n=*/1, cfg, fn);
-        }
-        break;
-    }
-  }
-}
 
 CycleSplit decompose_primitive(const PrimitiveOp& op,
                                const ArrayConfig& cfg) {
-  CycleSplit split;
-  std::uint64_t macs = 0;
-  std::uint64_t folds = 0;
-  for_each_fold_split(op, cfg,
-                      [&](const CycleSplit& fold, std::uint64_t fold_macs) {
-                        split += fold;
-                        macs += fold_macs;
-                        ++folds;
-                      });
   const systolic::LatencyEstimate total = op.total();
-  FUSE_CHECK(split.total() == total.cycles)
-      << "attribution components (" << split.compute << " compute + "
-      << split.fill_drain << " fill/drain) do not sum to the analytic "
-      << total.cycles << " cycles of " << primitive_kind_name(op.kind);
-  FUSE_CHECK(macs == total.mac_ops && folds == total.folds)
-      << "attribution fold walk diverged from the plan fold counts for "
-      << primitive_kind_name(op.kind);
+  CycleSplit split;
+  split.compute =
+      total.folds *
+      static_cast<std::uint64_t>(systolic::fold_stream_cycles(op, cfg));
+  FUSE_CHECK(split.compute <= total.cycles)
+      << "the stream windows of " << primitive_kind_name(op.kind) << " ("
+      << split.compute << " cycles) exceed its analytic " << total.cycles
+      << " cycles";
+  split.fill_drain = total.cycles - split.compute;
   return split;
 }
 
@@ -286,52 +144,43 @@ AttributionReport attribute_network(const NetworkPlan& plan,
       << "DRAM stall attribution does not close the roofline gap";
 
   // --- per-segment shares of the layer decompositions ------------------------
-  // The schedule only reorders whole folds and preserves each layer's
-  // internal fold order, so segment k of a layer covers the next
-  // `seg.folds` folds of the layer's canonical walk.
-  std::vector<std::vector<std::size_t>> layer_segments(
-      plan.layer_plans.size());
-  for (std::size_t s = 0; s < plan.segments.size(); ++s) {
-    layer_segments[plan.segments[s].layer_index].push_back(s);
-  }
+  // A segment that holds only some of a layer's folds (the fused
+  // interleaver's stripes) streams for the layer's single op's window per
+  // fold; a segment holding all of them takes the layer's split.
+  std::vector<CycleSplit> segment_sums(plan.layer_plans.size());
   report.segments.resize(plan.segments.size());
-  for (const std::size_t idx : plan.on_array) {
-    const std::vector<std::size_t>& segs = layer_segments[idx];
-    if (segs.empty()) {
-      continue;  // plans without segments (not scheduled on the array)
+  for (std::size_t s = 0; s < plan.segments.size(); ++s) {
+    const ScheduleSegment& seg = plan.segments[s];
+    const systolic::MappingPlan& layer_plan = plan.layer_plans[seg.layer_index];
+    SegmentAttribution& sa = report.segments[s];
+    sa.segment_index = s;
+    sa.layer_index = seg.layer_index;
+    if (seg.folds == plan.layer_latency[seg.layer_index].folds) {
+      for (const PrimitiveOp& op : layer_plan.ops) {
+        sa.split += decompose_primitive(op, plan.cfg);
+      }
+    } else {
+      FUSE_CHECK(layer_plan.ops.size() == 1)
+          << "layer '" << model.layers[seg.layer_index].name
+          << "' is split across segments but lowers to "
+          << layer_plan.ops.size() << " primitives";
+      sa.split.compute =
+          seg.folds * static_cast<std::uint64_t>(systolic::fold_stream_cycles(
+                          layer_plan.ops.front(), plan.cfg));
     }
-    std::size_t cursor = 0;  // index into segs
-    std::uint64_t taken = 0;  // folds consumed by segs[cursor]
-    CycleSplit layer_sum;
-    for (const PrimitiveOp& op : plan.layer_plans[idx].ops) {
-      for_each_fold_split(
-          op, plan.cfg,
-          [&](const CycleSplit& fold, std::uint64_t fold_macs) {
-            while (cursor < segs.size() &&
-                   taken >= plan.segments[segs[cursor]].folds) {
-              ++cursor;
-              taken = 0;
-            }
-            FUSE_CHECK(cursor < segs.size())
-                << "layer '" << model.layers[idx].name
-                << "' has more folds than its schedule segments cover";
-            SegmentAttribution& sa = report.segments[segs[cursor]];
-            sa.segment_index = segs[cursor];
-            sa.layer_index = idx;
-            sa.split += fold;
-            sa.mac_ops += fold_macs;
-            layer_sum += fold;
-            ++taken;
-          });
-    }
-    // Every segment fully consumed, and the segment shares reproduce the
-    // layer's own decomposition exactly.
-    FUSE_CHECK(cursor + 1 >= segs.size())
-        << "layer '" << model.layers[idx].name
-        << "' schedule segments cover more folds than the layer has";
-    FUSE_CHECK(layer_sum.total() == plan.layer_latency[idx].cycles)
-        << "segment attribution of '" << model.layers[idx].name
-        << "' does not sum to its analytic latency";
+    FUSE_CHECK(sa.split.compute <= seg.duration())
+        << "segment " << s << " of '" << model.layers[seg.layer_index].name
+        << "' streams longer than it lasts";
+    sa.split.fill_drain = seg.duration() - sa.split.compute;
+    segment_sums[seg.layer_index] += sa.split;
+  }
+  // The segment shares reproduce each layer's own decomposition exactly.
+  for (const LayerAttribution& la : report.layers) {
+    const CycleSplit& sum = segment_sums[la.layer_index];
+    FUSE_CHECK(sum.compute == la.split.compute &&
+               sum.fill_drain == la.split.fill_drain)
+        << "segment attribution of '" << la.name
+        << "' does not sum to its layer split";
   }
   return report;
 }

@@ -28,15 +28,16 @@
 // exactly. Per-layer roofline points (operational intensity in MACs/byte
 // vs attained cycles/MAC) ride along for plotting.
 //
-// The decomposition is a pure view over the MappingPlan fold walk — it
-// re-enumerates for_each_fold_tile with the cycle-model formulas split
-// into their components, and checks the components sum back to the
-// LatencyEstimate the plan already carries. Nothing here records metrics
-// or mutates process state.
+// The decomposition needs no fold walk of its own: every fold of a
+// primitive streams MACs for the same window (T on OS, M on WS, N on IS,
+// the taps of a broadcast line — systolic::fold_stream_cycles), so a
+// primitive's compute is folds x window and its fill/drain is the rest of
+// the cycles the cycle model priced. A schedule segment splits the same
+// way over its own folds and duration. Nothing here records metrics or
+// mutates process state.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -47,7 +48,7 @@
 
 namespace fuse::sched {
 
-/// The two time components of one fold (or one primitive, or one layer).
+/// The two time components of one primitive, schedule segment, or layer.
 struct CycleSplit {
   std::uint64_t compute = 0;     // MAC-streaming window
   std::uint64_t fill_drain = 0;  // wavefront skew + preload + drain
@@ -60,17 +61,9 @@ struct CycleSplit {
   }
 };
 
-/// Walks every fold of `op` (repeats included) in the canonical
-/// for_each_fold_tile order and calls fn(split, mac_ops) once per fold.
-/// The splits sum exactly to op.total().cycles and the macs to
-/// op.total().mac_ops — the same formulas as systolic/cycle_model.cpp,
-/// separated into their components (verified by decompose_primitive's
-/// FUSE_CHECK and tests/test_attribution.cpp).
-void for_each_fold_split(
-    const systolic::PrimitiveOp& op, const systolic::ArrayConfig& cfg,
-    const std::function<void(const CycleSplit&, std::uint64_t)>& fn);
-
-/// Fold of for_each_fold_split; FUSE_CHECKs total() == op.total().cycles.
+/// The split of one primitive: compute = op.total().folds x
+/// systolic::fold_stream_cycles(op, cfg), fill_drain = the rest of
+/// op.total().cycles.
 CycleSplit decompose_primitive(const systolic::PrimitiveOp& op,
                                const systolic::ArrayConfig& cfg);
 
@@ -136,11 +129,13 @@ struct UnitAttribution {
   bool memory_bound = false;
 };
 
-/// One schedule segment's share of its layer's decomposition: the
-/// segment's `folds` consecutive folds in the layer's canonical fold
-/// order. Summing a layer's segments reproduces the layer's split exactly
-/// (FUSE_CHECKed) — this is the per-fused-segment view of the fused
-/// schedule's interleaving.
+/// One schedule segment's share of its layer's decomposition: compute is
+/// the segment's fold count times the layer's stream window, fill/drain
+/// the rest of the segment's duration — exact whichever of the layer's
+/// folds the fused interleaver put in it. A segment's split sums to its
+/// duration, and a layer's segments sum to the layer's split (both
+/// FUSE_CHECKed) — the per-fused-segment view of the fused schedule's
+/// interleaving.
 struct SegmentAttribution {
   std::size_t segment_index = 0;  // into plan.segments
   std::size_t layer_index = 0;

@@ -69,9 +69,10 @@ std::uint64_t sum_drain_a(const FoldGrid& g, std::int64_t rows,
          static_cast<std::uint64_t>(cfg.drain_cycles(g.last_a));
 }
 
-/// Closed form of matmul_latency_os: folds pay skew(r)+skew(c)+t each; the
-/// drain overlaps the next fold's fill (only the row-major-last tile —
-/// which has last_a rows — pays it) or every fold pays its own.
+/// Closed form of the OS fold walk (for_each_matmul_fold): folds pay
+/// skew(r)+skew(c)+t each; the drain overlaps the next fold's fill (only
+/// the row-major-last tile — which has last_a rows — pays it) or every
+/// fold pays its own.
 LatencyEstimate matmul_closed_os(std::int64_t m, std::int64_t t,
                                  std::int64_t n, const ArrayConfig& cfg) {
   const FoldGrid g = fold_grid(m, n, cfg.rows, cfg.cols);
@@ -91,7 +92,7 @@ LatencyEstimate matmul_closed_os(std::int64_t m, std::int64_t t,
   return est;
 }
 
-/// Closed form of matmul_latency_ws: the [t, n] weight grid streams m
+/// Closed form of the WS fold walk: the [t, n] weight grid streams m
 /// activation rows per fold; the preload is the first fold's used depth
 /// under overlap (later preloads hide behind streaming) or every fold's
 /// used depth — which telescopes to nb * t.
@@ -113,7 +114,7 @@ LatencyEstimate matmul_closed_ws(std::int64_t m, std::int64_t t,
   return est;
 }
 
-/// Closed form of matmul_latency_is (symmetric to WS with the [m, t]
+/// Closed form of the IS fold walk (symmetric to WS with the [m, t]
 /// activation grid pinned and n weight columns streaming).
 LatencyEstimate matmul_closed_is(std::int64_t m, std::int64_t t,
                                  std::int64_t n, const ArrayConfig& cfg) {

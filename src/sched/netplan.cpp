@@ -138,8 +138,8 @@ bool only_activation_between(const nets::NetworkModel& model,
 }
 
 /// One producer fold in canonical (pass-major, row-major) order: its cycle
-/// cost (pass drain tails folded into the pass-final fold) and the first
-/// consumer row-stripe that needs any output position it produces.
+/// cost from the priced walk (for_each_fold) and the first consumer
+/// row-stripe that needs any output position it produces.
 struct ProducerFold {
   std::uint64_t cycles = 0;
   std::size_t deadline = 0;
@@ -151,27 +151,10 @@ struct ProducerFold {
 /// feeds exactly consumer stripe i.
 void enumerate_depthwise_folds(const PrimitiveOp& op, const ArrayConfig& cfg,
                                std::vector<ProducerFold>& folds) {
-  for (std::int64_t r = 0; r < op.repeats; ++r) {
-    std::size_t pass_first = folds.size();
-    systolic::for_each_fold_tile(op.m, /*b=*/1, cfg,
-                                 [&](const FoldTile& tile) {
-      ProducerFold fold;
-      fold.cycles = static_cast<std::uint64_t>(
-          cfg.skew_cycles(tile.rows) + cfg.skew_cycles(tile.cols) + op.k);
-      if (!cfg.overlap_fold_drain) {
-        fold.cycles += static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-      }
-      fold.deadline = static_cast<std::size_t>(tile.a0 / cfg.rows);
-      folds.push_back(fold);
-    });
-    if (cfg.overlap_fold_drain && folds.size() > pass_first) {
-      // The pass's trailing drain rides with its final fold.
-      const std::int64_t last_rows =
-          op.m - ((op.m - 1) / cfg.rows) * cfg.rows;
-      folds.back().cycles +=
-          static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
-    }
-  }
+  systolic::for_each_fold(op, cfg, [&](const FoldTile& tile,
+                                       std::uint64_t cycles, std::uint64_t) {
+    folds.push_back({cycles, static_cast<std::size_t>(tile.a0 / cfg.rows)});
+  });
 }
 
 /// Enumerates a broadcast FuSe producer's folds. Lines are packed c-major
@@ -192,15 +175,8 @@ void enumerate_fuse_folds(const LayerDesc& producer, const PrimitiveOp& op,
           ? 1
           : (row_branch ? producer.stride_w : producer.stride_h);
   const std::int64_t out_w = producer.out_w;
-  const std::size_t pass_first = folds.size();
-  systolic::for_each_fold_tile(op.lines, op.line_out, cfg,
-                               [&](const FoldTile& tile) {
-    ProducerFold fold;
-    fold.cycles =
-        static_cast<std::uint64_t>(cfg.skew_cycles(tile.cols) + op.taps);
-    if (!cfg.overlap_fold_drain) {
-      fold.cycles += static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-    }
+  systolic::for_each_fold(op, cfg, [&](const FoldTile& tile,
+                                       std::uint64_t cycles, std::uint64_t) {
     // Smallest kept output index inside this tile's column range.
     const std::int64_t first_kept = (tile.b0 + stride - 1) / stride;
     const std::int64_t last_kept = (tile.b0 + tile.cols - 1) / stride;
@@ -219,16 +195,10 @@ void enumerate_fuse_folds(const LayerDesc& producer, const PrimitiveOp& op,
         }
       }
     }
-    fold.deadline =
-        min_pos < 0 ? 0 : static_cast<std::size_t>(min_pos / cfg.rows);
-    folds.push_back(fold);
+    folds.push_back({cycles, min_pos < 0 ? 0
+                                         : static_cast<std::size_t>(
+                                               min_pos / cfg.rows)});
   });
-  if (cfg.overlap_fold_drain && folds.size() > pass_first) {
-    const std::int64_t last_rows =
-        op.lines - ((op.lines - 1) / cfg.rows) * cfg.rows;
-    folds.back().cycles +=
-        static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
-  }
 }
 
 /// Per-row-stripe cost of the pointwise consumer's single matmul pass.
@@ -239,26 +209,15 @@ struct ConsumerStripe {
 
 std::vector<ConsumerStripe> consumer_stripes(const PrimitiveOp& op,
                                              const ArrayConfig& cfg) {
-  const std::size_t count =
-      static_cast<std::size_t>((op.m + cfg.rows - 1) / cfg.rows);
-  std::vector<ConsumerStripe> stripes(count);
-  std::int64_t last_rows = 0;
-  systolic::for_each_fold_tile(op.m, op.n, cfg, [&](const FoldTile& tile) {
-    std::uint64_t cycles = static_cast<std::uint64_t>(
-        cfg.skew_cycles(tile.rows) + cfg.skew_cycles(tile.cols) + op.k);
-    if (!cfg.overlap_fold_drain) {
-      cycles += static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-    }
-    last_rows = tile.rows;
+  std::vector<ConsumerStripe> stripes(
+      static_cast<std::size_t>((op.m + cfg.rows - 1) / cfg.rows));
+  systolic::for_each_fold(op, cfg, [&](const FoldTile& tile,
+                                       std::uint64_t cycles, std::uint64_t) {
     ConsumerStripe& stripe =
         stripes[static_cast<std::size_t>(tile.a0 / cfg.rows)];
     stripe.cycles += cycles;
     ++stripe.folds;
   });
-  if (cfg.overlap_fold_drain && !stripes.empty()) {
-    stripes.back().cycles +=
-        static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
-  }
   return stripes;
 }
 

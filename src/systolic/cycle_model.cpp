@@ -1,6 +1,5 @@
 #include "systolic/cycle_model.hpp"
 
-#include "systolic/mapping.hpp"
 #include "util/check.hpp"
 
 namespace fuse::systolic {
@@ -17,119 +16,20 @@ LatencyEstimate& LatencyEstimate::operator+=(const LatencyEstimate& other) {
   return *this;
 }
 
-std::uint64_t fold_cycles(std::int64_t used_rows, std::int64_t used_cols,
-                          std::int64_t depth) {
-  FUSE_CHECK(used_rows > 0 && used_cols > 0 && depth > 0)
-      << "fold_cycles(" << used_rows << ", " << used_cols << ", " << depth
-      << ")";
-  return static_cast<std::uint64_t>((used_rows - 1) + (used_cols - 1) +
-                                    depth + used_rows);
-}
-
-std::uint64_t fold_cycles(std::int64_t used_rows, std::int64_t used_cols,
-                          std::int64_t depth, const ArrayConfig& cfg) {
-  FUSE_CHECK(used_rows > 0 && used_cols > 0 && depth > 0)
-      << "fold_cycles(" << used_rows << ", " << used_cols << ", " << depth
-      << ")";
-  return static_cast<std::uint64_t>(cfg.skew_cycles(used_rows) +
-                                    cfg.skew_cycles(used_cols) + depth +
-                                    cfg.drain_cycles(used_rows));
-}
-
 LatencyEstimate matmul_latency(std::int64_t m, std::int64_t t,
                                std::int64_t n, const ArrayConfig& cfg) {
-  switch (cfg.dataflow) {
-    case Dataflow::kOutputStationary:
-      return matmul_latency_os(m, t, n, cfg);
-    case Dataflow::kWeightStationary:
-      return matmul_latency_ws(m, t, n, cfg);
-    case Dataflow::kInputStationary:
-      return matmul_latency_is(m, t, n, cfg);
-  }
-  FUSE_CHECK(false) << "unknown dataflow";
-  return {};
-}
-
-LatencyEstimate matmul_latency_os(std::int64_t m, std::int64_t t,
-                                  std::int64_t n, const ArrayConfig& cfg) {
   cfg.validate();
   FUSE_CHECK(m > 0 && t > 0 && n > 0)
       << "matmul_latency(" << m << ", " << t << ", " << n << ")";
   LatencyEstimate est;
   est.pe_count = cfg.pe_count();
-  std::int64_t last_rows = 0;
-  for_each_fold_tile(m, n, cfg, [&](const FoldTile& tile) {
-    if (cfg.overlap_fold_drain) {
-      // Drain overlaps the next fold's fill; only the last fold pays it.
-      est.cycles += static_cast<std::uint64_t>(cfg.skew_cycles(tile.rows) +
-                                               cfg.skew_cycles(tile.cols) + t);
-      last_rows = tile.rows;
-    } else {
-      est.cycles += fold_cycles(tile.rows, tile.cols, t, cfg);
-    }
-    est.folds += 1;
-    est.mac_ops += static_cast<std::uint64_t>(tile.rows) *
-                   static_cast<std::uint64_t>(tile.cols) *
-                   static_cast<std::uint64_t>(t);
-  });
-  if (cfg.overlap_fold_drain) {
-    est.cycles += static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
-  }
-  return est;
-}
-
-LatencyEstimate matmul_latency_ws(std::int64_t m, std::int64_t t,
-                                  std::int64_t n, const ArrayConfig& cfg) {
-  cfg.validate();
-  FUSE_CHECK(m > 0 && t > 0 && n > 0)
-      << "matmul_latency_ws(" << m << ", " << t << ", " << n << ")";
-  LatencyEstimate est;
-  est.pe_count = cfg.pe_count();
-  bool first_fold = true;
-  // Weight tiles: reduction depth over the array rows, N over the columns.
-  for_each_fold_tile(t, n, cfg, [&](const FoldTile& tile) {
-    const std::int64_t used_t = tile.rows;
-    const std::int64_t used_n = tile.cols;
-    // Preload hides behind the previous fold's streaming when weights
-    // are double-buffered. Preload is row-load-bandwidth bound (one row
-    // per cycle), so transparency does not shorten it.
-    if (first_fold || !cfg.overlap_fold_drain) {
-      est.cycles += static_cast<std::uint64_t>(used_t);
-    }
-    first_fold = false;
-    est.cycles += static_cast<std::uint64_t>(m + cfg.skew_cycles(used_t) +
-                                             cfg.skew_cycles(used_n));
-    est.folds += 1;
-    est.mac_ops += static_cast<std::uint64_t>(m) *
-                   static_cast<std::uint64_t>(used_t) *
-                   static_cast<std::uint64_t>(used_n);
-  });
-  return est;
-}
-
-LatencyEstimate matmul_latency_is(std::int64_t m, std::int64_t t,
-                                  std::int64_t n, const ArrayConfig& cfg) {
-  cfg.validate();
-  FUSE_CHECK(m > 0 && t > 0 && n > 0)
-      << "matmul_latency_is(" << m << ", " << t << ", " << n << ")";
-  LatencyEstimate est;
-  est.pe_count = cfg.pe_count();
-  bool first_fold = true;
-  // Activation tiles: M over the array rows, reduction depth over columns.
-  for_each_fold_tile(m, t, cfg, [&](const FoldTile& tile) {
-    const std::int64_t used_m = tile.rows;
-    const std::int64_t used_t = tile.cols;
-    if (first_fold || !cfg.overlap_fold_drain) {
-      est.cycles += static_cast<std::uint64_t>(used_m);
-    }
-    first_fold = false;
-    est.cycles += static_cast<std::uint64_t>(n + cfg.skew_cycles(used_m) +
-                                             cfg.skew_cycles(used_t));
-    est.folds += 1;
-    est.mac_ops += static_cast<std::uint64_t>(n) *
-                   static_cast<std::uint64_t>(used_m) *
-                   static_cast<std::uint64_t>(used_t);
-  });
+  for_each_matmul_fold(m, t, n, cfg,
+                       [&](const FoldTile&, std::uint64_t cycles,
+                           std::uint64_t macs) {
+                         est.cycles += cycles;
+                         est.folds += 1;
+                         est.mac_ops += macs;
+                       });
   return est;
 }
 
@@ -186,24 +86,13 @@ LatencyEstimate fuse1d_latency(std::int64_t lines, std::int64_t line_out,
       << "fuse1d_latency(" << lines << ", " << line_out << ", " << k << ")";
   LatencyEstimate est;
   est.pe_count = cfg.pe_count();
-  std::int64_t last_rows = 0;
-  for_each_fold_tile(lines, line_out, cfg, [&](const FoldTile& tile) {
-    // Input skew along the row + k broadcast MAC cycles (+ drain, unless
-    // it overlaps the next wave's fill).
-    est.cycles += static_cast<std::uint64_t>(cfg.skew_cycles(tile.cols) + k);
-    if (cfg.overlap_fold_drain) {
-      last_rows = tile.rows;
-    } else {
-      est.cycles += static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-    }
-    est.folds += 1;
-    est.mac_ops += static_cast<std::uint64_t>(tile.rows) *
-                   static_cast<std::uint64_t>(tile.cols) *
-                   static_cast<std::uint64_t>(k);
-  });
-  if (cfg.overlap_fold_drain) {
-    est.cycles += static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
-  }
+  for_each_fuse1d_fold(lines, line_out, k, cfg,
+                       [&](const FoldTile&, std::uint64_t cycles,
+                           std::uint64_t macs) {
+                         est.cycles += cycles;
+                         est.folds += 1;
+                         est.mac_ops += macs;
+                       });
   return est;
 }
 

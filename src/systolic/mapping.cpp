@@ -76,6 +76,15 @@ std::string MappingPlan::to_string() const {
   return out.str();
 }
 
+std::int64_t fold_stream_cycles(const PrimitiveOp& op,
+                               const ArrayConfig& cfg) {
+  if (op.kind != PrimitiveKind::kFuse1DLine) {
+    return matmul_stream_cycles(op.m, op.k, op.n, cfg);
+  }
+  return op.broadcast ? op.taps
+                      : matmul_stream_cycles(op.line_out, op.taps, 1, cfg);
+}
+
 namespace {
 
 PrimitiveOp matmul_shaped(PrimitiveKind kind, std::int64_t m, std::int64_t k,

@@ -10,12 +10,13 @@
 // The plan-fold oracle (sched::layer_latency), the network scheduler
 // (sched/netplan.cpp), the PE-grid simulator (sim.hpp run_plan), the
 // layer executor (sched/execute.cpp), and the fold tracer (trace.hpp
-// plan_trace) all consume the same plan. The closed-form evaluator
-// (sched/eval_fast.hpp), which every cost-only caller uses, mirrors
-// lower() without building the plan and is tested equal to its fold.
+// plan_trace) all consume the same plan; the ones that need per-fold
+// cycles read them from one priced walk, for_each_fold below. The
+// closed-form evaluator (sched/eval_fast.hpp), which every cost-only
+// caller uses, mirrors lower() without building the plan and is tested
+// equal to its fold.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -129,28 +130,32 @@ void check_grouped_conv(const nn::LayerDesc& layer);
 TrafficEstimate plan_traffic(const MappingPlan& plan, const ArrayConfig& cfg,
                              const MemoryConfig& mem);
 
-/// One fold tile of a primitive: `a0`/`rows` index the array-row dim,
-/// `b0`/`cols` the array-column dim.
-struct FoldTile {
-  std::int64_t a0 = 0;
-  std::int64_t rows = 0;
-  std::int64_t b0 = 0;
-  std::int64_t cols = 0;
-};
-
-/// The canonical fold enumeration shared by the cycle model, the
-/// simulator, and the tracer: row-major over ceil(a/rows) x ceil(b/cols)
-/// tiles, edge tiles shortened. Every consumer walking folds walks THIS
-/// order, which is what makes their cycle counts comparable fold by fold.
+/// The priced fold walk of one primitive: every fold of every repeat, in
+/// execution order, as fn(tile, cycles, macs). Matmul-shaped kinds walk
+/// for_each_matmul_fold; broadcast lines walk for_each_fuse1d_fold, and
+/// broadcast-less lines degrade to a [line_out, taps] x [taps, 1] matmul
+/// per repeat. Each repeat is its own array pass, so under
+/// overlap_fold_drain each pays its own drain (OS, FuSe) or preload
+/// (WS/IS); the folds sum exactly to op.total(). The cycle model is the
+/// only place a fold is priced: the scheduler's fused interleaver and the
+/// fold tracer read cycles from this walk.
 template <typename Fn>
-void for_each_fold_tile(std::int64_t a, std::int64_t b,
-                        const ArrayConfig& cfg, Fn&& fn) {
-  for (std::int64_t a0 = 0; a0 < a; a0 += cfg.rows) {
-    const std::int64_t rows = std::min(cfg.rows, a - a0);
-    for (std::int64_t b0 = 0; b0 < b; b0 += cfg.cols) {
-      fn(FoldTile{a0, rows, b0, std::min(cfg.cols, b - b0)});
+void for_each_fold(const PrimitiveOp& op, const ArrayConfig& cfg, Fn&& fn) {
+  for (std::int64_t r = 0; r < op.repeats; ++r) {
+    if (op.kind != PrimitiveKind::kFuse1DLine) {
+      for_each_matmul_fold(op.m, op.k, op.n, cfg, fn);
+    } else if (op.broadcast) {
+      for_each_fuse1d_fold(op.lines, op.line_out, op.taps, cfg, fn);
+    } else {
+      for_each_matmul_fold(op.line_out, op.taps, /*n=*/1, cfg, fn);
     }
   }
 }
+
+/// MAC-streaming cycles shared by every fold of `op`: the dataflow's
+/// matmul_stream_cycles window, or the taps of a broadcast line. So
+/// op.total().folds times this is the op's compute time, and the rest of
+/// op.total().cycles is skew, preload and drain.
+std::int64_t fold_stream_cycles(const PrimitiveOp& op, const ArrayConfig& cfg);
 
 }  // namespace fuse::systolic

@@ -122,7 +122,7 @@ SimResult SystolicArraySim::matmul_ws_reference(const Tensor& a,
   std::vector<double> acc(static_cast<std::size_t>(m * n), 0.0);
 
   // Weight tiles: reduction depth over the array rows, N over the columns
-  // (the same grid matmul_latency_ws walks).
+  // (the same grid for_each_matmul_fold prices on WS).
   for_each_fold_tile(depth, n, cfg_, [&](const FoldTile& tile) {
     {
       const std::int64_t t0 = tile.a0;
@@ -210,7 +210,7 @@ SimResult SystolicArraySim::matmul_is_reference(const Tensor& a,
   std::vector<double> acc(static_cast<std::size_t>(m * n), 0.0);
 
   // Activation tiles: M over the array rows, reduction depth over columns
-  // (the same grid matmul_latency_is walks).
+  // (the same grid for_each_matmul_fold prices on IS).
   for_each_fold_tile(m, depth, cfg_, [&](const FoldTile& tile) {
     {
       const std::int64_t row0 = tile.a0;

@@ -14,133 +14,73 @@ std::uint64_t FoldTrace::peak_fold_bytes() const {
   return peak;
 }
 
-namespace {
-
-/// Appends one output-stationary matmul pass [M, T] x [T, N] to `trace`,
-/// advancing `cursor`. Each pass pays its own final drain under
-/// overlap_fold_drain — the same accounting as matmul_latency_os per
-/// operator, so repeated passes sum to the analytic repeats * unit.
-void append_matmul_walk(std::int64_t m, std::int64_t t, std::int64_t n,
-                        const ArrayConfig& cfg, const MemoryConfig& mem,
-                        FoldTrace& trace, std::uint64_t& cursor) {
+FoldTrace plan_trace(const MappingPlan& plan, const ArrayConfig& cfg,
+                     const MemoryConfig& mem) {
+  cfg.validate();
+  mem.validate();
   const std::uint64_t dtype = static_cast<std::uint64_t>(mem.dtype_bytes);
-  std::int64_t last_rows = 0;
-  for_each_fold_tile(m, n, cfg, [&](const FoldTile& tile) {
-    FoldRecord fold;
-    fold.used_rows = tile.rows;
-    fold.used_cols = tile.cols;
-    fold.depth = t;
-    fold.input_bytes = static_cast<std::uint64_t>(tile.rows * t) * dtype;
-    fold.weight_bytes = static_cast<std::uint64_t>(t * tile.cols) * dtype;
-    fold.output_bytes =
-        static_cast<std::uint64_t>(tile.rows * tile.cols) * dtype;
-    std::uint64_t cycles = static_cast<std::uint64_t>(
-        cfg.skew_cycles(tile.rows) + cfg.skew_cycles(tile.cols) + t);
-    if (!cfg.overlap_fold_drain) {
-      cycles += static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-    }
-    last_rows = tile.rows;
-    fold.start_cycle = cursor;
-    fold.end_cycle = cursor + cycles;
-    cursor = fold.end_cycle;
-    trace.folds.push_back(fold);
-  });
-  if (cfg.overlap_fold_drain) {
-    cursor += static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
+  FoldTrace trace;
+  for (const PrimitiveOp& op : plan.ops) {
+    // Operand footprint of an R x C fold: an R x depth input tile and a
+    // depth x C weight tile, or for a broadcast line R input windows of
+    // C + k - 1 and R x k taps; plus the R x C outputs.
+    const bool line = op.kind == PrimitiveKind::kFuse1DLine;
+    const bool broadcast_line = line && op.broadcast;
+    const std::int64_t depth = line ? op.taps : op.k;
+    FUSE_CHECK(broadcast_line || cfg.dataflow == Dataflow::kOutputStationary)
+        << "matmul fold traces use the output-stationary operand "
+           "footprint; got "
+        << dataflow_name(cfg.dataflow);
+    for_each_fold(op, cfg, [&](const FoldTile& tile, std::uint64_t cycles,
+                               std::uint64_t) {
+      const std::int64_t input_cols =
+          broadcast_line ? tile.cols + depth - 1 : depth;
+      const std::int64_t weight_span = broadcast_line ? tile.rows : tile.cols;
+      FoldRecord fold;
+      fold.used_rows = tile.rows;
+      fold.used_cols = tile.cols;
+      fold.depth = depth;
+      fold.input_bytes =
+          static_cast<std::uint64_t>(tile.rows * input_cols) * dtype;
+      fold.weight_bytes =
+          static_cast<std::uint64_t>(depth * weight_span) * dtype;
+      fold.output_bytes =
+          static_cast<std::uint64_t>(tile.rows * tile.cols) * dtype;
+      fold.start_cycle = trace.total_cycles;
+      fold.end_cycle = trace.total_cycles + cycles;
+      trace.total_cycles = fold.end_cycle;
+      trace.folds.push_back(fold);
+    });
   }
+  return trace;
 }
-
-/// Appends one broadcast-dataflow FuSe pass (`lines` 1-D signals, k taps)
-/// to `trace`, advancing `cursor`; mirrors fuse1d_latency.
-void append_fuse1d_walk(std::int64_t lines, std::int64_t line_out,
-                        std::int64_t k, const ArrayConfig& cfg,
-                        const MemoryConfig& mem, FoldTrace& trace,
-                        std::uint64_t& cursor) {
-  const std::uint64_t dtype = static_cast<std::uint64_t>(mem.dtype_bytes);
-  std::int64_t last_rows = 0;
-  for_each_fold_tile(lines, line_out, cfg, [&](const FoldTile& tile) {
-    FoldRecord fold;
-    fold.used_rows = tile.rows;
-    fold.used_cols = tile.cols;
-    fold.depth = k;
-    fold.input_bytes =
-        static_cast<std::uint64_t>(tile.rows * (tile.cols + k - 1)) * dtype;
-    fold.weight_bytes = static_cast<std::uint64_t>(tile.rows * k) * dtype;
-    fold.output_bytes =
-        static_cast<std::uint64_t>(tile.rows * tile.cols) * dtype;
-    std::uint64_t cycles =
-        static_cast<std::uint64_t>(cfg.skew_cycles(tile.cols) + k);
-    if (!cfg.overlap_fold_drain) {
-      cycles += static_cast<std::uint64_t>(cfg.drain_cycles(tile.rows));
-    }
-    last_rows = tile.rows;
-    fold.start_cycle = cursor;
-    fold.end_cycle = cursor + cycles;
-    cursor = fold.end_cycle;
-    trace.folds.push_back(fold);
-  });
-  if (cfg.overlap_fold_drain) {
-    cursor += static_cast<std::uint64_t>(cfg.drain_cycles(last_rows));
-  }
-}
-
-}  // namespace
 
 FoldTrace matmul_trace(std::int64_t m, std::int64_t t, std::int64_t n,
                        const ArrayConfig& cfg, const MemoryConfig& mem) {
-  cfg.validate();
-  mem.validate();
   FUSE_CHECK(m > 0 && t > 0 && n > 0) << "matmul_trace dims";
-  FoldTrace trace;
-  std::uint64_t cursor = 0;
-  append_matmul_walk(m, t, n, cfg, mem, trace, cursor);
-  trace.total_cycles = cursor;
-  return trace;
+  MappingPlan plan;
+  PrimitiveOp& op = plan.ops.emplace_back();
+  op.m = m;
+  op.k = t;
+  op.n = n;
+  return plan_trace(plan, cfg, mem);
 }
 
 FoldTrace fuse1d_trace(std::int64_t lines, std::int64_t line_out,
                        std::int64_t k, const ArrayConfig& cfg,
                        const MemoryConfig& mem) {
-  cfg.validate();
-  mem.validate();
   FUSE_CHECK(cfg.broadcast_links)
       << "fuse1d_trace models the broadcast dataflow";
   FUSE_CHECK(lines > 0 && line_out > 0 && k > 0) << "fuse1d_trace dims";
-  FoldTrace trace;
-  std::uint64_t cursor = 0;
-  append_fuse1d_walk(lines, line_out, k, cfg, mem, trace, cursor);
-  trace.total_cycles = cursor;
-  return trace;
-}
-
-FoldTrace plan_trace(const MappingPlan& plan, const ArrayConfig& cfg,
-                     const MemoryConfig& mem) {
-  cfg.validate();
-  mem.validate();
-  FoldTrace trace;
-  std::uint64_t cursor = 0;
-  for (const PrimitiveOp& op : plan.ops) {
-    for (std::int64_t r = 0; r < op.repeats; ++r) {
-      switch (op.kind) {
-        case PrimitiveKind::kMatmulTile:
-        case PrimitiveKind::kIm2colTile:
-        case PrimitiveKind::kChannelwiseTile:
-          append_matmul_walk(op.m, op.k, op.n, cfg, mem, trace, cursor);
-          break;
-        case PrimitiveKind::kFuse1DLine:
-          if (op.broadcast) {
-            append_fuse1d_walk(op.lines, op.line_out, op.taps, cfg, mem,
-                               trace, cursor);
-          } else {
-            append_matmul_walk(op.line_out, op.taps, /*n=*/1, cfg, mem,
-                               trace, cursor);
-          }
-          break;
-      }
-    }
-  }
-  trace.total_cycles = cursor;
-  return trace;
+  MappingPlan plan;
+  PrimitiveOp& op = plan.ops.emplace_back();
+  op.kind = PrimitiveKind::kFuse1DLine;
+  op.lines = lines;
+  op.line_out = line_out;
+  op.line_keep = line_out;
+  op.taps = k;
+  op.broadcast = true;
+  return plan_trace(plan, cfg, mem);
 }
 
 std::uint64_t plan_peak_fold_bytes(const MappingPlan& plan,

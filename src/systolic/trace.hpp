@@ -41,28 +41,34 @@ struct FoldTrace {
   std::uint64_t double_buffer_bytes() const { return 2 * peak_fold_bytes(); }
 };
 
-/// Trace of an output-stationary matmul [M, T] x [T, N] (the same fold
-/// walk as matmul_latency_os; cycle totals match it exactly).
+/// Trace of an output-stationary matmul [M, T] x [T, N]: the priced walk
+/// for_each_matmul_fold, so cycle totals match matmul_latency exactly.
+/// FUSE_CHECKs that cfg is output-stationary.
 FoldTrace matmul_trace(std::int64_t m, std::int64_t t, std::int64_t n,
                        const ArrayConfig& cfg, const MemoryConfig& mem);
 
-/// Trace of a FuSe 1-D stage on the broadcast dataflow (matches
-/// fuse1d_latency).
+/// Trace of a FuSe 1-D stage on the broadcast dataflow: the priced walk
+/// for_each_fuse1d_fold, so cycle totals match fuse1d_latency.
 FoldTrace fuse1d_trace(std::int64_t lines, std::int64_t line_out,
                        std::int64_t k, const ArrayConfig& cfg,
                        const MemoryConfig& mem);
 
-/// Trace of a whole lowered layer: every primitive op expanded over its
-/// repeats (each repeat is a full array pass — e.g. one per depthwise
-/// channel), concatenated on one cycle axis. On the output-stationary
-/// dataflow total_cycles matches plan.total_latency().cycles exactly.
+/// Trace of a whole lowered layer: the priced walk for_each_fold laid on
+/// one cycle axis, every primitive op expanded over its repeats (each
+/// repeat is a full array pass — e.g. one per depthwise channel). A
+/// fold's span includes its pass's exposed drain, so the folds tile
+/// [0, total_cycles) and total_cycles equals plan.total_latency().cycles.
+/// Matmul-shaped folds take the output-stationary tile's operand
+/// footprint, so a plan holding one FUSE_CHECKs that cfg is
+/// output-stationary; broadcast lines trace on any dataflow.
 FoldTrace plan_trace(const MappingPlan& plan, const ArrayConfig& cfg,
                      const MemoryConfig& mem);
 
 /// Peak per-fold SRAM footprint of a lowered plan, computed directly from
 /// the fold-tile geometry (no FoldTrace materialization — the network
 /// scheduler calls this per layer to size double-buffer staging).
-/// Equals plan_trace(plan, cfg, mem).peak_fold_bytes(); zero for empty
+/// The same footprint rule on every dataflow; on output-stationary arrays
+/// it equals plan_trace(plan, cfg, mem).peak_fold_bytes(). Zero for empty
 /// (glue) plans.
 std::uint64_t plan_peak_fold_bytes(const MappingPlan& plan,
                                    const ArrayConfig& cfg,

@@ -1,10 +1,11 @@
 // Tests for the bottleneck-attribution engine (sched/attribution.hpp):
-// the per-fold splits must sum exactly to the cycle-model latencies for
-// every primitive kind x dataflow x overlap setting, and the network-level
-// report must close all three identities (time, PE-cycles, roofline bound)
-// for every paper network x variant x sched mode. attribute_network itself
-// FUSE_CHECKs the identities, so most assertions here double as "the
-// checks did not fire"; the EXPECTs restate them for gtest reporting.
+// primitive splits must match hand-computed fold sums on every dataflow x
+// overlap setting, and the network-level report must close all three
+// identities (time, PE-cycles, roofline bound) and explain every schedule
+// segment's duration for every paper network x variant x sched mode.
+// attribute_network itself FUSE_CHECKs the identities, so most assertions
+// here double as "the checks did not fire"; the EXPECTs restate them for
+// gtest reporting.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -42,39 +43,54 @@ std::vector<ArrayConfig> attribution_configs() {
   return configs;
 }
 
-TEST(Attribution, PrimitiveSplitsSumToCycleModel) {
-  // Every primitive kind, edge tiles included (dims not multiples of 8).
-  for (const ArrayConfig& cfg : attribution_configs()) {
-    for (const nn::LayerDesc& layer :
-         {nn::make_conv("conv", 3, 19, 19, 11, 3, 2, 1),
-          nn::make_depthwise("dw", 13, 9, 9, 3, 1, 1),
-          nn::make_pointwise("pw", 13, 9, 9, 21),
-          nn::make_fuse_row("row", 10, 9, 9, 3, 1, 1),
-          nn::make_fuse_col("col", 10, 9, 9, 3, 1, 1)}) {
-      const systolic::MappingPlan plan = systolic::lower(layer, cfg);
-      for (const PrimitiveOp& op : plan.ops) {
-        const systolic::LatencyEstimate total = op.total();
-        const CycleSplit split = decompose_primitive(op, cfg);
-        EXPECT_EQ(split.total(), total.cycles)
-            << layer.name << " on " << systolic::dataflow_name(cfg.dataflow)
-            << " overlap=" << cfg.overlap_fold_drain;
-        EXPECT_GT(split.compute, 0u);
-      }
-    }
+// Hand-computed splits on an 8x8 array. The matmul is the pointwise
+// [10, 5] x [5, 9] (edge tiles on both axes of every fold grid):
+//   OS: [10, 9] tiles 8x8, 8x1, 2x8, 2x1 — skew(R) + skew(C) + 5 each
+//       (19, 12, 13, 6) plus drain 8, 8, 2, 2 (overlap: only the last 2);
+//   WS: [5, 9] weight tiles 5x8, 5x1 — 10 + skew(5) + skew(C) each
+//       (21, 14) plus preload 5 each (overlap: only the first);
+//   IS: [10, 5] activation tiles 8x5, 2x5 — 9 + skew(R) + skew(5) each
+//       (20, 14) plus preload 8, 2 (overlap: only the first, 8).
+// The broadcast FuSe row is 10 lines of 9 outputs, 3 taps: waves 8x8,
+// 8x1, 2x8, 2x1 cost skew(C) + 3 each (10, 3, 10, 3) plus drain 8, 8, 2,
+// 2 (overlap: only the last 2).
+TEST(Attribution, PrimitiveSplitsMatchHandComputedFolds) {
+  struct Case {
+    nn::LayerDesc layer;
+    Dataflow dataflow;
+    bool overlap;
+    std::uint64_t compute;
+    std::uint64_t fill_drain;
+  };
+  const nn::LayerDesc pw = nn::make_pointwise("pw", 5, 2, 5, 9);
+  const nn::LayerDesc row = nn::make_fuse_row("row", 5, 2, 9, 3, 1, 1);
+  const Case cases[] = {
+      {pw, Dataflow::kOutputStationary, false, 4 * 5, 50},
+      {pw, Dataflow::kOutputStationary, true, 4 * 5, 32},
+      {pw, Dataflow::kWeightStationary, false, 2 * 10, 25},
+      {pw, Dataflow::kWeightStationary, true, 2 * 10, 20},
+      {pw, Dataflow::kInputStationary, false, 2 * 9, 26},
+      {pw, Dataflow::kInputStationary, true, 2 * 9, 24},
+      {row, Dataflow::kOutputStationary, false, 4 * 3, 34},
+      {row, Dataflow::kOutputStationary, true, 4 * 3, 16},
+  };
+  for (const Case& c : cases) {
+    ArrayConfig cfg;
+    cfg.rows = 8;
+    cfg.cols = 8;
+    cfg.dataflow = c.dataflow;
+    cfg.overlap_fold_drain = c.overlap;
+    const systolic::MappingPlan plan = systolic::lower(c.layer, cfg);
+    ASSERT_EQ(plan.ops.size(), 1u);
+    const CycleSplit split = decompose_primitive(plan.ops[0], cfg);
+    EXPECT_EQ(split.compute, c.compute)
+        << c.layer.name << " on " << systolic::dataflow_name(c.dataflow)
+        << " overlap=" << c.overlap;
+    EXPECT_EQ(split.fill_drain, c.fill_drain)
+        << c.layer.name << " on " << systolic::dataflow_name(c.dataflow)
+        << " overlap=" << c.overlap;
+    EXPECT_EQ(split.total(), plan.ops[0].total().cycles);
   }
-}
-
-TEST(Attribution, BroadcastFuseSplit) {
-  ArrayConfig cfg;
-  cfg.rows = 8;
-  cfg.cols = 8;
-  cfg.broadcast_links = true;
-  const nn::LayerDesc row = nn::make_fuse_row("row", 10, 9, 9, 3, 1, 1);
-  const systolic::MappingPlan plan = systolic::lower(row, cfg);
-  ASSERT_EQ(plan.ops.size(), 1u);
-  ASSERT_TRUE(plan.ops[0].broadcast);
-  const CycleSplit split = decompose_primitive(plan.ops[0], cfg);
-  EXPECT_EQ(split.total(), plan.ops[0].total().cycles);
 }
 
 TEST(Attribution, FoldWalkMatchesFoldCount) {
@@ -83,60 +99,76 @@ TEST(Attribution, FoldWalkMatchesFoldCount) {
     for (const PrimitiveOp& op : systolic::lower(dw, cfg).ops) {
       std::uint64_t folds = 0;
       std::uint64_t macs = 0;
-      CycleSplit sum;
-      for_each_fold_split(op, cfg,
-                          [&](const CycleSplit& split, std::uint64_t m) {
-                            sum += split;
-                            macs += m;
-                            ++folds;
-                          });
+      std::uint64_t cycles = 0;
+      systolic::for_each_fold(op, cfg,
+                              [&](const systolic::FoldTile&,
+                                  std::uint64_t fold_cycles,
+                                  std::uint64_t fold_macs) {
+                                cycles += fold_cycles;
+                                macs += fold_macs;
+                                ++folds;
+                              });
       const systolic::LatencyEstimate total = op.total();
       EXPECT_EQ(folds, total.folds);
       EXPECT_EQ(macs, total.mac_ops);
-      EXPECT_EQ(sum.total(), total.cycles);
+      EXPECT_EQ(cycles, total.cycles);
     }
   }
 }
 
 // The acceptance grid: every paper network x variant x sched mode closes
 // the time, PE, and roofline identities (FUSE_CHECKed inside
-// attribute_network; restated here against the plan's own numbers).
+// attribute_network; restated here against the plan's own numbers), on
+// the paper's 64x64 array and on an 8x8 array without drain overlap, and
+// every segment's split explains exactly its own duration.
 TEST(Attribution, AllNetworksVariantsModes) {
-  ArrayConfig cfg;  // paper default array
-  for (nets::NetworkId id : nets::paper_networks()) {
-    for (core::NetworkVariant variant : core::all_network_variants()) {
-      const VariantBuild build = build_variant(id, variant, cfg);
-      for (SchedMode mode : {SchedMode::kPerLayer, SchedMode::kFused}) {
-        const NetworkPlan plan =
-            plan_network(build.model, cfg, kMem, mode);
-        const AttributionReport report =
-            attribute_network(plan, build.model);
-        EXPECT_EQ(report.total_cycles, plan.total_cycles);
-        EXPECT_EQ(report.total_split.total(), plan.total_cycles);
-        EXPECT_EQ(report.pe_busy + report.pe_idle_geometry +
-                      report.pe_idle_fill_drain,
-                  report.pe_total);
-        const NetworkRoofline roofline = plan_roofline(plan);
-        EXPECT_EQ(report.bound_cycles, roofline.bound_cycles);
-        EXPECT_EQ(report.bound_cycles,
-                  report.total_cycles + report.total_dram_stall);
-        EXPECT_EQ(report.layers.size(), plan.on_array.size());
-        EXPECT_EQ(report.segments.size(), plan.segments.size());
-        // Segment shares reproduce each layer's decomposition.
-        std::vector<CycleSplit> per_layer(plan.layer_latency.size());
-        for (const SegmentAttribution& sa : report.segments) {
-          per_layer[sa.layer_index] += sa.split;
+  ArrayConfig small;
+  small.rows = 8;
+  small.cols = 8;
+  small.overlap_fold_drain = false;
+  for (const ArrayConfig& cfg : {ArrayConfig{}, small}) {
+    for (nets::NetworkId id : nets::paper_networks()) {
+      for (core::NetworkVariant variant : core::all_network_variants()) {
+        const VariantBuild build = build_variant(id, variant, cfg);
+        for (SchedMode mode : {SchedMode::kPerLayer, SchedMode::kFused}) {
+          const NetworkPlan plan =
+              plan_network(build.model, cfg, kMem, mode);
+          const AttributionReport report =
+              attribute_network(plan, build.model);
+          EXPECT_EQ(report.total_cycles, plan.total_cycles);
+          EXPECT_EQ(report.total_split.total(), plan.total_cycles);
+          EXPECT_EQ(report.pe_busy + report.pe_idle_geometry +
+                        report.pe_idle_fill_drain,
+                    report.pe_total);
+          const NetworkRoofline roofline = plan_roofline(plan);
+          EXPECT_EQ(report.bound_cycles, roofline.bound_cycles);
+          EXPECT_EQ(report.bound_cycles,
+                    report.total_cycles + report.total_dram_stall);
+          EXPECT_EQ(report.layers.size(), plan.on_array.size());
+          ASSERT_EQ(report.segments.size(), plan.segments.size());
+          // Each segment's split is its own duration, and the segment
+          // shares reproduce each layer's decomposition.
+          std::vector<CycleSplit> per_layer(plan.layer_latency.size());
+          for (std::size_t s = 0; s < report.segments.size(); ++s) {
+            const SegmentAttribution& sa = report.segments[s];
+            EXPECT_EQ(sa.split.total(), plan.segments[s].duration())
+                << build.model.name << " segment " << s << " of "
+                << build.model.layers[sa.layer_index].name;
+            per_layer[sa.layer_index] += sa.split;
+          }
+          for (const LayerAttribution& la : report.layers) {
+            EXPECT_EQ(per_layer[la.layer_index].compute, la.split.compute)
+                << la.name;
+            EXPECT_EQ(per_layer[la.layer_index].total(), la.cycles)
+                << la.name;
+          }
+          // By-class aggregation covers all attributed cycles.
+          CycleSplit by_class_sum;
+          for (int cls = 0; cls < 5; ++cls) {
+            by_class_sum += report.by_class[cls];
+          }
+          EXPECT_EQ(by_class_sum.total(), report.total_cycles);
         }
-        for (const LayerAttribution& la : report.layers) {
-          EXPECT_EQ(per_layer[la.layer_index].total(), la.cycles)
-              << la.name;
-        }
-        // By-class aggregation covers all attributed cycles.
-        CycleSplit by_class_sum;
-        for (int cls = 0; cls < 5; ++cls) {
-          by_class_sum += report.by_class[cls];
-        }
-        EXPECT_EQ(by_class_sum.total(), report.total_cycles);
       }
     }
   }

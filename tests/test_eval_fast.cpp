@@ -370,17 +370,12 @@ TEST(EvalFastGrid, TransparencyAndDatapathAxes) {
 }
 
 // At transparency 1 the generalized skew/drain terms must reduce to the
-// legacy (span - 1) / span forms — pinned via the cfg-taking fold_cycles
-// overload against the original 3-argument one.
-TEST(EvalFast, FoldCyclesPipelinedReducesToLegacy) {
+// legacy (span - 1) / span forms.
+TEST(EvalFast, PipelinedSkewAndDrainReduceToLegacy) {
   ArrayConfig cfg;  // pipelined default
-  for (std::int64_t r : {1, 3, 64}) {
-    for (std::int64_t c : {1, 5, 64}) {
-      for (std::int64_t d : {1, 7, 100}) {
-        EXPECT_EQ(systolic::fold_cycles(r, c, d, cfg),
-                  systolic::fold_cycles(r, c, d));
-      }
-    }
+  for (std::int64_t span : {1, 3, 5, 7, 64, 100}) {
+    EXPECT_EQ(cfg.skew_cycles(span), span - 1);
+    EXPECT_EQ(cfg.drain_cycles(span), span);
   }
 }
 

@@ -108,13 +108,20 @@ TEST(FoldTrace, MatmulTraceMatchesAnalyticCycles) {
 }
 
 TEST(FoldTrace, FoldsAreContiguous) {
+  // Each fold's span carries its exposed drain, so under overlap too the
+  // folds tile the whole trace with no gap at the end.
   const MemoryConfig mem;
-  const FoldTrace trace = matmul_trace(20, 6, 17, square_array(8), mem);
-  std::uint64_t cursor = 0;
-  for (const FoldRecord& fold : trace.folds) {
-    EXPECT_EQ(fold.start_cycle, cursor);
-    EXPECT_GT(fold.end_cycle, fold.start_cycle);
-    cursor = fold.end_cycle;
+  for (bool overlap : {false, true}) {
+    ArrayConfig cfg = square_array(8);
+    cfg.overlap_fold_drain = overlap;
+    const FoldTrace trace = matmul_trace(20, 6, 17, cfg, mem);
+    std::uint64_t cursor = 0;
+    for (const FoldRecord& fold : trace.folds) {
+      EXPECT_EQ(fold.start_cycle, cursor);
+      EXPECT_GT(fold.end_cycle, fold.start_cycle);
+      cursor = fold.end_cycle;
+    }
+    EXPECT_EQ(cursor, trace.total_cycles) << "overlap=" << overlap;
   }
 }
 
@@ -148,6 +155,24 @@ TEST(FoldTrace, CsvHasOneRowPerFold) {
   }
   EXPECT_EQ(rows, trace.folds.size() + 1);
   std::remove(path.c_str());
+}
+
+TEST(FoldTrace, MatmulFoldsRequireOutputStationary) {
+  // The traced matmul operand footprints are the output-stationary tile's.
+  const MemoryConfig mem;
+  for (Dataflow dataflow :
+       {Dataflow::kWeightStationary, Dataflow::kInputStationary}) {
+    ArrayConfig cfg = square_array(8);
+    cfg.dataflow = dataflow;
+    EXPECT_THROW(matmul_trace(20, 6, 17, cfg, mem), util::Error);
+    EXPECT_THROW(
+        plan_trace(lower(nn::make_pointwise("pw", 6, 4, 5, 17), cfg), cfg,
+                   mem),
+        util::Error);
+    // A broadcast line's fold does not depend on the dataflow.
+    EXPECT_EQ(fuse1d_trace(20, 14, 3, cfg, mem).total_cycles,
+              fuse1d_latency(20, 14, 3, cfg).cycles);
+  }
 }
 
 TEST(FoldTrace, RequiresBroadcastForFuse) {

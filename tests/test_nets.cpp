@@ -3,6 +3,10 @@
 // the FuSe transform.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "nets/builder.hpp"
 #include "nets/serialize.hpp"
 #include "nets/zoo.hpp"
@@ -442,6 +446,68 @@ TEST(Serialize, UnknownKindThrows) {
       "layer l kind warp in 1 1 1 out 1 1 1 k 1 1 s 1 1 p 0 0 g 1 "
       "bias 0 bn 0 act none se 0 slot -1\n";
   EXPECT_THROW(from_text(text), util::Error);
+}
+
+// One valid record with each numeric geometry field replaced in turn by
+// 0, by -1, and by 2^63 (one past the int64 range): every variant must
+// fail through FUSE_CHECK, naming the record. Zero padding is valid.
+TEST(Serialize, MalformedRecordValuesThrow) {
+  const std::string header = "fusenet v1 name n slots 0 layers 1\n";
+  const std::vector<std::string> fields = {
+      "in",  "3", "8", "8", "out", "4", "8", "8", "k", "3", "3",
+      "s",   "1", "1", "p", "1",   "1", "g", "1"};
+  auto record = [&](const std::vector<std::string>& values) {
+    std::string text = header + "layer bad kind conv";
+    for (const std::string& value : values) {
+      text += " " + value;
+    }
+    return text + " bias 0 bn 1 act relu se 0 slot -1\n";
+  };
+  ASSERT_EQ(from_text(record(fields)).layers.size(), 1u);
+  int cases = 0;
+  std::string keyword;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (!std::isdigit(static_cast<unsigned char>(fields[i][0]))) {
+      keyword = fields[i];
+      continue;
+    }
+    for (const std::string bad : {"0", "-1", "9223372036854775808"}) {
+      if (keyword == "p" && bad == "0") {
+        continue;
+      }
+      std::vector<std::string> values = fields;
+      values[i] = bad;
+      try {
+        from_text(record(values));
+        ADD_FAILURE() << "field " << i << " = " << bad << " parsed";
+      } catch (const util::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("record 0"), std::string::npos)
+            << e.what();
+      }
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 13 * 3 - 2);
+  // Values that fit their fields but whose products do not.
+  for (const std::string& text :
+       {header + "layer big kind conv in 9000000000000 9000000 9000000 out "
+                 "9000000 8 8 k 3 3 s 1 1 p 1 1 g 1 bias 0 bn 0 act none "
+                 "se 0 slot -1\n",
+        header + "layer taps kind conv in 3 8 8 out 4 8 8 k 4294967296 "
+                 "4294967296 s 1 1 p 1 1 g 1 bias 0 bn 0 act none se 0 "
+                 "slot -1\n",
+        header + "layer fc kind fc in 4294967296 1 1 out 4294967296 1 1 k 1 "
+                 "1 s 1 1 p 0 0 g 1 bias 1 bn 0 act none se 0 slot -1\n",
+        header + "layer pad kind conv in 3 8 8 out 4 8 8 k 3 3 s 1 1 p 1 "
+                 "4611686018427387904 g 1 bias 0 bn 0 act none se 0 slot "
+                 "-1\n"}) {
+    EXPECT_THROW(from_text(text), util::Error) << text;
+  }
+  // The grouped-conv divisibility rule: groups must divide both counts.
+  EXPECT_THROW(from_text(header +
+                         "layer g kind gconv in 6 8 8 out 4 8 8 k 3 3 s 1 1 "
+                         "p 1 1 g 3 bias 0 bn 0 act none se 0 slot -1\n"),
+               util::Error);
 }
 
 TEST(Serialize, LoadMissingFileThrows) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "nos/search.hpp"
 #include "sched/latency.hpp"
 #include "sched/report.hpp"
 #include "util/telemetry.hpp"
@@ -195,13 +196,29 @@ std::string serialize_sweeps() {
          scaling_sweep(id, NetworkVariant::kFuseHalf, kSizes)) {
       out << p.array_size << '|' << p.speedup << '\n';
     }
+    // The NOS sweep of bench_nos.
+    const nos::NosResult nos =
+        nos::search_operators(id, systolic::square_array(64), {});
+    out << nos.modes_string() << '|' << nos.cycles << '\n';
+  }
+  // The width-multiplier and resolution sweeps of bench_width_mult and
+  // bench_resolution (bench_pareto's is network_latency over array sizes).
+  for (NetworkId id : {NetworkId::kMobileNetV1, NetworkId::kMobileNetV2}) {
+    const systolic::ArrayConfig cfg = systolic::square_array(64);
+    out << network_latency(nets::build_network_scaled(id, 0.5), cfg)
+               .total_cycles
+        << '|'
+        << network_latency(nets::build_network_scaled(id, 1.0, {}, 160), cfg)
+               .total_cycles
+        << '\n';
   }
   return out.str();
 }
 
 TEST(SweepDifferential, ByteIdenticalWithTelemetryAttached) {
   // What --trace-json/--stats-json enable in the benches: a global trace
-  // sink attached during the sweeps, then a stats export.
+  // sink attached during the sweeps, then a stats export. The sweeps of
+  // the four benches that take no telemetry flags run here too.
   const std::string reference = serialize_sweeps();
 
   util::TraceSink sink;

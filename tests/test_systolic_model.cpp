@@ -1,6 +1,9 @@
 // Tests for the analytic cycle model (SCALE-Sim methodology).
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "systolic/config.hpp"
 #include "systolic/cycle_model.hpp"
 #include "util/check.hpp"
@@ -30,27 +33,13 @@ TEST(ArrayConfig, ToStringMentionsBroadcast) {
   EXPECT_EQ(square_array(32, false).to_string(), "32x32");
 }
 
-// --- fold_cycles ------------------------------------------------------------
-
-TEST(FoldCycles, DocumentedFormula) {
-  // (R-1) + (Cc-1) + T + R
-  EXPECT_EQ(fold_cycles(1, 1, 1), 2u);
-  EXPECT_EQ(fold_cycles(8, 8, 16), 7u + 7 + 16 + 8);
-  EXPECT_EQ(fold_cycles(64, 64, 9), 63u + 63 + 9 + 64);
-}
-
-TEST(FoldCycles, InvalidArgsThrow) {
-  EXPECT_THROW(fold_cycles(0, 1, 1), util::Error);
-  EXPECT_THROW(fold_cycles(1, 1, 0), util::Error);
-}
-
 // --- matmul_latency ---------------------------------------------------------
 
 TEST(MatmulLatency, SingleFoldExactCycles) {
   const ArrayConfig cfg = array_no_overlap(8);
   const LatencyEstimate est = matmul_latency(8, 16, 8, cfg);
   EXPECT_EQ(est.folds, 1u);
-  EXPECT_EQ(est.cycles, fold_cycles(8, 8, 16));
+  EXPECT_EQ(est.cycles, 7u + 7 + 16 + 8);  // (R-1) + (C-1) + T + R
   EXPECT_EQ(est.mac_ops, 8ULL * 8 * 16);
 }
 
@@ -66,7 +55,7 @@ TEST(MatmulLatency, EdgeFoldsUseShorterSkew) {
   const ArrayConfig cfg = array_no_overlap(8);
   // 9 rows: one full 8-row fold + one 1-row fold (shorter skew and drain).
   const LatencyEstimate est = matmul_latency(9, 4, 8, cfg);
-  EXPECT_EQ(est.cycles, fold_cycles(8, 8, 4) + fold_cycles(1, 8, 4));
+  EXPECT_EQ(est.cycles, (7u + 7 + 4 + 8) + (0 + 7 + 4 + 1));
 }
 
 TEST(MatmulLatency, OverlapSavesIntermediateDrains) {
@@ -214,8 +203,7 @@ TEST(LatencyEstimate, AccumulatesAcrossOperators) {
   const LatencyEstimate second = matmul_latency(8, 6, 8, cfg);
   total += second;
   EXPECT_EQ(total.folds, 2u);
-  EXPECT_EQ(total.cycles,
-            fold_cycles(8, 8, 4) + fold_cycles(8, 8, 6));
+  EXPECT_EQ(total.cycles, (7u + 7 + 4 + 8) + (7 + 7 + 6 + 8));
 }
 
 TEST(LatencyEstimate, MixingArraySizesThrows) {
@@ -333,6 +321,66 @@ TEST(InputStationary, MirrorsWeightStationaryWhenTilesTranspose) {
             matmul_latency(9, 12, 4, ws_cfg).mac_ops);
 }
 
+// --- the priced fold walk ---------------------------------------------------
+
+/// (a0, rows, b0, cols, cycles, macs) of every fold for_each_matmul_fold
+/// prices, in walk order.
+using FoldRow = std::tuple<std::int64_t, std::int64_t, std::int64_t,
+                           std::int64_t, std::uint64_t, std::uint64_t>;
+
+std::vector<FoldRow> matmul_folds(std::int64_t m, std::int64_t t,
+                                  std::int64_t n, const ArrayConfig& cfg) {
+  std::vector<FoldRow> rows;
+  for_each_matmul_fold(m, t, n, cfg,
+                       [&](const FoldTile& tile, std::uint64_t cycles,
+                           std::uint64_t macs) {
+                         rows.emplace_back(tile.a0, tile.rows, tile.b0,
+                                           tile.cols, cycles, macs);
+                       });
+  return rows;
+}
+
+// [10, 5] x [5, 9] on an 8x8 array with drain overlap, by hand. Under
+// overlap only the last OS fold pays its drain, and only the first WS/IS
+// fold pays its preload.
+TEST(FoldWalk, OutputStationaryDrainsOnTheLastFold) {
+  // [10, 9] output tiles: skew(R) + skew(C) + T, + drain(2) at the end.
+  const std::vector<FoldRow> expected = {
+      {0, 8, 0, 8, 7 + 7 + 5, 8 * 8 * 5},
+      {0, 8, 8, 1, 7 + 0 + 5, 8 * 1 * 5},
+      {8, 2, 0, 8, 1 + 7 + 5, 2 * 8 * 5},
+      {8, 2, 8, 1, 1 + 0 + 5 + 2, 2 * 1 * 5},
+  };
+  const ArrayConfig cfg =
+      dataflow_array(Dataflow::kOutputStationary, 8, true);
+  EXPECT_EQ(matmul_folds(10, 5, 9, cfg), expected);
+  EXPECT_EQ(matmul_latency(10, 5, 9, cfg).cycles, 19u + 12 + 13 + 8);
+}
+
+TEST(FoldWalk, WeightStationaryPreloadsOnTheFirstFold) {
+  // [5, 9] weight tiles: preload(5) once, then M + skew(T_u) + skew(N_u).
+  const std::vector<FoldRow> expected = {
+      {0, 5, 0, 8, 5 + 10 + 4 + 7, 10 * 5 * 8},
+      {0, 5, 8, 1, 10 + 4 + 0, 10 * 5 * 1},
+  };
+  const ArrayConfig cfg =
+      dataflow_array(Dataflow::kWeightStationary, 8, true);
+  EXPECT_EQ(matmul_folds(10, 5, 9, cfg), expected);
+  EXPECT_EQ(matmul_latency(10, 5, 9, cfg).cycles, 26u + 14);
+}
+
+TEST(FoldWalk, InputStationaryPreloadsOnTheFirstFold) {
+  // [10, 5] activation tiles: preload(8) once, then N + skew(M_u) +
+  // skew(T_u).
+  const std::vector<FoldRow> expected = {
+      {0, 8, 0, 5, 8 + 9 + 7 + 4, 9 * 8 * 5},
+      {8, 2, 0, 5, 9 + 1 + 4, 9 * 2 * 5},
+  };
+  const ArrayConfig cfg = dataflow_array(Dataflow::kInputStationary, 8, true);
+  EXPECT_EQ(matmul_folds(10, 5, 9, cfg), expected);
+  EXPECT_EQ(matmul_latency(10, 5, 9, cfg).cycles, 28u + 14);
+}
+
 TEST(DataflowComparison, WsBeatsOsForTallSkinnyReuse) {
   // Large M with a small weight matrix: WS loads the weights once and
   // streams; OS re-skews every fold.
@@ -372,7 +420,7 @@ TEST(RectangularArrays, FoldWalkHonorsRowsAndColsIndependently) {
   // M=16 fits the rows in one fold; N=16 needs 4 column folds.
   const LatencyEstimate est = matmul_latency(16, 8, 16, tall);
   EXPECT_EQ(est.folds, 4u);
-  EXPECT_EQ(est.cycles, 4u * fold_cycles(16, 4, 8));
+  EXPECT_EQ(est.cycles, 4u * (15 + 3 + 8 + 16));
 }
 
 TEST(RectangularArrays, FuseWavesScaleWithRows) {

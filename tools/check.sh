@@ -14,10 +14,13 @@
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
 #      test_serve), the closed-form evaluator's differentials
 #      (test_eval_fast: its seeded random shapes put the geometry products
-#      under UBSan) and the kernel differential suite (test_kernels: the
+#      under UBSan), the kernel differential suite (test_kernels: the
 #      GEMM panel tails and linear's eight-row tail lanes are raw pointer
 #      arithmetic under both ISAs; the engine differentials run the
-#      simulator's f64 kernel tails under both ISAs too),
+#      simulator's f64 kernel tails under both ISAs too), the other
+#      consumers of the cycle model's priced fold walk (test_attribution,
+#      test_memory's fold traces) and the .fusenet parser's
+#      malformed-record table (test_nets: overflow-checked counts),
 #   4. Release (-O3) build running the kernel differential suite and the
 #      simulator/executor engine differentials (test_kernels,
 #      test_systolic_sim, test_execute) plus a bench_kernels smoke pass —
@@ -25,10 +28,11 @@
 #      against the reference engine must survive full optimization, not
 #      just the default build (kernels.cpp is -O3 in every build;
 #      sim_fast.cpp and the executor only in Release),
-#   5. telemetry identity: every sweep bench's output must be
-#      byte-identical between a plain run and a run with --trace-json and
-#      --stats-json attached (only footer lines — see
-#      filter_bench_output — may differ),
+#   5. telemetry identity: the sweep benches that take the telemetry
+#      flags (bench_table1, bench_fig8d_scaling — the sweeps that record
+#      spans) must print byte-identical output between a plain run and a
+#      run with --trace-json and --stats-json attached (only footer lines
+#      — see filter_bench_output — may differ),
 #   6. backend equality: every table/figure bench that dispatches nn
 #      kernels (its --help lists --kernel-backend) must print stdout and
 #      CSVs byte-identical between --kernel-backend=fast and
@@ -132,9 +136,10 @@ for t in "${CONCURRENCY_TESTS[@]}"; do
 done
 
 echo
-echo "=== [3/11] AddressSanitizer build + mapping/executor/kernel suites ==="
+echo "=== [3/11] AddressSanitizer build + mapping/executor/kernel/fold-walk/parser suites ==="
 ASAN_TESTS=(test_mapping test_execute test_systolic_sim test_netplan
-            test_serve test_eval_fast test_kernels)
+            test_serve test_eval_fast test_kernels test_attribution
+            test_memory test_nets)
 cmake -B "$ASAN_DIR" -S . -DFUSE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
@@ -159,8 +164,7 @@ echo "bench_kernels smoke: ok"
 
 echo
 echo "=== [5/11] telemetry identity: plain run vs --trace-json/--stats-json ==="
-for bench in bench_table1 bench_fig8d_scaling bench_pareto \
-             bench_resolution bench_width_mult bench_nos; do
+for bench in bench_table1 bench_fig8d_scaling; do
   bin="$BUILD_DIR/bench/$bench"
   [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
   # Tracing and the stats export must never perturb a table.
