@@ -251,12 +251,12 @@ int main(int argc, char** argv) {
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   const systolic::MemoryConfig mem;
-  const int max_batch = static_cast<int>(flags.get_int("max-batch"));
+  const int max_batch = flags.get_int32("max-batch");
   const std::uint64_t window =
       static_cast<std::uint64_t>(flags.get_int("window"));
-  const int concurrency = static_cast<int>(flags.get_int("concurrency"));
+  const int concurrency = flags.get_int32("concurrency");
   const std::int64_t total = flags.get_int("total");
-  const int workers = static_cast<int>(flags.get_int("workers"));
+  const int workers = flags.get_int32("workers");
 
   serve::ModelPool pool(cfg, mem);
 

@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig config;
   config.batch_window = static_cast<std::uint64_t>(flags.get_int("window"));
-  config.max_batch = static_cast<int>(flags.get_int("max-batch"));
-  config.queue_capacity = static_cast<int>(flags.get_int("capacity"));
-  config.num_arrays = static_cast<int>(flags.get_int("arrays"));
+  config.max_batch = flags.get_int32("max-batch");
+  config.queue_capacity = flags.get_int32("capacity");
+  config.num_arrays = flags.get_int32("arrays");
   FUSE_CHECK(serve::parse_shed_policy(flags.get_string("shed"), &config.shed))
       << "unknown --shed policy '" << flags.get_string("shed") << "'";
 

@@ -300,13 +300,13 @@ LayerCost eval_layer(const LayerDesc& layer, const ArrayConfig& cfg,
       return fuse_line_cost(
           m_scale * layer.out_c * layer.out_h,
           systolic::fuse_dense_width(layer.out_w, layer.in_w, layer.pad_w,
-                                     layer.kernel_w, layer.stride_w, cfg),
+                                     layer.kernel_w, layer.stride_w),
           layer.out_w, layer.kernel_w, cfg, mem);
     case OpKind::kFuseColConv:
       return fuse_line_cost(
           m_scale * layer.out_c * layer.out_w,
           systolic::fuse_dense_width(layer.out_h, layer.in_h, layer.pad_h,
-                                     layer.kernel_h, layer.stride_h, cfg),
+                                     layer.kernel_h, layer.stride_h),
           layer.out_h, layer.kernel_h, cfg, mem);
     case OpKind::kFullyConnected:
       // m_scale is the batch here: it fills otherwise-idle array rows.

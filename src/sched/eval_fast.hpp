@@ -28,7 +28,8 @@
 // because both paths feed the identical LayerCosts through the shared
 // schedule_costs / roofline_over (netplan.hpp). tests/test_eval_fast.cpp
 // checks the zoo grids (networks x variants x dataflows x broadcast x
-// sched modes, and batches) plus seeded random shapes and arrays, and
+// sched modes, and batches), tests/test_differential.cpp seeded random
+// shapes and arrays, and
 // bench_dse gates the >= 10x configs-per-second win this buys. It is the
 // production cost path: every caller that only reads a cost runs on it,
 // with no memo table in front (one closed-form evaluation is cheaper than

@@ -236,12 +236,11 @@ LayerExecution execute_pointwise(const LayerDesc& layer,
 /// (channel, spatial line) with the channel's 1-D kernel, runs the
 /// broadcast dataflow, and scatters the outputs back to NCHW.
 ///
-/// Stride handling mirrors the latency model (ArrayConfig's
-/// strided_fuse_dense_compute rationale): whole lines along the
-/// non-convolved axis are skipped (only out_h rows / out_w columns are
-/// mapped), while along the convolved axis the shift-register flow
+/// Stride handling mirrors the latency model (systolic::fuse_dense_width):
+/// whole lines along the non-convolved axis are skipped (only out_h rows
+/// / out_w columns are mapped), while along the convolved axis the line
 /// computes the dense output and the scatter below keeps every stride-th
-/// value — so the measured cycles match the dense-compute model exactly.
+/// value — so the measured cycles match the model exactly.
 LayerExecution execute_fuse(const LayerDesc& layer, const PrimitiveOp& op,
                             const Tensor& input, const Tensor& weight,
                             SystolicArraySim& sim) {
@@ -263,7 +262,7 @@ LayerExecution execute_fuse(const LayerDesc& layer, const PrimitiveOp& op,
   const std::int64_t plane = layer.in_h * layer.in_w;
 
   FUSE_CHECK(op.lines == total_lines && op.taps == taps &&
-             layer.in_c == layer.out_c)
+             op.line_out == padded - taps + 1 && layer.in_c == layer.out_c)
       << "fuse plan does not match layer " << layer.name;
 
   // Line l of channel c is image row l * line_stride (row branch) or
@@ -302,35 +301,28 @@ LayerExecution execute_fuse(const LayerDesc& layer, const PrimitiveOp& op,
       dst[o * out_along] = values[o * value_step];
     }
   };
+  // Both paths compute the dense output along the convolved axis and keep
+  // every stride-th value.
   if (op.broadcast) {
     const SimResult result = sim.conv1d_broadcast(lines, kernels);
     add_counts(result, exec);
-    // Dense output along the convolved axis; keep every stride-th value.
-    const std::int64_t dense = result.output.shape().dim(1);
     for (std::int64_t line = 0; line < total_lines; ++line) {
-      store(line, result.output.data() + line * dense, stride);
+      store(line, result.output.data() + line * op.line_out, stride);
     }
   } else {
     // No broadcast bus: each line degrades to a serialized single-column
     // matmul (the ablation baseline the plan's no-broadcast op models).
-    const std::int64_t dense = padded - taps + 1;
-    FUSE_CHECK(op.line_out == dense || op.line_out == kept)
-        << "fuse plan width does not match layer " << layer.name;
-    // A matmul can gather strided patches directly, so only the positions
-    // the plan charges for are computed.
-    const std::int64_t in_step = op.line_out == dense ? 1 : stride;
-    const std::int64_t read_step = op.line_out == dense ? stride : 1;
     Tensor patches(Shape{op.line_out, taps});
     Tensor filter(Shape{taps, 1});
     for (std::int64_t line = 0; line < total_lines; ++line) {
       const float* src = lines.data() + line * padded;
       for (std::int64_t o = 0; o < op.line_out; ++o) {
-        std::copy_n(src + o * in_step, taps, patches.data() + o * taps);
+        std::copy_n(src + o, taps, patches.data() + o * taps);
       }
       std::copy_n(kernels.data() + line * taps, taps, filter.data());
       const SimResult result = sim.matmul(patches, filter);
       add_counts(result, exec);
-      store(line, result.output.data(), read_step);
+      store(line, result.output.data(), stride);
     }
   }
   return exec;

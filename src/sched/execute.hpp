@@ -39,10 +39,10 @@ struct LayerExecution {
 /// MappingPlan picks the execution path — including the channelwise
 /// standard-conv mapping and the serialized no-broadcast FuSe fallback —
 /// so measured cycles track the analytic model for every config. Strided
-/// broadcast FuSe layers execute with the dense-compute-and-discard flow
-/// (the shift-register dataflow cannot skip outputs; see
-/// ArrayConfig::strided_fuse_dense_compute), so their measured cycles
-/// match the default latency model. Glue ops (pool/activation/add) and
+/// FuSe layers execute with the dense-compute-and-discard flow (the
+/// shift-register dataflow cannot skip outputs; see
+/// systolic::fuse_dense_width), so their measured cycles match the
+/// latency model. Glue ops (pool/activation/add) and
 /// grouped convs do not run on the array and are rejected. `backend`
 /// picks the simulator engine; both produce the same bits.
 LayerExecution execute_layer_on_array(

@@ -9,14 +9,6 @@
 
 namespace fuse::sched {
 
-Timeline network_timeline(const NetworkModel& model,
-                          const ArrayConfig& cfg) {
-  return plan_timeline(
-      plan_network(model, cfg, systolic::MemoryConfig{},
-                   SchedMode::kPerLayer),
-      model);
-}
-
 Timeline plan_timeline(const NetworkPlan& plan,
                        const NetworkModel& model) {
   Timeline timeline;

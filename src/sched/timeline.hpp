@@ -34,12 +34,8 @@ struct Timeline {
   std::uint64_t total_cycles = 0;
 };
 
-/// Builds the timeline for one network on one array (per-layer schedule —
-/// equivalent to plan_timeline over a per-layer NetworkPlan).
-Timeline network_timeline(const NetworkModel& model, const ArrayConfig& cfg);
-
 /// Timeline view of a NetworkPlan. Per-layer plans give one entry per
-/// latency-bearing layer (identical to network_timeline); fused plans
+/// latency-bearing layer; fused plans
 /// merge each fused pair into ONE entry spanning the interleaved region,
 /// named "producer+consumer" and carrying the consumer's kind, with the
 /// pair's combined utilization.

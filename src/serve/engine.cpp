@@ -111,6 +111,11 @@ std::uint64_t ServeEngine::submit(const ShapeKey& key, int batch_hint,
   FUSE_CHECK(arrival_cycle >= last_arrival_)
       << "arrivals must be nondecreasing: got " << arrival_cycle
       << " after " << last_arrival_;
+  // A batch's deadline is arrival + window; it must stay a real event
+  // time, neither wrapped nor the kNoEvent sentinel.
+  FUSE_CHECK(config_.batch_window < kNoEvent - arrival_cycle)
+      << "batch window " << config_.batch_window << " from arrival "
+      << arrival_cycle << " puts the deadline past the event clock";
   last_arrival_ = arrival_cycle;
   advance_locked(arrival_cycle);
 

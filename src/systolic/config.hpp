@@ -160,16 +160,6 @@ struct ArrayConfig {
   /// measures; tests cross-check the two in that mode.
   bool overlap_fold_drain = true;
 
-  /// Strided FuSe 1-D convolutions on the broadcast dataflow: the
-  /// shift-register input flow only aligns neighbouring PEs' windows for
-  /// stride 1 (PE c needs x[c*s + k]; its right neighbour's previous value
-  /// is x[c*s + s + k - 1], equal only when s = 1). When true (default,
-  /// honest) a strided layer computes the DENSE output along the convolved
-  /// axis and discards the skipped positions; whole lines along the other
-  /// axis are still skipped. When false, edge feeders are assumed to do
-  /// strided addressing (extra hardware the paper does not propose) and
-  /// only needed outputs are computed.
-  bool strided_fuse_dense_compute = true;
   double freq_mhz = 700.0;  // used only to convert cycles to wall time
 
   std::int64_t pe_count() const { return rows * cols; }
@@ -226,9 +216,15 @@ struct ArrayConfig {
     return freq_mhz;
   }
 
+  /// Rejects non-positive dimensions, a PE count that overflows int64
+  /// (pe_count() and every fold product are int64), and a non-positive
+  /// clock.
   void validate() const {
     FUSE_CHECK(rows > 0 && cols > 0)
         << "array must have positive dimensions, got " << rows << "x" << cols;
+    std::int64_t pes = 0;
+    FUSE_CHECK(!__builtin_mul_overflow(rows, cols, &pes))
+        << "array " << rows << "x" << cols << " has more PEs than int64 holds";
     FUSE_CHECK(freq_mhz > 0.0) << "frequency must be positive";
   }
 

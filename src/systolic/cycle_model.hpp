@@ -172,33 +172,6 @@ void for_each_fuse1d_fold(std::int64_t lines, std::int64_t line_out,
 LatencyEstimate matmul_latency(std::int64_t m, std::int64_t t,
                                std::int64_t n, const ArrayConfig& cfg);
 
-/// Standard convolution lowered with im2col:
-/// M = out_h*out_w positions, T = k_h*k_w*in_c taps, N = out_c filters.
-LatencyEstimate conv_im2col_latency(std::int64_t out_h, std::int64_t out_w,
-                                    std::int64_t k_h, std::int64_t k_w,
-                                    std::int64_t in_c, std::int64_t out_c,
-                                    const ArrayConfig& cfg);
-
-/// Depthwise convolution lowered with im2col. Each channel is an
-/// independent [positions, k*k] x [k*k, 1] matmul: the lowered filter has a
-/// single column, and because each channel needs different input data the
-/// remaining columns of the array cannot be shared (paper §III-B) — so the
-/// channels serialize, each using one column.
-LatencyEstimate depthwise_im2col_latency(std::int64_t channels,
-                                         std::int64_t out_h,
-                                         std::int64_t out_w, std::int64_t k,
-                                         const ArrayConfig& cfg);
-
-/// Alternative standard-conv mapping (paper Fig. 3(b)): channel-wise dot
-/// products, one [positions, in_c] x [in_c, out_c] matmul per kernel tap,
-/// partials reduced by the accelerator's adder tree. Not applicable to
-/// depthwise convolution (no computation spans channels).
-LatencyEstimate conv_channelwise_latency(std::int64_t out_h,
-                                         std::int64_t out_w, std::int64_t k_h,
-                                         std::int64_t k_w, std::int64_t in_c,
-                                         std::int64_t out_c,
-                                         const ArrayConfig& cfg);
-
 /// FuSeConv's 1-D convolution stage on the proposed broadcast dataflow
 /// (paper §IV-C). `lines` independent 1-D convolutions (channels x rows for
 /// the row branch, channels x cols for the column branch), each producing
@@ -208,23 +181,9 @@ LatencyEstimate conv_channelwise_latency(std::int64_t out_h,
 ///   (Cc - 1) + k + R
 /// (input skew along the row, k broadcast MAC cycles, drain): the sum of
 /// for_each_fuse1d_fold. Requires cfg.broadcast_links; without the links
-/// the 1-D convolutions degrade to the depthwise-style single-column
-/// mapping (fuse1d_no_broadcast_latency).
+/// each line degrades to a depthwise-style single-column
+/// [line_out, k] x [k, 1] matmul (systolic::lower's fallback).
 LatencyEstimate fuse1d_latency(std::int64_t lines, std::int64_t line_out,
                                std::int64_t k, const ArrayConfig& cfg);
-
-/// Fallback cost of the 1-D convolutions on a baseline array without
-/// broadcast links: each line is a [line_out, k] x [k, 1] matmul using one
-/// column, lines serialized. Used by the ablation that motivates the links.
-LatencyEstimate fuse1d_no_broadcast_latency(std::int64_t lines,
-                                            std::int64_t line_out,
-                                            std::int64_t k,
-                                            const ArrayConfig& cfg);
-
-/// Fully connected layer: [1, in_f] x [in_f, out_f] matmul (single row of
-/// the array; this is why FC layers are cheap but low-utilization).
-LatencyEstimate fully_connected_latency(std::int64_t in_f,
-                                        std::int64_t out_f,
-                                        const ArrayConfig& cfg);
 
 }  // namespace fuse::systolic

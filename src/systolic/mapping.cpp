@@ -220,14 +220,14 @@ MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
       plan.ops.push_back(fuse_lines(
           m_scale * layer.out_c * layer.out_h,
           fuse_dense_width(layer.out_w, layer.in_w, layer.pad_w,
-                           layer.kernel_w, layer.stride_w, cfg),
+                           layer.kernel_w, layer.stride_w),
           layer.out_w, layer.kernel_w, cfg));
       break;
     case OpKind::kFuseColConv:
       plan.ops.push_back(fuse_lines(
           m_scale * layer.out_c * layer.out_w,
           fuse_dense_width(layer.out_h, layer.in_h, layer.pad_h,
-                           layer.kernel_h, layer.stride_h, cfg),
+                           layer.kernel_h, layer.stride_h),
           layer.out_h, layer.kernel_h, cfg));
       break;
     case OpKind::kFullyConnected:
@@ -251,11 +251,8 @@ MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
 
 std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
                               std::int64_t pad, std::int64_t taps,
-                              std::int64_t stride, const ArrayConfig& cfg) {
-  if (cfg.strided_fuse_dense_compute && stride > 1) {
-    return in + 2 * pad - taps + 1;
-  }
-  return keep;
+                              std::int64_t stride) {
+  return stride > 1 ? in + 2 * pad - taps + 1 : keep;
 }
 
 void check_grouped_conv(const LayerDesc& layer) {

@@ -64,8 +64,8 @@ struct PrimitiveOp {
   std::int64_t taps_w = 1;
 
   // 1-D line dims (kFuse1DLine). `line_out` is the width actually computed
-  // (the dense width under strided_fuse_dense_compute); `line_keep` the
-  // outputs retained after stride discard.
+  // (the dense width on a strided line, see fuse_dense_width); `line_keep`
+  // the outputs retained after stride discard.
   std::int64_t lines = 0;
   std::int64_t line_out = 0;
   std::int64_t line_keep = 0;
@@ -112,11 +112,15 @@ MappingPlan lower_batched(const nn::LayerDesc& layer, const ArrayConfig& cfg,
 // Two mapping decisions shared with the closed-form evaluator; the cost
 // arithmetic stays separate, so the plan fold remains its oracle.
 
-/// Dense width the shift-register flow must compute along a strided line
-/// (ArrayConfig::strided_fuse_dense_compute); `keep` outputs survive.
+/// Width a FuSe line computes along its convolved axis. The
+/// shift-register input flow only aligns neighbouring PEs' windows at
+/// stride 1 (PE c needs x[c*s + k]; its right neighbour's previous value
+/// is x[c*s + s + k - 1], equal only when s = 1), so a strided line
+/// computes the dense output and keeps every stride-th of it: `keep`
+/// outputs survive. Whole lines along the other axis are still skipped.
 std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
                               std::int64_t pad, std::int64_t taps,
-                              std::int64_t stride, const ArrayConfig& cfg);
+                              std::int64_t stride);
 
 /// FUSE_CHECKs that a grouped convolution's channel counts are divisible
 /// by its `groups`, naming the layer.

@@ -47,32 +47,6 @@ TrafficEstimate matmul_traffic(std::int64_t m, std::int64_t t,
   return traffic;
 }
 
-TrafficEstimate conv_im2col_traffic(std::int64_t out_h, std::int64_t out_w,
-                                    std::int64_t k_h, std::int64_t k_w,
-                                    std::int64_t in_c, std::int64_t out_c,
-                                    const ArrayConfig& cfg,
-                                    const MemoryConfig& mem) {
-  return matmul_traffic(out_h * out_w, k_h * k_w * in_c, out_c, cfg, mem);
-}
-
-TrafficEstimate depthwise_im2col_traffic(std::int64_t channels,
-                                         std::int64_t out_h,
-                                         std::int64_t out_w, std::int64_t k,
-                                         const ArrayConfig& cfg,
-                                         const MemoryConfig& mem) {
-  FUSE_CHECK(channels > 0) << "depthwise_im2col_traffic channels";
-  const TrafficEstimate per_channel =
-      matmul_traffic(out_h * out_w, k * k, /*n=*/1, cfg, mem);
-  TrafficEstimate traffic;
-  traffic.input_bytes =
-      per_channel.input_bytes * static_cast<std::uint64_t>(channels);
-  traffic.weight_bytes =
-      per_channel.weight_bytes * static_cast<std::uint64_t>(channels);
-  traffic.output_bytes =
-      per_channel.output_bytes * static_cast<std::uint64_t>(channels);
-  return traffic;
-}
-
 TrafficEstimate fuse1d_traffic(std::int64_t lines, std::int64_t line_out,
                                std::int64_t k, const ArrayConfig& cfg,
                                const MemoryConfig& mem) {
@@ -97,13 +71,6 @@ TrafficEstimate fuse1d_traffic(std::int64_t lines, std::int64_t line_out,
   traffic.output_bytes = static_cast<std::uint64_t>(lines) *
                          static_cast<std::uint64_t>(line_out) * dtype;
   return traffic;
-}
-
-TrafficEstimate fully_connected_traffic(std::int64_t in_f,
-                                        std::int64_t out_f,
-                                        const ArrayConfig& cfg,
-                                        const MemoryConfig& mem) {
-  return matmul_traffic(/*m=*/1, in_f, out_f, cfg, mem);
 }
 
 }  // namespace fuse::systolic

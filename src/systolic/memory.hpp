@@ -71,33 +71,11 @@ TrafficEstimate matmul_traffic(std::int64_t m, std::int64_t t,
                                std::int64_t n, const ArrayConfig& cfg,
                                const MemoryConfig& mem);
 
-/// Standard conv via im2col: the lowered patch matrix is what streams, so
-/// input traffic is inflated by ~K^2 relative to the raw feature map —
-/// the transformation's hidden bandwidth cost (§III-B).
-TrafficEstimate conv_im2col_traffic(std::int64_t out_h, std::int64_t out_w,
-                                    std::int64_t k_h, std::int64_t k_w,
-                                    std::int64_t in_c, std::int64_t out_c,
-                                    const ArrayConfig& cfg,
-                                    const MemoryConfig& mem);
-
-/// Depthwise conv, channel-serialized single-column mapping.
-TrafficEstimate depthwise_im2col_traffic(std::int64_t channels,
-                                         std::int64_t out_h,
-                                         std::int64_t out_w, std::int64_t k,
-                                         const ArrayConfig& cfg,
-                                         const MemoryConfig& mem);
-
 /// FuSeConv 1-D stage on the broadcast dataflow: each wave re-reads its
 /// input window (line_out + k - 1 values per line per column-fold) and the
 /// k broadcast weights; no im2col inflation.
 TrafficEstimate fuse1d_traffic(std::int64_t lines, std::int64_t line_out,
                                std::int64_t k, const ArrayConfig& cfg,
                                const MemoryConfig& mem);
-
-/// Fully connected [1, in] x [in, out].
-TrafficEstimate fully_connected_traffic(std::int64_t in_f,
-                                        std::int64_t out_f,
-                                        const ArrayConfig& cfg,
-                                        const MemoryConfig& mem);
 
 }  // namespace fuse::systolic

@@ -28,7 +28,7 @@
 // the broadcast path, under every kernel ISA: the fast engine's AVX2
 // kernels add each exact float x float product with one FMA, which
 // rounds as the reference's multiply-then-add does. tools/check.sh and
-// tests/test_systolic_sim.cpp enforce this.
+// tests/test_differential.cpp enforce this.
 //
 // The engine is a constructor argument (default fast), so every simulator
 // states which engine it runs; the simulator examples take it from
@@ -122,7 +122,7 @@ class SystolicArraySim {
   /// discarded (SimResult::output stays empty). Identical repeats are
   /// simulated once and scaled — every repeat is the same array pass.
   /// This is the simulator leg of the analytic == simulated == plan-folded
-  /// differential property (tests/test_mapping.cpp); the cycle counts
+  /// differential property (tests/test_differential.cpp); the cycle counts
   /// match the analytic model when cfg.overlap_fold_drain is off (the
   /// simulator always pays each fold's drain). Routes its primitive
   /// passes through the constructor's engine.

@@ -55,34 +55,6 @@ FoldTrace plan_trace(const MappingPlan& plan, const ArrayConfig& cfg,
   return trace;
 }
 
-FoldTrace matmul_trace(std::int64_t m, std::int64_t t, std::int64_t n,
-                       const ArrayConfig& cfg, const MemoryConfig& mem) {
-  FUSE_CHECK(m > 0 && t > 0 && n > 0) << "matmul_trace dims";
-  MappingPlan plan;
-  PrimitiveOp& op = plan.ops.emplace_back();
-  op.m = m;
-  op.k = t;
-  op.n = n;
-  return plan_trace(plan, cfg, mem);
-}
-
-FoldTrace fuse1d_trace(std::int64_t lines, std::int64_t line_out,
-                       std::int64_t k, const ArrayConfig& cfg,
-                       const MemoryConfig& mem) {
-  FUSE_CHECK(cfg.broadcast_links)
-      << "fuse1d_trace models the broadcast dataflow";
-  FUSE_CHECK(lines > 0 && line_out > 0 && k > 0) << "fuse1d_trace dims";
-  MappingPlan plan;
-  PrimitiveOp& op = plan.ops.emplace_back();
-  op.kind = PrimitiveKind::kFuse1DLine;
-  op.lines = lines;
-  op.line_out = line_out;
-  op.line_keep = line_out;
-  op.taps = k;
-  op.broadcast = true;
-  return plan_trace(plan, cfg, mem);
-}
-
 std::uint64_t plan_peak_fold_bytes(const MappingPlan& plan,
                                    const ArrayConfig& cfg,
                                    const MemoryConfig& mem) {
@@ -145,16 +117,6 @@ std::uint64_t append_fold_trace_events(util::TraceSink& sink,
                        {{"input", 0}, {"weight", 0}, {"output", 0}});
   }
   return cycle_offset + trace.total_cycles;
-}
-
-void write_fold_trace_json(const FoldTrace& trace, const std::string& path,
-                           const std::string& name) {
-  util::TraceSink sink;
-  sink.process_name("fuseconv fold trace (ts unit = array cycles)");
-  sink.thread_name(kFoldTrack, "folds");
-  sink.thread_name(kSramTrack, "sram footprint");
-  append_fold_trace_events(sink, trace, name, /*cycle_offset=*/0);
-  sink.write_json_file(path);
 }
 
 void write_fold_trace_csv(const FoldTrace& trace, const std::string& path) {

@@ -41,18 +41,6 @@ struct FoldTrace {
   std::uint64_t double_buffer_bytes() const { return 2 * peak_fold_bytes(); }
 };
 
-/// Trace of an output-stationary matmul [M, T] x [T, N]: the priced walk
-/// for_each_matmul_fold, so cycle totals match matmul_latency exactly.
-/// FUSE_CHECKs that cfg is output-stationary.
-FoldTrace matmul_trace(std::int64_t m, std::int64_t t, std::int64_t n,
-                       const ArrayConfig& cfg, const MemoryConfig& mem);
-
-/// Trace of a FuSe 1-D stage on the broadcast dataflow: the priced walk
-/// for_each_fuse1d_fold, so cycle totals match fuse1d_latency.
-FoldTrace fuse1d_trace(std::int64_t lines, std::int64_t line_out,
-                       std::int64_t k, const ArrayConfig& cfg,
-                       const MemoryConfig& mem);
-
 /// Trace of a whole lowered layer: the priced walk for_each_fold laid on
 /// one cycle axis, every primitive op expanded over its repeats (each
 /// repeat is a full array pass — e.g. one per depthwise channel). A
@@ -100,10 +88,5 @@ std::uint64_t append_fold_trace_events(util::TraceSink& sink,
                                        const std::string& name,
                                        std::uint64_t cycle_offset,
                                        bool sram_counters = true);
-
-/// One-call export of a single operator's FoldTrace (the JSON twin of
-/// write_fold_trace_csv): trace + metadata, ready for ui.perfetto.dev.
-void write_fold_trace_json(const FoldTrace& trace, const std::string& path,
-                           const std::string& name = "fold");
 
 }  // namespace fuse::systolic

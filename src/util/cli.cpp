@@ -1,8 +1,10 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -31,14 +33,13 @@ void CliFlags::add_bool(const std::string& name, bool default_value,
   flags_[name] = Flag{Kind::kBool, default_value ? "true" : "false", help};
 }
 
-std::vector<std::string> CliFlags::parse(int argc, const char* const* argv) {
-  std::vector<std::string> positional;
+void CliFlags::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (!starts_with(arg, "--")) {
-      positional.push_back(arg);
-      continue;
-    }
+    FUSE_CHECK(starts_with(arg, "--"))
+        << (starts_with(arg, "-") ? "flag " + arg + " needs two dashes"
+                                  : "unexpected argument '" + arg + "'")
+        << " (flags are --name=value or --name value)";
     arg = arg.substr(2);
     if (arg == "help") {
       // Built-in: print the flag listing and exit successfully, so every
@@ -61,20 +62,24 @@ std::vector<std::string> CliFlags::parse(int argc, const char* const* argv) {
       if (flag.kind == Kind::kBool) {
         value = "true";
       } else {
-        FUSE_CHECK(i + 1 < argc) << "flag --" << name << " needs a value";
+        // The next flag is not a value: "--net --csv" is a missing value.
+        FUSE_CHECK(i + 1 < argc && !starts_with(argv[i + 1], "--"))
+            << "flag --" << name << " needs a value";
         value = argv[++i];
       }
     }
     if (flag.kind == Kind::kInt || flag.kind == Kind::kDouble) {
-      // strtoll/strtod accept "" as 0 and saturate out-of-range input, so
-      // both are checked here rather than surfacing as a bogus value.
+      // strtoll/strtod accept "" as 0, saturate out-of-range input and
+      // read "inf"/"nan", so all of those are checked here rather than
+      // surfacing as a bogus value.
       const bool is_int = flag.kind == Kind::kInt;
       char* end = nullptr;
       errno = 0;
+      double number = 0.0;
       if (is_int) {
         std::strtoll(value.c_str(), &end, 10);
       } else {
-        std::strtod(value.c_str(), &end);
+        number = std::strtod(value.c_str(), &end);
       }
       const bool out_of_range = errno == ERANGE;
       FUSE_CHECK(!value.empty() && *end == '\0')
@@ -83,6 +88,9 @@ std::vector<std::string> CliFlags::parse(int argc, const char* const* argv) {
           << "'";
       FUSE_CHECK(!out_of_range)
           << "flag --" << name << " is out of range, got '" << value << "'";
+      FUSE_CHECK(std::isfinite(number))
+          << "flag --" << name << " expects a finite number, got '" << value
+          << "'";
     } else if (flag.kind == Kind::kBool) {
       const std::string lower = to_lower(value);
       FUSE_CHECK(lower == "true" || lower == "false" || lower == "1" ||
@@ -92,7 +100,6 @@ std::vector<std::string> CliFlags::parse(int argc, const char* const* argv) {
     }
     flag.value = value;
   }
-  return positional;
 }
 
 const CliFlags::Flag& CliFlags::find(const std::string& name,
@@ -110,6 +117,14 @@ std::string CliFlags::get_string(const std::string& name) const {
 
 std::int64_t CliFlags::get_int(const std::string& name) const {
   return std::strtoll(find(name, Kind::kInt).value.c_str(), nullptr, 10);
+}
+
+int CliFlags::get_int32(const std::string& name) const {
+  const std::int64_t value = get_int(name);
+  FUSE_CHECK(value >= std::numeric_limits<int>::min() &&
+             value <= std::numeric_limits<int>::max())
+      << "flag --" << name << " is out of range for an int, got " << value;
+  return static_cast<int>(value);
 }
 
 double CliFlags::get_double(const std::string& name) const {

@@ -1,13 +1,14 @@
 // Tiny command-line flag parser for the example/bench executables.
 //
-// Supports --name=value, --name value, and boolean --name. Unknown flags are
-// an error so typos fail loudly.
+// Supports --name=value, --name value, and boolean --name. Everything else
+// is an error so typos fail loudly: an unknown flag, a single-dash flag, a
+// positional argument, a flag missing its value, and a numeric value that
+// is empty, has trailing garbage, is out of range, or is not finite.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace fuse::util {
 
@@ -24,12 +25,15 @@ class CliFlags {
   void add_bool(const std::string& name, bool default_value,
                 const std::string& help);
 
-  /// Parses argv. Throws fuse::util::Error on unknown flags or bad values.
-  /// Returns leftover positional arguments.
-  std::vector<std::string> parse(int argc, const char* const* argv);
+  /// Parses argv. Throws fuse::util::Error naming the offending argument
+  /// on any malformed input (see the file comment).
+  void parse(int argc, const char* const* argv);
 
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// get_int narrowed to int: throws fuse::util::Error naming the flag
+  /// when the value does not fit.
+  int get_int32(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

@@ -10,8 +10,8 @@
 //   * runtime spans (util/telemetry.hpp ScopedSpan): wall microseconds
 //     since the sink's construction (steady_clock), and
 //   * simulated layer timelines (systolic/trace.hpp
-//     write_fold_trace_json): array CYCLES used as the "ts" unit, so one
-//     viewer microsecond reads as one array cycle.
+//     append_fold_trace_events): array CYCLES used as the "ts" unit, so
+//     one viewer microsecond reads as one array cycle.
 // The two are never mixed in one file: benches write runtime traces,
 // profile_network writes simulated ones.
 //

@@ -262,5 +262,46 @@ TEST(FuseVariantEnum, DivisorAndNames) {
   EXPECT_EQ(fuse_variant_name(FuseVariant::kHalf), "Half");
 }
 
+TEST(FuseConvForward, StageEqualsGroupedConvPairOnRandomSpecs) {
+  util::Rng rng(1003);
+  for (int trial = 0; trial < 12; ++trial) {
+    FuseConvSpec spec;
+    spec.kernel = 1 + 2 * (1 + static_cast<std::int64_t>(rng.uniform_index(2)));
+    spec.pad = spec.kernel / 2;
+    spec.stride = 1 + static_cast<std::int64_t>(rng.uniform_index(2));
+    spec.channels = 2 * (1 + static_cast<std::int64_t>(rng.uniform_index(4)));
+    spec.in_h = spec.kernel + static_cast<std::int64_t>(rng.uniform_index(6));
+    spec.in_w = spec.kernel + static_cast<std::int64_t>(rng.uniform_index(6));
+    spec.variant =
+        rng.uniform_index(2) == 0 ? FuseVariant::kFull : FuseVariant::kHalf;
+    util::Rng weights_rng(2000 + static_cast<std::uint64_t>(trial));
+    const FuseConvStage stage(spec, weights_rng);
+    Tensor input(Shape{1, spec.channels, spec.in_h, spec.in_w});
+    input.fill_uniform(rng, -1.0F, 1.0F);
+    const Tensor out = stage.forward(input);
+
+    // Contract: output geometry matches the spec.
+    EXPECT_EQ(out.shape(),
+              (Shape{1, spec.out_channels(), spec.out_h(), spec.out_w()}))
+        << "trial " << trial;
+
+    // Row branch equals the grouped conv run independently.
+    const std::int64_t branch_c = spec.branch_channels();
+    const Tensor row_in = spec.variant == FuseVariant::kFull
+                              ? input
+                              : slice_channels(input, 0, branch_c);
+    Conv2dParams p;
+    p.stride_h = spec.stride;
+    p.stride_w = spec.stride;
+    p.pad_w = spec.pad;
+    p.groups = branch_c;
+    const Tensor row_expected =
+        nn::conv2d(row_in, stage.row_weights(), nullptr, p);
+    for (std::int64_t i = 0; i < row_expected.num_elements(); ++i) {
+      EXPECT_FLOAT_EQ(out[i], row_expected[i]) << "trial " << trial;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fuse::core

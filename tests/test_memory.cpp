@@ -5,7 +5,9 @@
 #include <fstream>
 
 #include "hw/energy.hpp"
+#include "nn/layer.hpp"
 #include "sched/latency.hpp"
+#include "systolic/mapping.hpp"
 #include "systolic/memory.hpp"
 #include "systolic/trace.hpp"
 #include "util/check.hpp"
@@ -14,6 +16,16 @@ namespace fuse::systolic {
 namespace {
 
 ArrayConfig array64() { return square_array(64); }
+
+/// The DRAM traffic of a layer's lowered plan on the 64x64 array.
+TrafficEstimate traffic_of(const nn::LayerDesc& layer,
+                           const MemoryConfig& mem) {
+  return plan_traffic(lower(layer, array64()), array64(), mem);
+}
+
+nn::LayerDesc depthwise(std::int64_t channels, std::int64_t hw) {
+  return nn::make_depthwise("dw", channels, hw, hw, 3, 1, 1);
+}
 
 // --- traffic counting ---------------------------------------------------------
 
@@ -39,17 +51,15 @@ TEST(ConvTraffic, Im2colInflatesInputReads) {
   // The lowered patch matrix carries each input value ~K^2 times.
   const MemoryConfig mem;
   const TrafficEstimate conv =
-      conv_im2col_traffic(14, 14, 3, 3, 32, 16, array64(), mem);
+      traffic_of(nn::make_conv("conv", 32, 14, 14, 16, 3, 1, 1), mem);
   const std::uint64_t raw_input_bytes = 16ULL * 16 * 32 * 2;  // ~input map
   EXPECT_GT(conv.input_bytes, 5 * raw_input_bytes);
 }
 
 TEST(DepthwiseTraffic, ScalesWithChannels) {
   const MemoryConfig mem;
-  const TrafficEstimate one =
-      depthwise_im2col_traffic(1, 14, 14, 3, array64(), mem);
-  const TrafficEstimate many =
-      depthwise_im2col_traffic(32, 14, 14, 3, array64(), mem);
+  const TrafficEstimate one = traffic_of(depthwise(1, 14), mem);
+  const TrafficEstimate many = traffic_of(depthwise(32, 14), mem);
   EXPECT_EQ(many.total_bytes(), 32u * one.total_bytes());
 }
 
@@ -67,8 +77,7 @@ TEST(FuseTraffic, LessTrafficThanDepthwiseForSameWork) {
   // 32 channels of 56x56, K=3: FuSe rows+cols move far fewer bytes than
   // the depthwise im2col lowering.
   const MemoryConfig mem;
-  const TrafficEstimate dw =
-      depthwise_im2col_traffic(32, 56, 56, 3, array64(), mem);
+  const TrafficEstimate dw = traffic_of(depthwise(32, 56), mem);
   TrafficEstimate fuse = fuse1d_traffic(32 * 56, 56, 3, array64(), mem);
   fuse += fuse1d_traffic(32 * 56, 56, 3, array64(), mem);  // col branch
   EXPECT_GT(dw.total_bytes(), 2 * fuse.total_bytes());
@@ -94,12 +103,25 @@ TEST(Traffic, InvalidConfigThrows) {
 
 // --- fold traces ----------------------------------------------------------------
 
+/// The fold trace of a [20, 6] x [6, 17] pointwise layer.
+FoldTrace pointwise_trace(const ArrayConfig& cfg, const MemoryConfig& mem) {
+  return plan_trace(lower(nn::make_pointwise("pw", 6, 4, 5, 17), cfg), cfg,
+                    mem);
+}
+
+/// The fold trace of a FuSe row layer of 20 lines (4 channels x 5 rows)
+/// of 14 outputs, 3 taps.
+FoldTrace fuse_row_trace(const ArrayConfig& cfg, const MemoryConfig& mem) {
+  return plan_trace(lower(nn::make_fuse_row("row", 4, 5, 14, 3, 1, 1), cfg),
+                    cfg, mem);
+}
+
 TEST(FoldTrace, MatmulTraceMatchesAnalyticCycles) {
   const MemoryConfig mem;
   for (bool overlap : {false, true}) {
     ArrayConfig cfg = square_array(8);
     cfg.overlap_fold_drain = overlap;
-    const FoldTrace trace = matmul_trace(20, 6, 17, cfg, mem);
+    const FoldTrace trace = pointwise_trace(cfg, mem);
     EXPECT_EQ(trace.total_cycles, matmul_latency(20, 6, 17, cfg).cycles)
         << "overlap=" << overlap;
     EXPECT_EQ(trace.folds.size(),
@@ -114,7 +136,7 @@ TEST(FoldTrace, FoldsAreContiguous) {
   for (bool overlap : {false, true}) {
     ArrayConfig cfg = square_array(8);
     cfg.overlap_fold_drain = overlap;
-    const FoldTrace trace = matmul_trace(20, 6, 17, cfg, mem);
+    const FoldTrace trace = pointwise_trace(cfg, mem);
     std::uint64_t cursor = 0;
     for (const FoldRecord& fold : trace.folds) {
       EXPECT_EQ(fold.start_cycle, cursor);
@@ -128,7 +150,7 @@ TEST(FoldTrace, FoldsAreContiguous) {
 TEST(FoldTrace, Fuse1dTraceMatchesAnalytic) {
   const MemoryConfig mem;
   const ArrayConfig cfg = square_array(8);
-  const FoldTrace trace = fuse1d_trace(20, 14, 3, cfg, mem);
+  const FoldTrace trace = fuse_row_trace(cfg, mem);
   EXPECT_EQ(trace.total_cycles, fuse1d_latency(20, 14, 3, cfg).cycles);
 }
 
@@ -137,14 +159,16 @@ TEST(FoldTrace, DoubleBufferSizing) {
   // 6*8*2 = 96 B, C tile 8*8*2 = 128 B -> 320 B per fold, 640 B double
   // buffered.
   const MemoryConfig mem;
-  const FoldTrace trace = matmul_trace(8, 6, 8, square_array(8), mem);
+  const ArrayConfig cfg = square_array(8);
+  const FoldTrace trace = plan_trace(
+      lower(nn::make_pointwise("pw", 6, 2, 4, 8), cfg), cfg, mem);
   EXPECT_EQ(trace.peak_fold_bytes(), 96u + 96 + 128);
   EXPECT_EQ(trace.double_buffer_bytes(), 2 * (96u + 96 + 128));
 }
 
 TEST(FoldTrace, CsvHasOneRowPerFold) {
   const MemoryConfig mem;
-  const FoldTrace trace = matmul_trace(20, 6, 17, square_array(8), mem);
+  const FoldTrace trace = pointwise_trace(square_array(8), mem);
   const std::string path = testing::TempDir() + "/fuse_folds.csv";
   write_fold_trace_csv(trace, path);
   std::ifstream in(path);
@@ -164,21 +188,14 @@ TEST(FoldTrace, MatmulFoldsRequireOutputStationary) {
        {Dataflow::kWeightStationary, Dataflow::kInputStationary}) {
     ArrayConfig cfg = square_array(8);
     cfg.dataflow = dataflow;
-    EXPECT_THROW(matmul_trace(20, 6, 17, cfg, mem), util::Error);
-    EXPECT_THROW(
-        plan_trace(lower(nn::make_pointwise("pw", 6, 4, 5, 17), cfg), cfg,
-                   mem),
-        util::Error);
-    // A broadcast line's fold does not depend on the dataflow.
-    EXPECT_EQ(fuse1d_trace(20, 14, 3, cfg, mem).total_cycles,
+    EXPECT_THROW(pointwise_trace(cfg, mem), util::Error);
+    // A broadcast line's fold does not depend on the dataflow; without
+    // the bus the lines serialize as matmuls and take the OS footprint.
+    EXPECT_EQ(fuse_row_trace(cfg, mem).total_cycles,
               fuse1d_latency(20, 14, 3, cfg).cycles);
+    cfg.broadcast_links = false;
+    EXPECT_THROW(fuse_row_trace(cfg, mem), util::Error);
   }
-}
-
-TEST(FoldTrace, RequiresBroadcastForFuse) {
-  const MemoryConfig mem;
-  EXPECT_THROW(fuse1d_trace(4, 4, 3, square_array(8, false), mem),
-               util::Error);
 }
 
 }  // namespace

@@ -426,10 +426,6 @@ TEST(Timeline, FusedPlanMergesGroupsIntoSingleEntries) {
   // Every pair removes one entry (producer and consumer share a bar).
   EXPECT_EQ(fused_timeline.entries.size() + fused.fused_pairs.size(),
             per_timeline.entries.size());
-  // network_timeline is the legacy per-layer view.
-  const Timeline legacy = network_timeline(build.model, cfg);
-  ASSERT_EQ(legacy.entries.size(), per_timeline.entries.size());
-  EXPECT_EQ(legacy.total_cycles, per_timeline.total_cycles);
 }
 
 // --- executor ----------------------------------------------------------------

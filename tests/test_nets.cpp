@@ -10,7 +10,9 @@
 #include "nets/builder.hpp"
 #include "nets/serialize.hpp"
 #include "nets/zoo.hpp"
+#include "sched/latency.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace fuse::nets {
 namespace {
@@ -571,6 +573,34 @@ TEST(PaperCrossCheck, FuseParamDeltasTrackTableOne) {
         build_network(id, core::uniform_modes(slots, FuseMode::kFull))
             .total_params());
     EXPECT_NEAR(full / base, paper_ratio, 0.12) << network_name(id);
+  }
+}
+
+TEST(Zoo, RandomModeVectorsKeepNetworksWellFormed) {
+  util::Rng rng(1005);
+  for (NetworkId id : paper_networks()) {
+    const int slots = num_fuse_slots(id);
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<FuseMode> modes(static_cast<std::size_t>(slots));
+      for (auto& mode : modes) {
+        const auto r = rng.uniform_index(3);
+        mode = r == 0   ? FuseMode::kBaseline
+               : r == 1 ? FuseMode::kFull
+                        : FuseMode::kHalf;
+      }
+      const NetworkModel model = build_network(id, modes);
+      EXPECT_GT(model.total_macs(), 0u);
+      // The classifier interface is invariant.
+      EXPECT_EQ(model.layers.back().out_c, 1000);
+      // Serialization round-trips the random variant exactly.
+      const NetworkModel parsed = from_text(to_text(model));
+      EXPECT_EQ(parsed.total_macs(), model.total_macs());
+      EXPECT_EQ(parsed.total_params(), model.total_params());
+      // Latency is finite and positive on a small array.
+      EXPECT_GT(sched::network_latency(model, systolic::square_array(16))
+                    .total_cycles,
+                0u);
+    }
   }
 }
 

@@ -491,5 +491,38 @@ TEST(Conv2d, AsymmetricStridesAndPads) {
   EXPECT_EQ(out.shape(), (Shape{1, 3, 4, 7}));
 }
 
+TEST(Conv2dIm2col, EqualsDirectConvOnRandomGeometries) {
+  util::Rng rng(1001);
+  const auto random = [&](Shape shape) {
+    Tensor t(std::move(shape));
+    t.fill_uniform(rng, -1.0F, 1.0F);
+    return t;
+  };
+  const auto index = [&](std::uint64_t n) {
+    return static_cast<std::int64_t>(rng.uniform_index(n));
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::int64_t in_c = 1 + index(4);
+    const std::int64_t out_c = 1 + index(5);
+    const std::int64_t k = 1 + 2 * index(3);
+    const std::int64_t stride = 1 + index(3);
+    const std::int64_t pad = index(3);
+    const std::int64_t hw = k + index(8);
+
+    const Tensor input = random(Shape{1, in_c, hw, hw});
+    const Tensor weight = random(Shape{out_c, in_c, k, k});
+    Conv2dParams p;
+    p.stride_h = stride;
+    p.stride_w = stride;
+    p.pad_h = pad;
+    p.pad_w = pad;
+    const Tensor direct = conv2d(input, weight, nullptr, p);
+    const Tensor lowered = conv2d_im2col(input, weight, nullptr, p);
+    EXPECT_TRUE(allclose(lowered, direct, 1e-3F, 1e-4F))
+        << "trial " << trial << ": c=" << in_c << "->" << out_c
+        << " k=" << k << " s=" << stride << " p=" << pad << " hw=" << hw;
+  }
+}
+
 }  // namespace
 }  // namespace fuse::nn

@@ -23,15 +23,14 @@ TEST(LayerLatency, StandardConvUsesIm2colMapping) {
   const LayerDesc l = nn::make_conv("c", 32, 28, 28, 64, 3, 1, 1);
   const ArrayConfig cfg = paper_array();
   EXPECT_EQ(layer_latency(l, cfg).cycles,
-            systolic::conv_im2col_latency(28, 28, 3, 3, 32, 64, cfg).cycles);
+            systolic::matmul_latency(28 * 28, 3 * 3 * 32, 64, cfg).cycles);
 }
 
 TEST(LayerLatency, DepthwiseUsesSingleColumnMapping) {
   const LayerDesc l = nn::make_depthwise("dw", 32, 28, 28, 3, 1, 1);
   const ArrayConfig cfg = paper_array();
-  EXPECT_EQ(
-      layer_latency(l, cfg).cycles,
-      systolic::depthwise_im2col_latency(32, 28, 28, 3, cfg).cycles);
+  EXPECT_EQ(layer_latency(l, cfg).cycles,
+            32 * systolic::matmul_latency(28 * 28, 3 * 3, 1, cfg).cycles);
 }
 
 TEST(LayerLatency, PointwiseIsAMatmul) {
@@ -66,22 +65,14 @@ TEST(LayerLatency, StridedFuseRowComputesDenseAndDiscards) {
   EXPECT_EQ(l.out_h, 14);
   EXPECT_EQ(layer_latency(l, cfg).cycles,
             systolic::fuse1d_latency(16 * 14, 28, 3, cfg).cycles);
-
-  // The optimistic addressing mode computes only needed outputs.
-  ArrayConfig optimistic = cfg;
-  optimistic.strided_fuse_dense_compute = false;
-  EXPECT_EQ(layer_latency(l, optimistic).cycles,
-            systolic::fuse1d_latency(16 * 14, 14, 3, optimistic).cycles);
-  EXPECT_LT(layer_latency(l, optimistic).cycles,
-            layer_latency(l, cfg).cycles);
 }
 
 TEST(LayerLatency, FuseWithoutBroadcastFallsBack) {
   const LayerDesc l = nn::make_fuse_row("r", 16, 28, 28, 3, 1, 1);
   ArrayConfig cfg = systolic::square_array(64, /*broadcast=*/false);
-  EXPECT_EQ(
-      layer_latency(l, cfg).cycles,
-      systolic::fuse1d_no_broadcast_latency(16 * 28, 28, 3, cfg).cycles);
+  // Each of the 16 * 28 lines is a serialized [28, 3] x [3, 1] matmul.
+  EXPECT_EQ(layer_latency(l, cfg).cycles,
+            16 * 28 * systolic::matmul_latency(28, 3, 1, cfg).cycles);
   // Without the proposed links FuSe is much slower than with them.
   EXPECT_GT(layer_latency(l, cfg).cycles,
             10 * layer_latency(l, paper_array()).cycles);
@@ -100,7 +91,7 @@ TEST(LayerLatency, FullyConnectedMapped) {
   const LayerDesc l = nn::make_fully_connected("fc", 1024, 1000);
   const ArrayConfig cfg = paper_array();
   EXPECT_EQ(layer_latency(l, cfg).cycles,
-            systolic::fully_connected_latency(1024, 1000, cfg).cycles);
+            systolic::matmul_latency(1, 1024, 1000, cfg).cycles);
 }
 
 // --- network latency ----------------------------------------------------------
@@ -360,10 +351,9 @@ TEST(ConvMapping, ChannelwiseKnobChangesStandardConvOnly) {
   const ArrayConfig im2col = paper_array();
 
   const LayerDesc conv = nn::make_conv("c", 32, 28, 28, 64, 3, 1, 1);
+  // One [positions, in_c] x [in_c, out_c] matmul per kernel tap.
   EXPECT_EQ(layer_latency(conv, channelwise).cycles,
-            systolic::conv_channelwise_latency(28, 28, 3, 3, 32, 64,
-                                               channelwise)
-                .cycles);
+            9 * systolic::matmul_latency(28 * 28, 32, 64, channelwise).cycles);
   EXPECT_NE(layer_latency(conv, channelwise).cycles,
             layer_latency(conv, im2col).cycles);
 
@@ -391,13 +381,13 @@ TEST(ConvMapping, ChannelwiseWinsForChannelHeavyConvs) {
   // channel dot products without materializing im2col's K^2-taller
   // reduction. For the stem conv (3 input channels) im2col is better; for
   // a deep 3x3 conv channelwise is competitive.
-  const ArrayConfig cfg = paper_array();
+  const ArrayConfig im2col = paper_array();
+  ArrayConfig channelwise = im2col;
+  channelwise.standard_conv_mapping =
+      systolic::StandardConvMapping::kChannelwise;
   const LayerDesc stem = nn::make_conv("stem", 3, 224, 224, 32, 3, 2, 1);
-  EXPECT_LT(
-      systolic::conv_im2col_latency(112, 112, 3, 3, 3, 32, cfg).cycles,
-      systolic::conv_channelwise_latency(112, 112, 3, 3, 3, 32, cfg)
-          .cycles);
-  (void)stem;
+  EXPECT_LT(layer_latency(stem, im2col).cycles,
+            layer_latency(stem, channelwise).cycles);
 }
 
 }  // namespace

@@ -298,6 +298,28 @@ TEST(ServeEngine, ArrivalsMustBeNondecreasing) {
   EXPECT_THROW(engine.submit(key, 0, 99), util::Error);
 }
 
+TEST(ServeEngine, WrappingWindowRejectedNamingWindowAndArrival) {
+  // A window so large that arrival + window wraps (what a negative
+  // --window cast to uint64 gives) or reaches the kNoEvent sentinel.
+  ModelPool pool = make_pool();
+  const ShapeKey key = custom_key(pool.register_custom(small_chain()));
+  ServeConfig config;
+  config.batch_window = ServeEngine::kNoEvent - 100;
+  ServeEngine engine(config, &pool);
+  EXPECT_NO_THROW(engine.submit(key, 0, 99));
+  try {
+    engine.submit(key, 0, 100);
+    ADD_FAILURE() << "a deadline at kNoEvent was accepted";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(config.batch_window)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("arrival 100"), std::string::npos) << what;
+  }
+  EXPECT_THROW(engine.submit(key, 0, 101), util::Error);
+}
+
 TEST(ServeEngine, TensorModeRejectsNonChainShapes) {
   ModelPool pool = make_pool();
   ServeConfig config;

@@ -4,8 +4,10 @@
 #include <tuple>
 #include <vector>
 
+#include "nn/layer.hpp"
 #include "systolic/config.hpp"
 #include "systolic/cycle_model.hpp"
+#include "systolic/mapping.hpp"
 #include "util/check.hpp"
 
 namespace fuse::systolic {
@@ -17,6 +19,21 @@ ArrayConfig array_no_overlap(std::int64_t size) {
   return cfg;
 }
 
+/// The plan fold of one layer: what lower() maps it to, summed.
+LatencyEstimate layer_cost(const nn::LayerDesc& layer,
+                           const ArrayConfig& cfg) {
+  return lower(layer, cfg).total_latency();
+}
+
+/// A 3x3 (or 1x1), stride-1, same-padded conv / depthwise at h x w.
+nn::LayerDesc conv(std::int64_t hw, std::int64_t k, std::int64_t in_c,
+                   std::int64_t out_c) {
+  return nn::make_conv("conv", in_c, hw, hw, out_c, k, 1, k / 2);
+}
+nn::LayerDesc depthwise(std::int64_t channels, std::int64_t hw) {
+  return nn::make_depthwise("dw", channels, hw, hw, 3, 1, 1);
+}
+
 // --- config -----------------------------------------------------------------
 
 TEST(ArrayConfig, ValidatesDimensions) {
@@ -26,6 +43,13 @@ TEST(ArrayConfig, ValidatesDimensions) {
   cfg.rows = 8;
   cfg.freq_mhz = -1.0;
   EXPECT_THROW(cfg.validate(), util::Error);
+  cfg.freq_mhz = 700.0;
+  // The smallest square whose PE count overflows int64 (bench --size
+  // reaches it), and the largest that does not.
+  cfg.rows = cfg.cols = 3037000500;
+  EXPECT_THROW(cfg.validate(), util::Error);
+  cfg.rows = cfg.cols = 3037000499;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(ArrayConfig, ToStringMentionsBroadcast) {
@@ -91,19 +115,16 @@ TEST(MatmulLatency, InvalidDimsThrow) {
 
 TEST(ConvIm2col, MatchesEquivalentMatmul) {
   const ArrayConfig cfg = array_no_overlap(16);
-  const LatencyEstimate conv =
-      conv_im2col_latency(14, 14, 3, 3, 32, 64, cfg);
+  const LatencyEstimate lowered = layer_cost(conv(14, 3, 32, 64), cfg);
   const LatencyEstimate mm = matmul_latency(14 * 14, 3 * 3 * 32, 64, cfg);
-  EXPECT_EQ(conv.cycles, mm.cycles);
-  EXPECT_EQ(conv.mac_ops, mm.mac_ops);
+  EXPECT_EQ(lowered.cycles, mm.cycles);
+  EXPECT_EQ(lowered.mac_ops, mm.mac_ops);
 }
 
 TEST(DepthwiseIm2col, SerializesChannels) {
   const ArrayConfig cfg = array_no_overlap(16);
-  const LatencyEstimate one =
-      depthwise_im2col_latency(1, 14, 14, 3, cfg);
-  const LatencyEstimate many =
-      depthwise_im2col_latency(32, 14, 14, 3, cfg);
+  const LatencyEstimate one = layer_cost(depthwise(1, 14), cfg);
+  const LatencyEstimate many = layer_cost(depthwise(32, 14), cfg);
   EXPECT_EQ(many.cycles, 32u * one.cycles);
   EXPECT_EQ(many.mac_ops, 32u * one.mac_ops);
 }
@@ -112,24 +133,26 @@ TEST(DepthwiseIm2col, WastesTheArray) {
   // The whole point of §III: single-column mapping -> utilization bounded
   // by 1/cols.
   const ArrayConfig cfg = array_no_overlap(64);
-  const LatencyEstimate est =
-      depthwise_im2col_latency(32, 56, 56, 3, cfg);
+  const LatencyEstimate est = layer_cost(depthwise(32, 56), cfg);
   EXPECT_LT(est.utilization(), 1.0 / 64);
 }
 
+ArrayConfig channelwise_array(std::int64_t size) {
+  ArrayConfig cfg = array_no_overlap(size);
+  cfg.standard_conv_mapping = StandardConvMapping::kChannelwise;
+  return cfg;
+}
+
 TEST(ChannelwiseConv, TapsMultiplyCycles) {
-  const ArrayConfig cfg = array_no_overlap(16);
-  const LatencyEstimate one_tap =
-      conv_channelwise_latency(14, 14, 1, 1, 32, 64, cfg);
-  const LatencyEstimate nine_taps =
-      conv_channelwise_latency(14, 14, 3, 3, 32, 64, cfg);
+  const ArrayConfig cfg = channelwise_array(16);
+  const LatencyEstimate one_tap = layer_cost(conv(14, 1, 32, 64), cfg);
+  const LatencyEstimate nine_taps = layer_cost(conv(14, 3, 32, 64), cfg);
   EXPECT_EQ(nine_taps.cycles, 9u * one_tap.cycles);
 }
 
 TEST(ChannelwiseConv, SameMacsAsIm2col) {
-  const ArrayConfig cfg = array_no_overlap(16);
-  EXPECT_EQ(conv_channelwise_latency(14, 14, 3, 3, 32, 64, cfg).mac_ops,
-            conv_im2col_latency(14, 14, 3, 3, 32, 64, cfg).mac_ops);
+  EXPECT_EQ(layer_cost(conv(14, 3, 32, 64), channelwise_array(16)).mac_ops,
+            layer_cost(conv(14, 3, 32, 64), array_no_overlap(16)).mac_ops);
 }
 
 // --- fuse1d -----------------------------------------------------------------
@@ -161,16 +184,21 @@ TEST(Fuse1d, HighUtilizationUnlikeDepthwise) {
   // 56x56, K=3. FuSe rows: 32*56 lines of 56 outputs.
   const ArrayConfig cfg = array_no_overlap(64);
   const LatencyEstimate fuse = fuse1d_latency(32 * 56, 56, 3, cfg);
-  const LatencyEstimate dw = depthwise_im2col_latency(32, 56, 56, 3, cfg);
+  const LatencyEstimate dw = layer_cost(depthwise(32, 56), cfg);
   EXPECT_GT(fuse.utilization(), 10 * dw.utilization());
   EXPECT_LT(fuse.cycles, dw.cycles / 5);
 }
 
 TEST(Fuse1d, NoBroadcastFallbackIsSingleColumn) {
   const ArrayConfig cfg = array_no_overlap(64);
-  const LatencyEstimate with = fuse1d_latency(64, 56, 3, cfg);
-  const LatencyEstimate without =
-      fuse1d_no_broadcast_latency(64, 56, 3, cfg);
+  ArrayConfig no_bus = cfg;
+  no_bus.broadcast_links = false;
+  // 4 channels x 16 rows = 64 lines of 56 outputs, 3 taps.
+  const nn::LayerDesc row = nn::make_fuse_row("row", 4, 16, 56, 3, 1, 1);
+  const LatencyEstimate with = layer_cost(row, cfg);
+  EXPECT_EQ(with.cycles, fuse1d_latency(64, 56, 3, cfg).cycles);
+  const LatencyEstimate without = layer_cost(row, no_bus);
+  EXPECT_EQ(without.cycles, 64 * matmul_latency(56, 3, 1, cfg).cycles);
   // Without the links every line serializes onto one column: much slower.
   EXPECT_GT(without.cycles, 10 * with.cycles);
   EXPECT_EQ(with.mac_ops, without.mac_ops);
@@ -188,7 +216,8 @@ TEST(Fuse1d, OverlapSavesDrains) {
 
 TEST(FullyConnected, UsesOneRow) {
   const ArrayConfig cfg = array_no_overlap(64);
-  const LatencyEstimate est = fully_connected_latency(1024, 1000, cfg);
+  const LatencyEstimate est =
+      layer_cost(nn::make_fully_connected("fc", 1024, 1000), cfg);
   // M=1: 16 column folds, each (1-1) + (cols-1) + 1024 + 1.
   EXPECT_EQ(est.folds, 16u);
   EXPECT_EQ(est.mac_ops, 1024ULL * 1000);
@@ -403,11 +432,11 @@ TEST(DataflowComparison, OsBeatsWsForDeepReduction) {
 
 TEST(DataflowDispatch, ConvMappingsFollowConfiguredDataflow) {
   const ArrayConfig ws = dataflow_array(Dataflow::kWeightStationary, 16, true);
-  EXPECT_EQ(conv_im2col_latency(14, 14, 3, 3, 32, 64, ws).cycles,
+  EXPECT_EQ(layer_cost(conv(14, 3, 32, 64), ws).cycles,
             matmul_latency(14 * 14, 3 * 3 * 32, 64, ws).cycles);
   // Depthwise stays single-column under every dataflow (the §III argument
   // is about the lowered shape, not the dataflow).
-  const LatencyEstimate dw = depthwise_im2col_latency(32, 14, 14, 3, ws);
+  const LatencyEstimate dw = layer_cost(depthwise(32, 14), ws);
   EXPECT_LT(dw.utilization(), 1.0 / 16);
 }
 

@@ -330,8 +330,10 @@ TEST(Telemetry, NestedSpansStayContained) {
 TEST(Telemetry, FoldTraceJsonMatchesTraceTotals) {
   const auto cfg = systolic::square_array(8);
   const systolic::MemoryConfig mem;
-  const systolic::FoldTrace trace =
-      systolic::matmul_trace(20, 16, 20, cfg, mem);
+  // A [20, 16] x [16, 20] pointwise layer.
+  const systolic::FoldTrace trace = systolic::plan_trace(
+      systolic::lower(nn::make_pointwise("pw", 16, 4, 5, 20), cfg), cfg,
+      mem);
   util::TraceSink sink;
   const std::uint64_t cursor =
       append_fold_trace_events(sink, trace, "op", /*cycle_offset=*/100);

@@ -1,14 +1,17 @@
 // Unit tests for the tensor module: Shape, Tensor, fp16 emulation, im2col.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "tensor/half.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace fuse::tensor {
 namespace {
@@ -333,6 +336,24 @@ TEST(Im2col, RejectsWrongRank) {
   EXPECT_THROW(im2col(Tensor(Shape{2, 2}), 1, 1, 1, 1, 0, 0), util::Error);
   EXPECT_THROW(im2col_plane(Tensor(Shape{1, 2, 2}), 1, 1, 1, 1, 0, 0),
                util::Error);
+}
+
+TEST(Half, QuantizationIsMonotone) {
+  util::Rng rng(1006);
+  // Values beyond +-65504 saturate to +-inf, which is still monotone.
+  float prev_x = -std::numeric_limits<float>::infinity();
+  float prev_q = -std::numeric_limits<float>::infinity();
+  std::vector<float> xs;
+  for (int i = 0; i < 3000; ++i) {
+    xs.push_back(static_cast<float>(rng.uniform(-70000.0, 70000.0)));
+  }
+  std::sort(xs.begin(), xs.end());
+  for (float x : xs) {
+    const float q = quantize_half(x);
+    EXPECT_GE(q, prev_q) << "x=" << x << " after " << prev_x;
+    prev_q = q;
+    prev_x = x;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,14 @@ using nn::OpKind;
 
 ArrayConfig paper_array() { return systolic::square_array(64); }
 
+/// The per-layer schedule's timeline of `model`.
+Timeline network_timeline(const nets::NetworkModel& model,
+                          const ArrayConfig& cfg) {
+  return plan_timeline(plan_network(model, cfg, systolic::MemoryConfig{},
+                                    SchedMode::kPerLayer),
+                       model);
+}
+
 // --- timeline -----------------------------------------------------------------
 
 TEST(Timeline, IntervalsAreContiguousAndCoverTotal) {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -247,39 +249,86 @@ TEST(Cli, DefaultsSurviveWhenNotPassed) {
   EXPECT_EQ(flags.get_int("size"), 64);
 }
 
-TEST(Cli, UnknownFlagThrows) {
-  CliFlags flags;
-  const char* argv[] = {"prog", "--nope=1"};
-  EXPECT_THROW(flags.parse(2, argv), Error);
-}
-
-/// Parses one argument and expects a FUSE_CHECK failure naming `flag`.
-void expect_bad_value(CliFlags flags, const char* arg, const char* flag) {
-  const char* argv[] = {"prog", arg};
+/// Parses `args` and expects a FUSE_CHECK failure whose message contains
+/// `names` (the flag or argument at fault).
+void expect_rejected(CliFlags flags, std::vector<const char*> args,
+                     const std::string& names) {
+  args.insert(args.begin(), "prog");
   try {
-    flags.parse(2, argv);
-    ADD_FAILURE() << arg << " parsed";
+    flags.parse(static_cast<int>(args.size()), args.data());
+    ADD_FAILURE() << args[1] << " parsed";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find(flag), std::string::npos) << what;
+    EXPECT_NE(what.find(names), std::string::npos) << what;
   }
 }
 
-TEST(Cli, BadIntValueThrows) {
-  CliFlags ints;
-  ints.add_int("size", 64, "array size");
-  // Not a number, empty (strtoll would read 0), and out of int64 range
-  // (strtoll would saturate).
-  for (const char* arg :
-       {"--size=abc", "--size=", "--size=99999999999999999999999",
-        "--size=-99999999999999999999999"}) {
-    expect_bad_value(ints, arg, "--size");
+TEST(Cli, MalformedInputFailsNamingTheFlag) {
+  CliFlags flags;
+  flags.add_string("net", "v2", "network");
+  flags.add_int("size", 64, "array size");
+  flags.add_double("freq-mhz", 700.0, "clock");
+  flags.add_bool("csv", false, "emit csv");
+  struct Case {
+    std::vector<const char*> args;
+    const char* names;
+  };
+  // Per flag kind: empty value, trailing garbage, out of range,
+  // non-finite, no value, unknown flag, single dash, positional. A string
+  // takes any value, an empty one included; a bool needs none.
+  const Case cases[] = {
+      {{"--net"}, "--net"},
+      {{"--net", "--csv"}, "--net"},
+      {{"--nett=v1"}, "--nett"},
+      {{"-net=v1"}, "-net=v1"},
+      {{"v1"}, "'v1'"},
+      {{"--size="}, "--size"},
+      {{"--size=16x"}, "--size"},
+      {{"--size=99999999999999999999"}, "--size"},
+      {{"--size=-99999999999999999999"}, "--size"},
+      {{"--size=inf"}, "--size"},
+      {{"--size"}, "--size"},
+      {{"--sizes=16"}, "--sizes"},
+      {{"-size=16"}, "-size=16"},
+      {{"size=16"}, "'size=16'"},
+      {{"--freq-mhz="}, "--freq-mhz"},
+      {{"--freq-mhz=700MHz"}, "--freq-mhz"},
+      {{"--freq-mhz=1e999"}, "--freq-mhz"},
+      {{"--freq-mhz=inf"}, "--freq-mhz"},
+      {{"--freq-mhz=-infinity"}, "--freq-mhz"},
+      {{"--freq-mhz=nan"}, "--freq-mhz"},
+      {{"--freq-mhz"}, "--freq-mhz"},
+      {{"--freq=700"}, "--freq"},
+      {{"-freq-mhz=700"}, "-freq-mhz=700"},
+      {{"700"}, "'700'"},
+      {{"--csv="}, "--csv"},
+      {{"--csv=truex"}, "--csv"},
+      {{"--csv=2"}, "--csv"},
+      {{"--csvv"}, "--csvv"},
+      {{"-csv"}, "-csv"},
+      {{"csv"}, "'csv'"},
+  };
+  for (const Case& c : cases) {
+    expect_rejected(flags, c.args, c.names);
   }
-  CliFlags doubles;
-  doubles.add_double("freq-mhz", 700.0, "clock");
-  for (const char* arg : {"--freq-mhz=", "--freq-mhz=1e999"}) {
-    expect_bad_value(doubles, arg, "--freq-mhz");
+}
+
+TEST(Cli, NarrowingToIntIsChecked) {
+  // 2^32 + 1 fits int64 but would wrap to 1 as an int.
+  CliFlags flags;
+  flags.add_int("max-batch", 8, "cap");
+  const char* argv[] = {"prog", "--max-batch=4294967297"};
+  flags.parse(2, argv);
+  EXPECT_EQ(flags.get_int("max-batch"), 4294967297LL);
+  try {
+    (void)flags.get_int32("max-batch");
+    ADD_FAILURE() << "narrowed silently";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--max-batch"), std::string::npos);
   }
+  const char* in_range[] = {"prog", "--max-batch=-2147483648"};
+  flags.parse(2, in_range);
+  EXPECT_EQ(flags.get_int32("max-batch"), -2147483647 - 1);
 }
 
 TEST(Cli, BoolAcceptsExplicitValues) {
@@ -290,14 +339,21 @@ TEST(Cli, BoolAcceptsExplicitValues) {
   EXPECT_TRUE(flags.get_bool("csv"));
 }
 
-TEST(Cli, CollectsPositionalArguments) {
+TEST(Cli, RejectsPositionalArguments) {
+  // Every binary dropped what parse() used to return, so "bench size=16"
+  // silently ran the default; a positional argument is now an error.
   CliFlags flags;
   flags.add_bool("csv", false, "emit csv");
-  const char* argv[] = {"prog", "pos1", "--csv", "pos2"};
-  const auto positional = flags.parse(4, argv);
-  ASSERT_EQ(positional.size(), 2u);
-  EXPECT_EQ(positional[0], "pos1");
-  EXPECT_EQ(positional[1], "pos2");
+  expect_rejected(flags, {"pos1", "--csv"}, "'pos1'");
+  expect_rejected(flags, {"--csv", "pos2"}, "'pos2'");
+}
+
+TEST(Cli, NegativeValueMayFollowItsFlag) {
+  CliFlags flags;
+  flags.add_int("offset", 0, "offset");
+  const char* argv[] = {"prog", "--offset", "-5"};
+  flags.parse(3, argv);
+  EXPECT_EQ(flags.get_int("offset"), -5);
 }
 
 TEST(Cli, TypeMismatchOnGetThrows) {

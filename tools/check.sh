@@ -12,22 +12,26 @@
 #      several workers at once: the kernels' only concurrency),
 #   3. AddressSanitizer + UBSan build running the mapping/executor suites
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
-#      test_serve), the closed-form evaluator's differentials
-#      (test_eval_fast: its seeded random shapes put the geometry products
-#      under UBSan), the kernel differential suite (test_kernels: the
-#      GEMM panel tails and linear's eight-row tail lanes are raw pointer
-#      arithmetic under both ISAs; the engine differentials run the
-#      simulator's f64 kernel tails under both ISAs too), the other
+#      test_serve), the differential harness (test_differential: the
+#      generator's geometry products and the executor's raw-pointer
+#      operand indexing are what the sanitizers see), the closed-form
+#      evaluator's zoo grids (test_eval_fast), the CLI parser's
+#      malformed-input table (test_util), the kernel differential suite
+#      (test_kernels: the GEMM panel tails and linear's eight-row tail
+#      lanes are raw pointer arithmetic under both ISAs; the harness's
+#      engine links run the simulator's f64 kernel tails under both ISAs
+#      too), the other
 #      consumers of the cycle model's priced fold walk (test_attribution,
 #      test_memory's fold traces) and the .fusenet parser's
 #      malformed-record table (test_nets: overflow-checked counts),
 #   4. Release (-O3) build running the kernel differential suite and the
 #      simulator/executor engine differentials (test_kernels,
-#      test_systolic_sim, test_execute) plus a bench_kernels smoke pass —
-#      the kernels' exactness contract and the fast engine's bit-exactness
-#      against the reference engine must survive full optimization, not
-#      just the default build (kernels.cpp is -O3 in every build;
-#      sim_fast.cpp and the executor only in Release),
+#      test_differential, plus test_systolic_sim and test_execute) plus a
+#      bench_kernels smoke pass — the kernels' exactness contract and the
+#      fast engine's bit-exactness against the reference engine must
+#      survive full optimization, not just the default build (kernels.cpp
+#      is -O3 in every build; sim_fast.cpp and the executor only in
+#      Release),
 #   5. telemetry identity: the sweep benches that take the telemetry
 #      flags (bench_table1, bench_fig8d_scaling — the sweeps that record
 #      spans) must print byte-identical output between a plain run and a
@@ -136,10 +140,10 @@ for t in "${CONCURRENCY_TESTS[@]}"; do
 done
 
 echo
-echo "=== [3/11] AddressSanitizer build + mapping/executor/kernel/fold-walk/parser suites ==="
-ASAN_TESTS=(test_mapping test_execute test_systolic_sim test_netplan
-            test_serve test_eval_fast test_kernels test_attribution
-            test_memory test_nets)
+echo "=== [3/11] AddressSanitizer build + differential/mapping/executor/kernel/fold-walk/parser suites ==="
+ASAN_TESTS=(test_differential test_mapping test_execute test_systolic_sim
+            test_netplan test_serve test_eval_fast test_kernels
+            test_attribution test_memory test_nets test_util)
 cmake -B "$ASAN_DIR" -S . -DFUSE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
@@ -150,7 +154,7 @@ done
 
 echo
 echo "=== [4/11] Release -O3 build: kernel + engine differentials + bench smoke ==="
-RELEASE_TESTS=(test_kernels test_systolic_sim test_execute)
+RELEASE_TESTS=(test_kernels test_differential test_systolic_sim test_execute)
 cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$RELEASE_DIR" -j "$(nproc)" \
   --target "${RELEASE_TESTS[@]}" bench_kernels
