@@ -306,7 +306,14 @@ FUSE_TARGET_AVX2 void linear_tile(const float* in, std::int64_t in_f,
 // kernels; same per-element tap order as the vector interior).
 // ---------------------------------------------------------------------------
 
-inline float depthwise_edge(const float* plane, std::int64_t in_h,
+/// acc + a * b rounded once: the scalar twin of one vector lane's FMA,
+/// explicit so the compiler's contraction choice cannot change a bit.
+FUSE_TARGET_AVX2 inline float fma1(float a, float b, float acc) {
+  return _mm_cvtss_f32(
+      _mm_fmadd_ss(_mm_set_ss(a), _mm_set_ss(b), _mm_set_ss(acc)));
+}
+
+FUSE_TARGET_AVX2 inline float depthwise_edge(const float* plane, std::int64_t in_h,
                             std::int64_t in_w, const float* w,
                             std::int64_t kh, std::int64_t kw,
                             const ConvGeom& g, float bias_value,
@@ -324,7 +331,7 @@ inline float depthwise_edge(const float* plane, std::int64_t in_h,
       if (ix < 0 || ix >= in_w) {
         continue;
       }
-      acc += row[ix] * w[ky * kw + kx];
+      acc = fma1(row[ix], w[ky * kw + kx], acc);
     }
   }
   return acc;
@@ -473,7 +480,7 @@ FUSE_TARGET_AVX2 void depthwise_channel(
       _mm256_storeu_ps(out_row + ox, acc);
     }
     for (; ox < x_hi; ++ox) {
-      // Interior remainder: taps all in bounds, scalar float accumulation.
+      // Interior remainder: taps all in bounds, one scalar FMA per tap.
       float acc = bias_value;
       const std::int64_t ix0 = ox - g.pad_w;
       for (std::int64_t ky = 0; ky < kh; ++ky) {
@@ -484,7 +491,7 @@ FUSE_TARGET_AVX2 void depthwise_channel(
         const float* row = plane + iy * in_w + ix0;
         const float* wk = w + ky * kw;
         for (std::int64_t kx = 0; kx < kw; ++kx) {
-          acc += row[kx] * wk[kx];
+          acc = fma1(row[kx], wk[kx], acc);
         }
       }
       out_row[ox] = acc;
@@ -545,7 +552,7 @@ FUSE_TARGET_AVX2 void fuse_col_channel(
         if (iy < 0 || iy >= in_h) {
           continue;
         }
-        acc += plane[iy * in_w + ox - g.pad_w] * w[ky];
+        acc = fma1(plane[iy * in_w + ox - g.pad_w], w[ky], acc);
       }
       out_row[ox] = acc;
     }

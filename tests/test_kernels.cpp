@@ -24,6 +24,7 @@
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/quantized.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/quantize.hpp"
 #include "train/loss.hpp"
 #include "train/module.hpp"
@@ -343,6 +344,147 @@ TEST(KernelsForcedIsa, ConvGridDifferential) {
           isa, k, magnitude, label + " (no bias)");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Channelwise per-output sequence (AVX2 bits, not just the ULP bound)
+// ---------------------------------------------------------------------------
+
+/// True for the convs conv2d_fast sends to the channelwise kernels.
+bool is_channelwise(const ConvCase& c) {
+  return c.params.groups == c.in_c && c.out_c == c.in_c;
+}
+
+/// Channel counts around the 8-channel block (1, 7, 9, 17) at batch 3 on
+/// 7^2 and 14^2 planes, for every channelwise kind, at stride 1 and 2.
+std::vector<ConvCase> channel_block_grid() {
+  std::vector<ConvCase> cases;
+  for (const std::int64_t c : {1, 7, 9, 17}) {
+    for (const std::int64_t hw : {7, 14}) {
+      for (const std::int64_t s : {1, 2}) {
+        cases.push_back({"block_dw3", 3, c, c, hw, hw, 3, 3,
+                         {s, s, 1, 1, 1, 1, c}});
+        cases.push_back({"block_dw5", 3, c, c, hw, hw, 5, 5,
+                         {s, s, 2, 2, 1, 1, c}});
+        cases.push_back({"block_row3", 3, c, c, hw, hw, 1, 3,
+                         {s, s, 0, 1, 1, 1, c}});
+        cases.push_back({"block_col3", 3, c, c, hw, hw, 3, 1,
+                         {s, s, 1, 0, 1, 1, c}});
+      }
+    }
+  }
+  return cases;
+}
+
+/// The AVX2 float channelwise sequence written out: each output starts
+/// at its bias (or +0.0) and takes one std::fma per in-bounds tap in
+/// (ky, kx) order.
+Tensor channelwise_fma_oracle(const Tensor& input, const Tensor& weight,
+                              const Tensor* bias, const Conv2dParams& p) {
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t channels = input.shape().dim(1);
+  const std::int64_t in_h = input.shape().dim(2);
+  const std::int64_t in_w = input.shape().dim(3);
+  const std::int64_t kh = weight.shape().dim(2);
+  const std::int64_t kw = weight.shape().dim(3);
+  const std::int64_t out_h =
+      tensor::conv_out_dim(in_h, kh, p.stride_h, p.pad_h, p.dilation_h);
+  const std::int64_t out_w =
+      tensor::conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
+  Tensor out(Shape{batch, channels, out_h, out_w});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          float acc = bias != nullptr ? (*bias)[c] : 0.0F;
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            const std::int64_t iy =
+                oy * p.stride_h - p.pad_h + ky * p.dilation_h;
+            for (std::int64_t kx = 0; kx < kw; ++kx) {
+              const std::int64_t ix =
+                  ox * p.stride_w - p.pad_w + kx * p.dilation_w;
+              if (iy < 0 || iy >= in_h || ix < 0 || ix >= in_w) {
+                continue;
+              }
+              acc = std::fma(input.at(n, c, iy, ix), weight.at(c, 0, ky, kx),
+                             acc);
+            }
+          }
+          out.at(n, c, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Every channelwise case of the conv, tail and channel-block grids.
+std::vector<ConvCase> channelwise_cases() {
+  std::vector<ConvCase> cases;
+  for (const ConvCase& c : all_conv_cases()) {
+    if (is_channelwise(c)) {
+      cases.push_back(c);
+    }
+  }
+  const std::vector<ConvCase> blocks = channel_block_grid();
+  cases.insert(cases.end(), blocks.begin(), blocks.end());
+  return cases;
+}
+
+/// Runs fn(case, input, weight, bias-or-null) for each channelwise case
+/// whose geometry `select` accepts, with and without bias, under AVX2.
+template <typename Select, typename Fn>
+void for_each_avx2_channelwise(const Select& select, const Fn& fn) {
+  if (!kernel_isa_available(KernelIsa::kAvx2)) {
+    (void)available_isas();  // logs the skip note once
+    return;
+  }
+  BackendGuard guard;
+  for (const ConvCase& c : channelwise_cases()) {
+    if (!select(c.params)) {
+      continue;
+    }
+    const Tensor input = random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 151);
+    const Tensor weight = random_tensor(Shape{c.out_c, 1, c.kh, c.kw}, 152);
+    const Tensor bias = random_tensor(Shape{c.out_c}, 153);
+    for (const Tensor* b : {&bias, static_cast<const Tensor*>(nullptr)}) {
+      const std::string label =
+          std::string(c.name) + " c=" + std::to_string(c.in_c) + " " +
+          std::to_string(c.h) + "x" + std::to_string(c.w) + " s" +
+          std::to_string(c.params.stride_w) +
+          (b != nullptr ? "" : " (no bias)");
+      set_kernel_isa(KernelIsa::kAvx2);
+      fn(input, weight, b, c.params, label);
+    }
+  }
+}
+
+TEST(KernelsForcedIsa, ChannelwiseAvx2IsOneFmaPerTap) {
+  for_each_avx2_channelwise(
+      [](const Conv2dParams& p) {
+        return p.stride_w == 1 && p.dilation_w == 1;
+      },
+      [](const Tensor& input, const Tensor& weight, const Tensor* bias,
+         const Conv2dParams& p, const std::string& label) {
+        EXPECT_TRUE(bit_equal(channelwise_fma_oracle(input, weight, bias, p),
+                              kernels::conv2d_fast(input, weight, bias, p)))
+            << label;
+      });
+}
+
+TEST(KernelsForcedIsa, ChannelwiseStridedBitIdenticalAcrossIsas) {
+  for_each_avx2_channelwise(
+      [](const Conv2dParams& p) {
+        return p.stride_w != 1 || p.dilation_w != 1;
+      },
+      [](const Tensor& input, const Tensor& weight, const Tensor* bias,
+         const Conv2dParams& p, const std::string& label) {
+        const Tensor avx2 = kernels::conv2d_fast(input, weight, bias, p);
+        set_kernel_isa(KernelIsa::kScalar);
+        EXPECT_TRUE(
+            bit_equal(kernels::conv2d_fast(input, weight, bias, p), avx2))
+            << label;
+      });
 }
 
 TEST(KernelsForcedIsa, MatmulDifferential) {
