@@ -500,6 +500,11 @@ void fuse_col_channel(const float* plane, std::int64_t in_h,
   }
 }
 
+/// Under AVX2, FuSe lines at least this wide at unit x stride run one
+/// plane at a time, where the per-plane interior beats channel blocking;
+/// every other channelwise geometry runs channel-blocked.
+constexpr std::int64_t kPerPlaneMinWidth = 56;
+
 /// Dispatches one channel of the channelwise family.
 enum class ChannelwiseKind { kDepthwise, kFuseRow, kFuseCol };
 
@@ -538,13 +543,11 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
       break;
   }
 
-  // The AVX2 channelwise kernels load interior taps contiguously, which
-  // needs unit stride/dilation along x; other geometries run the scalar
-  // kernels under every ISA.
-  const KernelIsa isa = note_isa(p.stride_w == 1 && p.dilation_w == 1);
-  const std::int64_t eff_kw = kind == ChannelwiseKind::kFuseCol ? 1 : kw;
+  // Every geometry vectorizes under AVX2 (the dispatch table in
+  // docs/kernels.md has the measurements behind each route).
+  const KernelIsa isa = note_isa();
   const auto [x_lo, x_hi] =
-      interior_x(out_w, in_w, eff_kw, p.stride_w, p.pad_w, p.dilation_w);
+      interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
   const kernels::ConvGeom geom = to_geom(p);
 
   Tensor output(Shape{batch, channels, out_h, out_w});
@@ -554,6 +557,19 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
   float* out_ptr = output.data();
   const std::int64_t in_plane = in_h * in_w;
   const std::int64_t out_plane = out_h * out_w;
+  const bool unit_x = p.stride_w == 1 && p.dilation_w == 1;
+  const bool per_plane_avx2 = isa == KernelIsa::kAvx2 && unit_x &&
+                              kind != ChannelwiseKind::kDepthwise &&
+                              out_w >= kPerPlaneMinWidth;
+  if (isa == KernelIsa::kAvx2 && !per_plane_avx2) {
+    // Eight planes per vector: float lanes at unit x stride and dilation,
+    // exact double lanes otherwise.
+    const auto blocked = unit_x ? kernels::avx2::channelwise_blocked_f32
+                                : kernels::avx2::channelwise_blocked_f64;
+    blocked(in_ptr, batch * channels, channels, in_h, in_w, w_ptr, kh, kw,
+            geom, bias_ptr, out_ptr, out_h, out_w, x_lo, x_hi);
+    return output;
+  }
 
   // One output plane per (image, channel).
   std::vector<double> acc;  // fuse_col_channel's row accumulator
@@ -561,30 +577,22 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
     const std::int64_t c = nc % channels;
     const float* plane = in_ptr + nc * in_plane;
     const float* w = w_ptr + c * kh * kw;
-    const double bias_value =
-        bias_ptr != nullptr ? static_cast<double>(bias_ptr[c]) : 0.0;
     float* out = out_ptr + nc * out_plane;
-    if (isa == KernelIsa::kAvx2) {
+    if (per_plane_avx2) {
       const float bias_f = bias_ptr != nullptr ? bias_ptr[c] : 0.0F;
-      switch (kind) {
-        case ChannelwiseKind::kDepthwise:
-          kernels::avx2::depthwise_channel(plane, in_h, in_w, w, kh, kw,
-                                           geom, bias_f, out, out_h, out_w,
-                                           x_lo, x_hi);
-          break;
-        case ChannelwiseKind::kFuseRow:
-          kernels::avx2::fuse_row_channel(plane, in_h, in_w, w, kw, geom,
-                                          bias_f, out, out_h, out_w, x_lo,
-                                          x_hi);
-          break;
-        case ChannelwiseKind::kFuseCol:
-          kernels::avx2::fuse_col_channel(plane, in_h, in_w, w, kh, geom,
-                                          bias_f, out, out_h, out_w, x_lo,
-                                          x_hi);
-          break;
+      if (kind == ChannelwiseKind::kFuseRow) {
+        kernels::avx2::fuse_row_channel(plane, in_h, in_w, w, kw, geom,
+                                        bias_f, out, out_h, out_w, x_lo,
+                                        x_hi);
+      } else {
+        kernels::avx2::fuse_col_channel(plane, in_h, in_w, w, kh, geom,
+                                        bias_f, out, out_h, out_w, x_lo,
+                                        x_hi);
       }
       continue;
     }
+    const double bias_value =
+        bias_ptr != nullptr ? static_cast<double>(bias_ptr[c]) : 0.0;
     switch (kind) {
       case ChannelwiseKind::kDepthwise:
         depthwise_channel(plane, in_h, in_w, w, kh, kw, p, bias_value, out,

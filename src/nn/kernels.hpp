@@ -49,11 +49,11 @@
 // (kernels_avx2.cpp). Default is the best ISA the CPU supports (CPUID
 // probe in util/cpu_features.hpp); set_kernel_isa (or --kernel-isa)
 // overrides it for differential testing, and requesting an ISA the
-// machine lacks is an error. The backward passes and a few geometries
-// (stride_w != 1 or dilation_w != 1 channelwise / int8 conv interiors)
-// always run the scalar kernels — see the dispatch table in
-// docs/kernels.md. The simulator's f64 kernels read kernel_isa() too,
-// whatever the backend; for them it changes speed, never a bit.
+// machine lacks is an error. The backward passes and the int8 conv at
+// stride_w != 1 or dilation_w != 1 always run the scalar kernels — see
+// the dispatch table in docs/kernels.md. The simulator's f64 kernels and
+// the channelwise convs at stride_w != 1 or dilation_w != 1 read
+// kernel_isa() too; for them it changes speed, never a bit.
 //
 // The two settings are process-wide; only code sets them (directly, or
 // from the flags of the binaries that run kernels).

@@ -7,26 +7,34 @@
 // cover the 4-5 cycle FMA latency at two issues per cycle. Linear walks
 // eight weight rows per output panel and transposes each 8x8 block in
 // registers, so every lane keeps its output's own FMA sequence. The
-// channelwise kernels vectorize the interior-column range eight outputs
-// at a time (contiguous loads need stride_w == 1 && dilation_w == 1; the
-// dispatcher falls back to the scalar kernels otherwise) and handle edge
-// columns with the same float-accumulation scalar code, so one channel =
-// one deterministic accumulation order.
+// channel-blocked channelwise kernel reuses that transpose to pack eight
+// (image, channel) planes position-major, so one vector is one output
+// position of eight planes: each lane runs its own output's taps, four
+// positions in flight, in float lanes (unit x stride and dilation) or in
+// exact double lanes (any other geometry). The per-plane FuSe kernels
+// vectorize wide lines' interior columns eight outputs at a time and run
+// edges and remainders as one explicit scalar FMA per tap, so every float
+// output is one FMA per term whichever kernel computes it.
 //
-// The simulator's f64 kernels widen floats to double: the GEMM tile is
+// The f64 kernels widen floats to double: the simulator's GEMM tile is
 // 6x8 (twelve 4-lane accumulators, two widened panel loads and one
 // widened A broadcast per row per k step), the line kernel eight outputs
-// per step. A float x float product is exact in double, so each FMA
-// rounds exactly as the scalar multiply-then-add, _mm256_cvtpd_ps rounds
-// as static_cast<float> does (both follow MXCSR), and any FP contraction
-// the compiler applies to double sums of such products is exact too:
-// these kernels match the scalar ones bit for bit.
+// per step, the channelwise double lanes two 4-lane halves per position.
+// A float x float product is exact in double, so each FMA rounds exactly
+// as the scalar multiply-then-add, _mm256_cvtpd_ps rounds as
+// static_cast<float> does (both follow MXCSR), and any FP contraction the
+// compiler applies to double sums of such products is exact too: these
+// kernels match the scalar ones bit for bit.
 //
 // Everything except the interface functions has internal linkage, and no
 // repo headers are included: nothing compiled under the avx2 target
 // attribute can be COMDAT-merged into translation units that must stay
-// runnable on plain SSE2 machines.
+// runnable on plain SSE2 machines. (The std::vector scratch buffers'
+// out-of-line members compile for the baseline target: the attribute
+// applies only to the functions that carry it.)
 #include "nn/kernels_isa.hpp"
+
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FUSE_KERNELS_AVX2 1
@@ -302,8 +310,7 @@ FUSE_TARGET_AVX2 void linear_tile(const float* in, std::int64_t in_f,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar float-accumulation edge helpers (shared by the channelwise
-// kernels; same per-element tap order as the vector interior).
+// Per-plane FuSe helpers (same per-output tap sequence as the vector lanes)
 // ---------------------------------------------------------------------------
 
 /// acc + a * b rounded once: the scalar twin of one vector lane's FMA,
@@ -313,33 +320,274 @@ FUSE_TARGET_AVX2 inline float fma1(float a, float b, float acc) {
       _mm_fmadd_ss(_mm_set_ss(a), _mm_set_ss(b), _mm_set_ss(acc)));
 }
 
-FUSE_TARGET_AVX2 inline float depthwise_edge(const float* plane, std::int64_t in_h,
-                            std::int64_t in_w, const float* w,
-                            std::int64_t kh, std::int64_t kw,
-                            const ConvGeom& g, float bias_value,
-                            std::int64_t iy0, std::int64_t ox) {
+/// One FuSe row output outside the vector interior: the bias, then one
+/// FMA per in-bounds tap in kx order. `row` is null when the kernel row
+/// is out of bounds, which leaves only the bias.
+FUSE_TARGET_AVX2 inline float row_edge(const float* row, std::int64_t in_w,
+                                       const float* w, std::int64_t kw,
+                                       const ConvGeom& g, float bias_value,
+                                       std::int64_t ox) {
   float acc = bias_value;
+  if (row == nullptr) {
+    return acc;
+  }
   const std::int64_t ix0 = ox * g.stride_w - g.pad_w;
-  for (std::int64_t ky = 0; ky < kh; ++ky) {
-    const std::int64_t iy = iy0 + ky * g.dilation_h;
-    if (iy < 0 || iy >= in_h) {
-      continue;
-    }
-    const float* row = plane + iy * in_w;
-    for (std::int64_t kx = 0; kx < kw; ++kx) {
-      const std::int64_t ix = ix0 + kx * g.dilation_w;
-      if (ix < 0 || ix >= in_w) {
-        continue;
-      }
-      acc = fma1(row[ix], w[ky * kw + kx], acc);
+  for (std::int64_t kx = 0; kx < kw; ++kx) {
+    const std::int64_t ix = ix0 + kx * g.dilation_w;
+    if (ix >= 0 && ix < in_w) {
+      acc = fma1(row[ix], w[kx], acc);
     }
   }
   return acc;
 }
 
+// ---------------------------------------------------------------------------
+// Channel-blocked channelwise kernels: lane j of a vector is plane j of an
+// eight-plane block, so one vector is one output position.
+// ---------------------------------------------------------------------------
+
+/// Float lanes: one __m256 per position, one FMA per tap.
+struct LanesF32 {
+  using Acc = __m256;
+  using W = __m256;
+  FUSE_TARGET_AVX2 static Acc seed(const float* b) { return _mm256_loadu_ps(b); }
+  FUSE_TARGET_AVX2 static W weight(const float* w) { return _mm256_loadu_ps(w); }
+  FUSE_TARGET_AVX2 static Acc fma(const float* x, W w, Acc acc) {
+    return _mm256_fmadd_ps(_mm256_loadu_ps(x), w, acc);
+  }
+  FUSE_TARGET_AVX2 static void store(Acc acc, float* y) {
+    _mm256_storeu_ps(y, acc);
+  }
+};
+
+/// Double lanes: two 4-lane halves per position, floats widened on load
+/// (so every product is exact), one rounding to float at the store.
+struct LanesF64 {
+  struct Acc {
+    __m256d lo, hi;
+  };
+  using W = Acc;
+  FUSE_TARGET_AVX2 static Acc seed(const float* b) {
+    return {_mm256_cvtps_pd(_mm_loadu_ps(b)),
+            _mm256_cvtps_pd(_mm_loadu_ps(b + 4))};
+  }
+  FUSE_TARGET_AVX2 static W weight(const float* w) { return seed(w); }
+  FUSE_TARGET_AVX2 static Acc fma(const float* x, const W& w, Acc acc) {
+    return {_mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(x)), w.lo, acc.lo),
+            _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + 4)), w.hi,
+                            acc.hi)};
+  }
+  FUSE_TARGET_AVX2 static void store(const Acc& acc, float* y) {
+    _mm_storeu_ps(y, _mm256_cvtpd_ps(acc.lo));
+    _mm_storeu_ps(y + 4, _mm256_cvtpd_ps(acc.hi));
+  }
+};
+
+/// dst[i * 8 + j] = src[j][i] for i < count: eight planes packed
+/// position-major, eight positions per in-register transpose.
+FUSE_TARGET_AVX2 void pack8(const float* const* src, std::int64_t count,
+                            float* dst) {
+  std::int64_t i = 0;
+  for (; i + kNr <= count; i += kNr) {
+    __m256 t[kNr];
+    for (int j = 0; j < kNr; ++j) {
+      t[j] = _mm256_loadu_ps(src[j] + i);
+    }
+    transpose8(t);
+    for (int j = 0; j < kNr; ++j) {
+      _mm256_storeu_ps(dst + (i + j) * kNr, t[j]);
+    }
+  }
+  for (; i < count; ++i) {
+    for (int j = 0; j < kNr; ++j) {
+      dst[i * kNr + j] = src[j][i];
+    }
+  }
+}
+
+/// dst[j][i] = src[i * 8 + j] for i < count, j < lanes: pack8 inverted.
+FUSE_TARGET_AVX2 void unpack8(const float* src, std::int64_t count,
+                              float* const* dst, std::int64_t lanes) {
+  std::int64_t i = 0;
+  for (; i + kNr <= count; i += kNr) {
+    __m256 t[kNr];
+    for (int j = 0; j < kNr; ++j) {
+      t[j] = _mm256_loadu_ps(src + (i + j) * kNr);
+    }
+    transpose8(t);
+    for (std::int64_t j = 0; j < lanes; ++j) {
+      _mm256_storeu_ps(dst[j] + i, t[j]);
+    }
+  }
+  for (; i < count; ++i) {
+    for (std::int64_t j = 0; j < lanes; ++j) {
+      dst[j][i] = src[i * kNr + j];
+    }
+  }
+}
+
+/// Shapes of one channel-blocked call; x, w, bias and y are packed
+/// eight lanes per element ([in_h][in_w][8], [kh * kw][8], [8],
+/// [out_h][out_w][8]).
+struct BlockedGeom {
+  std::int64_t in_h, in_w, kh, kw, out_h, out_w, x_lo, x_hi;
+  ConvGeom g;
+};
+
+/// One output position: the bias, then one FMA per in-bounds tap in
+/// (ky, kx) order. Only rows narrower than a four-position group use it.
+template <typename L>
+FUSE_TARGET_AVX2 void blocked_position(const BlockedGeom& s, const float* x,
+                                       const float* w, const float* bias,
+                                       std::int64_t oy, std::int64_t ox,
+                                       float* y) {
+  typename L::Acc acc = L::seed(bias);
+  const std::int64_t iy0 = oy * s.g.stride_h - s.g.pad_h;
+  const std::int64_t ix0 = ox * s.g.stride_w - s.g.pad_w;
+  for (std::int64_t ky = 0; ky < s.kh; ++ky) {
+    const std::int64_t iy = iy0 + ky * s.g.dilation_h;
+    if (iy < 0 || iy >= s.in_h) {
+      continue;
+    }
+    for (std::int64_t kx = 0; kx < s.kw; ++kx) {
+      const std::int64_t ix = ix0 + kx * s.g.dilation_w;
+      if (ix < 0 || ix >= s.in_w) {
+        continue;
+      }
+      acc = L::fma(x + (iy * s.in_w + ix) * kNr,
+                   L::weight(w + (ky * s.kw + kx) * kNr), acc);
+    }
+  }
+  L::store(acc, y + (oy * s.out_w + ox) * kNr);
+}
+
+/// Output positions [ox, ox + 4) of row oy as four independent FMA chains
+/// sharing each weight load: every lane starts at its bias and takes one
+/// FMA per in-bounds tap in (ky, kx) order. kChecked tests each
+/// position's tap column (edge groups); interior groups have every kx in
+/// bounds.
+template <typename L, bool kChecked>
+FUSE_TARGET_AVX2 void blocked_group(const BlockedGeom& s, const float* x,
+                                    const float* w, const float* bias,
+                                    std::int64_t oy, std::int64_t ox,
+                                    float* y) {
+  typename L::Acc acc[4];
+  for (int j = 0; j < 4; ++j) {
+    acc[j] = L::seed(bias);
+  }
+  const std::int64_t iy0 = oy * s.g.stride_h - s.g.pad_h;
+  const std::int64_t ix0 = ox * s.g.stride_w - s.g.pad_w;
+  for (std::int64_t ky = 0; ky < s.kh; ++ky) {
+    const std::int64_t iy = iy0 + ky * s.g.dilation_h;
+    if (iy < 0 || iy >= s.in_h) {
+      continue;
+    }
+    const float* row = x + iy * s.in_w * kNr;
+    const float* wk = w + ky * s.kw * kNr;
+    for (std::int64_t kx = 0; kx < s.kw; ++kx) {
+      const typename L::W wv = L::weight(wk + kx * kNr);
+      const std::int64_t ix = ix0 + kx * s.g.dilation_w;
+#pragma GCC unroll 4
+      for (int j = 0; j < 4; ++j) {
+        const std::int64_t ixj = ix + j * s.g.stride_w;
+        if (!kChecked || (ixj >= 0 && ixj < s.in_w)) {
+          acc[j] = L::fma(row + ixj * kNr, wv, acc[j]);
+        }
+      }
+    }
+  }
+  float* out = y + (oy * s.out_w + ox) * kNr;
+  for (int j = 0; j < 4; ++j) {
+    L::store(acc[j], out + j * kNr);
+  }
+}
+
+/// Every output position of one packed block, four positions per group.
+/// A row's last group may overlap the one before it: an output computed
+/// twice runs the same sequence both times.
+template <typename L>
+FUSE_TARGET_AVX2 void blocked_plane(const BlockedGeom& s, const float* x,
+                                    const float* w, const float* bias,
+                                    float* y) {
+  for (std::int64_t oy = 0; oy < s.out_h; ++oy) {
+    if (s.out_w < 4) {
+      for (std::int64_t ox = 0; ox < s.out_w; ++ox) {
+        blocked_position<L>(s, x, w, bias, oy, ox, y);
+      }
+      continue;
+    }
+    for (std::int64_t ox0 = 0; ox0 < s.out_w; ox0 += 4) {
+      const std::int64_t ox = min64(ox0, s.out_w - 4);
+      if (ox >= s.x_lo && ox + 4 <= s.x_hi) {
+        blocked_group<L, false>(s, x, w, bias, oy, ox, y);
+      } else {
+        blocked_group<L, true>(s, x, w, bias, oy, ox, y);
+      }
+    }
+  }
+}
+
+/// Channel-blocked driver: planes eight at a time, each block packed,
+/// computed and unpacked through per-call scratch. A tail block's missing
+/// lanes repeat its last plane and drop their results.
+template <typename L>
+FUSE_TARGET_AVX2 void channelwise_blocked(
+    const float* in, std::int64_t planes, std::int64_t channels,
+    std::int64_t in_h, std::int64_t in_w, const float* w, std::int64_t kh,
+    std::int64_t kw, const ConvGeom& g, const float* bias, float* out,
+    std::int64_t out_h, std::int64_t out_w, std::int64_t x_lo,
+    std::int64_t x_hi) {
+  const BlockedGeom s{in_h, in_w, kh, kw, out_h, out_w, x_lo, x_hi, g};
+  const std::int64_t in_plane = in_h * in_w;
+  const std::int64_t out_plane = out_h * out_w;
+  const std::int64_t taps = kh * kw;
+  std::vector<float> xp(static_cast<std::size_t>(in_plane * kNr));
+  std::vector<float> yp(static_cast<std::size_t>(out_plane * kNr));
+  std::vector<float> wp(static_cast<std::size_t>(taps * kNr));
+  alignas(32) float bp[kNr];
+  for (std::int64_t q0 = 0; q0 < planes; q0 += kNr) {
+    const std::int64_t lanes = min64(kNr, planes - q0);
+    const float* src[kNr];
+    float* dst[kNr];
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      const std::int64_t q = q0 + min64(j, lanes - 1);
+      const std::int64_t c = q % channels;
+      src[j] = in + q * in_plane;
+      dst[j] = out + q * out_plane;
+      for (std::int64_t t = 0; t < taps; ++t) {
+        wp[static_cast<std::size_t>(t * kNr + j)] = w[c * taps + t];
+      }
+      bp[j] = bias != nullptr ? bias[c] : 0.0F;
+    }
+    pack8(src, in_plane, xp.data());
+    blocked_plane<L>(s, xp.data(), wp.data(), bp, yp.data());
+    unpack8(yp.data(), out_plane, dst, lanes);
+  }
+}
+
 }  // namespace
 
 bool compiled() { return true; }
+
+FUSE_TARGET_AVX2 void channelwise_blocked_f32(
+    const float* in, std::int64_t planes, std::int64_t channels,
+    std::int64_t in_h, std::int64_t in_w, const float* w, std::int64_t kh,
+    std::int64_t kw, const ConvGeom& g, const float* bias, float* out,
+    std::int64_t out_h, std::int64_t out_w, std::int64_t x_lo,
+    std::int64_t x_hi) {
+  channelwise_blocked<LanesF32>(in, planes, channels, in_h, in_w, w, kh, kw,
+                                g, bias, out, out_h, out_w, x_lo, x_hi);
+}
+
+FUSE_TARGET_AVX2 void channelwise_blocked_f64(
+    const float* in, std::int64_t planes, std::int64_t channels,
+    std::int64_t in_h, std::int64_t in_w, const float* w, std::int64_t kh,
+    std::int64_t kw, const ConvGeom& g, const float* bias, float* out,
+    std::int64_t out_h, std::int64_t out_w, std::int64_t x_lo,
+    std::int64_t x_hi) {
+  channelwise_blocked<LanesF64>(in, planes, channels, in_h, in_w, w, kh, kw,
+                                g, bias, out, out_h, out_w, x_lo, x_hi);
+}
 
 FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda,
                                  std::int64_t rows, const float* b_panels,
@@ -447,70 +695,34 @@ FUSE_TARGET_AVX2 void linear_panel(const float* in, std::int64_t batch,
   }
 }
 
-FUSE_TARGET_AVX2 void depthwise_channel(
-    const float* plane, std::int64_t in_h,
-                       std::int64_t in_w, const float* w, std::int64_t kh,
-                       std::int64_t kw, const ConvGeom& g, float bias_value,
-                       float* out, std::int64_t out_h, std::int64_t out_w,
-                       std::int64_t x_lo, std::int64_t x_hi) {
+FUSE_TARGET_AVX2 void fuse_row_channel(
+    const float* plane, std::int64_t in_h, std::int64_t in_w, const float* w,
+    std::int64_t kw, const ConvGeom& g, float bias_value, float* out,
+    std::int64_t out_h, std::int64_t out_w, std::int64_t x_lo,
+    std::int64_t x_hi) {
+  const __m256 seed = _mm256_set1_ps(bias_value);
   for (std::int64_t oy = 0; oy < out_h; ++oy) {
-    const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
+    const std::int64_t iy = oy * g.stride_h - g.pad_h;
+    const float* row = iy >= 0 && iy < in_h ? plane + iy * in_w : nullptr;
     float* out_row = out + oy * out_w;
-    for (std::int64_t ox = 0; ox < x_lo; ++ox) {
-      out_row[ox] =
-          depthwise_edge(plane, in_h, in_w, w, kh, kw, g, bias_value, iy0, ox);
+    std::int64_t ox = 0;
+    for (; ox < x_lo; ++ox) {
+      out_row[ox] = row_edge(row, in_w, w, kw, g, bias_value, ox);
     }
-    const __m256 seed = _mm256_set1_ps(bias_value);
-    std::int64_t ox = x_lo;
-    for (; ox + kNr <= x_hi; ox += kNr) {
+    for (; row != nullptr && ox + kNr <= x_hi; ox += kNr) {
+      const float* x = row + ox - g.pad_w;  // stride_w == 1
       __m256 acc = seed;
-      const std::int64_t ix0 = ox - g.pad_w;  // stride_w == 1
-      for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * g.dilation_h;
-        if (iy < 0 || iy >= in_h) {
-          continue;
-        }
-        const float* row = plane + iy * in_w + ix0;
-        const float* wk = w + ky * kw;
-        for (std::int64_t kx = 0; kx < kw; ++kx) {
-          acc = _mm256_fmadd_ps(_mm256_loadu_ps(row + kx),
-                                _mm256_broadcast_ss(wk + kx), acc);
-        }
+      for (std::int64_t kx = 0; kx < kw; ++kx) {
+        acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + kx),
+                              _mm256_broadcast_ss(w + kx), acc);
       }
       _mm256_storeu_ps(out_row + ox, acc);
     }
-    for (; ox < x_hi; ++ox) {
-      // Interior remainder: taps all in bounds, one scalar FMA per tap.
-      float acc = bias_value;
-      const std::int64_t ix0 = ox - g.pad_w;
-      for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * g.dilation_h;
-        if (iy < 0 || iy >= in_h) {
-          continue;
-        }
-        const float* row = plane + iy * in_w + ix0;
-        const float* wk = w + ky * kw;
-        for (std::int64_t kx = 0; kx < kw; ++kx) {
-          acc = fma1(row[kx], wk[kx], acc);
-        }
-      }
-      out_row[ox] = acc;
-    }
-    for (ox = x_hi; ox < out_w; ++ox) {
-      out_row[ox] =
-          depthwise_edge(plane, in_h, in_w, w, kh, kw, g, bias_value, iy0, ox);
+    // The interior remainder and the right edge.
+    for (; ox < out_w; ++ox) {
+      out_row[ox] = row_edge(row, in_w, w, kw, g, bias_value, ox);
     }
   }
-}
-
-FUSE_TARGET_AVX2 void fuse_row_channel(
-    const float* plane, std::int64_t in_h,
-                      std::int64_t in_w, const float* w, std::int64_t kw,
-                      const ConvGeom& g, float bias_value, float* out,
-                      std::int64_t out_h, std::int64_t out_w,
-                      std::int64_t x_lo, std::int64_t x_hi) {
-  depthwise_channel(plane, in_h, in_w, w, /*kh=*/1, kw, g, bias_value, out,
-                    out_h, out_w, x_lo, x_hi);
 }
 
 FUSE_TARGET_AVX2 void fuse_col_channel(
@@ -689,10 +901,16 @@ void conv1d_lines_f64(const float*, std::int64_t, std::int64_t, const float*,
 void linear_panel(const float*, std::int64_t, std::int64_t,
                   const float* const*, const float*, float*, std::int64_t,
                   std::int64_t) {}
-void depthwise_channel(const float*, std::int64_t, std::int64_t,
-                       const float*, std::int64_t, std::int64_t,
-                       const ConvGeom&, float, float*, std::int64_t,
-                       std::int64_t, std::int64_t, std::int64_t) {}
+void channelwise_blocked_f32(const float*, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t, const float*,
+                             std::int64_t, std::int64_t, const ConvGeom&,
+                             const float*, float*, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t) {}
+void channelwise_blocked_f64(const float*, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t, const float*,
+                             std::int64_t, std::int64_t, const ConvGeom&,
+                             const float*, float*, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t) {}
 void fuse_row_channel(const float*, std::int64_t, std::int64_t, const float*,
                       std::int64_t, const ConvGeom&, float, float*,
                       std::int64_t, std::int64_t, std::int64_t,

@@ -90,23 +90,49 @@ void linear_panel(const float* in, std::int64_t batch, std::int64_t in_f,
                   const float* const* w_rows, const float* seed, float* out,
                   std::int64_t ldo, std::int64_t ncols);
 
-/// One depthwise channel, interior columns [x_lo, x_hi) vectorized eight
-/// outputs at a time. Caller guarantees stride_w == 1 && dilation_w == 1
-/// (other geometries take the scalar kernel).
-void depthwise_channel(const float* plane, std::int64_t in_h,
-                       std::int64_t in_w, const float* w, std::int64_t kh,
-                       std::int64_t kw, const ConvGeom& g, float bias_value,
-                       float* out, std::int64_t out_h, std::int64_t out_w,
-                       std::int64_t x_lo, std::int64_t x_hi);
+/// Channelwise conv (depthwise K x K, FuSe 1 x K or K x 1) over `planes`
+/// consecutive (image, channel) planes, plane q using channel
+/// q % channels' kh x kw weights and bias (null: +0.0). Planes run eight
+/// at a time: each block is packed position-major (lane j = plane j)
+/// through in-register 8x8 transposes, one vector computes one output
+/// position of all eight planes, and the block is unpacked the same way.
+/// Every lane starts at its bias and takes one FMA per in-bounds tap in
+/// (ky, kx) order; a tap out of bounds is skipped for the whole vector,
+/// since every lane shares the position. [x_lo, x_hi) are the output
+/// columns whose kx taps are all in bounds. Any stride or dilation.
+///   * _f32: float lanes, the per-plane kernels' per-output sequence.
+///   * _f64: double lanes (two 4-lane halves per position), one rounding
+///     to float per output: bit-identical to the scalar kernels, since
+///     every float x float product is exact in double.
+void channelwise_blocked_f32(const float* in, std::int64_t planes,
+                             std::int64_t channels, std::int64_t in_h,
+                             std::int64_t in_w, const float* w,
+                             std::int64_t kh, std::int64_t kw,
+                             const ConvGeom& g, const float* bias, float* out,
+                             std::int64_t out_h, std::int64_t out_w,
+                             std::int64_t x_lo, std::int64_t x_hi);
+void channelwise_blocked_f64(const float* in, std::int64_t planes,
+                             std::int64_t channels, std::int64_t in_h,
+                             std::int64_t in_w, const float* w,
+                             std::int64_t kh, std::int64_t kw,
+                             const ConvGeom& g, const float* bias, float* out,
+                             std::int64_t out_h, std::int64_t out_w,
+                             std::int64_t x_lo, std::int64_t x_hi);
 
-/// One FuSe row channel (1 x K). Same stride/dilation precondition.
+/// One FuSe row channel (1 x K), one (image, channel) plane: interior
+/// columns [x_lo, x_hi) eight outputs per vector, edge columns and the
+/// remainder one output at a time, every output the bias then one FMA
+/// per in-bounds tap in kx order. Contiguous loads need stride_w == 1 and
+/// dilation_w == 1; the dispatcher sends it only wide planes, where it
+/// beats channelwise_blocked_f32.
 void fuse_row_channel(const float* plane, std::int64_t in_h,
                       std::int64_t in_w, const float* w, std::int64_t kw,
                       const ConvGeom& g, float bias_value, float* out,
                       std::int64_t out_h, std::int64_t out_w,
                       std::int64_t x_lo, std::int64_t x_hi);
 
-/// One FuSe column channel (K x 1). Same stride/dilation precondition.
+/// One FuSe column channel (K x 1), taps in ky order. Same
+/// stride/dilation precondition and the same wide-plane role.
 void fuse_col_channel(const float* plane, std::int64_t in_h,
                       std::int64_t in_w, const float* w, std::int64_t kh,
                       const ConvGeom& g, float bias_value, float* out,

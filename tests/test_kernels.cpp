@@ -6,7 +6,9 @@
 //     trajectory.
 //   * avx2 ISA — float outputs ULP-BOUNDED against the reference (the
 //     derived tolerance in util/ulp.hpp), int8 outputs and backward
-//     passes still bit-exact.
+//     passes still bit-exact. Channelwise outputs are pinned harder:
+//     memcmp-equal to an explicit one-FMA-per-tap oracle at unit x
+//     stride and dilation, and to the scalar ISA's output otherwise.
 // The forced-ISA grid below runs every operator under each ISA the
 // machine supports; on hardware without AVX2 the avx2 leg is skipped
 // with a logged note (never a failure), so the suite passes everywhere.
@@ -198,8 +200,7 @@ std::vector<ConvCase> tail_grid() {
   cases.push_back({"tail_kernel_sized_dw", 1, 4, 4, 5, 5, 5, 5,
                    {1, 1, 0, 0, 1, 1, 4}});
   // Stride-2 over odd extents (interior bounds land mid-vector; the
-  // channelwise kernels fall back to scalar here — that fallback is
-  // exactly what this exercises).
+  // channelwise case runs the exact double-lane route under AVX2).
   cases.push_back({"tail_s2_odd_dense", 1, 3, 5, 7, 9, 3, 3,
                    {2, 2, 1, 1, 1, 1, 1}});
   cases.push_back({"tail_s2_odd_dw", 1, 7, 7, 9, 7, 3, 3,

@@ -392,6 +392,8 @@ TEST(Telemetry, SchedCountersMatchMappingPlanGolden) {
 //   * a [1,4,3,3] 1x1 conv takes the pointwise route and packs its nine
 //     positions as two 8-wide panels of k=4 floats: 2 * 4 * 8 * 4 = 256;
 //   * a stride-2 1x1 conv stays on the im2col route;
+//   * a stride-2 3x3 depthwise runs the exact channel-blocked route, so it
+//     counts as the forced ISA too;
 //   * linear reads its weight rows in place and packs nothing.
 TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   if (!util::telemetry_enabled()) GTEST_SKIP() << "FUSE_TELEMETRY off";
@@ -411,9 +413,14 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   const tensor::Tensor filters = random(tensor::Shape{5, 4, 1, 1});
   const tensor::Tensor features = random(tensor::Shape{2, 13});
   const tensor::Tensor fc_weight = random(tensor::Shape{9, 13});
+  const tensor::Tensor dw_filters = random(tensor::Shape{4, 1, 3, 3});
   nn::Conv2dParams stride2;
   stride2.stride_h = 2;
   stride2.stride_w = 2;
+  nn::Conv2dParams depthwise_s2 = stride2;
+  depthwise_s2.pad_h = 1;
+  depthwise_s2.pad_w = 1;
+  depthwise_s2.groups = 4;
 
   util::MetricsRegistry& reg = util::metrics();
   util::Counter& avx2_count = reg.counter("kernels.dispatch.avx2");
@@ -448,6 +455,12 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
     (void)nn::conv2d(image, filters, nullptr, stride2);
     EXPECT_EQ(pointwise_count.value() - pointwise_0, 0u) << name;
     EXPECT_EQ(conv2d_count.value() - conv2d_0, 1u) << name;
+
+    const std::uint64_t avx2_1 = avx2_count.value();
+    const std::uint64_t scalar_1 = scalar_count.value();
+    (void)nn::conv2d(image, dw_filters, nullptr, depthwise_s2);
+    EXPECT_EQ(avx2_count.value() - avx2_1, is_avx2 ? 1u : 0u) << name;
+    EXPECT_EQ(scalar_count.value() - scalar_1, is_avx2 ? 0u : 1u) << name;
 
     pack_0 = pack_bytes.value();
     (void)nn::linear(features, fc_weight, nullptr);
