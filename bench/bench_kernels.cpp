@@ -1,10 +1,11 @@
 // Micro-kernel wall-clock benchmarks (google-benchmark): reference-vs-
 // fast pairs for every operator the kernel backend accelerates (GEMM,
-// dense conv, pointwise expansion and projection, depthwise, FuSe
-// row/col, linear at batch 8 and 1) at MobileNet-V2 geometries, the
-// FuSeConv stage forward under both backends, and the cycle-level
-// simulator primitives. These support Fig. 8(c)'s operator-level view
-// with host-side numbers and keep the simulator's own cost visible.
+// dense conv, pointwise expansion and projection, depthwise at stride 1
+// and 2, FuSe row/col, 7^2 channelwise, linear at batch 8 and 1) at
+// MobileNet geometries, the FuSeConv stage forward under both backends,
+// and the cycle-level simulator primitives. These support Fig. 8(c)'s
+// operator-level view with host-side numbers and keep the simulator's own
+// cost visible.
 //
 // Besides the usual google-benchmark flags, `--json=<path>` writes the
 // perf-trajectory artifact results/BENCH_kernels.json
@@ -163,6 +164,53 @@ void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
 BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, reference, kReference);
 BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, fast, kFast);
 BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, fast_scalar, kFastScalar);
+
+// --- MobileNet-V2 stride-2 depthwise: [1, 96, 112, 112], 3x3 stride 2
+// pad 1 (the exact double-lane route under AVX2).
+void BM_DepthwiseConv3x3S2(benchmark::State& state, Variant v) {
+  const Tensor input = random_tensor(Shape{1, 96, 112, 112}, 24);
+  const Tensor weight = random_tensor(Shape{96, 1, 3, 3}, 25);
+  const Conv2dParams p{2, 2, 1, 1, 1, 1, 96};
+  run_conv(state, v, input, weight, p,
+           /*macs=*/static_cast<std::int64_t>(96) * 9 * 56 * 56);
+}
+BENCHMARK_CAPTURE(BM_DepthwiseConv3x3S2, reference, kReference);
+BENCHMARK_CAPTURE(BM_DepthwiseConv3x3S2, fast, kFast);
+BENCHMARK_CAPTURE(BM_DepthwiseConv3x3S2, fast_scalar, kFastScalar);
+
+// --- Last-stage 7^2 channelwise (MobileNet-V3-Large's 960-channel
+// depthwise, MobileNet-V1's 1024-channel FuSe row and col), where a
+// plane is narrower than one 8-output vector interior.
+void run_channelwise_7x7(benchmark::State& state, const Variant& v,
+                         std::int64_t channels, std::int64_t kh,
+                         std::int64_t kw) {
+  const Tensor input = random_tensor(Shape{1, channels, 7, 7}, 26);
+  const Tensor weight = random_tensor(Shape{channels, 1, kh, kw}, 27);
+  const Conv2dParams p{1, 1, kh / 2, kw / 2, 1, 1, channels};
+  run_conv(state, v, input, weight, p,
+           /*macs=*/channels * kh * kw * 7 * 7);
+}
+
+void BM_DepthwiseConv3x3At7(benchmark::State& state, Variant v) {
+  run_channelwise_7x7(state, v, 960, 3, 3);
+}
+BENCHMARK_CAPTURE(BM_DepthwiseConv3x3At7, reference, kReference);
+BENCHMARK_CAPTURE(BM_DepthwiseConv3x3At7, fast, kFast);
+BENCHMARK_CAPTURE(BM_DepthwiseConv3x3At7, fast_scalar, kFastScalar);
+
+void BM_FuseRowAt7(benchmark::State& state, Variant v) {
+  run_channelwise_7x7(state, v, 1024, 1, 3);
+}
+BENCHMARK_CAPTURE(BM_FuseRowAt7, reference, kReference);
+BENCHMARK_CAPTURE(BM_FuseRowAt7, fast, kFast);
+BENCHMARK_CAPTURE(BM_FuseRowAt7, fast_scalar, kFastScalar);
+
+void BM_FuseColAt7(benchmark::State& state, Variant v) {
+  run_channelwise_7x7(state, v, 1024, 3, 1);
+}
+BENCHMARK_CAPTURE(BM_FuseColAt7, reference, kReference);
+BENCHMARK_CAPTURE(BM_FuseColAt7, fast, kFast);
+BENCHMARK_CAPTURE(BM_FuseColAt7, fast_scalar, kFastScalar);
 
 // --- FuSe row branch: the same geometry factored to 1x3, groups = C.
 void BM_FuseRow(benchmark::State& state, Variant v) {

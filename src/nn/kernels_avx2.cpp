@@ -350,8 +350,12 @@ FUSE_TARGET_AVX2 inline float row_edge(const float* row, std::int64_t in_w,
 struct LanesF32 {
   using Acc = __m256;
   using W = __m256;
-  FUSE_TARGET_AVX2 static Acc seed(const float* b) { return _mm256_loadu_ps(b); }
-  FUSE_TARGET_AVX2 static W weight(const float* w) { return _mm256_loadu_ps(w); }
+  FUSE_TARGET_AVX2 static Acc seed(const float* b) {
+    return _mm256_loadu_ps(b);
+  }
+  FUSE_TARGET_AVX2 static W weight(const float* w) {
+    return _mm256_loadu_ps(w);
+  }
   FUSE_TARGET_AVX2 static Acc fma(const float* x, W w, Acc acc) {
     return _mm256_fmadd_ps(_mm256_loadu_ps(x), w, acc);
   }
@@ -434,45 +438,18 @@ struct BlockedGeom {
   ConvGeom g;
 };
 
-/// One output position: the bias, then one FMA per in-bounds tap in
-/// (ky, kx) order. Only rows narrower than a four-position group use it.
-template <typename L>
-FUSE_TARGET_AVX2 void blocked_position(const BlockedGeom& s, const float* x,
-                                       const float* w, const float* bias,
-                                       std::int64_t oy, std::int64_t ox,
-                                       float* y) {
-  typename L::Acc acc = L::seed(bias);
-  const std::int64_t iy0 = oy * s.g.stride_h - s.g.pad_h;
-  const std::int64_t ix0 = ox * s.g.stride_w - s.g.pad_w;
-  for (std::int64_t ky = 0; ky < s.kh; ++ky) {
-    const std::int64_t iy = iy0 + ky * s.g.dilation_h;
-    if (iy < 0 || iy >= s.in_h) {
-      continue;
-    }
-    for (std::int64_t kx = 0; kx < s.kw; ++kx) {
-      const std::int64_t ix = ix0 + kx * s.g.dilation_w;
-      if (ix < 0 || ix >= s.in_w) {
-        continue;
-      }
-      acc = L::fma(x + (iy * s.in_w + ix) * kNr,
-                   L::weight(w + (ky * s.kw + kx) * kNr), acc);
-    }
-  }
-  L::store(acc, y + (oy * s.out_w + ox) * kNr);
-}
-
-/// Output positions [ox, ox + 4) of row oy as four independent FMA chains
+/// Output positions [ox, ox + N) of row oy as N independent FMA chains
 /// sharing each weight load: every lane starts at its bias and takes one
 /// FMA per in-bounds tap in (ky, kx) order. kChecked tests each
 /// position's tap column (edge groups); interior groups have every kx in
 /// bounds.
-template <typename L, bool kChecked>
+template <typename L, int N, bool kChecked>
 FUSE_TARGET_AVX2 void blocked_group(const BlockedGeom& s, const float* x,
                                     const float* w, const float* bias,
                                     std::int64_t oy, std::int64_t ox,
                                     float* y) {
-  typename L::Acc acc[4];
-  for (int j = 0; j < 4; ++j) {
+  typename L::Acc acc[N];
+  for (int j = 0; j < N; ++j) {
     acc[j] = L::seed(bias);
   }
   const std::int64_t iy0 = oy * s.g.stride_h - s.g.pad_h;
@@ -488,7 +465,7 @@ FUSE_TARGET_AVX2 void blocked_group(const BlockedGeom& s, const float* x,
       const typename L::W wv = L::weight(wk + kx * kNr);
       const std::int64_t ix = ix0 + kx * s.g.dilation_w;
 #pragma GCC unroll 4
-      for (int j = 0; j < 4; ++j) {
+      for (int j = 0; j < N; ++j) {
         const std::int64_t ixj = ix + j * s.g.stride_w;
         if (!kChecked || (ixj >= 0 && ixj < s.in_w)) {
           acc[j] = L::fma(row + ixj * kNr, wv, acc[j]);
@@ -497,14 +474,15 @@ FUSE_TARGET_AVX2 void blocked_group(const BlockedGeom& s, const float* x,
     }
   }
   float* out = y + (oy * s.out_w + ox) * kNr;
-  for (int j = 0; j < 4; ++j) {
+  for (int j = 0; j < N; ++j) {
     L::store(acc[j], out + j * kNr);
   }
 }
 
 /// Every output position of one packed block, four positions per group.
 /// A row's last group may overlap the one before it: an output computed
-/// twice runs the same sequence both times.
+/// twice runs the same sequence both times. Rows narrower than a group
+/// run one position at a time.
 template <typename L>
 FUSE_TARGET_AVX2 void blocked_plane(const BlockedGeom& s, const float* x,
                                     const float* w, const float* bias,
@@ -512,16 +490,16 @@ FUSE_TARGET_AVX2 void blocked_plane(const BlockedGeom& s, const float* x,
   for (std::int64_t oy = 0; oy < s.out_h; ++oy) {
     if (s.out_w < 4) {
       for (std::int64_t ox = 0; ox < s.out_w; ++ox) {
-        blocked_position<L>(s, x, w, bias, oy, ox, y);
+        blocked_group<L, 1, true>(s, x, w, bias, oy, ox, y);
       }
       continue;
     }
     for (std::int64_t ox0 = 0; ox0 < s.out_w; ox0 += 4) {
       const std::int64_t ox = min64(ox0, s.out_w - 4);
       if (ox >= s.x_lo && ox + 4 <= s.x_hi) {
-        blocked_group<L, false>(s, x, w, bias, oy, ox, y);
+        blocked_group<L, 4, false>(s, x, w, bias, oy, ox, y);
       } else {
-        blocked_group<L, true>(s, x, w, bias, oy, ox, y);
+        blocked_group<L, 4, true>(s, x, w, bias, oy, ox, y);
       }
     }
   }
@@ -544,11 +522,11 @@ FUSE_TARGET_AVX2 void channelwise_blocked(
   std::vector<float> xp(static_cast<std::size_t>(in_plane * kNr));
   std::vector<float> yp(static_cast<std::size_t>(out_plane * kNr));
   std::vector<float> wp(static_cast<std::size_t>(taps * kNr));
-  alignas(32) float bp[kNr];
+  float bp[kNr] = {};
   for (std::int64_t q0 = 0; q0 < planes; q0 += kNr) {
     const std::int64_t lanes = min64(kNr, planes - q0);
-    const float* src[kNr];
-    float* dst[kNr];
+    const float* src[kNr] = {};
+    float* dst[kNr] = {};
     for (std::int64_t j = 0; j < kNr; ++j) {
       const std::int64_t q = q0 + min64(j, lanes - 1);
       const std::int64_t c = q % channels;
