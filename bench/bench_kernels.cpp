@@ -13,7 +13,9 @@
 // tools/bench_compare.py gates on, and one row per benchmark {op,
 // backend, isa, ns_per_op, gflops}, both from real time. The fast_scalar
 // legs pin the scalar ISA so the artifact records the scalar-vs-SIMD
-// split on the machine that produced it.
+// split on the machine that produced it. The provenance names this
+// repo's build type and, as the library reports it, google-benchmark's
+// own.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -21,6 +23,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -357,10 +360,34 @@ class CapturingReporter : public benchmark::ConsoleReporter {
     }
   }
 
+  /// Also records the library's build type from the run's context, as
+  /// google-benchmark's own JSON reporter states it ("debug" or
+  /// "release"): a debug library times every op with its assertions on.
+  bool ReportContext(const Context& context) override {
+    std::ostringstream json;
+    std::ostringstream warnings;
+    benchmark::JSONReporter reporter;
+    reporter.SetOutputStream(&json);
+    reporter.SetErrorStream(&warnings);
+    reporter.ReportContext(context);
+    const std::string text = json.str();
+    const std::string key = "\"library_build_type\": \"";
+    const std::size_t start = text.find(key);
+    if (start != std::string::npos) {
+      const std::size_t from = start + key.size();
+      library_build_type_ = text.substr(from, text.find('"', from) - from);
+    }
+    return benchmark::ConsoleReporter::ReportContext(context);
+  }
+
   const std::vector<JsonRow>& rows() const { return rows_; }
+  const std::string& library_build_type() const {
+    return library_build_type_;
+  }
 
  private:
   std::vector<JsonRow> rows_;
+  std::string library_build_type_ = "unknown";
 };
 
 /// "BM_Gemm/fast_scalar" -> {"gemm", "fast_scalar"}; sim benches
@@ -406,7 +433,8 @@ constexpr const char* kCompiler = "clang " __clang_version__;
 constexpr const char* kCompiler = "gcc " __VERSION__;
 #endif
 
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
+void write_json(const std::string& path, const std::vector<JsonRow>& rows,
+                const std::string& library_build_type) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", path.c_str());
@@ -417,13 +445,14 @@ void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
       "{\n  \"bench\": \"bench_kernels\",\n"
       "  \"provenance\": {\"cores\": %u, \"isa\": \"%s\", "
       "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+      "\"benchmark_library_build_type\": \"%s\", "
       "\"timing\": \"google-benchmark real time per op; one thread\"},\n"
       "  \"metric_families\": {\"wall_lower_better\": [\"ns_per_op\"], "
       "\"wall_higher_better\": [\"gflops\"]},\n"
       "  \"rows\": [\n",
       std::thread::hardware_concurrency(),
       fuse::util::cpu_features().to_string().c_str(), kCompiler,
-      FUSE_BUILD_TYPE);
+      FUSE_BUILD_TYPE, library_build_type.c_str());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto [op, backend] = parse_name(rows[i].name);
     const std::string isa = isa_for_backend(backend);
@@ -461,7 +490,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!json_path.empty()) {
-    write_json(json_path, reporter.rows());
+    write_json(json_path, reporter.rows(), reporter.library_build_type());
   }
   return 0;
 }

@@ -283,6 +283,31 @@ void linear_panel_f64(const float* in, std::int64_t batch, std::int64_t in_f,
   }
 }
 
+using LinearPanel = void (*)(const float*, std::int64_t, std::int64_t,
+                             const float* const*, const float*, float*,
+                             std::int64_t, std::int64_t);
+
+/// out[n, j] = bias[j] + in[n, :] . w[j, :] for n < batch, j < out_f
+/// (a null bias seeds +0.0): eight weight rows per output panel, read in
+/// place; a tail panel repeats its last row in the missing lanes and
+/// drops their results.
+void linear_rows(const float* in, std::int64_t batch, std::int64_t in_f,
+                 const float* w, std::int64_t out_f, const float* bias,
+                 LinearPanel panel, float* out) {
+  for (std::int64_t j0 = 0; j0 < out_f; j0 += kNr) {
+    const std::int64_t ncols = std::min(kNr, out_f - j0);
+    const float* w_rows[kNr];
+    float seed[kNr] = {};
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      w_rows[j] = w + std::min(j0 + j, out_f - 1) * in_f;
+      if (bias != nullptr && j < ncols) {
+        seed[j] = bias[j0 + j];
+      }
+    }
+    panel(in, batch, in_f, w_rows, seed, out + j0, out_f, ncols);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // im2col-on-the-fly panel builder
 // ---------------------------------------------------------------------------
@@ -518,6 +543,30 @@ ChannelwiseKind classify_channelwise(std::int64_t kh, std::int64_t kw) {
   return ChannelwiseKind::kDepthwise;
 }
 
+/// One (image, channel) plane of the channelwise family through its
+/// scalar kernel; `acc` is fuse_col_channel's reusable row accumulator.
+void channelwise_plane(ChannelwiseKind kind, const float* plane,
+                       std::int64_t in_h, std::int64_t in_w, const float* w,
+                       std::int64_t kh, std::int64_t kw,
+                       const Conv2dParams& p, double bias_value, float* out,
+                       std::int64_t out_h, std::int64_t out_w,
+                       std::vector<double>& acc) {
+  switch (kind) {
+    case ChannelwiseKind::kDepthwise:
+      depthwise_channel(plane, in_h, in_w, w, kh, kw, p, bias_value, out,
+                        out_h, out_w);
+      break;
+    case ChannelwiseKind::kFuseRow:
+      fuse_row_channel(plane, in_h, in_w, w, kw, p, bias_value, out, out_h,
+                       out_w);
+      break;
+    case ChannelwiseKind::kFuseCol:
+      fuse_col_channel(plane, in_h, in_w, w, kh, p, bias_value, out, out_h,
+                       out_w, acc);
+      break;
+  }
+}
+
 Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
                                const Tensor* bias, const Conv2dParams& p) {
   const std::int64_t batch = input.shape().dim(0);
@@ -593,20 +642,8 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
     }
     const double bias_value =
         bias_ptr != nullptr ? static_cast<double>(bias_ptr[c]) : 0.0;
-    switch (kind) {
-      case ChannelwiseKind::kDepthwise:
-        depthwise_channel(plane, in_h, in_w, w, kh, kw, p, bias_value, out,
-                          out_h, out_w);
-        break;
-      case ChannelwiseKind::kFuseRow:
-        fuse_row_channel(plane, in_h, in_w, w, kw, p, bias_value, out, out_h,
-                         out_w);
-        break;
-      case ChannelwiseKind::kFuseCol:
-        fuse_col_channel(plane, in_h, in_w, w, kh, p, bias_value, out, out_h,
-                         out_w, acc);
-        break;
-    }
+    channelwise_plane(kind, plane, in_h, in_w, w, kh, kw, p, bias_value, out,
+                      out_h, out_w, acc);
   }
   return output;
 }
@@ -844,16 +881,12 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n) {
   if (n == 1) {
-    // A matrix-vector product: a padded 8-wide panel would be 7/8 zeros,
-    // and consecutive rows are independent chains the core overlaps.
-    for (std::int64_t r = 0; r < m; ++r) {
-      const float* row = a + r * k;
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < k; ++i) {
-        acc += static_cast<double>(row[i]) * static_cast<double>(b[i]);
-      }
-      c[r] = static_cast<float>(acc);
-    }
+    // A matrix-vector product, which is a batch-1 linear layer with A's
+    // rows as its weight: a padded 8-wide B panel would be 7/8 zeros,
+    // while linear's panels read eight rows of A in place as eight
+    // independent chains. Each still sums from +0.0 in ascending k.
+    linear_rows(b, /*batch=*/1, k, a, m, /*bias=*/nullptr, linear_panel_f64,
+                c);
     return;
   }
   if (m == 1) {
@@ -910,6 +943,31 @@ void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
   }
 }
 
+void channelwise_f64(const float* input, const float* weight, float* out,
+                     std::int64_t channels, std::int64_t in_h,
+                     std::int64_t in_w, std::int64_t kh, std::int64_t kw,
+                     const Conv2dParams& p) {
+  const std::int64_t out_h =
+      conv_out_dim(in_h, kh, p.stride_h, p.pad_h, p.dilation_h);
+  const std::int64_t out_w =
+      conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
+  if (kernel_isa() == KernelIsa::kAvx2) {
+    const auto [x_lo, x_hi] =
+        interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
+    kernels::avx2::channelwise_blocked_f64(
+        input, channels, channels, in_h, in_w, weight, kh, kw, to_geom(p),
+        /*bias=*/nullptr, out, out_h, out_w, x_lo, x_hi);
+    return;
+  }
+  const ChannelwiseKind kind = classify_channelwise(kh, kw);
+  std::vector<double> acc;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    channelwise_plane(kind, input + c * in_h * in_w, in_h, in_w,
+                      weight + c * kh * kw, kh, kw, p, /*bias_value=*/0.0,
+                      out + c * out_h * out_w, out_h, out_w, acc);
+  }
+}
+
 Tensor matmul_fast(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.shape().dim(0);
   const std::int64_t k = a.shape().dim(1);
@@ -945,25 +1003,11 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
   const std::int64_t in_f = input.shape().dim(1);
   const std::int64_t out_f = weight.shape().dim(0);
   Tensor out(Shape{batch, out_f});
-  const float* w_ptr = weight.data();
-  const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
-  const auto panel = isa == KernelIsa::kAvx2 ? kernels::avx2::linear_panel
-                                             : linear_panel_f64;
-  // Eight weight rows per output panel, read in place: a tail panel
-  // repeats its last row in the missing lanes and drops their results.
-  for (std::int64_t j0 = 0; j0 < out_f; j0 += kNr) {
-    const std::int64_t ncols = std::min(kNr, out_f - j0);
-    const float* w_rows[kNr];
-    float seed[kNr] = {};
-    for (std::int64_t j = 0; j < kNr; ++j) {
-      w_rows[j] = w_ptr + std::min(j0 + j, out_f - 1) * in_f;
-      if (bias_ptr != nullptr && j < ncols) {
-        seed[j] = bias_ptr[j0 + j];
-      }
-    }
-    panel(input.data(), batch, in_f, w_rows, seed, out.data() + j0, out_f,
-          ncols);
-  }
+  linear_rows(input.data(), batch, in_f, weight.data(), out_f,
+              bias != nullptr ? bias->data() : nullptr,
+              isa == KernelIsa::kAvx2 ? kernels::avx2::linear_panel
+                                      : linear_panel_f64,
+              out.data());
   return out;
 }
 
@@ -1266,7 +1310,7 @@ Tensor linear_backward_fast(const Tensor& input, const Tensor& weight,
 }
 
 // ---------------------------------------------------------------------------
-// Marshalling helpers shared with the systolic executor
+// Layout helpers
 // ---------------------------------------------------------------------------
 
 void transpose(const float* src, std::int64_t rows, std::int64_t cols,
@@ -1297,17 +1341,6 @@ Tensor flatten_filters(const Tensor& weight) {
   Tensor filters(Shape{taps, out_c});
   transpose(weight.data(), out_c, taps, filters.data());
   return filters;
-}
-
-Tensor transpose_2d(const Tensor& w) {
-  FUSE_CHECK(w.shape().rank() == 2)
-      << "transpose_2d expects a rank-2 tensor, got "
-      << w.shape().to_string();
-  const std::int64_t rows = w.shape().dim(0);
-  const std::int64_t cols = w.shape().dim(1);
-  Tensor out(Shape{cols, rows});
-  transpose(w.data(), rows, cols, out.data());
-  return out;
 }
 
 }  // namespace kernels

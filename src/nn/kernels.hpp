@@ -36,8 +36,9 @@
 //     reference (util/ulp.hpp derives the bound; docs/kernels.md
 //     documents it). The INT8 kernels accumulate in int32 — exact in
 //     any order — and stay bit-identical under every ISA, and so do the
-//     simulator's gemm_f64 / conv1d_lines_f64, whose double sums of
-//     exact float x float products round the same with or without FMA.
+//     simulator's gemm_f64 / conv1d_lines_f64 / channelwise_f64, whose
+//     double sums of exact float x float products round the same with or
+//     without FMA.
 //
 // Backend selection: nn::conv2d / matmul / linear / the INT8 kernels and
 // the train::Module backward passes all dispatch on kernel_backend().
@@ -125,10 +126,11 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
 /// products (double)a * (double)b in ascending k, and is rounded to float
 /// once: the arithmetic of an output-stationary PE, which the PE-grid
 /// simulator's fast engine runs through here. The packed-panel path
-/// dispatches on kernel_isa() (m = 1 and n = 1 stay scalar), yet the
-/// bits depend on the operands only: a float x float product is exact in
-/// double, so the AVX2 kernel's one FMA per term rounds exactly as the
-/// scalar multiply-then-add, and both round to float the same way.
+/// dispatches on kernel_isa() (m = 1 streams B's rows and n = 1 reads
+/// A's rows eight at a time, both scalar), yet the bits depend on the
+/// operands only: a float x float product is exact in double, so the
+/// AVX2 kernel's one FMA per term rounds exactly as the scalar
+/// multiply-then-add, and both round to float the same way.
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
@@ -143,6 +145,23 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
 void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
                       std::int64_t num_lines, std::int64_t width,
                       std::int64_t taps);
+
+/// Channelwise conv (depthwise K x K, FuSe 1 x K or K x 1) of one image:
+/// input [channels, in_h, in_w], weight [channels, kh, kw], out
+/// [channels, out_h, out_w] with the extents p's stride, padding and
+/// dilation give (p.groups is ignored). Each output starts from a +0.0
+/// double accumulator, adds one exact double product per in-bounds tap
+/// in (ky, kx) order, and is rounded to float once: the arithmetic of
+/// the output-stationary PE, or the broadcast row, that computes it on
+/// the array, less the padding taps. The simulator's fast engine runs
+/// every channelwise layer through here. Dispatches on kernel_isa() (the
+/// AVX2 kernel runs eight channels per vector in double lanes at any
+/// stride) with bits that depend on the operands only, for the reason
+/// gemm_f64 gives.
+void channelwise_f64(const float* input, const float* weight, float* out,
+                     std::int64_t channels, std::int64_t in_h,
+                     std::int64_t in_w, std::int64_t kh, std::int64_t kw,
+                     const Conv2dParams& p);
 
 /// Fast implementations of the public functional operators. Shapes and
 /// semantics are identical to the reference versions in nn/ops.hpp /
@@ -174,20 +193,17 @@ Tensor linear_backward_fast(const Tensor& input, const Tensor& weight,
                             Tensor* bias_grad);
 
 /// dst[c, r] = src[r, c] for a dense row-major [rows, cols] src and a
-/// [cols, rows] dst (cache-blocked). The layout step of the systolic
-/// executor and of the two helpers below.
+/// [cols, rows] dst (cache-blocked). The layout step of the simulator's
+/// W x X matmul on the engines that run it as X^T x W^T, and of the
+/// helper below.
 void transpose(const float* src, std::int64_t rows, std::int64_t cols,
                float* dst);
 
 /// Flattens an [C_out, C_in/g, Kh, Kw] filter bank to the [taps, C_out]
 /// matrix the im2col lowering multiplies against (taps ordered
-/// channel-major, then kernel row, then kernel column). Shared by the
-/// functional im2col path and the systolic executor's marshalling.
+/// channel-major, then kernel row, then kernel column). The functional
+/// im2col path's weight operand.
 Tensor flatten_filters(const Tensor& weight);
-
-/// [R, C] -> [C, R]. The executor uses this to lay fully-connected
-/// weights out as [F_in, F_out] for the array.
-Tensor transpose_2d(const Tensor& w);
 
 }  // namespace kernels
 

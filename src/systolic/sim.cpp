@@ -7,9 +7,13 @@
 #include "systolic/sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "nn/kernels.hpp"
+#include "systolic/sim_detail.hpp"
+#include "tensor/im2col.hpp"
 #include "util/check.hpp"
 #include "util/telemetry.hpp"
 
@@ -29,6 +33,79 @@ void count_dispatch(SimBackend backend) {
   static util::Counter& reference =
       util::metrics().counter("sim.dispatch.reference");
   (backend == SimBackend::kFast ? fast : reference).add();
+}
+
+/// matmul_wx's operands read as w [N, T] x x [T, M].
+struct WxDims {
+  std::int64_t n = 0;
+  std::int64_t t = 0;
+  std::int64_t m = 0;
+};
+
+/// Validates matmul_wx operands (sim.hpp states the reading): w of rank
+/// >= 2 with N = w's first dimension rows of T values, and x whose
+/// leading dimensions multiply to T.
+WxDims check_wx_operands(const Tensor& w, const Tensor& x) {
+  FUSE_CHECK(w.shape().rank() >= 2 && w.num_elements() > 0)
+      << "sim matmul_wx expects a non-empty w of rank >= 2, got "
+      << w.shape().to_string();
+  WxDims d;
+  d.n = w.shape().dim(0);
+  d.t = w.num_elements() / d.n;
+  std::int64_t lead = 1;
+  for (std::int64_t i = 0; i < x.shape().rank() && lead < d.t; ++i) {
+    lead *= x.shape().dim(i);
+  }
+  FUSE_CHECK(lead == d.t)
+      << "sim matmul_wx: the leading dims of x " << x.shape().to_string()
+      << " do not multiply to w's " << d.t << " columns";
+  d.m = x.num_elements() / d.t;
+  return d;
+}
+
+/// Validates a channelwise call: a depthwise or FuSe `geometry` whose
+/// extents follow from its kernel, `input` [1, C, H, W], `weight`
+/// [C, 1, Kh, Kw], and an `op` that is the layer's lowered primitive.
+void check_channelwise_operands(const PrimitiveOp& op, const Tensor& input,
+                                const Tensor& weight,
+                                const nn::LayerDesc& layer) {
+  using nn::OpKind;
+  FUSE_CHECK(layer.kind == OpKind::kDepthwiseConv ||
+             layer.kind == OpKind::kFuseRowConv ||
+             layer.kind == OpKind::kFuseColConv)
+      << "channelwise runs depthwise and FuSe layers, not "
+      << nn::op_kind_name(layer.kind) << " (layer " << layer.name << ")";
+  FUSE_CHECK(layer.in_c == layer.out_c &&
+             layer.out_h == tensor::conv_out_dim(layer.in_h, layer.kernel_h,
+                                                 layer.stride_h,
+                                                 layer.pad_h) &&
+             layer.out_w == tensor::conv_out_dim(layer.in_w, layer.kernel_w,
+                                                 layer.stride_w, layer.pad_w))
+      << "layer " << layer.name << ": channelwise geometry does not follow "
+      << "from its input and kernel";
+  FUSE_CHECK(input.shape() == Shape({1, layer.in_c, layer.in_h, layer.in_w}) &&
+             weight.shape() ==
+                 Shape({layer.in_c, 1, layer.kernel_h, layer.kernel_w}))
+      << "layer " << layer.name << ": channelwise operands "
+      << input.shape().to_string() << " and " << weight.shape().to_string()
+      << " do not match the layer";
+  const std::int64_t positions = layer.out_h * layer.out_w;
+  if (layer.kind == OpKind::kDepthwiseConv) {
+    FUSE_CHECK(op.kind == PrimitiveKind::kIm2colTile && op.m == positions &&
+               op.k == layer.kernel_h * layer.kernel_w && op.n == 1 &&
+               op.repeats == layer.in_c)
+        << "depthwise plan does not match layer " << layer.name;
+    return;
+  }
+  const bool row = layer.kind == OpKind::kFuseRowConv;
+  const std::int64_t taps = row ? layer.kernel_w : layer.kernel_h;
+  const std::int64_t padded =
+      row ? layer.in_w + 2 * layer.pad_w : layer.in_h + 2 * layer.pad_h;
+  FUSE_CHECK(op.kind == PrimitiveKind::kFuse1DLine &&
+             op.lines == layer.in_c * (row ? layer.out_h : layer.out_w) &&
+             op.taps == taps && op.line_out == padded - taps + 1 &&
+             op.repeats == (op.broadcast ? 1 : op.lines))
+      << "fuse plan does not match layer " << layer.name;
 }
 
 }  // namespace
@@ -99,12 +176,46 @@ SimResult SystolicArraySim::conv1d_broadcast(const Tensor& lines,
              : conv1d_broadcast_reference(lines, kernels);
 }
 
+SimResult SystolicArraySim::matmul_wx(const Tensor& w, const Tensor& x) {
+  const WxDims d = check_wx_operands(w, x);
+  if (backend_ == SimBackend::kFast &&
+      cfg_.dataflow == Dataflow::kOutputStationary) {
+    count_dispatch(backend_);
+    return matmul_wx_fast(w, x, d.n, d.t, d.m);
+  }
+  Tensor x_t(Shape{d.m, d.t});
+  nn::kernels::transpose(x.data(), d.t, d.m, x_t.data());
+  Tensor w_t(Shape{d.t, d.n});
+  nn::kernels::transpose(w.data(), d.n, d.t, w_t.data());
+  SimResult result = matmul(x_t, w_t);
+  Tensor output(Shape{d.n, d.m});
+  nn::kernels::transpose(result.output.data(), d.m, d.n, output.data());
+  result.output = std::move(output);
+  return result;
+}
+
+SimResult SystolicArraySim::channelwise(const PrimitiveOp& op,
+                                        const Tensor& input,
+                                        const Tensor& weight,
+                                        const nn::LayerDesc& geometry) {
+  check_channelwise_operands(op, input, weight, geometry);
+  // The kernel route needs every output to be one unsplit sum (an
+  // output-stationary PE or a broadcast row) and every padding tap's
+  // 0 x w to be a zero.
+  const bool one_sum =
+      op.broadcast || cfg_.dataflow == Dataflow::kOutputStationary;
+  const float* w = weight.data();
+  if (backend_ == SimBackend::kFast && one_sum &&
+      std::all_of(w, w + weight.num_elements(),
+                  [](float v) { return std::isfinite(v); })) {
+    count_dispatch(backend_);
+    return channelwise_fast(op, input, weight, geometry);
+  }
+  return channelwise_materialized(op, input, weight, geometry);
+}
+
 SimResult SystolicArraySim::run_plan(const MappingPlan& plan) {
-  SimResult total;
-  // Scaled busy counts are summed in exact integers (the per-call tensors
-  // hold integer-valued floats) and converted once at the end.
-  std::vector<std::uint64_t> busy(
-      static_cast<std::size_t>(cfg_.rows * cfg_.cols), 0);
+  detail::PassSum total(cfg_);
   for (const PrimitiveOp& op : plan.ops) {
     // Operand values are irrelevant to the measured cost (busy cycles are
     // a function of tile geometry only), so zero tensors suffice; one
@@ -127,22 +238,9 @@ SimResult SystolicArraySim::run_plan(const MappingPlan& plan) {
         }
         break;
     }
-    const std::uint64_t repeats = static_cast<std::uint64_t>(op.repeats);
-    total.cycles += unit.cycles * repeats;
-    total.folds += unit.folds * repeats;
-    total.mac_ops += unit.mac_ops * repeats;
-    for (std::size_t i = 0; i < busy.size(); ++i) {
-      busy[i] += static_cast<std::uint64_t>(
-                     unit.pe_busy[static_cast<std::int64_t>(i)]) *
-                 repeats;
-    }
+    total.add(unit, static_cast<std::uint64_t>(op.repeats));
   }
-  total.pe_busy = Tensor(Shape{cfg_.rows, cfg_.cols});
-  for (std::size_t i = 0; i < busy.size(); ++i) {
-    total.pe_busy[static_cast<std::int64_t>(i)] =
-        static_cast<float>(busy[i]);
-  }
-  return total;
+  return total.finish(Tensor());
 }
 
 std::string render_pe_heatmap(const Tensor& pe_busy) {

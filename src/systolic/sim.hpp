@@ -20,7 +20,8 @@
 //     stream. Counters and busy counts are closed-form per fold; the dot
 //     products run over whole operands (every output-stationary fold of a
 //     call is one nn::kernels::gemm_f64, every broadcast call one
-//     nn::kernels::conv1d_lines_f64). Serial: O(R * C * T) per fold, no
+//     nn::kernels::conv1d_lines_f64, every depthwise or FuSe layer one
+//     nn::kernels::channelwise_f64). Serial: O(R * C * T) per fold, no
 //     bubble work.
 // Both engines perform the identical floating-point operation sequence
 // per output element, so their results are BIT-EXACT (memcmp on output
@@ -29,6 +30,13 @@
 // kernels add each exact float x float product with one FMA, which
 // rounds as the reference's multiply-then-add does. tools/check.sh and
 // tests/test_differential.cpp enforce this.
+//
+// Two entry points take tensors in the layouts the layer executor holds
+// them in: matmul_wx (W x X, so NCHW activations and filter banks are
+// read in place) and channelwise (a whole depthwise or FuSe layer). The
+// reference engine lays their operands out as the paper's matmul and
+// line passes and steps those; the fast engine computes each from one
+// kernel call and prices it from its fold walk.
 //
 // The engine is a constructor argument (default fast), so every simulator
 // states which engine it runs; the simulator examples take it from
@@ -91,6 +99,43 @@ class SystolicArraySim {
   /// Matmul a [M, T] x b [T, N] -> [M, N] on the configured dataflow.
   SimResult matmul(const tensor::Tensor& a, const tensor::Tensor& b);
 
+  /// Matmul in the W x X orientation: w [N, T] x x [T, M] -> [N, M], the
+  /// array pass of matmul(x^T, w^T) with its result transposed: the same
+  /// fold walk over the [M, N] output, the same counters and pe_busy.
+  /// The operands are read in place: w's first dimension is N and the
+  /// rest hold its T columns (a [C_out, C_in, Kh, Kw] filter bank is its
+  /// [C_out, taps] matrix); x's leading dimensions multiply to T and the
+  /// rest hold its M columns (a [1, C, H, W] image is its [C, H * W]
+  /// matrix). The fast engine runs an output-stationary call as one
+  /// nn::kernels::gemm_f64(w, x): each output is still the ascending-k
+  /// double sum from +0.0, only the loop order changes. Every other call
+  /// transposes both operands in, runs matmul and transposes the result
+  /// back: WS/IS sum a reduction fold's partial sums in an order tied to
+  /// the orientation.
+  SimResult matmul_wx(const tensor::Tensor& w, const tensor::Tensor& x);
+
+  /// A depthwise or FuSe layer: `input` [1, C, H, W] and `weight`
+  /// [C, 1, Kh, Kw] in, output [1, C, H_out, W_out] out. `geometry` is
+  /// the layer (kind, extents, stride, padding) and `op` its lowered
+  /// primitive (systolic::lower), whose passes the call is priced as:
+  /// one single-column [positions, taps] x [taps, 1] matmul per channel
+  /// (the §III-B depthwise mapping), one conv1d_broadcast over every
+  /// zero-padded line (a line the padding covers is all zeros; a strided
+  /// line computes its dense width and keeps every stride-th output), or
+  /// one [line_out, taps] x [taps, 1] matmul per line without the
+  /// broadcast bus. The reference engine steps exactly those passes. The
+  /// fast engine prices one pass from its fold walk, scales it by
+  /// op.repeats as run_plan does, and computes every value with one
+  /// nn::kernels::channelwise_f64 call: on an output-stationary pass or a
+  /// broadcast line each output is one unsplit ascending sum, and a
+  /// padding tap adds 0 x w, a no-op for finite w (docs/simulator.md §2).
+  /// So the fast engine takes that route only when every weight is
+  /// finite, and otherwise, or on a WS/IS matmul pass, steps the
+  /// materialized passes through its own matmul.
+  SimResult channelwise(const PrimitiveOp& op, const tensor::Tensor& input,
+                        const tensor::Tensor& weight,
+                        const nn::LayerDesc& geometry);
+
   /// Output-stationary matmul: A streams in from the left edge
   /// (row-skewed), B from the top edge (column-skewed); each PE
   /// accumulates its output in place and the result is shifted out down
@@ -144,6 +189,23 @@ class SystolicArraySim {
                                   const tensor::Tensor& kernels);
 
  private:
+  // The fast engine's layout-native routes (sim_fast.cpp): an
+  // output-stationary matmul_wx of n x m outputs over depth t, and a
+  // channelwise layer from one kernel call.
+  SimResult matmul_wx_fast(const tensor::Tensor& w, const tensor::Tensor& x,
+                           std::int64_t n, std::int64_t t, std::int64_t m);
+  SimResult channelwise_fast(const PrimitiveOp& op,
+                             const tensor::Tensor& input,
+                             const tensor::Tensor& weight,
+                             const nn::LayerDesc& geometry);
+  // The reference side (sim_reference.cpp): a channelwise layer laid out
+  // as its matmul or line passes and stepped through the constructor's
+  // engine.
+  SimResult channelwise_materialized(const PrimitiveOp& op,
+                                     const tensor::Tensor& input,
+                                     const tensor::Tensor& weight,
+                                     const nn::LayerDesc& geometry);
+
   ArrayConfig cfg_;
   SimBackend backend_;
 };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "systolic/config.hpp"
+#include "systolic/sim.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 
@@ -71,6 +72,45 @@ class BusyGrid {
   std::int64_t used_rows_;
   std::int64_t used_cols_;
   std::vector<std::uint64_t> counts_;
+};
+
+/// Sums the passes of one call: counters, and per-PE busy counts in
+/// exact integers (each pass's pe_busy holds integer-valued floats),
+/// converted to the [rows, cols] float grid once. A pass repeated
+/// `repeats` times is added once, scaled.
+class PassSum {
+ public:
+  explicit PassSum(const ArrayConfig& cfg)
+      : rows_(cfg.rows),
+        cols_(cfg.cols),
+        busy_(static_cast<std::size_t>(rows_ * cols_), 0) {}
+
+  void add(const SimResult& pass, std::uint64_t repeats = 1) {
+    total_.cycles += pass.cycles * repeats;
+    total_.folds += pass.folds * repeats;
+    total_.mac_ops += pass.mac_ops * repeats;
+    const float* busy = pass.pe_busy.data();
+    for (std::size_t i = 0; i < busy_.size(); ++i) {
+      busy_[i] += static_cast<std::uint64_t>(busy[i]) * repeats;
+    }
+  }
+
+  /// The summed result, carrying `output`.
+  SimResult finish(tensor::Tensor output) {
+    total_.output = std::move(output);
+    total_.pe_busy = tensor::Tensor(tensor::Shape{rows_, cols_});
+    float* dst = total_.pe_busy.data();
+    for (std::size_t i = 0; i < busy_.size(); ++i) {
+      dst[i] = static_cast<float>(busy_[i]);
+    }
+    return std::move(total_);
+  }
+
+ private:
+  std::int64_t rows_;
+  std::int64_t cols_;
+  std::vector<std::uint64_t> busy_;
+  SimResult total_;
 };
 
 /// Validates rank-2 [M, T] x [T, N] matmul operands; returns nothing,

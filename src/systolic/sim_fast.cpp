@@ -33,14 +33,27 @@
 //     the output, so nn::kernels::conv1d_lines_f64 computes it line by
 //     line over the whole width (eight outputs per FMA step under AVX2,
 //     exact for the same reason).
+//   * matmul_wx: the W x X orientation of the OS call, one
+//     nn::kernels::gemm_f64(w, x): output (j, i) is the same
+//     ascending-k sum of the same exact products as output (i, j) of
+//     matmul(x^T, w^T).
+//   * channelwise: every output of a depthwise layer's single-column OS
+//     passes, or of a FuSe layer's broadcast lines, is one unsplit
+//     ascending-tap sum from +0.0 over its zero-padded window.
+//     nn::kernels::channelwise_f64 adds the same products in the same
+//     order, less the padding taps: each of those adds 0 x w, which for
+//     finite w is +-0.0, a bitwise no-op on an accumulator that starts
+//     at +0.0 (the bubble argument above). A strided line's kept outputs
+//     are the strided conv's outputs. The caller routes a layer here only
+//     when every weight is finite.
 // Counters (cycles / folds / mac_ops) and the pe_busy grid are closed-form
 // per fold, accumulated in enumeration order. The kernel ISA
-// (nn::kernel_isa) picks only how fast the two kernels run: every
-// output bit is the same under each ISA.
+// (nn::kernel_isa) picks only how fast the kernels run: every output bit
+// is the same under each ISA.
 //
-// The engine is serial: the executor's per-layer and per-channel calls
-// are too small for a fold pool to amortize its hand-off
-// (docs/simulator.md has the measurements).
+// The engine is serial: the executor's per-layer calls are too small for
+// a fold pool to amortize its hand-off (docs/simulator.md has the
+// measurements).
 #include <algorithm>
 #include <vector>
 
@@ -53,16 +66,15 @@ namespace fuse::systolic {
 using tensor::Shape;
 using tensor::Tensor;
 
-SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
-  detail::check_matmul_operands(a, b, "sim matmul");
-  const std::int64_t m = a.shape().dim(0);
-  const std::int64_t depth = a.shape().dim(1);
-  const std::int64_t n = b.shape().dim(1);
+namespace {
 
+/// Counters and busy grid of one output-stationary pass: an [m, n] output
+/// over reduction depth `depth` (output left empty).
+SimResult os_pass(std::int64_t m, std::int64_t depth, std::int64_t n,
+                  const ArrayConfig& cfg) {
   SimResult result;
-  result.output = Tensor(Shape{m, n});
-  detail::BusyGrid busy(m, n, cfg_);
-  for_each_fold_tile(m, n, cfg_, [&](const FoldTile& tile) {
+  detail::BusyGrid busy(m, n, cfg);
+  for_each_fold_tile(m, n, cfg, [&](const FoldTile& tile) {
     result.folds += 1;
     const std::int64_t compute_cycles =
         (tile.rows - 1) + (tile.cols - 1) + depth;
@@ -71,10 +83,76 @@ SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
                       static_cast<std::uint64_t>(depth);
     busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(depth));
   });
-  nn::kernels::gemm_f64(a.data(), b.data(), result.output.data(), m, depth,
-                        n);
   result.pe_busy = busy.to_tensor();
   return result;
+}
+
+/// Counters and busy grid of one broadcast pass: `lines` lines of `out_w`
+/// outputs and `taps` taps (output left empty).
+SimResult broadcast_pass(std::int64_t lines, std::int64_t out_w,
+                         std::int64_t taps, const ArrayConfig& cfg) {
+  SimResult result;
+  detail::BusyGrid busy(lines, out_w, cfg);
+  for_each_fold_tile(lines, out_w, cfg, [&](const FoldTile& tile) {
+    result.folds += 1;
+    result.cycles += static_cast<std::uint64_t>((tile.cols - 1) + taps +
+                                                tile.rows);
+    result.mac_ops += static_cast<std::uint64_t>(tile.rows * tile.cols) *
+                      static_cast<std::uint64_t>(taps);
+    busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(taps));
+  });
+  result.pe_busy = busy.to_tensor();
+  return result;
+}
+
+}  // namespace
+
+SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
+  detail::check_matmul_operands(a, b, "sim matmul");
+  const std::int64_t m = a.shape().dim(0);
+  const std::int64_t depth = a.shape().dim(1);
+  const std::int64_t n = b.shape().dim(1);
+
+  SimResult result = os_pass(m, depth, n, cfg_);
+  result.output = Tensor(Shape{m, n});
+  nn::kernels::gemm_f64(a.data(), b.data(), result.output.data(), m, depth,
+                        n);
+  return result;
+}
+
+SimResult SystolicArraySim::matmul_wx_fast(const Tensor& w, const Tensor& x,
+                                           std::int64_t n, std::int64_t t,
+                                           std::int64_t m) {
+  SimResult result = os_pass(m, t, n, cfg_);
+  result.output = Tensor(Shape{n, m});
+  nn::kernels::gemm_f64(w.data(), x.data(), result.output.data(), n, t, m);
+  return result;
+}
+
+SimResult SystolicArraySim::channelwise_fast(const PrimitiveOp& op,
+                                             const Tensor& input,
+                                             const Tensor& weight,
+                                             const nn::LayerDesc& layer) {
+  detail::PassSum total(cfg_);
+  if (op.broadcast) {
+    total.add(broadcast_pass(op.lines, op.line_out, op.taps, cfg_));
+  } else if (op.kind == PrimitiveKind::kFuse1DLine) {
+    total.add(os_pass(op.line_out, op.taps, 1, cfg_),
+              static_cast<std::uint64_t>(op.repeats));
+  } else {
+    total.add(os_pass(op.m, op.k, op.n, cfg_),
+              static_cast<std::uint64_t>(op.repeats));
+  }
+  Tensor output(Shape{1, layer.out_c, layer.out_h, layer.out_w});
+  nn::Conv2dParams p;
+  p.stride_h = layer.stride_h;
+  p.stride_w = layer.stride_w;
+  p.pad_h = layer.pad_h;
+  p.pad_w = layer.pad_w;
+  nn::kernels::channelwise_f64(input.data(), weight.data(), output.data(),
+                               layer.in_c, layer.in_h, layer.in_w,
+                               layer.kernel_h, layer.kernel_w, p);
+  return total.finish(std::move(output));
 }
 
 SimResult SystolicArraySim::matmul_ws_fast(const Tensor& a, const Tensor& b) {
@@ -198,22 +276,11 @@ SimResult SystolicArraySim::conv1d_broadcast_fast(const Tensor& lines,
   const std::int64_t taps = kernels.shape().dim(1);
   const std::int64_t out_w = width - taps + 1;
 
-  SimResult result;
+  SimResult result = broadcast_pass(num_lines, out_w, taps, cfg_);
   result.output = Tensor(Shape{num_lines, out_w});
-  detail::BusyGrid busy(num_lines, out_w, cfg_);
-  for_each_fold_tile(num_lines, out_w, cfg_, [&](const FoldTile& tile) {
-    result.folds += 1;
-    result.cycles += static_cast<std::uint64_t>((tile.cols - 1) + taps +
-                                                tile.rows);
-    result.mac_ops += static_cast<std::uint64_t>(tile.rows * tile.cols) *
-                      static_cast<std::uint64_t>(taps);
-    busy.add_tile(tile.rows, tile.cols, static_cast<std::uint64_t>(taps));
-  });
-
   nn::kernels::conv1d_lines_f64(lines.data(), kernels.data(),
                                 result.output.data(), num_lines, width,
                                 taps);
-  result.pe_busy = busy.to_tensor();
   return result;
 }
 

@@ -8,6 +8,13 @@
 // edge feeders (the checked at() overloads are out-of-line calls, which
 // dominates a per-PE-per-cycle loop) and exact integer busy counting
 // (detail::BusyGrid).
+//
+// A channelwise layer is laid out here as the paper's passes (one
+// single-column im2col matmul per depthwise channel, FuSe lines for the
+// broadcast bus or one single-column matmul per line without it) and
+// stepped pass by pass: the reference engine's route, and the fast
+// engine's wherever its kernel route does not hold.
+#include <algorithm>
 #include <vector>
 
 #include "systolic/sim.hpp"
@@ -18,6 +25,140 @@ namespace fuse::systolic {
 
 using tensor::Shape;
 using tensor::Tensor;
+
+namespace {
+
+/// Writes the im2col rows of one input plane into `patches`
+/// ([out_h * out_w, kh * kw], taps ordered kernel row then kernel
+/// column, padding taps 0): every element, so one buffer serves every
+/// channel.
+void gather_patches(const nn::LayerDesc& layer, const float* plane,
+                    float* patches) {
+  float* dst = patches;
+  for (std::int64_t oy = 0; oy < layer.out_h; ++oy) {
+    const std::int64_t iy0 = oy * layer.stride_h - layer.pad_h;
+    for (std::int64_t ox = 0; ox < layer.out_w; ++ox) {
+      const std::int64_t ix0 = ox * layer.stride_w - layer.pad_w;
+      for (std::int64_t ky = 0; ky < layer.kernel_h; ++ky) {
+        const std::int64_t iy = iy0 + ky;
+        if (iy < 0 || iy >= layer.in_h) {
+          dst = std::fill_n(dst, layer.kernel_w, 0.0F);
+          continue;
+        }
+        const float* row = plane + iy * layer.in_w;
+        for (std::int64_t kx = 0; kx < layer.kernel_w; ++kx) {
+          const std::int64_t ix = ix0 + kx;
+          *dst++ = (ix < 0 || ix >= layer.in_w) ? 0.0F : row[ix];
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+SimResult SystolicArraySim::channelwise_materialized(
+    const PrimitiveOp& op, const Tensor& input, const Tensor& weight,
+    const nn::LayerDesc& layer) {
+  detail::PassSum total(cfg_);
+  Tensor output(Shape{1, layer.out_c, layer.out_h, layer.out_w});
+  const std::int64_t plane = layer.in_h * layer.in_w;
+  const std::int64_t out_plane = layer.out_h * layer.out_w;
+  if (layer.kind == nn::OpKind::kDepthwiseConv) {
+    // One single-column matmul per channel — the §III-B mapping; channels
+    // serialize on the array. The operand buffers are reused across
+    // channels, and a channel's [positions, 1] product is its plane.
+    const std::int64_t taps = op.k;
+    Tensor patches(Shape{out_plane, taps});
+    Tensor filter(Shape{taps, 1});
+    for (std::int64_t c = 0; c < layer.in_c; ++c) {
+      gather_patches(layer, input.data() + c * plane, patches.data());
+      std::copy_n(weight.data() + c * taps, taps, filter.data());
+      const SimResult pass = matmul(patches, filter);
+      total.add(pass);
+      std::copy_n(pass.output.data(), out_plane,
+                  output.data() + c * out_plane);
+    }
+    return total.finish(std::move(output));
+  }
+
+  // FuSe: one padded line per (channel, line) with the channel's 1-D
+  // kernel. Lines run along the convolved axis; the other axis indexes
+  // them, and only the out_h rows (row branch) or out_w columns (column
+  // branch) that produce an output are mapped: line l of a channel is
+  // image row or column l * line_stride - line_pad, all zeros where that
+  // falls in the padding. Along the convolved axis a strided line
+  // computes its dense output and keeps every stride-th value, as the
+  // shift-register dataflow must (systolic::fuse_dense_width).
+  const bool row_branch = layer.kind == nn::OpKind::kFuseRowConv;
+  const std::int64_t taps = op.taps;
+  const std::int64_t pad = row_branch ? layer.pad_w : layer.pad_h;
+  const std::int64_t stride = row_branch ? layer.stride_w : layer.stride_h;
+  const std::int64_t line_stride =
+      row_branch ? layer.stride_h : layer.stride_w;
+  const std::int64_t line_pad = row_branch ? layer.pad_h : layer.pad_w;
+  const std::int64_t input_lines = row_branch ? layer.in_h : layer.in_w;
+  const std::int64_t lines_per_channel =
+      row_branch ? layer.out_h : layer.out_w;
+  const std::int64_t line_length = row_branch ? layer.in_w : layer.in_h;
+  const std::int64_t padded = line_length + 2 * pad;
+  const std::int64_t kept = row_branch ? layer.out_w : layer.out_h;
+  // A line's values sit `along` apart in its input plane and `out_along`
+  // apart in its output plane; consecutive lines start `line_step` and
+  // `out_line_step` apart.
+  const std::int64_t along = row_branch ? 1 : layer.in_w;
+  const std::int64_t line_step = row_branch ? layer.in_w : 1;
+  const std::int64_t out_along = row_branch ? 1 : layer.out_w;
+  const std::int64_t out_line_step = row_branch ? layer.out_w : 1;
+  Tensor lines(Shape{op.lines, padded});
+  Tensor kernels(Shape{op.lines, taps});
+  for (std::int64_t line = 0; line < op.lines; ++line) {
+    const std::int64_t c = line / lines_per_channel;
+    // [C, 1, 1, K] and [C, 1, K, 1] both hold channel c's taps at c * K.
+    std::copy_n(weight.data() + c * taps, taps, kernels.data() + line * taps);
+    const std::int64_t source =
+        (line % lines_per_channel) * line_stride - line_pad;
+    if (source < 0 || source >= input_lines) {
+      continue;
+    }
+    const float* src = input.data() + c * plane + source * line_step;
+    float* dst = lines.data() + line * padded + pad;
+    for (std::int64_t x = 0; x < line_length; ++x) {
+      dst[x] = src[x * along];
+    }
+  }
+  // Writes a line's `kept` outputs, read `stride` apart from `values`.
+  const auto store = [&](std::int64_t line, const float* values) {
+    float* dst = output.data() + (line / lines_per_channel) * out_plane +
+                 (line % lines_per_channel) * out_line_step;
+    for (std::int64_t o = 0; o < kept; ++o) {
+      dst[o * out_along] = values[o * stride];
+    }
+  };
+  if (op.broadcast) {
+    const SimResult pass = conv1d_broadcast(lines, kernels);
+    total.add(pass);
+    for (std::int64_t line = 0; line < op.lines; ++line) {
+      store(line, pass.output.data() + line * op.line_out);
+    }
+    return total.finish(std::move(output));
+  }
+  // No broadcast bus: each line degrades to a serialized single-column
+  // matmul (the ablation baseline the plan's no-broadcast op models).
+  Tensor patches(Shape{op.line_out, taps});
+  Tensor filter(Shape{taps, 1});
+  for (std::int64_t line = 0; line < op.lines; ++line) {
+    const float* src = lines.data() + line * padded;
+    for (std::int64_t o = 0; o < op.line_out; ++o) {
+      std::copy_n(src + o, taps, patches.data() + o * taps);
+    }
+    std::copy_n(kernels.data() + line * taps, taps, filter.data());
+    const SimResult pass = matmul(patches, filter);
+    total.add(pass);
+    store(line, pass.output.data());
+  }
+  return total.finish(std::move(output));
+}
 
 SimResult SystolicArraySim::matmul_os_reference(const Tensor& a,
                                                 const Tensor& b) {

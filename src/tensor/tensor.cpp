@@ -137,11 +137,16 @@ float Tensor::abs_max() const {
   return best;
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
+  return Tensor(*this).reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   FUSE_CHECK(new_shape.num_elements() == num_elements())
       << "reshape " << shape_.to_string() << " -> " << new_shape.to_string()
       << " changes element count";
-  return Tensor(std::move(new_shape), data_);
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 std::string Tensor::summary(int max_values) const {

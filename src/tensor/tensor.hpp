@@ -88,8 +88,9 @@ class Tensor {
   float abs_max() const;
 
   /// Returns a tensor with identical data but the new shape (same element
-  /// count required).
-  Tensor reshaped(Shape new_shape) const;
+  /// count required). On an rvalue the data moves instead of copying.
+  Tensor reshaped(Shape new_shape) const&;
+  Tensor reshaped(Shape new_shape) &&;
 
   /// Human-readable summary: shape plus a few leading values.
   std::string summary(int max_values = 8) const;

@@ -5,12 +5,16 @@
 // engines under every kernel ISA is tests/test_differential.cpp's chain.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/fuseconv.hpp"
 #include "nn/ops.hpp"
 #include "oracles.hpp"
 #include "sched/execute.hpp"
+#include "sched/latency.hpp"
+#include "tensor/im2col.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -120,6 +124,59 @@ TEST(ExecuteBlock, SeparableBlockVsFuseBlockMeasuredOnArray) {
 
   EXPECT_GT(baseline_cycles, 2 * fuse_cycles)
       << "baseline " << baseline_cycles << " vs fuse " << fuse_cycles;
+}
+
+// --- FuSe padding on the axis a line does not convolve -----------------------
+
+TEST(ExecuteLayer, FusePaddingAcrossLinesMapsZeroLines) {
+  // nn::make_fuse_row/col pad only the convolved axis, but a layer padded
+  // on the other axis too is well defined (nn::conv2d, the cycle model):
+  // each line that falls in that padding is all zeros. Row line l reads
+  // image row l * stride_h - pad_h, column line l image column
+  // l * stride_w - pad_w.
+  const ArrayConfig cfg = sim_array(8);
+  for (const bool row : {true, false}) {
+    for (const std::int64_t pad : {1, 2}) {
+      for (const std::int64_t stride : {1, 2}) {
+        LayerDesc layer = row ? nn::make_fuse_row("row", 2, 4, 5, 3, stride, 1)
+                              : nn::make_fuse_col("col", 2, 5, 4, 3, stride, 1);
+        (row ? layer.pad_h : layer.pad_w) = pad;
+        layer.out_h = tensor::conv_out_dim(layer.in_h, layer.kernel_h,
+                                           layer.stride_h, layer.pad_h);
+        layer.out_w = tensor::conv_out_dim(layer.in_w, layer.kernel_w,
+                                           layer.stride_w, layer.pad_w);
+        SCOPED_TRACE(layer.name + " pad " + std::to_string(pad) + " stride " +
+                     std::to_string(stride));
+        const Tensor input = random_tensor(test::executor_input_shape(layer),
+                                           40 + static_cast<std::uint64_t>(
+                                                    pad * 2 + stride));
+        const Tensor weight =
+            random_tensor(test::executor_weight_shape(layer), 50);
+        const LayerExecution fast = execute_layer_on_array(
+            layer, input, weight, cfg, systolic::SimBackend::kFast);
+        const LayerExecution reference = execute_layer_on_array(
+            layer, input, weight, cfg, systolic::SimBackend::kReference);
+        ASSERT_EQ(fast.output.shape(), reference.output.shape());
+        EXPECT_EQ(std::memcmp(fast.output.data(), reference.output.data(),
+                              static_cast<std::size_t>(
+                                  fast.output.num_elements()) *
+                                  sizeof(float)),
+                  0);
+        nn::Conv2dParams p;
+        p.stride_h = layer.stride_h;
+        p.stride_w = layer.stride_w;
+        p.pad_h = layer.pad_h;
+        p.pad_w = layer.pad_w;
+        p.groups = layer.groups;
+        const Tensor expected = nn::conv2d(input, weight, nullptr, p);
+        EXPECT_TRUE(allclose(fast.output, expected, 1e-3F, 1e-4F))
+            << "max diff " << tensor::max_abs_diff(fast.output, expected);
+        const std::uint64_t modeled = layer_latency(layer, cfg).cycles;
+        EXPECT_EQ(fast.cycles, modeled);
+        EXPECT_EQ(reference.cycles, modeled);
+      }
+    }
+  }
 }
 
 // --- operand validation ------------------------------------------------------

@@ -631,6 +631,89 @@ TEST(KernelsForcedIsa, F64KernelsBitIdenticalUnderEveryIsa) {
   }
 }
 
+/// The arithmetic of the simulator's single-column output-stationary
+/// pass for every channelwise output: a +0.0 double accumulator adding
+/// (double)x * (double)w for every tap of the zero-padded window in
+/// (ky, kx) order, padding taps included, rounded to float once.
+Tensor channelwise_os_oracle(const Tensor& input, const Tensor& weight,
+                             const Conv2dParams& p) {
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t channels = input.shape().dim(1);
+  const std::int64_t in_h = input.shape().dim(2);
+  const std::int64_t in_w = input.shape().dim(3);
+  const std::int64_t kh = weight.shape().dim(2);
+  const std::int64_t kw = weight.shape().dim(3);
+  const std::int64_t out_h =
+      tensor::conv_out_dim(in_h, kh, p.stride_h, p.pad_h, p.dilation_h);
+  const std::int64_t out_w =
+      tensor::conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
+  Tensor out(Shape{batch, channels, out_h, out_w});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          double acc = 0.0;
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            const std::int64_t iy =
+                oy * p.stride_h - p.pad_h + ky * p.dilation_h;
+            for (std::int64_t kx = 0; kx < kw; ++kx) {
+              const std::int64_t ix =
+                  ox * p.stride_w - p.pad_w + kx * p.dilation_w;
+              const bool inside = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
+              const float x = inside ? input.at(n, c, iy, ix) : 0.0F;
+              acc += static_cast<double>(x) *
+                     static_cast<double>(weight.at(c, 0, ky, kx));
+            }
+          }
+          out.at(n, c, oy, ox) = static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(KernelsForcedIsa, ChannelwiseF64IsThePaddedOsSumUnderEveryIsa) {
+  // Every channelwise geometry of the conv, tail and channel-block grids,
+  // at unit and non-unit stride and dilation, image by image, with
+  // uniform operands and with the f64 families (+-0.0, extreme
+  // magnitudes, exact cancellation).
+  BackendGuard guard;
+  std::uint64_t seed = 2000;
+  for (const ConvCase& c : channelwise_cases()) {
+    for (const int family : {0, 1, 2}) {
+      const Shape in_shape{c.batch, c.in_c, c.h, c.w};
+      const Shape w_shape{c.out_c, 1, c.kh, c.kw};
+      const auto values = [&](const Shape& shape) {
+        return family == 0 ? random_tensor(shape, ++seed)
+                           : Tensor(shape, f64_operand(
+                                               family == 1
+                                                   ? F64Operands::kRange
+                                                   : F64Operands::kCancel,
+                                               shape.num_elements(), ++seed));
+      };
+      const Tensor input = values(in_shape);
+      const Tensor weight = values(w_shape);
+      const Tensor oracle = channelwise_os_oracle(input, weight, c.params);
+      const std::int64_t image = c.in_c * c.h * c.w;
+      const std::int64_t out_image = oracle.num_elements() / c.batch;
+      for (KernelIsa isa : available_isas()) {
+        set_kernel_isa(isa);
+        Tensor out(oracle.shape());
+        for (std::int64_t n = 0; n < c.batch; ++n) {
+          kernels::channelwise_f64(input.data() + n * image, weight.data(),
+                                   out.data() + n * out_image, c.in_c, c.h,
+                                   c.w, c.kh, c.kw, c.params);
+        }
+        EXPECT_TRUE(bit_equal(out, oracle))
+            << c.name << " c=" << c.in_c << " " << c.h << "x" << c.w << " s"
+            << c.params.stride_w << " family " << family << " ["
+            << kernel_isa_name(isa) << "]";
+      }
+    }
+  }
+}
+
 TEST(KernelsForcedIsa, LinearDifferential) {
   BackendGuard guard;
   for (const auto& [batch, in_f, out_f] :
@@ -933,14 +1016,6 @@ TEST(KernelsHelpers, FlattenFiltersMatchesIm2colOrder) {
           ++t;
         }
       }
-    }
-  }
-  const Tensor mat = random_tensor(Shape{3, 5}, 92);
-  const Tensor t = kernels::transpose_2d(mat);
-  ASSERT_EQ(t.shape(), (Shape{5, 3}));
-  for (std::int64_t r = 0; r < 3; ++r) {
-    for (std::int64_t c = 0; c < 5; ++c) {
-      EXPECT_EQ(t.at(c, r), mat.at(r, c));
     }
   }
 }

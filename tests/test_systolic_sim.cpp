@@ -372,3 +372,232 @@ TEST(Heatmap, WrongRankThrows) {
 
 }  // namespace
 }  // namespace fuse::systolic
+
+// NOTE: appended suite — the layout-native entries (matmul_wx,
+// channelwise) against the passes they stand for, on both engines.
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "nn/layer.hpp"
+#include "systolic/mapping.hpp"
+#include "tensor/im2col.hpp"
+
+namespace fuse::systolic {
+namespace {
+
+Tensor transposed(const Tensor& t) {
+  const std::int64_t rows = t.shape().dim(0);
+  const std::int64_t cols = t.shape().dim(1);
+  Tensor out(Shape{cols, rows});
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      out.at(c, r) = t.at(r, c);
+    }
+  }
+  return out;
+}
+
+constexpr SimBackend kBackends[] = {SimBackend::kFast,
+                                    SimBackend::kReference};
+
+TEST(SimMatmulWx, IsTheTransposedPassOfMatmul) {
+  // N and M at 1 and one below, at and one above the 4-wide array side,
+  // plus two folds and a bit: every fold edge of the [M, N] walk.
+  const std::int64_t sizes[] = {1, 3, 4, 5, 9};
+  for (const Dataflow df : {Dataflow::kOutputStationary,
+                            Dataflow::kWeightStationary,
+                            Dataflow::kInputStationary}) {
+    for (const SimBackend backend : kBackends) {
+      SystolicArraySim sim(df_array(df, 4), backend);
+      std::uint64_t seed = 300;
+      for (const std::int64_t n : sizes) {
+        for (const std::int64_t m : sizes) {
+          for (const std::int64_t t : {1, 4, 7}) {
+            SCOPED_TRACE(std::string(dataflow_name(df)) + " " +
+                         sim_backend_name(backend) + " n=" +
+                         std::to_string(n) + " m=" + std::to_string(m) +
+                         " t=" + std::to_string(t));
+            const Tensor w = random_tensor(Shape{n, t}, ++seed);
+            const Tensor x = random_tensor(Shape{t, m}, ++seed);
+            SimResult wx = sim.matmul_wx(w, x);
+            const SimResult xw = sim.matmul(transposed(x), transposed(w));
+            wx.output = transposed(wx.output);
+            expect_bit_exact(wx, xw);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimMatmulWx, ReadsFilterBanksAndImagesInPlace) {
+  // A [C_out, C_in, 1, 1] filter bank is its [C_out, C_in] matrix and a
+  // [1, C_in, H, W] image its [C_in, H * W] matrix.
+  SystolicArraySim sim(square_array(4));
+  const Tensor w = random_tensor(Shape{5, 3, 1, 1}, 401);
+  const Tensor x = random_tensor(Shape{1, 3, 2, 3}, 402);
+  expect_bit_exact(sim.matmul_wx(w, x),
+                   sim.matmul_wx(w.reshaped(Shape{5, 3}),
+                                 x.reshaped(Shape{3, 6})));
+  EXPECT_EQ(sim.matmul_wx(w, x).output.shape(), (Shape{5, 6}));
+  // x's leading dims must multiply to w's 3 columns: [2, 9] does not.
+  EXPECT_THROW(sim.matmul_wx(w, Tensor(Shape{2, 9})), util::Error);
+  EXPECT_THROW(sim.matmul_wx(Tensor(Shape{5}), x), util::Error);
+}
+
+/// Per-pass totals: counters summed, busy counts summed exactly.
+struct PassTotals {
+  SimResult result;
+  std::vector<std::uint64_t> busy;
+
+  explicit PassTotals(const ArrayConfig& cfg)
+      : busy(static_cast<std::size_t>(cfg.rows * cfg.cols), 0) {
+    result.pe_busy = Tensor(Shape{cfg.rows, cfg.cols});
+  }
+  void add(const SimResult& pass) {
+    result.cycles += pass.cycles;
+    result.folds += pass.folds;
+    result.mac_ops += pass.mac_ops;
+    for (std::size_t i = 0; i < busy.size(); ++i) {
+      busy[i] += static_cast<std::uint64_t>(
+          pass.pe_busy[static_cast<std::int64_t>(i)]);
+      result.pe_busy[static_cast<std::int64_t>(i)] =
+          static_cast<float>(busy[i]);
+    }
+  }
+};
+
+/// The loop channelwise replaces, on `sim`'s engine: one single-column
+/// im2col matmul per depthwise channel (§III-B), or a FuSe row layer's
+/// broadcast lines (every mapped input row one zero-padded line, every
+/// stride-th output kept).
+SimResult per_pass_loop(SystolicArraySim& sim, const nn::LayerDesc& layer,
+                        const Tensor& input, const Tensor& weight) {
+  PassTotals totals(sim.config());
+  Tensor& out = totals.result.output;
+  out = Tensor(Shape{1, layer.out_c, layer.out_h, layer.out_w});
+  const std::int64_t positions = layer.out_h * layer.out_w;
+  if (layer.kind == nn::OpKind::kDepthwiseConv) {
+    const std::int64_t taps = layer.kernel_h * layer.kernel_w;
+    for (std::int64_t c = 0; c < layer.in_c; ++c) {
+      Tensor plane(Shape{layer.in_h, layer.in_w});
+      Tensor filter(Shape{taps, 1});
+      for (std::int64_t i = 0; i < plane.num_elements(); ++i) {
+        plane[i] = input[c * plane.num_elements() + i];
+      }
+      for (std::int64_t t = 0; t < taps; ++t) {
+        filter[t] = weight[c * taps + t];
+      }
+      const SimResult pass = sim.matmul(
+          tensor::im2col_plane(plane, layer.kernel_h, layer.kernel_w,
+                               layer.stride_h, layer.stride_w, layer.pad_h,
+                               layer.pad_w),
+          filter);
+      totals.add(pass);
+      for (std::int64_t p = 0; p < positions; ++p) {
+        out[c * positions + p] = pass.output[p];
+      }
+    }
+    return totals.result;
+  }
+  const std::int64_t taps = layer.kernel_w;
+  const std::int64_t padded = layer.in_w + 2 * layer.pad_w;
+  const std::int64_t num_lines = layer.in_c * layer.out_h;
+  Tensor lines(Shape{num_lines, padded});
+  Tensor kernels(Shape{num_lines, taps});
+  for (std::int64_t c = 0; c < layer.in_c; ++c) {
+    for (std::int64_t l = 0; l < layer.out_h; ++l) {
+      const std::int64_t line = c * layer.out_h + l;
+      for (std::int64_t x = 0; x < layer.in_w; ++x) {
+        lines.at(line, layer.pad_w + x) =
+            input.at(0, c, l * layer.stride_h, x);
+      }
+      for (std::int64_t k = 0; k < taps; ++k) {
+        kernels.at(line, k) = weight.at(c, 0, 0, k);
+      }
+    }
+  }
+  const SimResult pass = sim.conv1d_broadcast(lines, kernels);
+  totals.add(pass);
+  for (std::int64_t c = 0; c < layer.in_c; ++c) {
+    for (std::int64_t l = 0; l < layer.out_h; ++l) {
+      for (std::int64_t o = 0; o < layer.out_w; ++o) {
+        out.at(0, c, l, o) =
+            pass.output.at(c * layer.out_h + l, o * layer.stride_w);
+      }
+    }
+  }
+  return totals.result;
+}
+
+/// channelwise on both engines against the per-pass loop on each, and
+/// the two engines against each other.
+void expect_channelwise_is_its_passes(const ArrayConfig& cfg,
+                                      const nn::LayerDesc& layer,
+                                      const Tensor& input,
+                                      const Tensor& weight) {
+  const PrimitiveOp op = lower(layer, cfg).ops.front();
+  SystolicArraySim fast(cfg, SimBackend::kFast);
+  SystolicArraySim reference(cfg, SimBackend::kReference);
+  const SimResult fast_call = fast.channelwise(op, input, weight, layer);
+  const SimResult reference_call =
+      reference.channelwise(op, input, weight, layer);
+  {
+    SCOPED_TRACE("fast engine vs its passes");
+    expect_bit_exact(fast_call, per_pass_loop(fast, layer, input, weight));
+  }
+  {
+    SCOPED_TRACE("reference engine vs its passes");
+    expect_bit_exact(reference_call,
+                     per_pass_loop(reference, layer, input, weight));
+  }
+  SCOPED_TRACE("fast vs reference");
+  expect_bit_exact(fast_call, reference_call);
+}
+
+TEST(SimChannelwise, EqualsThePerPassLoopItReplaces) {
+  const std::pair<nn::LayerDesc, Dataflow> cases[] = {
+      {nn::make_depthwise("dw", 3, 7, 7, 3, 1, 1),
+       Dataflow::kOutputStationary},
+      {nn::make_depthwise("dw_s2", 5, 9, 6, 3, 2, 1),
+       Dataflow::kOutputStationary},
+      // WS: the fast engine steps the materialized passes.
+      {nn::make_depthwise("dw_ws", 3, 6, 6, 3, 1, 1),
+       Dataflow::kWeightStationary},
+      {nn::make_fuse_row("row", 3, 6, 9, 3, 1, 1),
+       Dataflow::kOutputStationary},
+      // A strided line computes its dense width and keeps every other
+      // output; broadcast lines take the kernel route on IS too.
+      {nn::make_fuse_row("row_s2", 5, 7, 9, 3, 2, 1),
+       Dataflow::kInputStationary},
+  };
+  std::uint64_t seed = 500;
+  for (const auto& [layer, df] : cases) {
+    SCOPED_TRACE(layer.name);
+    const Tensor input = random_tensor(
+        Shape{1, layer.in_c, layer.in_h, layer.in_w}, ++seed);
+    const Tensor weight = random_tensor(
+        Shape{layer.in_c, 1, layer.kernel_h, layer.kernel_w}, ++seed);
+    expect_channelwise_is_its_passes(df_array(df, 4), layer, input, weight);
+  }
+}
+
+TEST(SimChannelwise, NonFiniteWeightKeepsThePaddingProducts) {
+  // A padding tap adds 0 x w: a zero for finite w, but NaN for w = +inf,
+  // so the engines agree only if the fast engine steps the passes here.
+  const nn::LayerDesc layer = nn::make_depthwise("dw_inf", 2, 5, 5, 3, 1, 1);
+  const Tensor input = random_tensor(Shape{1, 2, 5, 5}, 601);
+  Tensor weight = random_tensor(Shape{2, 1, 3, 3}, 602);
+  weight[0] = std::numeric_limits<float>::infinity();
+  const ArrayConfig cfg = df_array(Dataflow::kOutputStationary, 4);
+  expect_channelwise_is_its_passes(cfg, layer, input, weight);
+  SystolicArraySim fast(cfg, SimBackend::kFast);
+  const SimResult result =
+      fast.channelwise(lower(layer, cfg).ops.front(), input, weight, layer);
+  // Output (0, 0) of channel 0 reads tap (0, 0) in the padding.
+  EXPECT_TRUE(std::isnan(result.output.at(0, 0, 0, 0)));
+}
+
+}  // namespace
+}  // namespace fuse::systolic

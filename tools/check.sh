@@ -50,8 +50,11 @@
 #   7. sim backend equality: the simulator-driven examples
 #      (simulate_network, simulate_layer, pe_heatmap) must print
 #      byte-identical stdout under --sim-backend=fast and
-#      --sim-backend=reference, and a bench_sim smoke pass re-verifies the
-#      fast engine's bit-exactness layer by layer,
+#      --sim-backend=reference, simulate_network a second time on a 5x5
+#      array at 13^2 with 12 channels, whose layers end on fold tails of
+#      both layout-native simulator entries (matmul_wx, channelwise),
+#      and a bench_sim smoke pass re-verifies the fast engine's
+#      bit-exactness layer by layer,
 #   8. telemetry export: profile_network's trace/stats JSON must parse,
 #      in both the default per-layer view and the fused-schedule view —
 #      and with --attribution-json the cycle-attribution report must
@@ -257,16 +260,23 @@ echo
 echo "=== [7/11] sim backend equality: --sim-backend=fast vs reference ==="
 # The simulator-driven examples must print byte-identical stdout under
 # either engine (the fast engine is bit-exact, cycles included).
-for example in simulate_network simulate_layer pe_heatmap; do
+# simulate_network runs twice: at its default shape, and on a 5x5 array
+# at 13^2 with 12 channels, where every layer's fold walk ends on a tail.
+SIM_RUNS=("simulate_network" "simulate_network --size=5 --hw=13 --channels=12"
+          "simulate_layer" "pe_heatmap")
+for run in "${SIM_RUNS[@]}"; do
+  read -r -a argv <<< "$run"
+  example="${argv[0]}"
   bin="$BUILD_DIR/examples/$example"
   [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
-  "$bin" --sim-backend=reference > "$TELEMETRY_TMP/$example.reference.txt"
-  "$bin" --sim-backend=fast > "$TELEMETRY_TMP/$example.fast.txt"
-  if diff "$TELEMETRY_TMP/$example.reference.txt" \
-          "$TELEMETRY_TMP/$example.fast.txt"; then
-    echo "$example: sim backends byte-identical"
+  "$bin" "${argv[@]:1}" --sim-backend=reference \
+    > "$TELEMETRY_TMP/sim.reference.txt"
+  "$bin" "${argv[@]:1}" --sim-backend=fast > "$TELEMETRY_TMP/sim.fast.txt"
+  if diff "$TELEMETRY_TMP/sim.reference.txt" "$TELEMETRY_TMP/sim.fast.txt"
+  then
+    echo "$run: sim backends byte-identical"
   else
-    echo "$example: OUTPUT DIVERGED between sim backends" >&2
+    echo "$run: OUTPUT DIVERGED between sim backends" >&2
     exit 1
   fi
 done
