@@ -1,7 +1,8 @@
 // Micro-kernel wall-clock benchmarks (google-benchmark): reference-vs-
 // fast pairs for every operator the kernel backend accelerates (GEMM,
-// dense conv, pointwise expansion and projection, depthwise at stride 1
-// and 2, FuSe row/col, 7^2 channelwise, linear at batch 8 and 1) at
+// dense conv, the 3x3 stride-2 stem at 224^2 and at 128^2 batch 8,
+// pointwise expansion and projection, depthwise at stride 1 and 2, FuSe
+// row/col, 7^2 channelwise, linear at batch 8 and 1) at
 // MobileNet geometries, the FuSeConv stage forward under both backends,
 // and the cycle-level simulator primitives. These support Fig. 8(c)'s
 // operator-level view with host-side numbers and keep the simulator's own
@@ -121,7 +122,8 @@ void run_conv(benchmark::State& state, const Variant& v, const Tensor& input,
   set_flops(state, macs);
 }
 
-// --- MobileNet-V2 stem: [1, 3, 112, 112] -> 32, 3x3 stride 2 pad 1.
+// --- The MobileNet-V2 stem filter at half resolution: [1, 3, 112, 112] -> 32,
+// 3x3 stride 2 pad 1.
 void BM_Conv3x3(benchmark::State& state, Variant v) {
   const Tensor input = random_tensor(Shape{1, 3, 112, 112}, 3);
   const Tensor weight = random_tensor(Shape{32, 3, 3, 3}, 4);
@@ -132,6 +134,32 @@ void BM_Conv3x3(benchmark::State& state, Variant v) {
 BENCHMARK_CAPTURE(BM_Conv3x3, reference, kReference);
 BENCHMARK_CAPTURE(BM_Conv3x3, fast, kFast);
 BENCHMARK_CAPTURE(BM_Conv3x3, fast_scalar, kFastScalar);
+
+// --- The paper networks' dense stem at 224^2: [1, 3, 224, 224] -> 32,
+// 3x3 stride 2 pad 1.
+void BM_StemConv224(benchmark::State& state, Variant v) {
+  const Tensor input = random_tensor(Shape{1, 3, 224, 224}, 31);
+  const Tensor weight = random_tensor(Shape{32, 3, 3, 3}, 32);
+  const Conv2dParams p{2, 2, 1, 1, 1, 1, 1};
+  run_conv(state, v, input, weight, p,
+           /*macs=*/static_cast<std::int64_t>(32) * 3 * 3 * 3 * 112 * 112);
+}
+BENCHMARK_CAPTURE(BM_StemConv224, reference, kReference);
+BENCHMARK_CAPTURE(BM_StemConv224, fast, kFast);
+BENCHMARK_CAPTURE(BM_StemConv224, fast_scalar, kFastScalar);
+
+// --- The serving workload's batched stem (width 0.5 at 128^2):
+// [8, 3, 128, 128] -> 16, 3x3 stride 2 pad 1.
+void BM_StemConv128Batch8(benchmark::State& state, Variant v) {
+  const Tensor input = random_tensor(Shape{8, 3, 128, 128}, 33);
+  const Tensor weight = random_tensor(Shape{16, 3, 3, 3}, 34);
+  const Conv2dParams p{2, 2, 1, 1, 1, 1, 1};
+  run_conv(state, v, input, weight, p,
+           /*macs=*/static_cast<std::int64_t>(8) * 16 * 3 * 3 * 3 * 64 * 64);
+}
+BENCHMARK_CAPTURE(BM_StemConv128Batch8, reference, kReference);
+BENCHMARK_CAPTURE(BM_StemConv128Batch8, fast, kFast);
+BENCHMARK_CAPTURE(BM_StemConv128Batch8, fast_scalar, kFastScalar);
 
 // --- MobileNet-V2 expansion pointwise: [1, 96, 14, 14] -> 576, 1x1.
 void BM_PointwiseConv(benchmark::State& state, Variant v) {

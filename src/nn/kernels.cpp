@@ -84,10 +84,9 @@ kernels::ConvGeom to_geom(const Conv2dParams& p) {
 
 constexpr std::int64_t kNr = 8;   // register-tile columns (one packed panel)
 constexpr std::int64_t kMcGemm = 64;   // rows of C per row block
-constexpr std::int64_t kMcConv = 64;   // output positions per im2col panel
-// Bytes of packed input per pointwise position block (at least two
+// Bytes of packed B panels per GEMM-conv position block (at least two
 // panels of positions).
-constexpr std::int64_t kPointwiseBlockBytes = 64 * 1024;
+constexpr std::int64_t kConvBlockBytes = 64 * 1024;
 
 /// Packs columns of a row-major B[k, n] (row stride ldb) into
 /// ceil(n / kNr) column panels of width kNr, each laid out k-major
@@ -110,21 +109,94 @@ void pack_b_panels(const float* b, std::int64_t kk, std::int64_t n,
   pack_bytes_counter().add(out.size() * sizeof(float));
 }
 
-/// Packs ROWS of a row-major W[n, k] (row stride ldw) as the columns of
-/// the panel layout above — i.e. packs B = W^T without materializing the
-/// transpose. Used by the im2col conv (weight rows are [taps] slices, the
-/// GEMM wants [taps, C_out]).
-void pack_bt_panels(const float* w, std::int64_t n, std::int64_t kk,
-                    std::int64_t ldw, std::vector<float>& out) {
-  const std::int64_t panels = (n + kNr - 1) / kNr;
-  out.assign(static_cast<std::size_t>(panels * kk * kNr), 0.0F);
-  for (std::int64_t p = 0; p < panels; ++p) {
-    float* dst = out.data() + p * kk * kNr;
-    const std::int64_t cols = std::min(kNr, n - p * kNr);
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const float* src = w + (p * kNr + j) * ldw;
-      for (std::int64_t k = 0; k < kk; ++k) {
-        dst[k * kNr + j] = src[k];
+/// Copies every tap of one panel whose kNr positions sit on one output
+/// row with all taps in bounds: tap (ic, ky, kx) of the panel is kNr
+/// input values `stride` apart, starting at `first` offset by the tap.
+/// S is the x stride when it is known at compile time (0: read `stride`).
+template <std::int64_t S>
+void copy_panel_runs(const float* first, std::int64_t channels,
+                     std::int64_t plane, std::int64_t kh, std::int64_t kw,
+                     std::int64_t row_step, std::int64_t col_step,
+                     std::int64_t stride, float* dst) {
+  const std::int64_t step = S != 0 ? S : stride;
+  for (std::int64_t ic = 0; ic < channels; ++ic) {
+    for (std::int64_t ky = 0; ky < kh; ++ky) {
+      const float* row = first + ic * plane + ky * row_step;
+      for (std::int64_t kx = 0; kx < kw; ++kx) {
+        const float* src = row + kx * col_step;
+        for (std::int64_t j = 0; j < kNr; ++j) {
+          dst[j] = src[j * step];
+        }
+        dst += kNr;
+      }
+    }
+  }
+}
+
+/// Packs the im2col columns of output positions [p0, p0 + cols) of one
+/// image's `channels` input planes as pack_b_panels packs B:
+/// ceil(cols / kNr) panels of kNr positions, each k-major over the taps
+/// in (ic, ky, kx) order — the reference conv2d's accumulation order —
+/// with padding taps and a last panel's missing positions 0. A panel
+/// whose positions sit on one output row with every tap in bounds is
+/// copied as strided runs; a border panel, or one that straddles two
+/// output rows, checks each tap.
+void pack_im2col_panels(const float* image, std::int64_t channels,
+                        std::int64_t in_h, std::int64_t in_w,
+                        std::int64_t kh, std::int64_t kw,
+                        const Conv2dParams& p, std::int64_t out_w,
+                        std::int64_t p0, std::int64_t cols,
+                        std::vector<float>& out) {
+  const std::int64_t taps = channels * kh * kw;
+  const std::int64_t panels = (cols + kNr - 1) / kNr;
+  const std::int64_t plane = in_h * in_w;
+  const std::int64_t row_step = p.dilation_h * in_w;
+  out.resize(static_cast<std::size_t>(panels * taps * kNr));
+  for (std::int64_t q = 0; q < panels; ++q) {
+    float* dst = out.data() + q * taps * kNr;
+    const std::int64_t first = p0 + q * kNr;
+    const std::int64_t count = std::min(kNr, p0 + cols - first);
+    const std::int64_t iy0 = first / out_w * p.stride_h - p.pad_h;
+    const std::int64_t ix0 = first % out_w * p.stride_w - p.pad_w;
+    if (count == kNr && first % out_w + kNr <= out_w && iy0 >= 0 &&
+        iy0 + (kh - 1) * p.dilation_h < in_h && ix0 >= 0 &&
+        ix0 + (kNr - 1) * p.stride_w + (kw - 1) * p.dilation_w < in_w) {
+      const float* start = image + iy0 * in_w + ix0;
+      if (p.stride_w == 1) {
+        copy_panel_runs<1>(start, channels, plane, kh, kw, row_step,
+                           p.dilation_w, 1, dst);
+      } else if (p.stride_w == 2) {
+        copy_panel_runs<2>(start, channels, plane, kh, kw, row_step,
+                           p.dilation_w, 2, dst);
+      } else {
+        copy_panel_runs<0>(start, channels, plane, kh, kw, row_step,
+                           p.dilation_w, p.stride_w, dst);
+      }
+      continue;
+    }
+    // Each position's taps bounds-checked, one panel column at a time.
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      float* col = dst + j;
+      if (j >= count) {
+        for (std::int64_t t = 0; t < taps; ++t) {
+          col[t * kNr] = 0.0F;
+        }
+        continue;
+      }
+      const std::int64_t iy = (first + j) / out_w * p.stride_h - p.pad_h;
+      const std::int64_t ix = (first + j) % out_w * p.stride_w - p.pad_w;
+      for (std::int64_t ic = 0; ic < channels; ++ic) {
+        for (std::int64_t ky = 0; ky < kh; ++ky) {
+          const std::int64_t y = iy + ky * p.dilation_h;
+          const bool row_inside = y >= 0 && y < in_h;
+          for (std::int64_t kx = 0; kx < kw; ++kx) {
+            const std::int64_t x = ix + kx * p.dilation_w;
+            *col = row_inside && x >= 0 && x < in_w
+                       ? image[ic * plane + y * in_w + x]
+                       : 0.0F;
+            col += kNr;
+          }
+        }
       }
     }
   }
@@ -165,19 +237,15 @@ void micro_f32(const float* a, std::int64_t lda, const float* bp,
 }
 
 /// Double-accumulator tile: out(r, j) = seed + sum_k a(r, k) * b(k, j),
-/// seeded per row from row_bias[r] or, when row_bias is null, per column
-/// from col_seed[j]; written through arbitrary row/column strides (the
-/// im2col conv scatters to NCHW).
+/// seeded per row from row_bias[r] (+0.0 when row_bias is null).
 template <int MR>
 void micro_f64(const float* a, std::int64_t lda, const float* bp,
-               std::int64_t kk, const float* row_bias, const double* col_seed,
-               float* out, std::int64_t row_stride, std::int64_t col_stride,
-               std::int64_t ncols) {
+               std::int64_t kk, const float* row_bias, float* out,
+               std::int64_t ldo, std::int64_t ncols) {
   double acc[MR][kNr];
   for (int r = 0; r < MR; ++r) {
     for (std::int64_t j = 0; j < kNr; ++j) {
-      acc[r][j] = row_bias != nullptr ? static_cast<double>(row_bias[r])
-                                      : col_seed[j];
+      acc[r][j] = row_bias != nullptr ? static_cast<double>(row_bias[r]) : 0.0;
     }
   }
   for (std::int64_t k = 0; k < kk; ++k) {
@@ -195,42 +263,32 @@ void micro_f64(const float* a, std::int64_t lda, const float* bp,
   }
   for (int r = 0; r < MR; ++r) {
     for (std::int64_t j = 0; j < ncols; ++j) {
-      out[r * row_stride + j * col_stride] = static_cast<float>(acc[r][j]);
+      out[r * ldo + j] = static_cast<float>(acc[r][j]);
     }
   }
 }
 
 /// All kNr-wide panels of one A block against packed B, f64 accumulation:
 /// the scalar twin of avx2::block_gemm. a: [rows x kk] row-major, bias:
-/// per output column or per output row (axis; may be null), out indexed
-/// as out + r*row_stride + j*col_stride.
+/// one value per row (may be null), out[r*ldo + j].
 void block_gemm_f64(const float* a, std::int64_t lda, std::int64_t rows,
                     const float* b_panels, std::int64_t kk, std::int64_t n,
-                    const float* bias, kernels::BiasAxis axis, float* out,
-                    std::int64_t row_stride, std::int64_t col_stride) {
-  const bool per_row = bias != nullptr && axis == kernels::BiasAxis::kRows;
+                    const float* bias, float* out, std::int64_t ldo) {
   const std::int64_t panels = (n + kNr - 1) / kNr;
   for (std::int64_t p = 0; p < panels; ++p) {
     const float* bp = b_panels + p * kk * kNr;
     const std::int64_t j0 = p * kNr;
     const std::int64_t ncols = std::min(kNr, n - j0);
-    double col_seed[kNr] = {};
-    if (bias != nullptr && !per_row) {
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        col_seed[j] = static_cast<double>(bias[j0 + j]);
-      }
-    }
-    float* out_panel = out + j0 * col_stride;
     std::int64_t r = 0;
     for (; r + 2 <= rows; r += 2) {
-      micro_f64<2>(a + r * lda, lda, bp, kk, per_row ? bias + r : nullptr,
-                   col_seed, out_panel + r * row_stride, row_stride,
-                   col_stride, ncols);
+      micro_f64<2>(a + r * lda, lda, bp, kk,
+                   bias != nullptr ? bias + r : nullptr, out + r * ldo + j0,
+                   ldo, ncols);
     }
     for (; r < rows; ++r) {
-      micro_f64<1>(a + r * lda, lda, bp, kk, per_row ? bias + r : nullptr,
-                   col_seed, out_panel + r * row_stride, row_stride,
-                   col_stride, ncols);
+      micro_f64<1>(a + r * lda, lda, bp, kk,
+                   bias != nullptr ? bias + r : nullptr, out + r * ldo + j0,
+                   ldo, ncols);
     }
   }
 }
@@ -305,48 +363,6 @@ void linear_rows(const float* in, std::int64_t batch, std::int64_t in_f,
       }
     }
     panel(in, batch, in_f, w_rows, seed, out + j0, out_f, ncols);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// im2col-on-the-fly panel builder
-// ---------------------------------------------------------------------------
-
-/// Writes the im2col rows for output positions [p0, p0 + rows) of one
-/// image, channels [c0, c0 + channels), into `panel` ([rows x taps],
-/// taps ordered channel-major then kernel-row then kernel-column — the
-/// reference conv2d's accumulation order). Padding taps are 0.
-void build_im2col_panel(const float* image, std::int64_t in_c,
-                        std::int64_t in_h, std::int64_t in_w,
-                        std::int64_t c0, std::int64_t channels,
-                        const Conv2dParams& p, std::int64_t out_w,
-                        std::int64_t p0, std::int64_t rows, std::int64_t kh,
-                        std::int64_t kw, float* panel) {
-  (void)in_c;
-  const std::int64_t taps_per_c = kh * kw;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t oy = (p0 + r) / out_w;
-    const std::int64_t ox = (p0 + r) % out_w;
-    const std::int64_t iy0 = oy * p.stride_h - p.pad_h;
-    const std::int64_t ix0 = ox * p.stride_w - p.pad_w;
-    float* dst = panel + r * channels * taps_per_c;
-    for (std::int64_t ic = 0; ic < channels; ++ic) {
-      const float* plane = image + (c0 + ic) * in_h * in_w;
-      for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * p.dilation_h;
-        if (iy < 0 || iy >= in_h) {
-          for (std::int64_t kx = 0; kx < kw; ++kx) {
-            *dst++ = 0.0F;
-          }
-          continue;
-        }
-        const float* row = plane + iy * in_w;
-        for (std::int64_t kx = 0; kx < kw; ++kx) {
-          const std::int64_t ix = ix0 + kx * p.dilation_w;
-          *dst++ = (ix < 0 || ix >= in_w) ? 0.0F : row[ix];
-        }
-      }
-    }
   }
 }
 
@@ -649,12 +665,33 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
 }
 
 // ---------------------------------------------------------------------------
-// Dense / grouped conv through im2col-on-the-fly GEMM
+// Dense, grouped and pointwise conv: one GEMM in the W x X orientation
 // ---------------------------------------------------------------------------
 
+/// True for the convolutions whose im2col columns are the input planes
+/// themselves: 1x1, stride 1, no padding, one group (dilation is moot for
+/// one tap).
+bool is_pointwise(const Tensor& weight, const Conv2dParams& p) {
+  return weight.shape().dim(2) == 1 && weight.shape().dim(3) == 1 &&
+         p.stride_h == 1 && p.stride_w == 1 && p.pad_h == 0 && p.pad_w == 0 &&
+         p.groups == 1;
+}
+
+/// out[n, oc, p] = bias[oc] + W[oc, :] . col[:, p] for every dense,
+/// grouped or pointwise conv: each group's filter bank streams in place
+/// as the GEMM's A, the image's im2col columns are packed as B panels one
+/// position block of about 64 KB at a time (a pointwise conv's columns
+/// are its input planes, packed by pack_b_panels), and every output row
+/// lands as a contiguous run of its NCHW plane. Each output sums bias,
+/// then taps in (ic, ky, kx) order.
 Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
                         const Tensor* bias, const Conv2dParams& p) {
-  FUSE_KERNEL_COUNTER("kernels.fast.conv2d");
+  const bool pointwise = is_pointwise(weight, p);
+  if (pointwise) {
+    FUSE_KERNEL_COUNTER("kernels.fast.pointwise");
+  } else {
+    FUSE_KERNEL_COUNTER("kernels.fast.conv2d");
+  }
   // im2col linearizes every geometry, so the GEMM path vectorizes
   // unconditionally.
   const KernelIsa isa = note_isa();
@@ -673,95 +710,38 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
       conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
   const std::int64_t positions = out_h * out_w;
   const std::int64_t taps = group_in * kh * kw;
-
-  Tensor output(Shape{batch, out_c, out_h, out_w});
-  const float* in_ptr = input.data();
-  const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
-  float* out_ptr = output.data();
-  const std::int64_t blocks = (positions + kMcConv - 1) / kMcConv;
-
-  std::vector<float> b_panels;
-  std::vector<float> panel(
-      static_cast<std::size_t>(std::min(kMcConv, positions) * taps));
-  for (std::int64_t g = 0; g < p.groups; ++g) {
-    // Weight rows for this group's out channels are contiguous [taps]
-    // slices in (ic, ky, kx) order — exactly the panel's k order.
-    pack_bt_panels(weight.data() + g * group_out * taps, group_out, taps,
-                   taps, b_panels);
-    const float* panels = b_panels.data();
-    const float* group_bias =
-        bias_ptr != nullptr ? bias_ptr + g * group_out : nullptr;
-    for (std::int64_t tile = 0; tile < batch * blocks; ++tile) {
-      const std::int64_t n = tile / blocks;
-      const std::int64_t p0 = (tile % blocks) * kMcConv;
-      const std::int64_t rows = std::min(kMcConv, positions - p0);
-      build_im2col_panel(in_ptr + n * in_c * in_h * in_w, in_c, in_h, in_w,
-                         g * group_in, group_in, p, out_w, p0, rows, kh, kw,
-                         panel.data());
-      pack_bytes_counter().add(
-          static_cast<std::uint64_t>(rows * taps) * sizeof(float));
-      // Output element (row r, col j) lives at NCHW offset
-      // (n, g*group_out + j, p0 + r): column stride = positions.
-      float* out_base =
-          out_ptr + (n * out_c + g * group_out) * positions + p0;
-      const auto gemm = isa == KernelIsa::kAvx2 ? kernels::avx2::block_gemm
-                                                : block_gemm_f64;
-      gemm(panel.data(), taps, rows, panels, taps, group_out, group_bias,
-           kernels::BiasAxis::kCols, out_base, /*row_stride=*/1,
-           /*col_stride=*/positions);
-    }
-  }
-  return output;
-}
-
-// ---------------------------------------------------------------------------
-// Pointwise conv in the W x X orientation
-// ---------------------------------------------------------------------------
-
-/// True for the convolutions conv2d_pointwise_fast computes: 1x1,
-/// stride 1, no padding, one group (dilation is moot for one tap).
-bool is_pointwise(const Tensor& weight, const Conv2dParams& p) {
-  return weight.shape().dim(2) == 1 && weight.shape().dim(3) == 1 &&
-         p.stride_h == 1 && p.stride_w == 1 && p.pad_h == 0 && p.pad_w == 0 &&
-         p.groups == 1;
-}
-
-/// out[n, oc, p] = bias[oc] + W[oc, :] . X[n, :, p]: weight rows stream
-/// unpacked as the GEMM's A, each image's [in_c x positions] planes are
-/// packed as B panels one position block at a time, and every output
-/// row lands as a contiguous run of its NCHW plane. Each output still
-/// sums bias, then input channels in ascending order — the im2col
-/// route's sequence with the two FMA operands swapped.
-Tensor conv2d_pointwise_fast(const Tensor& input, const Tensor& weight,
-                             const Tensor* bias) {
-  FUSE_KERNEL_COUNTER("kernels.fast.pointwise");
-  const KernelIsa isa = note_isa();
-  const std::int64_t batch = input.shape().dim(0);
-  const std::int64_t in_c = input.shape().dim(1);
-  const std::int64_t in_h = input.shape().dim(2);
-  const std::int64_t in_w = input.shape().dim(3);
-  const std::int64_t out_c = weight.shape().dim(0);
-  const std::int64_t positions = in_h * in_w;
   const std::int64_t block_step = 2 * kNr;
   const std::int64_t block = std::max<std::int64_t>(
-      block_step, kPointwiseBlockBytes /
-                      (in_c * static_cast<std::int64_t>(sizeof(float))) /
+      block_step, kConvBlockBytes /
+                      (taps * static_cast<std::int64_t>(sizeof(float))) /
                       block_step * block_step);
 
-  Tensor output(Shape{batch, out_c, in_h, in_w});
+  Tensor output(Shape{batch, out_c, out_h, out_w});
   const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
   const auto gemm =
       isa == KernelIsa::kAvx2 ? kernels::avx2::block_gemm : block_gemm_f64;
   std::vector<float> b_panels;
   for (std::int64_t n = 0; n < batch; ++n) {
-    const float* image = input.data() + n * in_c * positions;
-    float* out_image = output.data() + n * out_c * positions;
-    for (std::int64_t p0 = 0; p0 < positions; p0 += block) {
-      const std::int64_t cols = std::min(block, positions - p0);
-      pack_b_panels(image + p0, in_c, cols, positions, b_panels);
-      gemm(weight.data(), in_c, out_c, b_panels.data(), in_c, cols, bias_ptr,
-           kernels::BiasAxis::kRows, out_image + p0,
-           /*row_stride=*/positions, /*col_stride=*/1);
+    for (std::int64_t g = 0; g < p.groups; ++g) {
+      const float* image =
+          input.data() + (n * in_c + g * group_in) * in_h * in_w;
+      float* out_rows = output.data() + (n * out_c + g * group_out) * positions;
+      // The group's filter rows are contiguous [taps] slices in
+      // (ic, ky, kx) order — exactly the panels' k order.
+      const float* filters = weight.data() + g * group_out * taps;
+      const float* group_bias =
+          bias_ptr != nullptr ? bias_ptr + g * group_out : nullptr;
+      for (std::int64_t p0 = 0; p0 < positions; p0 += block) {
+        const std::int64_t cols = std::min(block, positions - p0);
+        if (pointwise) {
+          pack_b_panels(image + p0, in_c, cols, positions, b_panels);
+        } else {
+          pack_im2col_panels(image, group_in, in_h, in_w, kh, kw, p, out_w,
+                             p0, cols, b_panels);
+        }
+        gemm(filters, taps, group_out, b_panels.data(), taps, cols,
+             group_bias, out_rows + p0, /*ldo=*/positions);
+      }
     }
   }
   return output;
@@ -856,9 +836,7 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
     const std::int64_t rows = std::min(kMcGemm, m - r0);
     if (isa == KernelIsa::kAvx2) {
       kernels::avx2::block_gemm(a + r0 * k, k, rows, panels, k, n,
-                                /*bias=*/nullptr, BiasAxis::kCols,
-                                c + r0 * n, /*row_stride=*/n,
-                                /*col_stride=*/1);
+                                /*bias=*/nullptr, c + r0 * n, /*ldo=*/n);
       continue;
     }
     for (std::int64_t pn = 0; pn < panel_count; ++pn) {
@@ -911,8 +889,8 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
     kernels::avx2::block_gemm_f64(a, k, m, b_panels.data(), k, n, c, n);
     return;
   }
-  block_gemm_f64(a, k, m, b_panels.data(), k, n, /*bias=*/nullptr,
-                 BiasAxis::kCols, c, /*row_stride=*/n, /*col_stride=*/1);
+  block_gemm_f64(a, k, m, b_panels.data(), k, n, /*bias=*/nullptr, c,
+                 /*ldo=*/n);
 }
 
 void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
@@ -988,9 +966,6 @@ Tensor conv2d_fast(const Tensor& input, const Tensor& weight,
   if (params.groups == in_c && weight.shape().dim(1) == 1 &&
       out_c == in_c) {
     return conv2d_channelwise_fast(input, weight, bias, params);
-  }
-  if (is_pointwise(weight, params)) {
-    return conv2d_pointwise_fast(input, weight, bias);
   }
   return conv2d_gemm_fast(input, weight, bias, params);
 }

@@ -1,10 +1,10 @@
-// Fast host kernel backend: cache-blocked GEMM micro-kernels, a
-// pointwise convolution computed as W x X straight out of NCHW, an
-// im2col-on-the-fly convolution that never materializes the full patch
-// matrix for every other dense/grouped geometry, a linear layer that
-// reads its weight rows in place, and shape-specialized depthwise /
-// FuSe 1-D kernels. Every kernel runs serially on the calling thread,
-// tile by tile.
+// Fast host kernel backend: cache-blocked GEMM micro-kernels, every
+// dense, grouped and pointwise convolution computed as W x X straight
+// into NCHW (the filter bank read in place, the im2col columns packed
+// one position block at a time, never the whole patch matrix), a linear
+// layer that reads its weight rows in place, and shape-specialized
+// depthwise / FuSe 1-D kernels. Every kernel runs serially on the
+// calling thread, tile by tile.
 //
 // The backend practices on the host what the paper practices on the
 // array: factor every operator onto a small set of efficient inner

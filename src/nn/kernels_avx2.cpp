@@ -62,33 +62,31 @@ constexpr std::int64_t kNr = 8;  // packed-panel width, fixed by kernels.cpp
 // ---------------------------------------------------------------------------
 
 /// One column strip of a GEMM block: A rows, the strip's first packed
-/// panel, the bias seed, and where the strip's outputs go.
+/// panel, the per-row bias seed, and where the strip's outputs go.
 struct Strip {
   const float* a;
   std::int64_t lda;
   const float* bp;
   std::int64_t kk;
-  const float* seed;  // per_row: one value per A row; else 16 lanes
-  bool per_row;
+  const float* bias;  // one value per A row; null seeds +0.0
   float* out;
-  std::int64_t row_stride;
-  std::int64_t col_stride;
+  std::int64_t ldo;
   std::int64_t ncols;  // valid columns of the strip, <= NP * 8
 };
 
 /// Rows [r, r + MR) x (NP * 8) columns of a strip: acc(i, p) starts at
-/// row r + i's bias (per_row) or at panel p's bias lanes, then
-/// acc(i, p) += a(r + i, k) * panel_p(k, :) for k ascending, one FMA per
-/// (i, p, k). Stores through arbitrary out strides; the contiguous
-/// full-width case stores YMM directly.
+/// row r + i's bias, then acc(i, p) += a(r + i, k) * panel_p(k, :) for k
+/// ascending, one FMA per (i, p, k). Every tile stores YMM straight into
+/// the output rows, masked in a partial strip: a spill through a stack
+/// tile buffer let GCC keep the accumulators in memory across the k loop.
 template <int MR, int NP>
 FUSE_TARGET_AVX2 void micro_tile(const Strip& s, std::int64_t r) {
   const float* a = s.a + r * s.lda;
   __m256 acc[MR][NP];
   for (int i = 0; i < MR; ++i) {
     for (int p = 0; p < NP; ++p) {
-      acc[i][p] = s.per_row ? _mm256_broadcast_ss(s.seed + r + i)
-                            : _mm256_load_ps(s.seed + p * kNr);
+      acc[i][p] = s.bias != nullptr ? _mm256_broadcast_ss(s.bias + r + i)
+                                    : _mm256_setzero_ps();
     }
   }
   for (std::int64_t k = 0; k < s.kk; ++k) {
@@ -103,26 +101,22 @@ FUSE_TARGET_AVX2 void micro_tile(const Strip& s, std::int64_t r) {
       }
     }
   }
-  float* out = s.out + r * s.row_stride;
-  if (s.col_stride == 1 && s.ncols == NP * kNr) {
+  float* out = s.out + r * s.ldo;
+  if (s.ncols == NP * kNr) {
     for (int i = 0; i < MR; ++i) {
       for (int p = 0; p < NP; ++p) {
-        _mm256_storeu_ps(out + i * s.row_stride + p * kNr, acc[i][p]);
+        _mm256_storeu_ps(out + i * s.ldo + p * kNr, acc[i][p]);
       }
     }
     return;
   }
-  // Spill through a tile buffer indexed only by constants, so the
-  // accumulators stay in registers through the k loop.
-  alignas(32) float tile[MR][NP * kNr];
-  for (int i = 0; i < MR; ++i) {
-    for (int p = 0; p < NP; ++p) {
-      _mm256_store_ps(tile[i] + p * kNr, acc[i][p]);
-    }
-  }
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < s.ncols; ++j) {
-      out[i * s.row_stride + j * s.col_stride] = tile[i][j];
+  // A partial strip: masked stores write only its valid columns.
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (int p = 0; p < NP; ++p) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(s.ncols - p * kNr)), lane);
+    for (int i = 0; i < MR; ++i) {
+      _mm256_maskstore_ps(out + i * s.ldo + p * kNr, mask, acc[i][p]);
     }
   }
 }
@@ -570,27 +564,13 @@ FUSE_TARGET_AVX2 void channelwise_blocked_f64(
 FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda,
                                  std::int64_t rows, const float* b_panels,
                                  std::int64_t kk, std::int64_t n,
-                                 const float* bias, BiasAxis axis,
-                                 float* out, std::int64_t row_stride,
-                                 std::int64_t col_stride) {
-  // A null bias seeds zero lanes whatever the axis.
-  const bool per_row = bias != nullptr && axis == BiasAxis::kRows;
+                                 const float* bias, float* out,
+                                 std::int64_t ldo) {
   for (std::int64_t j0 = 0; j0 < n; j0 += 2 * kNr) {
     const float* bp = b_panels + j0 * kk;  // panel j0 / kNr
-    const std::int64_t ncols = min64(2 * kNr, n - j0);
-    alignas(32) float col_seed[2 * kNr] = {};
-    if (bias != nullptr && !per_row) {
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        col_seed[j] = bias[j0 + j];
-      }
-    }
-    const Strip strip{a,          lda,
-                      bp,         kk,
-                      per_row ? bias : col_seed,
-                      per_row,    out + j0 * col_stride,
-                      row_stride, col_stride,
-                      ncols};
-    if (ncols > kNr) {
+    const Strip strip{a,   lda, bp, kk, bias, out + j0,
+                      ldo, min64(2 * kNr, n - j0)};
+    if (strip.ncols > kNr) {
       strip_rows<2>(strip, rows);
     } else {
       strip_rows<1>(strip, rows);
@@ -870,8 +850,8 @@ FUSE_TARGET_AVX2 std::int32_t linear_int8_dot(
 bool compiled() { return false; }
 
 void block_gemm(const float*, std::int64_t, std::int64_t, const float*,
-                std::int64_t, std::int64_t, const float*, BiasAxis, float*,
-                std::int64_t, std::int64_t) {}
+                std::int64_t, std::int64_t, const float*, float*,
+                std::int64_t) {}
 void block_gemm_f64(const float*, std::int64_t, std::int64_t, const float*,
                     std::int64_t, std::int64_t, float*, std::int64_t) {}
 void conv1d_lines_f64(const float*, std::int64_t, std::int64_t, const float*,

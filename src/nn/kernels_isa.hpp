@@ -35,12 +35,6 @@ struct ConvGeom {
   std::int64_t dilation_w = 1;
 };
 
-/// Which operand index a GEMM block's bias runs along: one value per
-/// output column (im2col conv: columns are output channels) or one per
-/// output row (pointwise conv in the W x X orientation: rows are output
-/// channels).
-enum class BiasAxis { kCols, kRows };
-
 namespace avx2 {
 
 /// True when this binary contains the AVX2 micro-kernels (x86 targets).
@@ -48,16 +42,17 @@ namespace avx2 {
 /// nn::kernel_isa_available.
 bool compiled();
 
-/// GEMM block over the packed kNr=8 k-major B panels built by
-/// pack_b_panels / pack_bt_panels: for r < rows, j < n,
-///   out[r*row_stride + j*col_stride] = seed + sum_k a(r, k) * b(k, j)
-/// with seed = bias[j] (kCols) or bias[r] (kRows); a null bias seeds 0.
-/// 6x16 register micro-tiles over two adjacent panels, float
-/// accumulators, one FMA per (output, k) in ascending k.
+/// GEMM block over the packed kNr=8 k-major B panels that pack_b_panels
+/// and the im2col conv's panel builder lay out: for r < rows, j < n,
+///   out[r*ldo + j] = bias[r] + sum_k a(r, k) * b(k, j)
+/// (a null bias seeds 0). Every GEMM conv runs it W x X: A is the filter
+/// bank read in place, so one row is one output channel and its outputs
+/// are a contiguous run of that channel's NCHW plane. 6x16 register
+/// micro-tiles over two adjacent panels, float accumulators, one FMA per
+/// (output, k) in ascending k.
 void block_gemm(const float* a, std::int64_t lda, std::int64_t rows,
                 const float* b_panels, std::int64_t kk, std::int64_t n,
-                const float* bias, BiasAxis axis, float* out,
-                std::int64_t row_stride, std::int64_t col_stride);
+                const float* bias, float* out, std::int64_t ldo);
 
 /// The double-accumulation GEMM over the same packed panels: for
 /// r < rows, j < n,

@@ -433,13 +433,7 @@ void ServeEngine::run_payload(BatchTask* task) {
     params.groups = layer.groups;
     activation = nn::conv2d(activation, weights[l], nullptr, params);
   }
-  const std::int64_t per = activation.num_elements() / batch;
-  for (std::int64_t i = 0; i < batch; ++i) {
-    Tensor slice(Shape{per});
-    std::memcpy(slice.data(), activation.data() + i * per,
-                static_cast<std::size_t>(per) * sizeof(float));
-    task->checksums[static_cast<std::size_t>(i)] = tensor_checksum(slice);
-  }
+  task->checksums = row_checksums(activation);
 }
 
 ResponseRecord ServeEngine::response(std::uint64_t id) const {

@@ -193,18 +193,68 @@ Tensor request_input(const ModelEntry& entry, std::uint64_t seed,
   return input;
 }
 
-std::uint64_t tensor_checksum(const tensor::Tensor& tensor) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const float* data = tensor.data();
-  for (std::int64_t i = 0; i < tensor.num_elements(); ++i) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &data[i], sizeof(bits));
-    for (int byte = 0; byte < 4; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffU;
-      hash *= 1099511628211ULL;
+namespace {
+
+/// FNV-1a over L rows of `per` floats each, `stride` floats apart, the L
+/// chains advanced together so their multiplies overlap. Each chain
+/// hashes its own row's bytes in order, so out[r] is that row's
+/// tensor_checksum.
+template <int L>
+void fnv1a_rows(const float* rows, std::int64_t per, std::int64_t stride,
+                std::uint64_t* out) {
+  std::uint64_t hash[L];
+  for (int r = 0; r < L; ++r) {
+    hash[r] = 1469598103934665603ULL;
+  }
+  for (std::int64_t i = 0; i < per; ++i) {
+    // Unrolled, so each chain's hash stays in a register.
+#pragma GCC unroll 4
+    for (int r = 0; r < L; ++r) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, rows + r * stride + i, sizeof(bits));
+#pragma GCC unroll 4
+      for (int byte = 0; byte < 4; ++byte) {
+        hash[r] ^= (bits >> (8 * byte)) & 0xffU;
+        hash[r] *= 1099511628211ULL;
+      }
     }
   }
+  for (int r = 0; r < L; ++r) {
+    out[r] = hash[r];
+  }
+}
+
+}  // namespace
+
+std::uint64_t tensor_checksum(const tensor::Tensor& tensor) {
+  std::uint64_t hash = 0;
+  fnv1a_rows<1>(tensor.data(), tensor.num_elements(), 0, &hash);
   return hash;
+}
+
+std::vector<std::uint64_t> row_checksums(const tensor::Tensor& batch) {
+  const std::int64_t rows = batch.shape().dim(0);
+  const std::int64_t per = rows == 0 ? 0 : batch.num_elements() / rows;
+  std::vector<std::uint64_t> sums(static_cast<std::size_t>(rows));
+  const float* data = batch.data();
+  std::int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    fnv1a_rows<4>(data + r * per, per, per, sums.data() + r);
+  }
+  switch (rows - r) {
+    case 3:
+      fnv1a_rows<3>(data + r * per, per, per, sums.data() + r);
+      break;
+    case 2:
+      fnv1a_rows<2>(data + r * per, per, per, sums.data() + r);
+      break;
+    case 1:
+      fnv1a_rows<1>(data + r * per, per, per, sums.data() + r);
+      break;
+    default:
+      break;
+  }
+  return sums;
 }
 
 }  // namespace fuse::serve

@@ -107,4 +107,10 @@ tensor::Tensor request_input(const ModelEntry& entry, std::uint64_t seed,
 /// FNV-1a over the raw float bits.
 std::uint64_t tensor_checksum(const tensor::Tensor& tensor);
 
+/// tensor_checksum of each dim-0 row of `batch`, read in place: four
+/// rows' FNV-1a chains advance together (then a 3-, 2- or 1-row tail),
+/// each over its own bytes, so every value equals the checksum of that
+/// row copied out alone.
+std::vector<std::uint64_t> row_checksums(const tensor::Tensor& batch);
+
 }  // namespace fuse::serve

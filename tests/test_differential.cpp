@@ -178,10 +178,18 @@ LayerDesc draw_layer(util::Rng& rng, OpKind kind, const ArrayConfig& cfg,
     }
     case OpKind::kPointwiseConv:
       return nn::make_pointwise("pw", channels(), h, w, channels());
-    case OpKind::kFuseRowConv:
-      return nn::make_fuse_row("row", channels(), h, w, k_w, stride_w, pad_w);
-    case OpKind::kFuseColConv:
-      return nn::make_fuse_col("col", channels(), h, w, k_h, stride_h, pad_h);
+    case OpKind::kFuseRowConv: {
+      // nn::make_fuse_row/col pin the pad across the lines (row pad_h,
+      // col pad_w) to 0; drawn here, it puts zero lines on the array.
+      const std::int64_t c = channels();
+      return conv_like(kind, c, c, h, w, 1, k_w, stride_w, stride_w, pad_h,
+                       pad_w, c);
+    }
+    case OpKind::kFuseColConv: {
+      const std::int64_t c = channels();
+      return conv_like(kind, c, c, h, w, k_h, 1, stride_h, stride_h, pad_h,
+                       pad_w, c);
+    }
     case OpKind::kFullyConnected:
       return nn::make_fully_connected("fc", channels(), channels(),
                                       /*bias=*/false);

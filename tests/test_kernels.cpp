@@ -14,6 +14,7 @@
 // with a logged note (never a failure), so the suite passes everywhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -486,6 +487,116 @@ TEST(KernelsForcedIsa, ChannelwiseStridedBitIdenticalAcrossIsas) {
             bit_equal(kernels::conv2d_fast(input, weight, bias, p), avx2))
             << label;
       });
+}
+
+// ---------------------------------------------------------------------------
+// Standard and grouped conv per-output sequence (AVX2 bits)
+// ---------------------------------------------------------------------------
+
+/// The AVX2 GEMM conv's sequence written out: each output starts at its
+/// bias (or +0.0) and takes one std::fma per tap of its group in
+/// (ic, ky, kx) order, a padding tap reading 0.
+Tensor im2col_fma_oracle(const Tensor& input, const Tensor& weight,
+                         const Tensor* bias, const Conv2dParams& p) {
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t in_c = input.shape().dim(1);
+  const std::int64_t in_h = input.shape().dim(2);
+  const std::int64_t in_w = input.shape().dim(3);
+  const std::int64_t out_c = weight.shape().dim(0);
+  const std::int64_t kh = weight.shape().dim(2);
+  const std::int64_t kw = weight.shape().dim(3);
+  const std::int64_t group_in = in_c / p.groups;
+  const std::int64_t group_out = out_c / p.groups;
+  const std::int64_t out_h =
+      tensor::conv_out_dim(in_h, kh, p.stride_h, p.pad_h, p.dilation_h);
+  const std::int64_t out_w =
+      tensor::conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
+  Tensor out(Shape{batch, out_c, out_h, out_w});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      const std::int64_t c0 = oc / group_out * group_in;
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          float acc = bias != nullptr ? (*bias)[oc] : 0.0F;
+          for (std::int64_t ic = 0; ic < group_in; ++ic) {
+            for (std::int64_t ky = 0; ky < kh; ++ky) {
+              const std::int64_t iy =
+                  oy * p.stride_h - p.pad_h + ky * p.dilation_h;
+              for (std::int64_t kx = 0; kx < kw; ++kx) {
+                const std::int64_t ix =
+                    ox * p.stride_w - p.pad_w + kx * p.dilation_w;
+                const bool inside =
+                    iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
+                acc = std::fma(weight.at(oc, ic, ky, kx),
+                               inside ? input.at(n, c0 + ic, iy, ix) : 0.0F,
+                               acc);
+              }
+            }
+          }
+          out.at(n, oc, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(KernelsForcedIsa, Im2colConvIsOneFmaPerTap) {
+  // Every stride x pad x dilation x kernel x groups x batch, at output
+  // widths around the 8-position panel (1, 3, 7, 8, 9, 14, 17), so some
+  // panels straddle output rows, some are interior runs and some border;
+  // 7 and 5 output channels per group leave 1-row tile tails. Stride 3
+  // reaches the run copy's runtime-stride form.
+  if (!kernel_isa_available(KernelIsa::kAvx2)) {
+    (void)available_isas();  // logs the skip note once
+    return;
+  }
+  BackendGuard guard;
+  set_kernel_isa(KernelIsa::kAvx2);
+  std::uint64_t seed = 3000;
+  int cases = 0;
+  for (const std::int64_t s : {1, 2, 3}) {
+    for (const std::int64_t pad : {0, 1, 3}) {
+      for (const std::int64_t d : {1, 2}) {
+        for (const std::int64_t k : {1, 3, 7}) {
+          for (const std::int64_t groups : {1, 2}) {
+            for (const std::int64_t out_w : {1, 3, 7, 8, 9, 14, 17}) {
+              const std::int64_t span = (k - 1) * d + 1;
+              const std::int64_t in_w = (out_w - 1) * s + span - 2 * pad;
+              if (in_w < 1) {
+                continue;  // no input width gives this out_w
+              }
+              const std::int64_t in_h =
+                  std::max<std::int64_t>(1, 2 * s + span - 2 * pad);
+              const std::int64_t batch = out_w % 2 == 0 ? 3 : 1;
+              const std::int64_t in_c = 3 * groups;
+              const std::int64_t out_c = (groups == 1 ? 7 : 5) * groups;
+              const Conv2dParams p{s, s, pad, pad, d, d, groups};
+              const Tensor input =
+                  random_tensor(Shape{batch, in_c, in_h, in_w}, ++seed);
+              const Tensor weight =
+                  random_tensor(Shape{out_c, 3, k, k}, ++seed);
+              const Tensor bias = random_tensor(Shape{out_c}, ++seed);
+              for (const Tensor* b :
+                   {&bias, static_cast<const Tensor*>(nullptr)}) {
+                const Tensor got = kernels::conv2d_fast(input, weight, b, p);
+                ASSERT_EQ(got.shape().dim(3), out_w);
+                EXPECT_TRUE(
+                    bit_equal(im2col_fma_oracle(input, weight, b, p), got))
+                    << k << "x" << k << " s" << s << " pad " << pad << " d"
+                    << d << " groups " << groups << " batch " << batch
+                    << " " << in_h << "x" << in_w
+                    << (b != nullptr ? "" : " (no bias)");
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("im2col FMA oracle: %d outputs compared\n", cases);
+  EXPECT_GT(cases, 1000);
 }
 
 TEST(KernelsForcedIsa, MatmulDifferential) {

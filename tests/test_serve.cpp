@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "nn/layer.hpp"
+#include "nn/ops.hpp"
 #include "sched/netplan.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
@@ -372,6 +373,62 @@ TEST(ServeEngine, BatchedChecksumsMatchStandaloneRuns) {
   }
   for (const std::uint64_t sum : batched_sim) {
     EXPECT_NE(sum, 0u);
+  }
+}
+
+TEST(ServeEngine, ChecksumsOfEveryBatchSizeMatchBatchOne) {
+  // The payload hashes a batch's rows in place, four requests' chains at
+  // a time with a 3-, 2- or 1-row tail: batches of 1 to 9 cover two
+  // four-row groups and every tail. Each checksum must equal the
+  // request's batch-1 run and its standalone nn::conv2d chain.
+  constexpr std::uint64_t kMax = 9;
+  ModelPool pool = make_pool();
+  const ShapeKey key = custom_key(pool.register_custom(small_chain()));
+  const auto run = [&pool, &key](std::uint64_t requests,
+                                 std::uint64_t window) {
+    ServeConfig config;
+    config.mode = ExecMode::kTensor;
+    config.batch_window = window;
+    config.max_batch = kMax;
+    ServeEngine engine(config, &pool);
+    for (std::uint64_t i = 0; i < requests; ++i) {
+      engine.submit(key, 0, 0);
+    }
+    engine.drain();
+    std::vector<std::uint64_t> sums;
+    for (std::uint64_t id = 0; id < requests; ++id) {
+      const ResponseRecord r = engine.response(id);
+      EXPECT_EQ(r.status, RequestStatus::kCompleted);
+      EXPECT_EQ(r.batch_size, window == 0 ? 1 : requests);
+      sums.push_back(r.checksum);
+    }
+    return sums;
+  };
+
+  const std::vector<std::uint64_t> single = run(kMax, 0);
+  const ModelEntry& entry = pool.entry(key);
+  const std::vector<tensor::Tensor>& weights = pool.weights(key);
+  for (std::uint64_t id = 0; id < kMax; ++id) {
+    tensor::Tensor activation =
+        request_input(entry, ServeConfig{}.seed, id);
+    for (std::size_t l = 0; l < entry.model.layers.size(); ++l) {
+      const nn::LayerDesc& layer = entry.model.layers[l];
+      nn::Conv2dParams params;
+      params.stride_h = layer.stride_h;
+      params.stride_w = layer.stride_w;
+      params.pad_h = layer.pad_h;
+      params.pad_w = layer.pad_w;
+      params.groups = layer.groups;
+      activation = nn::conv2d(activation, weights[l], nullptr, params);
+    }
+    EXPECT_EQ(single[id], tensor_checksum(activation)) << "request " << id;
+  }
+  for (std::uint64_t batch = 1; batch <= kMax; ++batch) {
+    const std::vector<std::uint64_t> sums = run(batch, 1000);
+    for (std::uint64_t id = 0; id < batch; ++id) {
+      EXPECT_EQ(sums[id], single[id])
+          << "request " << id << " of a batch of " << batch;
+    }
   }
 }
 

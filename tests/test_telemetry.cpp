@@ -391,7 +391,8 @@ TEST(Telemetry, SchedCountersMatchMappingPlanGolden) {
 //   * a 4x4 matmul packs one kNr=8 panel of k=4 floats: 4 * 8 * 4 = 128;
 //   * a [1,4,3,3] 1x1 conv takes the pointwise route and packs its nine
 //     positions as two 8-wide panels of k=4 floats: 2 * 4 * 8 * 4 = 256;
-//   * a stride-2 1x1 conv stays on the im2col route;
+//   * a stride-2 1x1 conv gathers im2col columns, so it counts as
+//     kernels.fast.conv2d;
 //   * a stride-2 3x3 depthwise runs the exact channel-blocked route, so it
 //     counts as the forced ISA too;
 //   * linear reads its weight rows in place and packs nothing.
