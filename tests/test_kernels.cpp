@@ -545,8 +545,9 @@ TEST(KernelsForcedIsa, Im2colConvIsOneFmaPerTap) {
   // Every stride x pad x dilation x kernel x groups x batch, at output
   // widths around the 8-position panel (1, 3, 7, 8, 9, 14, 17), so some
   // panels straddle output rows, some are interior runs and some border;
-  // 7 and 5 output channels per group leave 1-row tile tails. Stride 3
-  // reaches the run copy's runtime-stride form.
+  // 7 and 5 output channels per group leave 1-row tile tails. Stride 2
+  // takes the run copy's constant-stride form, strides 1 and 3 its
+  // runtime form.
   if (!kernel_isa_available(KernelIsa::kAvx2)) {
     (void)available_isas();  // logs the skip note once
     return;
