@@ -1,32 +1,39 @@
 // Micro-kernel wall-clock benchmarks (google-benchmark): reference-vs-
-// fast pairs for every operator the kernel backend accelerates (GEMM,
-// dense conv, the 3x3 stride-2 stem at 224^2 and at 128^2 batch 8,
-// pointwise expansion and projection, depthwise at stride 1 and 2, FuSe
-// row/col, 7^2 channelwise, linear at batch 8 and 1) at
-// MobileNet geometries, the FuSeConv stage forward under both backends,
-// and the cycle-level simulator primitives. These support Fig. 8(c)'s
-// operator-level view with host-side numbers and keep the simulator's own
-// cost visible.
+// fast pairs for every operator the kernel backend accelerates (dense
+// conv, the 3x3 stride-2 stem at 224^2 and at 128^2 batch 8, pointwise
+// expansion and projection, depthwise at stride 1 and 2, FuSe row/col,
+// 7^2 channelwise, linear at batch 8 and 1) at MobileNet geometries, the
+// FuSeConv stage forward under both backends, and the cycle-level
+// simulator primitives. These support Fig. 8(c)'s operator-level view
+// with host-side numbers and keep the simulator's own cost visible.
+//
+// Every leg runs kRepetitions times, and the repetitions of all legs run
+// interleaved in random order, so a slow phase of a shared host spreads
+// over many legs instead of landing on one. The console shows each leg's
+// aggregates over its repetitions, in registration order.
 //
 // Besides the usual google-benchmark flags, `--json=<path>` writes the
 // perf-trajectory artifact results/BENCH_kernels.json
 // (tools/regenerate_results.sh): in-file provenance, the metric families
 // tools/bench_compare.py gates on, and one row per benchmark {op,
-// backend, isa, ns_per_op, gflops}, both from real time. The fast_scalar
-// legs pin the scalar ISA so the artifact records the scalar-vs-SIMD
-// split on the machine that produced it. The provenance names this
-// repo's build type and, as the library reports it, google-benchmark's
-// own.
+// backend, isa, ns_per_op, gflops}, both the median over the
+// repetitions of real time, with their min and max beside them. The
+// fast_scalar legs pin the scalar ISA so the artifact records the
+// scalar-vs-SIMD split on the machine that produced it. The provenance
+// names this repo's build type and, as the library reports it,
+// google-benchmark's own.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -93,22 +100,33 @@ void set_flops(benchmark::State& state, std::int64_t macs) {
       benchmark::Counter(static_cast<double>(2 * macs));
 }
 
-// --- GEMM at the MobileNet-V2 bottleneck geometry (im2col of the
-// [1, 96, 14, 14] -> 576 expansion): [196, 576] x [576, 96].
-void BM_Gemm(benchmark::State& state, Variant v) {
-  VariantScope scope(v);
-  const Tensor a = random_tensor(Shape{196, 576}, 1);
-  const Tensor b = random_tensor(Shape{576, 96}, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(v.backend == KernelBackend::kReference
-                                 ? fuse::nn::matmul_reference(a, b)
-                                 : fuse::nn::kernels::matmul_fast(a, b));
-  }
-  set_flops(state, 196 * 576 * 96);
+/// Repetitions of every leg; the artifact reports their median, min and
+/// max.
+constexpr int kRepetitions = 5;
+
+double min_of(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
 }
-BENCHMARK_CAPTURE(BM_Gemm, reference, kReference);
-BENCHMARK_CAPTURE(BM_Gemm, fast, kFast);
-BENCHMARK_CAPTURE(BM_Gemm, fast_scalar, kFastScalar);
+
+double max_of(const std::vector<double>& v) {
+  return *std::max_element(v.begin(), v.end());
+}
+
+/// Every leg's registration: kRepetitions runs, min and max beside
+/// google-benchmark's own aggregates, and only the aggregates on the
+/// console.
+void repeated(benchmark::internal::Benchmark* b) {
+  b->Repetitions(kRepetitions)
+      ->ComputeStatistics("min", min_of)
+      ->ComputeStatistics("max", max_of)
+      ->DisplayAggregatesOnly();
+}
+
+/// Registers func's reference, fast and fast_scalar legs.
+#define KERNEL_LEGS(func)                                          \
+  BENCHMARK_CAPTURE(func, reference, kReference)->Apply(repeated); \
+  BENCHMARK_CAPTURE(func, fast, kFast)->Apply(repeated);           \
+  BENCHMARK_CAPTURE(func, fast_scalar, kFastScalar)->Apply(repeated)
 
 /// Shared driver for the conv pairs: runs nn::conv2d through the public
 /// dispatcher under the variant's backend.
@@ -131,9 +149,7 @@ void BM_Conv3x3(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(32) * 3 * 3 * 3 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_Conv3x3, reference, kReference);
-BENCHMARK_CAPTURE(BM_Conv3x3, fast, kFast);
-BENCHMARK_CAPTURE(BM_Conv3x3, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_Conv3x3);
 
 // --- The paper networks' dense stem at 224^2: [1, 3, 224, 224] -> 32,
 // 3x3 stride 2 pad 1.
@@ -144,9 +160,7 @@ void BM_StemConv224(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(32) * 3 * 3 * 3 * 112 * 112);
 }
-BENCHMARK_CAPTURE(BM_StemConv224, reference, kReference);
-BENCHMARK_CAPTURE(BM_StemConv224, fast, kFast);
-BENCHMARK_CAPTURE(BM_StemConv224, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_StemConv224);
 
 // --- The serving workload's batched stem (width 0.5 at 128^2):
 // [8, 3, 128, 128] -> 16, 3x3 stride 2 pad 1.
@@ -157,9 +171,7 @@ void BM_StemConv128Batch8(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(8) * 16 * 3 * 3 * 3 * 64 * 64);
 }
-BENCHMARK_CAPTURE(BM_StemConv128Batch8, reference, kReference);
-BENCHMARK_CAPTURE(BM_StemConv128Batch8, fast, kFast);
-BENCHMARK_CAPTURE(BM_StemConv128Batch8, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_StemConv128Batch8);
 
 // --- MobileNet-V2 expansion pointwise: [1, 96, 14, 14] -> 576, 1x1.
 void BM_PointwiseConv(benchmark::State& state, Variant v) {
@@ -168,9 +180,7 @@ void BM_PointwiseConv(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, Conv2dParams{},
            /*macs=*/static_cast<std::int64_t>(576) * 96 * 14 * 14);
 }
-BENCHMARK_CAPTURE(BM_PointwiseConv, reference, kReference);
-BENCHMARK_CAPTURE(BM_PointwiseConv, fast, kFast);
-BENCHMARK_CAPTURE(BM_PointwiseConv, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_PointwiseConv);
 
 // --- MobileNet-V2 projection pointwise: [1, 144, 56, 56] -> 24, 1x1 (few
 // output channels, many positions).
@@ -180,9 +190,7 @@ void BM_PointwiseProjection(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, Conv2dParams{},
            /*macs=*/static_cast<std::int64_t>(24) * 144 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_PointwiseProjection, reference, kReference);
-BENCHMARK_CAPTURE(BM_PointwiseProjection, fast, kFast);
-BENCHMARK_CAPTURE(BM_PointwiseProjection, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_PointwiseProjection);
 
 // --- MobileNet-V2 depthwise: [1, 144, 56, 56], 3x3 pad 1, groups = C.
 void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
@@ -192,9 +200,7 @@ void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(144) * 9 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, reference, kReference);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, fast, kFast);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_DepthwiseConv3x3);
 
 // --- MobileNet-V2 stride-2 depthwise: [1, 96, 112, 112], 3x3 stride 2
 // pad 1 (the exact double-lane route under AVX2).
@@ -205,9 +211,7 @@ void BM_DepthwiseConv3x3S2(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(96) * 9 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3S2, reference, kReference);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3S2, fast, kFast);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3S2, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_DepthwiseConv3x3S2);
 
 // --- Last-stage 7^2 channelwise (MobileNet-V3-Large's 960-channel
 // depthwise, MobileNet-V1's 1024-channel FuSe row and col), where a
@@ -225,23 +229,17 @@ void run_channelwise_7x7(benchmark::State& state, const Variant& v,
 void BM_DepthwiseConv3x3At7(benchmark::State& state, Variant v) {
   run_channelwise_7x7(state, v, 960, 3, 3);
 }
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3At7, reference, kReference);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3At7, fast, kFast);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3At7, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_DepthwiseConv3x3At7);
 
 void BM_FuseRowAt7(benchmark::State& state, Variant v) {
   run_channelwise_7x7(state, v, 1024, 1, 3);
 }
-BENCHMARK_CAPTURE(BM_FuseRowAt7, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseRowAt7, fast, kFast);
-BENCHMARK_CAPTURE(BM_FuseRowAt7, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_FuseRowAt7);
 
 void BM_FuseColAt7(benchmark::State& state, Variant v) {
   run_channelwise_7x7(state, v, 1024, 3, 1);
 }
-BENCHMARK_CAPTURE(BM_FuseColAt7, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseColAt7, fast, kFast);
-BENCHMARK_CAPTURE(BM_FuseColAt7, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_FuseColAt7);
 
 // --- FuSe row branch: the same geometry factored to 1x3, groups = C.
 void BM_FuseRow(benchmark::State& state, Variant v) {
@@ -251,9 +249,7 @@ void BM_FuseRow(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(144) * 3 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_FuseRow, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseRow, fast, kFast);
-BENCHMARK_CAPTURE(BM_FuseRow, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_FuseRow);
 
 // --- FuSe col branch: 3x1, groups = C.
 void BM_FuseCol(benchmark::State& state, Variant v) {
@@ -263,9 +259,7 @@ void BM_FuseCol(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(144) * 3 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_FuseCol, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseCol, fast, kFast);
-BENCHMARK_CAPTURE(BM_FuseCol, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_FuseCol);
 
 // --- Classifier: [batch, 1280] x [1000, 1280] linear, at a serving batch
 // of 8 and at batch 1 (one image, as in layer-by-layer inference).
@@ -282,16 +276,12 @@ void run_linear(benchmark::State& state, const Variant& v,
 }
 
 void BM_Linear(benchmark::State& state, Variant v) { run_linear(state, v, 8); }
-BENCHMARK_CAPTURE(BM_Linear, reference, kReference);
-BENCHMARK_CAPTURE(BM_Linear, fast, kFast);
-BENCHMARK_CAPTURE(BM_Linear, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_Linear);
 
 void BM_LinearBatch1(benchmark::State& state, Variant v) {
   run_linear(state, v, 1);
 }
-BENCHMARK_CAPTURE(BM_LinearBatch1, reference, kReference);
-BENCHMARK_CAPTURE(BM_LinearBatch1, fast, kFast);
-BENCHMARK_CAPTURE(BM_LinearBatch1, fast_scalar, kFastScalar);
+KERNEL_LEGS(BM_LinearBatch1);
 
 // --- FuSeConv stage forward (both 1-D branches + concat/pointwise as
 // applicable) through the dispatcher, MobileNet-scale shrunk 4x.
@@ -320,14 +310,14 @@ void run_fuse_stage(benchmark::State& state, const Variant& v,
 void BM_FuseConvHalf(benchmark::State& state, Variant v) {
   run_fuse_stage(state, v, fuse::core::FuseVariant::kHalf);
 }
-BENCHMARK_CAPTURE(BM_FuseConvHalf, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseConvHalf, fast, kFast);
+BENCHMARK_CAPTURE(BM_FuseConvHalf, reference, kReference)->Apply(repeated);
+BENCHMARK_CAPTURE(BM_FuseConvHalf, fast, kFast)->Apply(repeated);
 
 void BM_FuseConvFull(benchmark::State& state, Variant v) {
   run_fuse_stage(state, v, fuse::core::FuseVariant::kFull);
 }
-BENCHMARK_CAPTURE(BM_FuseConvFull, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseConvFull, fast, kFast);
+BENCHMARK_CAPTURE(BM_FuseConvFull, reference, kReference)->Apply(repeated);
+BENCHMARK_CAPTURE(BM_FuseConvFull, fast, kFast)->Apply(repeated);
 
 // --- Cycle-level simulator primitives (no backend pairing: the sim is
 // the measured artifact itself).
@@ -340,7 +330,7 @@ void BM_SimMatmul(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.matmul(a, b));
   }
 }
-BENCHMARK(BM_SimMatmul)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_SimMatmul)->Arg(8)->Arg(16)->Arg(32)->Apply(repeated);
 
 void BM_SimConv1dBroadcast(benchmark::State& state) {
   const std::int64_t size = state.range(0);
@@ -351,17 +341,23 @@ void BM_SimConv1dBroadcast(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.conv1d_broadcast(lines, kernels));
   }
 }
-BENCHMARK(BM_SimConv1dBroadcast)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_SimConv1dBroadcast)->Arg(8)->Arg(16)->Arg(32)->Apply(repeated);
 
 // --- Reporting -----------------------------------------------------------
 
+/// One leg's real time per op over its repetitions, and the FLOPs of one
+/// op (0 for the legs that count none).
 struct JsonRow {
   std::string name;
-  double ns_per_op = 0.0;
-  double gflops = 0.0;
+  double ns_median = 0.0;
+  double ns_min = 0.0;
+  double ns_max = 0.0;
+  double flop = 0.0;
 };
 
-/// Console output as usual, plus a captured row per run for --json.
+/// Console output of every leg's aggregates, plus a captured row per leg
+/// for --json. The interleaved repetitions finish in random order, so
+/// both are held until the last one and then put in registration order.
 /// Color only on a real terminal — an explicitly-passed ConsoleReporter
 /// would otherwise embed escape codes in the piped golden.
 class CapturingReporter : public benchmark::ConsoleReporter {
@@ -372,19 +368,40 @@ class CapturingReporter : public benchmark::ConsoleReporter {
                                        : OO_Tabular) {}
 
   void ReportRuns(const std::vector<Run>& reports) override {
-    benchmark::ConsoleReporter::ReportRuns(reports);
-    for (const Run& run : reports) {
+    runs_.insert(runs_.end(), reports.begin(), reports.end());
+  }
+
+  void Finalize() override {
+    std::stable_sort(runs_.begin(), runs_.end(),
+                     [](const Run& a, const Run& b) {
+                       return std::tie(a.family_index,
+                                       a.per_family_instance_index) <
+                              std::tie(b.family_index,
+                                       b.per_family_instance_index);
+                     });
+    benchmark::ConsoleReporter::ReportRuns(runs_);
+    benchmark::ConsoleReporter::Finalize();
+    for (const Run& run : runs_) {
       if (run.error_occurred) {
         continue;
       }
-      JsonRow row;
-      row.name = run.benchmark_name();
-      row.ns_per_op = run.GetAdjustedRealTime();  // default unit: ns
-      const auto it = run.counters.find("flop_per_op");
-      if (it != run.counters.end()) {
-        row.gflops = it->second.value / row.ns_per_op;  // FLOP/ns = GFLOP/s
+      const std::string& args = run.run_name.args;
+      const std::string name =
+          run.run_name.function_name + (args.empty() ? "" : "/" + args);
+      if (rows_.empty() || rows_.back().name != name) {
+        rows_.push_back(JsonRow{name});
       }
-      rows_.push_back(std::move(row));
+      JsonRow& row = rows_.back();
+      const double ns = run.GetAdjustedRealTime();  // default unit: ns
+      if (run.aggregate_name == "median") {
+        row.ns_median = ns;
+        const auto it = run.counters.find("flop_per_op");
+        row.flop = it != run.counters.end() ? it->second.value : 0.0;
+      } else if (run.aggregate_name == "min") {
+        row.ns_min = ns;
+      } else if (run.aggregate_name == "max") {
+        row.ns_max = ns;
+      }
     }
   }
 
@@ -414,11 +431,12 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   }
 
  private:
+  std::vector<Run> runs_;
   std::vector<JsonRow> rows_;
   std::string library_build_type_ = "unknown";
 };
 
-/// "BM_Gemm/fast_scalar" -> {"gemm", "fast_scalar"}; sim benches
+/// "BM_Conv3x3/fast_scalar" -> {"conv3x3", "fast_scalar"}; sim benches
 /// ("BM_SimMatmul/8") report backend "sim".
 std::pair<std::string, std::string> parse_name(const std::string& name) {
   std::string op = name;
@@ -461,6 +479,10 @@ constexpr const char* kCompiler = "clang " __clang_version__;
 constexpr const char* kCompiler = "gcc " __VERSION__;
 #endif
 
+/// GFLOP/s of `flop` FLOPs in `ns` nanoseconds (FLOP/ns), 0 when the
+/// leg counts no FLOPs.
+double gflops(double flop, double ns) { return ns > 0.0 ? flop / ns : 0.0; }
+
 void write_json(const std::string& path, const std::vector<JsonRow>& rows,
                 const std::string& library_build_type) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -473,23 +495,29 @@ void write_json(const std::string& path, const std::vector<JsonRow>& rows,
       "{\n  \"bench\": \"bench_kernels\",\n"
       "  \"provenance\": {\"cores\": %u, \"isa\": \"%s\", "
       "\"compiler\": \"%s\", \"build_type\": \"%s\", "
-      "\"benchmark_library_build_type\": \"%s\", "
-      "\"timing\": \"google-benchmark real time per op; one thread\"},\n"
-      "  \"metric_families\": {\"wall_lower_better\": [\"ns_per_op\"], "
-      "\"wall_higher_better\": [\"gflops\"]},\n"
+      "\"benchmark_library_build_type\": \"%s\", \"repetitions\": %d, "
+      "\"timing\": \"google-benchmark real time per op, median (min, max) "
+      "over the repetitions, interleaved across legs; one thread\"},\n"
+      "  \"metric_families\": {\"wall_lower_better\": [\"ns_per_op*\"], "
+      "\"wall_higher_better\": [\"gflops*\"]},\n"
       "  \"rows\": [\n",
       std::thread::hardware_concurrency(),
       fuse::util::cpu_features().to_string().c_str(), kCompiler,
-      FUSE_BUILD_TYPE, library_build_type.c_str());
+      FUSE_BUILD_TYPE, library_build_type.c_str(), kRepetitions);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto [op, backend] = parse_name(rows[i].name);
+    const JsonRow& row = rows[i];
+    const auto [op, backend] = parse_name(row.name);
     const std::string isa = isa_for_backend(backend);
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"op\": \"%s\", "
                  "\"backend\": \"%s\", \"isa\": \"%s\", "
-                 "\"ns_per_op\": %.1f, \"gflops\": %.3f}%s\n",
-                 rows[i].name.c_str(), op.c_str(), backend.c_str(),
-                 isa.c_str(), rows[i].ns_per_op, rows[i].gflops,
+                 "\"ns_per_op\": %.1f, \"ns_per_op_min\": %.1f, "
+                 "\"ns_per_op_max\": %.1f, \"gflops\": %.3f, "
+                 "\"gflops_min\": %.3f, \"gflops_max\": %.3f}%s\n",
+                 row.name.c_str(), op.c_str(), backend.c_str(), isa.c_str(),
+                 row.ns_median, row.ns_min, row.ns_max,
+                 gflops(row.flop, row.ns_median), gflops(row.flop, row.ns_max),
+                 gflops(row.flop, row.ns_min),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -499,10 +527,13 @@ void write_json(const std::string& path, const std::vector<JsonRow>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --json=<path> before google-benchmark sees the argv.
+  // Strip --json=<path> before google-benchmark sees the argv, and
+  // interleave every leg's repetitions unless the command line says
+  // otherwise (a later flag wins).
   std::string json_path;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
+  char interleave[] = "--benchmark_enable_random_interleaving=true";
+  std::vector<char*> args{argv[0], interleave};
+  for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {

@@ -12,7 +12,6 @@
 
 namespace fuse::nn {
 
-using tensor::QuantizedTensor;
 using tensor::Shape;
 using tensor::conv_out_dim;
 
@@ -53,16 +52,12 @@ util::Counter& pack_bytes_counter() {
     counter.add();                                                       \
   } while (false)
 
-/// Resolves the ISA an operator will actually run with (`vectorizable`
-/// is false for geometries the AVX2 kernels don't cover) and bumps the
-/// matching kernels.dispatch.{avx2,scalar} counter. The backward passes
-/// are scalar-only by design and don't go through here — see the
-/// dispatch table in docs/kernels.md.
-KernelIsa note_isa(bool vectorizable = true) {
-  KernelIsa isa = kernel_isa();
-  if (!vectorizable) {
-    isa = KernelIsa::kScalar;
-  }
+/// Reads the ISA a fast forward kernel runs with and bumps the matching
+/// kernels.dispatch.{avx2,scalar} counter. The backward passes are
+/// scalar-only by design and don't go through here — see the dispatch
+/// table in docs/kernels.md.
+KernelIsa note_isa() {
+  const KernelIsa isa = kernel_isa();
   if (isa == KernelIsa::kAvx2) {
     FUSE_KERNEL_COUNTER("kernels.dispatch.avx2");
   } else {
@@ -83,7 +78,6 @@ kernels::ConvGeom to_geom(const Conv2dParams& p) {
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kNr = 8;   // register-tile columns (one packed panel)
-constexpr std::int64_t kMcGemm = 64;   // rows of C per row block
 // Bytes of packed B panels per GEMM-conv position block (at least two
 // panels of positions).
 constexpr std::int64_t kConvBlockBytes = 64 * 1024;
@@ -208,33 +202,10 @@ void pack_im2col_panels(const float* image, std::int64_t channels,
 //
 // Each computes an MR x kNr tile of C with the accumulator carried across
 // the FULL k extent in ascending order (no Kc partial sums), so every
-// output element sees exactly the reference accumulation sequence. The
-// float variant reproduces nn::matmul (float accumulator from 0); the
-// f64 variant reproduces nn::conv2d / nn::linear (double accumulator
-// seeded with the bias, products formed exactly in double — so which
-// operand is A and which is B cannot change a bit).
+// output element sees exactly the reference accumulation sequence: a
+// double accumulator seeded with the bias, products formed exactly in
+// double — so which operand is A and which is B cannot change a bit.
 // ---------------------------------------------------------------------------
-
-template <int MR>
-void micro_f32(const float* a, std::int64_t lda, const float* bp,
-               std::int64_t kk, float* c, std::int64_t ldc,
-               std::int64_t ncols) {
-  float acc[MR][kNr] = {};
-  for (std::int64_t k = 0; k < kk; ++k) {
-    const float* brow = bp + k * kNr;
-    for (int r = 0; r < MR; ++r) {
-      const float av = a[r * lda + k];
-      for (std::int64_t j = 0; j < kNr; ++j) {
-        acc[r][j] += av * brow[j];
-      }
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    for (std::int64_t j = 0; j < ncols; ++j) {
-      c[r * ldc + j] = acc[r][j];
-    }
-  }
-}
 
 /// Double-accumulator tile: out(r, j) = seed + sum_k a(r, k) * b(k, j),
 /// seeded per row from row_bias[r] (+0.0 when row_bias is null).
@@ -385,158 +356,68 @@ std::pair<std::int64_t, std::int64_t> interior_x(std::int64_t out_w,
   return {lo, hi};
 }
 
-/// One depthwise channel: out(oy, ox) = bias + sum_{ky,kx} taps, double
-/// accumulation in (ky, kx) order with out-of-bounds taps skipped —
-/// exactly the reference conv2d order for groups == C.
-void depthwise_channel(const float* plane, std::int64_t in_h,
-                       std::int64_t in_w, const float* w, std::int64_t kh,
-                       std::int64_t kw, const Conv2dParams& p,
-                       double bias_value, float* out, std::int64_t out_h,
-                       std::int64_t out_w) {
-  const auto [x_lo, x_hi] =
-      interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
-  for (std::int64_t oy = 0; oy < out_h; ++oy) {
-    const std::int64_t iy0 = oy * p.stride_h - p.pad_h;
-    float* out_row = out + oy * out_w;
-    // Edge columns: every tap bounds-checked (same skip set as reference).
-    const auto edge = [&](std::int64_t ox) {
-      double acc = bias_value;
-      const std::int64_t ix0 = ox * p.stride_w - p.pad_w;
+/// The output columns [lo, hi) whose input column ox * stride + shift
+/// lies in [0, in_w).
+std::pair<std::int64_t, std::int64_t> tap_columns(std::int64_t out_w,
+                                                  std::int64_t in_w,
+                                                  std::int64_t stride,
+                                                  std::int64_t shift) {
+  const std::int64_t lo =
+      std::min(out_w, shift >= 0 ? 0 : (stride - 1 - shift) / stride);
+  const std::int64_t hi =
+      shift >= in_w ? 0 : std::min(out_w, (in_w - 1 - shift) / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+/// The scalar route of every channelwise kind, with the AVX2 blocked
+/// kernels' operands: `planes` consecutive (image, channel) planes, plane
+/// q using channel q % channels' kh x kw weights and bias (null: +0.0).
+/// Each output row is a double accumulator row seeded with the bias;
+/// every in-bounds kernel row then adds its taps in kx order, each over
+/// the output columns whose input column is in bounds. So every output
+/// adds the bias, then its in-bounds taps in (ky, kx) order: exactly the
+/// reference conv2d's sequence for groups == C.
+void channelwise_scalar(const float* in, std::int64_t planes,
+                        std::int64_t channels, std::int64_t in_h,
+                        std::int64_t in_w, const float* w, std::int64_t kh,
+                        std::int64_t kw, const Conv2dParams& p,
+                        const float* bias, float* out, std::int64_t out_h,
+                        std::int64_t out_w) {
+  // The output columns each tap column reaches in bounds, row after row.
+  std::vector<std::pair<std::int64_t, std::int64_t>> spans;
+  for (std::int64_t kx = 0; kx < kw; ++kx) {
+    spans.push_back(tap_columns(out_w, in_w, p.stride_w,
+                                kx * p.dilation_w - p.pad_w));
+  }
+  std::vector<double> acc(static_cast<std::size_t>(out_w));
+  for (std::int64_t q = 0; q < planes; ++q) {
+    const std::int64_t c = q % channels;
+    const float* plane = in + q * in_h * in_w;
+    const float* wc = w + c * kh * kw;
+    const double bias_value =
+        bias != nullptr ? static_cast<double>(bias[c]) : 0.0;
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      std::fill(acc.begin(), acc.end(), bias_value);
       for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * p.dilation_h;
+        const std::int64_t iy = oy * p.stride_h - p.pad_h + ky * p.dilation_h;
         if (iy < 0 || iy >= in_h) {
           continue;
         }
         const float* row = plane + iy * in_w;
         for (std::int64_t kx = 0; kx < kw; ++kx) {
-          const std::int64_t ix = ix0 + kx * p.dilation_w;
-          if (ix < 0 || ix >= in_w) {
-            continue;
-          }
-          acc += static_cast<double>(row[ix]) *
-                 static_cast<double>(w[ky * kw + kx]);
-        }
-      }
-      out_row[ox] = static_cast<float>(acc);
-    };
-    for (std::int64_t ox = 0; ox < x_lo; ++ox) {
-      edge(ox);
-    }
-    // Interior: all kx in bounds; only ky still needs its row check.
-    for (std::int64_t ox = x_lo; ox < x_hi; ++ox) {
-      double acc = bias_value;
-      const std::int64_t ix0 = ox * p.stride_w - p.pad_w;
-      for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * p.dilation_h;
-        if (iy < 0 || iy >= in_h) {
-          continue;
-        }
-        const float* row = plane + iy * in_w + ix0;
-        const float* wk = w + ky * kw;
-        if (kw == 3 && p.dilation_w == 1) {
-          acc += static_cast<double>(row[0]) * static_cast<double>(wk[0]);
-          acc += static_cast<double>(row[1]) * static_cast<double>(wk[1]);
-          acc += static_cast<double>(row[2]) * static_cast<double>(wk[2]);
-        } else {
-          for (std::int64_t kx = 0; kx < kw; ++kx) {
-            acc += static_cast<double>(row[kx * p.dilation_w]) *
-                   static_cast<double>(wk[kx]);
+          const std::int64_t shift = kx * p.dilation_w - p.pad_w;
+          const double wk = static_cast<double>(wc[ky * kw + kx]);
+          const auto [lo, hi] = spans[static_cast<std::size_t>(kx)];
+          for (std::int64_t ox = lo; ox < hi; ++ox) {
+            acc[static_cast<std::size_t>(ox)] +=
+                static_cast<double>(row[ox * p.stride_w + shift]) * wk;
           }
         }
       }
-      out_row[ox] = static_cast<float>(acc);
-    }
-    for (std::int64_t ox = x_hi; ox < out_w; ++ox) {
-      edge(ox);
-    }
-  }
-}
-
-/// One FuSe row channel (1 x K kernel): each output row reads one input
-/// row; accumulation over kx in order.
-void fuse_row_channel(const float* plane, std::int64_t in_h,
-                      std::int64_t in_w, const float* w, std::int64_t kw,
-                      const Conv2dParams& p, double bias_value, float* out,
-                      std::int64_t out_h, std::int64_t out_w) {
-  const auto [x_lo, x_hi] =
-      interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
-  for (std::int64_t oy = 0; oy < out_h; ++oy) {
-    const std::int64_t iy = oy * p.stride_h - p.pad_h;
-    float* out_row = out + oy * out_w;
-    if (iy < 0 || iy >= in_h) {
-      // The single kernel row is out of bounds: only the bias survives.
+      float* out_row = out + (q * out_h + oy) * out_w;
       for (std::int64_t ox = 0; ox < out_w; ++ox) {
-        out_row[ox] = static_cast<float>(bias_value);
+        out_row[ox] = static_cast<float>(acc[static_cast<std::size_t>(ox)]);
       }
-      continue;
-    }
-    const float* row = plane + iy * in_w;
-    const auto edge = [&](std::int64_t ox) {
-      double acc = bias_value;
-      const std::int64_t ix0 = ox * p.stride_w - p.pad_w;
-      for (std::int64_t kx = 0; kx < kw; ++kx) {
-        const std::int64_t ix = ix0 + kx * p.dilation_w;
-        if (ix < 0 || ix >= in_w) {
-          continue;
-        }
-        acc += static_cast<double>(row[ix]) * static_cast<double>(w[kx]);
-      }
-      out_row[ox] = static_cast<float>(acc);
-    };
-    for (std::int64_t ox = 0; ox < x_lo; ++ox) {
-      edge(ox);
-    }
-    for (std::int64_t ox = x_lo; ox < x_hi; ++ox) {
-      double acc = bias_value;
-      const float* base = row + ox * p.stride_w - p.pad_w;
-      if (kw == 3 && p.dilation_w == 1) {
-        acc += static_cast<double>(base[0]) * static_cast<double>(w[0]);
-        acc += static_cast<double>(base[1]) * static_cast<double>(w[1]);
-        acc += static_cast<double>(base[2]) * static_cast<double>(w[2]);
-      } else {
-        for (std::int64_t kx = 0; kx < kw; ++kx) {
-          acc += static_cast<double>(base[kx * p.dilation_w]) *
-                 static_cast<double>(w[kx]);
-        }
-      }
-      out_row[ox] = static_cast<float>(acc);
-    }
-    for (std::int64_t ox = x_hi; ox < out_w; ++ox) {
-      edge(ox);
-    }
-  }
-}
-
-/// One FuSe column channel (K x 1 kernel): processed a whole output row
-/// at a time with a double accumulator per column, taps in ky order —
-/// turning the strided column walk into contiguous row sweeps.
-void fuse_col_channel(const float* plane, std::int64_t in_h,
-                      std::int64_t in_w, const float* w, std::int64_t kh,
-                      const Conv2dParams& p, double bias_value, float* out,
-                      std::int64_t out_h, std::int64_t out_w,
-                      std::vector<double>& acc) {
-  // The single tap column: ix = ox * stride - pad for every ky.
-  const auto [x_lo, x_hi] =
-      interior_x(out_w, in_w, /*kw=*/1, p.stride_w, p.pad_w, p.dilation_w);
-  acc.resize(static_cast<std::size_t>(out_w));
-  for (std::int64_t oy = 0; oy < out_h; ++oy) {
-    std::fill(acc.begin(), acc.end(), bias_value);
-    const std::int64_t iy0 = oy * p.stride_h - p.pad_h;
-    for (std::int64_t ky = 0; ky < kh; ++ky) {
-      const std::int64_t iy = iy0 + ky * p.dilation_h;
-      if (iy < 0 || iy >= in_h) {
-        continue;
-      }
-      const float* row = plane + iy * in_w;
-      const double wk = static_cast<double>(w[ky]);
-      for (std::int64_t ox = x_lo; ox < x_hi; ++ox) {
-        acc[static_cast<std::size_t>(ox)] +=
-            static_cast<double>(row[ox * p.stride_w - p.pad_w]) * wk;
-      }
-    }
-    float* out_row = out + oy * out_w;
-    for (std::int64_t ox = 0; ox < out_w; ++ox) {
-      out_row[ox] = static_cast<float>(acc[static_cast<std::size_t>(ox)]);
     }
   }
 }
@@ -546,7 +427,8 @@ void fuse_col_channel(const float* plane, std::int64_t in_h,
 /// every other channelwise geometry runs channel-blocked.
 constexpr std::int64_t kPerPlaneMinWidth = 56;
 
-/// Dispatches one channel of the channelwise family.
+/// The channelwise kinds: which counter a conv bumps, and which per-plane
+/// AVX2 kernel a wide FuSe line takes.
 enum class ChannelwiseKind { kDepthwise, kFuseRow, kFuseCol };
 
 ChannelwiseKind classify_channelwise(std::int64_t kh, std::int64_t kw) {
@@ -557,30 +439,6 @@ ChannelwiseKind classify_channelwise(std::int64_t kh, std::int64_t kw) {
     return ChannelwiseKind::kFuseCol;
   }
   return ChannelwiseKind::kDepthwise;
-}
-
-/// One (image, channel) plane of the channelwise family through its
-/// scalar kernel; `acc` is fuse_col_channel's reusable row accumulator.
-void channelwise_plane(ChannelwiseKind kind, const float* plane,
-                       std::int64_t in_h, std::int64_t in_w, const float* w,
-                       std::int64_t kh, std::int64_t kw,
-                       const Conv2dParams& p, double bias_value, float* out,
-                       std::int64_t out_h, std::int64_t out_w,
-                       std::vector<double>& acc) {
-  switch (kind) {
-    case ChannelwiseKind::kDepthwise:
-      depthwise_channel(plane, in_h, in_w, w, kh, kw, p, bias_value, out,
-                        out_h, out_w);
-      break;
-    case ChannelwiseKind::kFuseRow:
-      fuse_row_channel(plane, in_h, in_w, w, kw, p, bias_value, out, out_h,
-                       out_w);
-      break;
-    case ChannelwiseKind::kFuseCol:
-      fuse_col_channel(plane, in_h, in_w, w, kh, p, bias_value, out, out_h,
-                       out_w, acc);
-      break;
-  }
 }
 
 Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
@@ -622,11 +480,14 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
   float* out_ptr = output.data();
   const std::int64_t in_plane = in_h * in_w;
   const std::int64_t out_plane = out_h * out_w;
+  if (isa == KernelIsa::kScalar) {
+    channelwise_scalar(in_ptr, batch * channels, channels, in_h, in_w, w_ptr,
+                       kh, kw, p, bias_ptr, out_ptr, out_h, out_w);
+    return output;
+  }
   const bool unit_x = p.stride_w == 1 && p.dilation_w == 1;
-  const bool per_plane_avx2 = isa == KernelIsa::kAvx2 && unit_x &&
-                              kind != ChannelwiseKind::kDepthwise &&
-                              out_w >= kPerPlaneMinWidth;
-  if (isa == KernelIsa::kAvx2 && !per_plane_avx2) {
+  if (!unit_x || kind == ChannelwiseKind::kDepthwise ||
+      out_w < kPerPlaneMinWidth) {
     // Eight planes per vector: float lanes at unit x stride and dilation,
     // exact double lanes otherwise.
     const auto blocked = unit_x ? kernels::avx2::channelwise_blocked_f32
@@ -636,30 +497,20 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
     return output;
   }
 
-  // One output plane per (image, channel).
-  std::vector<double> acc;  // fuse_col_channel's row accumulator
+  // A wide FuSe line: one output plane per (image, channel).
   for (std::int64_t nc = 0; nc < batch * channels; ++nc) {
     const std::int64_t c = nc % channels;
     const float* plane = in_ptr + nc * in_plane;
     const float* w = w_ptr + c * kh * kw;
     float* out = out_ptr + nc * out_plane;
-    if (per_plane_avx2) {
-      const float bias_f = bias_ptr != nullptr ? bias_ptr[c] : 0.0F;
-      if (kind == ChannelwiseKind::kFuseRow) {
-        kernels::avx2::fuse_row_channel(plane, in_h, in_w, w, kw, geom,
-                                        bias_f, out, out_h, out_w, x_lo,
-                                        x_hi);
-      } else {
-        kernels::avx2::fuse_col_channel(plane, in_h, in_w, w, kh, geom,
-                                        bias_f, out, out_h, out_w, x_lo,
-                                        x_hi);
-      }
-      continue;
+    const float bias_f = bias_ptr != nullptr ? bias_ptr[c] : 0.0F;
+    if (kind == ChannelwiseKind::kFuseRow) {
+      kernels::avx2::fuse_row_channel(plane, in_h, in_w, w, kw, geom, bias_f,
+                                      out, out_h, out_w, x_lo, x_hi);
+    } else {
+      kernels::avx2::fuse_col_channel(plane, in_h, in_w, w, kh, geom, bias_f,
+                                      out, out_h, out_w, x_lo, x_hi);
     }
-    const double bias_value =
-        bias_ptr != nullptr ? static_cast<double>(bias_ptr[c]) : 0.0;
-    channelwise_plane(kind, plane, in_h, in_w, w, kh, kw, p, bias_value, out,
-                      out_h, out_w, acc);
   }
   return output;
 }
@@ -819,42 +670,8 @@ const char* kernel_isa_name(KernelIsa isa) {
 namespace kernels {
 
 // ---------------------------------------------------------------------------
-// GEMM (float accumulation — nn::matmul's numerics)
+// The simulator's f64 kernels (exact products, one rounding per output)
 // ---------------------------------------------------------------------------
-
-void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n) {
-  FUSE_KERNEL_COUNTER("kernels.fast.gemm");
-  const KernelIsa isa = note_isa();
-  std::vector<float> b_panels;
-  pack_b_panels(b, k, n, n, b_panels);
-  const float* panels = b_panels.data();
-  const std::int64_t panel_count = (n + kNr - 1) / kNr;
-  const std::int64_t blocks = (m + kMcGemm - 1) / kMcGemm;
-  for (std::int64_t block = 0; block < blocks; ++block) {
-    const std::int64_t r0 = block * kMcGemm;
-    const std::int64_t rows = std::min(kMcGemm, m - r0);
-    if (isa == KernelIsa::kAvx2) {
-      kernels::avx2::block_gemm(a + r0 * k, k, rows, panels, k, n,
-                                /*bias=*/nullptr, c + r0 * n, /*ldo=*/n);
-      continue;
-    }
-    for (std::int64_t pn = 0; pn < panel_count; ++pn) {
-      const float* bp = panels + pn * k * kNr;
-      const std::int64_t j0 = pn * kNr;
-      const std::int64_t ncols = std::min(kNr, n - j0);
-      std::int64_t r = 0;
-      for (; r + 4 <= rows; r += 4) {
-        micro_f32<4>(a + (r0 + r) * k, k, bp, k, c + (r0 + r) * n + j0, n,
-                     ncols);
-      }
-      for (; r < rows; ++r) {
-        micro_f32<1>(a + (r0 + r) * k, k, bp, k, c + (r0 + r) * n + j0, n,
-                     ncols);
-      }
-    }
-  }
-}
 
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n) {
@@ -893,34 +710,6 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
                  /*ldo=*/n);
 }
 
-void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
-                      std::int64_t num_lines, std::int64_t width,
-                      std::int64_t taps) {
-  if (kernel_isa() == KernelIsa::kAvx2) {
-    kernels::avx2::conv1d_lines_f64(lines, num_lines, width, kernels, taps,
-                                    out);
-    return;
-  }
-  const std::int64_t out_w = width - taps + 1;
-  std::vector<double> sum(static_cast<std::size_t>(out_w));
-  for (std::int64_t line = 0; line < num_lines; ++line) {
-    const float* window = lines + line * width;
-    const float* kern = kernels + line * taps;
-    std::fill(sum.begin(), sum.end(), 0.0);
-    for (std::int64_t k = 0; k < taps; ++k) {
-      const double weight = static_cast<double>(kern[k]);
-      for (std::int64_t c = 0; c < out_w; ++c) {
-        sum[static_cast<std::size_t>(c)] +=
-            weight * static_cast<double>(window[c + k]);
-      }
-    }
-    float* out_row = out + line * out_w;
-    for (std::int64_t c = 0; c < out_w; ++c) {
-      out_row[c] = static_cast<float>(sum[static_cast<std::size_t>(c)]);
-    }
-  }
-}
-
 void channelwise_f64(const float* input, const float* weight, float* out,
                      std::int64_t channels, std::int64_t in_h,
                      std::int64_t in_w, std::int64_t kh, std::int64_t kw,
@@ -937,22 +726,8 @@ void channelwise_f64(const float* input, const float* weight, float* out,
         /*bias=*/nullptr, out, out_h, out_w, x_lo, x_hi);
     return;
   }
-  const ChannelwiseKind kind = classify_channelwise(kh, kw);
-  std::vector<double> acc;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    channelwise_plane(kind, input + c * in_h * in_w, in_h, in_w,
-                      weight + c * kh * kw, kh, kw, p, /*bias_value=*/0.0,
-                      out + c * out_h * out_w, out_h, out_w, acc);
-  }
-}
-
-Tensor matmul_fast(const Tensor& a, const Tensor& b) {
-  const std::int64_t m = a.shape().dim(0);
-  const std::int64_t k = a.shape().dim(1);
-  const std::int64_t n = b.shape().dim(1);
-  Tensor out(Shape{m, n});
-  gemm_f32(a.data(), b.data(), out.data(), m, k, n);
-  return out;
+  channelwise_scalar(input, channels, channels, in_h, in_w, weight, kh, kw, p,
+                     /*bias=*/nullptr, out, out_h, out_w);
 }
 
 // ---------------------------------------------------------------------------
@@ -984,139 +759,6 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
                                       : linear_panel_f64,
               out.data());
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// INT8 kernels (int32 accumulation — order-insensitive)
-// ---------------------------------------------------------------------------
-
-Tensor conv2d_int8_fast(const QuantizedTensor& input,
-                        const QuantizedTensor& weight,
-                        const Conv2dParams& p) {
-  FUSE_KERNEL_COUNTER("kernels.fast.conv2d_int8");
-  const std::int64_t batch = input.shape.dim(0);
-  const std::int64_t in_c = input.shape.dim(1);
-  const std::int64_t in_h = input.shape.dim(2);
-  const std::int64_t in_w = input.shape.dim(3);
-  const std::int64_t out_c = weight.shape.dim(0);
-  const std::int64_t kh = weight.shape.dim(2);
-  const std::int64_t kw = weight.shape.dim(3);
-  const std::int64_t group_in = in_c / p.groups;
-  const std::int64_t group_out = out_c / p.groups;
-  const std::int64_t out_h =
-      conv_out_dim(in_h, kh, p.stride_h, p.pad_h, p.dilation_h);
-  const std::int64_t out_w =
-      conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
-  const std::int32_t zp_in = input.params.zero_point;
-  const float requant_scale = input.params.scale * weight.params.scale;
-
-  Tensor output(Shape{batch, out_c, out_h, out_w});
-  const std::int8_t* in_ptr = input.data.data();
-  const std::int8_t* w_ptr = weight.data.data();
-  float* out_ptr = output.data();
-  const auto [x_lo, x_hi] =
-      interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
-  // The AVX2 plane kernel loads interior taps contiguously (needs unit
-  // x stride/dilation); int32 accumulation keeps it bit-exact anyway.
-  const KernelIsa isa = note_isa(p.stride_w == 1 && p.dilation_w == 1);
-  const kernels::ConvGeom geom = to_geom(p);
-
-  // One output plane per (image, output channel); int32 sums are
-  // order-exact.
-  for (std::int64_t noc = 0; noc < batch * out_c; ++noc) {
-    const std::int64_t n = noc / out_c;
-    const std::int64_t oc = noc % out_c;
-    const std::int64_t group = oc / group_out;
-    const std::int8_t* w_oc = w_ptr + oc * group_in * kh * kw;
-    float* out_plane = out_ptr + noc * out_h * out_w;
-    const std::int8_t* image = in_ptr + n * in_c * in_h * in_w;
-    if (isa == KernelIsa::kAvx2) {
-      kernels::avx2::conv2d_int8_plane(
-          image + group * group_in * in_h * in_w, group_in, in_h, in_w,
-          w_oc, kh, kw, geom, zp_in, requant_scale, out_plane, out_h,
-          out_w, x_lo, x_hi);
-      continue;
-    }
-    for (std::int64_t oy = 0; oy < out_h; ++oy) {
-      const std::int64_t iy0 = oy * p.stride_h - p.pad_h;
-      for (std::int64_t ox = 0; ox < out_w; ++ox) {
-        const std::int64_t ix0 = ox * p.stride_w - p.pad_w;
-        const bool interior = ox >= x_lo && ox < x_hi;
-        std::int32_t acc = 0;
-        for (std::int64_t ic = 0; ic < group_in; ++ic) {
-          const std::int8_t* plane =
-              image + (group * group_in + ic) * in_h * in_w;
-          const std::int8_t* w_ic = w_oc + ic * kh * kw;
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int64_t iy = iy0 + ky * p.dilation_h;
-            if (iy < 0 || iy >= in_h) {
-              continue;
-            }
-            const std::int8_t* row = plane + iy * in_w;
-            const std::int8_t* w_ky = w_ic + ky * kw;
-            if (interior) {
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                acc += (static_cast<std::int32_t>(
-                            row[ix0 + kx * p.dilation_w]) -
-                        zp_in) *
-                       static_cast<std::int32_t>(w_ky[kx]);
-              }
-            } else {
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                const std::int64_t ix = ix0 + kx * p.dilation_w;
-                if (ix < 0 || ix >= in_w) {
-                  continue;
-                }
-                acc += (static_cast<std::int32_t>(row[ix]) - zp_in) *
-                       static_cast<std::int32_t>(w_ky[kx]);
-              }
-            }
-          }
-        }
-        out_plane[oy * out_w + ox] =
-            requant_scale * static_cast<float>(acc);
-      }
-    }
-  }
-  return output;
-}
-
-Tensor linear_int8_fast(const QuantizedTensor& input,
-                        const QuantizedTensor& weight) {
-  FUSE_KERNEL_COUNTER("kernels.fast.linear_int8");
-  const KernelIsa isa = note_isa();
-  const std::int64_t batch = input.shape.dim(0);
-  const std::int64_t in_f = input.shape.dim(1);
-  const std::int64_t out_f = weight.shape.dim(0);
-  const std::int32_t zp_in = input.params.zero_point;
-  const float requant_scale = input.params.scale * weight.params.scale;
-  Tensor output(Shape{batch, out_f});
-  const std::int8_t* in_ptr = input.data.data();
-  const std::int8_t* w_ptr = weight.data.data();
-  float* out_ptr = output.data();
-  constexpr std::int64_t kBlock = 32;
-  const std::int64_t blocks = (out_f + kBlock - 1) / kBlock;
-  for (std::int64_t block = 0; block < blocks; ++block) {
-    const std::int64_t o0 = block * kBlock;
-    const std::int64_t o1 = std::min(o0 + kBlock, out_f);
-    for (std::int64_t n = 0; n < batch; ++n) {
-      const std::int8_t* row = in_ptr + n * in_f;
-      for (std::int64_t o = o0; o < o1; ++o) {
-        const std::int8_t* w_row = w_ptr + o * in_f;
-        std::int32_t acc = 0;
-        if (isa == KernelIsa::kAvx2) {
-          acc = kernels::avx2::linear_int8_dot(row, w_row, in_f, zp_in);
-        } else {
-          for (std::int64_t i = 0; i < in_f; ++i) {
-            acc += (static_cast<std::int32_t>(row[i]) - zp_in) *
-                   static_cast<std::int32_t>(w_row[i]);
-          }
-        }
-        out_ptr[n * out_f + o] = requant_scale * static_cast<float>(acc);
-      }
-    }
-  }
-  return output;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,18 +2,20 @@
 // dense, grouped and pointwise convolution computed as W x X straight
 // into NCHW (the filter bank read in place, the im2col columns packed
 // one position block at a time, never the whole patch matrix), a linear
-// layer that reads its weight rows in place, and shape-specialized
-// depthwise / FuSe 1-D kernels. Every kernel runs serially on the
+// layer that reads its weight rows in place, and channelwise kernels for
+// depthwise and FuSe 1-D convolutions. Every kernel runs serially on the
 // calling thread, tile by tile.
 //
 // The backend practices on the host what the paper practices on the
 // array: factor every operator onto a small set of efficient inner
 // kernels (GEMM panels for dense/pointwise/grouped convolutions,
-// panels of eight weight rows for linear layers, line kernels for the
-// FuSe 1xK / Kx1 branches) instead of running the naive 6-deep loops of
-// the reference operators. Only the loop order differs between routes:
-// every float output runs bias first, then its terms in ascending
-// order, one FMA (AVX2) or one exact double product (scalar) each.
+// panels of eight weight rows for linear layers, channelwise kernels for
+// the depthwise and FuSe 1xK / Kx1 branches) instead of running the
+// naive 6-deep loops of the reference operators. The ISA and the
+// geometry alone pick each route, and only the loop order differs
+// between routes: every float output runs bias first, then its terms in
+// ascending order, one FMA (AVX2) or one exact double product (scalar)
+// each.
 //
 // Determinism contract (docs/kernels.md):
 //   * Every output element's k-accumulation runs in a fixed order, so
@@ -23,38 +25,36 @@
 //     kernels at once.
 //   * Under the SCALAR ISA each fast kernel reproduces the reference
 //     operator's accumulation type and order exactly — double
-//     accumulators seeded with the bias for conv2d/linear, in-order
-//     float accumulation for matmul, int32 for the INT8 kernels — so
-//     scalar fast outputs are bit-exact with the reference backend
-//     (0 ULP; the only theoretical exception is the sign of an
-//     exact-zero output, which IEEE-754 +/-0 addition identities make
-//     unobservable in practice). tools/check.sh leans on this: golden
-//     results must be byte-identical across backends with
-//     --kernel-isa=scalar pinned.
+//     accumulators seeded with the bias — so scalar fast outputs are
+//     bit-exact with the reference backend (0 ULP; the only theoretical
+//     exception is the sign of an exact-zero output, which IEEE-754
+//     +/-0 addition identities make unobservable in practice).
+//     tools/check.sh leans on this: golden results must be
+//     byte-identical across backends with --kernel-isa=scalar pinned.
 //   * Under the AVX2 ISA the float kernels accumulate in single
 //     precision with FMA, so outputs are ULP-BOUNDED against the
 //     reference (util/ulp.hpp derives the bound; docs/kernels.md
-//     documents it). The INT8 kernels accumulate in int32 — exact in
-//     any order — and stay bit-identical under every ISA, and so do the
-//     simulator's gemm_f64 / conv1d_lines_f64 / channelwise_f64, whose
-//     double sums of exact float x float products round the same with or
-//     without FMA.
+//     documents it). The simulator's gemm_f64 and channelwise_f64,
+//     whose double sums of exact float x float products round the same
+//     with or without FMA, stay bit-identical under every ISA.
 //
-// Backend selection: nn::conv2d / matmul / linear / the INT8 kernels and
-// the train::Module backward passes all dispatch on kernel_backend().
-// Default is kFast; set_kernel_backend (or the --kernel-backend flag of
-// the binaries that run kernels) pins the reference oracle.
+// Backend selection: nn::conv2d / linear and the train::Module backward
+// passes dispatch on kernel_backend(). Default is kFast;
+// set_kernel_backend (or the --kernel-backend flag of the binaries that
+// run kernels) pins the reference oracle. nn::matmul and the INT8
+// operators (nn/quantized.hpp) are one loop each and read neither
+// setting.
 //
 // ISA selection: inside the fast backend, kernel_isa() picks between the
 // portable scalar kernels and the AVX2/FMA micro-kernels
 // (kernels_avx2.cpp). Default is the best ISA the CPU supports (CPUID
 // probe in util/cpu_features.hpp); set_kernel_isa (or --kernel-isa)
 // overrides it for differential testing, and requesting an ISA the
-// machine lacks is an error. The backward passes and the int8 conv at
-// stride_w != 1 or dilation_w != 1 always run the scalar kernels — see
-// the dispatch table in docs/kernels.md. The simulator's f64 kernels and
-// the channelwise convs at stride_w != 1 or dilation_w != 1 read
-// kernel_isa() too; for them it changes speed, never a bit.
+// machine lacks is an error. The backward passes always run the scalar
+// kernels — see the dispatch table in docs/kernels.md. The simulator's
+// f64 kernels and the channelwise convs at stride_w != 1 or
+// dilation_w != 1 read kernel_isa() too; for them it changes speed,
+// never a bit.
 //
 // The two settings are process-wide; only code sets them (directly, or
 // from the flags of the binaries that run kernels).
@@ -64,7 +64,6 @@
 #include <string>
 
 #include "nn/ops.hpp"
-#include "tensor/quantize.hpp"
 
 namespace fuse::nn {
 
@@ -90,7 +89,7 @@ const char* kernel_backend_name(KernelBackend backend);
 /// Which instruction set the fast backend's inner kernels use.
 enum class KernelIsa {
   kScalar,  // portable C++ (bit-exact with the reference oracles)
-  kAvx2,    // AVX2/FMA micro-kernels (ULP-bounded floats, exact int8)
+  kAvx2,    // AVX2/FMA micro-kernels (ULP-bounded floats, exact f64)
 };
 
 /// Current ISA (default: the best available per the CPUID probe).
@@ -114,13 +113,6 @@ const char* kernel_isa_name(KernelIsa isa);
 
 namespace kernels {
 
-/// C[m, n] = A[m, k] * B[k, n], row-major, all operands dense. C is
-/// overwritten. Float accumulation in ascending-k order per output (the
-/// reference matmul's order), blocked into packed B column panels and
-/// register tiles, walked row block by row block.
-void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n);
-
 /// C[m, n] = A[m, k] * B[k, n], row-major, all operands dense. Each
 /// output starts from a 0.0 double accumulator, adds the exact double
 /// products (double)a * (double)b in ascending k, and is rounded to float
@@ -134,18 +126,6 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
-/// out[l, c] = sum over ascending k of (double)kernels[l, k] *
-/// (double)lines[l, c + k], from a 0.0 double accumulator, rounded to
-/// float once; lines [L, W], kernels [L, K] and out [L, W - K + 1], all
-/// dense row-major, with 1 <= K <= W. The arithmetic of one row of the
-/// FuSe broadcast dataflow, which the simulator's fast engine runs line
-/// by line over the whole output width. Dispatches on kernel_isa() (the
-/// AVX2 kernel computes eight outputs per step) with bits that depend on
-/// the operands only, for the reason gemm_f64 gives.
-void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
-                      std::int64_t num_lines, std::int64_t width,
-                      std::int64_t taps);
-
 /// Channelwise conv (depthwise K x K, FuSe 1 x K or K x 1) of one image:
 /// input [channels, in_h, in_w], weight [channels, kh, kw], out
 /// [channels, out_h, out_w] with the extents p's stride, padding and
@@ -154,29 +134,23 @@ void conv1d_lines_f64(const float* lines, const float* kernels, float* out,
 /// in (ky, kx) order, and is rounded to float once: the arithmetic of
 /// the output-stationary PE, or the broadcast row, that computes it on
 /// the array, less the padding taps. The simulator's fast engine runs
-/// every channelwise layer through here. Dispatches on kernel_isa() (the
-/// AVX2 kernel runs eight channels per vector in double lanes at any
-/// stride) with bits that depend on the operands only, for the reason
-/// gemm_f64 gives.
+/// every channelwise layer through here, and every call of broadcast FuSe
+/// lines: L lines of width W under 1 x K kernels are L one-row 1 x W
+/// planes, unpadded. Dispatches on kernel_isa() (the AVX2 kernel runs
+/// eight channels per vector in double lanes at any stride) with bits
+/// that depend on the operands only, for the reason gemm_f64 gives.
 void channelwise_f64(const float* input, const float* weight, float* out,
                      std::int64_t channels, std::int64_t in_h,
                      std::int64_t in_w, std::int64_t kh, std::int64_t kw,
                      const Conv2dParams& p);
 
-/// Fast implementations of the public functional operators. Shapes and
-/// semantics are identical to the reference versions in nn/ops.hpp /
-/// nn/quantized.hpp; arguments are assumed pre-validated by the
-/// dispatching wrapper.
-Tensor matmul_fast(const Tensor& a, const Tensor& b);
+/// Fast implementations of the dispatching operators. Shapes and
+/// semantics are identical to the reference versions in nn/ops.hpp;
+/// arguments are assumed pre-validated by the dispatching wrapper.
 Tensor conv2d_fast(const Tensor& input, const Tensor& weight,
                    const Tensor* bias, const Conv2dParams& params);
 Tensor linear_fast(const Tensor& input, const Tensor& weight,
                    const Tensor* bias);
-Tensor conv2d_int8_fast(const tensor::QuantizedTensor& input,
-                        const tensor::QuantizedTensor& weight,
-                        const Conv2dParams& params);
-Tensor linear_int8_fast(const tensor::QuantizedTensor& input,
-                        const tensor::QuantizedTensor& weight);
 
 /// Fast training backward passes (train::Module dispatches here).
 /// Both ACCUMULATE into *weight_grad / *bias_grad (matching the

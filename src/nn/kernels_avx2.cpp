@@ -18,8 +18,8 @@
 //
 // The f64 kernels widen floats to double: the simulator's GEMM tile is
 // 6x8 (twelve 4-lane accumulators, two widened panel loads and one
-// widened A broadcast per row per k step), the line kernel eight outputs
-// per step, the channelwise double lanes two 4-lane halves per position.
+// widened A broadcast per row per k step), the channelwise double lanes
+// two 4-lane halves per position.
 // A float x float product is exact in double, so each FMA rounds exactly
 // as the scalar multiply-then-add, _mm256_cvtpd_ps rounds as
 // static_cast<float> does (both follow MXCSR), and any FP contraction the
@@ -192,39 +192,6 @@ FUSE_TARGET_AVX2 void micro_tile_f64(const float* a, std::int64_t lda,
   for (int i = 0; i < MR; ++i) {
     store_f64_lanes(acc[i][0], acc[i][1], out + i * ldo, ncols);
   }
-}
-
-/// Four floats widened to double; a partial load reads only the lanes
-/// its mask selects and yields +0.0 in the rest.
-template <bool kPartial>
-FUSE_TARGET_AVX2 inline __m256d load4_pd(const float* p, __m128i mask) {
-  if constexpr (kPartial) {
-    return _mm256_cvtps_pd(_mm_maskload_ps(p, mask));
-  } else {
-    return _mm256_cvtps_pd(_mm_loadu_ps(p));
-  }
-}
-
-/// Outputs [0, ncols) of one broadcast line, ncols <= 8: each lane
-/// starts at +0.0 and takes one FMA per tap in ascending order. A
-/// partial step masks its loads to its ncols outputs, so no lane reads
-/// past the line; the dropped lanes sum zeros.
-template <bool kPartial>
-FUSE_TARGET_AVX2 void line_step(const float* x, const float* w,
-                                std::int64_t taps, float* out,
-                                std::int64_t ncols) {
-  const __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
-  const auto n = static_cast<int>(ncols);
-  const __m128i lo_mask = _mm_cmpgt_epi32(_mm_set1_epi32(n), lane);
-  const __m128i hi_mask = _mm_cmpgt_epi32(_mm_set1_epi32(n - 4), lane);
-  __m256d lo = _mm256_setzero_pd();
-  __m256d hi = _mm256_setzero_pd();
-  for (std::int64_t k = 0; k < taps; ++k) {
-    const __m256d wk = _mm256_set1_pd(static_cast<double>(w[k]));
-    lo = _mm256_fmadd_pd(wk, load4_pd<kPartial>(x + k, lo_mask), lo);
-    hi = _mm256_fmadd_pd(wk, load4_pd<kPartial>(x + k + 4, hi_mask), hi);
-  }
-  store_f64_lanes(lo, hi, out, ncols);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,26 +576,6 @@ FUSE_TARGET_AVX2 void block_gemm_f64(const float* a, std::int64_t lda,
   }
 }
 
-FUSE_TARGET_AVX2 void conv1d_lines_f64(const float* lines,
-                                       std::int64_t num_lines,
-                                       std::int64_t width,
-                                       const float* kernels,
-                                       std::int64_t taps, float* out) {
-  const std::int64_t out_w = width - taps + 1;
-  for (std::int64_t line = 0; line < num_lines; ++line) {
-    const float* x = lines + line * width;
-    const float* w = kernels + line * taps;
-    float* out_row = out + line * out_w;
-    std::int64_t c = 0;
-    for (; c + kNr <= out_w; c += kNr) {
-      line_step<false>(x + c, w, taps, out_row + c, kNr);
-    }
-    if (c < out_w) {
-      line_step<true>(x + c, w, taps, out_row + c, out_w - c);
-    }
-  }
-}
-
 FUSE_TARGET_AVX2 void linear_panel(const float* in, std::int64_t batch,
                                    std::int64_t in_f,
                                    const float* const* w_rows,
@@ -729,119 +676,6 @@ FUSE_TARGET_AVX2 void fuse_col_channel(
   }
 }
 
-FUSE_TARGET_AVX2 void conv2d_int8_plane(
-    const std::int8_t* image, std::int64_t group_in,
-                       std::int64_t in_h, std::int64_t in_w,
-                       const std::int8_t* w_oc, std::int64_t kh,
-                       std::int64_t kw, const ConvGeom& g,
-                       std::int32_t zp_in, float requant_scale,
-                       float* out_plane, std::int64_t out_h,
-                       std::int64_t out_w, std::int64_t x_lo,
-                       std::int64_t x_hi) {
-  const __m256i zp = _mm256_set1_epi32(zp_in);
-  // int32 accumulation is associative: edges and vector interior are
-  // bit-exact with the scalar kernel by construction.
-  const auto scalar_out = [&](std::int64_t oy, std::int64_t ox) {
-    const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
-    const std::int64_t ix0 = ox - g.pad_w;  // stride_w == 1
-    std::int32_t acc = 0;
-    for (std::int64_t ic = 0; ic < group_in; ++ic) {
-      const std::int8_t* plane = image + ic * in_h * in_w;
-      const std::int8_t* w_ic = w_oc + ic * kh * kw;
-      for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * g.dilation_h;
-        if (iy < 0 || iy >= in_h) {
-          continue;
-        }
-        const std::int8_t* row = plane + iy * in_w;
-        const std::int8_t* w_ky = w_ic + ky * kw;
-        for (std::int64_t kx = 0; kx < kw; ++kx) {
-          const std::int64_t ix = ix0 + kx;
-          if (ix < 0 || ix >= in_w) {
-            continue;
-          }
-          acc += (static_cast<std::int32_t>(row[ix]) - zp_in) *
-                 static_cast<std::int32_t>(w_ky[kx]);
-        }
-      }
-    }
-    return acc;
-  };
-  for (std::int64_t oy = 0; oy < out_h; ++oy) {
-    const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
-    float* out_row = out_plane + oy * out_w;
-    for (std::int64_t ox = 0; ox < x_lo; ++ox) {
-      out_row[ox] = requant_scale * static_cast<float>(scalar_out(oy, ox));
-    }
-    std::int64_t ox = x_lo;
-    for (; ox + kNr <= x_hi; ox += kNr) {
-      __m256i acc = _mm256_setzero_si256();
-      const std::int64_t ix0 = ox - g.pad_w;
-      for (std::int64_t ic = 0; ic < group_in; ++ic) {
-        const std::int8_t* plane = image + ic * in_h * in_w;
-        const std::int8_t* w_ic = w_oc + ic * kh * kw;
-        for (std::int64_t ky = 0; ky < kh; ++ky) {
-          const std::int64_t iy = iy0 + ky * g.dilation_h;
-          if (iy < 0 || iy >= in_h) {
-            continue;
-          }
-          const std::int8_t* row = plane + iy * in_w + ix0;
-          const std::int8_t* w_ky = w_ic + ky * kw;
-          for (std::int64_t kx = 0; kx < kw; ++kx) {
-            const __m128i bytes = _mm_loadl_epi64(
-                reinterpret_cast<const __m128i*>(row + kx));
-            const __m256i vals =
-                _mm256_sub_epi32(_mm256_cvtepi8_epi32(bytes), zp);
-            acc = _mm256_add_epi32(
-                acc, _mm256_mullo_epi32(
-                         vals, _mm256_set1_epi32(
-                                   static_cast<std::int32_t>(w_ky[kx]))));
-          }
-        }
-      }
-      alignas(32) std::int32_t lanes[kNr];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-      for (std::int64_t j = 0; j < kNr; ++j) {
-        out_row[ox + j] = requant_scale * static_cast<float>(lanes[j]);
-      }
-    }
-    for (; ox < x_hi; ++ox) {
-      out_row[ox] = requant_scale * static_cast<float>(scalar_out(oy, ox));
-    }
-    for (ox = x_hi; ox < out_w; ++ox) {
-      out_row[ox] = requant_scale * static_cast<float>(scalar_out(oy, ox));
-    }
-  }
-}
-
-FUSE_TARGET_AVX2 std::int32_t linear_int8_dot(
-    const std::int8_t* row,
-                             const std::int8_t* w_row, std::int64_t in_f,
-                             std::int32_t zp_in) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zp16 = _mm256_set1_epi16(static_cast<short>(zp_in));
-  std::int64_t i = 0;
-  for (; i + 16 <= in_f; i += 16) {
-    // (row - zp) fits int16 (range [-254, 382]); madd pairs fit int32.
-    const __m256i r16 = _mm256_sub_epi16(
-        _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i))),
-        zp16);
-    const __m256i w16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w_row + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(r16, w16));
-  }
-  alignas(32) std::int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int32_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] +
-                       lanes[5] + lanes[6] + lanes[7];
-  for (; i < in_f; ++i) {
-    total += (static_cast<std::int32_t>(row[i]) - zp_in) *
-             static_cast<std::int32_t>(w_row[i]);
-  }
-  return total;
-}
-
 #undef FUSE_TARGET_AVX2
 
 #else  // !FUSE_KERNELS_AVX2 — non-x86 stubs; the dispatcher never calls
@@ -854,8 +688,6 @@ void block_gemm(const float*, std::int64_t, std::int64_t, const float*,
                 std::int64_t) {}
 void block_gemm_f64(const float*, std::int64_t, std::int64_t, const float*,
                     std::int64_t, std::int64_t, float*, std::int64_t) {}
-void conv1d_lines_f64(const float*, std::int64_t, std::int64_t, const float*,
-                      std::int64_t, float*) {}
 void linear_panel(const float*, std::int64_t, std::int64_t,
                   const float* const*, const float*, float*, std::int64_t,
                   std::int64_t) {}
@@ -877,15 +709,6 @@ void fuse_col_channel(const float*, std::int64_t, std::int64_t, const float*,
                       std::int64_t, const ConvGeom&, float, float*,
                       std::int64_t, std::int64_t, std::int64_t,
                       std::int64_t) {}
-void conv2d_int8_plane(const std::int8_t*, std::int64_t, std::int64_t,
-                       std::int64_t, const std::int8_t*, std::int64_t,
-                       std::int64_t, const ConvGeom&, std::int32_t, float,
-                       float*, std::int64_t, std::int64_t, std::int64_t,
-                       std::int64_t) {}
-std::int32_t linear_int8_dot(const std::int8_t*, const std::int8_t*,
-                             std::int64_t, std::int32_t) {
-  return 0;
-}
 
 #endif  // FUSE_KERNELS_AVX2
 

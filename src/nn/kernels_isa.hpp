@@ -12,13 +12,11 @@
 // Numerics contract (docs/kernels.md): the float kernels here accumulate
 // in SINGLE precision with FMA, so outputs are ULP-bounded against the
 // reference oracles (util/ulp.hpp derives the bound) rather than
-// bit-exact; the int8 kernels accumulate in int32, which is exact in any
-// order, so they stay bit-identical to the scalar path. The f64 kernels
-// accumulate float x float products in double, where each product is
-// exact, so one FMA rounds exactly as the scalar multiply-then-add and
-// they too are bit-identical to the scalar path. Per-element
-// accumulation order is a function of shape only, so results are
-// bit-exact across runs at a fixed ISA.
+// bit-exact. The f64 kernels accumulate float x float products in
+// double, where each product is exact, so one FMA rounds exactly as the
+// scalar multiply-then-add and they are bit-identical to the scalar
+// path. Per-element accumulation order is a function of shape only, so
+// results are bit-exact across runs at a fixed ISA.
 #pragma once
 
 #include <cstdint>
@@ -65,15 +63,6 @@ void block_gemm_f64(const float* a, std::int64_t lda, std::int64_t rows,
                     const float* b_panels, std::int64_t kk, std::int64_t n,
                     float* out, std::int64_t ldo);
 
-/// Broadcast 1-D lines: for l < num_lines, c < out_w = width - taps + 1,
-///   out[l*out_w + c] = float(sum_k double(w[k]) * double(x[c + k]))
-/// with w = kernels + l*taps and x = lines + l*width, each accumulator
-/// starting at +0.0 and taps in ascending order, eight outputs per step.
-/// Bit-identical to the scalar loop.
-void conv1d_lines_f64(const float* lines, std::int64_t num_lines,
-                      std::int64_t width, const float* kernels,
-                      std::int64_t taps, float* out);
-
 /// One panel of eight linear outputs straight from the row-major weight:
 /// for n < batch, j < ncols,
 ///   out[n*ldo + j] = seed[j] + sum_k in[n*in_f + k] * w_rows[j][k]
@@ -97,7 +86,7 @@ void linear_panel(const float* in, std::int64_t batch, std::int64_t in_f,
 /// columns whose kx taps are all in bounds. Any stride or dilation.
 ///   * _f32: float lanes, the per-plane kernels' per-output sequence.
 ///   * _f64: double lanes (two 4-lane halves per position), one rounding
-///     to float per output: bit-identical to the scalar kernels, since
+///     to float per output: bit-identical to the scalar kernel, since
 ///     every float x float product is exact in double.
 void channelwise_blocked_f32(const float* in, std::int64_t planes,
                              std::int64_t channels, std::int64_t in_h,
@@ -133,25 +122,6 @@ void fuse_col_channel(const float* plane, std::int64_t in_h,
                       const ConvGeom& g, float bias_value, float* out,
                       std::int64_t out_h, std::int64_t out_w,
                       std::int64_t x_lo, std::int64_t x_hi);
-
-/// One (image, out-channel) int8 conv plane; `image` already points at
-/// the group's first input plane. Interior vectorized via epi32 lanes —
-/// int32 accumulation, bit-exact with the scalar path. Caller guarantees
-/// stride_w == 1 && dilation_w == 1.
-void conv2d_int8_plane(const std::int8_t* image, std::int64_t group_in,
-                       std::int64_t in_h, std::int64_t in_w,
-                       const std::int8_t* w_oc, std::int64_t kh,
-                       std::int64_t kw, const ConvGeom& g,
-                       std::int32_t zp_in, float requant_scale,
-                       float* out_plane, std::int64_t out_h,
-                       std::int64_t out_w, std::int64_t x_lo,
-                       std::int64_t x_hi);
-
-/// sum_i (row[i] - zp_in) * w_row[i] over in_f entries via madd_epi16;
-/// bit-exact with the scalar int32 loop.
-std::int32_t linear_int8_dot(const std::int8_t* row,
-                             const std::int8_t* w_row, std::int64_t in_f,
-                             std::int32_t zp_in);
 
 }  // namespace avx2
 

@@ -166,16 +166,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   FUSE_CHECK(a.shape().dim(1) == b.shape().dim(0))
       << "matmul inner dims differ: " << a.shape().to_string() << " x "
       << b.shape().to_string();
-  if (use_fast_backend()) {
-    return kernels::matmul_fast(a, b);
-  }
-  return matmul_reference(a, b);
-}
-
-Tensor matmul_reference(const Tensor& a, const Tensor& b) {
-  static util::Counter& counter =
-      util::metrics().counter("kernels.reference.matmul");
-  counter.add();
   const std::int64_t rows = a.shape().dim(0);
   const std::int64_t inner = a.shape().dim(1);
   const std::int64_t cols = b.shape().dim(1);

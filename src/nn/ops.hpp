@@ -3,9 +3,10 @@
 // The *_reference loops are the numeric ground truth for everything else
 // in the repo: the systolic-array simulator's outputs, the FuSeConv
 // operator, and the training substrate are all validated against them.
-// The public conv2d/matmul/linear entry points dispatch between those
-// loops and the blocked fast backend in nn/kernels.hpp; the two
-// backends are bit-identical, so callers never need to care which ran.
+// The public conv2d/linear entry points dispatch between those loops and
+// the blocked fast backend in nn/kernels.hpp; the two backends are
+// bit-identical under the scalar ISA, so callers never need to care
+// which ran. matmul is one clarity-first loop under every setting.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +53,12 @@ Tensor conv2d_reference(const Tensor& input, const Tensor& weight,
 Tensor conv2d_im2col(const Tensor& input, const Tensor& weight,
                      const Tensor* bias, const Conv2dParams& params);
 
-/// Dense matrix product: [M, K] x [K, N] -> [M, N]. Dispatches on
-/// nn::kernel_backend().
+/// Dense matrix product: [M, K] x [K, N] -> [M, N]. Float accumulation
+/// from +0.0 in ascending k per output, skipping zero entries of A (which
+/// leaves the bits of a finite B's sums unchanged). One loop under every
+/// kernel setting: its caller is conv2d_im2col, which validates a
+/// lowering rather than running inference.
 Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Reference oracle behind matmul.
-Tensor matmul_reference(const Tensor& a, const Tensor& b);
 
 /// Fully connected: input [N, F_in], weight [F_out, F_in], bias [F_out] or
 /// nullptr -> [N, F_out]. Dispatches on nn::kernel_backend().

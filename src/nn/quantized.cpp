@@ -1,9 +1,7 @@
 #include "nn/quantized.hpp"
 
-#include "nn/kernels.hpp"
 #include "tensor/im2col.hpp"
 #include "util/check.hpp"
-#include "util/telemetry.hpp"
 
 namespace fuse::nn {
 
@@ -24,20 +22,6 @@ void check_quantized_operands(const QuantizedTensor& input,
       << "quantization scales must be positive";
 }
 
-/// Same dispatch-counter bookkeeping as the float operators in ops.cpp.
-bool use_fast_backend() {
-  if (kernel_backend() == KernelBackend::kFast) {
-    static util::Counter& fast =
-        util::metrics().counter("kernels.dispatch.fast");
-    fast.add();
-    return true;
-  }
-  static util::Counter& reference =
-      util::metrics().counter("kernels.dispatch.reference");
-  reference.add();
-  return false;
-}
-
 }  // namespace
 
 Tensor conv2d_int8(const QuantizedTensor& input,
@@ -46,23 +30,6 @@ Tensor conv2d_int8(const QuantizedTensor& input,
   check_quantized_operands(input, weight);
   FUSE_CHECK(input.shape.rank() == 4 && weight.shape.rank() == 4)
       << "conv2d_int8 expects NCHW input and OIHW weight";
-  FUSE_CHECK(input.shape.dim(1) % params.groups == 0 &&
-             weight.shape.dim(0) % params.groups == 0 &&
-             weight.shape.dim(1) == input.shape.dim(1) / params.groups)
-      << "conv2d_int8 group geometry mismatch";
-  if (use_fast_backend()) {
-    return kernels::conv2d_int8_fast(input, weight, params);
-  }
-  return conv2d_int8_reference(input, weight, params);
-}
-
-Tensor conv2d_int8_reference(const QuantizedTensor& input,
-                             const QuantizedTensor& weight,
-                             const Conv2dParams& params) {
-  static util::Counter& counter =
-      util::metrics().counter("kernels.reference.conv2d_int8");
-  counter.add();
-  check_quantized_operands(input, weight);
   const std::int64_t batch = input.shape.dim(0);
   const std::int64_t in_c = input.shape.dim(1);
   const std::int64_t in_h = input.shape.dim(2);
@@ -135,18 +102,6 @@ Tensor linear_int8(const QuantizedTensor& input,
   FUSE_CHECK(input.shape.rank() == 2 && weight.shape.rank() == 2 &&
              input.shape.dim(1) == weight.shape.dim(1))
       << "linear_int8 shape mismatch";
-  if (use_fast_backend()) {
-    return kernels::linear_int8_fast(input, weight);
-  }
-  return linear_int8_reference(input, weight);
-}
-
-Tensor linear_int8_reference(const QuantizedTensor& input,
-                             const QuantizedTensor& weight) {
-  static util::Counter& counter =
-      util::metrics().counter("kernels.reference.linear_int8");
-  counter.add();
-  check_quantized_operands(input, weight);
   const std::int64_t batch = input.shape.dim(0);
   const std::int64_t in_f = input.shape.dim(1);
   const std::int64_t out_f = weight.shape.dim(0);

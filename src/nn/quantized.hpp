@@ -15,25 +15,16 @@ using tensor::QuantizedTensor;
 /// Grouped 2-D convolution on quantized operands. input [N, C, H, W]
 /// (affine), weight [C_out, C_in/g, Kh, Kw] (symmetric, zero_point == 0,
 /// checked). Accumulates in int32 and returns the dequantized float
-/// output: out = s_in * s_w * sum((q_in - zp_in) * q_w).
-/// Dispatches on nn::kernel_backend(); int32 accumulation makes both
-/// backends exactly equal.
+/// output: out = s_in * s_w * sum((q_in - zp_in) * q_w). One loop under
+/// every kernel setting: an int32 sum is exact in any order, so every
+/// loop order gives these bits.
 tensor::Tensor conv2d_int8(const QuantizedTensor& input,
                            const QuantizedTensor& weight,
                            const Conv2dParams& params);
 
-/// Reference oracle behind conv2d_int8.
-tensor::Tensor conv2d_int8_reference(const QuantizedTensor& input,
-                                     const QuantizedTensor& weight,
-                                     const Conv2dParams& params);
-
 /// Fully connected on quantized operands: input [N, F_in] (affine),
-/// weight [F_out, F_in] (symmetric). Dispatches on nn::kernel_backend().
+/// weight [F_out, F_in] (symmetric). One int32 loop, as conv2d_int8.
 tensor::Tensor linear_int8(const QuantizedTensor& input,
                            const QuantizedTensor& weight);
-
-/// Reference oracle behind linear_int8.
-tensor::Tensor linear_int8_reference(const QuantizedTensor& input,
-                                     const QuantizedTensor& weight);
 
 }  // namespace fuse::nn

@@ -19,8 +19,8 @@
 //     accumulator is a straight dot product over its depth-length operand
 //     stream. Counters and busy counts are closed-form per fold; the dot
 //     products run over whole operands (every output-stationary fold of a
-//     call is one nn::kernels::gemm_f64, every broadcast call one
-//     nn::kernels::conv1d_lines_f64, every depthwise or FuSe layer one
+//     call is one nn::kernels::gemm_f64; every broadcast call, its lines
+//     as one-row planes, and every depthwise or FuSe layer one
 //     nn::kernels::channelwise_f64). Serial: O(R * C * T) per fold, no
 //     bubble work.
 // Both engines perform the identical floating-point operation sequence

@@ -29,10 +29,11 @@
 //     accumulator in ascending-fold order: the folds run in enumeration
 //     order, exactly as the reference walks them.
 //   * conv1d_broadcast: acc = sum over ascending tap of
-//     (double)weight * (double)window, independent of the fold that holds
-//     the output, so nn::kernels::conv1d_lines_f64 computes it line by
-//     line over the whole width (eight outputs per FMA step under AVX2,
-//     exact for the same reason).
+//     (double)weight * (double)window from +0.0, independent of the fold
+//     that holds the output. That is the unpadded channelwise sum of a
+//     one-row FuSe plane, so nn::kernels::channelwise_f64 computes every
+//     line at once, each line a 1 x W plane under its 1 x K kernel (exact
+//     double lanes under AVX2, for the same reason).
 //   * matmul_wx: the W x X orientation of the OS call, one
 //     nn::kernels::gemm_f64(w, x): output (j, i) is the same
 //     ascending-k sum of the same exact products as output (i, j) of
@@ -278,9 +279,9 @@ SimResult SystolicArraySim::conv1d_broadcast_fast(const Tensor& lines,
 
   SimResult result = broadcast_pass(num_lines, out_w, taps, cfg_);
   result.output = Tensor(Shape{num_lines, out_w});
-  nn::kernels::conv1d_lines_f64(lines.data(), kernels.data(),
-                                result.output.data(), num_lines, width,
-                                taps);
+  nn::kernels::channelwise_f64(lines.data(), kernels.data(),
+                               result.output.data(), num_lines, /*in_h=*/1,
+                               width, /*kh=*/1, taps, nn::Conv2dParams{});
   return result;
 }
 

@@ -5,8 +5,9 @@
 //     of geometries (memcmp over the output buffers), identical training
 //     trajectory.
 //   * avx2 ISA — float outputs ULP-BOUNDED against the reference (the
-//     derived tolerance in util/ulp.hpp), int8 outputs and backward
-//     passes still bit-exact. Channelwise outputs are pinned harder:
+//     derived tolerance in util/ulp.hpp), the backward passes and the
+//     simulator's f64 kernels still bit-exact. Channelwise outputs are
+//     pinned harder:
 //     memcmp-equal to an explicit one-FMA-per-tap oracle at unit x
 //     stride and dilation, and to the scalar ISA's output otherwise.
 // The forced-ISA grid below runs every operator under each ISA the
@@ -26,9 +27,7 @@
 #include "nn/activations.hpp"
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
-#include "nn/quantized.hpp"
 #include "tensor/im2col.hpp"
-#include "tensor/quantize.hpp"
 #include "train/loss.hpp"
 #include "train/module.hpp"
 #include "train/optimizer.hpp"
@@ -41,7 +40,6 @@
 namespace fuse::nn {
 namespace {
 
-using tensor::QuantizedTensor;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -264,36 +262,6 @@ TEST(KernelsDifferential, ConvGridBitExact) {
     const Tensor via_fast = conv2d(input, weight, &bias, c.params);
     EXPECT_TRUE(bit_equal(via_ref, via_fast)) << c.name << " (dispatch)";
   }
-}
-
-TEST(KernelsDifferential, MatmulBitExact) {
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
-  for (const auto& [m, k, n] :
-       std::vector<std::tuple<int, int, int>>{{1, 1, 1},
-                                              {3, 5, 7},
-                                              {8, 8, 8},
-                                              {17, 33, 9},
-                                              {64, 48, 96},
-                                              {196, 576, 96}}) {
-    const Tensor a = random_tensor(Shape{m, k}, 21);
-    const Tensor b = random_tensor(Shape{k, n}, 22);
-    EXPECT_TRUE(bit_equal(matmul_reference(a, b), kernels::matmul_fast(a, b)))
-        << m << "x" << k << "x" << n;
-  }
-}
-
-TEST(KernelsDifferential, MatmulWithZeroRowsBitExact) {
-  // matmul_reference skips a_ik == 0 entries (im2col padding rows); the
-  // fast kernel multiplies them. IEEE +-0 addition makes both identical.
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
-  Tensor a = random_tensor(Shape{9, 12}, 23);
-  for (std::int64_t i = 0; i < a.num_elements(); i += 3) {
-    a[i] = 0.0F;
-  }
-  const Tensor b = random_tensor(Shape{12, 20}, 24);
-  EXPECT_TRUE(bit_equal(matmul_reference(a, b), kernels::matmul_fast(a, b)));
 }
 
 TEST(KernelsDifferential, LinearBitExact) {
@@ -600,30 +568,6 @@ TEST(KernelsForcedIsa, Im2colConvIsOneFmaPerTap) {
   EXPECT_GT(cases, 1000);
 }
 
-TEST(KernelsForcedIsa, MatmulDifferential) {
-  BackendGuard guard;
-  for (const auto& [m, k, n] :
-       std::vector<std::tuple<int, int, int>>{{1, 1, 1},
-                                              {1, 7, 9},
-                                              {3, 17, 7},
-                                              {5, 3, 1},
-                                              {9, 9, 17},
-                                              {17, 33, 9},
-                                              {64, 48, 96}}) {
-    const Tensor a = random_tensor(Shape{m, k}, 121);
-    const Tensor b = random_tensor(Shape{k, n}, 122);
-    const Tensor ref = matmul_reference(a, b);
-    for (KernelIsa isa : available_isas()) {
-      set_kernel_isa(isa);
-      expect_isa_close(ref, kernels::matmul_fast(a, b), isa, k,
-                       static_cast<double>(k),
-                       std::string("matmul ") + std::to_string(m) + "x" +
-                           std::to_string(k) + "x" + std::to_string(n) +
-                           " [" + kernel_isa_name(isa) + "]");
-    }
-  }
-}
-
 /// Operand families for the f64 kernels' bit-identity check, each with
 /// +0.0 and -0.0 mixed in:
 ///   kRange  — uniform values in [-1, 1) and magnitudes near 1e-30 and
@@ -721,26 +665,21 @@ TEST(KernelsForcedIsa, F64KernelsBitIdenticalUnderEveryIsa) {
         }
       }
     }
-    // out_w: eight-wide steps and every tail length.
-    constexpr std::int64_t kLines = 3;
-    for (std::int64_t out_w = 1; out_w <= 17; ++out_w) {
-      for (std::int64_t taps = 1; taps <= 7; ++taps) {
-        const std::int64_t width = out_w + taps - 1;
-        const std::vector<float> lines =
-            f64_operand(family, kLines * width, ++seed);
-        const std::vector<float> kernel_taps =
-            f64_operand(family, kLines * taps, ++seed);
-        expect_isa_identical(
-            kLines * out_w,
-            [&](float* out) {
-              kernels::conv1d_lines_f64(lines.data(), kernel_taps.data(),
-                                        out, kLines, width, taps);
-            },
-            "conv1d_lines_f64 out_w=" + std::to_string(out_w) +
-                " taps=" + std::to_string(taps) + tag);
-      }
+  }
+}
+
+/// The simulator's broadcast FuSe lines as channelwise planes: three
+/// one-row planes under 1 x K kernels, unpadded, at every output width
+/// from 1 to 17 and 1 to 7 taps.
+std::vector<ConvCase> line_grid() {
+  std::vector<ConvCase> cases;
+  for (std::int64_t out_w = 1; out_w <= 17; ++out_w) {
+    for (std::int64_t taps = 1; taps <= 7; ++taps) {
+      cases.push_back({"line", 1, 3, 3, 1, out_w + taps - 1, 1, taps,
+                       {1, 1, 0, 0, 1, 1, 3}});
     }
   }
+  return cases;
 }
 
 /// The arithmetic of the simulator's single-column output-stationary
@@ -787,12 +726,15 @@ Tensor channelwise_os_oracle(const Tensor& input, const Tensor& weight,
 
 TEST(KernelsForcedIsa, ChannelwiseF64IsThePaddedOsSumUnderEveryIsa) {
   // Every channelwise geometry of the conv, tail and channel-block grids,
-  // at unit and non-unit stride and dilation, image by image, with
-  // uniform operands and with the f64 families (+-0.0, extreme
-  // magnitudes, exact cancellation).
+  // at unit and non-unit stride and dilation, and the broadcast line
+  // grid, image by image, with uniform operands and with the f64
+  // families (+-0.0, extreme magnitudes, exact cancellation).
   BackendGuard guard;
   std::uint64_t seed = 2000;
-  for (const ConvCase& c : channelwise_cases()) {
+  std::vector<ConvCase> cases = channelwise_cases();
+  const std::vector<ConvCase> lines = line_grid();
+  cases.insert(cases.end(), lines.begin(), lines.end());
+  for (const ConvCase& c : cases) {
     for (const int family : {0, 1, 2}) {
       const Shape in_shape{c.batch, c.in_c, c.h, c.w};
       const Shape w_shape{c.out_c, 1, c.kh, c.kw};
@@ -818,9 +760,9 @@ TEST(KernelsForcedIsa, ChannelwiseF64IsThePaddedOsSumUnderEveryIsa) {
                                    c.w, c.kh, c.kw, c.params);
         }
         EXPECT_TRUE(bit_equal(out, oracle))
-            << c.name << " c=" << c.in_c << " " << c.h << "x" << c.w << " s"
-            << c.params.stride_w << " family " << family << " ["
-            << kernel_isa_name(isa) << "]";
+            << c.name << " c=" << c.in_c << " " << c.h << "x" << c.w << " "
+            << c.kh << "x" << c.kw << " s" << c.params.stride_w << " family "
+            << family << " [" << kernel_isa_name(isa) << "]";
       }
     }
   }
@@ -854,47 +796,6 @@ TEST(KernelsForcedIsa, LinearDifferential) {
                        k, static_cast<double>(k), label);
       expect_isa_close(ref_nb, kernels::linear_fast(input, weight, nullptr),
                        isa, k, static_cast<double>(k), label + " (no bias)");
-    }
-  }
-}
-
-TEST(KernelsForcedIsa, Int8OperatorsBitExactUnderEveryIsa) {
-  // int32 accumulation is order-insensitive: the int8 kernels must stay
-  // bit-identical to the reference under EVERY ISA, vectorized or not.
-  BackendGuard guard;
-  for (const ConvCase& c : all_conv_cases()) {
-    const Tensor input =
-        random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 41, -2.0F, 3.0F);
-    const Tensor weight = random_tensor(
-        Shape{c.out_c, c.in_c / c.params.groups, c.kh, c.kw}, 42);
-    const QuantizedTensor q_in = tensor::quantize_calibrated(input);
-    const QuantizedTensor q_w =
-        tensor::quantize_calibrated(weight, /*symmetric=*/true);
-    const Tensor ref = conv2d_int8_reference(q_in, q_w, c.params);
-    for (KernelIsa isa : available_isas()) {
-      set_kernel_isa(isa);
-      EXPECT_TRUE(bit_equal(ref, kernels::conv2d_int8_fast(q_in, q_w,
-                                                           c.params)))
-          << c.name << " [" << kernel_isa_name(isa) << "]";
-    }
-  }
-  // Linear int8, including in_f tails around the 16-byte vector step.
-  for (const auto& [batch, in_f, out_f] :
-       std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1}, {2, 7, 9}, {2, 15, 5}, {2, 16, 5}, {2, 17, 5},
-           {3, 40, 50}}) {
-    const Tensor input =
-        random_tensor(Shape{batch, in_f}, 43, -2.0F, 2.0F);
-    const Tensor weight = random_tensor(Shape{out_f, in_f}, 44);
-    const QuantizedTensor q_in = tensor::quantize_calibrated(input);
-    const QuantizedTensor q_w =
-        tensor::quantize_calibrated(weight, /*symmetric=*/true);
-    const Tensor ref = linear_int8_reference(q_in, q_w);
-    for (KernelIsa isa : available_isas()) {
-      set_kernel_isa(isa);
-      EXPECT_TRUE(bit_equal(ref, kernels::linear_int8_fast(q_in, q_w)))
-          << batch << "x" << in_f << "x" << out_f << " ["
-          << kernel_isa_name(isa) << "]";
     }
   }
 }
@@ -1094,8 +995,8 @@ TEST(KernelsIsa, SettingUnavailableIsaThrows) {
 
 TEST(KernelsTelemetry, DispatchCountersAdvance) {
   BackendGuard guard;
-  const Tensor a = random_tensor(Shape{4, 4}, 81);
-  const Tensor b = random_tensor(Shape{4, 4}, 82);
+  const Tensor input = random_tensor(Shape{4, 4}, 81);
+  const Tensor weight = random_tensor(Shape{4, 4}, 82);
   util::Counter& fast_count =
       util::metrics().counter("kernels.dispatch.fast");
   util::Counter& ref_count =
@@ -1103,9 +1004,9 @@ TEST(KernelsTelemetry, DispatchCountersAdvance) {
   const std::uint64_t fast_before = fast_count.value();
   const std::uint64_t ref_before = ref_count.value();
   set_kernel_backend(KernelBackend::kFast);
-  (void)matmul(a, b);
+  (void)linear(input, weight, nullptr);
   set_kernel_backend(KernelBackend::kReference);
-  (void)matmul(a, b);
+  (void)linear(input, weight, nullptr);
 #if FUSE_TELEMETRY
   EXPECT_EQ(fast_count.value(), fast_before + 1);
   EXPECT_EQ(ref_count.value(), ref_before + 1);

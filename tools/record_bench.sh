@@ -37,8 +37,9 @@ if [ "${#inputs[@]}" -eq 0 ]; then
 fi
 
 GIT_SHA="$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# Dirty when any tracked file differs from HEAD, staged or not.
 GIT_DIRTY=false
-if ! git -C "$REPO_ROOT" diff --quiet 2>/dev/null; then
+if ! git -C "$REPO_ROOT" diff --quiet HEAD 2>/dev/null; then
   GIT_DIRTY=true
 fi
 
