@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   flags.add_bool("csv", false, "also write bench_accuracy.csv");
   bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
+  const nn::KernelChoice kernels = bench::kernel_choice_flags(flags);
 
   DatasetConfig dc;  // 4-way, 3x16x16
   if (flags.get_string("task") == "blobs") {
@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
       util::Rng rng(100 + static_cast<std::uint64_t>(seed));
       TinyNetConfig nc;
       nc.num_classes = dc.num_classes;
+      nc.kernels = kernels;
       auto net = flags.get_string("arch") == "inverted"
                      ? build_tiny_inverted_net(nc, row.mode, rng)
                      : build_tiny_net(nc, row.mode, rng);

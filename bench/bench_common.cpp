@@ -2,9 +2,9 @@
 
 #include <cstdio>
 
-#include "nn/kernels.hpp"
 #include "systolic/sim.hpp"
 #include "util/check.hpp"
+#include "util/cpu_features.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_sink.hpp"
@@ -22,27 +22,28 @@ void add_telemetry_flags(util::CliFlags& flags) {
 }
 
 void add_kernel_flags(util::CliFlags& flags) {
-  flags.add_string("kernel-backend",
-                   nn::kernel_backend_name(nn::kernel_backend()),
+  const nn::KernelChoice defaults;
+  flags.add_string("kernel-backend", nn::kernel_backend_name(defaults.backend),
                    "functional kernel backend: fast or reference");
-  flags.add_string("kernel-isa", nn::kernel_isa_name(nn::kernel_isa()),
+  flags.add_string("kernel-isa", nn::kernel_isa_name(defaults.isa),
                    "fast-kernel instruction set: scalar, avx2, or auto");
 }
 
-void apply_kernel_flags(const util::CliFlags& flags) {
+nn::KernelChoice kernel_choice_flags(const util::CliFlags& flags) {
+  nn::KernelChoice choice;
   const std::string name = flags.get_string("kernel-backend");
-  nn::KernelBackend backend;
-  FUSE_CHECK(nn::parse_kernel_backend(name, &backend))
+  FUSE_CHECK(nn::parse_kernel_backend(name, &choice.backend))
       << "--kernel-backend must be 'fast' or 'reference', got '" << name
       << "'";
-  nn::set_kernel_backend(backend);
   const std::string isa_name = flags.get_string("kernel-isa");
-  nn::KernelIsa isa;
-  FUSE_CHECK(nn::parse_kernel_isa(isa_name, &isa))
+  FUSE_CHECK(nn::parse_kernel_isa(isa_name, &choice.isa))
       << "--kernel-isa must be 'scalar', 'avx2', or 'auto', got '" << isa_name
       << "'";
-  // An unavailable ISA is a hard error (set_kernel_isa FUSE_CHECKs it).
-  nn::set_kernel_isa(isa);
+  FUSE_CHECK(nn::kernel_isa_available(choice.isa))
+      << "--kernel-isa=" << isa_name
+      << " is not available on this machine (cpu: "
+      << util::cpu_features().to_string() << ")";
+  return choice;
 }
 
 void add_sim_flags(util::CliFlags& flags) {

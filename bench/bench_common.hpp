@@ -36,6 +36,7 @@
 #include <memory>
 #include <string>
 
+#include "nn/ops.hpp"
 #include "systolic/sim.hpp"
 #include "util/cli.hpp"
 
@@ -55,8 +56,10 @@ void add_telemetry_flags(util::CliFlags& flags);
 /// binaries that dispatch kernels.
 void add_kernel_flags(util::CliFlags& flags);
 
-/// Applies the parsed kernel flags to the process-wide backend state.
-void apply_kernel_flags(const util::CliFlags& flags);
+/// The kernel route the parsed --kernel-backend and --kernel-isa name, to
+/// pass to the calls that run kernels. An ISA the machine lacks is an
+/// error.
+nn::KernelChoice kernel_choice_flags(const util::CliFlags& flags);
 
 /// Registers --sim-backend (fast|reference, default fast) for the
 /// simulator-driven examples.

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/fuseconv.hpp"
-#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "systolic/sim.hpp"
 #include "tensor/tensor.hpp"
@@ -49,6 +48,8 @@ namespace {
 
 using fuse::nn::Conv2dParams;
 using fuse::nn::KernelBackend;
+using fuse::nn::KernelChoice;
+using fuse::nn::KernelIsa;
 using fuse::tensor::Shape;
 using fuse::tensor::Tensor;
 
@@ -59,39 +60,13 @@ Tensor random_tensor(Shape shape, std::uint64_t seed) {
   return t;
 }
 
-/// Variant label for the ref-vs-fast pairs. fast_scalar pins the
-/// portable scalar ISA so the fast/fast_scalar pair isolates the SIMD
-/// micro-kernel speedup from the blocking/fusion win the scalar fast path
-/// already has.
-struct Variant {
-  const char* label;
-  KernelBackend backend;
-  const char* isa;  // "scalar" or "auto" (resolves to best available)
-};
-
-constexpr Variant kReference{"reference", KernelBackend::kReference,
-                             "scalar"};
-constexpr Variant kFast{"fast", KernelBackend::kFast, "auto"};
-constexpr Variant kFastScalar{"fast_scalar", KernelBackend::kFast, "scalar"};
-
-/// Pins backend + ISA for one benchmark run and restores fast on the best
-/// available ISA afterwards (the process default).
-struct VariantScope {
-  explicit VariantScope(const Variant& v) {
-    fuse::nn::set_kernel_backend(v.backend);
-    fuse::nn::set_kernel_isa(parse_isa(v.isa));
-  }
-  ~VariantScope() {
-    fuse::nn::set_kernel_backend(KernelBackend::kFast);
-    fuse::nn::set_kernel_isa(parse_isa("auto"));
-  }
-
-  static fuse::nn::KernelIsa parse_isa(const char* name) {
-    fuse::nn::KernelIsa isa = fuse::nn::KernelIsa::kScalar;
-    fuse::nn::parse_kernel_isa(name, &isa);
-    return isa;
-  }
-};
+/// The kernel route of each leg of the ref-vs-fast pairs. fast_scalar
+/// pins the portable scalar ISA so the fast/fast_scalar pair isolates the
+/// SIMD micro-kernel speedup from the blocking/fusion win the scalar fast
+/// path already has; fast runs on the best ISA available.
+const KernelChoice kReference{KernelBackend::kReference, KernelIsa::kScalar};
+const KernelChoice kFast{};
+const KernelChoice kFastScalar{KernelBackend::kFast, KernelIsa::kScalar};
 
 /// Records the FLOP count of one op. The reporter turns it into GFLOP/s
 /// with the run's real time per op, the clock ns_per_op reports.
@@ -129,20 +104,19 @@ void repeated(benchmark::internal::Benchmark* b) {
   BENCHMARK_CAPTURE(func, fast_scalar, kFastScalar)->Apply(repeated)
 
 /// Shared driver for the conv pairs: runs nn::conv2d through the public
-/// dispatcher under the variant's backend.
-void run_conv(benchmark::State& state, const Variant& v, const Tensor& input,
-              const Tensor& weight, const Conv2dParams& p,
-              std::int64_t macs) {
-  VariantScope scope(v);
+/// dispatcher on the variant's route.
+void run_conv(benchmark::State& state, const KernelChoice& v,
+              const Tensor& input, const Tensor& weight,
+              const Conv2dParams& p, std::int64_t macs) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fuse::nn::conv2d(input, weight, nullptr, p));
+    benchmark::DoNotOptimize(fuse::nn::conv2d(input, weight, nullptr, p, v));
   }
   set_flops(state, macs);
 }
 
 // --- The MobileNet-V2 stem filter at half resolution: [1, 3, 112, 112] -> 32,
 // 3x3 stride 2 pad 1.
-void BM_Conv3x3(benchmark::State& state, Variant v) {
+void BM_Conv3x3(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 3, 112, 112}, 3);
   const Tensor weight = random_tensor(Shape{32, 3, 3, 3}, 4);
   const Conv2dParams p{2, 2, 1, 1, 1, 1, 1};
@@ -153,7 +127,7 @@ KERNEL_LEGS(BM_Conv3x3);
 
 // --- The paper networks' dense stem at 224^2: [1, 3, 224, 224] -> 32,
 // 3x3 stride 2 pad 1.
-void BM_StemConv224(benchmark::State& state, Variant v) {
+void BM_StemConv224(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 3, 224, 224}, 31);
   const Tensor weight = random_tensor(Shape{32, 3, 3, 3}, 32);
   const Conv2dParams p{2, 2, 1, 1, 1, 1, 1};
@@ -164,7 +138,7 @@ KERNEL_LEGS(BM_StemConv224);
 
 // --- The serving workload's batched stem (width 0.5 at 128^2):
 // [8, 3, 128, 128] -> 16, 3x3 stride 2 pad 1.
-void BM_StemConv128Batch8(benchmark::State& state, Variant v) {
+void BM_StemConv128Batch8(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{8, 3, 128, 128}, 33);
   const Tensor weight = random_tensor(Shape{16, 3, 3, 3}, 34);
   const Conv2dParams p{2, 2, 1, 1, 1, 1, 1};
@@ -174,7 +148,7 @@ void BM_StemConv128Batch8(benchmark::State& state, Variant v) {
 KERNEL_LEGS(BM_StemConv128Batch8);
 
 // --- MobileNet-V2 expansion pointwise: [1, 96, 14, 14] -> 576, 1x1.
-void BM_PointwiseConv(benchmark::State& state, Variant v) {
+void BM_PointwiseConv(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 96, 14, 14}, 5);
   const Tensor weight = random_tensor(Shape{576, 96, 1, 1}, 6);
   run_conv(state, v, input, weight, Conv2dParams{},
@@ -184,7 +158,7 @@ KERNEL_LEGS(BM_PointwiseConv);
 
 // --- MobileNet-V2 projection pointwise: [1, 144, 56, 56] -> 24, 1x1 (few
 // output channels, many positions).
-void BM_PointwiseProjection(benchmark::State& state, Variant v) {
+void BM_PointwiseProjection(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 144, 56, 56}, 22);
   const Tensor weight = random_tensor(Shape{24, 144, 1, 1}, 23);
   run_conv(state, v, input, weight, Conv2dParams{},
@@ -193,7 +167,7 @@ void BM_PointwiseProjection(benchmark::State& state, Variant v) {
 KERNEL_LEGS(BM_PointwiseProjection);
 
 // --- MobileNet-V2 depthwise: [1, 144, 56, 56], 3x3 pad 1, groups = C.
-void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
+void BM_DepthwiseConv3x3(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 144, 56, 56}, 7);
   const Tensor weight = random_tensor(Shape{144, 1, 3, 3}, 8);
   const Conv2dParams p{1, 1, 1, 1, 1, 1, 144};
@@ -204,7 +178,7 @@ KERNEL_LEGS(BM_DepthwiseConv3x3);
 
 // --- MobileNet-V2 stride-2 depthwise: [1, 96, 112, 112], 3x3 stride 2
 // pad 1 (the exact double-lane route under AVX2).
-void BM_DepthwiseConv3x3S2(benchmark::State& state, Variant v) {
+void BM_DepthwiseConv3x3S2(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 96, 112, 112}, 24);
   const Tensor weight = random_tensor(Shape{96, 1, 3, 3}, 25);
   const Conv2dParams p{2, 2, 1, 1, 1, 1, 96};
@@ -216,7 +190,7 @@ KERNEL_LEGS(BM_DepthwiseConv3x3S2);
 // --- Last-stage 7^2 channelwise (MobileNet-V3-Large's 960-channel
 // depthwise, MobileNet-V1's 1024-channel FuSe row and col), where a
 // plane is narrower than one 8-output vector interior.
-void run_channelwise_7x7(benchmark::State& state, const Variant& v,
+void run_channelwise_7x7(benchmark::State& state, const KernelChoice& v,
                          std::int64_t channels, std::int64_t kh,
                          std::int64_t kw) {
   const Tensor input = random_tensor(Shape{1, channels, 7, 7}, 26);
@@ -226,23 +200,23 @@ void run_channelwise_7x7(benchmark::State& state, const Variant& v,
            /*macs=*/channels * kh * kw * 7 * 7);
 }
 
-void BM_DepthwiseConv3x3At7(benchmark::State& state, Variant v) {
+void BM_DepthwiseConv3x3At7(benchmark::State& state, KernelChoice v) {
   run_channelwise_7x7(state, v, 960, 3, 3);
 }
 KERNEL_LEGS(BM_DepthwiseConv3x3At7);
 
-void BM_FuseRowAt7(benchmark::State& state, Variant v) {
+void BM_FuseRowAt7(benchmark::State& state, KernelChoice v) {
   run_channelwise_7x7(state, v, 1024, 1, 3);
 }
 KERNEL_LEGS(BM_FuseRowAt7);
 
-void BM_FuseColAt7(benchmark::State& state, Variant v) {
+void BM_FuseColAt7(benchmark::State& state, KernelChoice v) {
   run_channelwise_7x7(state, v, 1024, 3, 1);
 }
 KERNEL_LEGS(BM_FuseColAt7);
 
 // --- FuSe row branch: the same geometry factored to 1x3, groups = C.
-void BM_FuseRow(benchmark::State& state, Variant v) {
+void BM_FuseRow(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 144, 56, 56}, 9);
   const Tensor weight = random_tensor(Shape{144, 1, 1, 3}, 10);
   const Conv2dParams p{1, 1, 0, 1, 1, 1, 144};
@@ -252,7 +226,7 @@ void BM_FuseRow(benchmark::State& state, Variant v) {
 KERNEL_LEGS(BM_FuseRow);
 
 // --- FuSe col branch: 3x1, groups = C.
-void BM_FuseCol(benchmark::State& state, Variant v) {
+void BM_FuseCol(benchmark::State& state, KernelChoice v) {
   const Tensor input = random_tensor(Shape{1, 144, 56, 56}, 11);
   const Tensor weight = random_tensor(Shape{144, 1, 3, 1}, 12);
   const Conv2dParams p{1, 1, 1, 0, 1, 1, 144};
@@ -263,22 +237,23 @@ KERNEL_LEGS(BM_FuseCol);
 
 // --- Classifier: [batch, 1280] x [1000, 1280] linear, at a serving batch
 // of 8 and at batch 1 (one image, as in layer-by-layer inference).
-void run_linear(benchmark::State& state, const Variant& v,
+void run_linear(benchmark::State& state, const KernelChoice& v,
                 std::int64_t batch) {
-  VariantScope scope(v);
   const Tensor input = random_tensor(Shape{batch, 1280}, 13);
   const Tensor weight = random_tensor(Shape{1000, 1280}, 14);
   const Tensor bias = random_tensor(Shape{1000}, 15);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fuse::nn::linear(input, weight, &bias));
+    benchmark::DoNotOptimize(fuse::nn::linear(input, weight, &bias, v));
   }
   set_flops(state, batch * 1280 * 1000);
 }
 
-void BM_Linear(benchmark::State& state, Variant v) { run_linear(state, v, 8); }
+void BM_Linear(benchmark::State& state, KernelChoice v) {
+  run_linear(state, v, 8);
+}
 KERNEL_LEGS(BM_Linear);
 
-void BM_LinearBatch1(benchmark::State& state, Variant v) {
+void BM_LinearBatch1(benchmark::State& state, KernelChoice v) {
   run_linear(state, v, 1);
 }
 KERNEL_LEGS(BM_LinearBatch1);
@@ -288,9 +263,8 @@ KERNEL_LEGS(BM_LinearBatch1);
 constexpr std::int64_t kC = 32;
 constexpr std::int64_t kHW = 28;
 
-void run_fuse_stage(benchmark::State& state, const Variant& v,
+void run_fuse_stage(benchmark::State& state, const KernelChoice& v,
                     fuse::core::FuseVariant variant) {
-  VariantScope scope(v);
   fuse::core::FuseConvSpec spec;
   spec.channels = kC;
   spec.in_h = kHW;
@@ -303,17 +277,17 @@ void run_fuse_stage(benchmark::State& state, const Variant& v,
   const fuse::core::FuseConvStage stage(spec, rng);
   const Tensor input = random_tensor(Shape{1, kC, kHW, kHW}, 17);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stage.forward(input));
+    benchmark::DoNotOptimize(stage.forward(input, v));
   }
 }
 
-void BM_FuseConvHalf(benchmark::State& state, Variant v) {
+void BM_FuseConvHalf(benchmark::State& state, KernelChoice v) {
   run_fuse_stage(state, v, fuse::core::FuseVariant::kHalf);
 }
 BENCHMARK_CAPTURE(BM_FuseConvHalf, reference, kReference)->Apply(repeated);
 BENCHMARK_CAPTURE(BM_FuseConvHalf, fast, kFast)->Apply(repeated);
 
-void BM_FuseConvFull(benchmark::State& state, Variant v) {
+void BM_FuseConvFull(benchmark::State& state, KernelChoice v) {
   run_fuse_stage(state, v, fuse::core::FuseVariant::kFull);
 }
 BENCHMARK_CAPTURE(BM_FuseConvFull, reference, kReference)->Apply(repeated);
@@ -459,9 +433,9 @@ std::pair<std::string, std::string> parse_name(const std::string& name) {
 }
 
 /// ISA the variant behind this row ran under: reference and fast_scalar
-/// pin scalar, other fast legs resolve "auto" to the best available ISA
-/// on the producing machine, and the sim benches sit outside the kernel
-/// dispatch entirely.
+/// pin scalar, other fast legs run on the best available ISA of the
+/// producing machine, and the sim benches sit outside the kernel dispatch
+/// entirely.
 std::string isa_for_backend(const std::string& backend) {
   if (backend == "sim") {
     return "none";
@@ -469,8 +443,7 @@ std::string isa_for_backend(const std::string& backend) {
   if (backend == "reference" || backend == "fast_scalar") {
     return "scalar";
   }
-  return fuse::nn::kernel_isa_name(
-      VariantScope::parse_isa("auto"));
+  return fuse::nn::kernel_isa_name(kFast.isa);
 }
 
 #ifdef __clang__

@@ -1,7 +1,7 @@
 // Extension: what dynamic batching is worth when the array is SERVING —
 // many independent requests, not one offline batch. Three experiments,
-// all in the virtual cycle domain (byte-deterministic for a fixed seed,
-// any machine, any --workers):
+// all in the virtual cycle domain (byte-deterministic for a fixed seed
+// and --kernel-isa, on any machine, at any --workers):
 //
 //   1. Saturation throughput — closed-loop clients (fixed concurrency)
 //      drive one shape through a batch-1 engine and a dynamically
@@ -14,8 +14,11 @@
 //      against one engine config; reports completed/shed counts and
 //      p50/p90/p99 latency, the classic throughput-vs-tail tradeoff.
 //   3. Multi-tenant mix — two custom chain models served concurrently in
-//      tensor mode (real kernels through the worker pool); the response
-//      fingerprint pins byte-determinism across --workers values.
+//      tensor mode (real kernels through the worker pool, on the route
+//      --kernel-backend/--kernel-isa name); the response fingerprint pins
+//      byte-determinism across --workers values. It mixes the payload
+//      checksums, whose bits depend on the ISA, so the committed artifact
+//      is pinned to --kernel-isa=scalar.
 //
 // Usage: bench_serve [--size=64] [--total=96] [--concurrency=16]
 //                    [--window=400] [--max-batch=8] [--workers=2]
@@ -161,7 +164,8 @@ void write_json(const std::string& path,
                 std::uint64_t window) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   FUSE_CHECK(f != nullptr) << "cannot write " << path;
-  // Every metric is a cycle-domain model output: exact on any machine.
+  // Every metric is a cycle-domain model output or, in the fingerprint, a
+  // checksum at the given --kernel-isa: exact on any machine at one ISA.
   // Declared explicitly because "speedup_vs_b1" would otherwise hit the
   // wall-clock name heuristic in tools/bench_compare.py.
   std::fprintf(f,
@@ -246,7 +250,7 @@ int main(int argc, char** argv) {
   bench::add_telemetry_flags(flags);
   bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
+  const nn::KernelChoice kernels = bench::kernel_choice_flags(flags);
   bench::TelemetryScope telemetry(flags);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
@@ -411,6 +415,7 @@ int main(int argc, char** argv) {
   tenant_config.queue_capacity = 16;
   tenant_config.num_arrays = 2;
   tenant_config.workers = workers;
+  tenant_config.kernels = kernels;
   serve::ServeEngine tenant_engine(tenant_config, &tenant_pool);
   const std::vector<serve::TraceShape> tenant_shapes = {
       serve::TraceShape{tenant_a, 0, 2},

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   flags.add_string("variant", "half", "full|half");
   bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
+  const nn::KernelChoice kernels = bench::kernel_choice_flags(flags);
 
   core::FuseConvSpec spec;
   spec.channels = flags.get_int("channels");
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   input.fill_uniform(rng, -1.0F, 1.0F);
 
   // FP32 reference.
-  const tensor::Tensor fp32 = stage.forward(input);
+  const tensor::Tensor fp32 = stage.forward(input, kernels);
 
   // FP16 (the paper's precision): quantize weights + input through
   // binary16 and run the same forward.
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   fp16_stage.row_weights() = tensor::quantize_half(stage.row_weights());
   fp16_stage.col_weights() = tensor::quantize_half(stage.col_weights());
   const tensor::Tensor fp16 =
-      fp16_stage.forward(tensor::quantize_half(input));
+      fp16_stage.forward(tensor::quantize_half(input), kernels);
 
   // INT8 (TPUv1-class): affine activations, symmetric weights, INT32
   // accumulation.

@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   flags.add_int("eval", 128, "eval examples");
   bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
-  bench::apply_kernel_flags(flags);
+  TinyNetConfig config;
+  config.kernels = bench::kernel_choice_flags(flags);
 
   const std::string mode_name = flags.get_string("mode");
   core::FuseMode mode = core::FuseMode::kBaseline;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   const TextureDataset eval_data(dc, flags.get_int("eval"), 2);
 
   util::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
-  auto net = build_tiny_net(TinyNetConfig{}, mode, rng);
+  auto net = build_tiny_net(config, mode, rng);
   std::vector<Parameter*> params;
   net->collect_params(params);
   std::size_t total_params = 0;

@@ -98,7 +98,8 @@ Tensor slice_channels(const Tensor& input, std::int64_t first_channel,
   return out;
 }
 
-Tensor FuseConvStage::forward(const Tensor& input) const {
+Tensor FuseConvStage::forward(const Tensor& input,
+                              const nn::KernelChoice& choice) const {
   FUSE_CHECK(input.shape().rank() == 4)
       << "FuSeConv input must be NCHW, got " << input.shape().to_string();
   FUSE_CHECK(input.shape().dim(1) == spec_.channels)
@@ -131,7 +132,7 @@ Tensor FuseConvStage::forward(const Tensor& input) const {
   row_params.pad_w = spec_.pad;
   row_params.groups = branch_c;
   const Tensor row_out =
-      nn::conv2d(row_input, row_weights_, nullptr, row_params);
+      nn::conv2d(row_input, row_weights_, nullptr, row_params, choice);
 
   nn::Conv2dParams col_params;
   col_params.stride_h = spec_.stride;
@@ -140,7 +141,7 @@ Tensor FuseConvStage::forward(const Tensor& input) const {
   col_params.pad_w = 0;
   col_params.groups = branch_c;
   const Tensor col_out =
-      nn::conv2d(col_input, col_weights_, nullptr, col_params);
+      nn::conv2d(col_input, col_weights_, nullptr, col_params, choice);
 
   return nn::concat_channels(row_out, col_out);
 }

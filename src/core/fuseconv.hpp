@@ -96,8 +96,10 @@ class FuseConvStage {
 
   /// Forward pass. input [N, C, H, W] -> [N, 2C/D, out_h, out_w].
   /// Full: both branches see all C channels; Half: the row branch sees
-  /// channels [0, C/2) and the column branch channels [C/2, C).
-  Tensor forward(const Tensor& input) const;
+  /// channels [0, C/2) and the column branch channels [C/2, C). Both
+  /// branches run on `choice`.
+  Tensor forward(const Tensor& input,
+                 const nn::KernelChoice& choice = {}) const;
 
  private:
   FuseConvSpec spec_;

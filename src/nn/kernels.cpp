@@ -1,7 +1,6 @@
 #include "nn/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "nn/kernels_isa.hpp"
@@ -18,26 +17,6 @@ using tensor::conv_out_dim;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend state
-// ---------------------------------------------------------------------------
-
-std::atomic<KernelBackend>& backend_state() {
-  static std::atomic<KernelBackend> state{KernelBackend::kFast};
-  return state;
-}
-
-// ---------------------------------------------------------------------------
-// ISA state
-// ---------------------------------------------------------------------------
-
-std::atomic<KernelIsa>& isa_state() {
-  static std::atomic<KernelIsa> state{
-      kernel_isa_available(KernelIsa::kAvx2) ? KernelIsa::kAvx2
-                                             : KernelIsa::kScalar};
-  return state;
-}
-
-// ---------------------------------------------------------------------------
 // Telemetry (docs/observability.md catalog, "kernels.*")
 // ---------------------------------------------------------------------------
 
@@ -52,18 +31,25 @@ util::Counter& pack_bytes_counter() {
     counter.add();                                                       \
   } while (false)
 
-/// Reads the ISA a fast forward kernel runs with and bumps the matching
+/// Fails unless `isa` runs here: no kernel executes what the CPU lacks.
+void check_isa(KernelIsa isa) {
+  FUSE_CHECK(kernel_isa_available(isa))
+      << "kernel ISA '" << kernel_isa_name(isa)
+      << "' is not available on this machine (cpu: "
+      << util::cpu_features().to_string() << ")";
+}
+
+/// Checks the ISA a fast forward kernel runs with and bumps the matching
 /// kernels.dispatch.{avx2,scalar} counter. The backward passes are
 /// scalar-only by design and don't go through here — see the dispatch
 /// table in docs/kernels.md.
-KernelIsa note_isa() {
-  const KernelIsa isa = kernel_isa();
+void note_isa(KernelIsa isa) {
+  check_isa(isa);
   if (isa == KernelIsa::kAvx2) {
     FUSE_KERNEL_COUNTER("kernels.dispatch.avx2");
   } else {
     FUSE_KERNEL_COUNTER("kernels.dispatch.scalar");
   }
-  return isa;
 }
 
 /// The Conv2dParams subset the ISA kernels take (plain ints, no repo
@@ -442,7 +428,8 @@ ChannelwiseKind classify_channelwise(std::int64_t kh, std::int64_t kw) {
 }
 
 Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
-                               const Tensor* bias, const Conv2dParams& p) {
+                               const Tensor* bias, const Conv2dParams& p,
+                               KernelIsa isa) {
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t channels = input.shape().dim(1);
   const std::int64_t in_h = input.shape().dim(2);
@@ -468,7 +455,7 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
 
   // Every geometry vectorizes under AVX2 (the dispatch table in
   // docs/kernels.md has the measurements behind each route).
-  const KernelIsa isa = note_isa();
+  note_isa(isa);
   const auto [x_lo, x_hi] =
       interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
   const kernels::ConvGeom geom = to_geom(p);
@@ -536,7 +523,8 @@ bool is_pointwise(const Tensor& weight, const Conv2dParams& p) {
 /// lands as a contiguous run of its NCHW plane. Each output sums bias,
 /// then taps in (ic, ky, kx) order.
 Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
-                        const Tensor* bias, const Conv2dParams& p) {
+                        const Tensor* bias, const Conv2dParams& p,
+                        KernelIsa isa) {
   const bool pointwise = is_pointwise(weight, p);
   if (pointwise) {
     FUSE_KERNEL_COUNTER("kernels.fast.pointwise");
@@ -545,7 +533,7 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
   }
   // im2col linearizes every geometry, so the GEMM path vectorizes
   // unconditionally.
-  const KernelIsa isa = note_isa();
+  note_isa(isa);
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t in_c = input.shape().dim(1);
   const std::int64_t in_h = input.shape().dim(2);
@@ -601,16 +589,8 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Backend accessors
+// Kernel choice
 // ---------------------------------------------------------------------------
-
-KernelBackend kernel_backend() {
-  return backend_state().load(std::memory_order_relaxed);
-}
-
-void set_kernel_backend(KernelBackend backend) {
-  backend_state().store(backend, std::memory_order_relaxed);
-}
 
 bool parse_kernel_backend(const std::string& name, KernelBackend* out) {
   if (name == "fast") {
@@ -628,22 +608,17 @@ const char* kernel_backend_name(KernelBackend backend) {
   return backend == KernelBackend::kFast ? "fast" : "reference";
 }
 
-KernelIsa kernel_isa() { return isa_state().load(std::memory_order_relaxed); }
-
-void set_kernel_isa(KernelIsa isa) {
-  FUSE_CHECK(kernel_isa_available(isa))
-      << "kernel ISA '" << kernel_isa_name(isa)
-      << "' is not available on this machine (cpu: "
-      << util::cpu_features().to_string() << ")";
-  isa_state().store(isa, std::memory_order_relaxed);
-}
-
 bool kernel_isa_available(KernelIsa isa) {
   if (isa == KernelIsa::kScalar) {
     return true;
   }
   const util::CpuFeatures& cpu = util::cpu_features();
   return kernels::avx2::compiled() && cpu.avx2 && cpu.fma;
+}
+
+KernelIsa best_isa() {
+  static const bool avx2 = kernel_isa_available(KernelIsa::kAvx2);
+  return avx2 ? KernelIsa::kAvx2 : KernelIsa::kScalar;
 }
 
 bool parse_kernel_isa(const std::string& name, KernelIsa* out) {
@@ -656,8 +631,7 @@ bool parse_kernel_isa(const std::string& name, KernelIsa* out) {
     return true;
   }
   if (name == "auto") {
-    *out = kernel_isa_available(KernelIsa::kAvx2) ? KernelIsa::kAvx2
-                                                  : KernelIsa::kScalar;
+    *out = best_isa();
     return true;
   }
   return false;
@@ -674,7 +648,8 @@ namespace kernels {
 // ---------------------------------------------------------------------------
 
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n) {
+              std::int64_t k, std::int64_t n, KernelIsa isa) {
+  check_isa(isa);
   if (n == 1) {
     // A matrix-vector product, which is a batch-1 linear layer with A's
     // rows as its weight: a padded 8-wide B panel would be 7/8 zeros,
@@ -702,7 +677,7 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
   }
   std::vector<float> b_panels;
   pack_b_panels(b, k, n, n, b_panels);
-  if (kernel_isa() == KernelIsa::kAvx2) {
+  if (isa == KernelIsa::kAvx2) {
     kernels::avx2::block_gemm_f64(a, k, m, b_panels.data(), k, n, c, n);
     return;
   }
@@ -713,12 +688,13 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
 void channelwise_f64(const float* input, const float* weight, float* out,
                      std::int64_t channels, std::int64_t in_h,
                      std::int64_t in_w, std::int64_t kh, std::int64_t kw,
-                     const Conv2dParams& p) {
+                     const Conv2dParams& p, KernelIsa isa) {
+  check_isa(isa);
   const std::int64_t out_h =
       conv_out_dim(in_h, kh, p.stride_h, p.pad_h, p.dilation_h);
   const std::int64_t out_w =
       conv_out_dim(in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
-  if (kernel_isa() == KernelIsa::kAvx2) {
+  if (isa == KernelIsa::kAvx2) {
     const auto [x_lo, x_hi] =
         interior_x(out_w, in_w, kw, p.stride_w, p.pad_w, p.dilation_w);
     kernels::avx2::channelwise_blocked_f64(
@@ -735,20 +711,21 @@ void channelwise_f64(const float* input, const float* weight, float* out,
 // ---------------------------------------------------------------------------
 
 Tensor conv2d_fast(const Tensor& input, const Tensor& weight,
-                   const Tensor* bias, const Conv2dParams& params) {
+                   const Tensor* bias, const Conv2dParams& params,
+                   KernelIsa isa) {
   const std::int64_t in_c = input.shape().dim(1);
   const std::int64_t out_c = weight.shape().dim(0);
   if (params.groups == in_c && weight.shape().dim(1) == 1 &&
       out_c == in_c) {
-    return conv2d_channelwise_fast(input, weight, bias, params);
+    return conv2d_channelwise_fast(input, weight, bias, params, isa);
   }
-  return conv2d_gemm_fast(input, weight, bias, params);
+  return conv2d_gemm_fast(input, weight, bias, params, isa);
 }
 
 Tensor linear_fast(const Tensor& input, const Tensor& weight,
-                   const Tensor* bias) {
+                   const Tensor* bias, KernelIsa isa) {
   FUSE_KERNEL_COUNTER("kernels.fast.linear");
-  const KernelIsa isa = note_isa();
+  note_isa(isa);
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t in_f = input.shape().dim(1);
   const std::int64_t out_f = weight.shape().dim(0);

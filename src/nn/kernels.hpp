@@ -38,93 +38,36 @@
 //     whose double sums of exact float x float products round the same
 //     with or without FMA, stay bit-identical under every ISA.
 //
-// Backend selection: nn::conv2d / linear and the train::Module backward
-// passes dispatch on kernel_backend(). Default is kFast;
-// set_kernel_backend (or the --kernel-backend flag of the binaries that
-// run kernels) pins the reference oracle. nn::matmul and the INT8
-// operators (nn/quantized.hpp) are one loop each and read neither
-// setting.
-//
-// ISA selection: inside the fast backend, kernel_isa() picks between the
-// portable scalar kernels and the AVX2/FMA micro-kernels
-// (kernels_avx2.cpp). Default is the best ISA the CPU supports (CPUID
-// probe in util/cpu_features.hpp); set_kernel_isa (or --kernel-isa)
-// overrides it for differential testing, and requesting an ISA the
-// machine lacks is an error. The backward passes always run the scalar
-// kernels — see the dispatch table in docs/kernels.md. The simulator's
-// f64 kernels and the channelwise convs at stride_w != 1 or
-// dilation_w != 1 read kernel_isa() too; for them it changes speed,
-// never a bit.
-//
-// The two settings are process-wide; only code sets them (directly, or
-// from the flags of the binaries that run kernels).
+// Selection: each call passes an nn::KernelChoice (nn/ops.hpp): its
+// backend picks the reference oracle or these kernels, its ISA the
+// portable scalar kernels or the AVX2/FMA micro-kernels
+// (kernels_avx2.cpp). The default is fast on the best ISA the CPU
+// supports (util/cpu_features.hpp); an ISA the machine lacks is an error
+// at the kernel entry. The backward passes always run the scalar kernels
+// (docs/kernels.md has the dispatch table). The simulator's f64 kernels,
+// and the channelwise convs at stride_w != 1 or dilation_w != 1, change
+// speed with the ISA, never a bit. nn::matmul and the INT8 operators
+// (nn/quantized.hpp) are one loop each and take no choice.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "nn/ops.hpp"
 
-namespace fuse::nn {
-
-/// Which implementation the functional operators dispatch to.
-enum class KernelBackend {
-  kReference,  // the clarity-first loops (numeric ground truth)
-  kFast,       // this module's blocked kernels
-};
-
-/// Current backend (default fast).
-KernelBackend kernel_backend();
-
-/// Overrides the backend for the whole process. Not safe to call while
-/// kernels are executing.
-void set_kernel_backend(KernelBackend backend);
-
-/// Parses "fast" / "reference" (also "ref"). Returns false on anything
-/// else.
-bool parse_kernel_backend(const std::string& name, KernelBackend* out);
-
-const char* kernel_backend_name(KernelBackend backend);
-
-/// Which instruction set the fast backend's inner kernels use.
-enum class KernelIsa {
-  kScalar,  // portable C++ (bit-exact with the reference oracles)
-  kAvx2,    // AVX2/FMA micro-kernels (ULP-bounded floats, exact f64)
-};
-
-/// Current ISA (default: the best available per the CPUID probe).
-KernelIsa kernel_isa();
-
-/// Overrides the ISA for the whole process. FUSE_CHECK-fails if `isa` is
-/// not available on this machine (see kernel_isa_available). Not safe to
-/// call while kernels are executing.
-void set_kernel_isa(KernelIsa isa);
-
-/// True when `isa` can execute here: kScalar always; kAvx2 when the
-/// binary contains the AVX2 kernels (x86 build) AND the CPU + OS report
-/// AVX2, FMA, and OS-enabled YMM state.
-bool kernel_isa_available(KernelIsa isa);
-
-/// Parses "scalar" / "avx2" / "auto" ("auto" resolves to the best
-/// available ISA at parse time). Returns false on anything else.
-bool parse_kernel_isa(const std::string& name, KernelIsa* out);
-
-const char* kernel_isa_name(KernelIsa isa);
-
-namespace kernels {
+namespace fuse::nn::kernels {
 
 /// C[m, n] = A[m, k] * B[k, n], row-major, all operands dense. Each
 /// output starts from a 0.0 double accumulator, adds the exact double
 /// products (double)a * (double)b in ascending k, and is rounded to float
 /// once: the arithmetic of an output-stationary PE, which the PE-grid
-/// simulator's fast engine runs through here. The packed-panel path
-/// dispatches on kernel_isa() (m = 1 streams B's rows and n = 1 reads
-/// A's rows eight at a time, both scalar), yet the bits depend on the
-/// operands only: a float x float product is exact in double, so the
+/// simulator's fast engine runs through here. The packed-panel path runs
+/// on `isa` (m = 1 streams B's rows and n = 1 reads A's rows eight at a
+/// time, both scalar), yet the bits depend on the operands only: a
+/// float x float product is exact in double, so the
 /// AVX2 kernel's one FMA per term rounds exactly as the scalar
 /// multiply-then-add, and both round to float the same way.
 void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n);
+              std::int64_t k, std::int64_t n, KernelIsa isa = best_isa());
 
 /// Channelwise conv (depthwise K x K, FuSe 1 x K or K x 1) of one image:
 /// input [channels, in_h, in_w], weight [channels, kh, kw], out
@@ -136,21 +79,22 @@ void gemm_f64(const float* a, const float* b, float* c, std::int64_t m,
 /// the array, less the padding taps. The simulator's fast engine runs
 /// every channelwise layer through here, and every call of broadcast FuSe
 /// lines: L lines of width W under 1 x K kernels are L one-row 1 x W
-/// planes, unpadded. Dispatches on kernel_isa() (the AVX2 kernel runs
-/// eight channels per vector in double lanes at any stride) with bits
-/// that depend on the operands only, for the reason gemm_f64 gives.
+/// planes, unpadded. Runs on `isa` (the AVX2 kernel runs eight channels
+/// per vector in double lanes at any stride) with bits that depend on
+/// the operands only, for the reason gemm_f64 gives.
 void channelwise_f64(const float* input, const float* weight, float* out,
                      std::int64_t channels, std::int64_t in_h,
                      std::int64_t in_w, std::int64_t kh, std::int64_t kw,
-                     const Conv2dParams& p);
+                     const Conv2dParams& p, KernelIsa isa = best_isa());
 
-/// Fast implementations of the dispatching operators. Shapes and
-/// semantics are identical to the reference versions in nn/ops.hpp;
+/// Fast implementations of the dispatching operators, on `isa`. Shapes
+/// and semantics are identical to the reference versions in nn/ops.hpp;
 /// arguments are assumed pre-validated by the dispatching wrapper.
 Tensor conv2d_fast(const Tensor& input, const Tensor& weight,
-                   const Tensor* bias, const Conv2dParams& params);
+                   const Tensor* bias, const Conv2dParams& params,
+                   KernelIsa isa);
 Tensor linear_fast(const Tensor& input, const Tensor& weight,
-                   const Tensor* bias);
+                   const Tensor* bias, KernelIsa isa);
 
 /// Fast training backward passes (train::Module dispatches here).
 /// Both ACCUMULATE into *weight_grad / *bias_grad (matching the
@@ -179,6 +123,4 @@ void transpose(const float* src, std::int64_t rows, std::int64_t cols,
 /// im2col path's weight operand.
 Tensor flatten_filters(const Tensor& weight);
 
-}  // namespace kernels
-
-}  // namespace fuse::nn
+}  // namespace fuse::nn::kernels

@@ -18,8 +18,8 @@ namespace {
 
 /// True when the fast backend should run; bumps the per-backend dispatch
 /// counters either way.
-bool use_fast_backend() {
-  if (kernel_backend() == KernelBackend::kFast) {
+bool use_fast_backend(KernelBackend backend) {
+  if (backend == KernelBackend::kFast) {
     static util::Counter& fast =
         util::metrics().counter("kernels.dispatch.fast");
     fast.add();
@@ -67,10 +67,10 @@ std::pair<std::int64_t, std::int64_t> check_conv_args(
 }  // namespace
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
-              const Conv2dParams& params) {
+              const Conv2dParams& params, const KernelChoice& choice) {
   check_conv_args(input, weight, bias, params);
-  if (use_fast_backend()) {
-    return kernels::conv2d_fast(input, weight, bias, params);
+  if (use_fast_backend(choice.backend)) {
+    return kernels::conv2d_fast(input, weight, bias, params, choice.isa);
   }
   return conv2d_reference(input, weight, bias, params);
 }
@@ -184,8 +184,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor linear(const Tensor& input, const Tensor& weight,
-              const Tensor* bias) {
+Tensor linear(const Tensor& input, const Tensor& weight, const Tensor* bias,
+              const KernelChoice& choice) {
   FUSE_CHECK(input.shape().rank() == 2)
       << "linear input must be [N, F_in], got " << input.shape().to_string();
   FUSE_CHECK(weight.shape().rank() == 2)
@@ -199,8 +199,8 @@ Tensor linear(const Tensor& input, const Tensor& weight,
                bias->shape().dim(0) == weight.shape().dim(0))
         << "linear bias must be [F_out]";
   }
-  if (use_fast_backend()) {
-    return kernels::linear_fast(input, weight, bias);
+  if (use_fast_backend(choice.backend)) {
+    return kernels::linear_fast(input, weight, bias, choice.isa);
   }
   return linear_reference(input, weight, bias);
 }

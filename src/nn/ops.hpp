@@ -4,12 +4,13 @@
 // in the repo: the systolic-array simulator's outputs, the FuSeConv
 // operator, and the training substrate are all validated against them.
 // The public conv2d/linear entry points dispatch between those loops and
-// the blocked fast backend in nn/kernels.hpp; the two backends are
-// bit-identical under the scalar ISA, so callers never need to care
-// which ran. matmul is one clarity-first loop under every setting.
+// the blocked fast backend in nn/kernels.hpp, as the KernelChoice their
+// caller passes says; the two backends are bit-identical under the
+// scalar ISA. matmul is one clarity-first loop under every choice.
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "tensor/tensor.hpp"
 
@@ -17,6 +18,43 @@ namespace fuse::nn {
 
 using tensor::Shape;
 using tensor::Tensor;
+
+/// Which implementation the functional operators dispatch to.
+enum class KernelBackend {
+  kReference,  // the clarity-first loops (numeric ground truth)
+  kFast,       // the blocked kernels of nn/kernels.hpp
+};
+
+/// Which instruction set the fast backend's inner kernels use.
+enum class KernelIsa {
+  kScalar,  // portable C++ (bit-exact with the reference oracles)
+  kAvx2,    // AVX2/FMA micro-kernels (ULP-bounded floats, exact f64)
+};
+
+/// True when `isa` can execute here: kScalar always; kAvx2 when the
+/// binary contains the AVX2 kernels (x86 build) AND the CPU + OS report
+/// AVX2, FMA, and OS-enabled YMM state.
+bool kernel_isa_available(KernelIsa isa);
+
+/// The best ISA this machine can execute (one CPUID probe per process).
+KernelIsa best_isa();
+
+/// The route of one dispatching call; fast on the best ISA by default. A
+/// fast call on an ISA the machine lacks throws at the kernel entry.
+struct KernelChoice {
+  KernelBackend backend = KernelBackend::kFast;
+  KernelIsa isa = best_isa();
+};
+
+/// Parses "fast" / "reference" (also "ref"); false on anything else.
+bool parse_kernel_backend(const std::string& name, KernelBackend* out);
+
+const char* kernel_backend_name(KernelBackend backend);
+
+/// Parses "scalar" / "avx2" / "auto" (best_isa()); false on anything else.
+bool parse_kernel_isa(const std::string& name, KernelIsa* out);
+
+const char* kernel_isa_name(KernelIsa isa);
 
 /// Geometry knobs for conv2d. Defaults give a dense 1x1-stride convolution.
 struct Conv2dParams {
@@ -37,13 +75,12 @@ struct Conv2dParams {
 /// Covers standard (groups=1), depthwise (groups=C_in, C_out=C_in),
 /// pointwise (Kh=Kw=1), and FuSeConv's 1-D branches (Kh=1 or Kw=1 with
 /// groups=C_in).
-/// Dispatches on nn::kernel_backend() (see nn/kernels.hpp); both backends
-/// produce bit-identical results.
+/// Runs on `choice`'s backend and ISA (see nn/kernels.hpp).
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
-              const Conv2dParams& params);
+              const Conv2dParams& params, const KernelChoice& choice = {});
 
-/// The clarity-first loops conv2d dispatches to under the reference
-/// backend; kept public as the numeric oracle for differential tests.
+/// The clarity-first loops conv2d runs on the reference backend; kept
+/// public as the numeric oracle for differential tests.
 Tensor conv2d_reference(const Tensor& input, const Tensor& weight,
                         const Tensor* bias, const Conv2dParams& params);
 
@@ -56,13 +93,14 @@ Tensor conv2d_im2col(const Tensor& input, const Tensor& weight,
 /// Dense matrix product: [M, K] x [K, N] -> [M, N]. Float accumulation
 /// from +0.0 in ascending k per output, skipping zero entries of A (which
 /// leaves the bits of a finite B's sums unchanged). One loop under every
-/// kernel setting: its caller is conv2d_im2col, which validates a
+/// kernel choice: its caller is conv2d_im2col, which validates a
 /// lowering rather than running inference.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// Fully connected: input [N, F_in], weight [F_out, F_in], bias [F_out] or
-/// nullptr -> [N, F_out]. Dispatches on nn::kernel_backend().
-Tensor linear(const Tensor& input, const Tensor& weight, const Tensor* bias);
+/// nullptr -> [N, F_out]. Runs on `choice`'s backend and ISA.
+Tensor linear(const Tensor& input, const Tensor& weight, const Tensor* bias,
+              const KernelChoice& choice = {});
 
 /// Reference oracle behind linear.
 Tensor linear_reference(const Tensor& input, const Tensor& weight,

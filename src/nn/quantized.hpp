@@ -16,7 +16,7 @@ using tensor::QuantizedTensor;
 /// (affine), weight [C_out, C_in/g, Kh, Kw] (symmetric, zero_point == 0,
 /// checked). Accumulates in int32 and returns the dequantized float
 /// output: out = s_in * s_w * sum((q_in - zp_in) * q_w). One loop under
-/// every kernel setting: an int32 sum is exact in any order, so every
+/// every kernel choice: an int32 sum is exact in any order, so every
 /// loop order gives these bits.
 tensor::Tensor conv2d_int8(const QuantizedTensor& input,
                            const QuantizedTensor& weight,

@@ -162,7 +162,8 @@ LayerExecution execute_layer_on_array(const LayerDesc& layer,
                                       const Tensor& input,
                                       const Tensor& weight,
                                       const systolic::ArrayConfig& cfg,
-                                      systolic::SimBackend backend) {
+                                      systolic::SimBackend backend,
+                                      nn::KernelIsa isa) {
   // The same lowering the analytic model folds over drives the execution:
   // the plan picks the primitive, the layer only supplies the data layout.
   const systolic::MappingPlan plan = systolic::lower(layer, cfg);
@@ -171,7 +172,7 @@ LayerExecution execute_layer_on_array(const LayerDesc& layer,
       << " does not execute on the array (layer " << layer.name << ")";
   check_operands(layer, input, weight);
   const PrimitiveOp& op = plan.ops.front();
-  SystolicArraySim sim(cfg, backend);
+  SystolicArraySim sim(cfg, backend, isa);
   switch (op.kind) {
     case PrimitiveKind::kMatmulTile:
       // Pointwise: the [C_out, C_in] filter bank times the [C_in, H * W]

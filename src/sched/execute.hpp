@@ -49,11 +49,13 @@ struct LayerExecution {
 /// lines compute densely and discard, systolic::fuse_dense_width;
 /// padding on either axis reads zeros). Glue ops (pool/activation/add)
 /// and grouped convs do not run on the array and are rejected. `backend`
-/// picks the simulator engine; both produce the same bits.
+/// picks the simulator engine and `isa` the kernel ISA of its fast
+/// engine; every pair produces the same bits.
 LayerExecution execute_layer_on_array(
     const nn::LayerDesc& layer, const tensor::Tensor& input,
     const tensor::Tensor& weight, const systolic::ArrayConfig& cfg,
-    systolic::SimBackend backend = systolic::SimBackend::kFast);
+    systolic::SimBackend backend = systolic::SimBackend::kFast,
+    nn::KernelIsa isa = nn::best_isa());
 
 /// Output and measured cost of one simulated whole-network inference.
 struct NetworkExecution {

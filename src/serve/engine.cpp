@@ -66,6 +66,8 @@ void ServeConfig::validate() const {
   FUSE_CHECK(num_arrays >= 1)
       << "num_arrays must be >= 1, got " << num_arrays;
   FUSE_CHECK(workers >= 0) << "workers must be >= 0, got " << workers;
+  FUSE_CHECK(nn::kernel_isa_available(kernels.isa))
+      << "kernel ISA " << nn::kernel_isa_name(kernels.isa) << " unavailable";
 }
 
 double percentile_sorted(const std::vector<std::uint64_t>& sorted,
@@ -406,10 +408,11 @@ void ServeEngine::run_payload(BatchTask* task) {
     return;
   }
 
-  // Tensor mode: one batched pass through the kernel backend. Row r of
-  // every intermediate is bit-identical to request r's standalone run
-  // (fixed accumulation order, batch-independent), so the per-request
-  // checksums match simulate mode and batch-1 serving exactly.
+  // Tensor mode: one batched pass on config_.kernels. Row r of every
+  // intermediate is bit-identical to request r's standalone run (fixed
+  // accumulation order, batch-independent). The checksums equal simulate
+  // mode's only where both add the same double products in one order, as
+  // the scalar kernels do on test_serve's small_chain; AVX2 ones differ.
   Tensor activation(Shape{batch, first.in_c, first.in_h, first.in_w});
   const std::int64_t row = first.in_c * first.in_h * first.in_w;
   for (std::int64_t i = 0; i < batch; ++i) {
@@ -422,7 +425,7 @@ void ServeEngine::run_payload(BatchTask* task) {
     const nn::LayerDesc& layer = entry.model.layers[l];
     if (layer.kind == nn::OpKind::kFullyConnected) {
       activation = nn::linear(activation.reshaped(Shape{batch, layer.in_c}),
-                              weights[l], nullptr);
+                              weights[l], nullptr, config_.kernels);
       continue;
     }
     nn::Conv2dParams params;
@@ -431,7 +434,8 @@ void ServeEngine::run_payload(BatchTask* task) {
     params.pad_h = layer.pad_h;
     params.pad_w = layer.pad_w;
     params.groups = layer.groups;
-    activation = nn::conv2d(activation, weights[l], nullptr, params);
+    activation =
+        nn::conv2d(activation, weights[l], nullptr, params, config_.kernels);
   }
   task->checksums = row_checksums(activation);
 }

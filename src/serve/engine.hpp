@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/ops.hpp"
 #include "serve/model_pool.hpp"
 #include "serve/request.hpp"
 #include "util/thread_pool.hpp"
@@ -58,7 +59,9 @@ struct ServeConfig {
   int workers = 0;          // payload pool threads (0 = inline execution)
   ShedPolicy shed = ShedPolicy::kRejectNewest;
   std::uint64_t seed = 0x5eedULL;  // request-input seeding (payloads)
+  nn::KernelChoice kernels;        // tensor-mode payloads' kernel route
 
+  /// FUSE_CHECKs every field, so no payload meets an unavailable ISA.
   void validate() const;
 };
 

@@ -126,8 +126,9 @@ const char* sim_backend_name(SimBackend backend) {
   return backend == SimBackend::kFast ? "fast" : "reference";
 }
 
-SystolicArraySim::SystolicArraySim(ArrayConfig cfg, SimBackend backend)
-    : cfg_(cfg), backend_(backend) {
+SystolicArraySim::SystolicArraySim(ArrayConfig cfg, SimBackend backend,
+                                   nn::KernelIsa isa)
+    : cfg_(cfg), backend_(backend), isa_(isa) {
   cfg_.validate();
   // The cycle-accurate sims model the fully pipelined array (one register
   // stage per PE). Transparent configs change the skew/drain geometry the

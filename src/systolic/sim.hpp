@@ -40,12 +40,14 @@
 //
 // The engine is a constructor argument (default fast), so every simulator
 // states which engine it runs; the simulator examples take it from
-// --sim-backend.
+// --sim-backend. So is the kernel ISA the fast engine's f64 kernels run
+// on (default the best available), which changes speed, never a bit.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "nn/ops.hpp"
 #include "systolic/config.hpp"
 #include "systolic/mapping.hpp"
 #include "tensor/tensor.hpp"
@@ -88,11 +90,12 @@ std::string render_pe_heatmap(const tensor::Tensor& pe_busy);
 /// tiles its operands over the array and simulates every fold. The
 /// un-suffixed entry points run the engine chosen at construction; the
 /// *_reference / *_fast methods pin an engine (the differential tests use
-/// them directly).
+/// them directly). Every f64 kernel call of the fast engine runs on `isa`.
 class SystolicArraySim {
  public:
   explicit SystolicArraySim(ArrayConfig cfg,
-                            SimBackend backend = SimBackend::kFast);
+                            SimBackend backend = SimBackend::kFast,
+                            nn::KernelIsa isa = nn::best_isa());
 
   const ArrayConfig& config() const { return cfg_; }
 
@@ -208,6 +211,7 @@ class SystolicArraySim {
 
   ArrayConfig cfg_;
   SimBackend backend_;
+  nn::KernelIsa isa_;
 };
 
 }  // namespace fuse::systolic

@@ -48,8 +48,8 @@
 //     are the strided conv's outputs. The caller routes a layer here only
 //     when every weight is finite.
 // Counters (cycles / folds / mac_ops) and the pe_busy grid are closed-form
-// per fold, accumulated in enumeration order. The kernel ISA
-// (nn::kernel_isa) picks only how fast the kernels run: every output bit
+// per fold, accumulated in enumeration order. The kernel ISA (the
+// constructor's) picks only how fast the kernels run: every output bit
 // is the same under each ISA.
 //
 // The engine is serial: the executor's per-layer calls are too small for
@@ -117,7 +117,7 @@ SimResult SystolicArraySim::matmul_os_fast(const Tensor& a, const Tensor& b) {
   SimResult result = os_pass(m, depth, n, cfg_);
   result.output = Tensor(Shape{m, n});
   nn::kernels::gemm_f64(a.data(), b.data(), result.output.data(), m, depth,
-                        n);
+                        n, isa_);
   return result;
 }
 
@@ -126,7 +126,8 @@ SimResult SystolicArraySim::matmul_wx_fast(const Tensor& w, const Tensor& x,
                                            std::int64_t m) {
   SimResult result = os_pass(m, t, n, cfg_);
   result.output = Tensor(Shape{n, m});
-  nn::kernels::gemm_f64(w.data(), x.data(), result.output.data(), n, t, m);
+  nn::kernels::gemm_f64(w.data(), x.data(), result.output.data(), n, t, m,
+                        isa_);
   return result;
 }
 
@@ -152,7 +153,7 @@ SimResult SystolicArraySim::channelwise_fast(const PrimitiveOp& op,
   p.pad_w = layer.pad_w;
   nn::kernels::channelwise_f64(input.data(), weight.data(), output.data(),
                                layer.in_c, layer.in_h, layer.in_w,
-                               layer.kernel_h, layer.kernel_w, p);
+                               layer.kernel_h, layer.kernel_w, p, isa_);
   return total.finish(std::move(output));
 }
 
@@ -281,7 +282,8 @@ SimResult SystolicArraySim::conv1d_broadcast_fast(const Tensor& lines,
   result.output = Tensor(Shape{num_lines, out_w});
   nn::kernels::channelwise_f64(lines.data(), kernels.data(),
                                result.output.data(), num_lines, /*in_h=*/1,
-                               width, /*kh=*/1, taps, nn::Conv2dParams{});
+                               width, /*kh=*/1, taps, nn::Conv2dParams{},
+                               isa_);
   return result;
 }
 

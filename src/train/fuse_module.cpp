@@ -7,7 +7,8 @@ namespace fuse::train {
 using core::FuseVariant;
 
 FuseConvModule::FuseConvModule(std::string layer_name,
-                               core::FuseConvSpec spec, util::Rng& rng)
+                               core::FuseConvSpec spec, util::Rng& rng,
+                               const nn::KernelChoice& kernels)
     : name_(std::move(layer_name)), spec_(spec) {
   spec_.validate();
   const std::int64_t branch_c = spec_.branch_channels();
@@ -20,7 +21,7 @@ FuseConvModule::FuseConvModule(std::string layer_name,
   row_params.groups = branch_c;
   row_ = std::make_unique<Conv2d>(name_ + "/row", branch_c, branch_c,
                                   /*kernel_h=*/1, /*kernel_w=*/spec_.kernel,
-                                  row_params, rng);
+                                  row_params, rng, kernels);
 
   nn::Conv2dParams col_params;
   col_params.stride_h = spec_.stride;
@@ -30,7 +31,7 @@ FuseConvModule::FuseConvModule(std::string layer_name,
   col_params.groups = branch_c;
   col_ = std::make_unique<Conv2d>(name_ + "/col", branch_c, branch_c,
                                   /*kernel_h=*/spec_.kernel, /*kernel_w=*/1,
-                                  col_params, rng);
+                                  col_params, rng, kernels);
 }
 
 Tensor FuseConvModule::forward(const Tensor& input) {

@@ -2,7 +2,7 @@
 // depthwise layer): 1xK row-conv branch + Kx1 col-conv branch over channel
 // slices, outputs concatenated. D = 1 (Full) or 2 (Half), exactly matching
 // core::FuseConvStage semantics — tests assert the forward pass is
-// identical.
+// identical. Both branches run on the module's kernel choice.
 #pragma once
 
 #include <memory>
@@ -15,7 +15,7 @@ namespace fuse::train {
 class FuseConvModule : public Module {
  public:
   FuseConvModule(std::string layer_name, core::FuseConvSpec spec,
-                 util::Rng& rng);
+                 util::Rng& rng, const nn::KernelChoice& kernels = {});
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;

@@ -20,7 +20,7 @@ std::unique_ptr<Sequential> build_tiny_net(const TinyNetConfig& config,
     p.pad_h = 1;
     p.pad_w = 1;
     net->add(std::make_unique<Conv2d>("stem", c, config.stem_channels, 3, 3,
-                                      p, rng));
+                                      p, rng, config.kernels));
     net->add(std::make_unique<ActivationLayer>(Activation::kRelu));
     c = config.stem_channels;
   }
@@ -38,7 +38,8 @@ std::unique_ptr<Sequential> build_tiny_net(const TinyNetConfig& config,
       dw.pad_w = config.kernel / 2;
       dw.groups = c;
       net->add(std::make_unique<Conv2d>(prefix + "/dw", c, c, config.kernel,
-                                        config.kernel, dw, rng));
+                                        config.kernel, dw, rng,
+                                        config.kernels));
     } else {
       FuseConvSpec spec;
       spec.channels = c;
@@ -48,7 +49,8 @@ std::unique_ptr<Sequential> build_tiny_net(const TinyNetConfig& config,
       spec.stride = stride;
       spec.pad = config.kernel / 2;
       spec.variant = core::fuse_mode_variant(mode);
-      net->add(std::make_unique<FuseConvModule>(prefix + "/fuse", spec, rng));
+      net->add(std::make_unique<FuseConvModule>(prefix + "/fuse", spec, rng,
+                                                config.kernels));
       c = spec.out_channels();
     }
     net->add(std::make_unique<ActivationLayer>(Activation::kRelu));
@@ -56,7 +58,7 @@ std::unique_ptr<Sequential> build_tiny_net(const TinyNetConfig& config,
 
     nn::Conv2dParams pw;
     net->add(std::make_unique<Conv2d>(prefix + "/pw", c, out_c, 1, 1, pw,
-                                      rng));
+                                      rng, config.kernels));
     net->add(std::make_unique<ActivationLayer>(Activation::kRelu));
     c = out_c;
   }
@@ -64,7 +66,7 @@ std::unique_ptr<Sequential> build_tiny_net(const TinyNetConfig& config,
   net->add(std::make_unique<GlobalAvgPool>());
   net->add(std::make_unique<Flatten>());
   net->add(std::make_unique<Linear>("classifier", c, config.num_classes,
-                                    rng));
+                                    rng, config.kernels));
   return net;
 }
 
@@ -76,7 +78,8 @@ namespace {
 std::int64_t add_spatial_stage(Sequential& body, const std::string& prefix,
                                std::int64_t channels, std::int64_t size,
                                std::int64_t kernel, std::int64_t stride,
-                               FuseMode mode, util::Rng& rng) {
+                               FuseMode mode, util::Rng& rng,
+                               const nn::KernelChoice& kernels) {
   std::int64_t out_c = channels;
   if (mode == FuseMode::kBaseline) {
     nn::Conv2dParams dw;
@@ -86,7 +89,7 @@ std::int64_t add_spatial_stage(Sequential& body, const std::string& prefix,
     dw.pad_w = kernel / 2;
     dw.groups = channels;
     body.add(std::make_unique<Conv2d>(prefix + "/dw", channels, channels,
-                                      kernel, kernel, dw, rng));
+                                      kernel, kernel, dw, rng, kernels));
   } else {
     FuseConvSpec spec;
     spec.channels = channels;
@@ -96,7 +99,8 @@ std::int64_t add_spatial_stage(Sequential& body, const std::string& prefix,
     spec.stride = stride;
     spec.pad = kernel / 2;
     spec.variant = core::fuse_mode_variant(mode);
-    body.add(std::make_unique<FuseConvModule>(prefix + "/fuse", spec, rng));
+    body.add(
+        std::make_unique<FuseConvModule>(prefix + "/fuse", spec, rng, kernels));
     out_c = spec.out_channels();
   }
   body.add(std::make_unique<BatchNorm2d>(prefix + "/bn2", out_c));
@@ -108,22 +112,24 @@ std::int64_t add_spatial_stage(Sequential& body, const std::string& prefix,
 std::int64_t add_inverted_block(Sequential& net, const std::string& prefix,
                                 std::int64_t& channels, std::int64_t size,
                                 std::int64_t out_c, std::int64_t stride,
-                                FuseMode mode, util::Rng& rng) {
+                                FuseMode mode, util::Rng& rng,
+                                const nn::KernelChoice& kernels) {
   const std::int64_t expand_c = channels * 2;
   const bool has_skip = (stride == 1 && channels == out_c);
 
   auto body = std::make_unique<Sequential>();
   nn::Conv2dParams pw;
   body->add(std::make_unique<Conv2d>(prefix + "/expand", channels, expand_c,
-                                     1, 1, pw, rng));
+                                     1, 1, pw, rng, kernels));
   body->add(std::make_unique<BatchNorm2d>(prefix + "/bn1", expand_c));
   body->add(std::make_unique<ActivationLayer>(Activation::kRelu6));
 
   const std::int64_t mid_c =
-      add_spatial_stage(*body, prefix, expand_c, size, 3, stride, mode, rng);
+      add_spatial_stage(*body, prefix, expand_c, size, 3, stride, mode, rng,
+                        kernels);
 
   body->add(std::make_unique<Conv2d>(prefix + "/project", mid_c, out_c, 1,
-                                     1, pw, rng));
+                                     1, pw, rng, kernels));
   body->add(std::make_unique<BatchNorm2d>(prefix + "/bn3", out_c));
 
   if (has_skip) {
@@ -149,7 +155,7 @@ std::unique_ptr<Sequential> build_tiny_inverted_net(
   stem.stride_h = 2;
   stem.stride_w = 2;
   net->add(std::make_unique<Conv2d>("stem", c, config.stem_channels, 3, 3,
-                                    stem, rng));
+                                    stem, rng, config.kernels));
   net->add(std::make_unique<BatchNorm2d>("stem/bn", config.stem_channels));
   net->add(std::make_unique<ActivationLayer>(Activation::kRelu6));
   c = config.stem_channels;
@@ -157,15 +163,16 @@ std::unique_ptr<Sequential> build_tiny_inverted_net(
 
   size = add_inverted_block(*net, "block0", c, size,
                             config.block_channels[0], /*stride=*/1, mode,
-                            rng);
+                            rng, config.kernels);
+  // Same width: exercises the skip path.
   size = add_inverted_block(*net, "block1", c, size,
                             config.block_channels[0], /*stride=*/1, mode,
-                            rng);  // same width: exercises the skip path
+                            rng, config.kernels);
 
   net->add(std::make_unique<GlobalAvgPool>());
   net->add(std::make_unique<Flatten>());
   net->add(std::make_unique<Linear>("classifier", c, config.num_classes,
-                                    rng));
+                                    rng, config.kernels));
   return net;
 }
 

@@ -21,6 +21,7 @@ struct TinyNetConfig {
   std::int64_t block_channels[3] = {16, 16, 32};
   std::int64_t block_strides[3] = {2, 1, 2};
   std::int64_t kernel = 3;
+  nn::KernelChoice kernels;  // every layer's forward and backward route
 };
 
 /// Builds the tiny network with each depthwise slot in the given mode

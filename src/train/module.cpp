@@ -42,9 +42,11 @@ void Sequential::collect_params(std::vector<Parameter*>& params) {
 
 Conv2d::Conv2d(std::string layer_name, std::int64_t in_c, std::int64_t out_c,
                std::int64_t kernel_h, std::int64_t kernel_w,
-               const nn::Conv2dParams& params, util::Rng& rng)
+               const nn::Conv2dParams& params, util::Rng& rng,
+               const nn::KernelChoice& kernels)
     : name_(std::move(layer_name)),
       params_(params),
+      kernels_(kernels),
       weight_(name_ + "/w",
               Shape{out_c, in_c / params.groups, kernel_h, kernel_w}),
       bias_(name_ + "/b", Shape{out_c}) {
@@ -59,14 +61,14 @@ Conv2d::Conv2d(std::string layer_name, std::int64_t in_c, std::int64_t out_c,
 
 Tensor Conv2d::forward(const Tensor& input) {
   cached_input_ = input;
-  return nn::conv2d(input, weight_.value, &bias_.value, params_);
+  return nn::conv2d(input, weight_.value, &bias_.value, params_, kernels_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
   FUSE_CHECK(input.num_elements() > 0) << name_ << ": backward before forward";
 
-  if (nn::kernel_backend() == nn::KernelBackend::kFast) {
+  if (kernels_.backend == nn::KernelBackend::kFast) {
     // Bit-exact with the loops below: the fast path partitions grad_input
     // over images and the weight/bias gradients over output channels,
     // preserving each accumulator's reference visiting order.
@@ -133,8 +135,9 @@ void Conv2d::collect_params(std::vector<Parameter*>& params) {
 }
 
 Linear::Linear(std::string layer_name, std::int64_t in_f, std::int64_t out_f,
-               util::Rng& rng)
+               util::Rng& rng, const nn::KernelChoice& kernels)
     : name_(std::move(layer_name)),
+      kernels_(kernels),
       weight_(name_ + "/w", Shape{out_f, in_f}),
       bias_(name_ + "/b", Shape{out_f}) {
   const float bound =
@@ -145,12 +148,12 @@ Linear::Linear(std::string layer_name, std::int64_t in_f, std::int64_t out_f,
 
 Tensor Linear::forward(const Tensor& input) {
   cached_input_ = input;
-  return nn::linear(input, weight_.value, &bias_.value);
+  return nn::linear(input, weight_.value, &bias_.value, kernels_);
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
-  if (nn::kernel_backend() == nn::KernelBackend::kFast) {
+  if (kernels_.backend == nn::KernelBackend::kFast) {
     return nn::kernels::linear_backward_fast(input, weight_.value,
                                              grad_output, &weight_.grad,
                                              &bias_.grad);

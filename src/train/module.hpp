@@ -69,12 +69,13 @@ class Sequential : public Module {
 };
 
 /// Grouped 2-D convolution with bias (covers dense, depthwise, pointwise,
-/// and FuSeConv's 1-D branches).
+/// and FuSeConv's 1-D branches). Forward and backward run on `kernels`.
 class Conv2d : public Module {
  public:
   Conv2d(std::string layer_name, std::int64_t in_c, std::int64_t out_c,
          std::int64_t kernel_h, std::int64_t kernel_w,
-         const nn::Conv2dParams& params, util::Rng& rng);
+         const nn::Conv2dParams& params, util::Rng& rng,
+         const nn::KernelChoice& kernels = {});
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -87,16 +88,18 @@ class Conv2d : public Module {
  private:
   std::string name_;
   nn::Conv2dParams params_;
+  nn::KernelChoice kernels_;
   Parameter weight_;  // [out_c, in_c/groups, kh, kw]
   Parameter bias_;    // [out_c]
   Tensor cached_input_;
 };
 
-/// Fully connected with bias on [N, F] inputs.
+/// Fully connected with bias on [N, F] inputs. Forward and backward run
+/// on `kernels`.
 class Linear : public Module {
  public:
   Linear(std::string layer_name, std::int64_t in_f, std::int64_t out_f,
-         util::Rng& rng);
+         util::Rng& rng, const nn::KernelChoice& kernels = {});
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -108,6 +111,7 @@ class Linear : public Module {
 
  private:
   std::string name_;
+  nn::KernelChoice kernels_;
   Parameter weight_;  // [out_f, in_f]
   Parameter bias_;    // [out_f]
   Tensor cached_input_;

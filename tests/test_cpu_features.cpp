@@ -199,8 +199,8 @@ TEST(KernelIsaAvailability, ScalarAlwaysAvx2OnlyWithHardware) {
   if (!f.avx2 || !f.fma) {
     EXPECT_FALSE(nn::kernel_isa_available(nn::KernelIsa::kAvx2));
   }
-  // The active ISA is always an available one.
-  EXPECT_TRUE(nn::kernel_isa_available(nn::kernel_isa()));
+  // The default choice always runs on an available ISA.
+  EXPECT_TRUE(nn::kernel_isa_available(nn::KernelChoice{}.isa));
 }
 
 }  // namespace

@@ -331,21 +331,15 @@ Tensor nn_reference(const LayerDesc& layer, const Tensor& input,
   return ::testing::AssertionSuccess();
 }
 
-/// Runs `check(isa)` once under each kernel ISA this machine can execute:
-/// the fast engine's f64 kernels dispatch on it, so an AVX2 machine
-/// compares the scalar fallback with the reference engine too. Restores
-/// the ISA in force before the call.
+/// Runs `check(isa)` once for each kernel ISA this machine can execute:
+/// the check hands it to the fast engine's f64 kernels, so an AVX2
+/// machine compares the scalar fallback with the reference engine too.
 template <typename Check>
 void for_each_kernel_isa(const Check& check) {
-  struct Restore {
-    nn::KernelIsa saved = nn::kernel_isa();
-    ~Restore() { nn::set_kernel_isa(saved); }
-  } restore;
   for (const nn::KernelIsa isa :
        {nn::KernelIsa::kScalar, nn::KernelIsa::kAvx2}) {
     if (nn::kernel_isa_available(isa)) {
       SCOPED_TRACE(nn::kernel_isa_name(isa));
-      nn::set_kernel_isa(isa);
       check(isa);
     }
   }
@@ -467,9 +461,9 @@ void check_simulated(const Case& c, std::uint64_t operand_seed,
   const Tensor expected = nn_reference(c.layer, input, weight);
   for_each_kernel_isa([&](nn::KernelIsa isa) {
     const sched::LayerExecution executed = sched::execute_layer_on_array(
-        c.layer, input, weight, cfg, SimBackend::kFast);
+        c.layer, input, weight, cfg, SimBackend::kFast, isa);
     const sched::LayerExecution stepped = sched::execute_layer_on_array(
-        c.layer, input, weight, cfg, SimBackend::kReference);
+        c.layer, input, weight, cfg, SimBackend::kReference, isa);
     EXPECT_TRUE(bits_equal(executed.output, stepped.output));
     EXPECT_EQ(executed.cycles, stepped.cycles);
     EXPECT_EQ(executed.folds, stepped.folds);

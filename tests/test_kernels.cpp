@@ -11,8 +11,9 @@
 //     memcmp-equal to an explicit one-FMA-per-tap oracle at unit x
 //     stride and dilation, and to the scalar ISA's output otherwise.
 // The forced-ISA grid below runs every operator under each ISA the
-// machine supports; on hardware without AVX2 the avx2 leg is skipped
-// with a logged note (never a failure), so the suite passes everywhere.
+// machine supports, passing the ISA (or a KernelChoice) to each call; on
+// hardware without AVX2 the avx2 leg is skipped with a logged note (never
+// a failure), so the suite passes everywhere.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,15 +52,21 @@ Tensor random_tensor(Shape shape, std::uint64_t seed, float lo = -1.0F,
   return t;
 }
 
-/// Restores backend + ISA state on scope exit so tests compose.
-struct BackendGuard {
-  KernelBackend saved_backend = kernel_backend();
-  KernelIsa saved_isa = kernel_isa();
-  ~BackendGuard() {
-    set_kernel_backend(saved_backend);
-    set_kernel_isa(saved_isa);
+/// Values +-2^-40, +-1 and +-2^40: the products span 2^-80 to 2^80, so
+/// large taps cancel exactly often enough that which small terms, and
+/// whether the bias, survive depends on the summation order, and a
+/// reordered sum shows in the rounded float output. No zeros, so no sum
+/// is -0.0 and a padding tap's 0 * w stays a bitwise no-op.
+Tensor cancelling_tensor(Shape shape, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Tensor t(std::move(shape));
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+    const double sign = rng.uniform(-1.0, 1.0) < 0.0 ? -1.0 : 1.0;
+    const int exponent = 40 * (static_cast<int>(rng.uniform_index(3)) - 1);
+    t[i] = static_cast<float>(sign * std::ldexp(1.0, exponent));
   }
-};
+  return t;
+}
 
 /// The ISAs this machine can execute. When AVX2 is unavailable the grid
 /// degrades to scalar-only with a note — a skip, not a failure.
@@ -239,34 +246,41 @@ std::vector<ConvCase> all_conv_cases() {
 // ---------------------------------------------------------------------------
 
 TEST(KernelsDifferential, ConvGridBitExact) {
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
-  for (const ConvCase& c : all_conv_cases()) {
-    const Tensor input =
-        random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 11);
-    const Tensor weight = random_tensor(
-        Shape{c.out_c, c.in_c / c.params.groups, c.kh, c.kw}, 12);
-    const Tensor bias = random_tensor(Shape{c.out_c}, 13);
-    const Tensor ref = conv2d_reference(input, weight, &bias, c.params);
-    const Tensor fast = kernels::conv2d_fast(input, weight, &bias, c.params);
-    EXPECT_TRUE(bit_equal(ref, fast)) << c.name;
-    // No-bias path too (the accumulator seed differs).
-    EXPECT_TRUE(bit_equal(conv2d_reference(input, weight, nullptr, c.params),
-                          kernels::conv2d_fast(input, weight, nullptr,
-                                               c.params)))
-        << c.name << " (no bias)";
-    // And through the public dispatcher under each backend.
-    set_kernel_backend(KernelBackend::kReference);
-    const Tensor via_ref = conv2d(input, weight, &bias, c.params);
-    set_kernel_backend(KernelBackend::kFast);
-    const Tensor via_fast = conv2d(input, weight, &bias, c.params);
-    EXPECT_TRUE(bit_equal(via_ref, via_fast)) << c.name << " (dispatch)";
+  // Uniform operands, and cancelling ones, which pin the order of every
+  // scalar route's sum: the bias first, then the taps in reference order.
+  const KernelIsa scalar = KernelIsa::kScalar;
+  for (const bool cancelling : {false, true}) {
+    const auto operand = [cancelling](Shape shape, std::uint64_t seed) {
+      return cancelling ? cancelling_tensor(std::move(shape), seed)
+                        : random_tensor(std::move(shape), seed);
+    };
+    for (const ConvCase& c : all_conv_cases()) {
+      const std::string label =
+          std::string(c.name) + (cancelling ? " (cancelling)" : "");
+      const Tensor input = operand(Shape{c.batch, c.in_c, c.h, c.w}, 11);
+      const Tensor weight = operand(
+          Shape{c.out_c, c.in_c / c.params.groups, c.kh, c.kw}, 12);
+      const Tensor bias = operand(Shape{c.out_c}, 13);
+      const Tensor ref = conv2d_reference(input, weight, &bias, c.params);
+      EXPECT_TRUE(bit_equal(
+          ref, kernels::conv2d_fast(input, weight, &bias, c.params, scalar)))
+          << label;
+      // No-bias path too (the accumulator seed differs).
+      EXPECT_TRUE(bit_equal(
+          conv2d_reference(input, weight, nullptr, c.params),
+          kernels::conv2d_fast(input, weight, nullptr, c.params, scalar)))
+          << label << " (no bias)";
+      // And through the public dispatcher on each backend.
+      const Tensor via_ref = conv2d(input, weight, &bias, c.params,
+                                    {KernelBackend::kReference, scalar});
+      const Tensor via_fast = conv2d(input, weight, &bias, c.params,
+                                     {KernelBackend::kFast, scalar});
+      EXPECT_TRUE(bit_equal(via_ref, via_fast)) << label << " (dispatch)";
+    }
   }
 }
 
 TEST(KernelsDifferential, LinearBitExact) {
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
   for (const auto& [batch, in_f, out_f] :
        std::vector<std::tuple<int, int, int>>{
            {1, 1, 1}, {1, 9, 5}, {3, 17, 31}, {8, 1280, 1000},
@@ -274,11 +288,13 @@ TEST(KernelsDifferential, LinearBitExact) {
     const Tensor input = random_tensor(Shape{batch, in_f}, 31);
     const Tensor weight = random_tensor(Shape{out_f, in_f}, 32);
     const Tensor bias = random_tensor(Shape{out_f}, 33);
-    EXPECT_TRUE(bit_equal(linear_reference(input, weight, &bias),
-                          kernels::linear_fast(input, weight, &bias)))
+    EXPECT_TRUE(bit_equal(
+        linear_reference(input, weight, &bias),
+        kernels::linear_fast(input, weight, &bias, KernelIsa::kScalar)))
         << batch << "x" << in_f << "x" << out_f;
-    EXPECT_TRUE(bit_equal(linear_reference(input, weight, nullptr),
-                          kernels::linear_fast(input, weight, nullptr)))
+    EXPECT_TRUE(bit_equal(
+        linear_reference(input, weight, nullptr),
+        kernels::linear_fast(input, weight, nullptr, KernelIsa::kScalar)))
         << batch << "x" << in_f << "x" << out_f << " (no bias)";
   }
 }
@@ -288,7 +304,6 @@ TEST(KernelsDifferential, LinearBitExact) {
 // ---------------------------------------------------------------------------
 
 TEST(KernelsForcedIsa, ConvGridDifferential) {
-  BackendGuard guard;
   for (const ConvCase& c : all_conv_cases()) {
     const Tensor input =
         random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 111);
@@ -303,14 +318,13 @@ TEST(KernelsForcedIsa, ConvGridDifferential) {
     // most taps + |bias| <= k.
     const double magnitude = static_cast<double>(k);
     for (KernelIsa isa : available_isas()) {
-      set_kernel_isa(isa);
       const std::string label =
           std::string(c.name) + " [" + kernel_isa_name(isa) + "]";
-      expect_isa_close(ref,
-                       kernels::conv2d_fast(input, weight, &bias, c.params),
-                       isa, k, magnitude, label);
       expect_isa_close(
-          ref_nb, kernels::conv2d_fast(input, weight, nullptr, c.params),
+          ref, kernels::conv2d_fast(input, weight, &bias, c.params, isa), isa,
+          k, magnitude, label);
+      expect_isa_close(
+          ref_nb, kernels::conv2d_fast(input, weight, nullptr, c.params, isa),
           isa, k, magnitude, label + " (no bias)");
     }
   }
@@ -401,15 +415,15 @@ std::vector<ConvCase> channelwise_cases() {
   return cases;
 }
 
-/// Runs fn(case, input, weight, bias-or-null) for each channelwise case
-/// whose geometry `select` accepts, with and without bias, under AVX2.
+/// Runs fn(input, weight, bias-or-null, params, label) for each
+/// channelwise case whose geometry `select` accepts, with and without
+/// bias, on machines with AVX2.
 template <typename Select, typename Fn>
 void for_each_avx2_channelwise(const Select& select, const Fn& fn) {
   if (!kernel_isa_available(KernelIsa::kAvx2)) {
     (void)available_isas();  // logs the skip note once
     return;
   }
-  BackendGuard guard;
   for (const ConvCase& c : channelwise_cases()) {
     if (!select(c.params)) {
       continue;
@@ -423,7 +437,6 @@ void for_each_avx2_channelwise(const Select& select, const Fn& fn) {
           std::to_string(c.h) + "x" + std::to_string(c.w) + " s" +
           std::to_string(c.params.stride_w) +
           (b != nullptr ? "" : " (no bias)");
-      set_kernel_isa(KernelIsa::kAvx2);
       fn(input, weight, b, c.params, label);
     }
   }
@@ -436,8 +449,9 @@ TEST(KernelsForcedIsa, ChannelwiseAvx2IsOneFmaPerTap) {
       },
       [](const Tensor& input, const Tensor& weight, const Tensor* bias,
          const Conv2dParams& p, const std::string& label) {
-        EXPECT_TRUE(bit_equal(channelwise_fma_oracle(input, weight, bias, p),
-                              kernels::conv2d_fast(input, weight, bias, p)))
+        EXPECT_TRUE(bit_equal(
+            channelwise_fma_oracle(input, weight, bias, p),
+            kernels::conv2d_fast(input, weight, bias, p, KernelIsa::kAvx2)))
             << label;
       });
 }
@@ -449,10 +463,9 @@ TEST(KernelsForcedIsa, ChannelwiseStridedBitIdenticalAcrossIsas) {
       },
       [](const Tensor& input, const Tensor& weight, const Tensor* bias,
          const Conv2dParams& p, const std::string& label) {
-        const Tensor avx2 = kernels::conv2d_fast(input, weight, bias, p);
-        set_kernel_isa(KernelIsa::kScalar);
-        EXPECT_TRUE(
-            bit_equal(kernels::conv2d_fast(input, weight, bias, p), avx2))
+        EXPECT_TRUE(bit_equal(
+            kernels::conv2d_fast(input, weight, bias, p, KernelIsa::kScalar),
+            kernels::conv2d_fast(input, weight, bias, p, KernelIsa::kAvx2)))
             << label;
       });
 }
@@ -520,8 +533,6 @@ TEST(KernelsForcedIsa, Im2colConvIsOneFmaPerTap) {
     (void)available_isas();  // logs the skip note once
     return;
   }
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kAvx2);
   std::uint64_t seed = 3000;
   int cases = 0;
   for (const std::int64_t s : {1, 2, 3}) {
@@ -548,7 +559,8 @@ TEST(KernelsForcedIsa, Im2colConvIsOneFmaPerTap) {
               const Tensor bias = random_tensor(Shape{out_c}, ++seed);
               for (const Tensor* b :
                    {&bias, static_cast<const Tensor*>(nullptr)}) {
-                const Tensor got = kernels::conv2d_fast(input, weight, b, p);
+                const Tensor got =
+                    kernels::conv2d_fast(input, weight, b, p, KernelIsa::kAvx2);
                 ASSERT_EQ(got.shape().dim(3), out_w);
                 EXPECT_TRUE(
                     bit_equal(im2col_fma_oracle(input, weight, b, p), got))
@@ -610,18 +622,17 @@ std::vector<float> f64_operand(F64Operands family, std::int64_t count,
   return v;
 }
 
-/// Runs `kernel` into a NaN-filled buffer under each available ISA and
-/// expects every run to write all `count` outputs with the bits of the
-/// first (the operands never produce a NaN).
+/// Runs kernel(out, isa) into a NaN-filled buffer under each available
+/// ISA and expects every run to write all `count` outputs with the bits
+/// of the first (the operands never produce a NaN).
 template <typename Kernel>
 void expect_isa_identical(std::int64_t count, const Kernel& kernel,
                           const std::string& label) {
   std::vector<float> first;
   for (KernelIsa isa : available_isas()) {
-    set_kernel_isa(isa);
     std::vector<float> out(static_cast<std::size_t>(count),
                            std::numeric_limits<float>::quiet_NaN());
-    kernel(out.data());
+    kernel(out.data(), isa);
     for (const float x : out) {
       ASSERT_FALSE(std::isnan(x))
           << label << " [" << kernel_isa_name(isa) << "]: output unwritten";
@@ -638,7 +649,6 @@ void expect_isa_identical(std::int64_t count, const Kernel& kernel,
 }
 
 TEST(KernelsForcedIsa, F64KernelsBitIdenticalUnderEveryIsa) {
-  BackendGuard guard;
   // m: every 6/4/2/1-row tail and the m = 1 route; n: the n = 1 route
   // and partial panels.
   std::vector<std::int64_t> ms;
@@ -657,8 +667,8 @@ TEST(KernelsForcedIsa, F64KernelsBitIdenticalUnderEveryIsa) {
           const std::vector<float> b = f64_operand(family, k * n, ++seed);
           expect_isa_identical(
               m * n,
-              [&](float* c) {
-                kernels::gemm_f64(a.data(), b.data(), c, m, k, n);
+              [&](float* c, KernelIsa isa) {
+                kernels::gemm_f64(a.data(), b.data(), c, m, k, n, isa);
               },
               "gemm_f64 " + std::to_string(m) + "x" + std::to_string(k) +
                   "x" + std::to_string(n) + tag);
@@ -729,7 +739,6 @@ TEST(KernelsForcedIsa, ChannelwiseF64IsThePaddedOsSumUnderEveryIsa) {
   // at unit and non-unit stride and dilation, and the broadcast line
   // grid, image by image, with uniform operands and with the f64
   // families (+-0.0, extreme magnitudes, exact cancellation).
-  BackendGuard guard;
   std::uint64_t seed = 2000;
   std::vector<ConvCase> cases = channelwise_cases();
   const std::vector<ConvCase> lines = line_grid();
@@ -752,12 +761,11 @@ TEST(KernelsForcedIsa, ChannelwiseF64IsThePaddedOsSumUnderEveryIsa) {
       const std::int64_t image = c.in_c * c.h * c.w;
       const std::int64_t out_image = oracle.num_elements() / c.batch;
       for (KernelIsa isa : available_isas()) {
-        set_kernel_isa(isa);
         Tensor out(oracle.shape());
         for (std::int64_t n = 0; n < c.batch; ++n) {
           kernels::channelwise_f64(input.data() + n * image, weight.data(),
                                    out.data() + n * out_image, c.in_c, c.h,
-                                   c.w, c.kh, c.kw, c.params);
+                                   c.w, c.kh, c.kw, c.params, isa);
         }
         EXPECT_TRUE(bit_equal(out, oracle))
             << c.name << " c=" << c.in_c << " " << c.h << "x" << c.w << " "
@@ -769,7 +777,6 @@ TEST(KernelsForcedIsa, ChannelwiseF64IsThePaddedOsSumUnderEveryIsa) {
 }
 
 TEST(KernelsForcedIsa, LinearDifferential) {
-  BackendGuard guard;
   for (const auto& [batch, in_f, out_f] :
        std::vector<std::tuple<int, int, int>>{{1, 1, 1},
                                               {2, 7, 9},
@@ -786,16 +793,16 @@ TEST(KernelsForcedIsa, LinearDifferential) {
     const Tensor ref_nb = linear_reference(input, weight, nullptr);
     const std::int64_t k = in_f + 1;
     for (KernelIsa isa : available_isas()) {
-      set_kernel_isa(isa);
       const std::string label = std::string("linear ") +
                                 std::to_string(batch) + "x" +
                                 std::to_string(in_f) + "x" +
                                 std::to_string(out_f) + " [" +
                                 kernel_isa_name(isa) + "]";
-      expect_isa_close(ref, kernels::linear_fast(input, weight, &bias), isa,
-                       k, static_cast<double>(k), label);
-      expect_isa_close(ref_nb, kernels::linear_fast(input, weight, nullptr),
-                       isa, k, static_cast<double>(k), label + " (no bias)");
+      expect_isa_close(ref, kernels::linear_fast(input, weight, &bias, isa),
+                       isa, k, static_cast<double>(k), label);
+      expect_isa_close(ref_nb,
+                       kernels::linear_fast(input, weight, nullptr, isa), isa,
+                       k, static_cast<double>(k), label + " (no bias)");
     }
   }
 }
@@ -803,16 +810,15 @@ TEST(KernelsForcedIsa, LinearDifferential) {
 TEST(KernelsForcedIsa, BackwardIsaIndependent) {
   // The backward passes are scalar-only by design: forcing the ISA must
   // not change a single gradient bit.
-  BackendGuard guard;
   const ConvCase c{"backward_probe", 2, 4, 6, 9, 11, 3, 3,
                    {1, 1, 1, 1, 1, 1, 1}};
   const Tensor input = random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 141);
   const Tensor grad_seed = random_tensor(Shape{c.out_c}, 142);
   std::vector<Tensor> grads_per_isa;
   for (KernelIsa isa : available_isas()) {
-    set_kernel_isa(isa);
     util::Rng rng(143);
-    train::Conv2d layer("k", c.in_c, c.out_c, c.kh, c.kw, c.params, rng);
+    train::Conv2d layer("k", c.in_c, c.out_c, c.kh, c.kw, c.params, rng,
+                        {KernelBackend::kFast, isa});
     const Tensor out = layer.forward(input);
     Tensor grad_out(out.shape());
     for (std::int64_t i = 0; i < grad_out.num_elements(); ++i) {
@@ -839,8 +845,6 @@ TEST(KernelsForcedIsa, BackwardIsaIndependent) {
 // ---------------------------------------------------------------------------
 
 TEST(KernelsDifferential, BackwardBitExact) {
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
   for (const ConvCase& c : conv_grid()) {
     const Tensor input =
         random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 51);
@@ -856,14 +860,13 @@ TEST(KernelsDifferential, BackwardBitExact) {
     // Reference gradients (the loops in train/module.cpp, restated
     // through the reference backend of the module itself).
     util::Rng rng(54);
-    train::Conv2d ref_layer("k", c.in_c, c.out_c, c.kh, c.kw, c.params, rng);
+    train::Conv2d ref_layer("k", c.in_c, c.out_c, c.kh, c.kw, c.params, rng,
+                            {KernelBackend::kReference, KernelIsa::kScalar});
     util::Rng rng2(54);
     train::Conv2d fast_layer("k", c.in_c, c.out_c, c.kh, c.kw, c.params,
-                             rng2);
-    set_kernel_backend(KernelBackend::kReference);
+                             rng2, {KernelBackend::kFast, KernelIsa::kScalar});
     (void)ref_layer.forward(input);
     const Tensor gi_ref = ref_layer.backward(grad_out);
-    set_kernel_backend(KernelBackend::kFast);
     (void)fast_layer.forward(input);
     const Tensor gi_fast = fast_layer.backward(grad_out);
     EXPECT_TRUE(bit_equal(gi_ref, gi_fast)) << c.name << " grad_input";
@@ -884,16 +887,15 @@ TEST(KernelsDifferential, BackwardBitExact) {
 /// trajectory and final parameter tensors.
 std::pair<std::vector<double>, std::vector<Tensor>> train_steps(
     KernelBackend backend) {
-  BackendGuard guard;
-  set_kernel_backend(backend);
-  set_kernel_isa(KernelIsa::kScalar);
+  const KernelChoice kernels{backend, KernelIsa::kScalar};
   util::Rng rng(71);
   train::Sequential model;
   model.add(std::make_unique<train::Conv2d>(
-      "c1", 2, 4, 3, 3, Conv2dParams{1, 1, 1, 1, 1, 1, 1}, rng));
+      "c1", 2, 4, 3, 3, Conv2dParams{1, 1, 1, 1, 1, 1, 1}, rng, kernels));
   model.add(std::make_unique<train::ActivationLayer>(Activation::kRelu));
   model.add(std::make_unique<train::Flatten>());
-  model.add(std::make_unique<train::Linear>("fc", 4 * 6 * 6, 3, rng));
+  model.add(
+      std::make_unique<train::Linear>("fc", 4 * 6 * 6, 3, rng, kernels));
 
   std::vector<train::Parameter*> params;
   model.collect_params(params);
@@ -973,28 +975,48 @@ TEST(KernelsIsa, AutoResolvesToBestAvailable) {
   } else {
     EXPECT_EQ(isa, KernelIsa::kScalar);
   }
+  EXPECT_EQ(best_isa(), isa);
+  // The default choice is fast on that ISA, not the first enumerator.
+  const KernelChoice choice;
+  EXPECT_EQ(choice.backend, KernelBackend::kFast);
+  EXPECT_EQ(choice.isa, isa);
 }
 
 TEST(KernelsIsa, ScalarAlwaysAvailable) {
   EXPECT_TRUE(kernel_isa_available(KernelIsa::kScalar));
-  BackendGuard guard;
-  set_kernel_isa(KernelIsa::kScalar);
-  EXPECT_EQ(kernel_isa(), KernelIsa::kScalar);
 }
 
-TEST(KernelsIsa, SettingUnavailableIsaThrows) {
+TEST(KernelsIsa, UnavailableIsaThrowsAtTheKernelEntry) {
+  const Tensor input = random_tensor(Shape{1, 2, 4, 4}, 61);
+  const Tensor weight = random_tensor(Shape{3, 2, 1, 1}, 62);
+  const Tensor features = random_tensor(Shape{1, 2}, 63);
+  const Tensor fc_weight = random_tensor(Shape{3, 2}, 64);
+  const KernelChoice avx2{KernelBackend::kFast, KernelIsa::kAvx2};
+  std::vector<float> out(48);
+  const auto gemm = [&] {
+    kernels::gemm_f64(input.data(), weight.data(), out.data(), 4, 2, 3,
+                      KernelIsa::kAvx2);
+  };
+  const auto channelwise = [&] {
+    kernels::channelwise_f64(input.data(), weight.data(), out.data(), 2, 4,
+                             4, 1, 1, Conv2dParams{}, KernelIsa::kAvx2);
+  };
   if (kernel_isa_available(KernelIsa::kAvx2)) {
-    // On AVX2 machines the explicit set must succeed instead.
-    BackendGuard guard;
-    set_kernel_isa(KernelIsa::kAvx2);
-    EXPECT_EQ(kernel_isa(), KernelIsa::kAvx2);
+    // On AVX2 machines the explicit choice must run instead.
+    EXPECT_NO_THROW(conv2d(input, weight, nullptr, Conv2dParams{}, avx2));
+    EXPECT_NO_THROW(linear(features, fc_weight, nullptr, avx2));
+    EXPECT_NO_THROW(gemm());
+    EXPECT_NO_THROW(channelwise());
     return;
   }
-  EXPECT_THROW(set_kernel_isa(KernelIsa::kAvx2), util::Error);
+  EXPECT_THROW(conv2d(input, weight, nullptr, Conv2dParams{}, avx2),
+               util::Error);
+  EXPECT_THROW(linear(features, fc_weight, nullptr, avx2), util::Error);
+  EXPECT_THROW(gemm(), util::Error);
+  EXPECT_THROW(channelwise(), util::Error);
 }
 
 TEST(KernelsTelemetry, DispatchCountersAdvance) {
-  BackendGuard guard;
   const Tensor input = random_tensor(Shape{4, 4}, 81);
   const Tensor weight = random_tensor(Shape{4, 4}, 82);
   util::Counter& fast_count =
@@ -1003,10 +1025,8 @@ TEST(KernelsTelemetry, DispatchCountersAdvance) {
       util::metrics().counter("kernels.dispatch.reference");
   const std::uint64_t fast_before = fast_count.value();
   const std::uint64_t ref_before = ref_count.value();
-  set_kernel_backend(KernelBackend::kFast);
-  (void)linear(input, weight, nullptr);
-  set_kernel_backend(KernelBackend::kReference);
-  (void)linear(input, weight, nullptr);
+  (void)linear(input, weight, nullptr, {KernelBackend::kFast});
+  (void)linear(input, weight, nullptr, {KernelBackend::kReference});
 #if FUSE_TELEMETRY
   EXPECT_EQ(fast_count.value(), fast_before + 1);
   EXPECT_EQ(ref_count.value(), ref_before + 1);

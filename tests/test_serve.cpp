@@ -1,13 +1,16 @@
 // Serving-engine contract: deadline-bounded batching, admission control
 // and load shedding, clean drains with work in flight, and — the property
 // everything else leans on — byte-determinism of every scheduling decision
-// and payload checksum across worker thread counts (1/2/4; tools/check.sh
-// runs this suite under ThreadSanitizer and AddressSanitizer).
+// and payload checksum across worker thread counts (1/2/4) and beside an
+// engine on another kernel ISA (tools/check.sh runs this suite under
+// ThreadSanitizer and AddressSanitizer).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -54,6 +57,27 @@ ShapeKey custom_key(int index) {
   ShapeKey key;
   key.custom = index;
   return key;
+}
+
+/// The checksum of request `id`'s standalone nn::conv2d chain on
+/// `kernels`.
+std::uint64_t standalone_checksum(ModelPool& pool, const ShapeKey& key,
+                                  std::uint64_t id,
+                                  const nn::KernelChoice& kernels) {
+  const ModelEntry& entry = pool.entry(key);
+  const std::vector<tensor::Tensor>& weights = pool.weights(key);
+  tensor::Tensor activation = request_input(entry, ServeConfig{}.seed, id);
+  for (std::size_t l = 0; l < entry.model.layers.size(); ++l) {
+    const nn::LayerDesc& layer = entry.model.layers[l];
+    nn::Conv2dParams params;
+    params.stride_h = layer.stride_h;
+    params.stride_w = layer.stride_w;
+    params.pad_h = layer.pad_h;
+    params.pad_w = layer.pad_w;
+    params.groups = layer.groups;
+    activation = nn::conv2d(activation, weights[l], nullptr, params, kernels);
+  }
+  return tensor_checksum(activation);
 }
 
 /// Serializes every response field so determinism checks are byte-wise.
@@ -334,19 +358,22 @@ TEST(ServeEngine, TensorModeRejectsNonChainShapes) {
 TEST(ServeEngine, BatchedChecksumsMatchStandaloneRuns) {
   // Batch composition must not change any request's numerics: a request's
   // slice of a batched pass is bit-identical to its own batch-1 run, in
-  // BOTH execution backends. (Tensor and simulate checksums differ from
-  // each other — the PE grid accumulates in a different order, and the
-  // backends agree only to tolerance; test_execute pins that.)
+  // BOTH execution modes. Across modes, tensor mode on the scalar kernels
+  // sums the same exact double products in the same order as the PE grid,
+  // so its checksums equal simulate mode's; the default choice on an AVX2
+  // machine accumulates in float and differs (test_execute bounds that).
   ModelPool pool = make_pool();
   const ShapeKey key = custom_key(pool.register_custom(small_chain()));
 
   const auto run = [&pool, &key](ExecMode mode, std::uint64_t window,
-                                 int workers) {
+                                 int workers,
+                                 const nn::KernelChoice& kernels = {}) {
     ServeConfig config;
     config.mode = mode;
     config.batch_window = window;
     config.max_batch = 4;
     config.workers = workers;
+    config.kernels = kernels;
     ServeEngine engine(config, &pool);
     for (int i = 0; i < 4; ++i) {
       engine.submit(key, 0, 0);
@@ -364,10 +391,15 @@ TEST(ServeEngine, BatchedChecksumsMatchStandaloneRuns) {
   const auto single_tensor = run(ExecMode::kTensor, 0, 2);
   const auto batched_sim = run(ExecMode::kSimulate, 100, 2);
   const auto single_sim = run(ExecMode::kSimulate, 0, 1);
+  const auto scalar_tensor =
+      run(ExecMode::kTensor, 100, 2,
+          {nn::KernelBackend::kFast, nn::KernelIsa::kScalar});
   EXPECT_EQ(batched_tensor, single_tensor)
       << "batching must not change tensor-mode numerics";
   EXPECT_EQ(batched_sim, single_sim)
       << "batching must not change simulate-mode numerics";
+  EXPECT_EQ(scalar_tensor, batched_sim)
+      << "scalar tensor mode must reproduce the PE grid's sums";
   for (const std::uint64_t sum : batched_tensor) {
     EXPECT_NE(sum, 0u);
   }
@@ -406,22 +438,9 @@ TEST(ServeEngine, ChecksumsOfEveryBatchSizeMatchBatchOne) {
   };
 
   const std::vector<std::uint64_t> single = run(kMax, 0);
-  const ModelEntry& entry = pool.entry(key);
-  const std::vector<tensor::Tensor>& weights = pool.weights(key);
   for (std::uint64_t id = 0; id < kMax; ++id) {
-    tensor::Tensor activation =
-        request_input(entry, ServeConfig{}.seed, id);
-    for (std::size_t l = 0; l < entry.model.layers.size(); ++l) {
-      const nn::LayerDesc& layer = entry.model.layers[l];
-      nn::Conv2dParams params;
-      params.stride_h = layer.stride_h;
-      params.stride_w = layer.stride_w;
-      params.pad_h = layer.pad_h;
-      params.pad_w = layer.pad_w;
-      params.groups = layer.groups;
-      activation = nn::conv2d(activation, weights[l], nullptr, params);
-    }
-    EXPECT_EQ(single[id], tensor_checksum(activation)) << "request " << id;
+    EXPECT_EQ(single[id], standalone_checksum(pool, key, id, {}))
+        << "request " << id;
   }
   for (std::uint64_t batch = 1; batch <= kMax; ++batch) {
     const std::vector<std::uint64_t> sums = run(batch, 1000);
@@ -469,6 +488,69 @@ TEST(ServeEngine, ResponsesAreByteDeterministicAcrossWorkerCounts) {
       EXPECT_EQ(stats.p99_latency_cycles, reference_stats.p99_latency_cycles);
       EXPECT_EQ(stats.makespan_cycles, reference_stats.makespan_cycles);
     }
+  }
+}
+
+TEST(ServeEngine, EnginesOnDifferentIsasServeSideBySide) {
+  // Two tensor-mode engines in one process, one on the scalar kernels and
+  // one on AVX2, each driven from its own thread: the kernel route is each
+  // engine's own config, so each reproduces its single-engine checksums
+  // and its standalone nn::conv2d chain at its choice. The AVX2 engine is
+  // skipped where AVX2 is missing.
+  std::vector<nn::KernelChoice> choices = {
+      {nn::KernelBackend::kFast, nn::KernelIsa::kScalar}};
+  if (nn::kernel_isa_available(nn::KernelIsa::kAvx2)) {
+    choices.push_back({nn::KernelBackend::kFast, nn::KernelIsa::kAvx2});
+  } else {
+    std::printf("note: avx2 kernels unavailable on this machine; the "
+                "AVX2 engine is skipped\n");
+  }
+  ModelPool pool = make_pool();
+  const ShapeKey key = custom_key(pool.register_custom(small_chain()));
+  constexpr std::uint64_t kRequests = 8;
+  const auto run = [&pool, &key](const nn::KernelChoice& kernels) {
+    ServeConfig config;
+    config.mode = ExecMode::kTensor;
+    config.batch_window = 100;
+    config.max_batch = 4;
+    config.workers = 2;
+    config.kernels = kernels;
+    ServeEngine engine(config, &pool);
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      engine.submit(key, 0, 0);
+    }
+    engine.drain();
+    std::vector<std::uint64_t> sums;
+    for (std::uint64_t id = 0; id < kRequests; ++id) {
+      EXPECT_EQ(engine.response(id).status, RequestStatus::kCompleted);
+      sums.push_back(engine.response(id).checksum);
+    }
+    return sums;
+  };
+
+  std::vector<std::vector<std::uint64_t>> alone;
+  for (const nn::KernelChoice& kernels : choices) {
+    alone.push_back(run(kernels));
+  }
+  std::vector<std::vector<std::uint64_t>> together(choices.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    threads.emplace_back([&, i] { together[i] = run(choices[i]); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    SCOPED_TRACE(nn::kernel_isa_name(choices[i].isa));
+    EXPECT_EQ(together[i], alone[i]);
+    for (std::uint64_t id = 0; id < kRequests; ++id) {
+      EXPECT_EQ(alone[i][id], standalone_checksum(pool, key, id, choices[i]))
+          << "request " << id;
+    }
+  }
+  if (choices.size() == 2) {
+    // The two engines really ran different kernels.
+    EXPECT_NE(alone[0], alone[1]);
   }
 }
 

@@ -385,22 +385,18 @@ TEST(Telemetry, SchedCountersMatchMappingPlanGolden) {
 }
 
 // The fast kernels must leave an exact telemetry trail: the ISA dispatch
-// counters pin to the FORCED ISA (never the other one), each forward
-// lands on the kernel its geometry selects, and packing accounts its
-// bytes exactly:
+// counters pin to the ISA each call passes (never the other one), each
+// forward lands on the kernel its geometry selects, and packing accounts
+// its bytes exactly:
 //   * a [1,4,3,3] 1x1 conv takes the pointwise route and packs its nine
 //     positions as two 8-wide panels of k=4 floats: 2 * 4 * 8 * 4 = 256;
 //   * a stride-2 1x1 conv gathers im2col columns, so it counts as
 //     kernels.fast.conv2d;
 //   * a stride-2 3x3 depthwise runs the exact channel-blocked route, so it
-//     counts as the forced ISA too;
+//     counts as the passed ISA too;
 //   * linear reads its weight rows in place and packs nothing.
 TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   if (!util::telemetry_enabled()) GTEST_SKIP() << "FUSE_TELEMETRY off";
-  const nn::KernelBackend saved_backend = nn::kernel_backend();
-  const nn::KernelIsa saved_isa = nn::kernel_isa();
-  nn::set_kernel_backend(nn::KernelBackend::kFast);
-
   util::Rng rng(7);
   const auto random = [&rng](tensor::Shape shape) {
     tensor::Tensor t(std::move(shape));
@@ -430,31 +426,31 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   constexpr std::uint64_t kPanelBytes = 4 * 8 * sizeof(float);
 
   const auto run_leg = [&](nn::KernelIsa isa) {
-    nn::set_kernel_isa(isa);
+    const nn::KernelChoice fast{nn::KernelBackend::kFast, isa};
     const char* name = nn::kernel_isa_name(isa);
     const bool is_avx2 = isa == nn::KernelIsa::kAvx2;
     std::uint64_t pack_0 = pack_bytes.value();
     std::uint64_t pointwise_0 = pointwise_count.value();
     std::uint64_t conv2d_0 = conv2d_count.value();
-    (void)nn::conv2d(image, filters, nullptr, nn::Conv2dParams{});
+    (void)nn::conv2d(image, filters, nullptr, nn::Conv2dParams{}, fast);
     EXPECT_EQ(pointwise_count.value() - pointwise_0, 1u) << name;
     EXPECT_EQ(conv2d_count.value() - conv2d_0, 0u) << name;
     EXPECT_EQ(pack_bytes.value() - pack_0, 2 * kPanelBytes) << name;
 
     pointwise_0 = pointwise_count.value();
     conv2d_0 = conv2d_count.value();
-    (void)nn::conv2d(image, filters, nullptr, stride2);
+    (void)nn::conv2d(image, filters, nullptr, stride2, fast);
     EXPECT_EQ(pointwise_count.value() - pointwise_0, 0u) << name;
     EXPECT_EQ(conv2d_count.value() - conv2d_0, 1u) << name;
 
     const std::uint64_t avx2_1 = avx2_count.value();
     const std::uint64_t scalar_1 = scalar_count.value();
-    (void)nn::conv2d(image, dw_filters, nullptr, depthwise_s2);
+    (void)nn::conv2d(image, dw_filters, nullptr, depthwise_s2, fast);
     EXPECT_EQ(avx2_count.value() - avx2_1, is_avx2 ? 1u : 0u) << name;
     EXPECT_EQ(scalar_count.value() - scalar_1, is_avx2 ? 0u : 1u) << name;
 
     pack_0 = pack_bytes.value();
-    (void)nn::linear(features, fc_weight, nullptr);
+    (void)nn::linear(features, fc_weight, nullptr, fast);
     EXPECT_EQ(pack_bytes.value() - pack_0, 0u) << name;
   };
 
@@ -462,9 +458,6 @@ TEST(Telemetry, KernelCountersPinnedToForcedIsa) {
   if (nn::kernel_isa_available(nn::KernelIsa::kAvx2)) {
     run_leg(nn::KernelIsa::kAvx2);
   }
-
-  nn::set_kernel_isa(saved_isa);
-  nn::set_kernel_backend(saved_backend);
 }
 
 TEST(Telemetry, HistogramObserveAtPowerOfTwoBoundaries) {

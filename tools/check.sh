@@ -9,7 +9,8 @@
 #      (test_thread_pool, test_telemetry, test_serve — test_serve replays
 #      the serving engine's worker-determinism trace at 1/2/4 payload
 #      threads, whose tensor mode runs the serial fast kernels from
-#      several workers at once: the kernels' only concurrency),
+#      several workers at once: the kernels' only concurrency, and two
+#      engines on different kernel ISAs from two threads),
 #   3. AddressSanitizer + UBSan build running the mapping/executor suites
 #      (test_mapping, test_execute, test_systolic_sim, test_netplan,
 #      test_serve), the differential harness (test_differential: the
@@ -66,10 +67,12 @@
 #      machine; wall-clock metrics only warn), a deliberately perturbed
 #      copy must make the gate exit nonzero, and a record_bench.sh
 #      ledger entry must round-trip through the same comparator,
-#  10. serving lab: bench_serve's artifact must parse, declare its
-#      metric_families, clear the >= 2x dynamic-batching gate, and be
-#      byte-identical between --workers=1 and --workers=4; a fresh run
-#      diffs against the committed results/BENCH_serve.json via
+#  10. serving lab: bench_serve's artifact (pinned to the scalar ISA, as
+#      the committed one is: its fingerprint mixes tensor-mode checksums)
+#      must parse, declare its metric_families, clear the >= 2x
+#      dynamic-batching gate, and be byte-identical between --workers=1
+#      and --workers=4; a fresh run diffs against the committed
+#      results/BENCH_serve.json via
 #      bench_compare, a perturbed speedup_vs_b1 (exact by declaration,
 #      wall-looking by name) must exit nonzero, and serve_demo's replay
 #      must be byte-deterministic across repeat runs,
@@ -205,7 +208,7 @@ GOLDEN_BENCHES=(bench_table1 bench_fig8a_latency bench_fig8b_layerwise
                 bench_ablation_broadcast bench_ablation_dataflow
                 bench_ablation_memory bench_energy bench_width_mult
                 bench_resolution bench_ablation_aspect bench_nos
-                bench_pareto bench_fusion)
+                bench_pareto bench_fusion bench_serve)
 KERNEL_BENCHES=()
 for bench in "${GOLDEN_BENCHES[@]}"; do
   bin="$REPO_ROOT/$BUILD_DIR/bench/$bench"
@@ -371,10 +374,12 @@ echo "=== [10/11] serving lab: bench_serve + serve_demo determinism ==="
 # a clean exit is the throughput claim. The artifact must be
 # byte-identical between worker counts: every number in it is a
 # virtual-cycle scheduling decision or a seeded payload checksum, none
-# of which may depend on payload-thread interleaving.
-"$BUILD_DIR/bench/bench_serve" --workers=1 \
+# of which may depend on payload-thread interleaving. Both runs pin the
+# scalar ISA, as the committed artifact does, so the comparison below
+# holds on any machine.
+"$BUILD_DIR/bench/bench_serve" --kernel-isa=scalar --workers=1 \
   --json="$TELEMETRY_TMP/BENCH_serve.w1.json" > /dev/null
-"$BUILD_DIR/bench/bench_serve" --workers=4 \
+"$BUILD_DIR/bench/bench_serve" --kernel-isa=scalar --workers=4 \
   --json="$TELEMETRY_TMP/BENCH_serve.w4.json" > /dev/null
 if diff "$TELEMETRY_TMP/BENCH_serve.w1.json" \
         "$TELEMETRY_TMP/BENCH_serve.w4.json"; then
