@@ -14,9 +14,10 @@
 //      single-threaded and the full grid by the evaluator; the
 //      configs-per-second ratio must clear the >= 10x gate
 //      (FUSE_CHECKed, like bench_serve's 2x batching gate).
-//   3. Frontier: the full-grid explore() result is printed and written
-//      as CSV/JSON. Everything except the "# ..." wall-clock lines is
-//      byte-deterministic.
+//   3. Frontier: the full-grid explore() call is timed as the median of
+//      kExploreReps calls (explore_cps), and its result is printed and
+//      written as CSV/JSON. Everything except the "# ..." wall-clock lines
+//      is byte-deterministic.
 //
 // The schedule mode is fused: the explorer always plans fused (its
 // latencies are never worse).
@@ -25,22 +26,33 @@
 //   --csv writes bench_dse.csv (the full point table, frontier column);
 //   --json writes the machine-readable artifact for
 //   results/BENCH_dse.json (tools/regenerate_results.sh).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dse/explore.hpp"
 #include "sched/netplan.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/cpu_features.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace fuse;
 
 namespace {
+
+constexpr int kExploreReps = 5;
+
+#ifdef __clang__
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
 
 double elapsed_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -75,7 +87,8 @@ std::uint64_t fast_path_bound_cycles(
 }
 
 void write_json(const std::string& path, const dse::ExploreResult& result,
-                std::size_t subset_size, double plan_cps, double fast_cps) {
+                std::size_t subset_size, double plan_cps, double fast_cps,
+                double explore_cps) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   FUSE_CHECK(f != nullptr) << "cannot write " << path;
   // Family declaration order matters (first match wins): the wall
@@ -83,10 +96,20 @@ void write_json(const std::string& path, const dse::ExploreResult& result,
   std::fprintf(f,
                "{\n  \"bench\": \"bench_dse\",\n"
                "  \"workload\": \"paper_networks_x_baseline_full_half\",\n"
+               "  \"provenance\": {\"cores\": %u, \"isa\": \"%s\", "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"repetitions\": {\"plan\": 1, \"fast\": 1, "
+               "\"explore\": %d}, "
+               "\"timing\": \"wall time, one thread: plan_cps and fast_cps "
+               "score the equality subset once each; explore_cps is the "
+               "full grid at the median explore() call\"},\n"
                "  \"metric_families\": {\n"
                "    \"wall_higher_better\": [\"*_cps\", "
                "\"speedup_vs_plan\"],\n"
-               "    \"exact\": [\"*\"]\n  },\n  \"rows\": [\n");
+               "    \"exact\": [\"*\"]\n  },\n  \"rows\": [\n",
+               std::thread::hardware_concurrency(),
+               util::cpu_features().to_string().c_str(), kCompiler,
+               FUSE_BUILD_TYPE, kExploreReps);
   for (std::size_t i = 0; i < result.front.entries().size(); ++i) {
     const dse::ParetoEntry& entry = result.front.entries()[i];
     const dse::DesignPoint& point = result.points[entry.id];
@@ -103,11 +126,11 @@ void write_json(const std::string& path, const dse::ExploreResult& result,
       f,
       "  ],\n  \"total\": {\"configs\": %zu, \"frontier_size\": %zu, "
       "\"points_pruned\": %llu, \"equality_subset\": %zu, "
-      "\"plan_cps\": %.2f, \"fast_cps\": %.2f, "
+      "\"plan_cps\": %.2f, \"fast_cps\": %.2f, \"explore_cps\": %.2f, "
       "\"speedup_vs_plan\": %.2f}\n}\n",
       result.points.size(), result.front.entries().size(),
       static_cast<unsigned long long>(result.front.pruned()), subset_size,
-      plan_cps, fast_cps, fast_cps / plan_cps);
+      plan_cps, fast_cps, explore_cps, fast_cps / plan_cps);
   std::fclose(f);
 }
 
@@ -194,7 +217,17 @@ int main(int argc, char** argv) {
   // --- 3. the frontier over the full grid -----------------------------------
   dse::ExploreOptions options;
   options.mode = mode;
-  const dse::ExploreResult result = dse::explore(axes, workload, options);
+  dse::ExploreResult result;
+  std::vector<double> explore_ms;
+  for (int rep = 0; rep < kExploreReps; ++rep) {
+    const auto t_explore = std::chrono::steady_clock::now();
+    result = dse::explore(axes, workload, options);
+    explore_ms.push_back(elapsed_ms(t_explore));
+  }
+  std::sort(explore_ms.begin(), explore_ms.end());
+  const double explore_p50_ms = explore_ms[kExploreReps / 2];
+  const double explore_cps =
+      1e3 * static_cast<double>(result.points.size()) / explore_p50_ms;
 
   util::TablePrinter table({"Config", "Latency (ms)", "Area (mm^2)",
                             "Power (W)", "Bound cycles"});
@@ -217,9 +250,11 @@ int main(int argc, char** argv) {
               plan_ms, subset.size(), plan_cps);
   std::printf("# fast path:  %7.1f ms for %zu configs (%.1f configs/s)\n",
               fast_ms, subset.size(), fast_cps);
-  std::printf("# speedup: %.1fx (gate >= 10x); full %zu-point grid via "
-              "explore()\n",
-              speedup, result.points.size());
+  std::printf("# speedup: %.1fx (gate >= 10x)\n", speedup);
+  std::printf("# explore(): %7.1f ms for the full %zu-point grid "
+              "(%.1f configs/s, median of %d calls)\n",
+              explore_p50_ms, result.points.size(), explore_cps,
+              kExploreReps);
 
   if (flags.get_bool("csv")) {
     dse::write_explore_csv(result, "bench_dse.csv");
@@ -227,7 +262,8 @@ int main(int argc, char** argv) {
   }
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
-    write_json(json_path, result, subset.size(), plan_cps, fast_cps);
+    write_json(json_path, result, subset.size(), plan_cps, fast_cps,
+               explore_cps);
     // "# " prefix: the json path is the caller's choice, so this line is
     // excluded from stdout diffs with the wall-clock lines.
     std::printf("# wrote %s\n", json_path.c_str());

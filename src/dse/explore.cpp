@@ -58,6 +58,24 @@ std::vector<nets::NetworkModel> default_dse_workload() {
   return models;
 }
 
+namespace {
+
+/// Latency of `bound_cycles` at the array's post-derate clock, area and
+/// power from the component hw model.
+Objectives objectives_of(const systolic::ArrayConfig& cfg,
+                         std::uint64_t bound_cycles) {
+  const hw::ArrayHwReport hw_report =
+      hw::array_hw(cfg, hw::nangate45_model());
+  Objectives obj;
+  obj.latency_ms = static_cast<double>(bound_cycles) /
+                   (cfg.effective_freq_mhz() * 1e3);
+  obj.area_mm2 = hw_report.area_mm2;
+  obj.power_w = hw_report.power_mw * 1e-3;
+  return obj;
+}
+
+}  // namespace
+
 Objectives evaluate_design_point(
     const DesignPoint& point, const std::vector<nets::NetworkModel>& workload,
     sched::SchedMode mode, std::uint64_t* bound_cycles_out) {
@@ -70,14 +88,7 @@ Objectives evaluate_design_point(
   if (bound_cycles_out != nullptr) {
     *bound_cycles_out = bound_cycles;
   }
-  const hw::ArrayHwReport hw_report =
-      hw::array_hw(point.cfg, hw::nangate45_model());
-  Objectives obj;
-  obj.latency_ms = static_cast<double>(bound_cycles) /
-                   (point.cfg.effective_freq_mhz() * 1e3);
-  obj.area_mm2 = hw_report.area_mm2;
-  obj.power_w = hw_report.power_mw * 1e-3;
-  return obj;
+  return objectives_of(point.cfg, bound_cycles);
 }
 
 ExploreResult explore(const DseAxes& axes,
@@ -91,10 +102,34 @@ ExploreResult explore(const DseAxes& axes,
   result.points = enumerate_design_points(axes);
   result.objectives.resize(result.points.size());
   result.bound_cycles.resize(result.points.size());
+  // A LayerCost reads the array and the memory dtype, never the SRAM size
+  // or the DRAM bandwidth. SRAM is the innermost axis, so a point whose
+  // array and dtype equal the previous point's keeps that point's layer
+  // costs and reruns only the schedule (spills and fusion legality read
+  // the SRAM size) and the roofline.
+  std::vector<std::vector<sched::LayerCost>> costs(workload.size());
   for (std::size_t i = 0; i < result.points.size(); ++i) {
-    result.objectives[i] =
-        evaluate_design_point(result.points[i], workload, options.mode,
-                              &result.bound_cycles[i]);
+    const DesignPoint& point = result.points[i];
+    const bool same_costs =
+        i > 0 && point.cfg == result.points[i - 1].cfg &&
+        point.mem.dtype_bytes == result.points[i - 1].mem.dtype_bytes;
+    std::uint64_t bound_cycles = 0;
+    for (std::size_t m = 0; m < workload.size(); ++m) {
+      if (!same_costs) {
+        costs[m].clear();
+        for (const nn::LayerDesc& layer : workload[m].layers) {
+          costs[m].push_back(
+              sched::eval_layer_fast(layer, point.cfg, point.mem));
+        }
+      }
+      const sched::CostSchedule schedule = sched::schedule_costs(
+          workload[m], costs[m], point.mem, options.mode);
+      bound_cycles +=
+          sched::roofline_over(costs[m], schedule.fused_pairs, point.mem)
+              .bound_cycles;
+    }
+    result.bound_cycles[i] = bound_cycles;
+    result.objectives[i] = objectives_of(point.cfg, bound_cycles);
     result.front.offer(i, result.objectives[i]);
   }
 

@@ -16,7 +16,11 @@
 //
 // The sweep is one serial loop. A thread pool over the points cut wall
 // time but cost more CPU than it saved, and a memo table in front of the
-// closed form measured ~10x slower than none (results/BENCH_sweep.json).
+// closed form measured ~10x slower than none (the first entry of
+// results/history/BENCH_sweep.jsonl). What the loop shares is each
+// model's layer costs across the SRAM axis: a LayerCost never reads the
+// SRAM size, and SRAM is the innermost axis, so between points that
+// differ only there it reruns just the schedule and the roofline.
 // Frontier offers happen in point-index order, so the frontier — and the
 // CSV write_explore_csv emits — is a pure function of the axes and
 // workload.
@@ -95,9 +99,9 @@ struct ExploreResult {
   ParetoFront front;
 };
 
-/// The sweep: evaluates every point in index order and offers it to the
-/// frontier. Records the dse.configs_evaluated / dse.points_pruned
-/// counters.
+/// The sweep: evaluates every point in index order, equal to
+/// evaluate_design_point at each, and offers it to the frontier. Records
+/// the dse.configs_evaluated / dse.points_pruned counters.
 ExploreResult explore(const DseAxes& axes,
                       const std::vector<nets::NetworkModel>& workload,
                       const ExploreOptions& options = {});

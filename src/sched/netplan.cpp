@@ -77,6 +77,7 @@ void allocate_buffers(std::vector<ActivationBuffer>& buffers,
   std::vector<Active> active;
   static util::Counter& spilled_counter =
       util::metrics().counter("netplan.buffers_spilled");
+  std::uint64_t spilled = 0;
   for (ActivationBuffer& buffer : buffers) {
     // Expire allocations whose liveness ended before this buffer starts.
     active.erase(std::remove_if(active.begin(), active.end(),
@@ -86,7 +87,7 @@ void allocate_buffers(std::vector<ActivationBuffer>& buffers,
                  active.end());
     if (staging_bytes + buffer.bytes > sram) {
       buffer.spilled = true;
-      spilled_counter.add();
+      ++spilled;
       continue;
     }
     std::sort(active.begin(), active.end(),
@@ -102,12 +103,13 @@ void allocate_buffers(std::vector<ActivationBuffer>& buffers,
     }
     if (candidate + buffer.bytes > sram) {
       buffer.spilled = true;
-      spilled_counter.add();
+      ++spilled;
       continue;
     }
     buffer.offset = candidate;
     active.push_back({candidate, buffer.bytes, buffer.last_step});
   }
+  spilled_counter.add(spilled);
 }
 
 /// Resident (non-spilled) activation bytes live at on-array step `step`.
@@ -400,23 +402,19 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
   // activation glue between, matching geometry, and SRAM-resident
   // intermediate buffers. A FuSe stage fuses as a {row, col} -> pointwise
   // triple: the pointwise input is the concatenation of both branches.
-  std::vector<bool> consumed(model.layers.size(), false);
-  const auto paired = [&](std::size_t idx) {
-    for (const FusedPair& pair : cs.fused_pairs) {
-      if (pair.producer == idx || pair.producer2 == idx ||
-          pair.consumer == idx) {
-        return true;
-      }
-    }
-    return false;
-  };
+  // Groups span consecutive steps and never overlap, so the scan resumes
+  // at the first step after each group. The counters are tallied per call.
+  std::uint64_t fused = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t saved = 0;
   if (mode == SchedMode::kFused) {
+    std::size_t first_free = 0;  // first step not yet in a group
     for (std::size_t s = 0; s + 1 < steps; ++s) {
-      const std::size_t p_idx = cs.on_array[s];
-      const LayerDesc& p = model.layers[p_idx];
-      if (consumed[p_idx] || paired(p_idx)) {
+      if (s < first_free) {
         continue;
       }
+      const std::size_t p_idx = cs.on_array[s];
+      const LayerDesc& p = model.layers[p_idx];
       // FuSe triple: row at s, col at s + 1, pointwise at s + 2.
       if (s + 2 < steps && p.kind == OpKind::kFuseRowConv) {
         const std::size_t p2_idx = cs.on_array[s + 1];
@@ -434,7 +432,7 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
               c.in_w == p2.out_w && !cs.buffers[1 + s].spilled &&
               !cs.buffers[2 + s].spilled;
           if (!legal) {
-            rejected_counter.add();
+            ++rejected;
             continue;
           }
           FusedPair pair;
@@ -446,11 +444,9 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
               costs[p2_idx].traffic.output_bytes;
           pair.saved_input_bytes = costs[c_idx].traffic.input_bytes;
           cs.fused_pairs.push_back(pair);
-          consumed[p2_idx] = true;
-          consumed[c_idx] = true;
-          fused_counter.add();
-          saved_counter.add(pair.saved_output_bytes +
-                            pair.saved_input_bytes);
+          first_free = s + 3;
+          ++fused;
+          saved += pair.saved_output_bytes + pair.saved_input_bytes;
           continue;
         }
       }
@@ -460,7 +456,7 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
           (p.kind == OpKind::kDepthwiseConv ||
            p.kind == OpKind::kFuseRowConv ||
            p.kind == OpKind::kFuseColConv) &&
-          c.kind == OpKind::kPointwiseConv && !consumed[c_idx];
+          c.kind == OpKind::kPointwiseConv;
       if (!candidate) {
         continue;
       }
@@ -471,7 +467,7 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
           c.in_c == p.out_c && c.in_h == p.out_h && c.in_w == p.out_w &&
           !intermediate.spilled;
       if (!legal) {
-        rejected_counter.add();
+        ++rejected;
         continue;
       }
       FusedPair pair;
@@ -480,39 +476,50 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
       pair.saved_output_bytes = costs[p_idx].traffic.output_bytes;
       pair.saved_input_bytes = costs[c_idx].traffic.input_bytes;
       cs.fused_pairs.push_back(pair);
-      consumed[c_idx] = true;
-      fused_counter.add();
-      saved_counter.add(pair.saved_output_bytes + pair.saved_input_bytes);
+      first_free = s + 2;
+      ++fused;
+      saved += pair.saved_output_bytes + pair.saved_input_bytes;
     }
   }
+  fused_counter.add(fused);
+  rejected_counter.add(rejected);
+  saved_counter.add(saved);
   return cs;
 }
 
 NetworkRoofline roofline_over(const std::vector<LayerCost>& costs,
                               const std::vector<FusedPair>& pairs,
                               const MemoryConfig& mem) {
-  NetworkRoofline roofline;
-  std::vector<bool> consumed(costs.size(), false);
-  for (const FusedPair& pair : pairs) {
-    if (pair.producer2 != FusedPair::kNone) {
-      consumed[pair.producer2] = true;
-    }
-    consumed[pair.consumer] = true;
+  // schedule_costs emits groups in ascending producer order, each inside
+  // the network and disjoint from the next, and plan_network keeps that
+  // order; one cursor over the groups then walks beside the layers.
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const FusedPair& pair = pairs[k];
+    const bool ordered =
+        pair.producer2 == FusedPair::kNone
+            ? pair.producer < pair.consumer
+            : pair.producer < pair.producer2 &&
+                  pair.producer2 < pair.consumer;
+    FUSE_CHECK(ordered && pair.consumer < costs.size() &&
+               (k == 0 || pairs[k - 1].consumer < pair.producer))
+        << "fused group " << k << " (producer " << pair.producer
+        << ", consumer " << pair.consumer << ") is out of order, overlaps "
+        << "the group before it, or lies outside the " << costs.size()
+        << " layers";
   }
+  NetworkRoofline roofline;
+  std::size_t next = 0;  // the group at or after the current layer
   for (std::size_t i = 0; i < costs.size(); ++i) {
-    if (consumed[i]) {
-      continue;
-    }
-    const FusedPair* pair = nullptr;
-    for (const FusedPair& p : pairs) {
-      if (p.producer == i || p.producer2 == i || p.consumer == i) {
-        pair = &p;
-        break;
+    const FusedPair* pair = next < pairs.size() ? &pairs[next] : nullptr;
+    if (pair != nullptr && (i == pair->producer2 || i == pair->consumer)) {
+      if (i == pair->consumer) {
+        ++next;
       }
+      continue;  // charged with the group's producer
     }
     std::uint64_t compute = costs[i].latency.cycles;
     systolic::TrafficEstimate traffic = costs[i].traffic;
-    if (pair != nullptr && pair->producer == i) {
+    if (pair != nullptr && i == pair->producer) {
       // The group is one scheduling unit: compute back-to-back, traffic
       // with the SRAM-resident intermediates subtracted on both sides.
       if (pair->producer2 != FusedPair::kNone) {

@@ -129,8 +129,8 @@ struct CostSchedule {
 /// Runs the liveness analysis, SRAM first-fit allocation, and (in fused
 /// mode) the fusion-legality scan over per-layer costs. This is the single
 /// home of the scheduler's legality rules — plan_network and the
-/// closed-form evaluator both call it. Records the netplan.* pair/spill
-/// counters.
+/// closed-form evaluator both call it. Adds its netplan.* pair/spill
+/// tallies to the counters once per call.
 CostSchedule schedule_costs(const nets::NetworkModel& model,
                             const std::vector<LayerCost>& costs,
                             const systolic::MemoryConfig& mem,
@@ -139,7 +139,9 @@ CostSchedule schedule_costs(const nets::NetworkModel& model,
 /// Roofline over per-layer costs + fused pairs: each unfused layer (and
 /// each fused group, as one unit with the pair's saved bytes subtracted)
 /// contributes max(compute, memory). plan_roofline is this applied to a
-/// NetworkPlan's own vectors.
+/// NetworkPlan's own vectors. `pairs` must be in schedule_costs' order:
+/// ascending by producer, each group's members ascending and inside
+/// `costs`, and no group overlapping the next (FUSE_CHECKed).
 NetworkRoofline roofline_over(const std::vector<LayerCost>& costs,
                               const std::vector<FusedPair>& pairs,
                               const systolic::MemoryConfig& mem);

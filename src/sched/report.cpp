@@ -86,6 +86,13 @@ std::vector<SlotSpeedup> layerwise_speedup(NetworkId id, FuseMode mode,
 std::vector<ScalingPoint> scaling_sweep(
     NetworkId id, NetworkVariant variant,
     const std::vector<std::int64_t>& sizes) {
+  // speedup_vs_baseline per size, with each network built once per call:
+  // only the two 50% variants read the array (their slot choice follows
+  // its savings), so only they are rebuilt at every size.
+  const bool target_reads_array = variant == NetworkVariant::kFuseFull50 ||
+                                  variant == NetworkVariant::kFuseHalf50;
+  NetworkModel baseline;
+  NetworkModel target;
   std::vector<ScalingPoint> points;
   points.reserve(sizes.size());
   for (const std::int64_t size : sizes) {
@@ -94,8 +101,21 @@ std::vector<ScalingPoint> scaling_sweep(
       span.annotate("network", nets::network_name(id));
       span.annotate("array_size", static_cast<std::uint64_t>(size));
     }
+    const ArrayConfig cfg = systolic::square_array(size);
+    if (points.empty()) {
+      baseline = build_variant(id, NetworkVariant::kBaseline, cfg).model;
+    }
+    if (points.empty() || target_reads_array) {
+      target = build_variant(id, variant, cfg).model;
+    }
+    const std::uint64_t base_cycles =
+        network_latency(baseline, cfg).total_cycles;
+    const std::uint64_t variant_cycles =
+        network_latency(target, cfg).total_cycles;
+    FUSE_CHECK(variant_cycles > 0) << "variant has zero latency";
     points.push_back(ScalingPoint{
-        size, speedup_vs_baseline(id, variant, systolic::square_array(size))});
+        size, static_cast<double>(base_cycles) /
+                  static_cast<double>(variant_cycles)});
   }
   return points;
 }

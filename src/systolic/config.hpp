@@ -239,6 +239,8 @@ struct ArrayConfig {
     }
     return s;
   }
+
+  bool operator==(const ArrayConfig&) const = default;
 };
 
 /// Square array shorthand.

@@ -128,18 +128,22 @@ TEST(Enumerate, LabelsAreUnique) {
 
 // A cut-down grid over a small workload: every point's objectives equal a
 // direct evaluate_design_point call, and the explorer's incremental
-// frontier equals the batch frontier of those objectives.
+// frontier equals the batch frontier of those objectives. The explorer
+// shares layer costs between points that differ only in SRAM size, so the
+// grid spans two SRAM sizes and every datapath, and the workload holds a
+// model whose bound moves with each of those axes alone: a stale schedule
+// or stale layer costs would show in some point.
 TEST(Explore, FrontierMatchesBatchFrontier) {
   DseAxes axes;
   axes.shapes = {{32, 128}, {64, 64}};
-  axes.datapaths = {systolic::Datapath::kFp16};
-  axes.sram_bytes = {8 * 1024 * 1024};
-  // 2 shapes x 2 broadcast x 3 pipelining = 12 points.
+  axes.sram_bytes = {1 * 1024 * 1024, 8 * 1024 * 1024};
+  // 2 shapes x 2 broadcast x 3 pipelining x 3 datapath x 2 sram = 72.
   const std::vector<nets::NetworkModel> workload = {
-      nets::build_network(nets::NetworkId::kMobileNetV3Small)};
+      nets::build_network(nets::NetworkId::kMobileNetV3Small),
+      nets::build_network(nets::NetworkId::kMobileNetV2)};
 
   const ExploreResult result = explore(axes, workload);
-  ASSERT_EQ(result.points.size(), 12u);
+  ASSERT_EQ(result.points.size(), 72u);
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     std::uint64_t bound = 0;
     const Objectives obj = evaluate_design_point(
@@ -147,6 +151,25 @@ TEST(Explore, FrontierMatchesBatchFrontier) {
     EXPECT_EQ(result.objectives[i].latency_ms, obj.latency_ms);
     EXPECT_EQ(result.bound_cycles[i], bound);
   }
+  std::size_t sram_moves_bound = 0;
+  std::size_t datapath_moves_bound = 0;
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      const DesignPoint& a = result.points[j];
+      const DesignPoint& b = result.points[i];
+      systolic::ArrayConfig b_at_a_datapath = b.cfg;
+      b_at_a_datapath.datapath = a.cfg.datapath;
+      const bool bound_moves = result.bound_cycles[i] != result.bound_cycles[j];
+      if (a.cfg == b.cfg) {
+        sram_moves_bound += bound_moves ? 1 : 0;
+      } else if (a.cfg == b_at_a_datapath &&
+                 a.mem.sram_bytes == b.mem.sram_bytes) {
+        datapath_moves_bound += bound_moves ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(sram_moves_bound, 0u);
+  EXPECT_GT(datapath_moves_bound, 0u);
   std::vector<std::size_t> ids;
   for (const ParetoEntry& entry : result.front.entries()) {
     ids.push_back(entry.id);

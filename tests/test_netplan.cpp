@@ -8,6 +8,7 @@
 #include <string>
 
 #include "nn/ops.hpp"
+#include "sched/eval_fast.hpp"
 #include "sched/execute.hpp"
 #include "sched/latency.hpp"
 #include "sched/netplan.hpp"
@@ -391,6 +392,26 @@ TEST(Roofline, MobileNetV2FusesAndSavesTraffic) {
     const NetworkRoofline fused = plan_roofline(fused_plan);
     EXPECT_LT(fused.memory_cycles, per.memory_cycles)
         << core::network_variant_name(variant);
+
+    // roofline_over walks the groups with one cursor, so a pair list out
+    // of producer order, with overlapping groups, or past the last layer
+    // must fail loudly rather than charge a layer twice or not at all.
+    const NetworkEval ev =
+        eval_network_fast(build.model, cfg, kMem, SchedMode::kFused);
+    const std::vector<FusedPair>& pairs = ev.schedule.fused_pairs;
+    ASSERT_GE(pairs.size(), 2u);
+    EXPECT_EQ(roofline_over(ev.layers, pairs, kMem).bound_cycles,
+              fused.bound_cycles);
+    std::vector<FusedPair> swapped = pairs;
+    std::swap(swapped[0], swapped[1]);
+    std::vector<FusedPair> overlapping = pairs;
+    overlapping[1].producer = overlapping[0].consumer;
+    std::vector<FusedPair> outside = pairs;
+    outside.back().consumer = ev.layers.size();
+    for (const std::vector<FusedPair>* bad :
+         {&swapped, &overlapping, &outside}) {
+      EXPECT_THROW(roofline_over(ev.layers, *bad, kMem), util::Error);
+    }
   }
 }
 
@@ -475,16 +496,25 @@ TEST(ExecuteNetwork, BitIdenticalAcrossModes) {
 
 TEST(Telemetry, PlanNetworkRecordsPairAndSramMetrics) {
   if (!util::telemetry_enabled()) GTEST_SKIP() << "FUSE_TELEMETRY off";
-  const ArrayConfig cfg = systolic::square_array(16);
-  const nets::NetworkModel model = two_layer_chain(8, 8, 16);
+  // MobileNet-V2 in 1 MiB of SRAM: its large early activations spill, so
+  // the depthwise -> pointwise pairs around them are rejected, and the
+  // later ones fuse.
+  const ArrayConfig cfg = systolic::square_array(64);
+  systolic::MemoryConfig mem = kMem;
+  mem.sram_bytes = 1024 * 1024;
+  const nets::NetworkModel model =
+      nets::build_network(nets::NetworkId::kMobileNetV2);
   util::Counter& plans = util::metrics().counter("netplan.plans");
   util::Counter& pairs = util::metrics().counter("netplan.pairs_fused");
+  util::Counter& rejected = util::metrics().counter("netplan.pairs_rejected");
   util::Counter& saved = util::metrics().counter("netplan.saved_bytes");
+  util::Counter& spilled = util::metrics().counter("netplan.buffers_spilled");
   const std::uint64_t plans0 = plans.value();
   const std::uint64_t pairs0 = pairs.value();
+  const std::uint64_t rejected0 = rejected.value();
   const std::uint64_t saved0 = saved.value();
-  const NetworkPlan plan =
-      plan_network(model, cfg, kMem, SchedMode::kFused);
+  const std::uint64_t spilled0 = spilled.value();
+  const NetworkPlan plan = plan_network(model, cfg, mem, SchedMode::kFused);
   EXPECT_EQ(plans.value(), plans0 + 1);
   EXPECT_EQ(pairs.value(), pairs0 + plan.fused_pairs.size());
   std::uint64_t expected_saved = 0;
@@ -492,6 +522,23 @@ TEST(Telemetry, PlanNetworkRecordsPairAndSramMetrics) {
     expected_saved += pair.saved_output_bytes + pair.saved_input_bytes;
   }
   EXPECT_EQ(saved.value(), saved0 + expected_saved);
+  // Every depthwise layer heads a candidate pair: its pointwise follows
+  // with only activation glue between and on the same grid. So each one
+  // that did not fuse was rejected.
+  std::uint64_t depthwise = 0;
+  for (const LayerDesc& layer : model.layers) {
+    depthwise += layer.kind == OpKind::kDepthwiseConv ? 1 : 0;
+  }
+  std::uint64_t expected_spilled = 0;
+  for (const ActivationBuffer& buffer : plan.buffers) {
+    expected_spilled += buffer.spilled ? 1 : 0;
+  }
+  EXPECT_GT(plan.fused_pairs.size(), 0u);
+  EXPECT_GT(depthwise, plan.fused_pairs.size());
+  EXPECT_GT(expected_spilled, 0u);
+  EXPECT_EQ(rejected.value(),
+            rejected0 + depthwise - plan.fused_pairs.size());
+  EXPECT_EQ(spilled.value(), spilled0 + expected_spilled);
   EXPECT_EQ(static_cast<std::uint64_t>(
                 util::metrics().gauge("netplan.sram_high_water").value()),
             plan.sram_high_water);

@@ -69,16 +69,33 @@ TEST(LayerwiseBuilder, WorksForEveryNetworkAndMode) {
   }
 }
 
+// scaling_sweep builds each network once per call and rebuilds only the
+// 50% variants per size, whose slot choice follows the array: a target
+// built once at the first size would show at 16 and 64.
 TEST(ScalingBuilder, MatchesPerSizeSpeedups) {
-  const auto points = scaling_sweep(
-      NetworkId::kMobileNetV3Small, NetworkVariant::kFuseFull, {16, 64});
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_NEAR(points[0].speedup,
-              speedup_vs_baseline(NetworkId::kMobileNetV3Small,
-                                  NetworkVariant::kFuseFull,
-                                  systolic::square_array(16)),
-              1e-9);
-  EXPECT_EQ(points[1].array_size, 64);
+  const std::vector<std::int64_t> sizes = {8, 16, 64};
+  for (const NetworkVariant variant :
+       {NetworkVariant::kFuseFull50, NetworkVariant::kFuseHalf50}) {
+    const auto modes_at = [&](std::int64_t size) {
+      return build_variant(NetworkId::kMobileNetV3Small, variant,
+                           systolic::square_array(size))
+          .modes;
+    };
+    EXPECT_NE(modes_at(8), modes_at(16));
+    EXPECT_NE(modes_at(8), modes_at(64));
+  }
+  for (const NetworkVariant variant : core::all_network_variants()) {
+    const auto points =
+        scaling_sweep(NetworkId::kMobileNetV3Small, variant, sizes);
+    ASSERT_EQ(points.size(), sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(points[i].array_size, sizes[i]);
+      EXPECT_EQ(points[i].speedup,
+                speedup_vs_baseline(NetworkId::kMobileNetV3Small, variant,
+                                    systolic::square_array(sizes[i])))
+          << core::network_variant_name(variant) << " at " << sizes[i];
+    }
+  }
 }
 
 }  // namespace
