@@ -30,35 +30,10 @@
 
 using namespace fuse;
 
-namespace {
-
-core::NetworkVariant parse_variant(const std::string& name) {
-  if (name == "baseline") return core::NetworkVariant::kBaseline;
-  if (name == "full" || name == "fuse_full") {
-    return core::NetworkVariant::kFuseFull;
-  }
-  if (name == "half" || name == "fuse_half") {
-    return core::NetworkVariant::kFuseHalf;
-  }
-  if (name == "full50" || name == "fuse_full50") {
-    return core::NetworkVariant::kFuseFull50;
-  }
-  if (name == "half50" || name == "fuse_half50") {
-    return core::NetworkVariant::kFuseHalf50;
-  }
-  FUSE_CHECK(false) << "unknown --variant '" << name
-                    << "' (baseline|fuse_full|fuse_half|fuse_full50|"
-                       "fuse_half50)";
-  return core::NetworkVariant::kBaseline;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas|resnet50");
-  flags.add_string("variant", "fuse_full",
-                   "baseline|fuse_full|fuse_half|fuse_full50|fuse_half50");
+  flags.add_string("variant", "fuse_full", core::kNetworkVariantSpellings);
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_string("sched-mode", "per-layer",
                    "network schedule: per-layer or fused");
@@ -68,7 +43,7 @@ int main(int argc, char** argv) {
 
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
   const core::NetworkVariant variant =
-      parse_variant(flags.get_string("variant"));
+      core::parse_network_variant(flags.get_string("variant"));
   FUSE_CHECK(id != nets::NetworkId::kResNet50 ||
              variant == core::NetworkVariant::kBaseline)
       << "ResNet-50 has no depthwise layers; only --variant=baseline";

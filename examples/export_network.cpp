@@ -18,25 +18,10 @@
 
 using namespace fuse;
 
-namespace {
-
-core::NetworkVariant parse_variant(const std::string& name) {
-  if (name == "baseline") return core::NetworkVariant::kBaseline;
-  if (name == "full") return core::NetworkVariant::kFuseFull;
-  if (name == "half") return core::NetworkVariant::kFuseHalf;
-  if (name == "full50") return core::NetworkVariant::kFuseFull50;
-  if (name == "half50") return core::NetworkVariant::kFuseHalf50;
-  FUSE_CHECK(false) << "unknown --variant '" << name << "'";
-  return core::NetworkVariant::kBaseline;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas");
-  flags.add_string("variant", "half",
-                   "baseline|full|half|full50|half50");
+  flags.add_string("variant", "half", core::kNetworkVariantSpellings);
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_string("out", "network.fusenet", "output model file");
   flags.add_string("trace-csv", "",
@@ -46,7 +31,7 @@ int main(int argc, char** argv) {
   const auto cfg = systolic::square_array(flags.get_int("size"));
   const sched::VariantBuild build = sched::build_variant(
       nets::parse_network_flag(flags.get_string("net")),
-      parse_variant(flags.get_string("variant")), cfg);
+      core::parse_network_variant(flags.get_string("variant")), cfg);
 
   const std::string path = flags.get_string("out");
   nets::save_network(build.model, path);

@@ -19,33 +19,17 @@
 
 using namespace fuse;
 
-namespace {
-
-core::NetworkVariant parse_variant(const std::string& name) {
-  if (name == "baseline") return core::NetworkVariant::kBaseline;
-  if (name == "full") return core::NetworkVariant::kFuseFull;
-  if (name == "half") return core::NetworkVariant::kFuseHalf;
-  if (name == "full50") return core::NetworkVariant::kFuseFull50;
-  if (name == "half50") return core::NetworkVariant::kFuseHalf50;
-  FUSE_CHECK(false) << "unknown --variant '" << name
-                    << "' (baseline|full|half|full50|half50)";
-  return core::NetworkVariant::kBaseline;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas|resnet50");
-  flags.add_string("variant", "baseline",
-                   "baseline|full|half|full50|half50");
+  flags.add_string("variant", "baseline", core::kNetworkVariantSpellings);
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_int("top", 0, "show only the N most expensive layers (0=all)");
   flags.parse(argc, argv);
 
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
   const core::NetworkVariant variant =
-      parse_variant(flags.get_string("variant"));
+      core::parse_network_variant(flags.get_string("variant"));
   const auto cfg = systolic::square_array(flags.get_int("size"));
   FUSE_CHECK(id != nets::NetworkId::kResNet50 ||
              variant == core::NetworkVariant::kBaseline)

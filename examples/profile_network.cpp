@@ -53,26 +53,6 @@ using namespace fuse;
 
 namespace {
 
-core::NetworkVariant parse_variant(const std::string& name) {
-  if (name == "baseline") return core::NetworkVariant::kBaseline;
-  if (name == "full" || name == "fuse_full") {
-    return core::NetworkVariant::kFuseFull;
-  }
-  if (name == "half" || name == "fuse_half") {
-    return core::NetworkVariant::kFuseHalf;
-  }
-  if (name == "full50" || name == "fuse_full50") {
-    return core::NetworkVariant::kFuseFull50;
-  }
-  if (name == "half50" || name == "fuse_half50") {
-    return core::NetworkVariant::kFuseHalf50;
-  }
-  FUSE_CHECK(false) << "unknown --variant '" << name
-                    << "' (baseline|fuse_full|fuse_half|fuse_full50|"
-                       "fuse_half50)";
-  return core::NetworkVariant::kBaseline;
-}
-
 // DRAM prefetch spans land on their own track below the SRAM counters.
 constexpr int kLoadTrack = 3;
 // Attributed-category counters (compute vs fill/drain per segment).
@@ -108,7 +88,6 @@ std::uint64_t export_fused_schedule(util::TraceSink& sink,
   std::uint64_t end = 0;
   for (const sched::ScheduleSegment& seg : plan.segments) {
     const nn::LayerDesc& layer = model.layers[seg.layer_index];
-    const sched::FusedPair* pair = plan.pair_of(seg.layer_index);
     sink.complete_event(
         layer.name, seg.fused ? "fused-segment" : "segment",
         seg.start_cycle, seg.duration(), systolic::kLayerTrack,
@@ -129,8 +108,9 @@ std::uint64_t export_fused_schedule(util::TraceSink& sink,
       const systolic::TrafficEstimate& traffic =
           plan.layer_traffic[seg.layer_index];
       std::uint64_t stream_bytes = traffic.weight_bytes;
+      // A group's consumer is always its pointwise member.
       const bool fused_consumer =
-          pair != nullptr && pair->consumer == seg.layer_index;
+          seg.fused && layer.kind == nn::OpKind::kPointwiseConv;
       if (!fused_consumer) {
         stream_bytes += traffic.input_bytes;
       }
@@ -167,8 +147,7 @@ std::uint64_t export_fused_schedule(util::TraceSink& sink,
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas|resnet50");
-  flags.add_string("variant", "fuse_full",
-                   "baseline|fuse_full|fuse_half|fuse_full50|fuse_half50");
+  flags.add_string("variant", "fuse_full", core::kNetworkVariantSpellings);
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_string("trace-json", "profile.json",
                    "trace-event output path (open in ui.perfetto.dev)");
@@ -185,7 +164,7 @@ int main(int argc, char** argv) {
 
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
   const core::NetworkVariant variant =
-      parse_variant(flags.get_string("variant"));
+      core::parse_network_variant(flags.get_string("variant"));
   const auto cfg = systolic::square_array(flags.get_int("size"));
   FUSE_CHECK(id != nets::NetworkId::kResNet50 ||
              variant == core::NetworkVariant::kBaseline)

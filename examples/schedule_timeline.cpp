@@ -24,22 +24,10 @@
 
 using namespace fuse;
 
-namespace {
-
-core::NetworkVariant parse_variant(const std::string& name) {
-  if (name == "baseline") return core::NetworkVariant::kBaseline;
-  if (name == "full") return core::NetworkVariant::kFuseFull;
-  if (name == "half") return core::NetworkVariant::kFuseHalf;
-  FUSE_CHECK(false) << "unknown --variant '" << name << "'";
-  return core::NetworkVariant::kBaseline;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas");
-  flags.add_string("variant", "baseline", "baseline|full|half");
+  flags.add_string("variant", "baseline", core::kNetworkVariantSpellings);
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_int("top", 12, "show the N longest-running layers (0=all)");
   flags.add_string("csv", "", "write the full timeline CSV to this path");
@@ -52,7 +40,8 @@ int main(int argc, char** argv) {
   bench::TelemetryScope telemetry(flags);
 
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
-  const auto variant = parse_variant(flags.get_string("variant"));
+  const auto variant =
+      core::parse_network_variant(flags.get_string("variant"));
   const auto cfg = systolic::square_array(flags.get_int("size"));
   sched::SchedMode mode;
   FUSE_CHECK(sched::parse_sched_mode(flags.get_string("sched-mode"), &mode))

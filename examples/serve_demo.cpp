@@ -17,7 +17,7 @@
 //
 // Usage: serve_demo [--size=64] [--requests=24] [--window=500000]
 //        [--max-batch=4] [--capacity=12] [--arrays=2]
-//        [--shed=reject-newest] [--stats-json=] [--trace-json=]
+//        [--stats-json=] [--trace-json=]
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -28,7 +28,6 @@
 #include "serve/loadgen.hpp"
 #include "serve/model_pool.hpp"
 #include "serve/request.hpp"
-#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -44,8 +43,6 @@ int main(int argc, char** argv) {
   flags.add_int("max-batch", 4, "batch size cap");
   flags.add_int("capacity", 12, "admission bound (in-system requests)");
   flags.add_int("arrays", 2, "independent virtual arrays");
-  flags.add_string("shed", "reject-newest",
-                   "reject-newest|reject-oldest load shedding");
   bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);
   bench::TelemetryScope telemetry(flags);
@@ -55,8 +52,6 @@ int main(int argc, char** argv) {
   config.max_batch = flags.get_int32("max-batch");
   config.queue_capacity = flags.get_int32("capacity");
   config.num_arrays = flags.get_int32("arrays");
-  FUSE_CHECK(serve::parse_shed_policy(flags.get_string("shed"), &config.shed))
-      << "unknown --shed policy '" << flags.get_string("shed") << "'";
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   serve::ModelPool pool(cfg, {});
@@ -67,14 +62,13 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serve_demo: %lld requests, %s array, window=%llu cycles, cap=%d,\n"
-      "capacity=%d, %d arrays, shed=%s\n"
+      "capacity=%d, %d arrays\n"
       "tenants: %s (service b1 = %s cycles), %s (hint 4, service b1 = %s "
       "cycles)\n\n",
       static_cast<long long>(flags.get_int("requests")),
       cfg.to_string().c_str(),
       static_cast<unsigned long long>(config.batch_window),
       config.max_batch, config.queue_capacity, config.num_arrays,
-      serve::shed_policy_name(config.shed),
       serve::shape_key_name(tenant_v1).c_str(),
       util::with_commas(pool.service_cycles(tenant_v1, 1)).c_str(),
       serve::shape_key_name(tenant_v2).c_str(),

@@ -32,6 +32,19 @@ std::string network_variant_name(NetworkVariant variant) {
   return "?";
 }
 
+NetworkVariant parse_network_variant(const std::string& name) {
+  // The FuSe variants also answer to a fuse_ prefix.
+  const std::string bare = name.rfind("fuse_", 0) == 0 ? name.substr(5) : name;
+  if (name == "baseline") return NetworkVariant::kBaseline;
+  if (bare == "full") return NetworkVariant::kFuseFull;
+  if (bare == "half") return NetworkVariant::kFuseHalf;
+  if (bare == "full50") return NetworkVariant::kFuseFull50;
+  if (bare == "half50") return NetworkVariant::kFuseHalf50;
+  FUSE_CHECK(false) << "unknown --variant '" << name << "' ("
+                    << kNetworkVariantSpellings << ")";
+  return NetworkVariant::kBaseline;
+}
+
 FuseVariant fuse_mode_variant(FuseMode mode) {
   FUSE_CHECK(mode != FuseMode::kBaseline)
       << "baseline mode has no FuseVariant";

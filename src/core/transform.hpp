@@ -41,6 +41,14 @@ const std::vector<NetworkVariant>& all_network_variants();
 /// "FuSe-Full", "FuSe-Half-50%", ... matching the paper's row labels.
 std::string network_variant_name(NetworkVariant variant);
 
+/// The --variant spellings parse_network_variant accepts.
+inline constexpr const char* kNetworkVariantSpellings =
+    "baseline|[fuse_]full|[fuse_]half|[fuse_]full50|[fuse_]half50";
+
+/// Parses a --variant value (kNetworkVariantSpellings); FUSE_CHECKs on
+/// anything else.
+NetworkVariant parse_network_variant(const std::string& name);
+
 /// The FuseVariant (D knob) a replacing mode uses. Must not be kBaseline.
 FuseVariant fuse_mode_variant(FuseMode mode);
 

@@ -1,6 +1,5 @@
 #include "nn/ops.hpp"
 
-#include "nn/activations.hpp"
 #include "nn/kernels.hpp"
 
 #include <algorithm>
@@ -389,31 +388,6 @@ Tensor batchnorm_folded(const Tensor& input, const Tensor& scale,
     }
   }
   return out;
-}
-
-Tensor squeeze_excite(const Tensor& input, const Tensor& reduce_w,
-                      const Tensor& reduce_b, const Tensor& expand_w,
-                      const Tensor& expand_b) {
-  FUSE_CHECK(input.shape().rank() == 4) << "squeeze_excite input must be NCHW";
-  const std::int64_t batch = input.shape().dim(0);
-  const std::int64_t channels = input.shape().dim(1);
-  FUSE_CHECK(reduce_w.shape().rank() == 2 &&
-             reduce_w.shape().dim(1) == channels &&
-             expand_w.shape().rank() == 2 &&
-             expand_w.shape().dim(0) == channels &&
-             expand_w.shape().dim(1) == reduce_w.shape().dim(0))
-      << "squeeze_excite weight shapes inconsistent with C=" << channels;
-
-  // Squeeze: [N, C, 1, 1] -> [N, C] descriptor.
-  const Tensor pooled =
-      global_avg_pool(input).reshaped(Shape{batch, channels});
-  // Excite: two FCs with ReLU then hard-sigmoid.
-  const Tensor hidden = apply_activation(
-      linear(pooled, reduce_w, &reduce_b), Activation::kRelu);
-  const Tensor gates = apply_activation(
-      linear(hidden, expand_w, &expand_b), Activation::kHardSigmoid);
-  // Recalibrate.
-  return scale_channels(input, gates.reshaped(Shape{batch, channels, 1, 1}));
 }
 
 }  // namespace fuse::nn

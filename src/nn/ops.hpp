@@ -134,12 +134,4 @@ Tensor scale_channels(const Tensor& input, const Tensor& scale);
 Tensor batchnorm_folded(const Tensor& input, const Tensor& scale,
                         const Tensor& shift);
 
-/// Squeeze-and-excite (MobileNet-V3 style): global-average-pool the input,
-/// FC C -> se_c with ReLU, FC se_c -> C with hard-sigmoid, and rescale the
-/// input channels by the resulting gates.
-/// reduce_w [se_c, C], reduce_b [se_c], expand_w [C, se_c], expand_b [C].
-Tensor squeeze_excite(const Tensor& input, const Tensor& reduce_w,
-                      const Tensor& reduce_b, const Tensor& expand_w,
-                      const Tensor& expand_b);
-
 }  // namespace fuse::nn

@@ -90,18 +90,16 @@ AttributionReport attribute_network(const NetworkPlan& plan,
       << "PE-cycle attribution does not sum to cycles x PEs";
 
   // --- roofline scheduling units (mirrors plan_roofline's walk) --------------
-  std::vector<bool> consumed(plan.layer_latency.size(), false);
-  for (const FusedPair& pair : plan.fused_pairs) {
-    if (pair.producer2 != FusedPair::kNone) {
-      consumed[pair.producer2] = true;
-    }
-    consumed[pair.consumer] = true;
-  }
+  std::size_t next = 0;  // the group at or after the current layer
   for (std::size_t i = 0; i < plan.layer_latency.size(); ++i) {
-    if (consumed[i]) {
-      continue;
+    const FusedPair* pair =
+        next < plan.fused_pairs.size() ? &plan.fused_pairs[next] : nullptr;
+    if (pair != nullptr && (i == pair->producer2 || i == pair->consumer)) {
+      if (i == pair->consumer) {
+        ++next;
+      }
+      continue;  // charged with the group's producer
     }
-    const FusedPair* pair = plan.pair_of(i);
     UnitAttribution unit;
     unit.layer_indices.push_back(i);
     unit.name = model.layers[i].name;

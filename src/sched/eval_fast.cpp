@@ -206,31 +206,18 @@ std::uint64_t fuse1d_peak_bytes(std::int64_t lines, std::int64_t line_out,
          static_cast<std::uint64_t>(mem.dtype_bytes);
 }
 
-/// Traffic of a matmul-shaped op repeated `repeats` times; channelwise
-/// repeats stream fresh operands per tap but the adder tree keeps the
-/// output on-chip, so it leaves once (mirrors plan_traffic).
-TrafficEstimate repeat_matmul_traffic(std::int64_t m, std::int64_t t,
-                                      std::int64_t n, std::int64_t repeats,
-                                      bool output_once,
-                                      const ArrayConfig& cfg,
-                                      const MemoryConfig& mem) {
+/// Cost of a matmul-shaped layer (the im2col and matmul kinds): every
+/// repeat streams its own operands and output (mirrors plan_traffic).
+LayerCost matmul_shaped_cost(std::int64_t m, std::int64_t t, std::int64_t n,
+                             std::int64_t repeats, const ArrayConfig& cfg,
+                             const MemoryConfig& mem) {
   const TrafficEstimate per = systolic::matmul_traffic(m, t, n, cfg, mem);
   const std::uint64_t r = static_cast<std::uint64_t>(repeats);
-  TrafficEstimate traffic;
-  traffic.input_bytes = per.input_bytes * r;
-  traffic.weight_bytes = per.weight_bytes * r;
-  traffic.output_bytes = output_once ? per.output_bytes : per.output_bytes * r;
-  return traffic;
-}
-
-/// Cost of a matmul-shaped layer (the im2col/channelwise/matmul kinds).
-LayerCost matmul_shaped_cost(std::int64_t m, std::int64_t t, std::int64_t n,
-                             std::int64_t repeats, bool output_once,
-                             const ArrayConfig& cfg,
-                             const MemoryConfig& mem) {
   LayerCost cost;
   cost.latency = scale_unit(matmul_closed(m, t, n, cfg), repeats);
-  cost.traffic = repeat_matmul_traffic(m, t, n, repeats, output_once, cfg, mem);
+  cost.traffic.input_bytes = per.input_bytes * r;
+  cost.traffic.weight_bytes = per.weight_bytes * r;
+  cost.traffic.output_bytes = per.output_bytes * r;
   cost.peak_fold_bytes = matmul_peak_bytes(m, t, n, cfg, mem);
   cost.on_array = true;
   return cost;
@@ -258,61 +245,49 @@ LayerCost fuse_line_cost(std::int64_t lines, std::int64_t line_out,
   return cost;
 }
 
-/// The closed form of systolic::lower_impl: `m_scale` multiplies the
-/// output-position dimension (the batch), and `allow_channelwise` is false
-/// on the batched path, which always maps standard convs to im2col.
-LayerCost eval_layer(const LayerDesc& layer, const ArrayConfig& cfg,
-                     const MemoryConfig& mem, std::int64_t m_scale,
-                     bool allow_channelwise) {
+}  // namespace
+
+LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
+                          const MemoryConfig& mem, std::int64_t batch) {
+  FUSE_CHECK(batch >= 1) << "batch must be >= 1";
   cfg.validate();
   mem.validate();
-  const std::int64_t positions = m_scale * layer.out_h * layer.out_w;
+  // The closed form of systolic::lower, case for case.
+  const std::int64_t positions = batch * layer.out_h * layer.out_w;
   switch (layer.kind) {
     case OpKind::kStandardConv:
-      if (allow_channelwise &&
-          cfg.standard_conv_mapping ==
-              systolic::StandardConvMapping::kChannelwise) {
-        return matmul_shaped_cost(positions, layer.in_c, layer.out_c,
-                                  /*repeats=*/layer.kernel_h * layer.kernel_w,
-                                  /*output_once=*/true, cfg, mem);
-      }
       return matmul_shaped_cost(positions,
                                 layer.kernel_h * layer.kernel_w * layer.in_c,
-                                layer.out_c, /*repeats=*/1,
-                                /*output_once=*/false, cfg, mem);
+                                layer.out_c, /*repeats=*/1, cfg, mem);
     case OpKind::kGroupedConv:
       systolic::check_grouped_conv(layer);
       return matmul_shaped_cost(
           positions,
           layer.kernel_h * layer.kernel_w * (layer.in_c / layer.groups),
-          layer.out_c / layer.groups, /*repeats=*/layer.groups,
-          /*output_once=*/false, cfg, mem);
+          layer.out_c / layer.groups, /*repeats=*/layer.groups, cfg, mem);
     case OpKind::kDepthwiseConv:
       // One single-column matmul per channel — the §III-B pathology.
       return matmul_shaped_cost(positions, layer.kernel_h * layer.kernel_w,
-                                /*n=*/1, /*repeats=*/layer.out_c,
-                                /*output_once=*/false, cfg, mem);
+                                /*n=*/1, /*repeats=*/layer.out_c, cfg, mem);
     case OpKind::kPointwiseConv:
       return matmul_shaped_cost(positions, layer.in_c, layer.out_c,
-                                /*repeats=*/1, /*output_once=*/false, cfg,
-                                mem);
+                                /*repeats=*/1, cfg, mem);
     case OpKind::kFuseRowConv:
       return fuse_line_cost(
-          m_scale * layer.out_c * layer.out_h,
+          batch * layer.out_c * layer.out_h,
           systolic::fuse_dense_width(layer.out_w, layer.in_w, layer.pad_w,
                                      layer.kernel_w, layer.stride_w),
           layer.out_w, layer.kernel_w, cfg, mem);
     case OpKind::kFuseColConv:
       return fuse_line_cost(
-          m_scale * layer.out_c * layer.out_w,
+          batch * layer.out_c * layer.out_w,
           systolic::fuse_dense_width(layer.out_h, layer.in_h, layer.pad_h,
                                      layer.kernel_h, layer.stride_h),
           layer.out_h, layer.kernel_h, cfg, mem);
     case OpKind::kFullyConnected:
-      // m_scale is the batch here: it fills otherwise-idle array rows.
-      return matmul_shaped_cost(/*m=*/m_scale, layer.in_c, layer.out_c,
-                                /*repeats=*/1, /*output_once=*/false, cfg,
-                                mem);
+      // The batch fills otherwise-idle array rows.
+      return matmul_shaped_cost(/*m=*/batch, layer.in_c, layer.out_c,
+                                /*repeats=*/1, cfg, mem);
     case OpKind::kAvgPool:
     case OpKind::kMaxPool:
     case OpKind::kGlobalAvgPool:
@@ -324,21 +299,6 @@ LayerCost eval_layer(const LayerDesc& layer, const ArrayConfig& cfg,
   glue.latency.pe_count = cfg.pe_count();  // matches the empty plan's total
   glue.on_array = false;
   return glue;
-}
-
-}  // namespace
-
-LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
-                          const MemoryConfig& mem) {
-  return eval_layer(layer, cfg, mem, /*m_scale=*/1,
-                    /*allow_channelwise=*/true);
-}
-
-LayerCost eval_layer_batched(const LayerDesc& layer, const ArrayConfig& cfg,
-                             const MemoryConfig& mem, std::int64_t batch) {
-  FUSE_CHECK(batch >= 1) << "batch must be >= 1";
-  return eval_layer(layer, cfg, mem, /*m_scale=*/batch,
-                    /*allow_channelwise=*/false);
 }
 
 NetworkEval eval_network_fast(const nets::NetworkModel& model,

@@ -22,8 +22,8 @@
 //   eval_layer_fast(l, cfg, mem).peak_fold_bytes
 //                                == plan_peak_fold_bytes(lower(l, cfg))
 //
-// the same three with eval_layer_batched(l, cfg, mem, b) against
-// lower_batched(l, cfg, b) for every batch b >= 1, and eval_network_fast's
+// the same three with eval_layer_fast(l, cfg, mem, b) against
+// lower(l, cfg, b) for every batch b >= 1, and eval_network_fast's
 // schedule/roofline equal plan_network / plan_roofline — structurally,
 // because both paths feed the identical LayerCosts through the shared
 // schedule_costs / roofline_over (netplan.hpp). tests/test_eval_fast.cpp
@@ -47,22 +47,16 @@
 
 namespace fuse::sched {
 
-/// Closed-form LayerCost of one layer: latency, DRAM traffic, and peak
-/// per-fold SRAM footprint, equal to the plan-folded path (see the
-/// equality contract above). Pure function of (layer geometry, cfg, mem).
+/// Closed-form LayerCost of `batch` images of one layer at once: latency,
+/// DRAM traffic, and peak per-fold SRAM footprint, equal to the fold of
+/// systolic::lower(layer, cfg, batch) (see the equality contract above).
+/// The batch stacks along the output positions (along the lines for FuSe
+/// layers, the rows for FC). Pure function of (layer geometry, cfg, mem,
+/// batch).
 LayerCost eval_layer_fast(const nn::LayerDesc& layer,
                           const systolic::ArrayConfig& cfg,
-                          const systolic::MemoryConfig& mem);
-
-/// Closed-form LayerCost of `batch` images at once, equal to the fold of
-/// systolic::lower_batched: the batch stacks along the output positions
-/// (along the lines for FuSe layers, the rows for FC), and standard convs
-/// always take im2col. eval_layer_batched(l, cfg, mem, 1) differs from
-/// eval_layer_fast only under the channel-wise conv mapping.
-LayerCost eval_layer_batched(const nn::LayerDesc& layer,
-                             const systolic::ArrayConfig& cfg,
-                             const systolic::MemoryConfig& mem,
-                             std::int64_t batch);
+                          const systolic::MemoryConfig& mem,
+                          std::int64_t batch = 1);
 
 /// Whole-network closed-form evaluation: per-layer costs plus the shared
 /// schedule (SRAM liveness + fusion legality) and roofline.

@@ -113,49 +113,6 @@ LayerExecution execute_standard_conv(const LayerDesc& layer,
   return to_execution(layer, sim.matmul_wx(weight, columns));
 }
 
-/// Channelwise standard conv (Fig. 3(b)): one [C_out, C_in] x
-/// [C_in, positions] matmul per kernel tap, partials accumulated off-array
-/// (standing in for the adder tree the mapping assumes).
-LayerExecution execute_channelwise_conv(const LayerDesc& layer,
-                                        const PrimitiveOp& op,
-                                        const Tensor& input,
-                                        const Tensor& weight,
-                                        SystolicArraySim& sim) {
-  const std::int64_t positions = layer.out_h * layer.out_w;
-  const std::int64_t plane = layer.in_h * layer.in_w;
-  const std::int64_t taps = layer.kernel_h * layer.kernel_w;
-  FUSE_CHECK(op.m == positions && op.k == layer.in_c &&
-             op.n == layer.out_c && op.repeats == taps)
-      << "channelwise plan does not match layer " << layer.name;
-  LayerExecution exec;
-  exec.output = Tensor(Shape{1, layer.out_c, layer.out_h, layer.out_w});
-  Tensor activations(Shape{layer.in_c, positions});
-  Tensor filters(Shape{layer.out_c, layer.in_c});
-  for (std::int64_t ky = 0; ky < layer.kernel_h; ++ky) {
-    for (std::int64_t kx = 0; kx < layer.kernel_w; ++kx) {
-      for (std::int64_t ic = 0; ic < layer.in_c; ++ic) {
-        gather_tap(layer, input.data() + ic * plane, ky, kx,
-                   activations.data() + ic * positions);
-      }
-      // filters[oc][ic] = weight[oc][ic][ky][kx].
-      const float* tap = weight.data() + ky * layer.kernel_w + kx;
-      for (std::int64_t i = 0; i < filters.num_elements(); ++i) {
-        filters[i] = tap[i * taps];
-      }
-      const SimResult result = sim.matmul_wx(filters, activations);
-      exec.cycles += result.cycles;
-      exec.folds += result.folds;
-      exec.mac_ops += result.mac_ops;
-      float* sum = exec.output.data();
-      const float* partial = result.output.data();
-      for (std::int64_t i = 0; i < exec.output.num_elements(); ++i) {
-        sum[i] += partial[i];
-      }
-    }
-  }
-  return exec;
-}
-
 }  // namespace
 
 LayerExecution execute_layer_on_array(const LayerDesc& layer,
@@ -188,8 +145,6 @@ LayerExecution execute_layer_on_array(const LayerDesc& layer,
         return to_execution(layer, sim.channelwise(op, input, weight, layer));
       }
       return execute_standard_conv(layer, op, input, weight, sim);
-    case PrimitiveKind::kChannelwiseTile:
-      return execute_channelwise_conv(layer, op, input, weight, sim);
     case PrimitiveKind::kFuse1DLine:
       return to_execution(layer, sim.channelwise(op, input, weight, layer));
   }

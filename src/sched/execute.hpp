@@ -36,16 +36,15 @@ struct LayerExecution {
 ///   fully connected [out_f, in_f]
 ///
 /// The layer is lowered through systolic::lower() and the resulting
-/// MappingPlan picks the execution path — including the channelwise
-/// standard-conv mapping and the serialized no-broadcast FuSe fallback —
-/// so measured cycles track the analytic model for every config. The
-/// executor hands the simulator its tensors in the layouts it holds
-/// them in: pointwise and FC layers are one SystolicArraySim::matmul_wx
-/// of the weight and the input as given, a standard conv one matmul_wx
-/// of the filter bank and its gathered [taps, positions] columns (or one
-/// per kernel tap, on the channelwise mapping), and a depthwise or FuSe
-/// layer one SystolicArraySim::channelwise call, which lays out and
-/// prices the §III-B per-channel matmuls and the FuSe lines (strided
+/// MappingPlan picks the execution path — including the serialized
+/// no-broadcast FuSe fallback — so measured cycles track the analytic
+/// model for every config. The executor hands the simulator its tensors
+/// in the layouts it holds them in: pointwise and FC layers are one
+/// SystolicArraySim::matmul_wx of the weight and the input as given, a
+/// standard conv one matmul_wx of the filter bank and its gathered
+/// [taps, positions] columns, and a depthwise or FuSe layer one
+/// SystolicArraySim::channelwise call, which lays out and prices the
+/// §III-B per-channel matmuls and the FuSe lines (strided
 /// lines compute densely and discard, systolic::fuse_dense_width;
 /// padding on either axis reads zeros). Glue ops (pool/activation/add)
 /// and grouped convs do not run on the array and are rejected. `backend`

@@ -66,7 +66,7 @@ std::uint64_t network_bound_batched(const NetworkModel& model,
                                     std::int64_t batch) {
   std::uint64_t total = 0;
   for (const LayerDesc& layer : model.layers) {
-    const LayerCost cost = eval_layer_batched(layer, cfg, mem, batch);
+    const LayerCost cost = eval_layer_fast(layer, cfg, mem, batch);
     total += std::max(cost.latency.cycles, cost.traffic.memory_cycles(mem));
   }
   return total;

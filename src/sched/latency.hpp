@@ -49,14 +49,12 @@ LatencyEstimate layer_latency(const LayerDesc& layer,
 LatencyEstimate plan_latency(const systolic::MappingPlan& plan);
 
 /// Whole-network batched roofline bound: per layer, the larger of the
-/// compute and DRAM cycles of eval_layer_batched for the whole batch,
+/// compute and DRAM cycles of eval_layer_fast for the whole batch,
 /// summed. Batching amortizes weight traffic (weights stream in once per
 /// batch, not once per image) and fill/drain overhead, which is what makes
 /// dynamic batching pay off in the serving engine (src/serve) —
 /// especially at small resolutions where weights dominate the traffic. At
-/// batch 1 this equals the per-layer network_roofline bound, except that
-/// the batched form maps standard convs to im2col even when cfg asks for
-/// the channel-wise mapping.
+/// batch 1 this equals the per-layer network_roofline bound.
 std::uint64_t network_bound_batched(const NetworkModel& model,
                                     const ArrayConfig& cfg,
                                     const systolic::MemoryConfig& mem,

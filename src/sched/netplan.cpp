@@ -41,18 +41,6 @@ bool parse_sched_mode(const std::string& name, SchedMode* out) {
   return false;
 }
 
-// --- NetworkPlan -------------------------------------------------------------
-
-const FusedPair* NetworkPlan::pair_of(std::size_t layer_index) const {
-  for (const FusedPair& pair : fused_pairs) {
-    if (pair.producer == layer_index || pair.producer2 == layer_index ||
-        pair.consumer == layer_index) {
-      return &pair;
-    }
-  }
-  return nullptr;
-}
-
 namespace {
 
 std::uint64_t activation_bytes(std::int64_t c, std::int64_t h,
@@ -595,14 +583,6 @@ NetworkPlan plan_network(const nets::NetworkModel& model,
   }
   high_water_gauge.set(static_cast<std::int64_t>(plan.sram_high_water));
 
-  std::vector<bool> consumed(model.layers.size(), false);
-  for (const FusedPair& pair : plan.fused_pairs) {
-    if (pair.producer2 != FusedPair::kNone) {
-      consumed[pair.producer2] = true;
-    }
-    consumed[pair.consumer] = true;
-  }
-
   // Schedule segments. The cycle axis is shared with the analytic model:
   // fused pairs only reorder whole folds, so the total is the plain sum of
   // per-layer latencies in both modes.
@@ -611,13 +591,19 @@ NetworkPlan plan_network(const nets::NetworkModel& model,
     expected_total += plan.layer_latency[i].cycles;
   }
   std::uint64_t cursor = 0;
+  // Groups come in step order (only fused mode has any), so one cursor
+  // over them walks beside the steps, as in roofline_over.
+  std::size_t next = 0;  // the group at or after the current step
   for (std::size_t s = 0; s < steps; ++s) {
     const std::size_t idx = plan.on_array[s];
-    if (consumed[idx]) {
+    const FusedPair* pair =
+        next < plan.fused_pairs.size() ? &plan.fused_pairs[next] : nullptr;
+    if (pair != nullptr && (idx == pair->producer2 || idx == pair->consumer)) {
+      if (idx == pair->consumer) {
+        ++next;
+      }
       continue;  // emitted with its producer below
     }
-    const FusedPair* pair =
-        mode == SchedMode::kFused ? plan.pair_of(idx) : nullptr;
     if (pair != nullptr && pair->producer == idx) {
       std::vector<std::size_t> producers = {idx};
       if (pair->producer2 != FusedPair::kNone) {

@@ -172,10 +172,6 @@ struct NetworkPlan {
   /// max over steps of (resident live activation bytes + the step's
   /// double-buffered staging).
   std::uint64_t sram_high_water = 0;
-
-  /// The pair/triple that `layer_index` produces or consumes in, or
-  /// nullptr.
-  const FusedPair* pair_of(std::size_t layer_index) const;
 };
 
 /// Builds the schedule for one network on one array. Lowers each layer

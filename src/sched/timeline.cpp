@@ -12,13 +12,20 @@ namespace fuse::sched {
 Timeline plan_timeline(const NetworkPlan& plan,
                        const NetworkModel& model) {
   Timeline timeline;
-  // Schedule segments are contiguous and in execution order; a fused
-  // pair's alternating segments collapse into one merged entry.
+  // Schedule segments are contiguous and in execution order, and the
+  // fused groups come in the same order; a group's alternating segments
+  // collapse into one merged entry.
   std::size_t i = 0;
+  std::size_t next = 0;  // the next fused group
   while (i < plan.segments.size()) {
     const ScheduleSegment& first = plan.segments[i];
-    const FusedPair* pair =
-        first.fused ? plan.pair_of(first.layer_index) : nullptr;
+    const FusedPair* pair = nullptr;
+    if (first.fused) {
+      FUSE_CHECK(next < plan.fused_pairs.size())
+          << "fused segment of layer " << first.layer_index
+          << " past the plan's " << plan.fused_pairs.size() << " groups";
+      pair = &plan.fused_pairs[next++];
+    }
     TimelineEntry entry;
     entry.start_cycle = first.start_cycle;
     if (pair == nullptr) {

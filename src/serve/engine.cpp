@@ -140,14 +140,10 @@ std::uint64_t ServeEngine::submit(const ShapeKey& key, int batch_hint,
   m_submitted().add();
 
   if (in_system_ >= static_cast<std::uint64_t>(config_.queue_capacity)) {
-    const bool made_room =
-        config_.shed == ShedPolicy::kRejectOldest && shed_oldest_locked();
-    if (!made_room) {
-      record.status = RequestStatus::kRejected;
-      ++rejected_;
-      m_rejected().add();
-      return id;
-    }
+    record.status = RequestStatus::kRejected;
+    ++rejected_;
+    m_rejected().add();
+    return id;
   }
 
   ++in_system_;
@@ -160,50 +156,12 @@ std::uint64_t ServeEngine::submit(const ShapeKey& key, int batch_hint,
     batch.open_cycle = arrival_cycle;
     batch.deadline = arrival_cycle + config_.batch_window;
   }
-  batch.members.push_back(Member{id, arrival_cycle, batch_hint});
+  batch.members.push_back(Member{id, batch_hint});
   if (config_.batch_window == 0 ||
       static_cast<int>(batch.members.size()) >= effective_cap(batch)) {
     dispatch_batch_locked(key, arrival_cycle);
   }
   return id;
-}
-
-bool ServeEngine::shed_oldest_locked() {
-  // Evict the oldest still-queued request (min arrival, ties to the lowest
-  // id). Its batch keeps its original open/deadline anchor — the window is
-  // a promise to the members that stay.
-  const ShapeKey* victim_key = nullptr;
-  std::size_t victim_pos = 0;
-  std::uint64_t best_arrival = 0;
-  std::uint64_t best_id = 0;
-  for (const auto& [key, batch] : open_batches_) {
-    for (std::size_t pos = 0; pos < batch.members.size(); ++pos) {
-      const Member& member = batch.members[pos];
-      if (victim_key == nullptr || member.arrival < best_arrival ||
-          (member.arrival == best_arrival && member.id < best_id)) {
-        victim_key = &key;
-        victim_pos = pos;
-        best_arrival = member.arrival;
-        best_id = member.id;
-      }
-    }
-  }
-  if (victim_key == nullptr) {
-    return false;  // everything admitted is already on an array
-  }
-  const ShapeKey victim = *victim_key;  // copy: erase would dangle the ref
-  OpenBatch& batch = open_batches_[victim];
-  responses_[best_id].status = RequestStatus::kRejected;
-  batch.members.erase(batch.members.begin() +
-                      static_cast<std::ptrdiff_t>(victim_pos));
-  ++rejected_;
-  m_rejected().add();
-  --in_system_;
-  m_in_system().add(-1);
-  if (batch.members.empty()) {
-    open_batches_.erase(victim);
-  }
-  return true;
 }
 
 std::uint64_t ServeEngine::next_deadline_locked(

@@ -26,8 +26,8 @@
 //     (ties to the lowest index); completion = max(close, free) + service.
 //
 // Admission control: the in-system request count (admitted, not yet
-// completed) is bounded by queue_capacity; arrivals beyond it are shed
-// per ShedPolicy and counted in serve.rejected.
+// completed) is bounded by queue_capacity; an arrival beyond it is
+// rejected (classic bounded queue) and counted in serve.rejected.
 //
 // The public API is designed to be driven by ONE thread (the load
 // generator); the engine's own worker pool supplies the concurrency.
@@ -57,7 +57,6 @@ struct ServeConfig {
   int queue_capacity = 64;  // bound on admitted-but-unfinished requests
   int num_arrays = 1;       // independent virtual arrays (service stations)
   int workers = 0;          // payload pool threads (0 = inline execution)
-  ShedPolicy shed = ShedPolicy::kRejectNewest;
   std::uint64_t seed = 0x5eedULL;  // request-input seeding (payloads)
   nn::KernelChoice kernels;        // tensor-mode payloads' kernel route
 
@@ -138,7 +137,6 @@ class ServeEngine {
  private:
   struct Member {
     std::uint64_t id = 0;
-    std::uint64_t arrival = 0;
     int hint = 0;
   };
   struct OpenBatch {
@@ -158,7 +156,6 @@ class ServeEngine {
   std::uint64_t next_deadline_locked(const ShapeKey** key_out) const;
   void dispatch_batch_locked(ShapeKey key, std::uint64_t close_cycle);
   void retire_one_locked();
-  bool shed_oldest_locked();
   int effective_cap(const OpenBatch& batch) const;
   void run_payload(BatchTask* task);
   void wait_for_payloads();

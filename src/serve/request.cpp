@@ -25,40 +25,6 @@ const char* exec_mode_name(ExecMode mode) {
   return "?";
 }
 
-bool parse_exec_mode(const std::string& name, ExecMode* out) {
-  if (name == "cycle") {
-    *out = ExecMode::kCycle;
-  } else if (name == "tensor") {
-    *out = ExecMode::kTensor;
-  } else if (name == "simulate" || name == "sim") {
-    *out = ExecMode::kSimulate;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* shed_policy_name(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kRejectNewest:
-      return "reject-newest";
-    case ShedPolicy::kRejectOldest:
-      return "reject-oldest";
-  }
-  return "?";
-}
-
-bool parse_shed_policy(const std::string& name, ShedPolicy* out) {
-  if (name == "reject-newest" || name == "reject_newest") {
-    *out = ShedPolicy::kRejectNewest;
-  } else if (name == "reject-oldest" || name == "reject_oldest") {
-    *out = ShedPolicy::kRejectOldest;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* request_status_name(RequestStatus status) {
   switch (status) {
     case RequestStatus::kQueued:

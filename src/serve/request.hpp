@@ -65,23 +65,6 @@ enum class ExecMode {
 /// "cycle" / "tensor" / "simulate".
 const char* exec_mode_name(ExecMode mode);
 
-/// Parses exec_mode_name spellings; returns false on unknown names.
-bool parse_exec_mode(const std::string& name, ExecMode* out);
-
-/// What to do with an arrival that finds the system at capacity.
-enum class ShedPolicy {
-  kRejectNewest,  // drop the arriving request (classic bounded queue)
-  kRejectOldest,  // evict the oldest still-queued request, admit the new
-                  // one (its batch keeps its original deadline); falls
-                  // back to reject-newest when nothing is still queued
-};
-
-/// "reject-newest" / "reject-oldest".
-const char* shed_policy_name(ShedPolicy policy);
-
-/// Parses shed_policy_name spellings; returns false on unknown names.
-bool parse_shed_policy(const std::string& name, ShedPolicy* out);
-
 enum class RequestStatus {
   kQueued,      // admitted, waiting in an open batch
   kDispatched,  // batch closed and placed on an array

@@ -31,16 +31,6 @@ inline std::string dataflow_name(Dataflow dataflow) {
   return "?";
 }
 
-/// How standard (dense) convolutions map onto the array — the paper's
-/// Fig. 3: (a) im2col with input reuse across filters, or (b) channel-wise
-/// dot products, one matmul per kernel tap with adder-tree reduction.
-/// Depthwise convolution benefits from neither (no filter reuse, no
-/// channel span), which is §III's point.
-enum class StandardConvMapping {
-  kIm2col,
-  kChannelwise,
-};
-
 /// Inter-PE pipelining mode (ArrayFlex-style configurable transparency).
 /// The classic array registers every hop: operands move one PE per cycle,
 /// so wavefront skew and drain cost one cycle per PE traversed. A
@@ -68,24 +58,6 @@ inline std::string pipelining_name(Pipelining mode) {
   return "?";
 }
 
-/// Parses "pipelined" / "transparent2" / "transparent4" (also
-/// "trans2"/"trans4"). Returns false on anything else.
-inline bool parse_pipelining(const std::string& name, Pipelining* out) {
-  if (name == "pipelined" || name == "pipe") {
-    *out = Pipelining::kPipelined;
-    return true;
-  }
-  if (name == "transparent2" || name == "trans2") {
-    *out = Pipelining::kTransparent2;
-    return true;
-  }
-  if (name == "transparent4" || name == "trans4") {
-    *out = Pipelining::kTransparent4;
-    return true;
-  }
-  return false;
-}
-
 /// PE datapath width. Cycle counts are datapath-independent (one MAC per
 /// PE per cycle either way); the width moves silicon area/power
 /// (hw/area_power.cpp) and the operand byte volume when the memory
@@ -110,23 +82,6 @@ inline std::string datapath_name(Datapath dp) {
   return "?";
 }
 
-/// Parses "int8" / "fp16" / "fp32". Returns false on anything else.
-inline bool parse_datapath(const std::string& name, Datapath* out) {
-  if (name == "int8") {
-    *out = Datapath::kInt8;
-    return true;
-  }
-  if (name == "fp16") {
-    *out = Datapath::kFp16;
-    return true;
-  }
-  if (name == "fp32") {
-    *out = Datapath::kFp32;
-    return true;
-  }
-  return false;
-}
-
 /// Operand bytes of a datapath (1 / 2 / 4).
 inline std::int64_t datapath_bytes(Datapath dp) {
   switch (dp) {
@@ -148,7 +103,6 @@ struct ArrayConfig {
   std::int64_t rows = 64;
   std::int64_t cols = 64;
   Dataflow dataflow = Dataflow::kOutputStationary;
-  StandardConvMapping standard_conv_mapping = StandardConvMapping::kIm2col;
   bool broadcast_links = true;
   Pipelining pipelining = Pipelining::kPipelined;
   Datapath datapath = Datapath::kFp16;

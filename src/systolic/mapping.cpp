@@ -16,8 +16,6 @@ std::string primitive_kind_name(PrimitiveKind kind) {
       return "matmul";
     case PrimitiveKind::kIm2colTile:
       return "im2col";
-    case PrimitiveKind::kChannelwiseTile:
-      return "channelwise";
     case PrimitiveKind::kFuse1DLine:
       return "fuse1d";
   }
@@ -51,7 +49,6 @@ std::string MappingPlan::to_string() const {
     out << primitive_kind_name(op.kind);
     switch (op.kind) {
       case PrimitiveKind::kMatmulTile:
-      case PrimitiveKind::kChannelwiseTile:
         out << " m=" << op.m << " k=" << op.k << " n=" << op.n;
         break;
       case PrimitiveKind::kIm2colTile:
@@ -129,8 +126,6 @@ void record_plan_metrics(const MappingPlan& plan) {
       util::metrics().counter("mapping.ops.matmul");
   static util::Counter& im2col =
       util::metrics().counter("mapping.ops.im2col");
-  static util::Counter& channelwise =
-      util::metrics().counter("mapping.ops.channelwise");
   static util::Counter& fuse1d =
       util::metrics().counter("mapping.ops.fuse1d");
   static util::Counter& passes =
@@ -144,9 +139,6 @@ void record_plan_metrics(const MappingPlan& plan) {
       case PrimitiveKind::kIm2colTile:
         im2col.add();
         break;
-      case PrimitiveKind::kChannelwiseTile:
-        channelwise.add();
-        break;
       case PrimitiveKind::kFuse1DLine:
         fuse1d.add();
         break;
@@ -155,33 +147,40 @@ void record_plan_metrics(const MappingPlan& plan) {
   }
 }
 
-/// Shared by lower() and lower_batched(): `m_scale` multiplies the
-/// output-position dimension (1 for single-image inference).
-MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
-                       std::int64_t m_scale, bool allow_channelwise) {
+}  // namespace
+
+std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
+                              std::int64_t pad, std::int64_t taps,
+                              std::int64_t stride) {
+  return stride > 1 ? in + 2 * pad - taps + 1 : keep;
+}
+
+void check_grouped_conv(const LayerDesc& layer) {
+  FUSE_CHECK(layer.groups > 0 && layer.in_c % layer.groups == 0 &&
+             layer.out_c % layer.groups == 0)
+      << "grouped conv channels not divisible by groups for layer "
+      << layer.name << " (in_c=" << layer.in_c << ", out_c=" << layer.out_c
+      << ", groups=" << layer.groups << ")";
+}
+
+MappingPlan lower(const LayerDesc& layer, const ArrayConfig& cfg,
+                  std::int64_t batch) {
+  FUSE_CHECK(batch >= 1) << "batch must be >= 1";
   cfg.validate();
   MappingPlan plan;
   plan.pe_count = cfg.pe_count();
-  const std::int64_t positions = m_scale * layer.out_h * layer.out_w;
+  const std::int64_t positions = batch * layer.out_h * layer.out_w;
   switch (layer.kind) {
-    case OpKind::kStandardConv:
-      if (allow_channelwise &&
-          cfg.standard_conv_mapping == StandardConvMapping::kChannelwise) {
-        // One matmul per kernel tap (Fig. 3(b)); the adder tree reduces
-        // partials, so the taps are pure repeats.
-        plan.ops.push_back(matmul_shaped(
-            PrimitiveKind::kChannelwiseTile, positions, layer.in_c,
-            layer.out_c, /*repeats=*/layer.kernel_h * layer.kernel_w, cfg));
-      } else {
-        PrimitiveOp op = matmul_shaped(
-            PrimitiveKind::kIm2colTile, positions,
-            layer.kernel_h * layer.kernel_w * layer.in_c, layer.out_c,
-            /*repeats=*/1, cfg);
-        op.taps_h = layer.kernel_h;
-        op.taps_w = layer.kernel_w;
-        plan.ops.push_back(op);
-      }
+    case OpKind::kStandardConv: {
+      PrimitiveOp op = matmul_shaped(
+          PrimitiveKind::kIm2colTile, positions,
+          layer.kernel_h * layer.kernel_w * layer.in_c, layer.out_c,
+          /*repeats=*/1, cfg);
+      op.taps_h = layer.kernel_h;
+      op.taps_w = layer.kernel_w;
+      plan.ops.push_back(op);
       break;
+    }
     case OpKind::kGroupedConv: {
       check_grouped_conv(layer);
       // Each group is an independent im2col matmul over its own channels.
@@ -218,21 +217,21 @@ MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
       // whole lines and ARE skipped; along the convolved axis a strided
       // layer computes the dense width and keeps every stride-th output.
       plan.ops.push_back(fuse_lines(
-          m_scale * layer.out_c * layer.out_h,
+          batch * layer.out_c * layer.out_h,
           fuse_dense_width(layer.out_w, layer.in_w, layer.pad_w,
                            layer.kernel_w, layer.stride_w),
           layer.out_w, layer.kernel_w, cfg));
       break;
     case OpKind::kFuseColConv:
       plan.ops.push_back(fuse_lines(
-          m_scale * layer.out_c * layer.out_w,
+          batch * layer.out_c * layer.out_w,
           fuse_dense_width(layer.out_h, layer.in_h, layer.pad_h,
                            layer.kernel_h, layer.stride_h),
           layer.out_h, layer.kernel_h, cfg));
       break;
     case OpKind::kFullyConnected:
-      // m_scale is the batch here: it fills otherwise-idle array rows.
-      plan.ops.push_back(matmul_shaped(PrimitiveKind::kMatmulTile, m_scale,
+      // The batch fills otherwise-idle array rows.
+      plan.ops.push_back(matmul_shaped(PrimitiveKind::kMatmulTile, batch,
                                        layer.in_c, layer.out_c,
                                        /*repeats=*/1, cfg));
       break;
@@ -247,33 +246,6 @@ MappingPlan lower_impl(const LayerDesc& layer, const ArrayConfig& cfg,
   return plan;
 }
 
-}  // namespace
-
-std::int64_t fuse_dense_width(std::int64_t keep, std::int64_t in,
-                              std::int64_t pad, std::int64_t taps,
-                              std::int64_t stride) {
-  return stride > 1 ? in + 2 * pad - taps + 1 : keep;
-}
-
-void check_grouped_conv(const LayerDesc& layer) {
-  FUSE_CHECK(layer.groups > 0 && layer.in_c % layer.groups == 0 &&
-             layer.out_c % layer.groups == 0)
-      << "grouped conv channels not divisible by groups for layer "
-      << layer.name << " (in_c=" << layer.in_c << ", out_c=" << layer.out_c
-      << ", groups=" << layer.groups << ")";
-}
-
-MappingPlan lower(const LayerDesc& layer, const ArrayConfig& cfg) {
-  return lower_impl(layer, cfg, /*m_scale=*/1, /*allow_channelwise=*/true);
-}
-
-MappingPlan lower_batched(const LayerDesc& layer, const ArrayConfig& cfg,
-                          std::int64_t batch) {
-  FUSE_CHECK(batch >= 1) << "batch must be >= 1";
-  return lower_impl(layer, cfg, /*m_scale=*/batch,
-                    /*allow_channelwise=*/false);
-}
-
 TrafficEstimate plan_traffic(const MappingPlan& plan, const ArrayConfig& cfg,
                              const MemoryConfig& mem) {
   TrafficEstimate traffic;
@@ -286,15 +258,6 @@ TrafficEstimate plan_traffic(const MappingPlan& plan, const ArrayConfig& cfg,
         traffic.input_bytes += per.input_bytes * repeats;
         traffic.weight_bytes += per.weight_bytes * repeats;
         traffic.output_bytes += per.output_bytes * repeats;
-        break;
-      }
-      case PrimitiveKind::kChannelwiseTile: {
-        // Per-tap operand streams scale with the repeats, but the adder
-        // tree reduces partials on-chip: the output leaves once.
-        const TrafficEstimate per = matmul_traffic(op.m, op.k, op.n, cfg, mem);
-        traffic.input_bytes += per.input_bytes * repeats;
-        traffic.weight_bytes += per.weight_bytes * repeats;
-        traffic.output_bytes += per.output_bytes;
         break;
       }
       case PrimitiveKind::kFuse1DLine:

@@ -28,18 +28,15 @@
 
 namespace fuse::systolic {
 
-/// The four ways a layer's work lands on the array.
+/// The three ways a layer's work lands on the array.
 enum class PrimitiveKind {
   /// Dense [m, k] x [k, n] matmul on the configured dataflow.
   kMatmulTile,
   /// Matmul whose A operand is a lowered im2col patch matrix; taps_h/taps_w
-  /// record the kernel window (rectangular kernels supported). Depthwise
+  /// record the kernel window (rectangular kernels supported). Standard
+  /// and grouped convs map this way (the paper's Fig. 3(a)); depthwise
   /// convolution is the degenerate n = 1 case repeated per channel.
   kIm2colTile,
-  /// Channel-wise standard-conv mapping (paper Fig. 3(b)): one
-  /// [m, k] x [k, n] matmul per kernel tap (`repeats` taps), partials
-  /// reduced by the accelerator's adder tree so the output leaves once.
-  kChannelwiseTile,
   /// FuSe 1-D convolution lines. With `broadcast` each array row convolves
   /// one line under the per-row weight bus (paper Fig. 7); without it each
   /// line degrades to a serialized [line_out, taps] x [taps, 1] matmul.
@@ -49,13 +46,13 @@ enum class PrimitiveKind {
 std::string primitive_kind_name(PrimitiveKind kind);
 
 /// One primitive array op. `repeats` counts back-to-back executions of the
-/// identical primitive (depthwise channels, conv groups, channel-wise
-/// taps, broadcast-less lines); `unit` is the cost of ONE repeat, computed
-/// from the cycle-model formulas at lower() time.
+/// identical primitive (depthwise channels, conv groups, broadcast-less
+/// lines); `unit` is the cost of ONE repeat, computed from the cycle-model
+/// formulas at lower() time.
 struct PrimitiveOp {
   PrimitiveKind kind = PrimitiveKind::kMatmulTile;
 
-  // Matmul-shaped dims (kMatmulTile / kIm2colTile / kChannelwiseTile).
+  // Matmul-shaped dims (kMatmulTile / kIm2colTile).
   std::int64_t m = 0;
   std::int64_t k = 0;
   std::int64_t n = 0;
@@ -95,19 +92,16 @@ struct MappingPlan {
   std::string to_string() const;
 };
 
-/// Lowers one layer (batch 1) onto the array. Checks geometry: grouped
-/// convolutions must have channel counts divisible by `groups`.
-MappingPlan lower(const nn::LayerDesc& layer, const ArrayConfig& cfg);
-
-/// Batched lowering: the batch stacks along the output-position dimension
-/// for the conv family and fills otherwise-idle array rows (m = batch) for
-/// FC layers — which is why datacenter accelerators batch, and why batch-1
-/// edge inference is where the depthwise pathology (and FuSeConv's fix)
-/// matters most. Standard convolutions always lower to im2col here — the
-/// channel-wise mapping offers no batched variant in this model. The
-/// oracle of sched::eval_layer_batched, which prices serving batches.
-MappingPlan lower_batched(const nn::LayerDesc& layer, const ArrayConfig& cfg,
-                          std::int64_t batch);
+/// Lowers `batch` images of one layer onto the array (batch 1 is the
+/// paper's setting). The batch stacks along the output-position dimension
+/// for the conv family (along the lines for FuSe layers) and fills
+/// otherwise-idle array rows (m = batch) for FC layers — which is why
+/// datacenter accelerators batch, and why batch-1 edge inference is where
+/// the depthwise pathology (and FuSeConv's fix) matters most. Checks
+/// geometry: batch >= 1, and grouped convolutions must have channel counts
+/// divisible by `groups`.
+MappingPlan lower(const nn::LayerDesc& layer, const ArrayConfig& cfg,
+                  std::int64_t batch = 1);
 
 // Two mapping decisions shared with the closed-form evaluator; the cost
 // arithmetic stays separate, so the plan fold remains its oracle.
@@ -128,9 +122,8 @@ void check_grouped_conv(const nn::LayerDesc& layer);
 
 /// DRAM traffic of a lowered plan (the roofline extension's input).
 /// Matmul-shaped primitives re-stream operands once per fold
-/// (memory.hpp's rule) and scale with `repeats`; a kChannelwiseTile's
-/// output leaves once across all taps (adder-tree reduction); kFuse1DLine
-/// reads each line's window per column-fold over the *kept* outputs.
+/// (memory.hpp's rule) and scale with `repeats`; kFuse1DLine reads each
+/// line's window per column-fold over the *kept* outputs.
 TrafficEstimate plan_traffic(const MappingPlan& plan, const ArrayConfig& cfg,
                              const MemoryConfig& mem);
 

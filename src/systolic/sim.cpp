@@ -225,7 +225,6 @@ SimResult SystolicArraySim::run_plan(const MappingPlan& plan) {
     switch (op.kind) {
       case PrimitiveKind::kMatmulTile:
       case PrimitiveKind::kIm2colTile:
-      case PrimitiveKind::kChannelwiseTile:
         unit = matmul(Tensor(Shape{op.m, op.k}), Tensor(Shape{op.k, op.n}));
         break;
       case PrimitiveKind::kFuse1DLine:

@@ -107,12 +107,6 @@ void Tensor::fill_uniform(util::Rng& rng, float lo, float hi) {
   }
 }
 
-void Tensor::fill_normal(util::Rng& rng, float mean, float stddev) {
-  for (float& x : data_) {
-    x = static_cast<float>(rng.normal(mean, stddev));
-  }
-}
-
 void Tensor::fill_iota(float start) {
   float value = start;
   for (float& x : data_) {

@@ -74,9 +74,6 @@ class Tensor {
   /// Fills with uniform values in [lo, hi).
   void fill_uniform(util::Rng& rng, float lo, float hi);
 
-  /// Fills with N(mean, stddev) values.
-  void fill_normal(util::Rng& rng, float mean, float stddev);
-
   /// Fills with 0, 1, 2, ... (handy in mapping tests where provenance of
   /// each element matters).
   void fill_iota(float start = 0.0F);

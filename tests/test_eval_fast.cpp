@@ -26,7 +26,6 @@ using systolic::Dataflow;
 using systolic::Datapath;
 using systolic::MemoryConfig;
 using systolic::Pipelining;
-using systolic::StandardConvMapping;
 
 constexpr Dataflow kDataflows[] = {Dataflow::kOutputStationary,
                                    Dataflow::kWeightStationary,
@@ -39,10 +38,7 @@ using test::expect_matches_plan;
 std::string describe(const LayerDesc& layer, const ArrayConfig& cfg) {
   return layer.to_string() + " on " + cfg.to_string() + " " +
          dataflow_name(cfg.dataflow) +
-         (cfg.overlap_fold_drain ? " overlap" : "") +
-         (cfg.standard_conv_mapping == StandardConvMapping::kChannelwise
-              ? " channelwise"
-              : "");
+         (cfg.overlap_fold_drain ? " overlap" : "");
 }
 
 void expect_layer_equal(const LayerDesc& layer, const ArrayConfig& cfg,
@@ -122,13 +118,12 @@ TEST(EvalFastGrid, MatchesPlanPathEverywhere) {
   }
 }
 
-// The batched form against the lower_batched fold on every layer of the
-// zoo, at the batch sizes the serving engine forms (fold edges at 1-3,
+// The batched form against the batched lowering's fold on every layer of
+// the zoo, at the batch sizes the serving engine forms (fold edges at 1-3,
 // powers of two and their neighbours), plus network_bound_batched against
 // its plan-path oracle: per layer, max(compute, memory) of the plan.
-// 5 networks x 3 variants x 3 dataflows x broadcast on/off x both conv
-// mappings (the batched form must ignore channel-wise) x 8 batches.
-TEST(EvalFastBatched, ZooGridMatchesLowerBatched) {
+// 5 networks x 3 variants x 3 dataflows x broadcast on/off x 8 batches.
+TEST(EvalFastBatched, ZooGridMatchesBatchedLowering) {
   const MemoryConfig mem;
   for (nets::NetworkId id : nets::paper_networks()) {
     for (core::NetworkVariant variant :
@@ -138,32 +133,26 @@ TEST(EvalFastBatched, ZooGridMatchesLowerBatched) {
           build_variant(id, variant, ArrayConfig{}).model;
       for (Dataflow dataflow : kDataflows) {
         for (bool broadcast : {false, true}) {
-          for (StandardConvMapping mapping :
-               {StandardConvMapping::kIm2col,
-                StandardConvMapping::kChannelwise}) {
-            ArrayConfig cfg;
-            cfg.dataflow = dataflow;
-            cfg.broadcast_links = broadcast;
-            cfg.standard_conv_mapping = mapping;
-            for (std::int64_t batch : {1, 2, 3, 7, 8, 16, 63, 64}) {
-              SCOPED_TRACE(model.name + " on " + cfg.to_string() + " " +
-                           dataflow_name(dataflow) + " batch " +
-                           std::to_string(batch));
-              std::uint64_t oracle_bound = 0;
-              for (const LayerDesc& layer : model.layers) {
-                SCOPED_TRACE(layer.name);
-                const systolic::MappingPlan plan =
-                    systolic::lower_batched(layer, cfg, batch);
-                expect_matches_plan(
-                    eval_layer_batched(layer, cfg, mem, batch), plan, cfg,
-                    mem);
-                oracle_bound += std::max(
-                    plan.total_latency().cycles,
-                    systolic::plan_traffic(plan, cfg, mem).memory_cycles(mem));
-              }
-              EXPECT_EQ(network_bound_batched(model, cfg, mem, batch),
-                        oracle_bound);
+          ArrayConfig cfg;
+          cfg.dataflow = dataflow;
+          cfg.broadcast_links = broadcast;
+          for (std::int64_t batch : {1, 2, 3, 7, 8, 16, 63, 64}) {
+            SCOPED_TRACE(model.name + " on " + cfg.to_string() + " " +
+                         dataflow_name(dataflow) + " batch " +
+                         std::to_string(batch));
+            std::uint64_t oracle_bound = 0;
+            for (const LayerDesc& layer : model.layers) {
+              SCOPED_TRACE(layer.name);
+              const systolic::MappingPlan plan =
+                  systolic::lower(layer, cfg, batch);
+              expect_matches_plan(eval_layer_fast(layer, cfg, mem, batch),
+                                  plan, cfg, mem);
+              oracle_bound += std::max(
+                  plan.total_latency().cycles,
+                  systolic::plan_traffic(plan, cfg, mem).memory_cycles(mem));
             }
+            EXPECT_EQ(network_bound_batched(model, cfg, mem, batch),
+                      oracle_bound);
           }
         }
       }
@@ -172,8 +161,8 @@ TEST(EvalFastBatched, ZooGridMatchesLowerBatched) {
 }
 
 // Per-layer equality on every layer of every baseline + FuSe-Full network
-// under the non-default fold-accounting and conv-mapping switches the
-// network grid above does not flip.
+// under the non-default fold-accounting switch the network grid above does
+// not flip.
 TEST(EvalFastGrid, NonDefaultConfigSwitches) {
   const MemoryConfig mem;
   for (nets::NetworkId id : nets::paper_networks()) {
@@ -182,15 +171,10 @@ TEST(EvalFastGrid, NonDefaultConfigSwitches) {
       ArrayConfig cfg;
       const VariantBuild build = build_variant(id, variant, cfg);
       for (bool overlap : {false, true}) {
-        for (systolic::StandardConvMapping mapping :
-             {systolic::StandardConvMapping::kIm2col,
-              systolic::StandardConvMapping::kChannelwise}) {
-          ArrayConfig variant_cfg = cfg;
-          variant_cfg.overlap_fold_drain = overlap;
-          variant_cfg.standard_conv_mapping = mapping;
-          for (const LayerDesc& layer : build.model.layers) {
-            expect_layer_equal(layer, variant_cfg, mem);
-          }
+        ArrayConfig variant_cfg = cfg;
+        variant_cfg.overlap_fold_drain = overlap;
+        for (const LayerDesc& layer : build.model.layers) {
+          expect_layer_equal(layer, variant_cfg, mem);
         }
       }
     }

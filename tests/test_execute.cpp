@@ -184,13 +184,9 @@ TEST(ExecuteLayer, FusePaddingAcrossLinesMapsZeroLines) {
 TEST(ExecuteLayer, MisShapedOperandsRejectedOnEveryPath) {
   // The executor indexes operands by the layer's dims through raw
   // pointers, so a short operand must be refused before it is read.
-  ArrayConfig channelwise = sim_array(8);
-  channelwise.standard_conv_mapping =
-      systolic::StandardConvMapping::kChannelwise;
   const ArrayConfig no_bus = systolic::square_array(8, false);
   const std::pair<LayerDesc, ArrayConfig> paths[] = {
       {nn::make_conv("conv", 3, 7, 7, 5, 3, 1, 1), sim_array(8)},
-      {nn::make_conv("conv_cw", 3, 7, 7, 5, 3, 1, 1), channelwise},
       {nn::make_depthwise("dw", 4, 7, 7, 3, 1, 1), sim_array(8)},
       {nn::make_pointwise("pw", 6, 5, 5, 9), sim_array(8)},
       {nn::make_fuse_row("row", 3, 6, 6, 3, 1, 1), sim_array(8)},

@@ -92,37 +92,17 @@ TEST(Lowering, GlueOpsLowerToEmptyPlans) {
   }
 }
 
-TEST(Lowering, BatchedUsesIm2colAndIgnoresChannelwise) {
-  // Batched standard conv always lowers as one im2col matmul — the
-  // channelwise mapping is a batch-1 specialization.
-  ArrayConfig cfg = test_array(8, 8);
-  cfg.standard_conv_mapping = StandardConvMapping::kChannelwise;
+TEST(Lowering, BatchStacksAlongPositions) {
+  // A batched standard conv is one im2col matmul over every image's
+  // output positions; a batch below 1 is refused.
+  const ArrayConfig cfg = test_array(8, 8);
   const LayerDesc conv = conv_like(OpKind::kStandardConv, 3, 5, 7, 7, 3, 3,
                                    1, 1);
-  const MappingPlan batched = lower_batched(conv, cfg, 4);
+  const MappingPlan batched = lower(conv, cfg, 4);
   ASSERT_EQ(batched.ops.size(), 1u);
   EXPECT_EQ(batched.ops[0].kind, PrimitiveKind::kIm2colTile);
   EXPECT_EQ(batched.ops[0].m, 4 * conv.out_h * conv.out_w);
-  EXPECT_EQ(lower(conv, cfg).ops[0].kind, PrimitiveKind::kChannelwiseTile);
-  EXPECT_THROW(lower_batched(conv, cfg, 0), util::Error);
-}
-
-TEST(PlanTraffic, ChannelwiseMatchesIm2colBytes) {
-  // The preserved quirk: standard-conv DRAM traffic is the im2col volume
-  // regardless of the compute mapping (the adder tree only changes where
-  // partials reduce, not what crosses DRAM).
-  ArrayConfig im2col_cfg = test_array(8, 8);
-  ArrayConfig cw_cfg = im2col_cfg;
-  cw_cfg.standard_conv_mapping = StandardConvMapping::kChannelwise;
-  const MemoryConfig mem;
-  const LayerDesc conv = conv_like(OpKind::kStandardConv, 3, 5, 9, 9, 3, 3,
-                                   1, 1);
-  const TrafficEstimate a =
-      plan_traffic(lower(conv, im2col_cfg), im2col_cfg, mem);
-  const TrafficEstimate b = plan_traffic(lower(conv, cw_cfg), cw_cfg, mem);
-  EXPECT_EQ(a.input_bytes, b.input_bytes);
-  EXPECT_EQ(a.weight_bytes, b.weight_bytes);
-  EXPECT_EQ(a.output_bytes, b.output_bytes);
+  EXPECT_THROW(lower(conv, cfg, 0), util::Error);
 }
 
 TEST(PlanTraffic, StridedFuseChargesKeptOutputsOnly) {
@@ -150,11 +130,6 @@ TEST(PlanGolden, OneLayerPerKind) {
   const ArrayConfig cfg = test_array(8, 8);
   EXPECT_EQ(plan_string(nn::make_conv("c", 3, 8, 8, 5, 3, 1, 1), cfg),
             "im2col m=64 k=27 n=5 taps=3x3: 368 cycles, 8 folds, 8640 "
-            "macs\n");
-  ArrayConfig cw = cfg;
-  cw.standard_conv_mapping = StandardConvMapping::kChannelwise;
-  EXPECT_EQ(plan_string(nn::make_conv("c", 3, 8, 8, 5, 3, 1, 1), cw),
-            "channelwise m=64 k=3 n=5 x9: 1584 cycles, 72 folds, 8640 "
             "macs\n");
   EXPECT_EQ(
       plan_string(conv_like(OpKind::kGroupedConv, 4, 6, 8, 8, 3, 3, 1, 2),

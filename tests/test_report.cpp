@@ -1,10 +1,8 @@
 // Tests for the sched report builders (Table-I rows, layer-wise speedups,
-// scaling sweeps) and the squeeze-excite functional composite.
+// scaling sweeps).
 #include <gtest/gtest.h>
 
-#include "nn/ops.hpp"
 #include "sched/report.hpp"
-#include "util/rng.hpp"
 
 namespace fuse::sched {
 namespace {
@@ -100,78 +98,3 @@ TEST(ScalingBuilder, MatchesPerSizeSpeedups) {
 
 }  // namespace
 }  // namespace fuse::sched
-
-namespace fuse::nn {
-namespace {
-
-using tensor::Shape;
-using tensor::Tensor;
-
-TEST(SqueezeExcite, GatesAreBoundedAndApplied) {
-  util::Rng rng(70);
-  Tensor input(Shape{2, 4, 3, 3});
-  input.fill_uniform(rng, -1.0F, 1.0F);
-  Tensor reduce_w(Shape{2, 4});
-  reduce_w.fill_uniform(rng, -1.0F, 1.0F);
-  Tensor reduce_b(Shape{2});
-  Tensor expand_w(Shape{4, 2});
-  expand_w.fill_uniform(rng, -1.0F, 1.0F);
-  Tensor expand_b(Shape{4});
-
-  const Tensor out =
-      squeeze_excite(input, reduce_w, reduce_b, expand_w, expand_b);
-  EXPECT_EQ(out.shape(), input.shape());
-  // Hard-sigmoid gates are in [0, 1]: |out| <= |in| elementwise.
-  for (std::int64_t i = 0; i < input.num_elements(); ++i) {
-    EXPECT_LE(std::abs(out[i]), std::abs(input[i]) + 1e-6F) << i;
-  }
-}
-
-TEST(SqueezeExcite, SaturatedGateIsIdentity) {
-  // Large positive expand bias -> hard-sigmoid saturates at 1 -> identity.
-  Tensor input(Shape{1, 3, 2, 2});
-  input.fill_iota();
-  Tensor reduce_w(Shape{1, 3});
-  Tensor reduce_b(Shape{1});
-  Tensor expand_w(Shape{3, 1});
-  Tensor expand_b(Shape{3});
-  expand_b.fill(10.0F);
-  const Tensor out =
-      squeeze_excite(input, reduce_w, reduce_b, expand_w, expand_b);
-  EXPECT_TRUE(tensor::allclose(out, input));
-}
-
-TEST(SqueezeExcite, PerSampleGating) {
-  // Two samples with different magnitudes get different gates.
-  util::Rng rng(71);
-  Tensor input(Shape{2, 2, 2, 2});
-  for (std::int64_t i = 0; i < 8; ++i) {
-    input[i] = 0.1F;         // sample 0: small
-    input[8 + i] = 3.0F;     // sample 1: large
-  }
-  Tensor reduce_w(Shape{1, 2});
-  reduce_w.fill(1.0F);
-  Tensor reduce_b(Shape{1});
-  Tensor expand_w(Shape{2, 1});
-  expand_w.fill(1.0F);
-  Tensor expand_b(Shape{2});
-  const Tensor out =
-      squeeze_excite(input, reduce_w, reduce_b, expand_w, expand_b);
-  const float gate0 = out[0] / input[0];
-  const float gate1 = out[8] / input[8];
-  EXPECT_GT(gate1, gate0);
-}
-
-TEST(SqueezeExcite, ShapeMismatchThrows) {
-  Tensor input(Shape{1, 3, 2, 2});
-  Tensor reduce_w(Shape{1, 4});  // wrong C
-  Tensor reduce_b(Shape{1});
-  Tensor expand_w(Shape{3, 1});
-  Tensor expand_b(Shape{3});
-  EXPECT_THROW(
-      squeeze_excite(input, reduce_w, reduce_b, expand_w, expand_b),
-      util::Error);
-}
-
-}  // namespace
-}  // namespace fuse::nn

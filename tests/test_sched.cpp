@@ -343,52 +343,5 @@ TEST(LayerwiseSpeedup, V2FullShapeMatchesFig8b) {
   EXPECT_FALSE(slots.front().name.empty());
 }
 
-
-TEST(ConvMapping, ChannelwiseKnobChangesStandardConvOnly) {
-  ArrayConfig channelwise = paper_array();
-  channelwise.standard_conv_mapping =
-      systolic::StandardConvMapping::kChannelwise;
-  const ArrayConfig im2col = paper_array();
-
-  const LayerDesc conv = nn::make_conv("c", 32, 28, 28, 64, 3, 1, 1);
-  // One [positions, in_c] x [in_c, out_c] matmul per kernel tap.
-  EXPECT_EQ(layer_latency(conv, channelwise).cycles,
-            9 * systolic::matmul_latency(28 * 28, 32, 64, channelwise).cycles);
-  EXPECT_NE(layer_latency(conv, channelwise).cycles,
-            layer_latency(conv, im2col).cycles);
-
-  // Depthwise and pointwise layers are untouched by the knob.
-  const LayerDesc dw = nn::make_depthwise("dw", 32, 28, 28, 3, 1, 1);
-  EXPECT_EQ(layer_latency(dw, channelwise).cycles,
-            layer_latency(dw, im2col).cycles);
-  const LayerDesc pw = nn::make_pointwise("pw", 32, 28, 28, 64);
-  EXPECT_EQ(layer_latency(pw, channelwise).cycles,
-            layer_latency(pw, im2col).cycles);
-}
-
-TEST(ConvMapping, FuseSpeedupSurvivesChannelwiseMapping) {
-  // The headline result does not hinge on how the few dense convs map.
-  ArrayConfig cfg = paper_array();
-  cfg.standard_conv_mapping =
-      systolic::StandardConvMapping::kChannelwise;
-  const double speedup = speedup_vs_baseline(
-      NetworkId::kMobileNetV2, core::NetworkVariant::kFuseHalf, cfg);
-  EXPECT_GT(speedup, 5.0);
-}
-
-TEST(ConvMapping, ChannelwiseWinsForChannelHeavyConvs) {
-  // Fig. 3(b)'s motivation: deep-channel convs fill both dimensions via
-  // channel dot products without materializing im2col's K^2-taller
-  // reduction. For the stem conv (3 input channels) im2col is better; for
-  // a deep 3x3 conv channelwise is competitive.
-  const ArrayConfig im2col = paper_array();
-  ArrayConfig channelwise = im2col;
-  channelwise.standard_conv_mapping =
-      systolic::StandardConvMapping::kChannelwise;
-  const LayerDesc stem = nn::make_conv("stem", 3, 224, 224, 32, 3, 2, 1);
-  EXPECT_LT(layer_latency(stem, im2col).cycles,
-            layer_latency(stem, channelwise).cycles);
-}
-
 }  // namespace
 }  // namespace fuse::sched

@@ -217,7 +217,7 @@ TEST(ServeEngine, PositiveBatchHintTightensTheCap) {
   EXPECT_EQ(engine.response(2).batch_size, 1);
 }
 
-TEST(ServeEngine, QueueFullRejectsNewestByDefault) {
+TEST(ServeEngine, QueueFullRejectsTheArrival) {
   ModelPool pool = make_pool();
   const ShapeKey key = custom_key(pool.register_custom(small_chain()));
   ServeConfig config;
@@ -236,42 +236,6 @@ TEST(ServeEngine, QueueFullRejectsNewestByDefault) {
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(engine.response(0).batch_size, 2);
-}
-
-TEST(ServeEngine, RejectOldestEvictsQueuedAndKeepsTheDeadline) {
-  ModelPool pool = make_pool();
-  const ShapeKey key = custom_key(pool.register_custom(small_chain()));
-  ServeConfig config;
-  config.batch_window = 1000;
-  config.max_batch = 8;
-  config.queue_capacity = 2;
-  config.shed = ShedPolicy::kRejectOldest;
-  ServeEngine engine(config, &pool);
-  engine.submit(key, 0, 10);  // id 0: the eventual victim
-  engine.submit(key, 0, 20);
-  engine.submit(key, 0, 30);  // evicts id 0, takes its slot
-  engine.drain();
-  EXPECT_EQ(engine.response(0).status, RequestStatus::kRejected);
-  EXPECT_EQ(engine.response(1).status, RequestStatus::kCompleted);
-  EXPECT_EQ(engine.response(2).status, RequestStatus::kCompleted);
-  // The batch keeps the window promise anchored at the ORIGINAL opener.
-  EXPECT_EQ(engine.response(1).dispatch_cycle, 1010u);
-  EXPECT_EQ(engine.response(1).batch_size, 2);
-}
-
-TEST(ServeEngine, RejectOldestFallsBackWhenNothingIsQueued) {
-  ModelPool pool = make_pool();
-  const ShapeKey key = custom_key(pool.register_custom(small_chain()));
-  ServeConfig config;
-  config.batch_window = 0;  // every admit dispatches immediately
-  config.queue_capacity = 1;
-  config.shed = ShedPolicy::kRejectOldest;
-  ServeEngine engine(config, &pool);
-  engine.submit(key, 0, 0);  // dispatched (in flight, not queued)
-  const std::uint64_t shed = engine.submit(key, 0, 0);
-  EXPECT_EQ(engine.response(shed).status, RequestStatus::kRejected);
-  engine.drain();
-  EXPECT_EQ(engine.response(0).status, RequestStatus::kCompleted);
 }
 
 TEST(ServeEngine, CapacityFreedByRetirementReadmits) {

@@ -137,24 +137,6 @@ TEST(DepthwiseIm2col, WastesTheArray) {
   EXPECT_LT(est.utilization(), 1.0 / 64);
 }
 
-ArrayConfig channelwise_array(std::int64_t size) {
-  ArrayConfig cfg = array_no_overlap(size);
-  cfg.standard_conv_mapping = StandardConvMapping::kChannelwise;
-  return cfg;
-}
-
-TEST(ChannelwiseConv, TapsMultiplyCycles) {
-  const ArrayConfig cfg = channelwise_array(16);
-  const LatencyEstimate one_tap = layer_cost(conv(14, 1, 32, 64), cfg);
-  const LatencyEstimate nine_taps = layer_cost(conv(14, 3, 32, 64), cfg);
-  EXPECT_EQ(nine_taps.cycles, 9u * one_tap.cycles);
-}
-
-TEST(ChannelwiseConv, SameMacsAsIm2col) {
-  EXPECT_EQ(layer_cost(conv(14, 3, 32, 64), channelwise_array(16)).mac_ops,
-            layer_cost(conv(14, 3, 32, 64), array_no_overlap(16)).mac_ops);
-}
-
 // --- fuse1d -----------------------------------------------------------------
 
 TEST(Fuse1d, SingleWaveFormula) {

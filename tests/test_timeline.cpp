@@ -116,7 +116,7 @@ TEST(Gantt, TooSmallWidthThrows) {
 systolic::LatencyEstimate batched_latency(const nn::LayerDesc& layer,
                                           const systolic::ArrayConfig& cfg,
                                           std::int64_t batch) {
-  return systolic::lower_batched(layer, cfg, batch).total_latency();
+  return systolic::lower(layer, cfg, batch).total_latency();
 }
 
 /// Cycles for `batch` images through the whole network.

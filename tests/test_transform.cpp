@@ -1,6 +1,8 @@
 // Tests for the network-level FuSe transform policy.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/transform.hpp"
 #include "util/check.hpp"
 
@@ -22,6 +24,24 @@ TEST(VariantNames, AllVariantsListedInTableOrder) {
   ASSERT_EQ(variants.size(), 5u);
   EXPECT_EQ(variants[0], NetworkVariant::kBaseline);
   EXPECT_EQ(variants[4], NetworkVariant::kFuseHalf50);
+}
+
+TEST(VariantNames, ParsesEveryFlagSpelling) {
+  const std::pair<const char*, NetworkVariant> spellings[] = {
+      {"baseline", NetworkVariant::kBaseline},
+      {"full", NetworkVariant::kFuseFull},
+      {"fuse_full", NetworkVariant::kFuseFull},
+      {"half", NetworkVariant::kFuseHalf},
+      {"fuse_half", NetworkVariant::kFuseHalf},
+      {"full50", NetworkVariant::kFuseFull50},
+      {"fuse_full50", NetworkVariant::kFuseFull50},
+      {"half50", NetworkVariant::kFuseHalf50},
+      {"fuse_half50", NetworkVariant::kFuseHalf50},
+  };
+  for (const auto& [name, variant] : spellings) {
+    EXPECT_EQ(parse_network_variant(name), variant) << name;
+  }
+  EXPECT_THROW(parse_network_variant("fuse_baseline"), util::Error);
 }
 
 TEST(FuseModeVariant, MapsToDKnob) {
