@@ -35,6 +35,9 @@ int main(int argc, char** argv) {
   bench::add_kernel_flags(flags);
   flags.parse(argc, argv);
   const nn::KernelChoice kernels = bench::kernel_choice_flags(flags);
+  const std::string arch = flags.get_string("arch");
+  FUSE_CHECK(arch == "separable" || arch == "inverted")
+      << "unknown --arch '" << arch << "' (separable|inverted)";
 
   DatasetConfig dc;  // 4-way, 3x16x16
   if (flags.get_string("task") == "blobs") {
@@ -83,7 +86,7 @@ int main(int argc, char** argv) {
       TinyNetConfig nc;
       nc.num_classes = dc.num_classes;
       nc.kernels = kernels;
-      auto net = flags.get_string("arch") == "inverted"
+      auto net = arch == "inverted"
                      ? build_tiny_inverted_net(nc, row.mode, rng)
                      : build_tiny_net(nc, row.mode, rng);
       const TrainResult result =

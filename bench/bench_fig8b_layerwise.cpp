@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "sched/report.hpp"
-#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -16,28 +15,24 @@
 
 using namespace fuse;
 
-namespace {
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas");
-  flags.add_string("variant", "full", "replacement variant: full|half");
+  flags.add_string("variant", "full",
+                   "replacement variant: [fuse_]full|[fuse_]half");
   flags.add_bool("csv", false, "also write bench_fig8b.csv");
   flags.parse(argc, argv);
 
   const auto cfg = systolic::square_array(flags.get_int("size"));
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
-  const core::FuseMode mode = flags.get_string("variant") == "half"
-                                  ? core::FuseMode::kHalf
-                                  : core::FuseMode::kFull;
+  const core::FuseMode mode =
+      core::parse_fuse_mode(flags.get_string("variant"));
   std::printf(
       "Fig. 8(b) reproduction — per-depthwise-block speedup, %s "
       "FuSe-%s on %s (paper: 2.48x-9.38x for V2 Full)\n\n",
       nets::network_name(id).c_str(),
-      mode == core::FuseMode::kHalf ? "Half" : "Full",
+      core::fuse_variant_name(core::fuse_mode_variant(mode)).c_str(),
       cfg.to_string().c_str());
 
   const auto slots = sched::layerwise_speedup(id, mode, cfg);

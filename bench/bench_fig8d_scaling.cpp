@@ -17,16 +17,14 @@ using namespace fuse;
 
 int main(int argc, char** argv) {
   util::CliFlags flags;
-  flags.add_string("variant", "half", "full|half");
+  flags.add_string("variant", "half", core::kNetworkVariantSpellings);
   flags.add_bool("csv", false, "also write bench_fig8d.csv");
   bench::add_telemetry_flags(flags);
   flags.parse(argc, argv);
   bench::TelemetryScope telemetry(flags);
 
   const core::NetworkVariant variant =
-      flags.get_string("variant") == "full"
-          ? core::NetworkVariant::kFuseFull
-          : core::NetworkVariant::kFuseHalf;
+      core::parse_network_variant(flags.get_string("variant"));
   const std::vector<std::int64_t> sizes = {8, 16, 32, 64, 128};
 
   std::printf(

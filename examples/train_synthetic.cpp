@@ -11,7 +11,6 @@
 #include "bench_common.hpp"
 #include "train/models.hpp"
 #include "train/trainer.hpp"
-#include "util/check.hpp"
 #include "util/cli.hpp"
 
 using namespace fuse;
@@ -19,7 +18,7 @@ using namespace fuse::train;
 
 int main(int argc, char** argv) {
   util::CliFlags flags;
-  flags.add_string("mode", "full", "baseline|full|half");
+  flags.add_string("mode", "full", core::kFuseModeSpellings);
   flags.add_int("epochs", 8, "training epochs");
   flags.add_int("seed", 1, "weight init seed");
   flags.add_int("train", 256, "training examples");
@@ -30,15 +29,7 @@ int main(int argc, char** argv) {
   config.kernels = bench::kernel_choice_flags(flags);
 
   const std::string mode_name = flags.get_string("mode");
-  core::FuseMode mode = core::FuseMode::kBaseline;
-  if (mode_name == "full") {
-    mode = core::FuseMode::kFull;
-  } else if (mode_name == "half") {
-    mode = core::FuseMode::kHalf;
-  } else {
-    FUSE_CHECK(mode_name == "baseline")
-        << "unknown --mode '" << mode_name << "' (baseline|full|half)";
-  }
+  const core::FuseMode mode = core::parse_fuse_mode(mode_name);
 
   DatasetConfig dc;
   const TextureDataset train_data(dc, flags.get_int("train"), 1);

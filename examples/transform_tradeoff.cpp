@@ -11,28 +11,22 @@
 #include <numeric>
 
 #include "sched/latency.hpp"
-#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace fuse;
 
-namespace {
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::CliFlags flags;
   flags.add_string("net", "v2", "network: v1|v2|v3s|v3l|mnas");
-  flags.add_string("variant", "half", "full|half");
+  flags.add_string("variant", "half", "[fuse_]full|[fuse_]half");
   flags.add_int("size", 64, "systolic array size (SxS)");
   flags.parse(argc, argv);
 
   const nets::NetworkId id = nets::parse_network_flag(flags.get_string("net"));
-  const core::FuseMode mode = flags.get_string("variant") == "full"
-                                  ? core::FuseMode::kFull
-                                  : core::FuseMode::kHalf;
+  const core::FuseMode mode =
+      core::parse_fuse_mode(flags.get_string("variant"));
   const auto cfg = systolic::square_array(flags.get_int("size"));
 
   const int slots = nets::num_fuse_slots(id);
@@ -51,7 +45,7 @@ int main(int argc, char** argv) {
   std::printf(
       "FuSe-%s replacement frontier for %s on %s (greedy by latency "
       "savings)\n\n",
-      mode == core::FuseMode::kFull ? "Full" : "Half",
+      core::fuse_variant_name(core::fuse_mode_variant(mode)).c_str(),
       nets::network_name(id).c_str(), cfg.to_string().c_str());
 
   util::TablePrinter table({"Replaced", "Fraction", "MACs (M)",

@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "nn/quantized.hpp"
 #include "tensor/im2col.hpp"
-#include "tensor/quantize.hpp"
 #include "util/check.hpp"
 
 namespace fuse::core {
@@ -143,44 +141,6 @@ Tensor FuseConvStage::forward(const Tensor& input,
   const Tensor col_out =
       nn::conv2d(col_input, col_weights_, nullptr, col_params, choice);
 
-  return nn::concat_channels(row_out, col_out);
-}
-
-Tensor fuseconv_forward_int8(const FuseConvStage& stage,
-                             const Tensor& input) {
-  const FuseConvSpec& spec = stage.spec();
-  FUSE_CHECK(input.shape().rank() == 4 &&
-             input.shape().dim(1) == spec.channels)
-      << "fuseconv_forward_int8 expects NCHW with C=" << spec.channels;
-  const std::int64_t branch_c = spec.branch_channels();
-
-  const Tensor row_input = spec.variant == FuseVariant::kFull
-                               ? input
-                               : slice_channels(input, 0, branch_c);
-  const Tensor col_input =
-      spec.variant == FuseVariant::kFull
-          ? input
-          : slice_channels(input, branch_c, branch_c);
-
-  nn::Conv2dParams row_params;
-  row_params.stride_h = spec.stride;
-  row_params.stride_w = spec.stride;
-  row_params.pad_w = spec.pad;
-  row_params.groups = branch_c;
-  nn::Conv2dParams col_params;
-  col_params.stride_h = spec.stride;
-  col_params.stride_w = spec.stride;
-  col_params.pad_h = spec.pad;
-  col_params.groups = branch_c;
-
-  const Tensor row_out = nn::conv2d_int8(
-      tensor::quantize_calibrated(row_input),
-      tensor::quantize_calibrated(stage.row_weights(), /*symmetric=*/true),
-      row_params);
-  const Tensor col_out = nn::conv2d_int8(
-      tensor::quantize_calibrated(col_input),
-      tensor::quantize_calibrated(stage.col_weights(), /*symmetric=*/true),
-      col_params);
   return nn::concat_channels(row_out, col_out);
 }
 

@@ -120,12 +120,4 @@ std::vector<LayerDesc> lower_fuse_stage(const std::string& name,
 Tensor slice_channels(const Tensor& input, std::int64_t first_channel,
                       std::int64_t count);
 
-/// INT8 forward pass of a FuSeConv stage: activations affine-quantized
-/// (min/max calibrated on this input), per-branch weights symmetric, INT32
-/// accumulation, float requantization — the arithmetic a TPUv1-class array
-/// performs natively. Returns the dequantized float output; tests bound
-/// its deviation from the FP32 forward.
-Tensor fuseconv_forward_int8(const FuseConvStage& stage,
-                             const Tensor& input);
-
 }  // namespace fuse::core

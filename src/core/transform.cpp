@@ -40,9 +40,19 @@ NetworkVariant parse_network_variant(const std::string& name) {
   if (bare == "half") return NetworkVariant::kFuseHalf;
   if (bare == "full50") return NetworkVariant::kFuseFull50;
   if (bare == "half50") return NetworkVariant::kFuseHalf50;
-  FUSE_CHECK(false) << "unknown --variant '" << name << "' ("
+  FUSE_CHECK(false) << "unknown variant '" << name << "' ("
                     << kNetworkVariantSpellings << ")";
   return NetworkVariant::kBaseline;
+}
+
+FuseMode parse_fuse_mode(const std::string& name) {
+  const NetworkVariant variant = parse_network_variant(name);
+  FUSE_CHECK(variant != NetworkVariant::kFuseFull50 &&
+             variant != NetworkVariant::kFuseHalf50)
+      << "'" << name << "' is a 50% variant, not a per-slot mode ("
+      << kFuseModeSpellings << ")";
+  // The mode this uniform variant gives every slot.
+  return modes_for_variant(variant, 1, {}).front();
 }
 
 FuseVariant fuse_mode_variant(FuseMode mode) {

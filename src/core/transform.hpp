@@ -49,6 +49,14 @@ inline constexpr const char* kNetworkVariantSpellings =
 /// anything else.
 NetworkVariant parse_network_variant(const std::string& name);
 
+/// The spellings parse_fuse_mode accepts: the non-50% network variants.
+inline constexpr const char* kFuseModeSpellings =
+    "baseline|[fuse_]full|[fuse_]half";
+
+/// Parses a per-slot mode flag through parse_network_variant, so the two
+/// share their spellings; FUSE_CHECKs a 50% variant or an unknown name.
+FuseMode parse_fuse_mode(const std::string& name);
+
 /// The FuseVariant (D knob) a replacing mode uses. Must not be kBaseline.
 FuseVariant fuse_mode_variant(FuseMode mode);
 

@@ -46,8 +46,8 @@
 // at the kernel entry. The backward passes always run the scalar kernels
 // (docs/kernels.md has the dispatch table). The simulator's f64 kernels,
 // and the channelwise convs at stride_w != 1 or dilation_w != 1, change
-// speed with the ISA, never a bit. nn::matmul and the INT8 operators
-// (nn/quantized.hpp) are one loop each and take no choice.
+// speed with the ISA, never a bit. nn::matmul is one loop and takes no
+// choice.
 #pragma once
 
 #include <cstdint>

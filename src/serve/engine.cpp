@@ -300,11 +300,6 @@ std::uint64_t ServeEngine::next_deadline() const {
   return next_deadline_locked(nullptr);
 }
 
-std::uint64_t ServeEngine::next_completion() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return in_flight_.empty() ? kNoEvent : in_flight_.top().first;
-}
-
 std::uint64_t ServeEngine::now() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return now_;

@@ -89,7 +89,7 @@ double percentile_sorted(const std::vector<std::uint64_t>& sorted, double q);
 
 class ServeEngine {
  public:
-  /// No event pending (next_deadline / next_completion).
+  /// No event pending (next_deadline).
   static constexpr std::uint64_t kNoEvent =
       static_cast<std::uint64_t>(-1);
 
@@ -114,9 +114,8 @@ class ServeEngine {
   /// and retiring every completion at or before `cycle`.
   void advance_to(std::uint64_t cycle);
 
-  /// Earliest open-batch deadline / in-flight completion, or kNoEvent.
+  /// Earliest open-batch deadline, or kNoEvent.
   std::uint64_t next_deadline() const;
-  std::uint64_t next_completion() const;
 
   /// Current virtual time (the latest event or arrival processed).
   std::uint64_t now() const;

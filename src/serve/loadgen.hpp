@@ -11,7 +11,7 @@
 //   * CLOSED loop — a fixed number of outstanding requests; each
 //     completion immediately submits the next (models synchronous
 //     clients; measures saturation throughput). The driver steps the
-//     engine's own event clock via next_deadline/next_completion.
+//     engine's own event clock via next_deadline.
 #pragma once
 
 #include <cstdint>

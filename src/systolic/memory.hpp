@@ -59,7 +59,6 @@ struct RooflineLatency {
   std::uint64_t bound_cycles() const {
     return compute_cycles > memory_cycles ? compute_cycles : memory_cycles;
   }
-  bool memory_bound() const { return memory_cycles > compute_cycles; }
 };
 
 // --- traffic per mapping ------------------------------------------------------

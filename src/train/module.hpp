@@ -168,12 +168,9 @@ class BatchNorm2d : public Module {
   std::string name() const override { return name_; }
 
   void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
 
   Parameter& gamma() { return gamma_; }
   Parameter& beta() { return beta_; }
-  const Tensor& running_mean() const { return running_mean_; }
-  const Tensor& running_var() const { return running_var_; }
 
  private:
   std::string name_;

@@ -36,7 +36,6 @@ class Sgd : public Optimizer {
   void step() override;
 
   void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
 
  private:
   double lr_;
@@ -55,7 +54,6 @@ class RmsProp : public Optimizer {
   void step() override;
 
   void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
 
  private:
   double lr_;

@@ -42,6 +42,19 @@ TEST(VariantNames, ParsesEveryFlagSpelling) {
     EXPECT_EQ(parse_network_variant(name), variant) << name;
   }
   EXPECT_THROW(parse_network_variant("fuse_baseline"), util::Error);
+
+  // parse_fuse_mode shares the non-50% spellings and rejects the rest.
+  const std::pair<const char*, FuseMode> modes[] = {
+      {"baseline", FuseMode::kBaseline}, {"full", FuseMode::kFull},
+      {"fuse_full", FuseMode::kFull},    {"half", FuseMode::kHalf},
+      {"fuse_half", FuseMode::kHalf},
+  };
+  for (const auto& [name, mode] : modes) {
+    EXPECT_EQ(parse_fuse_mode(name), mode) << name;
+  }
+  for (const char* name : {"full50", "fuse_half50", "fuse_baseline", "bogus"}) {
+    EXPECT_THROW(parse_fuse_mode(name), util::Error) << name;
+  }
 }
 
 TEST(FuseModeVariant, MapsToDKnob) {

@@ -3,8 +3,11 @@
 #   1. src/ reads no environment variable (no getenv), then the default
 #      build + complete test suite, then a smoke run of the examples no
 #      other stage runs (quickstart, network_explorer, transform_tradeoff,
-#      operator_search, export_network, schedule_timeline, int8_inference,
-#      train_synthetic): each must exit 0 and print something,
+#      operator_search, export_network, schedule_timeline,
+#      train_synthetic): each must exit 0 and print something; then a
+#      negative control: every bench and example (bench_kernels aside)
+#      must exit nonzero on --<selector>=bogus for each enumerated
+#      selector its --help lists, instead of running a default,
 #   2. ThreadSanitizer build running the suites that start threads
 #      (test_thread_pool, test_telemetry, test_serve — test_serve replays
 #      the serving engine's worker-determinism trace at 1/2/4 payload
@@ -106,7 +109,7 @@ filter_bench_output() {
   grep -vE '^(sweep:|#)' || true
 }
 
-echo "=== [1/11] no getenv in src/ + default build + full test suite + example smoke runs ==="
+echo "=== [1/11] no getenv in src/ + default build + full test suite + example smoke runs + bogus-selector control ==="
 # Results are a function of code and flags only: no library code may read
 # the environment.
 if grep -rn getenv src/; then
@@ -121,7 +124,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 # network.fusenet into its working directory.
 SMOKE_EXAMPLES=(quickstart network_explorer transform_tradeoff
                 operator_search export_network schedule_timeline
-                int8_inference train_synthetic)
+                train_synthetic)
 mkdir -p "$TELEMETRY_TMP/examples"
 for example in "${SMOKE_EXAMPLES[@]}"; do
   bin="$REPO_ROOT/$BUILD_DIR/examples/$example"
@@ -133,6 +136,38 @@ for example in "${SMOKE_EXAMPLES[@]}"; do
   fi
   echo "$example: ok"
 done
+# Negative control: a typo in an enumerated flag must fail loudly, not
+# run a default and exit 0. Every bench and example with a source (a
+# stale binary in the build dir is skipped; bench_kernels hands its flags
+# to google-benchmark) runs once per selector its --help lists, with the
+# value "bogus", in the scratch directory, and must exit nonzero.
+SELECTORS=(net variant mode arch task sched-mode kernel-backend kernel-isa
+           sim-backend)
+mkdir -p "$TELEMETRY_TMP/bogus"
+rejected=0
+for bin in "$REPO_ROOT/$BUILD_DIR"/bench/* "$REPO_ROOT/$BUILD_DIR"/examples/*
+do
+  name="$(basename "$bin")"
+  src="$(basename "$(dirname "$bin")")/$name.cpp"
+  [ -f "$bin" ] && [ -x "$bin" ] && [ -f "$src" ] || continue
+  [ "$name" != bench_kernels ] || continue
+  help="$("$bin" --help 2>&1)"
+  for flag in "${SELECTORS[@]}"; do
+    grep -q -- "^  --$flag " <<< "$help" || continue
+    # The group's redirect also silences the shell's "Aborted" notice.
+    if { (cd "$TELEMETRY_TMP/bogus" && "$bin" "--$flag=bogus"); } \
+         > /dev/null 2>&1; then
+      echo "$name --$flag=bogus: EXITED 0 (ran a default)" >&2
+      exit 1
+    fi
+    rejected=$((rejected + 1))
+  done
+done
+if [ "$rejected" -eq 0 ]; then
+  echo "no binary lists a selector flag: the control checked nothing" >&2
+  exit 1
+fi
+echo "bogus selector values: all $rejected (binary, flag) runs exit nonzero"
 
 echo
 echo "=== [2/11] ThreadSanitizer build + concurrency suites ==="
